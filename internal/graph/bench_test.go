@@ -34,3 +34,19 @@ func BenchmarkBFS16k(b *testing.B) {
 		_ = g.BFSDistances(i % g.NumNodes())
 	}
 }
+
+// BenchmarkStructuralReport128k times the simple=/connected= report every
+// dense run prints, at the repo benchmark's dense-fourchoice shape.
+func BenchmarkStructuralReport128k(b *testing.B) {
+	g, err := RandomRegular(1<<17, 16, xrand.New(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !g.IsSimple() || !g.IsConnected() {
+			b.Fatal("random regular graph not simple and connected")
+		}
+	}
+}

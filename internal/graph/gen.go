@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"regcast/internal/xrand"
 )
@@ -12,7 +13,8 @@ import (
 // may occur (the paper analyses exactly this process); use RandomRegular
 // for a simple graph.
 //
-// n*d must be even and d < n is required for a meaningful topology.
+// n*d must be even and fit in int32 (stub ids and CSR offsets are int32),
+// and d < n is required for a meaningful topology.
 //
 // The build is direct-to-CSR: degrees are exactly d, so the offsets are
 // known up front and each stub pair is written straight into the
@@ -51,39 +53,57 @@ func ConfigurationModel(n, d int, rng *xrand.Rand) (*Graph, error) {
 // pairs that would create a self-loop or parallel edge; if the process gets
 // stuck it restarts. For d = o(n^{1/3}) the resulting distribution is
 // asymptotically uniform and restarts are rare.
+//
+// The build is direct-to-CSR and keeps no edge-keyed table: degrees are
+// exactly d, so row v is adj[v·d : (v+1)·d], every accepted pair is
+// appended to both endpoints' rows, and "would this be a parallel edge?"
+// is a linear probe of the shorter of the two partial rows. The cost per
+// try is therefore at most min(fill_u, fill_v) ≤ d contiguous int32
+// compares — one cache line at d = 16 — against the uniformity regime's
+// d = o(n^{1/3}); the repository never exceeds d = 64 outside tiny test
+// graphs. The three work arrays (unmatched stubs, row cursors, adjacency)
+// are allocated once and reused across restarts.
+//
+// The draws, the accept/reject decisions and the row order are those of
+// the historical build (an edge set in a map, an edge list replayed
+// through NewFromEdges), so the graph is element-identical and the
+// caller's generator ends in the same stream position, restarts included
+// (TestRandomRegularMatchesMapBuild).
 func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 	if err := checkRegularParams(n, d); err != nil {
 		return nil, err
 	}
+	g := &Graph{offsets: make([]int32, n+1), adj: make([]int32, n*d)}
+	for v := 0; v <= n; v++ {
+		g.offsets[v] = int32(v * d)
+	}
+	unmatched := make([]int32, n*d)
+	fill := make([]int32, n)
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := tryStegerWormald(n, d, rng)
-		if ok {
+		if tryStegerWormald(d, rng, unmatched, fill, g.adj) {
 			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) failed after %d restarts", n, d, maxRestarts)
 }
 
-// tryStegerWormald performs one pass of the pairing-with-rejection process.
-// It returns ok=false if the process got stuck (only unsuitable pairs left).
-func tryStegerWormald(n, d int, rng *xrand.Rand) (*Graph, bool) {
+// tryStegerWormald performs one pass of the pairing-with-rejection process
+// over n = len(fill) nodes, writing row v into adj[v·d : (v+1)·d] in
+// acceptance order; fill[v] is how much of row v is written. It returns
+// false if the process got stuck (only unsuitable pairs left); the caller
+// may then call it again with the same arrays.
+func tryStegerWormald(d int, rng *xrand.Rand, unmatched, fill, adj []int32) bool {
 	// unmatched holds stub ids; stub s belongs to node s/d.
-	unmatched := make([]int32, n*d)
 	for i := range unmatched {
 		unmatched[i] = int32(i)
 	}
-	adjSet := make(map[int64]struct{}, n*d/2)
-	edgeKey := func(a, b int32) int64 {
-		if a > b {
-			a, b = b, a
-		}
-		return int64(a)<<32 | int64(b)
+	for v := range fill {
+		fill[v] = 0
 	}
-	edges := make([][2]int32, 0, n*d/2)
 	// A pairing step may need several retries; bound total retries to detect
 	// the (rare) stuck state without an expensive suitability scan.
-	retryBudget := 50*n*d + 1000
+	retryBudget := 50*len(unmatched) + 1000
 	for len(unmatched) > 0 {
 		i := rng.IntN(len(unmatched))
 		j := rng.IntN(len(unmatched))
@@ -92,22 +112,17 @@ func tryStegerWormald(n, d int, rng *xrand.Rand) (*Graph, bool) {
 		}
 		su, sv := unmatched[i], unmatched[j]
 		u, v := su/int32(d), sv/int32(d)
-		if u == v {
+		if u == v || adjacent(d, fill, adj, u, v) {
 			retryBudget--
 			if retryBudget <= 0 {
-				return nil, false
+				return false
 			}
 			continue
 		}
-		if _, dup := adjSet[edgeKey(u, v)]; dup {
-			retryBudget--
-			if retryBudget <= 0 {
-				return nil, false
-			}
-			continue
-		}
-		adjSet[edgeKey(u, v)] = struct{}{}
-		edges = append(edges, [2]int32{u, v})
+		adj[int(u)*d+int(fill[u])] = v
+		fill[u]++
+		adj[int(v)*d+int(fill[v])] = u
+		fill[v]++
 		// Remove both stubs (remove the larger index first).
 		if i < j {
 			i, j = j, i
@@ -117,11 +132,22 @@ func tryStegerWormald(n, d int, rng *xrand.Rand) (*Graph, bool) {
 		unmatched[j] = unmatched[len(unmatched)-1]
 		unmatched = unmatched[:len(unmatched)-1]
 	}
-	g, err := NewFromEdges(n, edges)
-	if err != nil {
-		return nil, false
+	return true
+}
+
+// adjacent reports whether the partial rows already hold the edge {u,v},
+// probing the shorter of the two (the edge is in both).
+func adjacent(d int, fill, adj []int32, u, v int32) bool {
+	if fill[u] > fill[v] {
+		u, v = v, u
 	}
-	return g, true
+	row := adj[int(u)*d : int(u)*d+int(fill[u])]
+	for _, w := range row {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }
 
 // ErasedConfigurationModel runs the pairing model and then erases
@@ -369,12 +395,17 @@ func CartesianProduct(g, h *Graph) (*Graph, error) {
 	return NewFromEdges(ng*nh, edges)
 }
 
+// checkRegularParams validates a d-regular request before anything is
+// allocated. Stub ids and CSR offsets are int32, so n·d stubs must fit.
 func checkRegularParams(n, d int) error {
 	if n <= 0 || d <= 0 {
 		return fmt.Errorf("graph: invalid regular-graph parameters n=%d d=%d", n, d)
 	}
 	if d >= n {
 		return fmt.Errorf("graph: degree d=%d must be < n=%d", d, n)
+	}
+	if int64(n)*int64(d) > math.MaxInt32 {
+		return fmt.Errorf("graph: n*d = %d stubs exceed the int32 CSR index range (n=%d d=%d)", int64(n)*int64(d), n, d)
 	}
 	if n*d%2 != 0 {
 		return fmt.Errorf("graph: n*d must be even, got n=%d d=%d", n, d)

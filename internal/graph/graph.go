@@ -76,30 +76,54 @@ func NewFromEdges(n int, edges [][2]int32) (*Graph, error) {
 	return g, nil
 }
 
-// checkSymmetry verifies that every (v,w) entry has a matching (w,v) entry.
+// checkSymmetry verifies that every (v,w) entry has a matching (w,v) entry
+// and that self-loops contribute an even number of stubs. It transposes the
+// adjacency by counting sort — in[inOff[w]:inOff[w+1]] lists the rows that
+// name w — and compares each row with its transpose as multisets through
+// one n-entry count scratch, so the cost is linear in the entries.
 func (g *Graph) checkSymmetry() error {
 	n := g.NumNodes()
-	// Count directed entries per unordered pair and compare.
-	type pair struct{ a, b int32 }
-	counts := make(map[pair]int, len(g.adj))
+	inOff := make([]int32, n+1)
+	for _, w := range g.adj {
+		inOff[w+1]++
+	}
+	for w := 0; w < n; w++ {
+		inOff[w+1] += inOff[w]
+	}
+	in := make([]int32, len(g.adj))
+	count := make([]int32, n) // doubles as the fill cursor of the transpose
 	for v := 0; v < n; v++ {
 		for _, w := range g.Neighbors(v) {
-			a, b := int32(v), w
-			if a > b {
-				a, b = b, a
-			}
-			counts[pair{a, b}]++
+			in[inOff[w]+count[w]] = int32(v)
+			count[w]++
 		}
 	}
-	for p, c := range counts {
-		if p.a == p.b {
-			if c%2 != 0 {
-				return fmt.Errorf("graph: self-loop at %d has odd stub count %d", p.a, c)
-			}
-			continue
+	for i := range count {
+		count[i] = 0
+	}
+	for v := 0; v < n; v++ {
+		out, back := g.Neighbors(v), in[inOff[v]:inOff[v+1]]
+		for _, w := range out {
+			count[w]++
 		}
-		if c%2 != 0 {
-			return fmt.Errorf("graph: asymmetric edge (%d,%d)", p.a, p.b)
+		if c := count[v]; c%2 != 0 {
+			return fmt.Errorf("graph: self-loop at %d has odd stub count %d", v, c)
+		}
+		for _, w := range back {
+			count[w]--
+		}
+		// Every unbalanced neighbour is in one of the two lists; balanced
+		// rows leave the scratch all zero for the next node.
+		for _, list := range [2][]int32{out, back} {
+			for _, w := range list {
+				if count[w] != 0 {
+					a, b := int32(v), w
+					if a > b {
+						a, b = b, a
+					}
+					return fmt.Errorf("graph: asymmetric edge (%d,%d)", a, b)
+				}
+			}
 		}
 	}
 	return nil
@@ -195,22 +219,23 @@ func (g *Graph) SelfLoopCount() int {
 
 // MultiEdgeCount returns the number of surplus parallel edges: for every
 // unordered pair {v,w}, v != w, with k >= 2 parallel edges it adds k-1.
+// One sweep over the rows with an n-entry stamp array: stamp[w] == v+1
+// means row v already named w, so each further copy is one surplus edge.
 func (g *Graph) MultiEdgeCount() int {
 	surplus := 0
-	seen := make(map[int64]int)
 	n := g.NumNodes()
+	stamp := make([]int32, n)
 	for v := 0; v < n; v++ {
+		mark := int32(v + 1)
 		for _, w := range g.Neighbors(v) {
 			if int(w) <= v { // count each unordered pair once, skip loops
 				continue
 			}
-			key := int64(v)<<32 | int64(w)
-			seen[key]++
-		}
-	}
-	for _, k := range seen {
-		if k >= 2 {
-			surplus += k - 1
+			if stamp[w] == mark {
+				surplus++
+			} else {
+				stamp[w] = mark
+			}
 		}
 	}
 	return surplus
@@ -229,7 +254,10 @@ func (g *Graph) ConnectedComponents() (comp []int32, count int) {
 	for i := range comp {
 		comp[i] = -1
 	}
+	// Every node enters the queue exactly once over all components, so one
+	// n-entry buffer read through a head index serves them all.
 	queue := make([]int32, 0, n)
+	head := 0
 	for start := 0; start < n; start++ {
 		if comp[start] >= 0 {
 			continue
@@ -237,11 +265,9 @@ func (g *Graph) ConnectedComponents() (comp []int32, count int) {
 		id := int32(count)
 		count++
 		comp[start] = id
-		queue = append(queue[:0], int32(start))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(int(v)) {
+		queue = append(queue, int32(start))
+		for ; head < len(queue); head++ {
+			for _, w := range g.Neighbors(int(queue[head])) {
 				if comp[w] < 0 {
 					comp[w] = id
 					queue = append(queue, w)
@@ -253,13 +279,25 @@ func (g *Graph) ConnectedComponents() (comp []int32, count int) {
 }
 
 // IsConnected reports whether the graph is connected (an empty graph is
-// considered connected).
+// considered connected). It labels nothing: one BFS from node 0 over a
+// visited bitset, stopping as soon as every node has been reached.
 func (g *Graph) IsConnected() bool {
-	if g.NumNodes() == 0 {
+	n := g.NumNodes()
+	if n == 0 {
 		return true
 	}
-	_, c := g.ConnectedComponents()
-	return c == 1
+	visited := make([]uint64, (n+63)/64)
+	visited[0] = 1
+	queue := make([]int32, 1, n) // queue[0] = node 0
+	for head := 0; head < len(queue) && len(queue) < n; head++ {
+		for _, w := range g.Neighbors(int(queue[head])) {
+			if bit := uint64(1) << (uint(w) & 63); visited[w>>6]&bit == 0 {
+				visited[w>>6] |= bit
+				queue = append(queue, w)
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 // BFSDistances returns hop distances from src (-1 for unreachable nodes).
@@ -272,9 +310,8 @@ func (g *Graph) BFSDistances(src int) []int32 {
 	dist[src] = 0
 	queue := make([]int32, 0, n)
 	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range g.Neighbors(int(v)) {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,20 @@ func TestMultiEdgeCount(t *testing.T) {
 func TestNewFromAdjacencySymmetryCheck(t *testing.T) {
 	if _, err := NewFromAdjacency([][]int32{{1}, {}}); err == nil {
 		t.Error("asymmetric adjacency accepted")
+	}
+	// Two one-way entries make an even stub total but no edge: the rows
+	// must match as multisets, pair by pair.
+	for _, adj := range [][][]int32{
+		{{1, 1}, {}},
+		{{1, 1, 2}, {0}, {0, 0}},
+		{{1, 2}, {0, 2}, {1, 1}},
+	} {
+		if _, err := NewFromAdjacency(adj); err == nil || !strings.Contains(err.Error(), "asymmetric edge") {
+			t.Errorf("NewFromAdjacency(%v) = %v, want an asymmetric-edge error", adj, err)
+		}
+	}
+	if _, err := NewFromAdjacency([][]int32{{1, 1, 2, 0, 0}, {0, 0}, {0}}); err != nil {
+		t.Errorf("symmetric multigraph with a loop rejected: %v", err)
 	}
 	g, err := NewFromAdjacency([][]int32{{1}, {0}})
 	if err != nil {

@@ -579,11 +579,15 @@ func (l *peerLink) deliver(p Packet) {
 			continue
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(d.cfg.SendTimeout))
+		// Count the frame before the reader can see it: once Encode has
+		// put bytes on the wire the receive side may bump FramesIn at any
+		// moment, and a snapshot must never read Written < FramesIn.
+		d.met.Written.Add(1)
 		if err := enc.Encode(p); err == nil {
-			d.met.Written.Add(1)
 			l.lastUse.Store(time.Now().UnixNano())
 			return
 		}
+		d.met.Written.Add(-1)
 		l.closeConn()
 		attempts++
 		if attempts > d.cfg.SendRetries {

@@ -68,6 +68,46 @@ func TestDaemonSendReceive(t *testing.T) {
 	}
 }
 
+// TestDaemonLedgerNeverNegative polls Health while a burst is in flight:
+// a frame is counted as Written before the receive side can count it, so
+// no snapshot may show more frames decoded than written.
+func TestDaemonLedgerNeverNegative(t *testing.T) {
+	const burst = 200
+	d := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: burst, QueueLen: burst})
+	stop := make(chan struct{})
+	polls := make(chan int)
+	go func() {
+		n := 0
+		defer func() { polls <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n++
+			if h := d.Health(); h.WireLost() < 0 {
+				t.Errorf("snapshot %d: WireLost = %d (written %d, framesIn %d)", n, h.WireLost(), h.Written, h.FramesIn)
+				return
+			}
+		}
+	}()
+	for i := 0; i < burst; i++ {
+		// Pull requests carry no rumour content, so none of them dedup.
+		if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCond(t, func() bool { return d.Health().Delivered == burst }, "burst delivered")
+	close(stop)
+	if n := <-polls; n == 0 {
+		t.Fatal("poller never ran")
+	}
+	if gap := d.Health().LedgerGap(); gap != 0 {
+		t.Errorf("LedgerGap = %d, want 0", gap)
+	}
+}
+
 func TestDaemonPersistentConnection(t *testing.T) {
 	d := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	const msgs = 25

@@ -29,7 +29,10 @@ type Metrics struct {
 	OversizeDrops   atomic.Int64 // frames over MaxPacket, connection dropped
 	DecodeDrops     atomic.Int64 // malformed frames
 
-	Written  atomic.Int64 // frames fully written to a peer connection
+	// Written counts frames fully written to a peer connection. The writer
+	// adds a frame just before the write and takes it back if the write
+	// fails, so Written >= FramesIn holds at every instant.
+	Written  atomic.Int64
 	FramesIn atomic.Int64 // frames decoded off an inbound connection
 
 	Dials           atomic.Int64 // connection attempts (first dials and redials)
@@ -181,8 +184,12 @@ func (h Health) LedgerGap() int64 {
 	return in + dup - h.Delivered - h.Deduped - h.DroppedTotal()
 }
 
-// snapshot copies the live counters into a Health value.
+// snapshot copies the live counters into a Health value. FramesIn is read
+// before Written: every frame decoded by then was counted as Written
+// before it went on the wire, so WireLost() >= 0 in a snapshot taken
+// mid-run.
 func (m *Metrics) snapshot() Health {
+	framesIn := m.FramesIn.Load()
 	return Health{
 		Sends:           m.Sends.Load(),
 		Delivered:       m.Delivered.Load(),
@@ -197,7 +204,7 @@ func (m *Metrics) snapshot() Health {
 		OversizeDrops:   m.OversizeDrops.Load(),
 		DecodeDrops:     m.DecodeDrops.Load(),
 		Written:         m.Written.Load(),
-		FramesIn:        m.FramesIn.Load(),
+		FramesIn:        framesIn,
 		Dials:           m.Dials.Load(),
 		Redials:         m.Redials.Load(),
 		DialFails:       m.DialFails.Load(),
