@@ -64,10 +64,10 @@ type Batch struct {
 	// bit-identical for every value.
 	ReplicationWorkers int
 
-	// Runner executes each replication; its zero value is the classic
-	// sequential engine. Per-run engine parallelism (WithWorkers) stacks
-	// with ReplicationWorkers — on a many-core box, ReplicationWorkers
-	// parallelises the ensemble and the sharded engine parallelises each
+	// Runner executes each replication; its zero value runs the shard
+	// passes inline. Per-run engine parallelism (WithWorkers) stacks with
+	// ReplicationWorkers — on a many-core box, ReplicationWorkers
+	// parallelises the ensemble and the worker pool parallelises each
 	// run.
 	Runner Runner
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	broadcast-sim -n 4096 -d 8 -protocol fourchoice -seed 1 -trace
-//	broadcast-sim -n 1000000 -d 16 -protocol push -workers -1   # sharded engine
+//	broadcast-sim -n 1000000 -d 16 -protocol push -workers -1   # pooled shard passes
 //	broadcast-sim -topology hypercube:dim=27 -protocol push -stop-early -mem
 //	broadcast-sim -scheduler interactions -n 1024 -trace        # population demo
 //	broadcast-sim -n 32 -d 6 -daemon                            # gossip daemon over sockets
@@ -188,6 +188,9 @@ func run() error {
 	fmt.Printf("transmissions: %d (%.2f per node)\n", res.Transmissions, float64(res.Transmissions)/float64(*n))
 	fmt.Printf("channels dialled: %d\n", res.ChannelsDialed)
 	fmt.Printf("wall clock: %s\n", elapsed.Round(time.Millisecond))
+	if res.TickTimeouts > 0 {
+		fmt.Printf("tick timeouts: %d of %d ticks hit the drain deadline (receipt rounds are skewed late)\n", res.TickTimeouts, res.Rounds)
+	}
 	if res.Transport != nil {
 		printTransportHealth(res.Transport)
 	}

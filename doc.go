@@ -16,9 +16,10 @@
 //		}))
 //	res, _ := regcast.Run(ctx, scenario, regcast.WithWorkers(regcast.WorkersAuto))
 //
-// Engines: EngineSequential (the classic single-stream simulator),
-// EngineSharded (the parallel engine — bit-identical results for every
-// worker count at a fixed shard count), EngineGoroutinePerNode (one
+// Engines: EngineSequential (the round simulator, shard passes inline),
+// EngineSharded (the same simulator, shard passes on a worker pool —
+// bit-identical results for every worker count, inline included, at a
+// fixed shard count), EngineGoroutinePerNode (one
 // goroutine per node, barrier-synchronised; internal/runtime),
 // EngineGossipTransport and EngineTCPTransport (anti-entropy gossip over
 // in-memory mailboxes or real loopback sockets; internal/transport).
@@ -44,7 +45,7 @@
 // uploads. Replication streams are precomputed in replication order and
 // results folded in replication order, so batch aggregates are
 // bit-identical for every ReplicationWorkers value; replication-level
-// parallelism composes with the sharded engine's per-run workers.
+// parallelism composes with EngineSharded's per-run workers.
 //
 // The phone-call rounds above are one Scheduler (SchedulerRounds); the
 // facade also ships SchedulerInteractions, the population-protocol
@@ -73,8 +74,8 @@
 // reference components for cross-validation and A/B benchmarks.
 //
 // Behind the facade: the four-choice phased broadcast protocols
-// (internal/core), the random phone call simulator with its sharded
-// parallel round engine (internal/phonecall), random-regular-graph
+// (internal/core), the random phone call simulator with its one sharded
+// round driver (internal/phonecall), random-regular-graph
 // generation and analysis (internal/graph, internal/spectral), the
 // strictly-oblivious lower-bound machinery (internal/oblivious), baseline
 // gossip protocols (internal/baseline), a churning P2P overlay and a

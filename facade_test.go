@@ -52,10 +52,10 @@ func checkGolden(t *testing.T, name string, res regcast.Result, want golden) {
 	}
 }
 
-// TestFacadeTraceGoldenSequential pins that a facade run on the default
-// (sequential) engine is bit-identical to the pre-redesign engine: the
-// golden values were captured by calling phonecall.Run directly, before
-// the facade and the observer plumbing existed.
+// TestFacadeTraceGoldenSequential pins the trace of a facade run on the
+// default engine (shard passes inline, DefaultShards streams). The golden
+// values were captured by calling phonecall.Run directly; they moved once,
+// when the single-stream loop behind Workers == 0 was deleted (PR 15).
 func TestFacadeTraceGoldenSequential(t *testing.T) {
 	g := goldenGraph(t)
 	four, err := core.New(2048, 8)
@@ -73,7 +73,7 @@ func TestFacadeTraceGoldenSequential(t *testing.T) {
 	if res.Engine != regcast.EngineSequential {
 		t.Fatalf("default engine = %v, want sequential", res.Engine)
 	}
-	checkGolden(t, "seq/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xc5537e0064da52f0})
+	checkGolden(t, "seq/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 }
 
 // TestFacadeTraceGoldenSharded pins the sharded engine at a fixed shard
@@ -121,7 +121,7 @@ func TestFacadeTraceGoldenQuasirandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "seq/push/quasirandom", res, golden{17, 17, 2048, 11626, 34816, 0xb913c0fdd6f67d65})
+	checkGolden(t, "seq/push/quasirandom", res, golden{18, 18, 2048, 13175, 36864, 0xa4c0542c74c5a71a})
 }
 
 // recordingObserver captures the full callback stream.

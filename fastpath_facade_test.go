@@ -29,7 +29,7 @@ func TestRunnerWithoutFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "seq/fourchoice/no-fast-path", res, golden{46, 23, 2048, 32720, 376832, 0xc5537e0064da52f0})
+	checkGolden(t, "seq/fourchoice/no-fast-path", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 
 	res, err = regcast.Run(context.Background(), scenario,
 		regcast.WithWorkers(2), regcast.WithShards(16), regcast.WithoutFastPath())

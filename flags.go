@@ -16,9 +16,9 @@ type CommonFlags struct {
 	// Seed is the master random seed; all of a command's randomness
 	// (topology generation and the runs themselves) derives from it.
 	Seed uint64
-	// Workers selects the simulation engine: 0 = classic sequential
-	// engine, -1 = sharded engine with GOMAXPROCS workers, n >= 1 =
-	// sharded engine with n workers.
+	// Workers chooses where the engines' shard passes run: 0 = inline on
+	// the calling goroutine, -1 = a pool of GOMAXPROCS workers, n >= 1 = a
+	// pool of n workers. It never changes a result, only wall-clock time.
 	Workers int
 	// SchedulerName is the raw -scheduler value ("rounds" or
 	// "interactions"); Validate parses it and Scheduler returns the
@@ -45,7 +45,7 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	f := &CommonFlags{}
 	fs.Uint64Var(&f.Seed, "seed", 1, "master random seed (topology and runs derive from it)")
 	fs.IntVar(&f.Workers, "workers", 0,
-		"engine workers: 0 = classic sequential engine, -1 = GOMAXPROCS (sharded), n = n workers (sharded)")
+		"engine workers: 0 = shard passes inline, -1 = pool of GOMAXPROCS, n = pool of n; results are identical for every value")
 	fs.StringVar(&f.SchedulerName, "scheduler", SchedulerRounds.String(),
 		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
 	fs.StringVar(&f.Topology, "topology", "",

@@ -40,7 +40,9 @@ func fingerprint(res regcast.Result) [6]uint64 {
 // TestImplicitMatchesDenseTraces pins that every implicit family replays
 // the exact trace of its materialised twin, across protocols, engines and
 // worker counts — including the forced reference path, so the implicit
-// fast path, the CSR fast path and the interface path all agree.
+// fast path, the CSR fast path and the interface path all agree — and
+// that this is one trace per (family, protocol): inline, pooled and
+// reference runs are all the same.
 func TestImplicitMatchesDenseTraces(t *testing.T) {
 	engines := []struct {
 		name string
@@ -82,12 +84,18 @@ func TestImplicitMatchesDenseTraces(t *testing.T) {
 				}
 				return res
 			}
-			for _, eng := range engines {
+			var first [6]uint64
+			for i, eng := range engines {
 				label := fmt.Sprintf("%s/%s/%s", pair.name, pr.name, eng.name)
 				imp := fingerprint(run(pair.implicit, eng.opts))
 				dense := fingerprint(run(pair.dense, eng.opts))
 				if imp != dense {
 					t.Errorf("%s: implicit %v != dense %v", label, imp, dense)
+				}
+				if i == 0 {
+					first = imp
+				} else if imp != first {
+					t.Errorf("%s: trace %v differs from the %s engine's %v", label, imp, engines[0].name, first)
 				}
 			}
 		}
@@ -119,15 +127,16 @@ func TestImplicitMatchesDenseUnderFaults(t *testing.T) {
 			}
 			return res
 		}
+		inline := fingerprint(run(pair.implicit))
 		for _, workers := range []int{0, 4} {
-			var opts []regcast.RunnerOption
-			if workers > 0 {
-				opts = append(opts, regcast.WithWorkers(workers))
-			}
+			opts := []regcast.RunnerOption{regcast.WithWorkers(workers)}
 			imp := fingerprint(run(pair.implicit, opts...))
 			dense := fingerprint(run(pair.dense, opts...))
 			if imp != dense {
 				t.Errorf("%s/w%d faults: implicit %v != dense %v", pair.name, workers, imp, dense)
+			}
+			if imp != inline {
+				t.Errorf("%s/w%d faults: trace %v differs from the default runner's %v", pair.name, workers, imp, inline)
 			}
 		}
 	}

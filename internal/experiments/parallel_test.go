@@ -73,9 +73,9 @@ func TestMeasureEngineSelection(t *testing.T) {
 }
 
 // TestParallelProfileDeterministicAndComplete reruns a representative
-// experiment in the parallel profile: results must be identical across
-// engine worker counts (the sharded engine's trace is a function of the
-// shard count, not the worker count).
+// experiment across engine worker counts — inline (0, 1) and pooled (8):
+// the tables must be identical (the trace is a function of the shard
+// count, not the worker count).
 func TestParallelProfileDeterministicAndComplete(t *testing.T) {
 	e, ok := ByID("E1")
 	if !ok {
@@ -92,9 +92,11 @@ func TestParallelProfileDeterministicAndComplete(t *testing.T) {
 		}
 		return out
 	}
-	one := run(1)
-	if eight := run(8); one != eight {
-		t.Errorf("E1 parallel profile differs between 1 and 8 workers:\n%s\nvs\n%s", one, eight)
+	inline := run(0)
+	for _, workers := range []int{1, 8} {
+		if got := run(workers); got != inline {
+			t.Errorf("E1 tables differ between 0 and %d workers:\n%s\nvs\n%s", workers, inline, got)
+		}
 	}
 }
 

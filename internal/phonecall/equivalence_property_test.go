@@ -1,0 +1,126 @@
+package phonecall_test
+
+import (
+	"fmt"
+	"testing"
+	"testing/quick"
+
+	"regcast/internal/graph"
+	"regcast/internal/phonecall"
+	"regcast/internal/xrand"
+)
+
+// windowProto is a generated schedule: round t pushes (pulls) when its
+// bit of the push (pull) mask is set, and then only from nodes informed
+// within the last window rounds (0 = from every informed node). A small
+// window leaves most cohorts silent, so most shards hold no sender and
+// the driver's cohort skip fires.
+type windowProto struct {
+	k, horizon, window int
+	push, pull         uint32
+}
+
+func (p windowProto) Name() string { return "window" }
+func (p windowProto) Choices() int { return p.k }
+func (p windowProto) Horizon() int { return p.horizon }
+func (p windowProto) recent(t, ia int) bool {
+	return p.window == 0 || t-ia <= p.window
+}
+func (p windowProto) SendPush(t, ia int) bool {
+	return (p.push>>(uint(t)%32)&1 == 1 || t%5 == 1) && p.recent(t, ia)
+}
+func (p windowProto) SendPull(t, ia int) bool {
+	return p.pull>>(uint(t)%32)&1 == 1 && p.recent(t, ia)
+}
+
+// TestWorkersAndPathEquivalenceProperty is the generated-input form of
+// the golden matrices: for a random schedule, choice count, fault rates
+// and fault sampler, dial discipline, topology kind (frozen CSR graph,
+// churning overlay, implicit family) and shard count, every run of the
+// configuration — fast or reference path, shard passes inline (Workers 0
+// and 1) or pooled (4) — must produce the same Result bit for bit.
+func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
+	const n, d = 96, 6
+	static := phonecall.NewStatic(mustRegular(t, n, d, 50))
+	cube, err := graph.NewImplicitHypercube(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := graph.NewRegularStream(n, d, 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	prop := func(seed uint64, push, pull uint32, raw [9]uint8) bool {
+		proto := windowProto{
+			k:       int(raw[0])%4 + 1,
+			horizon: 24,
+			window:  int(raw[1]) % 4,
+			push:    push,
+			pull:    pull,
+		}
+		if raw[2]%3 == 0 {
+			proto.pull = 0 // a third of the cases never dial everywhere
+		}
+		base := phonecall.Config{
+			Protocol:           proto,
+			ChannelFailureProb: float64(raw[3]%3) * 0.2,
+			MessageLossProb:    float64(raw[4]%3) * 0.15,
+			GeometricFaults:    raw[5]%2 == 1,
+			RecordRounds:       true,
+			Shards:             []int{1, 7, 64}[raw[6]%3],
+		}
+		switch raw[7] % 4 {
+		case 1:
+			base.DialStrategy = phonecall.DialQuasirandom
+		case 2:
+			base.AvoidRecent = 2
+		}
+		// Fresh topology per run: the overlay mutates under churn, and its
+		// churner draws only from its own streams, so every run sees the
+		// same membership trajectory.
+		var topo func() phonecall.Topology
+		kind := []string{"static", "static-census", "overlay", "hypercube", "regular-stream"}[raw[8]%5]
+		switch kind {
+		case "static":
+			topo = func() phonecall.Topology { return static }
+		case "static-census":
+			base.TrackEdgeUse = true
+			topo = func() phonecall.Topology { return static }
+		case "overlay":
+			churn := churnGolden{joinProb: 0.04, leaveProb: 0.04, mixSteps: 3}
+			topo = func() phonecall.Topology { return buildChurnTopo(t, n, d, churn, seed) }
+		case "hypercube":
+			topo = func() phonecall.Topology { return phonecall.NewImplicit(cube) }
+		case "regular-stream":
+			topo = func() phonecall.Topology { return phonecall.NewImplicit(stream) }
+		}
+		label := fmt.Sprintf("seed=%d push=%#x pull=%#x raw=%v (%s)", seed, push, pull, raw, kind)
+
+		var first phonecall.Result
+		for i, variant := range []struct {
+			reference bool
+			workers   int
+		}{{false, 0}, {false, 1}, {false, 4}, {true, 0}, {true, 1}, {true, 4}} {
+			cfg := base
+			cfg.Topology = topo()
+			cfg.Source = int(seed % 64) // a live id on every kind (the overlay's spare slots start dead)
+			cfg.RNG = xrand.New(seed)
+			cfg.DisableFastPath = variant.reference
+			cfg.Workers = variant.workers
+			res, err := phonecall.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if i == 0 {
+				first = res
+				continue
+			}
+			sameResult(t, fmt.Sprintf("%s reference=%v workers=%d", label, variant.reference, variant.workers), first, res)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}

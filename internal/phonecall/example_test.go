@@ -44,6 +44,6 @@ func Example() {
 	fmt.Println("tail rounds after half:", res.FirstAllInformed-half)
 	// Output:
 	// completed: true
-	// half informed by round: 13
-	// tail rounds after half: 7
+	// half informed by round: 12
+	// tail rounds after half: 9
 }

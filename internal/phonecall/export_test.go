@@ -1,0 +1,25 @@
+package phonecall
+
+// ShardState is one shard's node range, cohort counts and latest skip
+// decision, exposed to the tests in package phonecall_test (which can
+// import the real protocol and overlay packages; this package cannot).
+type ShardState struct {
+	Lo, Hi int
+	Cohort []int32
+	Sends  bool
+}
+
+// ShardStates returns a view of every shard's state; Cohort aliases the
+// engine's own counts.
+func (e *Engine) ShardStates() []ShardState {
+	out := make([]ShardState, len(e.shards))
+	for i := range e.shards {
+		sh := &e.shards[i]
+		out[i] = ShardState{sh.lo, sh.hi, sh.cohort, sh.sends}
+	}
+	return out
+}
+
+// LiveInformedAt returns the engine's receipt-round array itself, not the
+// copy a Result carries.
+func (e *Engine) LiveInformedAt() []int32 { return e.informedAt }

@@ -1,15 +1,16 @@
 package phonecall
 
-// This file is the zero-interface hot path of both engines. When the
-// topology exposes an epoch-stamped CSR view (CSRViewer; frozen Static
-// graphs and the churning overlay alike, unless Config.DisableFastPath),
-// NewEngine fetches the view's raw arrays once and the round loops run
-// against raw slices: no Topology.Degree/Neighbor/Alive dynamic dispatch
-// in dial sampling, the push loop, or the pull scan, small-k distinct
-// samplers (xrand.Distinct2/3/4) instead of the scratch-based DistinctK,
-// and — with Config.TrackEdgeUse — a CSR-indexed bitset census instead of
-// the edge-key map. On a churning topology the view is re-fetched only
-// when its epoch advances (refreshCSR, once per Step), and liveness is a
+// This file is the zero-interface hot path of the engine. When the
+// topology exposes an epoch-stamped view — CSR arrays (CSRViewer; frozen
+// Static graphs and the churning overlay alike) or computable adjacency
+// (ImplicitViewer) — and Config.DisableFastPath is unset, NewEngine
+// fetches the view once and the shard pass runs against raw slices: no
+// Topology.Degree/Neighbor/Alive dynamic dispatch in dial sampling, the
+// push loop, or the pull scan, small-k distinct samplers
+// (xrand.Distinct2/3/4) instead of the scratch-based DistinctK, and —
+// with Config.TrackEdgeUse — a CSR-indexed bitset census instead of the
+// edge-key map. On a churning topology the view is re-fetched only when
+// its epoch advances (refreshCSR, once per Step), and liveness is a
 // bitset probe (aliveFast) placed exactly where the reference path calls
 // Topology.Alive.
 //
@@ -21,24 +22,43 @@ package phonecall
 // graphs), and the fault helpers (chanFails/msgLost) are shared with the
 // reference path. Golden tests (fastpath_test.go) pin this across the
 // E1–E20 configuration matrix and across churn overlay configurations.
+//
+// The CSR and implicit views share every sampler body; they differ only
+// in how sampleDialsFast locates a row and how its idx-th entry is read
+// (nbrAt). Because NeighborAt draws none of the run's randomness and
+// ImplicitNeighbors must enumerate exactly the rows a materialised CSR
+// view would hold, a run over graph.Implicit `f` is bit-identical to the
+// same run over Static{Materialize(f)} — the implicit facade tests pin
+// this across engines and worker counts.
 
-// sampleDialsFast is the CSR twin of sampleDialsFor: it fills node v's
-// dialTargets row (and, when the edge census is on, its dialEdge row)
-// without interface calls, alive checks, or O(deg) scratch. On an
-// implicit view (no CSR arrays) it dispatches to the arithmetic twin in
-// fastpath_implicit.go — the push/pull/shard loops above never touch
-// adjacency, so this is the fast path's only implicit/dense branch.
-func (e *Engine) sampleDialsFast(v int, ds *dialState) {
+// nbrAt is the fast path's one neighbour resolver: the idx-th entry of
+// v's row (off is the row's first CSR slot, unused on an implicit view),
+// loaded from the CSR array or computed by the implicit family. It must
+// stay inlinable into the samplers below (`go build -gcflags=-m` reports
+// "can inline (*Engine).nbrAt"); with the row lookup in sampleDialsFast
+// it is the fast path's only implicit/dense branch.
+func (e *Engine) nbrAt(v, off, idx int) int32 {
 	if e.impNbrs != nil {
-		e.sampleDialsImplicit(v, ds)
-		return
+		return e.impNbrs.NeighborAt(v, idx)
 	}
+	return e.csrAdj[off+idx]
+}
+
+// sampleDialsFast is the fast twin of sampleDialsFor: it fills node v's
+// dialTargets row (and, when the edge census is on, its dialEdge row)
+// without Topology interface calls or, for small k, O(deg) scratch.
+func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	base := v * e.k
 	for j := 0; j < e.k; j++ {
 		e.dialTargets[base+j] = Uninformed
 	}
-	off := int(e.csrOff[v])
-	deg := int(e.csrOff[v+1]) - off
+	var off, deg int
+	if e.impNbrs != nil {
+		deg = e.impNbrs.Degree(v)
+	} else {
+		off = int(e.csrOff[v])
+		deg = int(e.csrOff[v+1]) - off
+	}
 	if deg == 0 {
 		return
 	}
@@ -83,11 +103,11 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	}
 	failure := e.cfg.ChannelFailureProb
 	if e.aliveBits != nil {
-		// Churn view: a dead target skips the slot before the fault draw,
-		// exactly like the reference path's Alive(w) check (no census on
-		// partially-alive views; NewEngine guarantees dialEdge == nil here).
+		// Partially-alive view: a dead target skips the slot before the
+		// fault draw, exactly like the reference path's Alive(w) check (no
+		// census on such views; NewEngine guarantees dialEdge == nil here).
 		for j, idx := range idxs {
-			w := e.csrAdj[off+idx]
+			w := e.nbrAt(v, off, idx)
 			if !e.aliveFast(int(w)) {
 				continue
 			}
@@ -98,25 +118,22 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 		}
 		return
 	}
-	if e.dialEdge == nil {
-		for j, idx := range idxs {
-			if failure > 0 && e.chanFails(ds) {
-				continue
-			}
-			e.dialTargets[base+j] = e.csrAdj[off+idx]
-		}
-		return
-	}
+	// Fully-alive view: the fault draw comes before the neighbour is
+	// resolved. The order between the two is unobservable (resolving
+	// consumes no run randomness), and a failed channel then costs no
+	// replay work on streamed implicit families.
 	for j, idx := range idxs {
 		if failure > 0 && e.chanFails(ds) {
 			continue
 		}
-		e.dialTargets[base+j] = e.csrAdj[off+idx]
-		e.dialEdge[base+j] = e.slotEdge[off+idx]
+		e.dialTargets[base+j] = e.nbrAt(v, off, idx)
+		if e.dialEdge != nil {
+			e.dialEdge[base+j] = e.slotEdge[off+idx]
+		}
 	}
 }
 
-// sampleQuasirandomFast is the CSR twin of sampleQuasirandom.
+// sampleQuasirandomFast is the fast twin of sampleQuasirandom.
 func (e *Engine) sampleQuasirandomFast(v, off, deg int, ds *dialState) {
 	base := v * e.k
 	if e.listCursor[v] < 0 {
@@ -133,7 +150,7 @@ func (e *Engine) sampleQuasirandomFast(v, off, deg int, ds *dialState) {
 		if idx >= deg {
 			idx -= deg
 		}
-		w := e.csrAdj[off+idx]
+		w := e.nbrAt(v, off, idx)
 		if e.aliveBits != nil && !e.aliveFast(int(w)) {
 			continue // dead target: skip before the fault draw (reference order)
 		}
@@ -148,19 +165,19 @@ func (e *Engine) sampleQuasirandomFast(v, off, deg int, ds *dialState) {
 	e.listCursor[v] = int32((cur + kk) % deg)
 }
 
-// sampleWithMemoryFast is the CSR twin of sampleWithMemory (footnote 2's
+// sampleWithMemoryFast is the fast twin of sampleWithMemory (footnote 2's
 // sequentialised model: one dial per round avoiding recent partners).
 func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 	r := e.cfg.AvoidRecent
 	memBase := v * r
-	choice := -1
+	choice := int32(-1)
 	slot := -1
 	for attempt := 0; attempt < 4*deg+16; attempt++ {
 		idx := ds.rng.IntN(deg)
-		w := int(e.csrAdj[off+idx])
+		w := e.nbrAt(v, off, idx)
 		recent := false
 		for i := 0; i < r; i++ {
-			if e.recent[memBase+i] == int32(w) {
+			if e.recent[memBase+i] == w {
 				recent = true
 				break
 			}
@@ -172,117 +189,39 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 	}
 	if choice < 0 {
 		idx := ds.rng.IntN(deg)
-		choice, slot = int(e.csrAdj[off+idx]), off+idx
+		choice, slot = e.nbrAt(v, off, idx), off+idx
 	}
 	// Record the partner regardless of channel failure: the node dialled it.
-	e.recent[memBase+e.recentPos[v]] = int32(choice)
+	e.recent[memBase+e.recentPos[v]] = choice
 	e.recentPos[v] = (e.recentPos[v] + 1) % r
-	if e.aliveBits != nil && !e.aliveFast(choice) {
+	if e.aliveBits != nil && !e.aliveFast(int(choice)) {
 		return // dead partner: recorded but no channel (reference order)
 	}
 	if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
 		return
 	}
-	e.dialTargets[v*e.k] = int32(choice)
+	e.dialTargets[v*e.k] = choice
 	if e.dialEdge != nil {
 		e.dialEdge[v*e.k] = e.slotEdge[slot]
 	}
 }
 
-// pushGroupFast is the CSR twin of pushGroup: one receipt cohort sends
-// over its dialled channels, with delivery inlined. Liveness is a bitset
-// probe (vacuously true on frozen views, where cohort entries are never
-// stale either; the receipt-round check is kept because it is one load
-// and documents the invariant).
-func (e *Engine) pushGroupFast(group []int32, ia int, dialAll bool) int64 {
-	var tx int64
-	loss := e.cfg.MessageLossProb
-	k := e.k
-	census := e.dialEdge != nil
-	for _, v := range group {
-		if e.informedAt[v] != int32(ia) || !e.aliveFast(int(v)) {
-			continue
-		}
-		if !dialAll {
-			e.sampleDialsFast(int(v), &e.seq)
-		}
-		base := int(v) * k
-		for j := 0; j < k; j++ {
-			w := e.dialTargets[base+j]
-			if w < 0 {
-				continue
-			}
-			tx++
-			if census {
-				e.markUsedID(e.dialEdge[base+j])
-			}
-			if loss > 0 && e.msgLost(&e.seq) {
-				continue
-			}
-			if e.aliveFast(int(w)) && e.informedAt[w] == Uninformed && !e.isPending[w] {
-				e.isPending[w] = true
-				e.pending = append(e.pending, w)
-			}
-		}
-	}
-	return tx
-}
-
-// pullScanFast is the CSR twin of pullScan: every established channel
-// v→w lets an informed, pulling callee w answer the caller v.
-func (e *Engine) pullScanFast(t int) int64 {
-	var tx int64
-	loss := e.cfg.MessageLossProb
-	k := e.k
-	census := e.dialEdge != nil
-	for v := 0; v < e.n; v++ {
-		if !e.aliveFast(v) {
-			continue
-		}
-		base := v * k
-		for j := 0; j < k; j++ {
-			w := e.dialTargets[base+j]
-			if w < 0 {
-				continue
-			}
-			ia := e.informedAt[w]
-			if ia == Uninformed || int(ia) >= t || !e.pullDec[ia] {
-				continue
-			}
-			tx++
-			if census {
-				e.markUsedID(e.dialEdge[base+j])
-			}
-			if loss > 0 && e.msgLost(&e.seq) {
-				continue
-			}
-			if e.informedAt[v] == Uninformed && !e.isPending[v] {
-				e.isPending[v] = true
-				e.pending = append(e.pending, int32(v))
-			}
-		}
-	}
-	return tx
-}
-
-// shardPassFast is the CSR twin of shardPass: one round for the node
+// shardPassFast is the fast twin of shardPass: one round for the node
 // range a shard owns, drawing only from the shard's own stream. Census
 // hits are buffered as edge ids (not edge keys) and merged by
 // markUsedID, in shard order, exactly like the reference path's keys.
-func (e *Engine) shardPassFast(sh *parShard, t int, anyPush, anyPull, dialAll bool) {
-	sh.tx = 0
-	sh.outbox = sh.outbox[:0]
-	sh.usedBuf = sh.usedBuf[:0]
+func (e *Engine) shardPassFast(sh *parShard, t int, anyPull, dialAll bool) {
 	census := e.dialEdge != nil
 	loss := e.cfg.MessageLossProb
 	k := e.k
 
 	for v := sh.lo; v < sh.hi; v++ {
-		alive := e.aliveFast(v)
+		// Receipt round first, liveness last: in sender-sparse rounds
+		// almost every node fails the cohort test, which is one load.
 		ia := e.informedAt[v]
-		sender := anyPush && alive && ia != Uninformed && int(ia) < t && e.pushDec[ia]
+		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.aliveFast(v)
 		if dialAll {
-			if alive {
+			if e.aliveFast(v) {
 				e.sampleDialsFast(v, &sh.ds)
 			} else {
 				e.clearDialRow(v)

@@ -58,7 +58,8 @@ func buildChurnTopo(t *testing.T, n, d int, g churnGolden, seed uint64) churnTop
 // churning topologies: on the overlay (an epoch-stamped CSRViewer), the
 // fast path must reproduce the reference interface path draw for draw —
 // across join/leave churn, degree-preserving mix-only churn, fault
-// models, pull schedules, and both engines at several worker counts.
+// models and pull schedules — and the trace must be the same one whether
+// the shard passes run inline (Workers 0 and 1) or pooled (4).
 func TestFastPathGoldenChurn(t *testing.T) {
 	const n, d = 192, 8
 	alg1 := func(t *testing.T, n int) phonecall.Protocol {
@@ -106,6 +107,7 @@ func TestFastPathGoldenChurn(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var inline phonecall.Result // the Workers == 0 fast-path trace
 			for _, workers := range []int{0, 1, 4} {
 				run := func(disable bool) phonecall.Result {
 					topo := buildChurnTopo(t, n, d, tc, 1712)
@@ -128,7 +130,12 @@ func TestFastPathGoldenChurn(t *testing.T) {
 					return res
 				}
 				label := fmt.Sprintf("%s workers=%d", tc.name, workers)
-				sameResult(t, label, run(false), run(true))
+				fast := run(false)
+				sameResult(t, label+" fast vs reference", fast, run(true))
+				if workers == 0 {
+					inline = fast
+				}
+				sameResult(t, label+" vs workers=0", inline, fast)
 			}
 		})
 	}

@@ -243,16 +243,18 @@ func goldenCases() []goldenCase {
 // configuration shape the E1–E20 experiments use — protocols, dial
 // strategies, fault models, dial memory, the edge census, degree regimes
 // — the CSR fast path produces bit-identical traces to the reference
-// interface path, on the sequential engine and on the sharded engine at
-// several worker counts. Geometric fault skipping changes RNG consumption
-// relative to Bernoulli mode, but fast-vs-reference identity holds inside
-// each mode, so both are pinned.
+// interface path, and the shard passes run inline (Workers 0 and 1) or
+// pooled (4) produce that same trace: one trace per (configuration,
+// fault mode), whatever the path and worker count. Geometric fault
+// skipping changes RNG consumption relative to Bernoulli mode, so each
+// mode has its own trace and both are pinned.
 func TestFastPathGoldenE1toE20(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := tc.topo(t)
 			proto := tc.proto(t, topo.NumNodes())
 			for _, geometric := range []bool{false, true} {
+				var inline phonecall.Result // the Workers == 0 fast-path trace
 				for _, workers := range []int{0, 1, 4} {
 					base := phonecall.Config{
 						Topology:        topo,
@@ -265,10 +267,6 @@ func TestFastPathGoldenE1toE20(t *testing.T) {
 					if tc.mutate != nil {
 						tc.mutate(&base)
 					}
-					if base.TrackEdgeUse && workers == 0 && geometric {
-						// covered; keep the matrix small
-						continue
-					}
 					run := func(disable bool) phonecall.Result {
 						cfg := base
 						cfg.DisableFastPath = disable
@@ -280,7 +278,12 @@ func TestFastPathGoldenE1toE20(t *testing.T) {
 						return res
 					}
 					label := fmt.Sprintf("%s workers=%d geometric=%v (%s)", tc.name, workers, geometric, tc.experiments)
-					sameResult(t, label, run(false), run(true))
+					fast := run(false)
+					sameResult(t, label+" fast vs reference", fast, run(true))
+					if workers == 0 {
+						inline = fast
+					}
+					sameResult(t, label+" vs workers=0", inline, fast)
 				}
 			}
 		})
@@ -341,7 +344,7 @@ func TestFastPathDisengagesOnChurn(t *testing.T) {
 
 // TestGeometricFaultsDeterminism pins the compatibility contract of
 // Config.GeometricFaults: same seed => same trace, worker-count
-// independence on the sharded engine, and a genuinely different stream
+// independence, and a genuinely different stream
 // consumption than Bernoulli mode (the reason the switch exists).
 func TestGeometricFaultsDeterminism(t *testing.T) {
 	g := mustRegular(t, 256, 8, 91)
@@ -366,6 +369,7 @@ func TestGeometricFaultsDeterminism(t *testing.T) {
 		return res
 	}
 	sameResult(t, "geometric same-seed", run(0, true), run(0, true))
+	sameResult(t, "geometric workers 0 vs 1", run(0, true), run(1, true))
 	sameResult(t, "geometric workers 1 vs 8", run(1, true), run(8, true))
 
 	bern, geom := run(0, false), run(0, true)
@@ -408,8 +412,8 @@ func (p longPushProto) NeverPulls() bool        { return true }
 // Message loss has no per-transmission observable (duplicates mask
 // deliveries), so the two modes are compared distributionally instead:
 // mean completion round and mean transmissions over many seeds must
-// agree between Bernoulli and geometric sampling, as in the sharded-vs-
-// sequential equivalence test.
+// agree between Bernoulli and geometric sampling, as in the shard-count
+// equivalence test (TestShardedEquivalentStatistics).
 func TestGeometricFaultsStatistics(t *testing.T) {
 	g := mustRegular(t, 512, 8, 121)
 	push, err := baseline.NewPush(512, 1)

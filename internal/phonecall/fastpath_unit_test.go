@@ -2,6 +2,7 @@ package phonecall
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"regcast/internal/graph"
@@ -173,12 +174,16 @@ func TestEdgeCensusBitset(t *testing.T) {
 }
 
 // TestFastPathZeroAllocsSteadyState is the CSR fast path's allocation
-// guard: with no observer, the steady-state round loop of both engine
-// paths (sequential and sharded-inline) allocates nothing — including in
-// geometric fault-skipping mode, whose skip counters live in dialState.
-// Two runs differing only in horizon must allocate identically; any
-// per-round allocation would surface hundreds of times over the gap.
+// guard: with no observer, the steady-state round loop of the inline
+// driver (Workers 0 and 1) allocates nothing — including in geometric
+// fault-skipping mode, whose skip counters live in dialState. Two runs
+// differing only in horizon must allocate identically; any per-round
+// allocation would surface hundreds of times over the gap. The collector
+// is off while counting: the longer run's cohort table is a larger
+// object, so it would otherwise see more GC cycles, and a cycle's own
+// bookkeeping allocations are counted too.
 func TestFastPathZeroAllocsSteadyState(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := testGraph(t, 256, 8, 6)
 	for _, tc := range []struct {
 		name      string
@@ -264,11 +269,11 @@ func BenchmarkDial(b *testing.B) {
 					b.ReportAllocs()
 					if path == "csr" {
 						for i := 0; i < b.N; i++ {
-							e.sampleDialsFast(i&(n-1), &e.seq)
+							e.sampleDialsFast(i&(n-1), &e.shards[0].ds)
 						}
 					} else {
 						for i := 0; i < b.N; i++ {
-							e.sampleDialsFor(i&(n-1), &e.seq)
+							e.sampleDialsFor(i&(n-1), &e.shards[0].ds)
 						}
 					}
 				})

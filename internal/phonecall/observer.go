@@ -2,8 +2,8 @@ package phonecall
 
 // Observer receives streaming per-round callbacks while a run executes, so
 // callers can consume metrics online instead of retaining a full trace
-// (Config.RecordRounds) in memory. Both engine paths invoke observers from
-// the coordinating goroutine only, in a deterministic order:
+// (Config.RecordRounds) in memory. The engine invokes observers from the
+// coordinating goroutine only, in a deterministic order:
 //
 //   - OnInformed(source, 0) once, before round 1;
 //   - for every round t, OnInformed(v, t) for each node first informed in

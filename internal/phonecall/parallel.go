@@ -5,7 +5,7 @@ import (
 )
 
 // WorkersAuto, given as Config.Workers, selects GOMAXPROCS worker
-// goroutines for the sharded engine.
+// goroutines for the shard passes.
 const WorkersAuto = sched.WorkersAuto
 
 // DefaultShards is the shard count used when Config.Shards is 0. It comes
@@ -14,18 +14,15 @@ const WorkersAuto = sched.WorkersAuto
 // on (seed, topology, protocol, shard count) and is reproducible across
 // machines and worker counts.
 //
-// Determinism scope: "the sequential path" of the sharded engine is
-// Workers == 1 (the same shard passes executed inline), and that is what
-// every parallel run is bit-identical to. The legacy Workers == 0 engine
-// consumes the run RNG as one stream in a different order, so its traces
-// necessarily differ bit-wise from any sharded run with the same seed;
-// the two engines are validated against each other distributionally
-// (TestShardedEquivalentStatistics) instead. Per-shard streams are what
-// make worker-count independence possible at all — a single shared
-// stream would make the draw order depend on goroutine scheduling.
+// Determinism scope: there is one round driver (Run), and Config.Workers
+// only chooses where its shard passes execute — inline on the calling
+// goroutine (0 and 1) or on a pool (> 1, WorkersAuto). Every value yields
+// the same trace bit for bit. Per-shard streams are what make that
+// possible at all — a single shared stream would make the draw order
+// depend on goroutine scheduling.
 const DefaultShards = sched.DefaultShards
 
-// parShard is one node partition of the sharded engine. A shard owns the
+// parShard is one node partition of the engine. A shard owns the
 // contiguous node range [lo, hi), its own PRNG stream (derived
 // deterministically from the run RNG and the shard index), and its own
 // outbox, so the per-round shard passes share no mutable state.
@@ -33,18 +30,31 @@ type parShard struct {
 	lo, hi int
 	ds     dialState
 
+	// cohort[r] counts the shard's nodes whose receipt round is r. It is
+	// incremented when a receipt is applied and decremented when a
+	// rejoining id is reset, so under churn (departed nodes stay counted)
+	// it is an upper bound on the shard's alive cohort — which is all the
+	// skip below needs: a zero count proves the cohort has no member here.
+	cohort []int32
+	// sends is the round's skip decision: some cohort the protocol lets
+	// push this round may have a member in the shard. When it is false and
+	// the round does not dial everywhere, the shard's pass is skipped; it
+	// would have found no sender, sampled no dial and drawn nothing, so
+	// skipping cannot move the trace.
+	sends bool
+
 	// Per-round outputs, merged sequentially in shard-index order.
 	outbox  []int32 // candidate receivers queued by this shard
 	usedBuf []int64 // edge keys that carried a transmission (TrackEdgeUse)
 	tx      int64   // transmissions sent by this shard
 
-	_ [24]byte // pad to soften false sharing between adjacent shards
+	_ [16]byte // pad to three cache lines to soften false sharing between adjacent shards
 }
 
-// initShards prepares the sharded engine: resolve the worker count,
-// partition the node range, and derive one independent PRNG stream per
-// shard from the run RNG (stream i is the i-th Split of cfg.RNG, so the
-// whole run remains reproducible from the master seed).
+// initShards partitions the node range and derives one independent PRNG
+// stream per shard from the run RNG (stream i is the i-th Split of
+// cfg.RNG, so the whole run remains reproducible from the master seed).
+// Workers 0 and 1 both resolve to the inline loop of runShardPasses.
 func (e *Engine) initShards() {
 	nShards := e.cfg.Shards
 	if nShards == 0 {
@@ -52,26 +62,33 @@ func (e *Engine) initShards() {
 	}
 	e.workers = sched.Resolve(e.cfg.Workers, nShards)
 	e.shards = make([]parShard, nShards)
+	rounds := e.proto.Horizon() + 1 // receipt rounds 0..Horizon
+	cohorts := make([]int32, nShards*rounds)
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.lo, sh.hi = sched.Bounds(i, e.n, nShards)
 		sh.ds = newDialState(e.cfg.RNG.Split(), e.k)
+		sh.cohort = cohorts[i*rounds : (i+1)*rounds]
 	}
-	e.roundCount = make([]int64, e.proto.Horizon()+1)
 }
 
-// runSharded is the parallel counterpart of Run. Each round runs three
-// steps: (1) compute the protocol's push/pull decision tables for the
-// round, (2) run the dial/push/pull pass of every shard — concurrently on
-// up to Workers goroutines — with each shard drawing only from its own
-// PRNG stream and writing only its own dial rows and outbox, and (3)
-// merge the per-shard outboxes into the global receipt queue in shard
-// order. Because shard streams and the merge order are fixed, the result
-// is bit-identical for every worker count.
-func (e *Engine) runSharded() Result {
+// shardOf returns the shard owning node v.
+func (e *Engine) shardOf(v int) *parShard {
+	return &e.shards[sched.Owner(v, e.n, len(e.shards))]
+}
+
+// Run executes the full schedule and returns the result. Each round runs
+// three steps: (1) compute the protocol's push/pull decision tables for
+// the round, (2) run the dial/push/pull pass of every shard — inline, or
+// concurrently on up to Workers goroutines — with each shard drawing only
+// from its own PRNG stream and writing only its own dial rows and outbox,
+// and (3) merge the per-shard outboxes into the global receipt queue in
+// shard order. Because shard streams and the merge order are fixed, the
+// result is bit-identical for every worker count.
+func (e *Engine) Run() Result {
 	res := Result{FirstAllInformed: -1}
 	e.informedAt[e.cfg.Source] = 0
-	e.roundCount[0] = 1
+	e.shardOf(e.cfg.Source).cohort[0] = 1
 	informedCount := 1
 	obs := e.cfg.Observer
 	if obs != nil {
@@ -88,27 +105,27 @@ func (e *Engine) runSharded() Result {
 	for t := 1; t <= horizon; t++ {
 		// Step 1: decision tables. A node's behaviour this round is a pure
 		// function of its receipt round, so one table lookup per node
-		// replaces per-node Protocol calls in the hot shard passes.
-		anyPush, anyPull := false, false
+		// replaces per-node Protocol calls in the hot shard passes, and the
+		// per-shard cohort counts tell which shards can hold a sender.
 		for ia := 0; ia < t; ia++ {
 			e.pushDec[ia] = e.proto.SendPush(t, ia)
 			e.pullDec[ia] = !neverPulls && e.proto.SendPull(t, ia)
-			if e.roundCount[ia] > 0 {
-				anyPush = anyPush || e.pushDec[ia]
-				anyPull = anyPull || e.pullDec[ia]
+		}
+		anyPull := false
+		for i := range e.shards {
+			sh := &e.shards[i]
+			sh.sends = false
+			for ia, c := range sh.cohort[:t] {
+				if c > 0 {
+					sh.sends = sh.sends || e.pushDec[ia]
+					anyPull = anyPull || e.pullDec[ia]
+				}
 			}
 		}
 		dialAll := anyPull || e.cfg.AvoidRecent > 0
 
 		// Step 2: shard passes (the parallel section).
-		if anyPush || dialAll {
-			e.runShardPasses(t, anyPush, anyPull, dialAll)
-		} else {
-			for i := range e.shards {
-				sh := &e.shards[i]
-				sh.tx, sh.outbox, sh.usedBuf = 0, sh.outbox[:0], sh.usedBuf[:0]
-			}
-		}
+		e.runShardPasses(t, anyPull, dialAll)
 
 		// Step 3: merge outboxes in shard-index order (deterministic).
 		var roundTx int64
@@ -138,24 +155,24 @@ func (e *Engine) runSharded() Result {
 		for _, v := range e.pending {
 			e.isPending[v] = false
 			e.informedAt[v] = int32(t)
+			e.shardOf(int(v)).cohort[t]++
 			if obs != nil {
 				obs.OnInformed(int(v), t)
 			}
 		}
-		e.roundCount[t] += int64(newly)
 		e.pending = e.pending[:0]
 		informedCount += newly
 
 		e.recordRound(&res, t, newly, informedCount, roundTx)
 
-		// Churn happens between rounds; joiners start uninformed. Unlike
-		// the sequential path this one must also keep the per-cohort
-		// counts (roundCount) consistent.
+		// Churn happens between rounds. Joiners start uninformed (a reused
+		// id leaves its old cohort), and both joins and departures
+		// invalidate the incremental informed counter.
 		if stepper != nil {
 			joined := stepper.Step(t)
 			for _, v := range joined {
 				if ia := e.informedAt[v]; ia != Uninformed {
-					e.roundCount[ia]--
+					e.shardOf(v).cohort[ia]--
 					e.informedAt[v] = Uninformed
 				}
 			}
@@ -176,33 +193,40 @@ func (e *Engine) runSharded() Result {
 	return res
 }
 
-// runShardPasses executes shardPass for every shard, inline when a single
-// worker is configured (the sequential special case) and on a small
-// work-stealing pool otherwise. Shard-to-worker assignment is arbitrary;
-// shard results are not, so scheduling cannot influence the outcome.
-func (e *Engine) runShardPasses(t int, anyPush, anyPull, dialAll bool) {
+// runShardPasses executes the round's pass for every shard, inline when
+// at most one worker is configured and on a small work-stealing pool
+// otherwise. Shard-to-worker assignment is arbitrary; shard results are
+// not, so scheduling cannot influence the outcome.
+func (e *Engine) runShardPasses(t int, anyPull, dialAll bool) {
 	if e.workers <= 1 {
-		// No func-value indirection here: the inline path must stay
-		// allocation-free per round, and a captured func variable would be
-		// moved to the heap by the worker closure below.
-		if e.fast {
-			for i := range e.shards {
-				e.shardPassFast(&e.shards[i], t, anyPush, anyPull, dialAll)
-			}
-		} else {
-			for i := range e.shards {
-				e.shardPass(&e.shards[i], t, anyPush, anyPull, dialAll)
-			}
+		// A plain loop, not the pool with one worker: the inline path must
+		// stay allocation-free per round, and the pool's closure is not.
+		for i := range e.shards {
+			e.pass(&e.shards[i], t, anyPull, dialAll)
 		}
 		return
 	}
 	sched.Pool(e.workers, len(e.shards), func(i int) {
-		if e.fast {
-			e.shardPassFast(&e.shards[i], t, anyPush, anyPull, dialAll)
-		} else {
-			e.shardPass(&e.shards[i], t, anyPush, anyPull, dialAll)
-		}
+		e.pass(&e.shards[i], t, anyPull, dialAll)
 	})
+}
+
+// pass resets a shard's per-round outputs and runs its round on the
+// engaged path — unless the shard can hold no sender and the round does
+// not dial everywhere (see parShard.sends), in which case there is
+// nothing to scan for.
+func (e *Engine) pass(sh *parShard, t int, anyPull, dialAll bool) {
+	sh.tx = 0
+	sh.outbox = sh.outbox[:0]
+	sh.usedBuf = sh.usedBuf[:0]
+	if !dialAll && !sh.sends {
+		return
+	}
+	if e.fast {
+		e.shardPassFast(sh, t, anyPull, dialAll)
+	} else {
+		e.shardPass(sh, t, anyPull, dialAll)
+	}
 }
 
 // shardPass runs one round for the nodes a shard owns: dial sampling,
@@ -211,19 +235,17 @@ func (e *Engine) runShardPasses(t int, anyPush, anyPull, dialAll bool) {
 // shard's own dial rows, per-node dial memory/cursors, and outbox, so
 // concurrent shard passes never race. Delivery candidates are queued in
 // the outbox; global dedup happens in the sequential merge.
-func (e *Engine) shardPass(sh *parShard, t int, anyPush, anyPull, dialAll bool) {
-	sh.tx = 0
-	sh.outbox = sh.outbox[:0]
-	sh.usedBuf = sh.usedBuf[:0]
+func (e *Engine) shardPass(sh *parShard, t int, anyPull, dialAll bool) {
 	track := e.usedEdges != nil
 	loss := e.cfg.MessageLossProb
 
 	for v := sh.lo; v < sh.hi; v++ {
-		alive := e.topo.Alive(v)
+		// Receipt round first, liveness last: in sender-sparse rounds
+		// almost every node fails the cohort test, which is one load.
 		ia := e.informedAt[v]
-		sender := anyPush && alive && ia != Uninformed && int(ia) < t && e.pushDec[ia]
+		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.topo.Alive(v)
 		if dialAll {
-			if alive {
+			if e.topo.Alive(v) {
 				e.sampleDialsFor(v, &sh.ds)
 			} else {
 				e.clearDialRow(v)

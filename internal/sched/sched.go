@@ -64,6 +64,12 @@ func Bounds(i, n, nShards int) (lo, hi int) {
 	return i * n / nShards, (i + 1) * n / nShards
 }
 
+// Owner is the inverse of Bounds: the shard i of nShards whose range
+// [lo, hi) contains item v of n (0 <= v < n).
+func Owner(v, n, nShards int) int {
+	return ((v+1)*nShards - 1) / n
+}
+
 // Pool executes pass(shard) for every shard in [0, nShards) on workers
 // goroutines with atomic work stealing, and returns when all passes have
 // finished. Shard-to-worker assignment is arbitrary; under the contract

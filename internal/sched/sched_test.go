@@ -23,6 +23,11 @@ func TestBoundsPartitionExactly(t *testing.T) {
 			if hi-lo > tc.n/tc.shards+1 {
 				t.Fatalf("n=%d shards=%d: shard %d owns %d items, imbalanced", tc.n, tc.shards, i, hi-lo)
 			}
+			for v := lo; v < hi; v++ {
+				if got := Owner(v, tc.n, tc.shards); got != i {
+					t.Fatalf("n=%d shards=%d: Owner(%d) = %d, want %d", tc.n, tc.shards, v, got, i)
+				}
+			}
 			total += hi - lo
 			prev = hi
 		}

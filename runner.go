@@ -14,13 +14,14 @@ import (
 type Engine int
 
 const (
-	// EngineSequential is the classic single-stream simulator: one PRNG
-	// stream consumed in node order, the trace every historical experiment
-	// in EXPERIMENTS.md was recorded with.
+	// EngineSequential is the round simulator with its shard passes run
+	// inline on the calling goroutine: nodes partitioned into shards with
+	// independent PRNG streams (WithShards), no goroutines started.
 	EngineSequential Engine = iota
-	// EngineSharded is the sharded parallel simulator: nodes partitioned
-	// into shards with independent PRNG streams, bit-identical results for
-	// every worker count at a fixed shard count.
+	// EngineSharded is the same simulator with the shard passes on a pool
+	// of WithWorkers goroutines. Both honour WithShards and produce
+	// bit-identical results at a fixed shard count, whatever the worker
+	// count.
 	EngineSharded
 	// EngineGoroutinePerNode runs one goroutine per node with
 	// barrier-synchronised rounds (internal/runtime) — the concurrency
@@ -66,7 +67,7 @@ func (e Engine) String() string {
 }
 
 // Runner executes Scenarios on a chosen engine. The zero value runs the
-// classic sequential simulator; construct variants with NewRunner. Runners
+// simulator inline (EngineSequential); construct variants with NewRunner. Runners
 // are stateless values — one Runner may run many Scenarios, concurrently
 // if desired (a Scenario built with WithRNG is the exception: its stream
 // is unsynchronised, so never run that one scenario concurrently with
@@ -89,11 +90,12 @@ type RunnerOption func(*Runner)
 // WithEngine selects the execution engine explicitly.
 func WithEngine(e Engine) RunnerOption { return func(r *Runner) { r.engine = e } }
 
-// WithWorkers selects between the two simulation engines by worker count,
-// mirroring the commands' -workers flag: 0 is the classic sequential
-// engine, WorkersAuto (-1) the sharded engine with GOMAXPROCS workers, and
-// any n >= 1 the sharded engine with n workers. Apply WithEngine after it
-// to pick a non-simulation engine instead.
+// WithWorkers chooses where the simulator's shard passes execute,
+// mirroring the commands' -workers flag: 0 is EngineSequential (inline),
+// WorkersAuto (-1) EngineSharded with GOMAXPROCS pooled workers, and any
+// n >= 1 EngineSharded with n workers. It affects wall-clock time only —
+// results are bit-identical for every value. Apply WithEngine after it to
+// pick a non-simulation engine instead.
 func WithWorkers(n int) RunnerOption {
 	return func(r *Runner) {
 		r.workers = n
@@ -105,9 +107,9 @@ func WithWorkers(n int) RunnerOption {
 	}
 }
 
-// WithShards fixes the sharded engine's partition count (default
-// DefaultShards). The shard count — not the worker count — determines the
-// trace, so pin it when comparing runs.
+// WithShards fixes the simulation engines' partition count (default
+// DefaultShards), inline and pooled alike. The shard count — not the
+// worker count — determines the trace, so pin it when comparing runs.
 func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
 
 // WithMailbox sets the per-node mailbox capacity of the transport engines
@@ -132,8 +134,7 @@ func WithoutPopulationFastPath() RunnerOption {
 	return func(r *Runner) { r.noPopFastPath = true }
 }
 
-// NewRunner builds a Runner; with no options it runs the classic
-// sequential engine.
+// NewRunner builds a Runner; with no options it runs EngineSequential.
 func NewRunner(opts ...RunnerOption) Runner {
 	var r Runner
 	for _, opt := range opts {
@@ -173,6 +174,12 @@ type Result struct {
 	// simulation engines): dials, retries, drop accounting, dedup hits,
 	// per-peer state, and — under WithTransportFaults — the fault ledger.
 	Transport *TransportHealth
+	// TickTimeouts counts the transport-engine ticks whose packets had not
+	// drained when the per-tick deadline passed (always 0 on the simulation
+	// engines). A timed-out tick is attributed the receipts seen so far;
+	// later arrivals are charged to a later tick, so a non-zero count means
+	// InformedAt and PerRound are skewed late.
+	TickTimeouts int
 }
 
 // AnyScenario is the sealed union of the scenario kinds a Runner can
@@ -316,7 +323,8 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runSimulation drives the sequential or sharded phone-call engine.
+// runSimulation drives the phone-call engine, inline (EngineSequential)
+// or pooled (EngineSharded).
 func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 	workers := 0
 	if r.engine == EngineSharded {
@@ -514,7 +522,9 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		if err := cluster.Tick(); err != nil {
 			return Result{}, err
 		}
-		waitQuiescent(cluster, rumorID)
+		if waitQuiescent(cluster, rumorID, tickDeadline) {
+			res.TickTimeouts++
+		}
 
 		newly := 0
 		for v := 0; v < n; v++ {
@@ -563,20 +573,31 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	return res, ctxErr(ctx)
 }
 
+// tickDeadline bounds how long runTransport lets one tick's packets drain.
+const tickDeadline = time.Second
+
+// quiescer is what waitQuiescent polls: the transport cluster's spread
+// count and packet counter (a fake in the unit test).
+type quiescer interface {
+	CountKnowing(rumorID string) int
+	PacketsSent() int64
+}
+
 // waitQuiescent lets a tick's packets drain: transports deliver
 // asynchronously, so the spread count is only meaningful once it stops
-// moving. Returns once (knowers, packets) is stable for two consecutive
-// polls or the per-tick deadline passes.
-func waitQuiescent(c *transport.Cluster, rumorID string) {
-	deadline := time.Now().Add(time.Second)
+// moving. It returns false once (knowers, packets) is stable for two
+// consecutive polls, and true if it gave up because deadline passed first.
+func waitQuiescent(c quiescer, rumorID string, deadline time.Duration) (timedOut bool) {
+	giveUp := time.Now().Add(deadline)
 	prevKnow, prevSent := -1, int64(-1)
-	for time.Now().Before(deadline) {
+	for time.Now().Before(giveUp) {
 		know := c.CountKnowing(rumorID)
 		sent := c.PacketsSent()
 		if know == prevKnow && sent == prevSent {
-			return
+			return false
 		}
 		prevKnow, prevSent = know, sent
 		time.Sleep(2 * time.Millisecond)
 	}
+	return true
 }

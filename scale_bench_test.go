@@ -13,11 +13,12 @@ import (
 	"regcast/internal/xrand"
 )
 
-// Scale benchmarks for the sharded parallel phone-call engine
+// Scale benchmarks for the phone-call round driver
 // (internal/phonecall/parallel.go). Worker count never changes the
-// simulated trace — only the wall-clock time — so the workers=1 entry is
-// the exact sequential baseline for the speedup ratios recorded in
-// EXPERIMENTS.md. Run with:
+// simulated trace — only the wall-clock time — so the workers=1 entry
+// (shard passes inline, the same code Workers == 0 runs) is the exact
+// sequential baseline for the speedup ratios recorded in EXPERIMENTS.md.
+// Run with:
 //
 //	go test -bench BenchmarkSharded -benchtime 3x .
 //
@@ -92,8 +93,8 @@ func BenchmarkShardedPush(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedFourChoice runs the paper's Algorithm 1 at scale on the
-// sharded engine — the O(n·log log n) workload whose Phase 2/3 rounds are
+// BenchmarkShardedFourChoice runs the paper's Algorithm 1 at scale,
+// inline and pooled — the O(n·log log n) workload whose Phase 2/3 rounds are
 // the parallel section's best case (every node dials four channels).
 func BenchmarkShardedFourChoice(b *testing.B) {
 	const d = 16
@@ -147,63 +148,30 @@ func BenchmarkChurnBroadcast100k(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, path := range []string{"csr", "interface"} {
-		for _, workers := range []int{0, 1} {
-			b.Run(fmt.Sprintf("path=%s/workers=%d", path, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					master := xrand.New(uint64(i) + 41)
-					topo, err := regcast.OverlaySpec{
-						N: n, D: d, Headroom: n / 4,
-						JoinProb: churnRate, LeaveProb: churnRate, MixSteps: 5,
-					}.Build(0, master)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					res, err := phonecall.Run(phonecall.Config{
-						Topology:        topo,
-						Protocol:        proto,
-						RNG:             master.Split(),
-						Workers:         workers,
-						DisableFastPath: path == "interface",
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Informed < n/2 {
-						b.Fatalf("implausible churn broadcast: %d/%d informed", res.Informed, res.AliveNodes)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkLegacySequentialPush is the pre-refactor engine (Workers=0) at
-// the same sizes, for regression tracking against the sharded path.
-func BenchmarkLegacySequentialPush(b *testing.B) {
-	const d = 16
-	for _, n := range benchSizes(b) {
-		g := benchGraph(b, n, d)
-		push, err := baseline.NewPush(n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run("path="+path, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				master := xrand.New(uint64(i) + 41)
+				topo, err := regcast.OverlaySpec{
+					N: n, D: d, Headroom: n / 4,
+					JoinProb: churnRate, LeaveProb: churnRate, MixSteps: 5,
+				}.Build(0, master)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				res, err := phonecall.Run(phonecall.Config{
-					Topology:  phonecall.NewStatic(g),
-					Protocol:  push,
-					RNG:       xrand.New(uint64(i) + 1),
-					StopEarly: true,
+					Topology:        topo,
+					Protocol:        proto,
+					RNG:             master.Split(),
+					DisableFastPath: path == "interface",
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.AllInformed {
-					b.Fatalf("push incomplete: %d/%d", res.Informed, res.AliveNodes)
+				if res.Informed < n/2 {
+					b.Fatalf("implausible churn broadcast: %d/%d informed", res.Informed, res.AliveNodes)
 				}
 			}
 		})

@@ -69,10 +69,10 @@ const (
 	// Uninformed is the sentinel receipt round in Result.InformedAt for
 	// nodes that never received the message.
 	Uninformed = phonecall.Uninformed
-	// WorkersAuto selects GOMAXPROCS workers for the sharded engine.
+	// WorkersAuto selects GOMAXPROCS pooled workers (EngineSharded).
 	WorkersAuto = phonecall.WorkersAuto
-	// DefaultShards is the sharded engine's default partition count; the
-	// shard count (not the worker count) determines the trace.
+	// DefaultShards is the simulation engines' default partition count;
+	// the shard count (not the worker count) determines the trace.
 	DefaultShards = phonecall.DefaultShards
 )
 
