@@ -9,7 +9,7 @@ import (
 // TestRunAcceptsEveryScenarioKind pins the sealed AnyScenario union: the
 // single Runner.Run entry point executes both scenario kinds, by value
 // and by pointer, and a population run through it folds into the shared
-// Result shape with exactly the PopulationBatch metric mapping.
+// Result shape with exactly the documented mapping of Result.Population.
 func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 	le, err := NewLeaderElection(128)
 	if err != nil {
@@ -17,18 +17,20 @@ func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 	}
 	sc := PopulationScenario{N: 128, Pair: le, Init: InitAllLeaders, Seed: 9}
 
-	pres, err := RunPopulation(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pres.Converged {
-		t.Fatal("leader election did not converge; pick a different seed for this pin")
-	}
-
 	for _, s := range []AnyScenario{sc, &sc} {
 		res, err := Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
+		}
+		pres := res.Population
+		if pres == nil {
+			t.Fatal("population run left Result.Population nil")
+		}
+		if !pres.Converged {
+			t.Fatal("leader election did not converge; pick a different seed for this pin")
+		}
+		if pres.Measure != 1 {
+			t.Errorf("converged leader election left %d leaders", pres.Measure)
 		}
 		if res.Rounds != pres.Steps {
 			t.Errorf("Rounds = %d, want super-steps %d", res.Rounds, pres.Steps)
@@ -72,42 +74,18 @@ func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 	if byVal.Rounds != byPtr.Rounds || byVal.Transmissions != byPtr.Transmissions {
 		t.Error("value and pointer Scenario runs diverged")
 	}
+	if byVal.Population != nil {
+		t.Error("broadcast run set Result.Population")
+	}
 
 	if _, err := Run(context.Background(), nil); err == nil {
 		t.Error("Run accepted a nil scenario")
 	}
 }
 
-// TestRunPopulationWrapperUnchanged pins that the deprecated
-// RunPopulation wrappers still return the population-specific result the
-// new Run cannot carry (Measure, convergence detail) — byte-compatible
-// behaviour for pre-AnyScenario callers.
-func TestRunPopulationWrapperUnchanged(t *testing.T) {
-	le, err := NewLeaderElection(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := PopulationScenario{N: 64, Pair: le, Init: InitAllLeaders, Seed: 4}
-	direct, err := RunPopulation(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRunner, err := NewRunner().RunPopulation(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Steps != viaRunner.Steps || direct.Interactions != viaRunner.Interactions ||
-		direct.Measure != viaRunner.Measure || direct.ConvergedAt != viaRunner.ConvergedAt {
-		t.Error("package-level and Runner RunPopulation diverged")
-	}
-	if direct.Converged && direct.Measure != 1 {
-		t.Errorf("converged leader election left %d leaders", direct.Measure)
-	}
-}
-
 // TestRunRejectsForeignScenario documents the sealed union: the only way
 // to get an unsupported-kind error is a new in-package kind that forgot
-// its Run case, and the error names the offending type.
+// its resolveScenario case, and the error names the offending type.
 func TestRunRejectsForeignScenario(t *testing.T) {
 	_, err := NewRunner().Run(context.Background(), badScenario{})
 	if err == nil || !strings.Contains(err.Error(), "badScenario") {
@@ -115,9 +93,54 @@ func TestRunRejectsForeignScenario(t *testing.T) {
 	}
 }
 
-// badScenario simulates an in-package scenario kind missing its Run
-// case; external packages cannot construct one (anyScenario is
-// unexported), which is the point of the sealed interface.
+// badScenario simulates an in-package scenario kind missing its
+// resolveScenario case; external packages cannot construct one
+// (anyScenario is unexported), which is the point of the sealed interface.
 type badScenario struct{}
 
 func (badScenario) anyScenario() {}
+
+// TestRunValidatesBeforeDispatch pins the three things the single entry
+// point checks before it looks at the scenario kind, on both kinds: a
+// typed nil pointer is the nil-scenario error (not a nil dereference), an
+// invalid worker count is rejected, and WithTransportFaults without a
+// transport engine is rejected instead of ignored.
+func TestRunValidatesBeforeDispatch(t *testing.T) {
+	le, err := NewLeaderElection(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop := PopulationScenario{N: 32, Pair: le, Init: InitAllLeaders, Seed: 1}
+	g, err := NewRegularGraph(64, 6, NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := NewFourChoice(64, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := NewScenario(Static(g), proto, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := WithTransportFaults(FaultConfig{Seed: 1, Drop: 0.1})
+	for _, tc := range []struct {
+		name string
+		s    AnyScenario
+		opts []RunnerOption
+		want string
+	}{
+		{"typed-nil broadcast", (*Scenario)(nil), nil, "nil scenario"},
+		{"typed-nil population", (*PopulationScenario)(nil), nil, "nil scenario"},
+		{"workers broadcast", bc, []RunnerOption{WithWorkers(-5)}, "workers -5 invalid"},
+		{"workers population", pop, []RunnerOption{WithWorkers(-5)}, "workers -5 invalid"},
+		{"faults broadcast", bc, []RunnerOption{faults}, "requires a transport engine"},
+		{"faults population", pop, []RunnerOption{faults}, "requires a transport engine"},
+		{"faults population on daemon", pop, []RunnerOption{WithEngine(EngineDaemonTransport), faults}, "cannot run population scenarios"},
+	} {
+		_, err := Run(context.Background(), tc.s, tc.opts...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}

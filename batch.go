@@ -10,12 +10,12 @@ import (
 	"regcast/internal/xrand"
 )
 
-// Batch runs R seed-derived replications of one broadcast Scenario on a
-// worker pool and aggregates their results online — the statistical layer
-// of the facade. Replication-level parallelism composes with the sharded
-// engine's per-run parallelism: Batch decides how many whole runs are in
-// flight (ReplicationWorkers), the Runner decides how many workers each
-// run uses internally.
+// Batch runs R seed-derived replications of one scenario (a broadcast
+// Scenario or a PopulationScenario) on a worker pool and aggregates their
+// results online — the statistical layer of the facade. Replication-level
+// parallelism composes with the sharded engine's per-run parallelism:
+// Batch decides how many whole runs are in flight (ReplicationWorkers),
+// the Runner decides how many workers each run uses internally.
 //
 // Determinism contract: every replication draws from a PRNG stream that is
 // precomputed in replication order from one master seed (xrand.SplitN
@@ -24,9 +24,20 @@ import (
 // are therefore bit-identical for every ReplicationWorkers value. Only
 // wall-clock time changes.
 type Batch struct {
-	// Scenario is the replicated run. Each replication executes a copy of
-	// it whose randomness is replaced by the replication's derived stream.
-	// Exactly one of Scenario and New must be set.
+	// Scenario is the replicated run, of either kind. Each replication
+	// executes a copy of it whose randomness is replaced by the
+	// replication's derived stream. Exactly one of Scenario and New must be
+	// set.
+	//
+	// A PopulationScenario replicates through the same plan, pool and
+	// fold: the aggregates read its runs through Runner.Run's fixed mapping
+	// (Completed = converged runs, Rounds = convergence super-step over
+	// converged runs, Transmissions/TxPerNode = interactions to
+	// convergence, or the budget-censored total when a run did not
+	// converge, ChannelsDialed = total interactions, InformedFrac = the
+	// convergence rate). It must use Seed, not RNG, and carry no Observer
+	// (per-run state shared across concurrent replications); New and
+	// RandomizeSource are broadcast-only.
 	//
 	// A spec scenario (NewScenarioSpec) builds a fresh topology per
 	// replication from the replication's stream, so dynamic topologies —
@@ -39,12 +50,12 @@ type Batch struct {
 	// WithObserver are rejected either way: a batch re-seeds every
 	// replication, and observers are per-run state (build those through
 	// New).
-	Scenario Scenario
+	Scenario AnyScenario
 
-	// New, when non-nil, builds the scenario for each replication from the
-	// replication's derived stream. Since topology variation is covered
-	// by spec scenarios (see Scenario), New remains for batches whose
-	// *protocol*, options or observers vary per replication. The builder
+	// New, when non-nil, builds the broadcast scenario for each replication
+	// from the replication's derived stream. Since topology variation is
+	// covered by spec scenarios (see Scenario), New remains for batches
+	// whose *protocol*, options or observers vary per replication. The builder
 	// must derive all of the scenario's randomness from rng (typically
 	// WithRNG(rng) or WithRNG(rng.Split())); a builder that instead pins
 	// an explicit WithSeed makes every replication identical. New may
@@ -85,8 +96,9 @@ type Batch struct {
 	RandomizeSource bool
 
 	// KeepResults retains every replication's full Result (in replication
-	// order) in BatchResult.Results. Leave it false for large ensembles:
-	// aggregation is online and needs no retention.
+	// order, Result.Population included) in BatchResult.Results. Leave it
+	// false for large ensembles: aggregation is online and needs no
+	// retention.
 	KeepResults bool
 }
 
@@ -195,46 +207,67 @@ type repPlan struct {
 }
 
 // seed resolves the master seed the replication streams derive from.
-func (b Batch) seed() uint64 {
-	if b.Seed != 0 {
+func (b Batch) seed(k scenarioKind) uint64 {
+	switch {
+	case b.Seed != 0:
 		return b.Seed
+	case b.New != nil:
+		return 0
+	case k.isPopulation:
+		return k.population.Seed
+	default:
+		return k.broadcast.seed
 	}
-	if b.New == nil {
-		return b.Scenario.seed
-	}
-	return 0
 }
 
-// validate rejects batch configurations no pool should run.
-func (b Batch) validate() error {
+// validate resolves the batch's scenario kind and rejects configurations
+// no pool should run.
+func (b Batch) validate() (scenarioKind, error) {
 	if b.Replications <= 0 {
-		return fmt.Errorf("regcast: batch needs Replications >= 1, got %d", b.Replications)
+		return scenarioKind{}, fmt.Errorf("regcast: batch needs Replications >= 1, got %d", b.Replications)
 	}
 	if b.ReplicationWorkers < WorkersAuto {
-		return fmt.Errorf("regcast: batch ReplicationWorkers %d invalid (use WorkersAuto, 0 or a positive count)", b.ReplicationWorkers)
+		return scenarioKind{}, fmt.Errorf("regcast: batch ReplicationWorkers %d invalid (use WorkersAuto, 0 or a positive count)", b.ReplicationWorkers)
 	}
-	hasScenario := b.Scenario.spec != nil || b.Scenario.proto != nil
-	if b.New == nil && !hasScenario {
-		return fmt.Errorf("regcast: batch needs a Scenario or a New builder")
+	if b.New != nil {
+		if b.Scenario != nil {
+			return scenarioKind{}, fmt.Errorf("regcast: batch Scenario and New are mutually exclusive")
+		}
+		return scenarioKind{}, nil
 	}
-	if b.New != nil && hasScenario {
-		return fmt.Errorf("regcast: batch Scenario and New are mutually exclusive")
+	if b.Scenario == nil {
+		return scenarioKind{}, fmt.Errorf("regcast: batch needs a Scenario or a New builder")
 	}
-	if b.New == nil {
-		if err := b.Scenario.validate(); err != nil {
-			return err
-		}
-		if b.Scenario.rng != nil {
-			return fmt.Errorf("regcast: batch scenarios must use WithSeed, not WithRNG: replications re-derive their streams from the master seed")
-		}
-		if len(b.Scenario.observers) > 0 {
-			return fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications); build per-replication observers from Batch.New")
-		}
-		if b.Scenario.topo != nil && b.Scenario.dynamic() {
-			return fmt.Errorf("regcast: batch scenarios cannot share a dynamic (Stepper) topology instance across replications (churn state would leak between runs and race under a concurrent pool); describe the topology with NewScenarioSpec — e.g. OverlaySpec — so each replication builds its own")
-		}
+	k, err := resolveScenario(b.Scenario)
+	if err != nil {
+		return scenarioKind{}, err
 	}
-	return nil
+	if k.isPopulation {
+		if b.RandomizeSource {
+			return scenarioKind{}, fmt.Errorf("regcast: batch RandomizeSource applies to broadcast scenarios only (a population scenario has no source)")
+		}
+		if k.population.Observer != nil {
+			return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications)")
+		}
+		if k.population.RNG != nil {
+			return scenarioKind{}, fmt.Errorf("regcast: batch scenarios must use Seed, not RNG: replications re-derive their streams from the master seed")
+		}
+		return k, nil
+	}
+	sc := &k.broadcast
+	if err := sc.validate(); err != nil {
+		return scenarioKind{}, err
+	}
+	if sc.rng != nil {
+		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios must use WithSeed, not WithRNG: replications re-derive their streams from the master seed")
+	}
+	if len(sc.observers) > 0 {
+		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications); build per-replication observers from Batch.New")
+	}
+	if sc.topo != nil && sc.dynamic() {
+		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot share a dynamic (Stepper) topology instance across replications (churn state would leak between runs and race under a concurrent pool); describe the topology with NewScenarioSpec — e.g. OverlaySpec — so each replication builds its own")
+	}
+	return k, nil
 }
 
 // drawAliveSource draws a source uniformly over the topology's alive
@@ -261,8 +294,8 @@ func drawAliveSource(rng *xrand.Rand, topo Topology) (int, error) {
 }
 
 // plan precomputes every replication's randomness in replication order.
-func (b Batch) plan() ([]repPlan, error) {
-	master := xrand.New(b.seed())
+func (b Batch) plan(k scenarioKind) ([]repPlan, error) {
+	master := xrand.New(b.seed(k))
 	plans := make([]repPlan, b.Replications)
 	for r := range plans {
 		plans[r].source = -1
@@ -270,8 +303,8 @@ func (b Batch) plan() ([]repPlan, error) {
 		// split (the classic derivation, preserved bit-for-bit); spec
 		// scenarios have no topology yet — their source is drawn from the
 		// replication stream after the per-replication build (runRep).
-		if b.New == nil && b.RandomizeSource && b.Scenario.topo != nil {
-			src, err := drawAliveSource(master, b.Scenario.topo)
+		if b.New == nil && b.RandomizeSource && k.broadcast.topo != nil {
+			src, err := drawAliveSource(master, k.broadcast.topo)
 			if err != nil {
 				return nil, err
 			}
@@ -283,17 +316,33 @@ func (b Batch) plan() ([]repPlan, error) {
 }
 
 // runRep executes one replication.
-func (b Batch) runRep(ctx context.Context, rep int, p repPlan) (Result, error) {
-	var sc Scenario
+func (b Batch) runRep(ctx context.Context, rep int, p repPlan, k scenarioKind) (Result, error) {
+	var err error
+	if k.isPopulation {
+		k.population.RNG = p.rng
+	} else if k.broadcast, err = b.buildRep(rep, p, k.broadcast); err != nil {
+		return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+	}
+	res, err := b.Runner.run(ctx, k)
+	if err != nil {
+		return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+	}
+	return res, nil
+}
+
+// buildRep assembles one replication's broadcast scenario: the New
+// builder's, the spec scenario materialised on the replication stream, or
+// the shared instance re-seeded.
+func (b Batch) buildRep(rep int, p repPlan, sc Scenario) (Scenario, error) {
+	var err error
 	switch {
 	case b.New != nil:
-		var err error
 		sc, err = b.New(rep, p.rng)
 		if err != nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+			return Scenario{}, err
 		}
 		if sc.spec == nil && sc.topo == nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: New returned a scenario without a topology", rep)
+			return Scenario{}, fmt.Errorf("New returned a scenario without a topology")
 		}
 		if sc.topo == nil {
 			// New returned a spec scenario (the composition for
@@ -308,22 +357,18 @@ func (b Batch) runRep(ctx context.Context, rep int, p repPlan) (Result, error) {
 			if buildRNG == nil {
 				buildRNG = p.rng
 			}
-			sc, err = sc.materialize(rep, buildRNG)
-			if err != nil {
-				return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+			if sc, err = sc.materialize(rep, buildRNG); err != nil {
+				return Scenario{}, err
 			}
 		}
-	case b.Scenario.topo == nil:
+	case sc.topo == nil:
 		// Spec scenario: build this replication's topology from the
 		// replication stream (materialize carries the stream forward for
 		// the run itself).
-		var err error
-		sc, err = b.Scenario.materialize(rep, p.rng)
-		if err != nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+		if sc, err = sc.materialize(rep, p.rng); err != nil {
+			return Scenario{}, err
 		}
 	default:
-		sc = b.Scenario
 		sc.rng = p.rng
 		if p.source >= 0 {
 			sc.source = p.source
@@ -333,18 +378,14 @@ func (b Batch) runRep(ctx context.Context, rep int, p repPlan) (Result, error) {
 	// source is drawn from the replication stream after the build, over
 	// the topology that actually exists this replication; instance
 	// scenarios received their master-drawn source through the plan.
-	if b.RandomizeSource && (b.New != nil || b.Scenario.topo == nil) {
+	if b.RandomizeSource && p.source < 0 {
 		src, err := drawAliveSource(p.rng, sc.topo)
 		if err != nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+			return Scenario{}, err
 		}
 		sc.source = src
 	}
-	res, err := b.Runner.Run(ctx, sc)
-	if err != nil {
-		return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
-	}
-	return res, nil
+	return sc, nil
 }
 
 // repOutcome is the fixed-size extract of one replication a batch
@@ -364,10 +405,11 @@ type repOutcome struct {
 // and returns ctx.Err(). On success, the returned aggregates are
 // bit-identical for every ReplicationWorkers value.
 func (b Batch) Run(ctx context.Context) (BatchResult, error) {
-	if err := b.validate(); err != nil {
+	k, err := b.validate()
+	if err != nil {
 		return BatchResult{}, err
 	}
-	plans, err := b.plan()
+	plans, err := b.plan(k)
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -377,7 +419,7 @@ func (b Batch) Run(ctx context.Context) (BatchResult, error) {
 		kept = make([]Result, b.Replications)
 	}
 	err = runPool(ctx, b.Replications, b.ReplicationWorkers, func(rep int) error {
-		res, err := b.runRep(ctx, rep, plans[rep])
+		res, err := b.runRep(ctx, rep, plans[rep], k)
 		if err != nil {
 			return err
 		}

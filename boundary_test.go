@@ -15,7 +15,6 @@ import (
 // with go list; this test keeps it visible in a plain `go test ./...`.
 var forbiddenSimImports = []string{
 	"regcast/internal/phonecall",
-	"regcast/internal/runtime",
 	"regcast/internal/experiments",
 }
 

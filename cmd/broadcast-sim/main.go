@@ -242,10 +242,11 @@ func runPopulation(n int, trace bool, common *regcast.CommonFlags) error {
 		fmt.Println(" step  interactions  changed  leaders")
 		sc.Observer = superStepPrinter{n: n, fractions: &fractions}
 	}
-	res, err := regcast.RunPopulation(context.Background(), sc, common.RunnerOptions()...)
+	run, err := regcast.Run(context.Background(), sc, common.RunnerOptions()...)
 	if err != nil {
 		return err
 	}
+	res := run.Population
 	if trace && len(fractions) > 1 {
 		if chart, err := viz.Chart(64, 12, viz.Series{Name: "leader fraction", Values: fractions}); err == nil {
 			fmt.Println()

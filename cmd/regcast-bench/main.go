@@ -1,7 +1,8 @@
 // Command regcast-bench runs a named sweep grid through the batch
-// replication engine and writes the machine-readable regcast.Report —
-// the repo's perf-trajectory format (CI uploads the JSON as the
-// BENCH_ci.json artifact on every push to main).
+// replication engine and writes the machine-readable regcast.Report.
+// Timings are judged by bench/run.sh, not here; what this tool's output
+// is held to is byte-determinism — the golden test next to it requires the
+// ci and populations grids to equal testdata/*.json exactly.
 //
 // Usage:
 //
@@ -15,31 +16,19 @@
 //	regcast-bench -grid ci -topology hypercube:dim=14
 //	                                                # override the grid's default topology
 //	regcast-bench -grid churn                       # overlay join/leave-rate axis
-//	regcast-bench -grid ci -timing -o BENCH_ci.json -baseline BENCH_seed.json
-//	                                                # ...and diff against a checked-in report
-//	regcast-bench -grid ci -baseline BENCH_seed.json -max-regress 20
-//	                                                # ...and gate on mean-metric regressions
+//	regcast-bench -grid populations                 # population protocols, same schema
+//	regcast-bench -grid ci -o cmd/regcast-bench/testdata/ci.json
+//	                                                # regenerate a golden after a documented reseed
 //
-// With -baseline, the fresh report is compared cell-by-cell against the
-// given JSON report and a markdown delta table is emitted (to stdout when
-// -o diverts the report to a file, else to stderr) — the CI job appends
-// it to the run summary. A schema mismatch is fatal (exit 1); wall-clock
-// drift is reported, never failed on, because it is machine noise. With
-// -max-regress <pct> on top, a cell whose mean completion rounds or
-// tx/node worsened by more than pct percent exits with code 3 — a
-// distinct code so callers can treat algorithmic regressions as warnings
-// (the CI bench job does) without masking hard failures.
-//
-// Determinism: for a fixed -seed, grid and flag set (without -timing),
-// the output bytes are identical across runs and across every
-// -rep-workers value — -rep-workers and -workers only change wall-clock
-// time. -timing adds machine-dependent per-cell wall-clock fields and is
-// meant for perf-trajectory artifacts, not for byte comparison.
+// Determinism: for a fixed -seed, grid and flag set (without -timing and
+// -mem), the output bytes are identical across runs and across every
+// -rep-workers, -workers and -fastpath value — those only change
+// wall-clock time. -timing and -mem add machine-dependent per-cell fields
+// and are not for byte comparison.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +65,8 @@ func protoAxis(names ...string) regcast.Axis {
 // buildCell is the shared Build function of every grid: it reads the
 // point's n / degree / protocol / fault / topology / churn axes (absent
 // axes fall back to the given defaults) and returns a source-randomised
-// batch over the scenario.
+// batch over the scenario. A "workload" axis makes the cell a population
+// batch instead (buildPopulationCell).
 //
 // Without a topology-shaped axis the cell generates one random regular
 // graph from the point seed and replicates on it — the classic derivation,
@@ -92,6 +82,8 @@ func buildCell(p regcast.Point, defaults cellDefaults) (regcast.Batch, error) {
 	churn := -1.0
 	for _, prm := range p.Params() {
 		switch prm.Axis {
+		case "workload":
+			return buildPopulationCell(p)
 		case "n":
 			n = p.Value("n").(int)
 		case "d":
@@ -169,36 +161,36 @@ type popWorkload struct {
 	frac   float64 // majority only: initial X-fraction
 }
 
-// buildPopulationCell is the populations grid's BuildPopulation: it
-// realises the cell's workload as a PopulationBatch whose convergence
-// metrics fold into the standard regcast.bench/v1 cells (rounds = mean
-// convergence super-step, transmissions = interactions to convergence).
-func buildPopulationCell(p regcast.Point) (regcast.PopulationBatch, error) {
+// buildPopulationCell realises a workload-axis cell as a Batch over a
+// PopulationScenario, whose convergence metrics fold into the standard
+// regcast.bench/v1 cells (rounds = mean convergence super-step,
+// transmissions = interactions to convergence).
+func buildPopulationCell(p regcast.Point) (regcast.Batch, error) {
 	w := p.Value("workload").(popWorkload)
 	sc := regcast.PopulationScenario{N: w.n, Seed: p.Seed}
 	switch w.kind {
 	case "leader":
 		le, err := regcast.NewLeaderElection(w.n)
 		if err != nil {
-			return regcast.PopulationBatch{}, err
+			return regcast.Batch{}, err
 		}
 		sc.Pair, sc.Init = le, regcast.InitAllLeaders
 	case "herman":
 		hm, err := regcast.NewHermanRing(w.n)
 		if err != nil {
-			return regcast.PopulationBatch{}, err
+			return regcast.Batch{}, err
 		}
 		init, err := regcast.HermanInitTokens(w.n, w.tokens)
 		if err != nil {
-			return regcast.PopulationBatch{}, err
+			return regcast.Batch{}, err
 		}
 		sc.Ring, sc.Init = hm, init
 	case "majority":
 		sc.Pair, sc.Init = regcast.NewApproxMajority(), regcast.InitMajority(w.frac)
 	default:
-		return regcast.PopulationBatch{}, fmt.Errorf("unknown population workload %q", w.kind)
+		return regcast.Batch{}, fmt.Errorf("unknown population workload %q", w.kind)
 	}
-	return regcast.PopulationBatch{Scenario: sc}, nil
+	return regcast.Batch{Scenario: sc}, nil
 }
 
 // populationAxis builds the populations grid's workload axis: a
@@ -228,7 +220,6 @@ type grid struct {
 	reps  int // default replication count
 	axes  []regcast.Axis
 	def   cellDefaults
-	pop   bool // population grid: cells build PopulationBatches
 }
 
 // grids are the named presets. "ci" is deliberately small: it is the
@@ -326,14 +317,13 @@ var grids = map[string]grid{
 			[]int{1 << 8, 1 << 9, 1 << 10, 1 << 11},
 			101, []int{3, 5, 9, 17},
 			1<<11, []float64{0.51, 0.55, 0.75})},
-		pop: true,
 	},
 }
 
 // newSweep assembles the Sweep a named grid describes — factored out of
 // run() so tests can execute grids directly with chosen pool widths.
 func newSweep(name string, g grid, seed uint64, replications, repWorkers int, runner regcast.Runner, timing bool) regcast.Sweep {
-	sweep := regcast.Sweep{
+	return regcast.Sweep{
 		Name:               name,
 		Seed:               seed,
 		Axes:               g.axes,
@@ -341,13 +331,8 @@ func newSweep(name string, g grid, seed uint64, replications, repWorkers int, ru
 		ReplicationWorkers: repWorkers,
 		Runner:             runner,
 		Timing:             timing,
+		Build:              func(p regcast.Point) (regcast.Batch, error) { return buildCell(p, g.def) },
 	}
-	if g.pop {
-		sweep.BuildPopulation = buildPopulationCell
-	} else {
-		sweep.Build = func(p regcast.Point) (regcast.Batch, error) { return buildCell(p, g.def) }
-	}
-	return sweep
 }
 
 func gridNames() string {
@@ -361,11 +346,6 @@ func gridNames() string {
 
 func main() {
 	if err := run(); err != nil {
-		if errors.Is(err, errRegression) {
-			// The breach details were already written with the delta table;
-			// exit with the distinct warn-only code.
-			os.Exit(exitRegression)
-		}
 		fmt.Fprintln(os.Stderr, "regcast-bench:", err)
 		os.Exit(1)
 	}
@@ -377,13 +357,10 @@ func run() error {
 		reps     = flag.Int("reps", 0, "replications per cell (0 = the grid's default)")
 		repWork  = flag.Int("rep-workers", 0,
 			"replication-pool workers over whole runs: 0/1 = serial, -1 = GOMAXPROCS, n = n workers (never changes results)")
-		format   = flag.String("format", "json", "output format: json|csv")
-		out      = flag.String("o", "", "output file (default stdout)")
-		timing   = flag.Bool("timing", false, "record per-cell wall-clock (machine-dependent; breaks byte-determinism)")
-		mem      = flag.Bool("mem", false, "record per-cell allocation (B/op) and heap-sys (machine-dependent; breaks byte-determinism)")
-		baseline = flag.String("baseline", "", "baseline report (JSON) to diff the fresh report against; fails only on schema mismatch")
-		maxReg   = flag.Float64("max-regress", -1,
-			"with -baseline: exit with code 3 when any cell's mean rounds or tx/node regress past this percentage (negative = report only)")
+		format = flag.String("format", "json", "output format: json|csv")
+		out    = flag.String("o", "", "output file (default stdout)")
+		timing = flag.Bool("timing", false, "record per-cell wall-clock (machine-dependent; breaks byte-determinism)")
+		mem    = flag.Bool("mem", false, "record per-cell allocation (B/op) and heap-sys (machine-dependent; breaks byte-determinism)")
 		common = regcast.AddCommonFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -392,9 +369,6 @@ func run() error {
 	}
 	if *repWork < regcast.WorkersAuto {
 		return fmt.Errorf("-rep-workers %d invalid (use -1, 0 or a positive count)", *repWork)
-	}
-	if *maxReg >= 0 && *baseline == "" {
-		return fmt.Errorf("-max-regress needs -baseline to compare against")
 	}
 	g, ok := grids[*gridName]
 	if !ok {
@@ -430,104 +404,5 @@ func run() error {
 	default:
 		err = fmt.Errorf("unknown format %q (json|csv)", *format)
 	}
-	if err != nil {
-		return err
-	}
-	if *baseline != "" {
-		return diffBaseline(report, *baseline, *maxReg, *out != "")
-	}
-	return nil
-}
-
-// exitRegression is the exit code of a -max-regress breach, distinct
-// from 1 (hard errors like an unreadable or schema-incompatible
-// baseline) so CI can treat regressions as warnings while schema drift
-// stays fatal. errRegression is the sentinel run() returns for it;
-// main maps it to the code at the single process exit point.
-const exitRegression = 3
-
-var errRegression = errors.New("bench regression past -max-regress threshold")
-
-// diffBaseline compares the fresh report against a checked-in baseline
-// and emits a markdown delta table. Wall-clock drift is informational;
-// an unreadable or schema-incompatible baseline is an error, and with
-// maxReg >= 0 a mean rounds/tx-per-node regression past that percentage
-// exits with code 3 after listing the offending cells.
-func diffBaseline(cur *regcast.Report, path string, maxReg float64, stdoutFree bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	defer f.Close()
-	base, err := regcast.ReadReport(f)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	w := io.Writer(os.Stderr)
-	if stdoutFree {
-		w = os.Stdout
-	}
-	writeComparison(w, base, cur, path)
-	if maxReg < 0 {
-		return nil
-	}
-	var breached []regcast.Regression
-	for _, reg := range cur.RegressionsAgainst(base) {
-		if reg.Pct > maxReg {
-			breached = append(breached, reg)
-		}
-	}
-	if len(breached) == 0 {
-		fmt.Fprintf(w, "No cell regressed past %.1f%% on mean rounds or tx/node.\n\n", maxReg)
-		return nil
-	}
-	fmt.Fprintf(w, "**%d cell metric(s) regressed past %.1f%%:**\n\n", len(breached), maxReg)
-	for _, reg := range breached {
-		fmt.Fprintf(w, "- %s: %s mean %.3f → %.3f (%+.1f%%)\n", reg.Label, reg.Metric, reg.Base, reg.Current, reg.Pct)
-	}
-	fmt.Fprintln(w)
-	return errRegression
-}
-
-// fmtClock renders a cell's wall-clock (absent in deterministic reports).
-func fmtClock(ms float64) string {
-	if ms <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f", ms)
-}
-
-// writeComparison renders the per-cell delta table (markdown, suitable
-// for a CI job summary). Cells are matched by label; added and dropped
-// cells are listed, not failed on.
-func writeComparison(w io.Writer, base, cur *regcast.Report, basePath string) {
-	fmt.Fprintf(w, "### regcast-bench grid %q vs baseline %s\n\n", cur.Name, basePath)
-	fmt.Fprintln(w, "| cell | rounds mean (base → now) | tx/node mean (base → now) | wall-clock ms (base → now) | Δ wall-clock |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	baseByLabel := make(map[string]regcast.CellReport, len(base.Cells))
-	for _, c := range base.Cells {
-		baseByLabel[c.Label] = c
-	}
-	seen := make(map[string]bool, len(cur.Cells))
-	for _, c := range cur.Cells {
-		b, ok := baseByLabel[c.Label]
-		if !ok {
-			fmt.Fprintf(w, "| %s | (new cell) | %.2f | %s | - |\n", c.Label, c.TxPerNode.Mean, fmtClock(c.WallClockMS))
-			continue
-		}
-		seen[c.Label] = true
-		delta := "-"
-		if b.WallClockMS > 0 && c.WallClockMS > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(c.WallClockMS-b.WallClockMS)/b.WallClockMS)
-		}
-		fmt.Fprintf(w, "| %s | %.2f → %.2f | %.2f → %.2f | %s → %s | %s |\n",
-			c.Label, b.Rounds.Mean, c.Rounds.Mean, b.TxPerNode.Mean, c.TxPerNode.Mean,
-			fmtClock(b.WallClockMS), fmtClock(c.WallClockMS), delta)
-	}
-	for _, b := range base.Cells {
-		if !seen[b.Label] {
-			fmt.Fprintf(w, "| %s | (dropped from grid) | - | - | - |\n", b.Label)
-		}
-	}
-	fmt.Fprintln(w)
+	return err
 }

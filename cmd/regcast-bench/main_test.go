@@ -3,10 +3,51 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"regcast"
 )
+
+// TestGridGoldens is what is left of the old baseline gate, made strict:
+// rounds and transmissions are byte-deterministic, so the ci and
+// populations grids (default seed, no -timing) must serialise to exactly
+// the committed testdata/<grid>.json — for every replication-pool width
+// and on the reference path too. After a documented reseed, regenerate
+// with `go run ./cmd/regcast-bench -grid <grid> -o
+// cmd/regcast-bench/testdata/<grid>.json`.
+func TestGridGoldens(t *testing.T) {
+	const defaultSeed = 1 // CommonFlags' -seed default
+	for _, name := range []string{"ci", "populations"} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := grids[name]
+		for _, v := range []struct {
+			label      string
+			repWorkers int
+			runner     regcast.Runner
+		}{
+			{"rep-workers=0", 0, regcast.NewRunner()},
+			{"rep-workers=4", 4, regcast.NewRunner()},
+			{"reference-path", 0, regcast.NewRunner(regcast.WithoutFastPath())},
+		} {
+			report, err := newSweep(name, g, defaultSeed, g.reps, v.repWorkers, v.runner, false).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := report.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("grid %s (%s) drifted from testdata/%s.json:\n%s", name, v.label, name, buf.Bytes())
+			}
+		}
+	}
+}
 
 // TestPopulationsGridDeterministicAcrossRepWorkers runs a shrunk
 // populations grid at ReplicationWorkers 0, 1 and 4 and requires the
@@ -16,7 +57,6 @@ func TestPopulationsGridDeterministicAcrossRepWorkers(t *testing.T) {
 	g := grid{
 		reps: 3,
 		axes: []regcast.Axis{populationAxis([]int{128, 256}, 51, []int{3, 5}, 256, []float64{0.6})},
-		pop:  true,
 	}
 	var want []byte
 	for i, workers := range []int{0, 1, 4} {

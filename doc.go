@@ -3,8 +3,8 @@
 // Elsässer, Friedetzky; PODC 2008 / Distributed Computing 2016) as a Go
 // library, and is itself the public API: programs describe a broadcast as
 // a Scenario (topology + protocol + fault model, via functional options),
-// execute it with a Runner that selects among five engines behind one
-// Run(ctx, Scenario) call, and consume per-round metrics online through
+// execute it with a Runner that selects among four engines behind one
+// Run(ctx, AnyScenario) call, and consume per-round metrics online through
 // the streaming Observer interface instead of retaining full traces.
 //
 //	g, _ := regcast.NewRegularGraph(1<<14, 8, regcast.NewRand(1))
@@ -19,10 +19,10 @@
 // Engines: EngineSequential (the round simulator, shard passes inline),
 // EngineSharded (the same simulator, shard passes on a worker pool —
 // bit-identical results for every worker count, inline included, at a
-// fixed shard count), EngineGoroutinePerNode (one
-// goroutine per node, barrier-synchronised; internal/runtime),
-// EngineGossipTransport and EngineTCPTransport (anti-entropy gossip over
-// in-memory mailboxes or real loopback sockets; internal/transport).
+// fixed shard count), EngineGossipTransport and EngineDaemonTransport
+// (anti-entropy gossip over in-memory mailboxes, or over persistent
+// loopback TCP connections with a health ledger and seeded fault
+// injection; internal/transport).
 // Scenario construction fails fast on model violations — e.g.
 // DialQuasirandom with a protocol that may pull.
 //
@@ -37,8 +37,8 @@
 // epoch-stamped CSR views (see DESIGN.md).
 //
 // Above the engines sits the batch layer (batch.go, sweep.go,
-// report.go): Batch runs R seed-derived replications of a Scenario on a
-// worker pool of whole runs and aggregates them online (Replicate is
+// report.go): Batch runs R seed-derived replications of a scenario of
+// either kind on a worker pool of whole runs and aggregates them online (Replicate is
 // the same pool for non-Scenario ensembles), Sweep crosses parameter
 // axes into an ordered grid of Batches, and Report serialises the grid
 // as versioned JSON/CSV — the format cmd/regcast-bench writes and CI
@@ -52,11 +52,11 @@
 // model, where time advances one uniformly random pairwise interaction
 // at a time (internal/population): describe an ensemble of agents as a
 // PopulationScenario (a PairProtocol such as NewLeaderElection, or a
-// RingProtocol such as NewHermanRing) and execute it with
-// RunPopulation; PopulationBatch folds convergence ensembles into the
-// same BatchResult the broadcast batches produce, so Sweep (via
-// BuildPopulation) and cmd/regcast-bench grid them unchanged. Both
-// scheduler families run on the shared deterministic sharded
+// RingProtocol such as NewHermanRing) and execute it with the same Run
+// (Result.Population carries the population-specific fields); Batch
+// folds convergence ensembles into the same BatchResult the broadcast
+// batches produce, so Sweep and cmd/regcast-bench grid them unchanged.
+// Both scheduler families run on the shared deterministic sharded
 // super-step contract (internal/sched) — fixed shard count, per-shard
 // split PRNG streams, shard-order merge — so traces are bit-identical
 // for every worker count.
@@ -70,8 +70,8 @@
 // vector in place of the O(n) scan, and wide protocols can supply a
 // fused batch kernel (BatchPairProtocol); pair draws are always batched
 // into preallocated PairDraw buffers on the exact reference streams.
-// WithoutPopulationFastPath (flag -pop-fastpath=false) forces the
-// reference components for cross-validation and A/B benchmarks.
+// WithoutFastPath (flag -fastpath=false) forces the reference components
+// — of whichever engine runs — for cross-validation and A/B benchmarks.
 //
 // Behind the facade: the four-choice phased broadcast protocols
 // (internal/core), the random phone call simulator with its one sharded

@@ -3,7 +3,7 @@
 // leader, and nobody a leader — and watch the interaction scheduler
 // converge to exactly one leader in Θ(n·log n) interactions. Programmed
 // entirely against the public regcast facade (the SchedulerInteractions
-// side: PopulationScenario + RunPopulation).
+// side: PopulationScenario through Run).
 package main
 
 import (
@@ -45,16 +45,19 @@ func main() {
 		}
 		// The sharded driver executes the same trace as the sequential
 		// one — worker count never changes a result, only wall-clock.
-		res, err := regcast.RunPopulation(context.Background(), sc,
+		res, err := regcast.Run(context.Background(), sc,
 			regcast.WithWorkers(regcast.WorkersAuto))
 		if err != nil {
 			log.Fatal(err)
 		}
 
+		// The shared Result carries convergence as AllInformed /
+		// FirstAllInformed / Transmissions; res.Population has the
+		// protocol-specific rest (Measure, final states).
 		nlogn := float64(n) * math.Log(float64(n))
 		fmt.Printf("  converged=%v at super-step %d: %d interactions = %.2f·n·ln n\n\n",
-			res.Converged, res.ConvergedAt, res.ConvergedInteractions,
-			float64(res.ConvergedInteractions)/nlogn)
+			res.AllInformed, res.FirstAllInformed, res.Transmissions,
+			float64(res.Transmissions)/nlogn)
 	}
 }
 

@@ -1,6 +1,7 @@
 // TCP cluster example: sixteen gossip nodes, each with its own loopback
 // TCP listener, spreading a rumour with push&pull anti-entropy over real
-// sockets — the deployment-shaped counterpart of the simulator, driven
+// sockets (the gossip daemon: one persistent connection per peer) — the
+// deployment-shaped counterpart of the simulator, driven
 // through the same public Scenario/Runner API: only the engine changes,
 // the scenario and the streaming observer stay identical.
 package main
@@ -43,7 +44,7 @@ func main() {
 
 	fmt.Printf("rumour inserted at node 0; gossiping over real TCP sockets...\n\n")
 	res, err := regcast.Run(context.Background(), scenario,
-		regcast.WithEngine(regcast.EngineTCPTransport))
+		regcast.WithEngine(regcast.EngineDaemonTransport))
 	if err != nil {
 		log.Fatal(err)
 	}

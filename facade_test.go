@@ -189,66 +189,6 @@ func TestObserverStreamsResult(t *testing.T) {
 	}
 }
 
-// TestGoroutineEngineThroughFacade runs the goroutine-per-node runtime via
-// the Runner: the facade must reconstruct PerRound from the observer
-// stream and report a complete broadcast.
-func TestGoroutineEngineThroughFacade(t *testing.T) {
-	g, err := regcast.NewRegularGraph(256, 8, regcast.NewRand(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := core.New(256, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := &recordingObserver{}
-	scenario, err := regcast.NewScenario(regcast.Static(g), four,
-		regcast.WithSeed(13),
-		regcast.WithRecordRounds(),
-		regcast.WithObserver(obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := regcast.Run(context.Background(), scenario,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllInformed {
-		t.Fatalf("goroutine engine incomplete: %d/%d", res.Informed, res.AliveNodes)
-	}
-	if len(res.PerRound) != res.Rounds {
-		t.Fatalf("PerRound has %d entries for %d rounds", len(res.PerRound), res.Rounds)
-	}
-	if !reflect.DeepEqual(obs.rounds, res.PerRound) {
-		t.Error("user observer stream differs from reconstructed PerRound")
-	}
-	var tx int64
-	for _, rm := range res.PerRound {
-		tx += rm.Transmissions
-	}
-	if tx != res.Transmissions {
-		t.Errorf("per-round transmissions sum %d != total %d", tx, res.Transmissions)
-	}
-	if res.ChannelsDialed != int64(res.Rounds)*int64(256*4) {
-		t.Errorf("ChannelsDialed = %d, want rounds×n×k = %d", res.ChannelsDialed, res.Rounds*256*4)
-	}
-	// Determinism: same seed, same trace, regardless of scheduling (a
-	// fresh scenario, because the recording observer rejects replays).
-	scenario2, err := regcast.NewScenario(regcast.Static(g), four, regcast.WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := regcast.Run(context.Background(), scenario2,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashTrace(res.InformedAt) != hashTrace(res2.InformedAt) {
-		t.Error("goroutine engine not reproducible from the seed")
-	}
-}
-
 // TestScenarioValidation exercises the fail-fast construction errors,
 // including the quasirandom/pull incompatibility that used to live only
 // in comments.
@@ -333,7 +273,6 @@ func TestRunCancellation(t *testing.T) {
 	for _, opts := range [][]regcast.RunnerOption{
 		nil,
 		{regcast.WithWorkers(2)},
-		{regcast.WithEngine(regcast.EngineGoroutinePerNode)},
 	} {
 		res, err := regcast.Run(ctx, scenario, opts...)
 		if !errors.Is(err, context.Canceled) {
@@ -368,8 +307,8 @@ func TestRunnerRejectsInvalidCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := regcast.Run(context.Background(), memory,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode)); err == nil {
-		t.Error("goroutine engine accepted dial memory")
+		regcast.WithEngine(regcast.EngineGossipTransport)); err == nil {
+		t.Error("transport engine accepted dial memory")
 	}
 	if _, err := regcast.Run(context.Background(), regcast.Scenario{}); err == nil {
 		t.Error("zero-value Scenario accepted")

@@ -2,7 +2,6 @@ package regcast_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"regcast"
@@ -40,9 +39,8 @@ func TestRunnerWithoutFastPath(t *testing.T) {
 }
 
 // TestGeometricFaultsThroughFacade covers the compatibility switch end to
-// end: deterministic and engine-independent of worker count, different
-// from the Bernoulli-mode trace, and rejected by the goroutine-per-node
-// engine (which has no geometric sampler).
+// end: deterministic and engine-independent of worker count, and
+// different from the Bernoulli-mode trace.
 func TestGeometricFaultsThroughFacade(t *testing.T) {
 	g, err := regcast.NewRegularGraph(512, 8, regcast.NewRand(3))
 	if err != nil {
@@ -96,11 +94,5 @@ func TestGeometricFaultsThroughFacade(t *testing.T) {
 	}
 	if hashTrace(bern.InformedAt) == hashTrace(seq.InformedAt) && bern.Transmissions == seq.Transmissions {
 		t.Error("geometric mode reproduced the Bernoulli trace; the switch is not switching anything")
-	}
-
-	if _, err := regcast.Run(context.Background(), geom,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode)); err == nil ||
-		!strings.Contains(err.Error(), "geometric") {
-		t.Errorf("goroutine engine accepted WithGeometricFaults (err = %v)", err)
 	}
 }

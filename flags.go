@@ -29,11 +29,11 @@ type CommonFlags struct {
 	// topology flags apply. Validate parses it and TopologySpec returns
 	// the parsed spec.
 	Topology string
-	// PopFastPath mirrors the population engine's two-path contract on
-	// the command line: true (the default) lets the engine auto-engage
-	// its compiled fast path, false forces the reference per-pair
-	// components — the cross-validation and A/B-benchmark switch.
-	PopFastPath bool
+	// FastPath mirrors the engines' two-path contract on the command
+	// line: true (the default) lets whichever engine runs auto-engage its
+	// fast path, false forces its reference path (WithoutFastPath) — the
+	// cross-validation and A/B-benchmark switch. It never changes a result.
+	FastPath bool
 
 	scheduler Scheduler
 	spec      TopologySpec
@@ -50,8 +50,8 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
 	fs.StringVar(&f.Topology, "topology", "",
 		"topology spec override, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
-	fs.BoolVar(&f.PopFastPath, "pop-fastpath", true,
-		"population engine fast path (table/counts/batch kernels); false forces the reference per-pair components")
+	fs.BoolVar(&f.FastPath, "fastpath", true,
+		"engine fast path (phone-call: CSR/implicit views; population: table/counts/batch kernels); false forces the reference path, results are identical")
 	return f
 }
 
@@ -87,12 +87,12 @@ func (f *CommonFlags) TopologySpec() TopologySpec { return f.spec }
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
 
 // RunnerOptions translates the -workers flag into the Runner engine
-// selection — the single definition of the flag's semantics — plus the
-// population fast-path switch when -pop-fastpath=false.
+// selection — the single definition of the flag's semantics — plus
+// WithoutFastPath when -fastpath=false.
 func (f *CommonFlags) RunnerOptions() []RunnerOption {
 	opts := []RunnerOption{WithWorkers(f.Workers)}
-	if !f.PopFastPath {
-		opts = append(opts, WithoutPopulationFastPath())
+	if !f.FastPath {
+		opts = append(opts, WithoutFastPath())
 	}
 	return opts
 }

@@ -85,7 +85,7 @@ func runE21(o Options) ([]*table.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := regcast.PopulationBatch{
+			res, err := regcast.Batch{
 				Scenario:           regcast.PopulationScenario{N: n, Pair: le, Init: start.init},
 				Replications:       reps,
 				ReplicationWorkers: o.ReplicationWorkers,
@@ -115,7 +115,7 @@ func runE24(o Options) ([]*table.Table, error) {
 	master := regcast.NewRand(o.Seed)
 	for _, n := range popSizes(o) {
 		for _, frac := range []float64{0.51, 0.55, 0.75} {
-			res, kept, err := regcast.PopulationBatch{
+			res, err := regcast.Batch{
 				Scenario: regcast.PopulationScenario{
 					N: n, Pair: regcast.NewApproxMajority(), Init: regcast.InitMajority(frac),
 				},
@@ -124,13 +124,13 @@ func runE24(o Options) ([]*table.Table, error) {
 				Runner:             o.runner(),
 				Seed:               master.Uint64(),
 				KeepResults:        true,
-			}.RunKeeping(context.Background())
+			}.Run(context.Background())
 			if err != nil {
 				return nil, err
 			}
 			picked := 0
-			for _, r := range kept {
-				if r.Converged && len(r.Final) > 0 && r.Final[0] == regcast.MajorityX {
+			for _, r := range res.Results {
+				if p := r.Population; p.Converged && len(p.Final) > 0 && p.Final[0] == regcast.MajorityX {
 					picked++
 				}
 			}
@@ -166,7 +166,7 @@ func runE22(o Options) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := regcast.PopulationBatch{
+		res, err := regcast.Batch{
 			Scenario:           regcast.PopulationScenario{N: n, Ring: hm, Init: init},
 			Replications:       reps,
 			ReplicationWorkers: o.ReplicationWorkers,

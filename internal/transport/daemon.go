@@ -57,6 +57,11 @@ type DaemonConfig struct {
 	Seed uint64
 }
 
+// MaxPacketBytes is the default bound on one wire frame. A peer that
+// sends more than this per frame is treated as malformed: the frame is
+// rejected and counted, and the decoder never buffers unbounded input.
+const MaxPacketBytes = 1 << 20
+
 // withDefaults fills zero fields.
 func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.Mailbox == 0 {
@@ -97,12 +102,12 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	return c
 }
 
-// Daemon is the resilient long-lived gossip transport: the promotion of
-// TCP from one socket per packet to persistent per-peer connections
-// behind a dial scheduler. Each destination owns a peerLink with a
-// bounded send queue and a writer goroutine; writers dial lazily, retry
-// broken writes on a fresh connection, and quarantine unreachable peers
-// with exponential backoff so the rest of a fanout proceeds. Receivers
+// Daemon is the resilient long-lived gossip transport over loopback TCP:
+// persistent per-peer connections behind a dial scheduler. Each
+// destination owns a peerLink with a bounded send queue and a writer
+// goroutine; writers dial lazily, retry broken writes on a fresh
+// connection, and quarantine unreachable peers with exponential backoff
+// so the rest of a fanout proceeds. Receivers
 // decode newline-delimited JSON frames with a hard size bound and
 // suppress already-delivered rumour content through an expiring dupemap.
 // Every packet outcome is accounted in Metrics — see Health.LedgerGap.

@@ -2,8 +2,8 @@
 // gossip node for running push/pull rumour spreading over real channels —
 // the deployment-shaped counterpart of the round-based simulator. Two
 // transports are provided: an in-memory one (per-node buffered mailboxes)
-// and a TCP one (length-delimited JSON over loopback sockets, one packet
-// per connection), both behind the same interface.
+// and the Daemon (newline-delimited JSON frames over persistent loopback
+// TCP connections), both behind the same interface.
 package transport
 
 import (

@@ -2,8 +2,6 @@ package transport
 
 import (
 	"errors"
-	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -121,92 +119,6 @@ func TestInMemCloseClosesInboxes(t *testing.T) {
 	}
 }
 
-func TestTCPValidation(t *testing.T) {
-	if _, err := NewTCP(0, 8); err == nil {
-		t.Error("n=0 accepted")
-	}
-}
-
-func TestTCPSendReceive(t *testing.T) {
-	tr, err := NewTCP(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
-	if tr.Addr(0) == "" || tr.Addr(1) == "" {
-		t.Fatal("missing listen addresses")
-	}
-	want := Packet{From: 0, Kind: KindPullRequest}
-	if err := tr.Send(1, want); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-tr.Inbox(1):
-		if p.From != 0 || p.To != 1 || p.Kind != KindPullRequest {
-			t.Errorf("packet mangled: %+v", p)
-		}
-	case <-time.After(stepWait(t, 2*time.Second)):
-		t.Fatal("TCP packet not delivered")
-	}
-}
-
-func TestTCPSendAfterClose(t *testing.T) {
-	tr, err := NewTCP(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The TOCTOU fix: a send racing Close must report the closed
-	// transport, never a confusing dial error — deterministically.
-	for i := 0; i < 16; i++ {
-		if err := tr.Send(0, Packet{}); !errors.Is(err, ErrClosed) {
-			t.Errorf("send %d after close = %v, want ErrClosed", i, err)
-		}
-	}
-	if err := tr.Close(); err != nil {
-		t.Error("double close errored")
-	}
-}
-
-func TestTCPOversizePacketRejected(t *testing.T) {
-	tr, err := NewTCP(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
-	tr.maxPacket.Store(128) // shrink the bound so the test stays cheap
-	big := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "big", Payload: strings.Repeat("x", 1024)}}}
-	if err := tr.Send(0, big); err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, func() bool { return tr.OversizeDropped() == 1 }, "oversize packet counted")
-	// A malformed (but in-bounds) packet lands in the decode counter, not
-	// the oversize one.
-	conn, err := net.Dial("tcp", tr.Addr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte("{not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.Close()
-	waitCond(t, func() bool { return tr.DecodeDropped() == 1 }, "malformed packet counted")
-	// An in-bounds packet still goes through on the same transport.
-	if err := tr.Send(0, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-tr.Inbox(0):
-		if p.Kind != KindPullRequest {
-			t.Errorf("wrong packet after rejects: %+v", p)
-		}
-	case <-time.After(stepWait(t, 2*time.Second)):
-		t.Fatal("in-bounds packet not delivered after rejects")
-	}
-}
-
 func gossipGraph(t *testing.T, n, d int) *graph.Graph {
 	t.Helper()
 	g, err := graph.RandomRegular(n, d, xrand.New(7))
@@ -284,27 +196,6 @@ func TestGossipOverInMem(t *testing.T) {
 	if !c.Node(31).Knows("update-1") {
 		t.Error("node 31 missing rumour despite count")
 	}
-}
-
-func TestGossipOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP gossip in -short mode")
-	}
-	g := gossipGraph(t, 12, 4)
-	tr, err := NewTCP(12, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(g, tr, 2, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	if err := c.Insert(3, Rumor{ID: "tcp-rumor", Payload: "over sockets"}); err != nil {
-		t.Fatal(err)
-	}
-	ticks := driveUntilAllKnow(t, c, "tcp-rumor", 40)
-	t.Logf("TCP rumour reached all 12 nodes in %d ticks", ticks)
 }
 
 func TestInsertValidation(t *testing.T) {

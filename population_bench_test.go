@@ -38,13 +38,13 @@ func benchPopulation(b *testing.B, sc regcast.PopulationScenario, fast bool, wor
 	b.Helper()
 	opts := []regcast.RunnerOption{regcast.WithWorkers(workers)}
 	if !fast {
-		opts = append(opts, regcast.WithoutPopulationFastPath())
+		opts = append(opts, regcast.WithoutFastPath())
 	}
 	r := regcast.NewRunner(opts...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i) + 1
-		if _, err := r.RunPopulation(context.Background(), sc); err != nil {
+		if _, err := r.Run(context.Background(), sc); err != nil {
 			b.Fatal(err)
 		}
 	}

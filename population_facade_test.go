@@ -8,26 +8,27 @@ import (
 	"testing"
 )
 
-// TestRunPopulationWorkerIndependent pins the facade-level bit-identity
-// guarantee: RunPopulation produces the same result for the sequential
-// driver (Workers 0), the one-worker sharded driver, and a four-worker
-// sharded driver.
-func TestRunPopulationWorkerIndependent(t *testing.T) {
+// TestPopulationRunWorkerIndependent pins the facade-level bit-identity
+// guarantee: Run on a PopulationScenario produces the same result —
+// Result.Population included — for the sequential driver (Workers 0), the
+// one-worker sharded driver, and a four-worker sharded driver.
+func TestPopulationRunWorkerIndependent(t *testing.T) {
 	le, err := NewLeaderElection(250)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := PopulationScenario{N: 250, Pair: le, Init: InitAllLeaders, Seed: 9}
-	var want PopulationResult
+	var want Result
 	for i, workers := range []int{0, 1, 4} {
-		res, err := RunPopulation(context.Background(), sc, WithWorkers(workers))
+		res, err := Run(context.Background(), sc, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res.Engine = 0 // the one field that names the worker choice
 		if i == 0 {
 			want = res
-			if !res.Converged {
-				t.Fatalf("run did not converge in %d steps", res.Steps)
+			if !res.Population.Converged {
+				t.Fatalf("run did not converge in %d steps", res.Population.Steps)
 			}
 			continue
 		}
@@ -37,15 +38,15 @@ func TestRunPopulationWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestPopulationBatchReplicationWorkerIndependent pins the batch-level
+// TestBatchPopulationReplicationWorkerIndependent pins the batch-level
 // guarantee: the JSON-serialised aggregate is byte-identical for every
 // ReplicationWorkers value.
-func TestPopulationBatchReplicationWorkerIndependent(t *testing.T) {
+func TestBatchPopulationReplicationWorkerIndependent(t *testing.T) {
 	le, err := NewLeaderElection(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := PopulationBatch{
+	base := Batch{
 		Scenario:     PopulationScenario{N: 120, Pair: le, Init: InitLeaderless, Seed: 4},
 		Replications: 8,
 	}
@@ -74,26 +75,25 @@ func TestPopulationBatchReplicationWorkerIndependent(t *testing.T) {
 	}
 }
 
-func TestPopulationBatchMetricMapping(t *testing.T) {
+func TestBatchPopulationMetricMapping(t *testing.T) {
 	le, err := NewLeaderElection(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := PopulationBatch{
+	res, err := Batch{
 		Scenario:     PopulationScenario{N: 100, Pair: le, Init: InitAllLeaders, Seed: 2},
 		Replications: 6,
 		KeepResults:  true,
-	}
-	res, kept, err := b.RunKeeping(context.Background())
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kept) != 6 {
-		t.Fatalf("kept %d results, want 6", len(kept))
+	if len(res.Results) != 6 {
+		t.Fatalf("kept %d results, want 6", len(res.Results))
 	}
 	conv := 0
-	for _, r := range kept {
-		if r.Converged {
+	for _, r := range res.Results {
+		if r.Population.Converged {
 			conv++
 		}
 	}
@@ -108,17 +108,86 @@ func TestPopulationBatchMetricMapping(t *testing.T) {
 	}
 }
 
-func TestPopulationBatchValidation(t *testing.T) {
+// TestBatchPopulationMatchesManualFold is the oracle for the population
+// fold: every replication re-run by hand from NewRand(seed).SplitN(R) and
+// folded with the documented mapping must reproduce Batch.Run exactly —
+// for an ensemble that converges, one censored at MaxSteps, and one that
+// converges only in part.
+func TestBatchPopulationMatchesManualFold(t *testing.T) {
+	le, err := NewLeaderElection(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		sc            PopulationScenario
+		wantCompleted func(completed, reps int) bool
+	}{
+		{"converged", PopulationScenario{N: 96, Pair: le, Init: InitAllLeaders},
+			func(c, r int) bool { return c == r }},
+		{"censored", PopulationScenario{N: 96, Pair: le, Init: InitAllLeaders, MaxSteps: 2},
+			func(c, r int) bool { return c == 0 }},
+		{"partial", PopulationScenario{N: 512, Pair: NewApproxMajority(), Init: InitMajority(0.51), MaxSteps: 19},
+			func(c, r int) bool { return 0 < c && c < r }},
+	} {
+		for _, seed := range []uint64{3, 77} {
+			const reps = 12
+			got, err := Batch{Scenario: tc.sc, Replications: reps, ReplicationWorkers: 4, Seed: seed}.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.wantCompleted(got.Completed, reps) {
+				t.Fatalf("%s seed %d: %d/%d converged; the case no longer exercises its branch", tc.name, seed, got.Completed, reps)
+			}
+
+			want := BatchResult{Replications: reps}
+			rounds, tx, txPerNode, work, rate := newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg()
+			for _, rng := range NewRand(seed).SplitN(reps) {
+				sc := tc.sc
+				sc.RNG = rng
+				res, err := Run(context.Background(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := res.Population
+				inter, ind := p.Interactions, 0.0
+				if p.Converged {
+					want.Completed++
+					rounds.add(float64(p.ConvergedAt))
+					inter, ind = p.ConvergedInteractions, 1
+				}
+				tx.add(float64(inter))
+				txPerNode.add(float64(inter) / float64(sc.N))
+				work.add(float64(p.Interactions))
+				rate.add(ind)
+			}
+			want.Rounds, want.Transmissions, want.TxPerNode = rounds.aggregate(), tx.aggregate(), txPerNode.aggregate()
+			want.ChannelsDialed, want.InformedFrac = work.aggregate(), rate.aggregate()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: Batch.Run differs from the manual fold:\n got %+v\nwant %+v", tc.name, seed, got, want)
+			}
+		}
+	}
+}
+
+func TestBatchPopulationValidation(t *testing.T) {
 	le, _ := NewLeaderElection(16)
 	sc := PopulationScenario{N: 16, Pair: le, Seed: 1}
-	for name, b := range map[string]PopulationBatch{
-		"no-reps":  {Scenario: sc},
-		"observer": {Scenario: PopulationScenario{N: 16, Pair: le, Observer: observerStub{}}, Replications: 1},
-		"rng":      {Scenario: PopulationScenario{N: 16, Pair: le, RNG: NewRand(1)}, Replications: 1},
+	build := func(int, *Rand) (Scenario, error) { return Scenario{}, nil }
+	for name, b := range map[string]Batch{
+		"no-reps":          {Scenario: sc},
+		"observer":         {Scenario: PopulationScenario{N: 16, Pair: le, Observer: observerStub{}}, Replications: 1},
+		"rng":              {Scenario: PopulationScenario{N: 16, Pair: le, RNG: NewRand(1)}, Replications: 1},
+		"randomize-source": {Scenario: sc, Replications: 1, RandomizeSource: true},
+		"with-new":         {Scenario: sc, Replications: 1, New: build},
+		"typed-nil":        {Scenario: (*PopulationScenario)(nil), Replications: 1},
 	} {
 		if _, err := b.Run(context.Background()); err == nil {
 			t.Errorf("%s: Run accepted an invalid batch", name)
 		}
+	}
+	if _, err := (Batch{Scenario: &sc, Replications: 2}).Run(context.Background()); err != nil {
+		t.Errorf("pointer-form population batch rejected: %v", err)
 	}
 }
 
@@ -126,20 +195,21 @@ type observerStub struct{}
 
 func (observerStub) OnSuperStep(SuperStepStats) {}
 
-// TestSweepBuildPopulation runs a tiny population sweep end-to-end and
-// checks the report carries the population cells in the standard schema.
-func TestSweepBuildPopulation(t *testing.T) {
+// TestSweepPopulationCells runs a tiny population sweep end-to-end through
+// Sweep.Build and checks the report carries the population cells in the
+// standard schema.
+func TestSweepPopulationCells(t *testing.T) {
 	sw := Sweep{
 		Name: "population-test",
 		Seed: 5,
 		Axes: []Axis{Vals("n", 60, 120)},
-		BuildPopulation: func(p Point) (PopulationBatch, error) {
+		Build: func(p Point) (Batch, error) {
 			n := p.Value("n").(int)
 			le, err := NewLeaderElection(n)
 			if err != nil {
-				return PopulationBatch{}, err
+				return Batch{}, err
 			}
-			return PopulationBatch{
+			return Batch{
 				Scenario: PopulationScenario{N: n, Pair: le, Init: InitAllLeaders, Seed: p.Seed},
 			}, nil
 		},
@@ -164,14 +234,8 @@ func TestSweepBuildPopulation(t *testing.T) {
 		}
 	}
 
-	// Exactly one of Build and BuildPopulation must be set.
-	if _, err := (Sweep{Name: "neither", Axes: sw.Axes}).Run(context.Background()); err == nil {
-		t.Error("Sweep.Run accepted a sweep with no build function")
-	}
-	both := sw
-	both.Build = func(p Point) (Batch, error) { return Batch{}, nil }
-	if _, err := both.Run(context.Background()); err == nil {
-		t.Error("Sweep.Run accepted a sweep with both build functions")
+	if _, err := (Sweep{Name: "no-build", Axes: sw.Axes}).Run(context.Background()); err == nil {
+		t.Error("Sweep.Run accepted a sweep with no Build function")
 	}
 }
 
@@ -207,17 +271,17 @@ func TestSchedulerFlag(t *testing.T) {
 	}
 }
 
-// TestPopFastPathFlag pins the -pop-fastpath wiring: the default Runner
-// keeps the population fast path on, and -pop-fastpath=false routes
-// WithoutPopulationFastPath into RunnerOptions.
+// TestPopFastPathFlag pins the -fastpath wiring: the default Runner keeps
+// the fast paths on, and -fastpath=false routes WithoutFastPath into
+// RunnerOptions (the reference path on whichever engine runs).
 func TestPopFastPathFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
 		disable bool
 	}{
 		{nil, false},
-		{[]string{"-pop-fastpath=true"}, false},
-		{[]string{"-pop-fastpath=false"}, true},
+		{[]string{"-fastpath=true"}, false},
+		{[]string{"-fastpath=false"}, true},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		f := AddCommonFlags(fs)
@@ -228,8 +292,8 @@ func TestPopFastPathFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := f.Runner()
-		if r.noPopFastPath != tc.disable {
-			t.Fatalf("args %v: noPopFastPath=%v, want %v", tc.args, r.noPopFastPath, tc.disable)
+		if r.noFastPath != tc.disable {
+			t.Fatalf("args %v: noFastPath=%v, want %v", tc.args, r.noFastPath, tc.disable)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // Population-protocol facade: the SchedulerInteractions counterpart of
 // Scenario/Run. A PopulationScenario describes one run of an
 // agent-state machine under the uniform random-pair scheduler (or the
-// synchronous ring scheduler), and Runner.RunPopulation executes it on
-// the same engine selection the phone-call scenarios use —
+// synchronous ring scheduler), and Runner.Run executes it on the same
+// engine selection the phone-call scenarios use —
 // EngineSequential and EngineSharded produce bit-identical traces here,
 // because population pair draws are state-independent (see
 // internal/population).
@@ -134,8 +134,8 @@ type PopulationScenario struct {
 	// Seed is the run's master seed.
 	Seed uint64
 	// RNG, when non-nil, overrides Seed with an explicit master stream —
-	// the hook PopulationBatch uses to inject per-replication streams.
-	// Runs sharing an RNG value are not independent; prefer Seed.
+	// the hook Batch uses to inject per-replication streams. Runs sharing
+	// an RNG value are not independent; prefer Seed.
 	RNG *Rand
 	// MaxSteps, BatchSize and SilenceWindow bound the run; zero selects
 	// the defaults documented on population.Config.
@@ -151,44 +151,23 @@ type PopulationScenario struct {
 // AnyScenario union, so Runner.Run accepts it directly.
 func (PopulationScenario) anyScenario() {}
 
-// RunPopulation executes one population scenario on the simulation
-// engines and returns the full PopulationResult (Measure and the
-// population-specific convergence fields included).
-//
-// Deprecated: Runner.Run accepts a PopulationScenario directly and is
-// the single entry point for every scenario kind; use it unless the
-// population-specific result fields are needed. RunPopulation remains a
-// supported thin wrapper over the same execution path — the two run
-// identical traces.
-func (r Runner) RunPopulation(ctx context.Context, s PopulationScenario) (PopulationResult, error) {
-	return r.runPopulation(ctx, s)
-}
-
 // runPopulation executes one population scenario on the simulation
-// engines. EngineSequential runs the shard passes inline;
-// EngineSharded runs them on the worker pool; both execute the same
-// trace, bit-identical for every worker count at a fixed shard count.
-// Other engines reject the scenario. Cancelling ctx stops the run at
-// the next super-step boundary and returns ctx.Err() alongside the
+// engines and folds its result into the shared Result shape (the mapping
+// documented on Runner.Run). EngineSequential runs the shard passes
+// inline; EngineSharded runs them on the worker pool; both execute the
+// same trace, bit-identical for every worker count at a fixed shard
+// count. Other engines reject the scenario. Cancelling ctx stops the run
+// at the next super-step boundary and returns ctx.Err() alongside the
 // partial result.
-func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (PopulationResult, error) {
-	var workers int
-	switch r.engine {
-	case EngineSequential:
-		workers = 0
-	case EngineSharded:
-		workers = r.workers
-		if workers == 0 {
-			workers = WorkersAuto
-		}
-	default:
-		return PopulationResult{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSequential or EngineSharded)", r.engine)
+func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result, error) {
+	if !r.engine.simulates() {
+		return Result{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSequential or EngineSharded)", r.engine)
 	}
 	rng := s.RNG
 	if rng == nil {
 		rng = NewRand(s.Seed)
 	}
-	res, err := population.Run(population.Config{
+	pres, err := population.Run(population.Config{
 		N:               s.N,
 		Pair:            s.Pair,
 		Ring:            s.Ring,
@@ -197,23 +176,29 @@ func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Popula
 		MaxSteps:        s.MaxSteps,
 		BatchSize:       s.BatchSize,
 		SilenceWindow:   s.SilenceWindow,
-		Workers:         workers,
+		Workers:         r.simWorkers(),
 		Shards:          r.shards,
-		DisableFastPath: r.noFastPath || r.noPopFastPath,
+		DisableFastPath: r.noFastPath,
 		Observer:        s.Observer,
 		Halt:            haltFor(ctx),
 	})
 	if err != nil {
-		return PopulationResult{}, err
+		return Result{}, err
+	}
+	res := Result{
+		Engine:           r.engine,
+		Rounds:           pres.Steps,
+		AliveNodes:       s.N,
+		AllInformed:      pres.Converged,
+		FirstAllInformed: -1,
+		Transmissions:    pres.Interactions,
+		ChannelsDialed:   pres.Interactions,
+		Population:       &pres,
+	}
+	if pres.Converged {
+		res.Informed = s.N
+		res.FirstAllInformed = pres.ConvergedAt
+		res.Transmissions = pres.ConvergedInteractions
 	}
 	return res, ctxErr(ctx)
-}
-
-// RunPopulation executes the scenario with default runner options — the
-// sequential driver unless opts say otherwise.
-//
-// Deprecated: Run accepts a PopulationScenario directly; use it unless
-// the population-specific result fields are needed.
-func RunPopulation(ctx context.Context, s PopulationScenario, opts ...RunnerOption) (PopulationResult, error) {
-	return NewRunner(opts...).runPopulation(ctx, s)
 }

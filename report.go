@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -73,21 +72,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadReport parses a serialised JSON Report and verifies its schema
-// stamp. A schema mismatch is an error — that is the one condition the
-// CI baseline comparison is allowed to fail on (wall-clock drift is
-// reported, never fatal).
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("regcast: parsing report: %w", err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("regcast: report schema %q incompatible with this build's %q", r.Schema, ReportSchema)
-	}
-	return &r, nil
-}
-
 // csvHeader is the fixed column set of the CSV form; kept in lockstep with
 // writeCSVRow.
 var csvHeader = []string{
@@ -140,63 +124,4 @@ func fnum(x float64) string {
 // serialised form; use WriteJSON/WriteCSV for machine consumption.
 func (r *Report) String() string {
 	return fmt.Sprintf("regcast.Report{%s: %d cells, seed %d}", r.Name, len(r.Cells), r.Seed)
-}
-
-// Regression is one report-cell metric that got worse relative to a
-// baseline report: the mean moved up by Pct percent.
-type Regression struct {
-	// Label is the cell's grid label (cells are matched by label).
-	Label string
-	// Metric names the regressed aggregate: "rounds" or "tx_per_node".
-	Metric string
-	// Base and Current are the baseline and current means.
-	Base, Current float64
-	// Pct is the relative increase in percent (100 × (Current-Base)/Base).
-	Pct float64
-}
-
-// RegressionsAgainst compares the report cell-by-cell against a baseline
-// on the deterministic mean metrics a bench gate can act on — completion
-// rounds and transmissions per node — and returns every worsening, worst
-// first. Cells are matched by label; cells present in only one report and
-// baseline means of zero are skipped (nothing to compare against).
-// Wall-clock is deliberately not considered: it is machine noise, the
-// gate is for algorithmic regressions.
-func (r *Report) RegressionsAgainst(base *Report) []Regression {
-	baseByLabel := make(map[string]CellReport, len(base.Cells))
-	for _, c := range base.Cells {
-		baseByLabel[c.Label] = c
-	}
-	var regs []Regression
-	for _, c := range r.Cells {
-		b, ok := baseByLabel[c.Label]
-		if !ok {
-			continue
-		}
-		for _, m := range []struct {
-			name      string
-			base, cur float64
-		}{
-			{"rounds", b.Rounds.Mean, c.Rounds.Mean},
-			{"tx_per_node", b.TxPerNode.Mean, c.TxPerNode.Mean},
-		} {
-			if m.base <= 0 || m.cur <= m.base {
-				continue
-			}
-			regs = append(regs, Regression{
-				Label:   c.Label,
-				Metric:  m.name,
-				Base:    m.base,
-				Current: m.cur,
-				Pct:     100 * (m.cur - m.base) / m.base,
-			})
-		}
-	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Pct != regs[j].Pct {
-			return regs[i].Pct > regs[j].Pct
-		}
-		return regs[i].Label+regs[i].Metric < regs[j].Label+regs[j].Metric
-	})
-	return regs
 }

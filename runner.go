@@ -6,11 +6,17 @@ import (
 	"time"
 
 	"regcast/internal/phonecall"
-	"regcast/internal/runtime"
 	"regcast/internal/transport"
 )
 
-// Engine selects how a Runner executes a Scenario.
+// Engine selects how a Runner executes a Scenario. There are four, one
+// per thing the repo measures: the simulator inline (the default every
+// experiment and benchmark cell runs), the simulator on a worker pool
+// (the same trace, checked against the inline one by the
+// Workers-independence tests), and the two tiers of the deployment-shaped
+// gossip cluster — in-memory mailboxes (no sockets, the fast tier the
+// transport tests and examples build on) and the socket daemon (the only
+// tier with a health ledger and fault injection).
 type Engine int
 
 const (
@@ -23,21 +29,12 @@ const (
 	// bit-identical results at a fixed shard count, whatever the worker
 	// count.
 	EngineSharded
-	// EngineGoroutinePerNode runs one goroutine per node with
-	// barrier-synchronised rounds (internal/runtime) — the concurrency
-	// stress-test of the protocol logic. Static topologies, uniform
-	// dialing only.
-	EngineGoroutinePerNode
 	// EngineGossipTransport executes the scenario as anti-entropy gossip
 	// over in-memory channel mailboxes (internal/transport): each tick,
 	// every node contacts Choices() random neighbours with push packets
 	// and pull requests. Deployment-shaped, so per-tick metrics are
 	// measured (not simulated) and wall-clock dependent.
 	EngineGossipTransport
-	// EngineTCPTransport is EngineGossipTransport over real loopback TCP
-	// sockets with JSON packets on the wire (one connection per packet —
-	// the simple, fully observable variant).
-	EngineTCPTransport
 	// EngineDaemonTransport is the resilient gossip daemon: persistent
 	// per-peer TCP connections behind a backoff dial scheduler, bounded
 	// per-peer send queues with drop accounting, and expiring-bucket
@@ -46,6 +43,9 @@ const (
 	EngineDaemonTransport
 )
 
+// simulates reports whether e is one of the two simulation engines.
+func (e Engine) simulates() bool { return e == EngineSequential || e == EngineSharded }
+
 // String implements fmt.Stringer.
 func (e Engine) String() string {
 	switch e {
@@ -53,12 +53,8 @@ func (e Engine) String() string {
 		return "sequential"
 	case EngineSharded:
 		return "sharded"
-	case EngineGoroutinePerNode:
-		return "goroutine-per-node"
 	case EngineGossipTransport:
 		return "gossip-transport"
-	case EngineTCPTransport:
-		return "tcp-transport"
 	case EngineDaemonTransport:
 		return "daemon-transport"
 	default:
@@ -78,10 +74,7 @@ type Runner struct {
 	shards     int
 	mailbox    int
 	noFastPath bool
-	// noPopFastPath disables only the population engine's fast path;
-	// noFastPath disables every engine's.
-	noPopFastPath bool
-	faults        *transport.FaultConfig
+	faults     *transport.FaultConfig
 }
 
 // RunnerOption customises a Runner.
@@ -116,23 +109,14 @@ func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
 // (default 1024 packets).
 func WithMailbox(n int) RunnerOption { return func(r *Runner) { r.mailbox = n } }
 
-// WithoutFastPath forces the simulation engines onto the reference
-// interface-dispatch path even on a frozen Static topology. The CSR fast
-// path is bit-identical to the reference path (golden tests pin this), so
-// the switch exists for cross-validation and benchmarking, not as a
-// correctness escape hatch.
+// WithoutFastPath forces whichever simulation engine runs the scenario
+// onto its reference interface-dispatch path: per-dial Topology calls
+// even on a frozen Static topology for a broadcast, per-pair Transition
+// calls and O(n) measure scans (no compiled tables) for a population
+// scenario. Both fast paths are bit-identical to their reference path
+// (golden tests pin this), so the switch exists for cross-validation and
+// benchmarking, not as a correctness escape hatch.
 func WithoutFastPath() RunnerOption { return func(r *Runner) { r.noFastPath = true } }
-
-// WithoutPopulationFastPath forces population scenarios onto the
-// reference interface-dispatch path (per-pair Transition calls, O(n)
-// measure scans, no compiled tables) while leaving the phone-call
-// engines' fast path alone. Like WithoutFastPath, it exists for
-// cross-validation and benchmarking — the population fast path is
-// pinned bit-identical to the reference path, so results never depend
-// on it.
-func WithoutPopulationFastPath() RunnerOption {
-	return func(r *Runner) { r.noPopFastPath = true }
-}
 
 // NewRunner builds a Runner; with no options it runs EngineSequential.
 func NewRunner(opts ...RunnerOption) Runner {
@@ -180,17 +164,55 @@ type Result struct {
 	// later arrivals are charged to a later tick, so a non-zero count means
 	// InformedAt and PerRound are skewed late.
 	TickTimeouts int
+	// Population is the population engine's own result (nil for
+	// broadcasts): the Measure trajectory's end point, the silence
+	// accounting and the final agent states, which the shared fields above
+	// cannot carry.
+	Population *PopulationResult
 }
 
 // AnyScenario is the sealed union of the scenario kinds a Runner can
 // execute: Scenario (phone-call broadcast) and PopulationScenario
 // (pairwise-interaction protocols), by value or pointer. It exists so
-// Runner.Run is the single entry point for every workload — the
-// deprecated RunPopulation pair survives as thin wrappers. The interface
-// is sealed (the marker method is unexported); external types cannot
-// implement it, which is what lets Run's type switch be exhaustive.
+// Runner.Run and Batch are the single way to execute and replicate every
+// workload. The interface is sealed (the marker method is unexported);
+// external types cannot implement it, which is what lets resolveScenario's
+// type switch be exhaustive.
 type AnyScenario interface {
 	anyScenario()
+}
+
+// scenarioKind is an AnyScenario resolved to its one concrete kind, by
+// value: exactly one of broadcast and population is meaningful.
+type scenarioKind struct {
+	isPopulation bool
+	broadcast    Scenario
+	population   PopulationScenario
+}
+
+// resolveScenario is the one place the union's value and pointer forms
+// are told apart, shared by Runner.Run and Batch. A nil interface and a
+// typed nil pointer are both the "nil scenario" error.
+func resolveScenario(s AnyScenario) (scenarioKind, error) {
+	switch sc := s.(type) {
+	case Scenario:
+		return scenarioKind{broadcast: sc}, nil
+	case *Scenario:
+		if sc != nil {
+			return scenarioKind{broadcast: *sc}, nil
+		}
+	case PopulationScenario:
+		return scenarioKind{isPopulation: true, population: sc}, nil
+	case *PopulationScenario:
+		if sc != nil {
+			return scenarioKind{isPopulation: true, population: *sc}, nil
+		}
+	case nil:
+	default:
+		// Unreachable while AnyScenario stays sealed.
+		return scenarioKind{}, fmt.Errorf("regcast: unsupported scenario kind %T", s)
+	}
+	return scenarioKind{}, fmt.Errorf("regcast: nil scenario")
 }
 
 // Run executes the scenario with default runner options — the sequential
@@ -203,69 +225,68 @@ func Run(ctx context.Context, s AnyScenario, opts ...RunnerOption) (Result, erro
 // the next round boundary and returns ctx.Err() alongside the partial
 // result accumulated so far.
 //
-// A PopulationScenario's PopulationResult is folded into the shared
-// Result shape with the same fixed mapping PopulationBatch uses: Rounds
-// is the super-steps executed, ChannelsDialed the total interactions
-// (the work analogue of the dial budget), AllInformed the converged
-// flag; on convergence Informed is N, FirstAllInformed the convergence
-// super-step and Transmissions the interactions to convergence,
-// otherwise Informed is 0, FirstAllInformed -1 and Transmissions the
-// total (budget-censored) interactions. Programs that need the
-// population-specific fields (Measure, final states) keep using
-// RunPopulation.
+// A PopulationScenario's result is folded into the shared Result shape
+// with one fixed mapping, which is also what Batch aggregates: Rounds is
+// the super-steps executed, ChannelsDialed the total interactions (the
+// work analogue of the dial budget), AllInformed the converged flag; on
+// convergence Informed is N, FirstAllInformed the convergence super-step
+// and Transmissions the interactions to convergence, otherwise Informed
+// is 0, FirstAllInformed -1 and Transmissions the total (budget-censored)
+// interactions. Result.Population carries the population-specific fields
+// (Measure, silence, final states).
 func (r Runner) Run(ctx context.Context, s AnyScenario) (Result, error) {
-	switch sc := s.(type) {
-	case Scenario:
-		return r.runScenario(ctx, sc)
-	case *Scenario:
-		return r.runScenario(ctx, *sc)
-	case PopulationScenario:
-		pres, err := r.runPopulation(ctx, sc)
-		if err != nil {
-			return Result{}, err
-		}
-		return populationResult(r.engine, sc.N, pres), nil
-	case *PopulationScenario:
-		pres, err := r.runPopulation(ctx, *sc)
-		if err != nil {
-			return Result{}, err
-		}
-		return populationResult(r.engine, sc.N, pres), nil
-	case nil:
-		return Result{}, fmt.Errorf("regcast: nil scenario")
-	default:
-		// Unreachable while AnyScenario stays sealed.
-		return Result{}, fmt.Errorf("regcast: unsupported scenario kind %T", s)
+	k, err := resolveScenario(s)
+	if err != nil {
+		return Result{}, err
 	}
+	return r.run(ctx, k)
 }
 
-// populationResult maps a PopulationResult onto the engine-independent
-// Result shape (see Runner.Run for the field-by-field contract).
-func populationResult(engine Engine, n int, pres PopulationResult) Result {
-	res := Result{
-		Engine:           engine,
-		Rounds:           pres.Steps,
-		AliveNodes:       n,
-		AllInformed:      pres.Converged,
-		FirstAllInformed: -1,
-		Transmissions:    pres.Interactions,
-		ChannelsDialed:   pres.Interactions,
+// run validates the runner, then dispatches on the resolved kind (Batch
+// enters here with the kind it resolved once for all replications).
+func (r Runner) run(ctx context.Context, k scenarioKind) (Result, error) {
+	if err := r.validate(); err != nil {
+		return Result{}, err
 	}
-	if pres.Converged {
-		res.Informed = n
-		res.FirstAllInformed = pres.ConvergedAt
-		res.Transmissions = pres.ConvergedInteractions
+	if k.isPopulation {
+		return r.runPopulation(ctx, k.population)
 	}
-	return res
+	return r.runScenario(ctx, k.broadcast)
+}
+
+// validate rejects runner configurations no scenario kind accepts.
+func (r Runner) validate() error {
+	if r.workers < WorkersAuto {
+		return fmt.Errorf("regcast: workers %d invalid (use WorkersAuto, 0 or a positive count)", r.workers)
+	}
+	switch r.engine {
+	case EngineSequential, EngineSharded:
+		if r.faults != nil {
+			return fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
+		}
+	case EngineGossipTransport, EngineDaemonTransport:
+	default:
+		return fmt.Errorf("regcast: unknown engine %v", r.engine)
+	}
+	return nil
+}
+
+// simWorkers resolves the phonecall/population Config.Workers value of
+// the two simulation engines.
+func (r Runner) simWorkers() int {
+	if r.engine != EngineSharded {
+		return 0
+	}
+	if r.workers == 0 {
+		return WorkersAuto
+	}
+	return r.workers
 }
 
 // runScenario executes one phone-call scenario.
 func (r Runner) runScenario(ctx context.Context, s Scenario) (Result, error) {
 	if err := s.validate(); err != nil {
 		return Result{}, err
-	}
-	if r.workers < WorkersAuto {
-		return Result{}, fmt.Errorf("regcast: workers %d invalid (use WorkersAuto, 0 or a positive count)", r.workers)
 	}
 	// A spec scenario builds its topology now, from its own stream (the
 	// WithRNG stream or the seed-derived one), and the run continues on
@@ -278,22 +299,10 @@ func (r Runner) runScenario(ctx context.Context, s Scenario) (Result, error) {
 			return Result{}, err
 		}
 	}
-	switch r.engine {
-	case EngineSequential, EngineSharded:
-		if r.faults != nil {
-			return Result{}, fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
-		}
+	if r.engine.simulates() {
 		return r.runSimulation(ctx, s)
-	case EngineGoroutinePerNode:
-		if r.faults != nil {
-			return Result{}, fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
-		}
-		return r.runGoroutinePerNode(ctx, s)
-	case EngineGossipTransport, EngineTCPTransport, EngineDaemonTransport:
-		return r.runTransport(ctx, s)
-	default:
-		return Result{}, fmt.Errorf("regcast: unknown engine %v", r.engine)
 	}
+	return r.runTransport(ctx, s)
 }
 
 // haltFor adapts ctx cancellation to the engines' per-round Halt poll.
@@ -326,13 +335,6 @@ func ctxErr(ctx context.Context) error {
 // runSimulation drives the phone-call engine, inline (EngineSequential)
 // or pooled (EngineSharded).
 func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
-	workers := 0
-	if r.engine == EngineSharded {
-		workers = r.workers
-		if workers == 0 {
-			workers = WorkersAuto
-		}
-	}
 	cfg := phonecall.Config{
 		Topology:           s.topo,
 		Protocol:           s.proto,
@@ -346,7 +348,7 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		RecordRounds:       s.recordRounds,
 		TrackEdgeUse:       s.trackEdgeUse,
 		StopEarly:          s.stopEarly,
-		Workers:            workers,
+		Workers:            r.simWorkers(),
 		Shards:             r.shards,
 		DisableFastPath:    r.noFastPath,
 		Observer:           s.observer(),
@@ -368,67 +370,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		InformedAt:       res.InformedAt,
 		PerRound:         res.PerRound,
 	}, ctxErr(ctx)
-}
-
-// runGoroutinePerNode drives internal/runtime: one goroutine per node.
-func (r Runner) runGoroutinePerNode(ctx context.Context, s Scenario) (Result, error) {
-	if s.dynamic() {
-		return Result{}, fmt.Errorf("regcast: the %v engine requires a static topology (churn needs a simulation engine)", r.engine)
-	}
-	if s.dial != DialUniform {
-		return Result{}, fmt.Errorf("regcast: the %v engine supports only DialUniform", r.engine)
-	}
-	if s.avoidRecent > 0 {
-		return Result{}, fmt.Errorf("regcast: the %v engine does not implement dial memory (WithAvoidRecent)", r.engine)
-	}
-	if s.trackEdgeUse {
-		return Result{}, fmt.Errorf("regcast: the %v engine does not implement the edge-use census (WithTrackEdgeUse)", r.engine)
-	}
-	if s.geometricFaults {
-		return Result{}, fmt.Errorf("regcast: the %v engine does not implement geometric fault skipping (WithGeometricFaults)", r.engine)
-	}
-	obs := s.observer()
-	var collector *roundCollector
-	if s.recordRounds {
-		// The concurrent runtime has no trace retention of its own; feed
-		// Result.PerRound from the same streaming path observers use.
-		collector = &roundCollector{}
-		if obs == nil {
-			obs = collector
-		} else {
-			obs = multiObserver{collector, obs}
-		}
-	}
-	res, err := runtime.Run(runtime.Config{
-		Topology:           s.topo,
-		Protocol:           s.proto,
-		Source:             s.source,
-		Seed:               s.runSeed(),
-		ChannelFailureProb: s.channelFailure,
-		MessageLossProb:    s.messageLoss,
-		StopEarly:          s.stopEarly,
-		Observer:           obs,
-		Halt:               haltFor(ctx),
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	n := s.topo.NumNodes()
-	out := Result{
-		Engine:           r.engine,
-		Rounds:           res.Rounds,
-		Informed:         res.Informed,
-		AliveNodes:       n,
-		AllInformed:      res.AllInformed,
-		FirstAllInformed: res.FirstAllInformed,
-		Transmissions:    res.Transmissions,
-		ChannelsDialed:   res.ChannelsDialed,
-		InformedAt:       res.InformedAt,
-	}
-	if collector != nil {
-		out.PerRound = collector.rounds
-	}
-	return out, ctxErr(ctx)
 }
 
 // runTransport executes the scenario as anti-entropy gossip over a real
@@ -458,16 +399,13 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		tr  transport.Transport
 		err error
 	)
-	switch r.engine {
-	case EngineTCPTransport:
-		tr, err = transport.NewTCP(n, mailbox)
-	case EngineDaemonTransport:
+	if r.engine == EngineDaemonTransport {
 		tr, err = transport.NewDaemon(transport.DaemonConfig{
 			Nodes:   n,
 			Mailbox: mailbox,
 			Seed:    s.runSeed(),
 		})
-	default:
+	} else {
 		tr, err = transport.NewInMem(n, mailbox)
 	}
 	if err != nil {

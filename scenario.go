@@ -91,8 +91,8 @@ func WithMessageLoss(p float64) ScenarioOption { return func(s *Scenario) { s.me
 // still holds (same seed => same trace, worker-count independence), but
 // the stream is consumed in a different order, so traces are NOT
 // comparable with the default Bernoulli mode — that is why this is an
-// explicit opt-in. Simulation engines only; the goroutine-per-node
-// engine rejects it.
+// explicit opt-in. Simulation engines only (the transport engines
+// simulate no faults at all).
 func WithGeometricFaults() ScenarioOption { return func(s *Scenario) { s.geometricFaults = true } }
 
 // WithStopEarly stops the run as soon as every alive node is informed,
@@ -260,7 +260,7 @@ func (s *Scenario) runRNG() *Rand {
 }
 
 // runSeed returns a uint64 seed for engines that derive their own streams
-// (the goroutine-per-node runtime and the transport engines).
+// (the transport engines).
 func (s *Scenario) runSeed() uint64 {
 	if s.rng != nil {
 		return s.rng.Uint64()

@@ -18,7 +18,7 @@ const (
 	SchedulerRounds Scheduler = iota
 	// SchedulerInteractions is the population-protocol model: uniform
 	// random pairwise interactions (or synchronous ring steps) batched into
-	// super-steps (PopulationScenario + Runner.RunPopulation).
+	// super-steps (PopulationScenario + the same Runner.Run).
 	SchedulerInteractions
 )
 

@@ -126,16 +126,11 @@ type Sweep struct {
 	// row-major order with the last axis varying fastest. A sweep with no
 	// axes has exactly one cell.
 	Axes []Axis
-	// Build constructs the cell's Batch from a grid point. The returned
-	// Batch inherits the sweep's Replications, ReplicationWorkers and
-	// Runner for any field it leaves zero. Exactly one of Build and
-	// BuildPopulation is required.
+	// Build constructs the cell's Batch — over a broadcast or a population
+	// scenario — from a grid point. The returned Batch inherits the sweep's
+	// Replications, ReplicationWorkers and Runner for any field it leaves
+	// zero. Required.
 	Build func(p Point) (Batch, error)
-	// BuildPopulation constructs the cell's PopulationBatch instead, for
-	// sweeps over the interaction scheduler; cells fold into the same
-	// CellReport shape under PopulationBatch's metric mapping. It
-	// inherits the sweep defaults exactly as Build does.
-	BuildPopulation func(p Point) (PopulationBatch, error)
 	// Replications is the default replication count for cells whose Batch
 	// leaves Replications zero.
 	Replications int
@@ -190,8 +185,8 @@ func (s Sweep) Points() []Point {
 
 // Run executes every cell in grid order and collects the Report.
 func (s Sweep) Run(ctx context.Context) (*Report, error) {
-	if (s.Build == nil) == (s.BuildPopulation == nil) {
-		return nil, fmt.Errorf("regcast: sweep %q needs exactly one of Build and BuildPopulation", s.Name)
+	if s.Build == nil {
+		return nil, fmt.Errorf("regcast: sweep %q needs a Build function", s.Name)
 	}
 	points := s.Points()
 	if len(points) == 0 {
@@ -204,49 +199,28 @@ func (s Sweep) Run(ctx context.Context) (*Report, error) {
 		Cells:  make([]CellReport, 0, len(points)),
 	}
 	for _, p := range points {
-		var res BatchResult
 		var memBefore runtime.MemStats
 		if s.MemStats {
 			runtime.GC()
 			runtime.ReadMemStats(&memBefore)
 		}
+		b, err := s.Build(p)
+		if err != nil {
+			return nil, fmt.Errorf("regcast: sweep %q cell %s: %w", s.Name, p.Label(), err)
+		}
+		if b.Replications == 0 {
+			b.Replications = s.Replications
+		}
+		if b.ReplicationWorkers == 0 {
+			b.ReplicationWorkers = s.ReplicationWorkers
+		}
+		if b.Runner == (Runner{}) {
+			b.Runner = s.Runner
+		}
 		start := time.Now()
-		if s.Build != nil {
-			b, err := s.Build(p)
-			if err != nil {
-				return nil, fmt.Errorf("regcast: sweep %q cell %s: %w", s.Name, p.Label(), err)
-			}
-			if b.Replications == 0 {
-				b.Replications = s.Replications
-			}
-			if b.ReplicationWorkers == 0 {
-				b.ReplicationWorkers = s.ReplicationWorkers
-			}
-			if b.Runner == (Runner{}) {
-				b.Runner = s.Runner
-			}
-			start = time.Now()
-			if res, err = b.Run(ctx); err != nil {
-				return nil, fmt.Errorf("regcast: sweep %q cell %s: %w", s.Name, p.Label(), err)
-			}
-		} else {
-			b, err := s.BuildPopulation(p)
-			if err != nil {
-				return nil, fmt.Errorf("regcast: sweep %q cell %s: %w", s.Name, p.Label(), err)
-			}
-			if b.Replications == 0 {
-				b.Replications = s.Replications
-			}
-			if b.ReplicationWorkers == 0 {
-				b.ReplicationWorkers = s.ReplicationWorkers
-			}
-			if b.Runner == (Runner{}) {
-				b.Runner = s.Runner
-			}
-			start = time.Now()
-			if res, err = b.Run(ctx); err != nil {
-				return nil, fmt.Errorf("regcast: sweep %q cell %s: %w", s.Name, p.Label(), err)
-			}
+		res, err := b.Run(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("regcast: sweep %q cell %s: %w", s.Name, p.Label(), err)
 		}
 		cell := CellReport{
 			Index:         p.Index,
