@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"regcast/internal/phonecall"
+	"regcast/internal/xrand"
 )
 
 // Version orders writes: higher Seq wins; ties break by higher Origin (an
@@ -128,8 +129,8 @@ type Config struct {
 	Topology phonecall.Topology
 	// Protocol is the dissemination schedule each update follows.
 	Protocol phonecall.Protocol
-	// RNG drives the simulation (any *xrand.Rand).
-	RNG interface{ Uint64() uint64 }
+	// RNG drives the simulation.
+	RNG *xrand.Rand
 	// ExtraRounds extends the simulation beyond the last write's horizon,
 	// e.g. to observe late convergence under failures. Default 0.
 	ExtraRounds        int
@@ -158,6 +159,14 @@ type Report struct {
 	Stores []Store
 }
 
+// indexBits is the width of the write index in a Version.Seq; the issue
+// round occupies the bits above it. One more write than maxWrites and the
+// index would bleed into the round bits, letting LWW pick a wrong winner.
+const (
+	indexBits = 20
+	maxWrites = 1 << indexBits
+)
+
 // Run simulates the cluster processing the given writes and returns the
 // convergence report.
 func Run(cfg Config, writes []Write) (Report, error) {
@@ -169,6 +178,9 @@ func Run(cfg Config, writes []Write) (Report, error) {
 	}
 	if cfg.ExtraRounds < 0 {
 		return Report{}, fmt.Errorf("replica: negative ExtraRounds %d", cfg.ExtraRounds)
+	}
+	if len(writes) > maxWrites {
+		return Report{}, fmt.Errorf("replica: %d writes exceed the %d a version's index bits can order", len(writes), maxWrites)
 	}
 	msgs := make([]phonecall.Message, len(writes))
 	lastRound := 0
@@ -205,7 +217,7 @@ func Run(cfg Config, writes []Write) (Report, error) {
 	rep.Stores = make([]Store, n)
 	for mi, w := range writes {
 		recv := eng.ReceivedAt(mi)
-		v := Version{Seq: uint64(w.Round)<<20 | uint64(mi), Origin: w.Origin}
+		v := Version{Seq: uint64(w.Round)<<indexBits | uint64(mi), Origin: w.Origin}
 		for node := 0; node < n; node++ {
 			if recv[node] == phonecall.Uninformed || !cfg.Topology.Alive(node) {
 				continue

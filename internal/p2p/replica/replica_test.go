@@ -2,6 +2,8 @@ package replica
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +131,71 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng}, []Write{{Key: "k", Round: -1}}); err == nil {
 		t.Error("negative write round accepted")
+	}
+	if _, err := Run(Config{Topology: topo, Protocol: proto}, []Write{{Key: "k"}}); err == nil {
+		t.Error("nil RNG accepted")
+	}
+	// The multi-message engine now applies the single-message engine's
+	// checks; each of these was accepted before.
+	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng, ChannelFailureProb: 1.5}, []Write{{Key: "k"}}); err == nil {
+		t.Error("ChannelFailureProb 1.5 accepted")
+	}
+	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng, MessageLossProb: -0.1}, []Write{{Key: "k"}}); err == nil {
+		t.Error("MessageLossProb -0.1 accepted")
+	}
+	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng}, []Write{{Key: "k", Origin: 64}}); err == nil {
+		t.Error("out-of-range origin accepted")
+	}
+	_, err = Run(Config{Topology: deadOrigin{topo}, Protocol: proto, RNG: rng}, []Write{{Key: "k", Origin: 0}})
+	if err == nil || !strings.Contains(err.Error(), "origin 0 is not alive") {
+		t.Errorf("dead origin: err = %v", err)
+	}
+}
+
+// deadOrigin is a topology whose node 0 has departed.
+type deadOrigin struct{ phonecall.Topology }
+
+func (d deadOrigin) Alive(v int) bool { return v != 0 }
+
+// TestRunRejectsMoreWritesThanVersionsOrder: a Version packs the write
+// index into its low 20 bits, so one write more would let the index bleed
+// into the round bits. The writes are zero values: the bound must be
+// checked before anything is built per write.
+func TestRunRejectsMoreWritesThanVersionsOrder(t *testing.T) {
+	topo := clusterTopology(t, 16, 4, 1)
+	proto, err := core.NewAlgorithm1(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{Topology: topo, Protocol: proto, RNG: xrand.New(1)}, make([]Write, 1<<20+1))
+	if err == nil || !strings.Contains(err.Error(), "1048576") {
+		t.Errorf("2^20+1 writes: err = %v", err)
+	}
+}
+
+func TestRunIsDeterministic(t *testing.T) {
+	topo := clusterTopology(t, 128, 6, 12)
+	proto, err := core.NewAlgorithm1(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := []Write{
+		{Key: "x", Value: "1", Origin: 3},
+		{Key: "y", Value: "2", Origin: 90, Round: 2},
+		{Key: "x", Origin: 41, Round: 5, Delete: true},
+	}
+	run := func() Report {
+		rep, err := Run(Config{
+			Topology: topo, Protocol: proto, RNG: xrand.New(13),
+			ChannelFailureProb: 0.1, MessageLossProb: 0.2,
+		}, writes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Error("two runs from the same seed returned different reports")
 	}
 }
 

@@ -6,12 +6,6 @@ import (
 	"regcast/internal/xrand"
 )
 
-// shallowRNG implements only Uint64, not the full generator interface the
-// multi engine needs; it must be rejected at construction.
-type shallowRNG struct{}
-
-func (shallowRNG) Uint64() uint64 { return 0 }
-
 func TestTrackEdgeUseValidation(t *testing.T) {
 	g := testGraph(t, 32, 4, 20)
 	if _, err := NewEngine(Config{
@@ -69,29 +63,44 @@ func TestSilentRunLeavesAllEdgesUnused(t *testing.T) {
 
 func TestMultiEngineValidation(t *testing.T) {
 	g := testGraph(t, 32, 4, 23)
-	topo := NewStatic(g)
-	proto := pushProto{1, 10}
-	rng := xrand.New(1)
-	if _, err := NewMultiEngine(MultiConfig{Protocol: proto, RNG: rng, Rounds: 5}); err == nil {
-		t.Error("nil topology accepted")
+	valid := MultiConfig{
+		Topology: NewStatic(g), Protocol: pushProto{1, 10}, RNG: xrand.New(1), Rounds: 5,
+		Messages: []Message{{ID: 0, Origin: 0}},
 	}
-	if _, err := NewMultiEngine(MultiConfig{Topology: topo, Protocol: proto, RNG: rng, Rounds: 0}); err == nil {
-		t.Error("zero rounds accepted")
+	cases := []struct {
+		name   string
+		mutate func(*MultiConfig)
+	}{
+		{"nil topology", func(c *MultiConfig) { c.Topology = nil }},
+		{"nil protocol", func(c *MultiConfig) { c.Protocol = nil }},
+		{"nil rng", func(c *MultiConfig) { c.RNG = nil }},
+		{"zero rounds", func(c *MultiConfig) { c.Rounds = 0 }},
+		{"bad origin", func(c *MultiConfig) { c.Messages = []Message{{ID: 0, Origin: 99}} }},
+		{"negative creation round", func(c *MultiConfig) { c.Messages = []Message{{ID: 0, CreatedAt: -1}} }},
+		// The rows below were accepted before the inner engine went through
+		// NewEngine's checks.
+		{"bad failure prob", func(c *MultiConfig) { c.ChannelFailureProb = 1.5 }},
+		{"bad loss prob", func(c *MultiConfig) { c.MessageLossProb = -0.1 }},
+		{"zero choices", func(c *MultiConfig) { c.Protocol = pushProto{0, 10} }},
+		{"zero horizon", func(c *MultiConfig) { c.Protocol = pushProto{1, 0} }},
+		{"dead origin", func(c *MultiConfig) { c.Topology = newViewTopo(g, 0) }},
 	}
-	if _, err := NewMultiEngine(MultiConfig{Topology: topo, Protocol: proto, RNG: shallowRNG{}, Rounds: 5}); err == nil {
-		t.Error("bad RNG accepted")
+	for _, tc := range cases {
+		cfg := valid
+		tc.mutate(&cfg)
+		if _, err := NewMultiEngine(cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
-	if _, err := NewMultiEngine(MultiConfig{
-		Topology: topo, Protocol: proto, RNG: rng, Rounds: 5,
-		Messages: []Message{{ID: 0, Origin: 99}},
-	}); err == nil {
-		t.Error("bad origin accepted")
+	if _, err := NewMultiEngine(valid); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
-	if _, err := NewMultiEngine(MultiConfig{
-		Topology: topo, Protocol: proto, RNG: rng, Rounds: 5,
-		Messages: []Message{{ID: 0, Origin: 0, CreatedAt: -1}},
-	}); err == nil {
-		t.Error("negative creation round accepted")
+	_, err := NewMultiEngine(MultiConfig{
+		Topology: newViewTopo(g, 7), Protocol: pushProto{1, 10}, RNG: xrand.New(1), Rounds: 5,
+		Messages: []Message{{ID: 3, Origin: 7}},
+	})
+	if err == nil || err.Error() != "phonecall: message 3 origin 7 is not alive" {
+		t.Errorf("dead origin error = %v", err)
 	}
 }
 

@@ -188,11 +188,13 @@ type Engine struct {
 	workers int
 	shards  []parShard
 
-	// Per-round protocol decision tables, indexed by receipt round: Run
-	// fills them once per round, so SendPush/SendPull is called
-	// O(rounds · cohorts) times instead of inside node loops.
-	pushDec []bool
-	pullDec []bool
+	// Per-round protocol decision tables, indexed by receipt round: round
+	// fills them once per call, so SendPush/SendPull is called
+	// O(rounds · cohorts) times instead of inside node loops. neverPulls
+	// caches the protocol's PullFree answer.
+	pushDec    []bool
+	pullDec    []bool
+	neverPulls bool
 
 	// memory for the sequentialised model (AvoidRecent > 0)
 	recent    []int32 // flat n×AvoidRecent ring of recent partners
@@ -231,6 +233,32 @@ type Engine struct {
 
 // NewEngine validates cfg and prepares a run.
 func NewEngine(cfg Config) (*Engine, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkOrigin(cfg.Topology, "source", cfg.Source); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// checkOrigin rejects a message origin (Config.Source, Message.Origin)
+// that is outside the id space or not alive: such a message would silently
+// never be disseminated.
+func checkOrigin(topo Topology, what string, v int) error {
+	if n := topo.NumNodes(); v < 0 || v >= n {
+		return fmt.Errorf("phonecall: %s %d out of range [0,%d)", what, v, n)
+	}
+	if !topo.Alive(v) {
+		return fmt.Errorf("phonecall: %s %d is not alive", what, v)
+	}
+	return nil
+}
+
+// newEngine is NewEngine without the Source checks — everything a
+// MultiEngine, whose origins are per message, shares with it.
+func newEngine(cfg Config) (*Engine, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("phonecall: Config.Topology is required")
 	}
@@ -241,12 +269,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("phonecall: Config.RNG is required")
 	}
 	n := cfg.Topology.NumNodes()
-	if cfg.Source < 0 || cfg.Source >= n {
-		return nil, fmt.Errorf("phonecall: source %d out of range [0,%d)", cfg.Source, n)
-	}
-	if !cfg.Topology.Alive(cfg.Source) {
-		return nil, fmt.Errorf("phonecall: source %d is not alive", cfg.Source)
-	}
 	if cfg.Protocol.Choices() < 1 {
 		return nil, fmt.Errorf("phonecall: protocol %q dials %d < 1 neighbours", cfg.Protocol.Name(), cfg.Protocol.Choices())
 	}
@@ -312,6 +334,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.pending = make([]int32, 0, n)
 	e.pushDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.pullDec = make([]bool, cfg.Protocol.Horizon()+1)
+	if pf, ok := cfg.Protocol.(PullFree); ok {
+		e.neverPulls = pf.NeverPulls()
+	}
 	if cfg.AvoidRecent > 0 {
 		e.recent = make([]int32, n*cfg.AvoidRecent)
 		for i := range e.recent {

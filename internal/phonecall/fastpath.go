@@ -210,7 +210,7 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 // range a shard owns, drawing only from the shard's own stream. Census
 // hits are buffered as edge ids (not edge keys) and merged by
 // markUsedID, in shard order, exactly like the reference path's keys.
-func (e *Engine) shardPassFast(sh *parShard, t int, anyPull, dialAll bool) {
+func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode) {
 	census := e.dialEdge != nil
 	loss := e.cfg.MessageLossProb
 	k := e.k
@@ -220,13 +220,13 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull, dialAll bool) {
 		// almost every node fails the cohort test, which is one load.
 		ia := e.informedAt[v]
 		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.aliveFast(v)
-		if dialAll {
+		if dial == dialEveryone {
 			if e.aliveFast(v) {
 				e.sampleDialsFast(v, &sh.ds)
 			} else {
 				e.clearDialRow(v)
 			}
-		} else if sender {
+		} else if sender && dial == dialSenders {
 			e.sampleDialsFast(v, &sh.ds)
 		}
 		if !sender {

@@ -51,10 +51,11 @@ func mustRegular(t testing.TB, n, d int, seed uint64) *graph.Graph {
 }
 
 // goldenCase is one configuration of the E1–E20 matrix. The experiments
-// field records which experiments the configuration stands in for (E15
-// and E20 run on their own engines — MultiEngine and the median-counter
-// state machine — which do not have a CSR fast path and are out of
-// scope here).
+// field records which experiments the configuration stands in for. E15
+// and E18 run on MultiEngine, which drives this engine's round and so
+// shares its fast path; multi_test.go pins its fast ≡ reference identity.
+// E20 runs on the median-counter state machine, which has no CSR fast
+// path and is out of scope here.
 type goldenCase struct {
 	name        string
 	experiments string

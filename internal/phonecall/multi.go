@@ -1,6 +1,10 @@
 package phonecall
 
-import "fmt"
+import (
+	"fmt"
+
+	"regcast/internal/xrand"
+)
 
 // Message is one rumour in a multi-message run. Messages are created at
 // their origin node at the end of round CreatedAt (the origin knows the
@@ -23,7 +27,7 @@ type MultiConfig struct {
 	// Rounds is the total number of rounds to simulate. Messages whose
 	// schedule extends past this horizon simply stop early.
 	Rounds             int
-	RNG                interface{ Uint64() uint64 }
+	RNG                *xrand.Rand
 	ChannelFailureProb float64
 	MessageLossProb    float64
 }
@@ -45,263 +49,118 @@ type MultiResult struct {
 	ChannelsDialed int64
 }
 
-// rngLike is the minimal generator interface MultiEngine needs; it is
-// satisfied by *xrand.Rand.
-type rngLike interface {
-	Uint64() uint64
-	IntN(n int) int
-	Bool(p float64) bool
-	DistinctK(dst []int, k, n int, scratch []int) []int
-}
-
 // MultiEngine simulates many concurrently disseminating messages that share
-// the per-round channels, as in a replicated-database workload.
+// the per-round channels, as in a replicated-database workload. It is a
+// driver over one Engine: every active message of a round is one
+// Engine.round call at the message's own age, over the message's receipt
+// ages and cohort counts, and all of them ride on the dial rows the
+// round's first call sampled.
 type MultiEngine struct {
-	cfg   MultiConfig
-	topo  Topology
-	proto Protocol
-	rng   rngLike
+	cfg MultiConfig
+	eng *Engine
 
-	n, k       int
-	receivedAt [][]int32 // [msg][node] absolute round of first receipt
-	dials      []int32
-	scratch    []int
-	dialIdx    []int
+	// Per message: age[m][v] is the age (round − CreatedAt) at which v first
+	// received m, Uninformed if never; cohort[m] holds m's per-shard cohort
+	// counts, shard-major like the engine's own.
+	age    [][]int32
+	cohort [][]int32
 }
 
 // NewMultiEngine validates cfg and prepares a run.
 func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
-	if cfg.Topology == nil || cfg.Protocol == nil {
-		return nil, fmt.Errorf("phonecall: MultiConfig requires Topology and Protocol")
-	}
-	rng, ok := cfg.RNG.(rngLike)
-	if !ok {
-		return nil, fmt.Errorf("phonecall: MultiConfig.RNG must be an *xrand.Rand-compatible generator")
-	}
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("phonecall: MultiConfig.Rounds = %d < 1", cfg.Rounds)
 	}
-	n := cfg.Topology.NumNodes()
+	eng, err := newEngine(Config{
+		Topology:           cfg.Topology,
+		Protocol:           cfg.Protocol,
+		RNG:                cfg.RNG,
+		ChannelFailureProb: cfg.ChannelFailureProb,
+		MessageLossProb:    cfg.MessageLossProb,
+	})
+	if err != nil {
+		return nil, err
+	}
 	for _, m := range cfg.Messages {
-		if m.Origin < 0 || m.Origin >= n {
-			return nil, fmt.Errorf("phonecall: message %d origin %d out of range", m.ID, m.Origin)
+		if err := checkOrigin(cfg.Topology, fmt.Sprintf("message %d origin", m.ID), m.Origin); err != nil {
+			return nil, err
 		}
 		if m.CreatedAt < 0 {
 			return nil, fmt.Errorf("phonecall: message %d created at negative round %d", m.ID, m.CreatedAt)
 		}
 	}
-	e := &MultiEngine{
-		cfg:   cfg,
-		topo:  cfg.Topology,
-		proto: cfg.Protocol,
-		rng:   rng,
-		n:     n,
-		k:     cfg.Protocol.Choices(),
-	}
-	e.receivedAt = make([][]int32, len(cfg.Messages))
-	for i := range e.receivedAt {
-		e.receivedAt[i] = make([]int32, n)
-		for v := range e.receivedAt[i] {
-			e.receivedAt[i][v] = Uninformed
+	e := &MultiEngine{cfg: cfg, eng: eng}
+	e.age = make([][]int32, len(cfg.Messages))
+	e.cohort = make([][]int32, len(cfg.Messages))
+	for i := range e.age {
+		e.age[i] = make([]int32, eng.n)
+		for v := range e.age[i] {
+			e.age[i][v] = Uninformed
 		}
+		e.cohort[i] = make([]int32, len(eng.shards)*(cfg.Protocol.Horizon()+1))
 	}
-	e.dials = make([]int32, n*e.k)
 	return e, nil
 }
 
 // Run executes the configured number of rounds.
 func (e *MultiEngine) Run() MultiResult {
+	eng := e.eng
 	res := MultiResult{Rounds: e.cfg.Rounds}
 	res.PerMessage = make([]MessageResult, len(e.cfg.Messages))
-	tx := make([]int64, len(e.cfg.Messages))
-	firstAll := make([]int, len(e.cfg.Messages))
-	for i := range firstAll {
-		firstAll[i] = -1
+	for mi, m := range e.cfg.Messages {
+		res.PerMessage[mi] = MessageResult{Message: m, FirstAllInformed: -1}
 	}
-
-	horizon := e.proto.Horizon()
-	// pending[m] lists nodes that receive message m this round.
-	pending := make([][]int32, len(e.cfg.Messages))
-	isPending := make([]bool, e.n)
+	horizon := eng.proto.Horizon()
+	alive := eng.aliveCount()
+	ages := horizon + 1 // receipt ages 0..Horizon
 
 	for t := 1; t <= e.cfg.Rounds; t++ {
-		// Activate messages created at the end of earlier rounds.
-		for mi, m := range e.cfg.Messages {
-			if m.CreatedAt == t-1 && e.receivedAt[mi][m.Origin] == Uninformed {
-				e.receivedAt[mi][m.Origin] = int32(m.CreatedAt)
-			}
-		}
-
-		e.sampleDials()
-		var budget int64
-		for v := 0; v < e.n; v++ {
-			if !e.topo.Alive(v) {
-				continue
-			}
-			d := e.topo.Degree(v)
-			if d > e.k {
-				d = e.k
-			}
-			budget += int64(d)
-		}
-		res.ChannelsDialed += budget
-
-		for mi, m := range e.cfg.Messages {
-			age := t - m.CreatedAt
+		res.ChannelsDialed += eng.dialBudget()
+		// The round's channels are sampled once, by the first active
+		// message, for every alive node; the later ones reuse the rows.
+		dial := dialEveryone
+		for mi := range res.PerMessage {
+			mr := &res.PerMessage[mi]
+			age := t - mr.Message.CreatedAt
 			if age < 1 || age > horizon {
 				continue // message inactive this round
 			}
-			recv := e.receivedAt[mi]
-			// Push: every informed node whose schedule says push at this age.
-			for v := 0; v < e.n; v++ {
-				ia := recv[v]
-				if ia == Uninformed || int(ia) >= t || !e.topo.Alive(v) {
-					continue
-				}
-				iaAge := int(ia) - m.CreatedAt
-				if !e.proto.SendPush(age, iaAge) {
-					continue
-				}
-				base := v * e.k
-				for j := 0; j < e.k; j++ {
-					w := e.dials[base+j]
-					if w < 0 {
-						continue
-					}
-					tx[mi]++
-					if e.cfg.MessageLossProb > 0 && e.rng.Bool(e.cfg.MessageLossProb) {
-						continue
-					}
-					e.deliverMulti(mi, w, pending, isPending)
-				}
+			eng.informedAt = e.age[mi]
+			for i := range eng.shards {
+				eng.shards[i].cohort = e.cohort[mi][i*ages : (i+1)*ages]
 			}
-			// Pull: callers receive from informed callees that answer.
-			for v := 0; v < e.n; v++ {
-				if !e.topo.Alive(v) {
-					continue
-				}
-				base := v * e.k
-				for j := 0; j < e.k; j++ {
-					w := e.dials[base+j]
-					if w < 0 {
-						continue
-					}
-					ia := recv[w]
-					if ia == Uninformed || int(ia) >= t {
-						continue
-					}
-					iaAge := int(ia) - m.CreatedAt
-					if !e.proto.SendPull(age, iaAge) {
-						continue
-					}
-					tx[mi]++
-					if e.cfg.MessageLossProb > 0 && e.rng.Bool(e.cfg.MessageLossProb) {
-						continue
-					}
-					e.deliverMulti(mi, int32(v), pending, isPending)
-				}
+			if age == 1 {
+				// Created at the end of the previous round.
+				eng.informedAt[mr.Message.Origin] = 0
+				eng.shardOf(mr.Message.Origin).cohort[0] = 1
+				mr.Informed = 1
 			}
-			// Apply receipts for this message at end of round.
-			for _, v := range pending[mi] {
-				isPending[v] = false
-				recv[v] = int32(t)
-			}
-			pending[mi] = pending[mi][:0]
-
-			if firstAll[mi] < 0 && e.countInformed(mi) == e.aliveCount() {
-				firstAll[mi] = t
+			newly, tx := eng.round(age, dial)
+			dial = dialSampled
+			mr.Transmissions += tx
+			mr.Informed += newly
+			if mr.FirstAllInformed < 0 && mr.Informed == alive {
+				mr.FirstAllInformed = t
 			}
 		}
 	}
 
-	for mi, m := range e.cfg.Messages {
-		informed := e.countInformed(mi)
-		res.PerMessage[mi] = MessageResult{
-			Message:          m,
-			Transmissions:    tx[mi],
-			Informed:         informed,
-			AllInformed:      informed == e.aliveCount(),
-			FirstAllInformed: firstAll[mi],
-		}
-		res.Transmissions += tx[mi]
+	for mi := range res.PerMessage {
+		mr := &res.PerMessage[mi]
+		mr.AllInformed = mr.Informed == alive
+		res.Transmissions += mr.Transmissions
 	}
 	return res
-}
-
-// deliverMulti queues node w to receive message mi at the end of the round.
-func (e *MultiEngine) deliverMulti(mi int, w int32, pending [][]int32, isPending []bool) {
-	if !e.topo.Alive(int(w)) {
-		return
-	}
-	if e.receivedAt[mi][w] != Uninformed || isPending[w] {
-		return
-	}
-	isPending[w] = true
-	pending[mi] = append(pending[mi], w)
-}
-
-// sampleDials fills e.dials with this round's channel targets for all nodes.
-func (e *MultiEngine) sampleDials() {
-	for v := 0; v < e.n; v++ {
-		base := v * e.k
-		for j := 0; j < e.k; j++ {
-			e.dials[base+j] = Uninformed
-		}
-		if !e.topo.Alive(v) {
-			continue
-		}
-		deg := e.topo.Degree(v)
-		if deg == 0 {
-			continue
-		}
-		kk := e.k
-		if kk > deg {
-			kk = deg
-		}
-		if cap(e.scratch) < deg {
-			e.scratch = make([]int, deg)
-		}
-		e.dialIdx = e.rng.DistinctK(e.dialIdx, kk, deg, e.scratch)
-		for j, idx := range e.dialIdx {
-			w := e.topo.Neighbor(v, idx)
-			if !e.topo.Alive(w) {
-				continue
-			}
-			if e.cfg.ChannelFailureProb > 0 && e.rng.Bool(e.cfg.ChannelFailureProb) {
-				continue
-			}
-			e.dials[base+j] = int32(w)
-		}
-	}
-}
-
-// countInformed returns how many alive nodes know message mi.
-func (e *MultiEngine) countInformed(mi int) int {
-	c := 0
-	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) && e.receivedAt[mi][v] != Uninformed {
-			c++
-		}
-	}
-	return c
-}
-
-// aliveCount returns the number of alive nodes.
-func (e *MultiEngine) aliveCount() int {
-	if _, ok := e.topo.(Static); ok {
-		return e.n
-	}
-	c := 0
-	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) {
-			c++
-		}
-	}
-	return c
 }
 
 // ReceivedAt exposes, for message index mi, the round each node first
 // received it (Uninformed if never). The returned slice is a copy.
 func (e *MultiEngine) ReceivedAt(mi int) []int32 {
-	return append([]int32(nil), e.receivedAt[mi]...)
+	out := append([]int32(nil), e.age[mi]...)
+	for v, a := range out {
+		if a != Uninformed {
+			out[v] = a + int32(e.cfg.Messages[mi].CreatedAt)
+		}
+	}
+	return out
 }

@@ -37,10 +37,10 @@ type parShard struct {
 	// skip below needs: a zero count proves the cohort has no member here.
 	cohort []int32
 	// sends is the round's skip decision: some cohort the protocol lets
-	// push this round may have a member in the shard. When it is false and
-	// the round does not dial everywhere, the shard's pass is skipped; it
-	// would have found no sender, sampled no dial and drawn nothing, so
-	// skipping cannot move the trace.
+	// push this round may have a member in the shard. When it is false, no
+	// cohort pulls and the round does not dial everywhere, the shard's pass
+	// is skipped; it would have found no sender, sampled no dial and drawn
+	// nothing, so skipping cannot move the trace.
 	sends bool
 
 	// Per-round outputs, merged sequentially in shard-index order.
@@ -77,90 +77,40 @@ func (e *Engine) shardOf(v int) *parShard {
 	return &e.shards[sched.Owner(v, e.n, len(e.shards))]
 }
 
-// Run executes the full schedule and returns the result. Each round runs
-// three steps: (1) compute the protocol's push/pull decision tables for
-// the round, (2) run the dial/push/pull pass of every shard — inline, or
-// concurrently on up to Workers goroutines — with each shard drawing only
-// from its own PRNG stream and writing only its own dial rows and outbox,
-// and (3) merge the per-shard outboxes into the global receipt queue in
-// shard order. Because shard streams and the merge order are fixed, the
-// result is bit-identical for every worker count.
+// dialMode is the round's dial decision. The driver of round makes it —
+// Engine.Run or MultiEngine.Run, never a user-set option.
+type dialMode uint8
+
+const (
+	// dialSenders samples a row only for the nodes that push this round;
+	// round upgrades it to dialEveryone when a cohort pulls (a pull needs
+	// the caller's channels) or nodes keep dial memory (AvoidRecent).
+	dialSenders dialMode = iota
+	// dialEveryone samples the row of every alive node.
+	dialEveryone
+	// dialSampled draws nothing: an earlier round call of the same
+	// simulated round (another message of a MultiEngine) filled every row,
+	// and this rumour rides on the same channels.
+	dialSampled
+)
+
+// Run executes the full schedule and returns the result: one round call
+// per simulated round, then the per-round accounting, churn and the
+// completion check.
 func (e *Engine) Run() Result {
 	res := Result{FirstAllInformed: -1}
 	e.informedAt[e.cfg.Source] = 0
 	e.shardOf(e.cfg.Source).cohort[0] = 1
 	informedCount := 1
-	obs := e.cfg.Observer
-	if obs != nil {
-		obs.OnInformed(e.cfg.Source, 0)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.OnInformed(e.cfg.Source, 0)
 	}
 
 	horizon := e.proto.Horizon()
-	neverPulls := false
-	if pf, ok := e.proto.(PullFree); ok {
-		neverPulls = pf.NeverPulls()
-	}
 	stepper, _ := e.topo.(Stepper)
 
 	for t := 1; t <= horizon; t++ {
-		// Step 1: decision tables. A node's behaviour this round is a pure
-		// function of its receipt round, so one table lookup per node
-		// replaces per-node Protocol calls in the hot shard passes, and the
-		// per-shard cohort counts tell which shards can hold a sender.
-		for ia := 0; ia < t; ia++ {
-			e.pushDec[ia] = e.proto.SendPush(t, ia)
-			e.pullDec[ia] = !neverPulls && e.proto.SendPull(t, ia)
-		}
-		anyPull := false
-		for i := range e.shards {
-			sh := &e.shards[i]
-			sh.sends = false
-			for ia, c := range sh.cohort[:t] {
-				if c > 0 {
-					sh.sends = sh.sends || e.pushDec[ia]
-					anyPull = anyPull || e.pullDec[ia]
-				}
-			}
-		}
-		dialAll := anyPull || e.cfg.AvoidRecent > 0
-
-		// Step 2: shard passes (the parallel section).
-		e.runShardPasses(t, anyPull, dialAll)
-
-		// Step 3: merge outboxes in shard-index order (deterministic).
-		var roundTx int64
-		for i := range e.shards {
-			sh := &e.shards[i]
-			roundTx += sh.tx
-			for _, w := range sh.outbox {
-				if e.isPending[w] {
-					continue
-				}
-				e.isPending[w] = true
-				e.pending = append(e.pending, w)
-			}
-			if e.fast {
-				for _, id := range sh.usedBuf {
-					e.markUsedID(int32(id))
-				}
-			} else {
-				for _, key := range sh.usedBuf {
-					e.markUsedKey(key)
-				}
-			}
-		}
-
-		// Apply receipts at the end of the round.
-		newly := len(e.pending)
-		for _, v := range e.pending {
-			e.isPending[v] = false
-			e.informedAt[v] = int32(t)
-			e.shardOf(int(v)).cohort[t]++
-			if obs != nil {
-				obs.OnInformed(int(v), t)
-			}
-		}
-		e.pending = e.pending[:0]
+		newly, roundTx := e.round(t, dialSenders)
 		informedCount += newly
 
 		e.recordRound(&res, t, newly, informedCount, roundTx)
@@ -193,39 +143,112 @@ func (e *Engine) Run() Result {
 	return res
 }
 
+// round runs round t of one rumour over the receipt rounds in informedAt
+// and the shards' cohort counts, and returns the number of receipts it
+// applied and the transmissions it sent. Four steps: (1) compute the
+// protocol's push/pull decision tables for the round, (2) run the
+// dial/push/pull pass of every shard — inline, or concurrently on up to
+// Workers goroutines — with each shard drawing only from its own PRNG
+// stream and writing only its own dial rows and outbox, (3) merge the
+// per-shard outboxes into the global receipt queue in shard order, and
+// (4) apply the receipts. Because shard streams and the merge order are
+// fixed, the result is bit-identical for every worker count.
+func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
+	// Step 1: decision tables. A node's behaviour this round is a pure
+	// function of its receipt round, so one table lookup per node
+	// replaces per-node Protocol calls in the hot shard passes, and the
+	// per-shard cohort counts tell which shards can hold a sender.
+	for ia := 0; ia < t; ia++ {
+		e.pushDec[ia] = e.proto.SendPush(t, ia)
+		e.pullDec[ia] = !e.neverPulls && e.proto.SendPull(t, ia)
+	}
+	anyPull := false
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.sends = false
+		for ia, c := range sh.cohort[:t] {
+			if c > 0 {
+				sh.sends = sh.sends || e.pushDec[ia]
+				anyPull = anyPull || e.pullDec[ia]
+			}
+		}
+	}
+	if dial == dialSenders && (anyPull || e.cfg.AvoidRecent > 0) {
+		dial = dialEveryone
+	}
+
+	// Step 2: shard passes (the parallel section).
+	e.runShardPasses(t, anyPull, dial)
+
+	// Step 3: merge outboxes in shard-index order (deterministic).
+	for i := range e.shards {
+		sh := &e.shards[i]
+		roundTx += sh.tx
+		for _, w := range sh.outbox {
+			if e.isPending[w] {
+				continue
+			}
+			e.isPending[w] = true
+			e.pending = append(e.pending, w)
+		}
+		if e.fast {
+			for _, id := range sh.usedBuf {
+				e.markUsedID(int32(id))
+			}
+		} else {
+			for _, key := range sh.usedBuf {
+				e.markUsedKey(key)
+			}
+		}
+	}
+
+	// Step 4: apply receipts at the end of the round.
+	newly = len(e.pending)
+	for _, v := range e.pending {
+		e.isPending[v] = false
+		e.informedAt[v] = int32(t)
+		e.shardOf(int(v)).cohort[t]++
+		if e.cfg.Observer != nil {
+			e.cfg.Observer.OnInformed(int(v), t)
+		}
+	}
+	e.pending = e.pending[:0]
+	return newly, roundTx
+}
+
 // runShardPasses executes the round's pass for every shard, inline when
 // at most one worker is configured and on a small work-stealing pool
 // otherwise. Shard-to-worker assignment is arbitrary; shard results are
 // not, so scheduling cannot influence the outcome.
-func (e *Engine) runShardPasses(t int, anyPull, dialAll bool) {
+func (e *Engine) runShardPasses(t int, anyPull bool, dial dialMode) {
 	if e.workers <= 1 {
 		// A plain loop, not the pool with one worker: the inline path must
 		// stay allocation-free per round, and the pool's closure is not.
 		for i := range e.shards {
-			e.pass(&e.shards[i], t, anyPull, dialAll)
+			e.pass(&e.shards[i], t, anyPull, dial)
 		}
 		return
 	}
 	sched.Pool(e.workers, len(e.shards), func(i int) {
-		e.pass(&e.shards[i], t, anyPull, dialAll)
+		e.pass(&e.shards[i], t, anyPull, dial)
 	})
 }
 
 // pass resets a shard's per-round outputs and runs its round on the
-// engaged path — unless the shard can hold no sender and the round does
-// not dial everywhere (see parShard.sends), in which case there is
-// nothing to scan for.
-func (e *Engine) pass(sh *parShard, t int, anyPull, dialAll bool) {
+// engaged path — unless the shard can hold no sender, no cohort pulls and
+// the round does not dial everywhere (see parShard.sends), in which case
+// there is nothing to scan for.
+func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 	sh.tx = 0
 	sh.outbox = sh.outbox[:0]
 	sh.usedBuf = sh.usedBuf[:0]
-	if !dialAll && !sh.sends {
+	if dial != dialEveryone && !sh.sends && !anyPull {
 		return
 	}
 	if e.fast {
-		e.shardPassFast(sh, t, anyPull, dialAll)
+		e.shardPassFast(sh, t, anyPull, dial)
 	} else {
-		e.shardPass(sh, t, anyPull, dialAll)
+		e.shardPass(sh, t, anyPull, dial)
 	}
 }
 
@@ -235,7 +258,7 @@ func (e *Engine) pass(sh *parShard, t int, anyPull, dialAll bool) {
 // shard's own dial rows, per-node dial memory/cursors, and outbox, so
 // concurrent shard passes never race. Delivery candidates are queued in
 // the outbox; global dedup happens in the sequential merge.
-func (e *Engine) shardPass(sh *parShard, t int, anyPull, dialAll bool) {
+func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
 	track := e.usedEdges != nil
 	loss := e.cfg.MessageLossProb
 
@@ -244,13 +267,13 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull, dialAll bool) {
 		// almost every node fails the cohort test, which is one load.
 		ia := e.informedAt[v]
 		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.topo.Alive(v)
-		if dialAll {
+		if dial == dialEveryone {
 			if e.topo.Alive(v) {
 				e.sampleDialsFor(v, &sh.ds)
 			} else {
 				e.clearDialRow(v)
 			}
-		} else if sender {
+		} else if sender && dial == dialSenders {
 			e.sampleDialsFor(v, &sh.ds)
 		}
 		if !sender {
