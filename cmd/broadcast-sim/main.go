@@ -136,6 +136,9 @@ func run() error {
 			kind = "implicit"
 		}
 		fmt.Printf("topology: %s (%s, n=%d)\n", common.Topology, kind, *n)
+		if rs, ok := spec.(regcast.RegularStreamSpec); ok && rs.D == 2 {
+			fmt.Println("note: regular-stream with d=2 is a single permutation 2-factor, a disjoint union of cycles that is almost never connected; use d >= 4 for broadcast")
+		}
 	}
 	fmt.Printf("protocol: %s (choices=%d horizon=%d)\n", proto.Name(), proto.Choices(), proto.Horizon())
 

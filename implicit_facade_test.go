@@ -102,6 +102,34 @@ func TestImplicitMatchesDenseTraces(t *testing.T) {
 	}
 }
 
+// TestRegularStreamFacadeGolden pins one regular-stream run end to end.
+// The twin tests above only compare the family with its own
+// materialisation, so they cannot see the family itself change; this
+// fingerprint (with graph.TestRegularStreamGolden) can. A documented
+// reseed of the permutation edits it.
+func TestRegularStreamFacadeGolden(t *testing.T) {
+	spec, err := regcast.ParseTopologySpec("regular-stream:n=300,d=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := baseline.NewPush(300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := regcast.NewScenarioSpec(spec, proto, regcast.WithSeed(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := regcast.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [6]uint64{25, 18, 300, 4538, 7500, 0x5131a94a60dadc5d}
+	if got := fingerprint(res); got != want {
+		t.Errorf("regular-stream:n=300,d=6 push, seed 17: fingerprint %#v, want %#v", got, want)
+	}
+}
+
 // TestImplicitMatchesDenseUnderFaults extends the bit-identity pin to
 // the fault samplers: channel failure and message loss draw from the run
 // stream in dial order, so the implicit path must consume the stream

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"regcast/internal/xrand"
 )
@@ -234,22 +235,38 @@ func (g *GnpStream) NeighborAt(v, i int) int32 {
 
 // RegularStream is a seeded d-regular multigraph (d even) with O(1)
 // regenerable adjacency and zero per-node storage: it is the union of
-// d/2 pseudorandom permutation 2-factors. Permutation j is a 4-round
-// Feistel network over 2b-bit values (2^(2b) ≥ n) with cycle-walking,
-// so π_j and its inverse are both O(1) arithmetic. Row v lists
+// d/2 pseudorandom permutation 2-factors. Permutation j is a four-round
+// alternating Feistel network over exactly w = bits.Len(n-1) bits — a
+// high half of ⌊w/2⌋ bits and a low half of ⌈w/2⌉, each round XORing
+// one half with the keyed mix (feistelF) of the other — closed over
+// [0,n) by cycle-walking: the domain 2^w is < 2n, so a call walks fewer
+// than two times on average and exactly once at powers of two. Running
+// the rounds backwards is the same network with the halves swapped and
+// the keys reversed, so π_j and π_j⁻¹ share one branch-free body
+// (NeighborAt) and differ only in their key row. Row v lists
 // π_0(v), π_0⁻¹(v), π_1(v), π_1⁻¹(v), ... — the multiset is symmetric
 // (w appears in row v exactly as often as v appears in row w), so the
 // family is an undirected d-regular multigraph. Self-loops occur only
 // at permutation fixed points (O(d) nodes in expectation).
+//
+// The round function is the one-multiply feistelF: one serial multiply
+// a round is enough to pass TestRegularStreamLooksRandom (a uniform
+// permutation's cycle count and fixed points, RandomRegular's spectral
+// gap), so nothing heavier is paid for. TestRegularStreamGolden pins
+// the exact rows, so a change to the network or to feistelF is a
+// documented reseed of every regular-stream run.
 type RegularStream struct {
-	n, d     int
-	halfBits uint
-	mask     uint64
-	keys     [][4]uint64 // one 4-round key schedule per permutation
+	n, d   int
+	loBits uint     // width of the low half; the high half has w-loBits bits
+	hiMask uint64   // 1<<(w-loBits) - 1
+	loMask uint64   // 1<<loBits - 1
+	keys   []uint64 // 4 round keys per slot i: π_{i/2}'s schedule, reversed for odd i
 }
 
 // NewRegularStream builds the seeded streaming d-regular multigraph.
-// d must be even, 2 ≤ d < n.
+// d must be even, 2 ≤ d < n. One permutation 2-factor is a disjoint
+// union of cycles, so d = 2 is almost never connected: use d ≥ 4 for
+// anything that must reach every node.
 func NewRegularStream(n, d int, seed uint64) (*RegularStream, error) {
 	if n < 2 || int64(n) > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: regular-stream n %d out of range [2, MaxInt32]", n)
@@ -257,17 +274,14 @@ func NewRegularStream(n, d int, seed uint64) (*RegularStream, error) {
 	if d < 2 || d%2 != 0 || d >= n {
 		return nil, fmt.Errorf("graph: regular-stream degree %d must be even and in [2, n)", d)
 	}
-	// Smallest b with 2^(2b) >= n.
-	b := uint(1)
-	for 1<<(2*b) < n {
-		b++
-	}
+	w := uint(bits.Len(uint(n - 1)))
 	g := &RegularStream{
-		n:        n,
-		d:        d,
-		halfBits: b,
-		mask:     1<<b - 1,
-		keys:     make([][4]uint64, d/2),
+		n:      n,
+		d:      d,
+		loBits: w - w/2,
+		hiMask: 1<<(w/2) - 1,
+		loMask: 1<<(w-w/2) - 1,
+		keys:   make([]uint64, 4*d),
 	}
 	s := seed
 	next := func() uint64 {
@@ -280,9 +294,11 @@ func NewRegularStream(n, d int, seed uint64) (*RegularStream, error) {
 		x ^= x >> 31
 		return x
 	}
-	for j := range g.keys {
-		for rd := 0; rd < 4; rd++ {
-			g.keys[j][rd] = next()
+	for j := 0; j < d/2; j++ {
+		fwd, inv := g.keys[8*j:8*j+4], g.keys[8*j+4:8*j+8]
+		for rd := range fwd {
+			fwd[rd] = next()
+			inv[3-rd] = fwd[rd]
 		}
 	}
 	return g, nil
@@ -292,61 +308,38 @@ func (g *RegularStream) NumNodes() int      { return g.n }
 func (g *RegularStream) Degree(int) int     { return g.d }
 func (g *RegularStream) UniformDegree() int { return g.d }
 
-// feistelF is the round function: a cheap keyed mix of the b-bit half.
-func (g *RegularStream) feistelF(half, key uint64) uint64 {
+// feistelF is the round function: one multiply spreads the keyed half
+// upwards and the fold brings the well-mixed high word back down; the
+// caller masks the result to the other half's width.
+func feistelF(half, key uint64) uint64 {
 	x := (half + key) * 0x9e3779b97f4a7c15
-	x ^= x >> 29
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 32
-	return x & g.mask
+	return x ^ x>>32
 }
 
-// encrypt applies the 4-round Feistel permutation over 2b bits.
-func (g *RegularStream) encrypt(j int, x uint64) uint64 {
-	l, r := x>>g.halfBits, x&g.mask
-	for rd := 0; rd < 4; rd++ {
-		l, r = r, l^g.feistelF(r, g.keys[j][rd])
-	}
-	return l<<g.halfBits | r
-}
-
-// decrypt inverts encrypt.
-func (g *RegularStream) decrypt(j int, x uint64) uint64 {
-	l, r := x>>g.halfBits, x&g.mask
-	for rd := 3; rd >= 0; rd-- {
-		l, r = r^g.feistelF(l, g.keys[j][rd]), l
-	}
-	return l<<g.halfBits | r
-}
-
-// perm is π_j over [0,n): cycle-walk the 2b-bit Feistel permutation
-// until it lands back inside the domain. Terminates because a
-// permutation's cycle through x re-enters [0,n) at least at x itself.
-func (g *RegularStream) perm(j, v int) int32 {
-	x := uint64(v)
-	for {
-		x = g.encrypt(j, x)
-		if x < uint64(g.n) {
-			return int32(x)
-		}
-	}
-}
-
-// permInv is π_j⁻¹ over [0,n).
-func (g *RegularStream) permInv(j, v int) int32 {
-	x := uint64(v)
-	for {
-		x = g.decrypt(j, x)
-		if x < uint64(g.n) {
-			return int32(x)
-		}
-	}
-}
-
+// NeighborAt is π_{i/2}(v) for even i and π_{i/2}⁻¹(v) for odd i. An odd
+// slot enters the network with the halves (and their masks) swapped —
+// m is all ones exactly then — and reads the reversed key row, which
+// together run the four rounds backwards. Cycle-walking terminates
+// because a permutation's cycle through x re-enters [0,n) at least at
+// x itself.
 func (g *RegularStream) NeighborAt(v, i int) int32 {
-	j := i >> 1
-	if i&1 == 0 {
-		return g.perm(j, v)
+	k := (*[4]uint64)(g.keys[4*i:])
+	m := -uint64(i & 1)
+	sw := (g.hiMask ^ g.loMask) & m
+	pm, qm := g.hiMask^sw, g.loMask^sw
+	x := uint64(v)
+	for {
+		hi, lo := x>>g.loBits, x&g.loMask
+		t := (hi ^ lo) & m
+		p, q := hi^t, lo^t
+		p ^= feistelF(q, k[0]) & pm
+		q ^= feistelF(p, k[1]) & qm
+		p ^= feistelF(q, k[2]) & pm
+		q ^= feistelF(p, k[3]) & qm
+		t = (p ^ q) & m
+		x = (p^t)<<g.loBits | (q ^ t)
+		if x < uint64(g.n) {
+			return int32(x)
+		}
 	}
-	return g.permInv(j, v)
 }

@@ -1,7 +1,12 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
+
+	"regcast/internal/xrand"
 )
 
 // materializedEqual asserts g's CSR rows are element-for-element
@@ -165,34 +170,56 @@ func TestGnpStreamDeterministicAcrossInstances(t *testing.T) {
 }
 
 func TestRegularStreamPermutationStructure(t *testing.T) {
-	for _, tc := range []struct {
+	type shape struct {
 		n, d int
 		seed uint64
-	}{
+	}
+	cases := []shape{
 		{100, 4, 1},
-		{257, 8, 5}, // non-power-of-two: exercises cycle-walking
+		{257, 8, 5}, // one past a power of two: the longest cycle-walks
 		{64, 2, 9},
 		{1000, 6, 11},
-	} {
+	}
+	// Every width w = 2..13, at both ends of each width's range of n and
+	// on the power of two itself, where the domain is exactly n.
+	ns := []int{3, 4, 5}
+	for k := 2; k <= 12; k++ {
+		ns = append(ns, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, n := range ns {
+		for _, d := range []int{2, 4} {
+			if d < n {
+				cases = append(cases, shape{n, d, uint64(n*7 + d)})
+			}
+		}
+	}
+	checkDomain := func(im *RegularStream) {
+		t.Helper()
+		if n, dom := uint64(im.NumNodes()), im.FeistelDomain(); dom < n || dom >= 2*n {
+			t.Fatalf("n=%d: Feistel domain %d outside [n, 2n)", n, dom)
+		}
+	}
+	for _, tc := range cases {
 		im, err := NewRegularStream(tc.n, tc.d, tc.seed)
 		if err != nil {
 			t.Fatalf("n=%d d=%d: %v", tc.n, tc.d, err)
 		}
-		// Each 2-factor is a bijection: perm and permInv invert each other,
-		// exercised through the public NeighborAt (slot 2j = π_j, 2j+1 = π_j⁻¹).
+		checkDomain(im)
+		// Each 2-factor is a bijection whose odd slot inverts its even
+		// slot (slot 2j = π_j, 2j+1 = π_j⁻¹).
 		for j := 0; j < tc.d/2; j++ {
 			seen := make([]bool, tc.n)
 			for v := 0; v < tc.n; v++ {
 				w := int(im.NeighborAt(v, 2*j))
 				if w < 0 || w >= tc.n {
-					t.Fatalf("π_%d(%d) = %d out of range", j, v, w)
+					t.Fatalf("n=%d: π_%d(%d) = %d out of range", tc.n, j, v, w)
 				}
 				if seen[w] {
-					t.Fatalf("π_%d not injective at image %d", j, w)
+					t.Fatalf("n=%d: π_%d not injective at image %d", tc.n, j, w)
 				}
 				seen[w] = true
 				if back := int(im.NeighborAt(w, 2*j+1)); back != v {
-					t.Fatalf("π_%d⁻¹(π_%d(%d)) = %d", j, j, v, back)
+					t.Fatalf("n=%d: π_%d⁻¹(π_%d(%d)) = %d", tc.n, j, j, v, back)
 				}
 			}
 		}
@@ -220,10 +247,68 @@ func TestRegularStreamPermutationStructure(t *testing.T) {
 			}
 		}
 	}
+	// Too large to enumerate: sampled round trips at the E23 size (w = 27)
+	// and at the int32 ceiling (w = 31).
+	for _, n := range []int{100_000_000, math.MaxInt32} {
+		im, err := NewRegularStream(n, 16, 7)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		checkDomain(im)
+		rng := xrand.New(uint64(n))
+		for s := 0; s < 20000; s++ {
+			v, i := rng.IntN(n), rng.IntN(16)
+			if s < 32 {
+				v = n - 1 - s/16 // the top of the range, every slot
+				i = s % 16
+			}
+			w := int(im.NeighborAt(v, i))
+			if w < 0 || w >= n {
+				t.Fatalf("n=%d: NeighborAt(%d,%d) = %d out of range", n, v, i, w)
+			}
+			if back := int(im.NeighborAt(w, i^1)); back != v {
+				t.Fatalf("n=%d: slot %d then %d maps %d to %d to %d", n, i, i^1, v, w, back)
+			}
+		}
+	}
 	if _, err := NewRegularStream(100, 3, 1); err == nil {
 		t.Fatal("odd degree accepted")
 	}
 	if _, err := NewRegularStream(4, 4, 1); err == nil {
 		t.Fatal("d >= n accepted")
+	}
+}
+
+// TestRegularStreamGolden pins the family's exact rows: nothing else in
+// the suite notices a changed permutation (every other test compares the
+// stream with its own materialisation). A change to the Feistel network,
+// its round function or the key schedule reseeds every regular-stream
+// run; it must edit these constants and say so in EXPERIMENTS.md.
+func TestRegularStreamGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n, d, rows int
+		seed       uint64
+		want       uint64
+	}{
+		{256, 6, 256, 32, 0x13b011f6117fb705},    // even width, domain = n
+		{300, 6, 300, 17, 0xd093cd14fb18612d},    // odd width with cycle-walking
+		{131072, 16, 1024, 1, 0x646617f4821000b}, // the stream-push benchmark shape
+	} {
+		im, err := NewRegularStream(tc.n, tc.d, tc.seed)
+		if err != nil {
+			t.Fatalf("n=%d d=%d: %v", tc.n, tc.d, err)
+		}
+		h := fnv.New64a()
+		var buf [4]byte
+		for v := 0; v < tc.rows; v++ {
+			for i := 0; i < tc.d; i++ {
+				binary.LittleEndian.PutUint32(buf[:], uint32(im.NeighborAt(v, i)))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("n=%d d=%d seed=%d: FNV-1a of the first %d rows = %#x, want %#x",
+				tc.n, tc.d, tc.seed, tc.rows, got, tc.want)
+		}
 	}
 }

@@ -246,6 +246,10 @@ func (s GnpStreamSpec) Implicit() bool { return !s.Dense }
 // construction (O(n·d) memory) is unaffordable. Each replication draws
 // a fresh seed from rng. Set Dense to materialise the same multigraph;
 // dense and implicit runs are bit-identical for equal (rep, rng).
+//
+// D = 2 is a single 2-factor — a disjoint union of cycles, almost never
+// connected — so a broadcast on it stalls inside the source's cycle; use
+// D ≥ 4 for anything that must reach every node.
 type RegularStreamSpec struct {
 	N, D  int
 	Dense bool
