@@ -24,17 +24,21 @@ import (
 //
 // The adjacency is stored in compressed-sparse-row form from the start:
 // every id owns a fixed-stride row of d slots in one flat stub array, and
-// adj[v] is a slice aliasing that row (length = current degree, capacity
-// = d), so each local edge operation updates the CSR view in place. That
-// is what makes the overlay a phonecall.CSRViewer — the broadcast
-// engine's zero-interface fast path runs directly on these arrays, with
-// an alive bitset for liveness and an epoch counter that tells the
-// engine when anything changed (see CSRView).
+// a flat degree array says how many of them are in use (d for an alive
+// peer between operations, 0 for a dead id) — no per-row slice header, so
+// each local edge operation is index arithmetic on two flat arrays and
+// updates the CSR view in place. That is what makes the overlay a
+// phonecall.CSRViewer — the broadcast engine's zero-interface fast path
+// runs directly on these arrays, with an alive bitset for liveness and an
+// epoch counter that tells the engine when anything changed (see
+// CSRView). Exact d-regularity of the alive peers (CheckInvariants) is
+// also what lets DialBudget answer in O(1).
 type Overlay struct {
 	d         int
-	stubs     []int32   // flat (cap × d) backing; row v is stubs[v*d : v*d+deg(v)]
-	offsets   []int32   // fixed stride: offsets[v] = v*d (the CSR view's offsets)
-	adj       [][]int32 // adj[v] aliases row v of stubs
+	stubs     []int32 // flat (cap × d) backing; row v is stubs[v*d : v*d+deg[v]]
+	deg       []int32 // slots of row v in use
+	offsets   []int32 // fixed stride: offsets[v] = v*d (the CSR view's offsets)
+	dangling  []int32 // Leave's stub scratch (capacity d), reused across calls
 	alive     []bool
 	aliveBits []uint64 // bit v mirrors alive[v] (the CSR view's liveness)
 	aliveCnt  int
@@ -53,6 +57,7 @@ type MembershipFunc func(id int, joined bool)
 var _ phonecall.Topology = (*Overlay)(nil)
 var _ phonecall.CSRViewer = (*Overlay)(nil)
 var _ phonecall.AliveCounter = (*Overlay)(nil)
+var _ phonecall.DialBudgeter = (*Overlay)(nil)
 
 // New builds an overlay of n alive peers of even degree d, with headroom
 // spare slots for future joins, seeded from an exact random d-regular
@@ -81,8 +86,9 @@ func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 	o := &Overlay{
 		d:         d,
 		stubs:     make([]int32, capacity*d),
+		deg:       make([]int32, capacity),
 		offsets:   make([]int32, capacity+1),
-		adj:       make([][]int32, capacity),
+		dangling:  make([]int32, 0, d),
 		alive:     make([]bool, capacity),
 		aliveBits: make([]uint64, (capacity+63)/64),
 		rng:       rng,
@@ -90,12 +96,9 @@ func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 	for v := 0; v <= capacity; v++ {
 		o.offsets[v] = int32(v * d)
 	}
-	for v := 0; v < capacity; v++ {
-		o.adj[v] = o.stubs[v*d : v*d : (v+1)*d] // empty row aliasing its fixed-stride slots
-	}
 	for v := 0; v < n; v++ {
-		o.adj[v] = o.adj[v][:d]
-		copy(o.adj[v], g.Neighbors(v))
+		copy(o.stubs[v*d:(v+1)*d], g.Neighbors(v))
+		o.deg[v] = int32(d)
 		o.setAlive(v, true)
 	}
 	for v := capacity - 1; v >= n; v-- {
@@ -132,7 +135,10 @@ func (o *Overlay) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64)
 }
 
 // NumNodes implements phonecall.Topology (id-space size incl. dead slots).
-func (o *Overlay) NumNodes() int { return len(o.adj) }
+func (o *Overlay) NumNodes() int { return len(o.deg) }
+
+// row returns v's adjacency: the slots of its fixed-stride row in use.
+func (o *Overlay) row(v int) []int32 { return o.stubs[v*o.d : v*o.d+int(o.deg[v])] }
 
 // AliveCount returns the number of participating peers.
 func (o *Overlay) AliveCount() int { return o.aliveCnt }
@@ -141,13 +147,18 @@ func (o *Overlay) AliveCount() int { return o.aliveCnt }
 func (o *Overlay) TargetDegree() int { return o.d }
 
 // Degree implements phonecall.Topology.
-func (o *Overlay) Degree(v int) int { return len(o.adj[v]) }
+func (o *Overlay) Degree(v int) int { return int(o.deg[v]) }
 
 // Neighbor implements phonecall.Topology.
-func (o *Overlay) Neighbor(v, i int) int { return int(o.adj[v][i]) }
+func (o *Overlay) Neighbor(v, i int) int { return int(o.row(v)[i]) }
 
 // Alive implements phonecall.Topology.
 func (o *Overlay) Alive(v int) bool { return o.alive[v] }
+
+// DialBudget implements phonecall.DialBudgeter in O(1): every alive peer
+// has degree exactly d between operations (the invariant CheckInvariants
+// asserts), so the per-round budget is AliveCount × min(k, d).
+func (o *Overlay) DialBudget(k int) int64 { return int64(o.aliveCnt) * int64(min(k, o.d)) }
 
 // OnMembership subscribes fn to join/leave events. Callbacks fire
 // synchronously inside Join and Leave, after the topology mutation is
@@ -168,7 +179,7 @@ func (o *Overlay) notify(id int, joined bool) {
 // with the pair (u,new),(w,new); all degrees stay exactly d.
 func (o *Overlay) Join() (int, error) {
 	if len(o.freeIDs) == 0 {
-		return -1, fmt.Errorf("overlay: no free slots (capacity %d)", len(o.adj))
+		return -1, fmt.Errorf("overlay: no free slots (capacity %d)", len(o.deg))
 	}
 	if o.aliveCnt <= o.d {
 		return -1, fmt.Errorf("overlay: too few peers (%d) to splice a join", o.aliveCnt)
@@ -199,7 +210,7 @@ func (o *Overlay) Join() (int, error) {
 // degree is preserved (self-loops can arise and are represented as two
 // stub entries, exactly as in the configuration model).
 func (o *Overlay) Leave(v int) error {
-	if v < 0 || v >= len(o.adj) || !o.alive[v] {
+	if v < 0 || v >= len(o.deg) || !o.alive[v] {
 		return fmt.Errorf("overlay: Leave(%d): not an alive peer", v)
 	}
 	if o.aliveCnt <= o.d+1 {
@@ -207,8 +218,8 @@ func (o *Overlay) Leave(v int) error {
 	}
 	o.epoch++
 	// Collect dangling stubs, dropping v's own self-loops entirely.
-	dangling := make([]int32, 0, len(o.adj[v]))
-	for _, w := range o.adj[v] {
+	dangling := o.dangling[:0]
+	for _, w := range o.row(v) {
 		if int(w) != v {
 			dangling = append(dangling, w)
 		}
@@ -217,7 +228,7 @@ func (o *Overlay) Leave(v int) error {
 	for _, w := range dangling {
 		o.removeDirected(int(w), int32(v))
 	}
-	o.adj[v] = o.adj[v][:0]
+	o.deg[v] = 0
 	o.setAlive(v, false)
 	o.freeIDs = append(o.freeIDs, int32(v))
 
@@ -254,9 +265,9 @@ func (o *Overlay) Mix(steps int) {
 // Snapshot freezes the alive part of the overlay into an immutable Graph
 // together with the mapping from snapshot ids to overlay ids.
 func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
-	newID := make([]int32, len(o.adj))
+	newID := make([]int32, len(o.deg))
 	var orig []int32
-	for v := range o.adj {
+	for v := range o.deg {
 		newID[v] = -1
 		if o.alive[v] {
 			newID[v] = int32(len(orig))
@@ -265,7 +276,7 @@ func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
 	}
 	adj := make([][]int32, len(orig))
 	for nv, ov := range orig {
-		for _, w := range o.adj[ov] {
+		for _, w := range o.row(int(ov)) {
 			if o.alive[w] {
 				adj[nv] = append(adj[nv], newID[w])
 			}
@@ -283,17 +294,17 @@ func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
 // intended for tests and debugging.
 func (o *Overlay) CheckInvariants() error {
 	counts := make(map[[2]int32]int)
-	for v := range o.adj {
+	for v := range o.deg {
 		if !o.alive[v] {
-			if len(o.adj[v]) != 0 {
-				return fmt.Errorf("overlay: dead peer %d has %d stubs", v, len(o.adj[v]))
+			if o.deg[v] != 0 {
+				return fmt.Errorf("overlay: dead peer %d has %d stubs", v, o.deg[v])
 			}
 			continue
 		}
-		if len(o.adj[v]) != o.d {
-			return fmt.Errorf("overlay: peer %d has degree %d, want %d", v, len(o.adj[v]), o.d)
+		if int(o.deg[v]) != o.d {
+			return fmt.Errorf("overlay: peer %d has degree %d, want %d", v, o.deg[v], o.d)
 		}
-		for _, w := range o.adj[v] {
+		for _, w := range o.row(v) {
 			if !o.alive[w] {
 				return fmt.Errorf("overlay: peer %d adjacent to dead peer %d", v, w)
 			}
@@ -317,30 +328,31 @@ func (o *Overlay) CheckInvariants() error {
 // one of its stubs uniformly.
 func (o *Overlay) randomEdge() (int, int32) {
 	for {
-		v := o.rng.IntN(len(o.adj))
-		if !o.alive[v] || len(o.adj[v]) == 0 {
+		v := o.rng.IntN(len(o.deg))
+		if !o.alive[v] || o.deg[v] == 0 {
 			continue
 		}
-		i := o.rng.IntN(len(o.adj[v]))
-		return v, o.adj[v][i]
+		return v, o.stubs[v*o.d+o.rng.IntN(int(o.deg[v]))]
 	}
 }
 
 // addEdge appends the two stub entries of edge (u,w). A self-loop (u==w)
-// appends two entries at u. Rows alias fixed-stride CSR slots, so an
-// append past capacity d would silently detach a row from the shared
-// backing — the guard turns that (impossible by the degree invariant)
+// appends two entries at u. Rows are fixed-stride slots of one flat
+// array, so an append past capacity d would silently overwrite the next
+// peer's row — the guard turns that (impossible by the degree invariant)
 // state into a loud failure instead.
 func (o *Overlay) addEdge(u int, w int32) {
-	overflow := len(o.adj[u]) >= o.d || len(o.adj[w]) >= o.d
+	overflow := int(o.deg[u]) >= o.d || int(o.deg[w]) >= o.d
 	if u == int(w) {
-		overflow = len(o.adj[u])+2 > o.d
+		overflow = int(o.deg[u])+2 > o.d
 	}
 	if overflow {
 		panic(fmt.Sprintf("overlay: addEdge(%d,%d) would exceed degree %d", u, w, o.d))
 	}
-	o.adj[u] = append(o.adj[u], w)
-	o.adj[w] = append(o.adj[w], int32(u))
+	o.stubs[u*o.d+int(o.deg[u])] = w
+	o.deg[u]++
+	o.stubs[int(w)*o.d+int(o.deg[w])] = int32(u)
+	o.deg[w]++
 }
 
 // removeEdge deletes one instance of edge (u,w): one stub at each side
@@ -352,11 +364,11 @@ func (o *Overlay) removeEdge(u int, w int32) {
 
 // removeDirected deletes one occurrence of w from u's list.
 func (o *Overlay) removeDirected(u int, w int32) {
-	lst := o.adj[u]
-	for i, x := range lst {
+	row := o.row(u)
+	for i, x := range row {
 		if x == w {
-			lst[i] = lst[len(lst)-1]
-			o.adj[u] = lst[:len(lst)-1]
+			row[i] = row[len(row)-1]
+			o.deg[u]--
 			return
 		}
 	}
@@ -373,6 +385,7 @@ type Churner struct {
 	LeaveProb float64
 	MixSteps  int
 	rng       *xrand.Rand
+	joined    []int // Step's result buffer, reused across calls
 
 	// Joins / Leaves / Rejected count the operations performed (rejected =
 	// ops skipped because of capacity or minimum-size limits).
@@ -395,7 +408,9 @@ func NewChurner(o *Overlay, joinProb, leaveProb float64, mixSteps int, rng *xran
 	return &Churner{Overlay: o, JoinProb: joinProb, LeaveProb: leaveProb, MixSteps: mixSteps, rng: rng}, nil
 }
 
-// Step implements phonecall.Stepper.
+// Step implements phonecall.Stepper. The returned slice is the churner's
+// own buffer: it is valid until the next Step, so a caller that keeps the
+// ids longer must copy them.
 func (c *Churner) Step(round int) []int {
 	o := c.Overlay
 	leaves := c.rng.Binomial(o.AliveCount(), c.LeaveProb)
@@ -411,7 +426,7 @@ func (c *Churner) Step(round int) []int {
 		c.Leaves++
 	}
 	joins := c.rng.Binomial(o.AliveCount(), c.JoinProb)
-	var joined []int
+	joined := c.joined[:0]
 	for i := 0; i < joins; i++ {
 		id, err := o.Join()
 		if err != nil {
@@ -424,6 +439,7 @@ func (c *Churner) Step(round int) []int {
 	if c.MixSteps > 0 {
 		o.Mix(c.MixSteps)
 	}
+	c.joined = joined
 	return joined
 }
 
@@ -433,8 +449,8 @@ func (c *Churner) randomAlive() int {
 	if o.AliveCount() == 0 {
 		return -1
 	}
-	for tries := 0; tries < 16*len(o.adj); tries++ {
-		v := c.rng.IntN(len(o.adj))
+	for tries := 0; tries < 16*len(o.deg); tries++ {
+		v := c.rng.IntN(len(o.deg))
 		if o.alive[v] {
 			return v
 		}

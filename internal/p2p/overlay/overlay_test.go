@@ -354,3 +354,147 @@ func TestMembershipEvents(t *testing.T) {
 		t.Error("walk-joined peer not alive")
 	}
 }
+
+// scanBudget is the model's definition of the dial budget, written out:
+// every alive peer dials min(k, degree) neighbours. It deliberately does
+// not go through phonecall.DialBudget, which routes to the O(1) method
+// under test.
+func scanBudget(o *Overlay, k int) int64 {
+	var total int64
+	for v := 0; v < o.NumNodes(); v++ {
+		if o.Alive(v) {
+			total += int64(min(k, o.Degree(v)))
+		}
+	}
+	return total
+}
+
+// TestOverlayDialBudgetMatchesScan pins the O(1) budget against the
+// explicit scan after every step of a join/leave/mix run, including a k
+// above d (the clamp) and a growing and a shrinking overlay.
+func TestOverlayDialBudgetMatchesScan(t *testing.T) {
+	const n, d = 200, 6
+	for _, tc := range []struct{ join, leave float64 }{{0.05, 0.05}, {0.08, 0.01}, {0.01, 0.08}} {
+		o := newTestOverlay(t, n, d, n, 31)
+		ch, err := NewChurner(o, tc.join, tc.leave, 7, xrand.New(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round <= 40; round++ {
+			if round > 0 {
+				ch.Step(round)
+			}
+			for _, k := range []int{1, 4, d, d + 3} {
+				if got, want := o.DialBudget(k), scanBudget(o, k); got != want {
+					t.Fatalf("join=%v leave=%v round %d: DialBudget(%d) = %d, scan says %d",
+						tc.join, tc.leave, round, k, got, want)
+				}
+			}
+		}
+		if ch.Joins == 0 || ch.Leaves == 0 {
+			t.Fatalf("join=%v leave=%v: %d joins, %d leaves — the run did not churn", tc.join, tc.leave, ch.Joins, ch.Leaves)
+		}
+	}
+}
+
+// TestAddEdgeBeyondDegreePanics: rows are fixed-stride slots of one flat
+// array, so a (d+1)-th stub would land in the next peer's row. The guard
+// must fire for a full row at either endpoint and for a self-loop that
+// needs two free slots, and must leave the neighbouring row untouched.
+func TestAddEdgeBeyondDegreePanics(t *testing.T) {
+	const d = 4
+	for _, tc := range []struct {
+		name string
+		u, w int
+		free func(o *Overlay) // makes room at one endpoint only
+	}{
+		{"full-u", 2, 20, func(o *Overlay) {}},
+		{"full-w", 20, 2, func(o *Overlay) {}},
+		{"self-loop-one-free-slot", 2, 2, func(o *Overlay) { o.removeEdge(2, o.row(2)[0]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := newTestOverlay(t, 16, d, 8, 6) // ids 0..15 alive and full, 16..23 empty
+			tc.free(o)
+			next := append([]int32(nil), o.stubs[3*d:4*d]...)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("addEdge past degree d did not panic")
+				}
+				for i, x := range o.stubs[3*d : 4*d] {
+					if x != next[i] {
+						t.Fatalf("row of peer 3 overwritten at slot %d", i)
+					}
+				}
+			}()
+			o.addEdge(tc.u, int32(tc.w))
+		})
+	}
+}
+
+// TestCheckInvariantsCatchesCorruptDegree: deg is the only record of how
+// much of a row is in use, so CheckInvariants must notice a wrong entry —
+// too small or too large on an alive peer, non-zero on a dead id.
+func TestCheckInvariantsCatchesCorruptDegree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    int
+		deg  int32
+	}{{"alive-short", 5, 3}, {"alive-long", 5, 5}, {"dead-nonzero", 20, 1}} {
+		o := newTestOverlay(t, 16, 4, 8, 6)
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		o.deg[tc.v] = tc.deg
+		if err := o.CheckInvariants(); err == nil {
+			t.Errorf("%s: deg[%d] = %d went unnoticed", tc.name, tc.v, tc.deg)
+		}
+	}
+}
+
+// warmedChurner is the benchmark cell's overlay (1 % joins, 1 % leaves,
+// five mix steps per round) after enough steps for every buffer to have
+// reached its steady-state size.
+func warmedChurner(tb testing.TB, n, d int) *Churner {
+	tb.Helper()
+	master := xrand.New(77)
+	o, err := New(n, d, n, master.Split())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ch, err := NewChurner(o, 0.01, 0.01, 5, master.Split())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for round := 1; round <= 64; round++ {
+		ch.Step(round)
+	}
+	return ch
+}
+
+// TestChurnerStepSteadyStateAllocFree guards the reuse of Leave's stub
+// scratch and Step's joined buffer: on a warmed overlay a step allocates
+// nothing.
+func TestChurnerStepSteadyStateAllocFree(t *testing.T) {
+	ch := warmedChurner(t, 2048, 8)
+	round := 64
+	allocs := testing.AllocsPerRun(50, func() {
+		round++
+		ch.Step(round)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per Churner.Step on a warmed overlay, want 0", allocs)
+	}
+	if err := ch.Overlay.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkChurnerStep is one churn step of the benchmark cell's overlay.
+func BenchmarkChurnerStep(b *testing.B) {
+	ch := warmedChurner(b, 16384, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Step(65 + i)
+	}
+}

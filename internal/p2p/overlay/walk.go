@@ -8,7 +8,7 @@ import "fmt"
 // (Pandurangan, Raghavan & Upfal — reference [32] of the paper): on a
 // regular expander, O(log n) steps land on a nearly uniform peer.
 func (o *Overlay) RandomWalk(from, length int) (int, error) {
-	if from < 0 || from >= len(o.adj) || !o.alive[from] {
+	if from < 0 || from >= len(o.deg) || !o.alive[from] {
 		return -1, fmt.Errorf("overlay: RandomWalk from %d: not an alive peer", from)
 	}
 	if length < 0 {
@@ -16,11 +16,11 @@ func (o *Overlay) RandomWalk(from, length int) (int, error) {
 	}
 	cur := from
 	for step := 0; step < length; step++ {
-		deg := len(o.adj[cur])
-		if deg == 0 {
+		row := o.row(cur)
+		if len(row) == 0 {
 			return -1, fmt.Errorf("overlay: walk stranded at degree-0 peer %d", cur)
 		}
-		cur = int(o.adj[cur][o.rng.IntN(deg)])
+		cur = int(row[o.rng.IntN(len(row))])
 	}
 	return cur, nil
 }
@@ -32,12 +32,12 @@ func (o *Overlay) RandomWalk(from, length int) (int, error) {
 // on the expander overlay that suffices for near-uniform edge selection.
 func (o *Overlay) WalkJoin(contact, walkLen int) (int, error) {
 	if len(o.freeIDs) == 0 {
-		return -1, fmt.Errorf("overlay: no free slots (capacity %d)", len(o.adj))
+		return -1, fmt.Errorf("overlay: no free slots (capacity %d)", len(o.deg))
 	}
 	if o.aliveCnt <= o.d {
 		return -1, fmt.Errorf("overlay: too few peers (%d) to splice a join", o.aliveCnt)
 	}
-	if contact < 0 || contact >= len(o.adj) || !o.alive[contact] {
+	if contact < 0 || contact >= len(o.deg) || !o.alive[contact] {
 		return -1, fmt.Errorf("overlay: WalkJoin contact %d: not an alive peer", contact)
 	}
 	if walkLen < 1 {
@@ -56,10 +56,10 @@ func (o *Overlay) WalkJoin(contact, walkLen int) (int, error) {
 			o.freeIDs = append(o.freeIDs, int32(id))
 			return -1, err
 		}
-		if u == id || len(o.adj[u]) == 0 {
+		if u == id || o.deg[u] == 0 {
 			continue
 		}
-		w := o.adj[u][o.rng.IntN(len(o.adj[u]))]
+		w := o.row(u)[o.rng.IntN(int(o.deg[u]))]
 		if u == id || int(w) == id {
 			continue
 		}

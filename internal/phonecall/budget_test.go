@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"regcast/internal/baseline"
+	"regcast/internal/core"
 	"regcast/internal/graph"
 	"regcast/internal/p2p/overlay"
 	"regcast/internal/phonecall"
@@ -11,11 +12,13 @@ import (
 )
 
 // The dial-budget cache (refreshBudget) replaces the per-round O(n)
-// DialBudget scan for dynamic topologies. These tests pin it two ways:
+// DialBudget scan for dynamic topologies. These tests pin it three ways:
 // on the real E13b churn overlay every per-round ChannelsDial must equal
-// what a fresh scan of the stepped topology would charge, and on a
+// what a fresh scan of the stepped topology would charge, on a
 // membership-stable stepper the engine must not consult Degree at all
-// after construction.
+// after construction, and on the churning overlay's fast path — whose
+// budget is O(1) and whose recount is a popcount — a whole run must make
+// no Alive or Degree call through the interface.
 
 // churningTopo drives an overlay with its churner (the E13b combination)
 // and records, after every step, the alive count the next round's budget
@@ -28,6 +31,7 @@ type churningTopo struct {
 
 var _ phonecall.Stepper = (*churningTopo)(nil)
 var _ phonecall.AliveCounter = (*churningTopo)(nil)
+var _ phonecall.DialBudgeter = (*churningTopo)(nil)
 
 func (c *churningTopo) Step(round int) []int {
 	joined := c.ch.Step(round)
@@ -140,4 +144,136 @@ func TestBudgetNotRecomputedWithoutMembershipChange(t *testing.T) {
 	if res.ChannelsDialed != int64(50*128) {
 		t.Errorf("ChannelsDialed = %d, want %d", res.ChannelsDialed, 50*128)
 	}
+}
+
+// meteredChurn is the churning overlay with every Alive and Degree call
+// that arrives through the Topology interface counted. It doubles as the
+// run's Observer to keep an informed set of its own, from which Step
+// derives the recount oracle: after each step, the number of alive peers
+// that hold the message once the joiners have lost it.
+type meteredChurn struct {
+	*overlay.Overlay
+	ch                      *overlay.Churner
+	aliveCalls, degreeCalls int
+
+	informed        []bool
+	informedAfter   []int // oracle, per step
+	rejoinedHolders int   // joiners that took over the id of a peer holding the message
+}
+
+func (m *meteredChurn) Alive(v int) bool {
+	m.aliveCalls++
+	return m.Overlay.Alive(v)
+}
+
+func (m *meteredChurn) Degree(v int) int {
+	m.degreeCalls++
+	return m.Overlay.Degree(v)
+}
+
+func (m *meteredChurn) OnRound(phonecall.RoundMetrics) {}
+func (m *meteredChurn) OnInformed(node, round int)     { m.informed[node] = true }
+
+func (m *meteredChurn) Step(round int) []int {
+	joined := m.ch.Step(round)
+	for _, v := range joined {
+		if m.informed[v] {
+			m.rejoinedHolders++
+			m.informed[v] = false
+		}
+	}
+	count := 0
+	for v, inf := range m.informed {
+		if inf && m.Overlay.Alive(v) {
+			count++
+		}
+	}
+	m.informedAfter = append(m.informedAfter, count)
+	return joined
+}
+
+// newMeteredChurn builds the join/leave/mix overlay both tests below run
+// on; every call returns the same membership trajectory.
+func newMeteredChurn(t *testing.T, n, d int) *meteredChurn {
+	t.Helper()
+	base := buildChurnTopo(t, n, d, churnGolden{joinProb: 0.03, leaveProb: 0.03, mixSteps: 4}, 99)
+	return &meteredChurn{Overlay: base.Overlay, ch: base.ch, informed: make([]bool, base.NumNodes())}
+}
+
+// TestFastPathChurnRunMakesNoInterfaceScan pins "a churn round pays for
+// what changed" by count, not by time: once NewEngine has returned, a
+// fast-path run on the churning overlay makes no Topology.Alive and no
+// Topology.Degree call at all — the budget refresh and the informed
+// recount, which used to scan the id space through the interface after
+// every step, are O(1) and a popcount.
+func TestFastPathChurnRunMakesNoInterfaceScan(t *testing.T) {
+	const n, d = 256, 8
+	topo := newMeteredChurn(t, n, d)
+	alg1, err := core.NewAlgorithm1(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := phonecall.NewEngine(phonecall.Config{
+		Topology: topo,
+		Protocol: alg1,
+		RNG:      xrand.New(5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.aliveCalls, topo.degreeCalls = 0, 0
+	res := e.Run()
+	if topo.ch.Joins == 0 || topo.ch.Leaves == 0 {
+		t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", topo.ch.Joins, topo.ch.Leaves)
+	}
+	if topo.aliveCalls != 0 || topo.degreeCalls != 0 {
+		t.Errorf("%d-round fast-path churn run made %d Alive and %d Degree interface calls, want 0 and 0",
+			res.Rounds, topo.aliveCalls, topo.degreeCalls)
+	}
+}
+
+// TestChurnRecountMatchesOracle checks the popcount recount round by
+// round, on a run in which peers join, leave and — ids being recycled —
+// rejoin on the id of a peer that held the message: every PerRound
+// Informed must be the oracle's count after the previous step plus the
+// round's own receipts, on the fast path and on the reference path, whose
+// scan is the independent implementation.
+func TestChurnRecountMatchesOracle(t *testing.T) {
+	const n, d = 256, 8
+	alg1, err := core.NewAlgorithm1(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results [2]phonecall.Result
+	for i, reference := range []bool{false, true} {
+		topo := newMeteredChurn(t, n, d)
+		res, err := phonecall.Run(phonecall.Config{
+			Topology:        topo,
+			Protocol:        alg1,
+			RNG:             xrand.New(5),
+			RecordRounds:    true,
+			Observer:        topo,
+			DisableFastPath: reference,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.ch.Joins == 0 || topo.ch.Leaves == 0 || topo.rejoinedHolders == 0 {
+			t.Fatalf("reference=%v: %d joins, %d leaves, %d rejoins on an informed id — the run must exercise all three",
+				reference, topo.ch.Joins, topo.ch.Leaves, topo.rejoinedHolders)
+		}
+		before := 1 // the source
+		for r, rm := range res.PerRound {
+			if want := before + rm.NewlyInformed; rm.Informed != want {
+				t.Fatalf("reference=%v round %d: Informed = %d, oracle says %d + %d new = %d",
+					reference, rm.Round, rm.Informed, before, rm.NewlyInformed, want)
+			}
+			before = topo.informedAfter[r]
+		}
+		if res.Informed != before {
+			t.Fatalf("reference=%v: final Informed = %d, oracle says %d", reference, res.Informed, before)
+		}
+		results[i] = res
+	}
+	sameResult(t, "churn recount fast vs reference", results[0], results[1])
 }

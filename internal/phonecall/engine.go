@@ -155,8 +155,15 @@ type Engine struct {
 	n          int
 	k          int
 	informedAt []int32
-	pending    []int32 // nodes newly informed in the current round
-	isPending  []bool
+	// informedBits mirrors informedAt != Uninformed as a bitset, so that the
+	// per-round recount under churn is popcount(alive & informed) over n/64
+	// words. NewEngine allocates it only for a Stepper on the fast path:
+	// static runs never pay for it, and a MultiEngine — which swaps
+	// informedAt per message and never steps a topology — never owns one
+	// (it is built by newEngine), so round's nil check keeps it out.
+	informedBits []uint64
+	pending      []int32 // nodes newly informed in the current round
+	isPending    []bool
 
 	dialTargets []int32 // flat n×k; Uninformed (-1) marks "no channel"
 
@@ -239,6 +246,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if err := checkOrigin(cfg.Topology, "source", cfg.Source); err != nil {
 		return nil, err
+	}
+	if _, churns := cfg.Topology.(Stepper); churns && e.fast {
+		e.informedBits = make([]uint64, (e.n+63)/64)
 	}
 	return e, nil
 }
@@ -436,20 +446,7 @@ func (e *Engine) noteCompletion(res *Result, t, informedCount int, churning bool
 // finishResult fills the end-of-run summary fields from the final state.
 func (e *Engine) finishResult(res *Result) {
 	res.AliveNodes = e.aliveCount()
-	res.Informed = 0
-	if e.fast {
-		for v := 0; v < e.n; v++ {
-			if e.aliveFast(v) && e.informedAt[v] != Uninformed {
-				res.Informed++
-			}
-		}
-	} else {
-		for v := 0; v < e.n; v++ {
-			if e.topo.Alive(v) && e.informedAt[v] != Uninformed {
-				res.Informed++
-			}
-		}
-	}
+	res.Informed = e.recount()
 	res.AllInformed = res.Informed == res.AliveNodes && res.AliveNodes > 0
 	res.InformedAt = append([]int32(nil), e.informedAt...)
 }
@@ -653,8 +650,9 @@ func (e *Engine) sampleWithMemory(v, deg int, ds *dialState) {
 
 // dialBudget returns the number of dials the model mandates per round.
 // The value is cached: frozen topologies compute it once in NewEngine,
-// dynamic ones refresh it after membership changes (refreshBudget), so
-// the O(n) DialBudget scan no longer runs every round.
+// dynamic ones refresh it after membership changes (refreshBudget) — in
+// O(1) on a DialBudgeter such as the overlay, by the O(n) DialBudget scan
+// otherwise.
 func (e *Engine) dialBudget() int64 {
 	return e.budget
 }
@@ -666,7 +664,7 @@ func (e *Engine) dialBudget() int64 {
 // degrees without any membership change would need to pair the change
 // with a join/leave to be budgeted — no topology in this repository does
 // that, and the per-round budget test on the churn overlay pins the
-// cached values against fresh DialBudget scans.
+// cached values against the overlay's alive × min(k, d) ground truth.
 func (e *Engine) refreshBudget(joined []int) {
 	alive := e.aliveCount()
 	if len(joined) == 0 && alive == e.budgetAlive {
@@ -735,10 +733,18 @@ func (e *Engine) refreshCSR() {
 }
 
 // recount recomputes the informed-alive count after churn invalidated the
-// incremental counter (on the fast path over the CSR view's bitset —
-// callers refresh the view first).
+// incremental counter (on the fast path over the view's alive bitset —
+// callers refresh the view first): word-wise against informedBits when the
+// engine keeps one, by scan otherwise. The reference path's scan is the
+// oracle the popcount is tested against.
 func (e *Engine) recount() int {
 	c := 0
+	if e.informedBits != nil && e.aliveBits != nil {
+		for i, w := range e.informedBits {
+			c += bits.OnesCount64(w & e.aliveBits[i])
+		}
+		return c
+	}
 	if e.fast {
 		for v := 0; v < e.n; v++ {
 			if e.aliveFast(v) && e.informedAt[v] != Uninformed {

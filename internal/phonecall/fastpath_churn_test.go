@@ -40,7 +40,7 @@ type churnGolden struct {
 // Fast and reference runs each get their own instance (churn mutates the
 // topology), built from the same seed so both experience the identical
 // membership trajectory — the churner draws only from its own streams.
-func buildChurnTopo(t *testing.T, n, d int, g churnGolden, seed uint64) churnTopo {
+func buildChurnTopo(t testing.TB, n, d int, g churnGolden, seed uint64) churnTopo {
 	t.Helper()
 	master := xrand.New(seed)
 	ov, err := overlay.New(n, d, n, master.Split())
@@ -166,5 +166,31 @@ func TestChurnRunActuallyChurns(t *testing.T) {
 	}
 	if res.Rounds == 0 {
 		t.Fatal("run executed no rounds")
+	}
+}
+
+// BenchmarkEngineChurnRun is one replication of the repository benchmark's
+// churn-ensemble cell: the four-choice broadcast on a 16384 × 8 overlay
+// that loses 1 % and gains 1 % of its peers and takes five mix steps after
+// every round. Overlay construction is outside the timer.
+func BenchmarkEngineChurnRun(b *testing.B) {
+	const n, d = 16384, 8
+	proto, err := core.New(n, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	cell := churnGolden{joinProb: 0.01, leaveProb: 0.01, mixSteps: 5}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		topo := buildChurnTopo(b, n, d, cell, uint64(i)+1)
+		b.StartTimer()
+		if _, err := phonecall.Run(phonecall.Config{
+			Topology: topo,
+			Protocol: proto,
+			RNG:      xrand.New(uint64(i) + 1),
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -101,6 +101,9 @@ func (e *Engine) Run() Result {
 	res := Result{FirstAllInformed: -1}
 	e.informedAt[e.cfg.Source] = 0
 	e.shardOf(e.cfg.Source).cohort[0] = 1
+	if e.informedBits != nil {
+		e.informedBits[uint(e.cfg.Source)>>6] |= 1 << (uint(e.cfg.Source) & 63)
+	}
 	informedCount := 1
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnInformed(e.cfg.Source, 0)
@@ -124,6 +127,9 @@ func (e *Engine) Run() Result {
 				if ia := e.informedAt[v]; ia != Uninformed {
 					e.shardOf(v).cohort[ia]--
 					e.informedAt[v] = Uninformed
+					if e.informedBits != nil {
+						e.informedBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
+					}
 				}
 			}
 			e.refreshCSR()
@@ -207,6 +213,9 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	for _, v := range e.pending {
 		e.isPending[v] = false
 		e.informedAt[v] = int32(t)
+		if e.informedBits != nil {
+			e.informedBits[uint(v)>>6] |= 1 << (uint(v) & 63)
+		}
 		e.shardOf(int(v)).cohort[t]++
 		if e.cfg.Observer != nil {
 			e.cfg.Observer.OnInformed(int(v), t)

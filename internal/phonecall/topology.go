@@ -45,6 +45,8 @@ type Topology interface {
 type Stepper interface {
 	// Step advances the topology by one round. It returns the ids of nodes
 	// that joined during this step (the engine resets their message state).
+	// The slice is only valid until the next Step — an implementation may
+	// reuse its buffer — so a caller that keeps the ids must copy them.
 	Step(round int) (joined []int)
 }
 
@@ -122,8 +124,9 @@ type AliveCounter interface {
 
 // DialBudgeter is an optional interface for topologies that can compute
 // the per-round dial budget without an O(n) interface scan — uniform-
-// degree implicit families answer in O(1). The result must equal what
-// the generic DialBudget scan would return.
+// degree implicit families and the exactly d-regular churn overlay answer
+// in O(1). The result must equal what the generic DialBudget scan would
+// return.
 type DialBudgeter interface {
 	DialBudget(k int) int64
 }
