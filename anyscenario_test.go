@@ -137,6 +137,8 @@ func TestRunValidatesBeforeDispatch(t *testing.T) {
 		{"faults broadcast", bc, []RunnerOption{faults}, "requires a transport engine"},
 		{"faults population", pop, []RunnerOption{faults}, "requires a transport engine"},
 		{"faults population on daemon", pop, []RunnerOption{WithEngine(EngineDaemonTransport), faults}, "cannot run population scenarios"},
+		// A negative window used to report convergence after one super-step.
+		{"negative silence window", PopulationScenario{N: 32, Pair: le, Init: InitAllLeaders, SilenceWindow: -1}, nil, "SilenceWindow must be positive"},
 	} {
 		_, err := Run(context.Background(), tc.s, tc.opts...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

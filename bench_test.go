@@ -64,9 +64,9 @@ func BenchmarkE5Phase1Growth(b *testing.B) { benchExperiment(b, "E5") }
 // uninformed set during Phase 2 (Lemma 3 / Corollary 2).
 func BenchmarkE6Phase2Decay(b *testing.B) { benchExperiment(b, "E6") }
 
-// BenchmarkE7UnusedEdges reproduces E7: the unused-edge census bound
+// BenchmarkE7UnusedEdgeCensus reproduces E7: the unused-edge census bound
 // (Lemma 4).
-func BenchmarkE7UnusedEdges(b *testing.B) { benchExperiment(b, "E7") }
+func BenchmarkE7UnusedEdgeCensus(b *testing.B) { benchExperiment(b, "E7") }
 
 // BenchmarkE8ResidualDegrees reproduces E8: h₁/h₄/h₅ structure of the
 // uninformed set at the end of Phase 2 (Lemma 8 / Observation 1).

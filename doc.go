@@ -3,7 +3,7 @@
 // Elsässer, Friedetzky; PODC 2008 / Distributed Computing 2016) as a Go
 // library, and is itself the public API: programs describe a broadcast as
 // a Scenario (topology + protocol + fault model, via functional options),
-// execute it with a Runner that selects among four engines behind one
+// execute it with a Runner that selects among three engines behind one
 // Run(ctx, AnyScenario) call, and consume per-round metrics online through
 // the streaming Observer interface instead of retaining full traces.
 //
@@ -16,11 +16,10 @@
 //		}))
 //	res, _ := regcast.Run(ctx, scenario, regcast.WithWorkers(regcast.WorkersAuto))
 //
-// Engines: EngineSequential (the round simulator, shard passes inline),
-// EngineSharded (the same simulator, shard passes on a worker pool —
-// bit-identical results for every worker count, inline included, at a
-// fixed shard count), EngineGossipTransport and EngineDaemonTransport
-// (anti-entropy gossip over in-memory mailboxes, or over persistent
+// Engines: EngineSimulator (the round simulator; WithWorkers runs its
+// shard passes inline or on a worker pool, with bit-identical results for
+// every worker count at a fixed shard count), EngineGossipTransport and
+// EngineDaemonTransport (anti-entropy gossip over in-memory mailboxes, or over persistent
 // loopback TCP connections with a health ledger and seeded fault
 // injection; internal/transport).
 // Scenario construction fails fast on model violations — e.g.
@@ -45,7 +44,7 @@
 // uploads. Replication streams are precomputed in replication order and
 // results folded in replication order, so batch aggregates are
 // bit-identical for every ReplicationWorkers value; replication-level
-// parallelism composes with EngineSharded's per-run workers.
+// parallelism composes with WithWorkers' per-run workers.
 //
 // The phone-call rounds above are one Scheduler (SchedulerRounds); the
 // facade also ships SchedulerInteractions, the population-protocol
@@ -71,7 +70,7 @@
 // fused batch kernel (BatchPairProtocol); pair draws are always batched
 // into preallocated PairDraw buffers on the exact reference streams.
 // WithoutFastPath (flag -fastpath=false) forces the reference components
-// — of whichever engine runs — for cross-validation and A/B benchmarks.
+// for cross-validation and A/B benchmarks.
 //
 // Behind the facade: the four-choice phased broadcast protocols
 // (internal/core), the random phone call simulator with its one sharded

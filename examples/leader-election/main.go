@@ -43,8 +43,8 @@ func main() {
 			Seed:     42,
 			Observer: stepPrinter{},
 		}
-		// The sharded driver executes the same trace as the sequential
-		// one — worker count never changes a result, only wall-clock.
+		// Pooled shard passes execute the same trace as inline ones —
+		// worker count never changes a result, only wall-clock.
 		res, err := regcast.Run(context.Background(), sc,
 			regcast.WithWorkers(regcast.WorkersAuto))
 		if err != nil {

@@ -44,8 +44,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The sharded engine: GOMAXPROCS workers, results reproducible
-		// from the seed and independent of the worker count.
+		// Shard passes on GOMAXPROCS workers: results reproducible from
+		// the seed and independent of the worker count.
 		res, err := regcast.Run(context.Background(), scenario,
 			regcast.WithWorkers(regcast.WorkersAuto))
 		if err != nil {

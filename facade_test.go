@@ -70,15 +70,15 @@ func TestFacadeTraceGoldenSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine != regcast.EngineSequential {
-		t.Fatalf("default engine = %v, want sequential", res.Engine)
+	if res.Engine != regcast.EngineSimulator {
+		t.Fatalf("default engine = %v, want simulator", res.Engine)
 	}
 	checkGolden(t, "seq/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 }
 
-// TestFacadeTraceGoldenSharded pins the sharded engine at a fixed shard
-// count: bit-identical to the pre-redesign sharded engine, for every
-// worker count.
+// TestFacadeTraceGoldenSharded pins the simulator at a fixed shard count:
+// bit-identical to the pre-redesign sharded engine, for every worker
+// count, and the worker choice leaves no mark on Result.Engine.
 func TestFacadeTraceGoldenSharded(t *testing.T) {
 	g := goldenGraph(t)
 	four, err := core.New(2048, 8)
@@ -95,8 +95,8 @@ func TestFacadeTraceGoldenSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Engine != regcast.EngineSharded {
-			t.Fatalf("engine = %v, want sharded", res.Engine)
+		if res.Engine != regcast.EngineSimulator {
+			t.Fatalf("engine = %v, want simulator", res.Engine)
 		}
 		checkGolden(t, "sharded16/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xd6df1d4371527f14})
 	}

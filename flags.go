@@ -86,9 +86,9 @@ func (f *CommonFlags) TopologySpec() TopologySpec { return f.spec }
 // Rand returns the master RNG derived from -seed; Split it per consumer.
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
 
-// RunnerOptions translates the -workers flag into the Runner engine
-// selection — the single definition of the flag's semantics — plus
-// WithoutFastPath when -fastpath=false.
+// RunnerOptions translates the -workers flag into WithWorkers — the single
+// definition of the flag's semantics — plus WithoutFastPath when
+// -fastpath=false.
 func (f *CommonFlags) RunnerOptions() []RunnerOption {
 	opts := []RunnerOption{WithWorkers(f.Workers)}
 	if !f.FastPath {
@@ -239,8 +239,7 @@ func (f *TransportFlags) FaultConfig(n int, seed uint64) *FaultConfig {
 }
 
 // RunnerOptions translates the flags into Runner options for an n-node
-// scenario; empty when -daemon/-chaos are off. Apply after
-// CommonFlags.RunnerOptions so the engine selection wins.
+// scenario; empty when -daemon/-chaos are off.
 func (f *TransportFlags) RunnerOptions(n int, seed uint64) []RunnerOption {
 	var opts []RunnerOption
 	if !f.Daemon {

@@ -171,9 +171,11 @@ func TestImplicitMatchesDenseUnderFaults(t *testing.T) {
 }
 
 // TestImplicitEdgeCensusFallback pins the edge-use census on implicit
-// topologies: an implicit view has no CSR slots to enumerate, so
-// WithTrackEdgeUse must fall back to the reference path — and the
-// per-round |U(t)| series must equal the dense run's.
+// topologies. The census looks an edge up through Topology.Neighbor, so an
+// implicit view has no reference-path fallback to take (phonecall's
+// TestEdgeCensusKeepsFastPath asserts it stays fast); here the per-round
+// |U(t)| series must equal the dense twin's on the default runner, on a
+// worker pool and on the forced reference path.
 func TestImplicitEdgeCensusFallback(t *testing.T) {
 	pair := implicitPairs()[0] // hypercube dim 8
 	n := regcast.SpecNodeCount(pair.implicit)
@@ -181,37 +183,36 @@ func TestImplicitEdgeCensusFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(spec regcast.TopologySpec) regcast.Result {
+	run := func(spec regcast.TopologySpec, opts ...regcast.RunnerOption) regcast.Result {
 		sc, err := regcast.NewScenarioSpec(spec, proto,
 			regcast.WithSeed(5), regcast.WithRecordRounds(), regcast.WithTrackEdgeUse())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := regcast.Run(context.Background(), sc)
+		res, err := regcast.Run(context.Background(), sc, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	imp, dense := run(pair.implicit), run(pair.dense)
-	if fingerprint(imp) != fingerprint(dense) {
-		t.Fatalf("census run: implicit %v != dense %v", fingerprint(imp), fingerprint(dense))
+	dense := run(pair.dense)
+	if len(dense.PerRound) == 0 || dense.PerRound[0].UnusedEdgeNodes == 0 {
+		t.Fatal("census never reported an unused-edge node; nothing was tracked")
 	}
-	if len(imp.PerRound) == 0 || len(imp.PerRound) != len(dense.PerRound) {
-		t.Fatalf("per-round lengths: implicit %d, dense %d", len(imp.PerRound), len(dense.PerRound))
-	}
-	sawCensus := false
-	for r := range imp.PerRound {
-		if imp.PerRound[r].UnusedEdgeNodes != dense.PerRound[r].UnusedEdgeNodes {
-			t.Fatalf("round %d: |U(t)| implicit %d, dense %d",
-				r, imp.PerRound[r].UnusedEdgeNodes, dense.PerRound[r].UnusedEdgeNodes)
+	for _, opts := range [][]regcast.RunnerOption{nil, {regcast.WithWorkers(4)}, {regcast.WithoutFastPath()}} {
+		imp := run(pair.implicit, opts...)
+		if fingerprint(imp) != fingerprint(dense) {
+			t.Fatalf("census run: implicit %v != dense %v", fingerprint(imp), fingerprint(dense))
 		}
-		if imp.PerRound[r].UnusedEdgeNodes > 0 {
-			sawCensus = true
+		if len(imp.PerRound) != len(dense.PerRound) {
+			t.Fatalf("per-round lengths: implicit %d, dense %d", len(imp.PerRound), len(dense.PerRound))
 		}
-	}
-	if !sawCensus {
-		t.Fatal("census never reported an unused-edge node; the fallback did not track anything")
+		for r := range imp.PerRound {
+			if imp.PerRound[r].UnusedEdgeNodes != dense.PerRound[r].UnusedEdgeNodes {
+				t.Fatalf("round %d: |U(t)| implicit %d, dense %d",
+					r, imp.PerRound[r].UnusedEdgeNodes, dense.PerRound[r].UnusedEdgeNodes)
+			}
+		}
 	}
 }
 

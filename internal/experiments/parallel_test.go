@@ -41,10 +41,10 @@ func TestMeasureDeterministicAcrossReplicationWorkers(t *testing.T) {
 	}
 }
 
-// TestMeasureEngineSelection checks that both per-run engines run to
-// completion under measure and stay deterministic across repeated calls:
-// Options.Workers selects the engine (0 sequential, >=1 sharded), and a
-// fixed seed must reproduce the exact statistics.
+// TestMeasureEngineSelection checks that inline and pooled shard passes
+// run to completion under measure and stay deterministic across repeated
+// calls: Options.Workers places the passes (0 inline, otherwise a pool),
+// and a fixed seed must reproduce the exact statistics.
 func TestMeasureEngineSelection(t *testing.T) {
 	g, err := regular(256, 8, xrand.New(2))
 	if err != nil {

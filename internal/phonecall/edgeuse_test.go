@@ -16,15 +16,38 @@ func TestTrackEdgeUseValidation(t *testing.T) {
 	}
 }
 
+// censusScan is an Observer that recounts |U(t)| from the per-node
+// counters every round — the O(n) scan markUsed's running count replaces.
+type censusScan struct {
+	t *testing.T
+	e *Engine
+}
+
+func (c *censusScan) OnInformed(int, int) {}
+func (c *censusScan) OnRound(rm RoundMetrics) {
+	scan := 0
+	for _, left := range c.e.unusedDeg {
+		if left > 0 {
+			scan++
+		}
+	}
+	if rm.UnusedEdgeNodes != scan {
+		c.t.Fatalf("round %d: running |U(t)| = %d, scan of unusedDeg finds %d", rm.Round, rm.UnusedEdgeNodes, scan)
+	}
+}
+
 func TestUnusedEdgeCensus(t *testing.T) {
 	g := testGraph(t, 128, 6, 21)
-	res, err := Run(Config{
+	scan := &censusScan{t: t}
+	e, err := NewEngine(Config{
 		Topology: NewStatic(g), Protocol: pushProto{1, 40}, RNG: xrand.New(2),
-		RecordRounds: true, TrackEdgeUse: true,
+		RecordRounds: true, TrackEdgeUse: true, Observer: scan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scan.e = e
+	res := e.Run()
 	prev := 128 + 1
 	for _, rm := range res.PerRound {
 		if rm.UnusedEdgeNodes > prev {

@@ -1,7 +1,9 @@
 package phonecall
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"regcast/internal/xrand"
@@ -51,18 +53,6 @@ type Config struct {
 	// MessageLossProb is the probability that an individual transmission is
 	// lost in transit. Lost transmissions still count as transmissions.
 	MessageLossProb float64
-	// GeometricFaults selects the randomness-efficient fault sampler: the
-	// per-decision Bernoulli draws for ChannelFailureProb and
-	// MessageLossProb are replaced by Geometric(p) skip counters per PRNG
-	// stream (one draw per fault event instead of one per decision). The
-	// fault processes are distribution-identical, but the stream is
-	// consumed in a different order, so traces differ bit-wise from the
-	// default Bernoulli mode — which is why this is an explicit opt-in
-	// compatibility switch rather than the default. Within geometric mode
-	// all determinism contracts hold unchanged (same seed => same trace,
-	// worker-count independence, fast path bit-identical to the reference
-	// path).
-	GeometricFaults bool
 	// DisableFastPath forces the reference interface-dispatch path even on
 	// a frozen Static topology. The fast path is bit-identical to the
 	// reference path (golden tests pin this), so the switch exists for
@@ -83,7 +73,8 @@ type Config struct {
 	// counts as used once a transmission crossed it in either direction,
 	// and RoundMetrics.UnusedEdgeNodes records |U(t)|, the number of nodes
 	// still incident to at least one unused edge. Requires RecordRounds
-	// and a simple static topology (parallel edges would be conflated).
+	// and a simple static topology with symmetric adjacency (parallel edges
+	// would be conflated; an edge is looked up in its lower endpoint's row).
 	TrackEdgeUse bool
 	// StopEarly stops the run as soon as every alive node is informed.
 	// Leave it false to measure the transmission cost of the full schedule
@@ -222,20 +213,16 @@ type Engine struct {
 	// O(1) instead of an O(n) Alive scan.
 	aliveCounter AliveCounter
 
-	// Edge-use census (Config.TrackEdgeUse): usedEdges records undirected
-	// edges that carried a transmission; unusedDeg[v] counts v's incident
-	// edges not yet used. The fast path replaces the map with a bitset
-	// over dense edge ids (usedBits); slotEdge maps every CSR adjacency
-	// slot to its edge id (parallel edges share one id, matching the
-	// map's endpoint-keyed semantics), edgeEndA/B recover the endpoints,
-	// and dialEdge mirrors dialTargets with the dialled edge ids.
-	usedEdges map[int64]struct{}
-	unusedDeg []int32
-	slotEdge  []int32
-	edgeEndA  []int32
-	edgeEndB  []int32
-	usedBits  []uint64
-	dialEdge  []int32
+	// Edge-use census (Config.TrackEdgeUse), one for both paths and every
+	// view: usedBits has a bit per adjacency slot (slotOff[v] is the first
+	// slot of v's row) and an edge owns the first slot holding the higher
+	// endpoint in the lower endpoint's row, so parallel edges share a bit.
+	// unusedDeg[v] counts v's incident edges not yet used and unusedNodes
+	// the nodes whose counter is still positive, |U(t)|.
+	unusedDeg   []int32
+	slotOff     []int32
+	usedBits    []uint64
+	unusedNodes int
 }
 
 // NewEngine validates cfg and prepares a run.
@@ -367,26 +354,20 @@ func newEngine(cfg Config) (*Engine, error) {
 		if _, dynamic := cfg.Topology.(Stepper); dynamic {
 			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires a static topology")
 		}
-		// The dense-edge-id census enumerates every CSR slot, which is only
-		// well-defined on a fully-alive materialised view (dead rows hold
-		// unspecified entries, and an implicit topology has no slots to
-		// enumerate); a partially-alive CSR topology or an implicit one
-		// takes the reference path with the endpoint-keyed map instead.
-		if e.aliveBits != nil || e.impNbrs != nil {
-			e.fast = false
-			e.fastView = nil
-			e.csrOff, e.csrAdj, e.aliveBits = nil, nil, nil
-			e.impView, e.impNbrs = nil, nil
-		}
 		e.unusedDeg = make([]int32, n)
+		e.slotOff = make([]int32, n)
+		var slots int64
 		for v := 0; v < n; v++ {
-			e.unusedDeg[v] = int32(cfg.Topology.Degree(v))
+			deg := cfg.Topology.Degree(v)
+			e.unusedDeg[v], e.slotOff[v] = int32(deg), int32(slots)
+			if deg > 0 {
+				e.unusedNodes++
+			}
+			if slots += int64(deg); slots > math.MaxInt32 {
+				return nil, errCensusTooLarge
+			}
 		}
-		if e.fast {
-			e.initEdgeCensus()
-		} else {
-			e.usedEdges = make(map[int64]struct{})
-		}
+		e.usedBits = make([]uint64, (slots+63)/64)
 	}
 	e.budget = DialBudget(cfg.Topology, e.k)
 	e.budgetAlive = e.aliveCount()
@@ -411,13 +392,8 @@ func (e *Engine) recordRound(res *Result, t, newly, informedCount int, roundTx i
 		Informed:      informedCount,
 		Transmissions: roundTx,
 		ChannelsDial:  budget,
-	}
-	if e.cfg.TrackEdgeUse {
-		for v := 0; v < e.n; v++ {
-			if e.unusedDeg[v] > 0 {
-				rm.UnusedEdgeNodes++
-			}
-		}
+		// |U(t)|; stays 0 without TrackEdgeUse.
+		UnusedEdgeNodes: e.unusedNodes,
 	}
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnRound(rm)
@@ -459,75 +435,46 @@ func edgeKey(v, w int) int64 {
 	return int64(v)<<32 | int64(w)
 }
 
-// markUsedKey records that the edge encoded by key carried a
-// transmission (Lemma 4's census on the reference path; shard passes
-// buffer keys and the merge applies them here, in shard order). The first
-// use decrements both endpoints' unused-edge counters (twice at v for a
-// self-loop).
-func (e *Engine) markUsedKey(key int64) {
-	if _, done := e.usedEdges[key]; done {
+// errCensusTooLarge rejects a TrackEdgeUse run whose adjacency slots do
+// not fit the census' int32 slot offsets.
+var errCensusTooLarge = errors.New("phonecall: TrackEdgeUse requires a degree sum <= math.MaxInt32")
+
+// markUsed records that the edge encoded by key carried a transmission
+// (Lemma 4's census; both shard passes buffer keys and the merge applies
+// them here, in shard order). The edge's bit is the first slot holding the
+// higher endpoint in the lower endpoint's row, so parallel edges are
+// conflated. The first use decrements both endpoints' unused-edge counters
+// (twice at v for a self-loop).
+func (e *Engine) markUsed(key int64) {
+	v, w := int(key>>32), int(key&0xffffffff)
+	i := 0
+	for e.topo.Neighbor(v, i) != w {
+		i++
+	}
+	slot := uint(e.slotOff[v]) + uint(i)
+	if e.usedBits[slot>>6]&(1<<(slot&63)) != 0 {
 		return
 	}
-	e.usedEdges[key] = struct{}{}
-	e.unusedDeg[int(key>>32)]--
-	e.unusedDeg[int(key&0xffffffff)]--
+	e.usedBits[slot>>6] |= 1 << (slot & 63)
+	for _, u := range [2]int{v, w} {
+		if e.unusedDeg[u]--; e.unusedDeg[u] == 0 {
+			e.unusedNodes--
+		}
+	}
 }
 
-// dialState bundles a PRNG stream with its reusable sampling scratch and
-// the geometric fault-skip counters. Every shard owns its own, which is
-// what makes the per-shard passes race-free and deterministic regardless
-// of worker count.
+// dialState bundles a PRNG stream with its reusable sampling scratch.
+// Every shard owns its own, which is what makes the per-shard passes
+// race-free and deterministic regardless of worker count.
 type dialState struct {
 	rng     *xrand.Rand
 	dialIdx []int
 	scratch []int
-
-	// chanGap/lossGap are the Config.GeometricFaults skip counters: the
-	// number of fault-free decisions left before the next channel failure
-	// / message loss on this stream (-1 = not drawn yet; counters are
-	// drawn lazily so a stream that never reaches a decision point never
-	// consumes randomness for it).
-	chanGap int
-	lossGap int
 }
 
 // newDialState builds a dialState for one PRNG stream.
 func newDialState(rng *xrand.Rand, k int) dialState {
-	return dialState{rng: rng, dialIdx: make([]int, 0, k), chanGap: -1, lossGap: -1}
-}
-
-// chanFails decides whether the next dialled channel fails to establish.
-// Callers must guard with ChannelFailureProb > 0.
-func (e *Engine) chanFails(ds *dialState) bool {
-	if !e.cfg.GeometricFaults {
-		return ds.rng.Bool(e.cfg.ChannelFailureProb)
-	}
-	if ds.chanGap < 0 {
-		ds.chanGap = ds.rng.Geometric(e.cfg.ChannelFailureProb)
-	}
-	if ds.chanGap == 0 {
-		ds.chanGap = -1
-		return true
-	}
-	ds.chanGap--
-	return false
-}
-
-// msgLost decides whether the next transmission is lost in transit.
-// Callers must guard with MessageLossProb > 0.
-func (e *Engine) msgLost(ds *dialState) bool {
-	if !e.cfg.GeometricFaults {
-		return ds.rng.Bool(e.cfg.MessageLossProb)
-	}
-	if ds.lossGap < 0 {
-		ds.lossGap = ds.rng.Geometric(e.cfg.MessageLossProb)
-	}
-	if ds.lossGap == 0 {
-		ds.lossGap = -1
-		return true
-	}
-	ds.lossGap--
-	return false
+	return dialState{rng: rng, dialIdx: make([]int, 0, k)}
 }
 
 // scratchFor returns a scratch slice with capacity >= n for DistinctK.
@@ -577,7 +524,7 @@ func (e *Engine) sampleDialsFor(v int, ds *dialState) {
 		if !e.topo.Alive(w) {
 			continue
 		}
-		if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
+		if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 			continue
 		}
 		e.dialTargets[base+j] = int32(w)
@@ -602,7 +549,7 @@ func (e *Engine) sampleQuasirandom(v, deg int, ds *dialState) {
 		if !e.topo.Alive(w) {
 			continue
 		}
-		if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
+		if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 			continue
 		}
 		e.dialTargets[base+j] = int32(w)
@@ -642,7 +589,7 @@ func (e *Engine) sampleWithMemory(v, deg int, ds *dialState) {
 	if !e.topo.Alive(choice) {
 		return
 	}
-	if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
+	if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 		return
 	}
 	e.dialTargets[v*e.k] = int32(choice)

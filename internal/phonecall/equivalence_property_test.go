@@ -2,6 +2,7 @@ package phonecall_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -34,14 +35,17 @@ func (p windowProto) SendPull(t, ia int) bool {
 }
 
 // TestWorkersAndPathEquivalenceProperty is the generated-input form of
-// the golden matrices: for a random schedule, choice count, fault rates
-// and fault sampler, dial discipline, topology kind (frozen CSR graph,
-// churning overlay, implicit family) and shard count, every run of the
+// the golden matrices: for a random schedule, choice count, fault rates,
+// dial discipline, topology kind (frozen CSR graph, partially-alive CSR
+// view, churning overlay, implicit family — the static ones with and
+// without the edge census) and shard count, every run of the
 // configuration — fast or reference path, shard passes inline (Workers 0
 // and 1) or pooled (4) — must produce the same Result bit for bit.
 func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 	const n, d = 96, 6
-	static := phonecall.NewStatic(mustRegular(t, n, d, 50))
+	g := mustRegular(t, n, d, 50)
+	static := phonecall.NewStatic(g)
+	view := phonecall.NewViewTopo(g, 70, 81, 95) // the source is drawn below 64
 	cube, err := graph.NewImplicitHypercube(6)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +55,7 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prop := func(seed uint64, push, pull uint32, raw [9]uint8) bool {
+	prop := func(seed uint64, push, pull uint32, raw [8]uint8) bool {
 		proto := windowProto{
 			k:       int(raw[0])%4 + 1,
 			horizon: 24,
@@ -66,11 +70,10 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			Protocol:           proto,
 			ChannelFailureProb: float64(raw[3]%3) * 0.2,
 			MessageLossProb:    float64(raw[4]%3) * 0.15,
-			GeometricFaults:    raw[5]%2 == 1,
 			RecordRounds:       true,
-			Shards:             []int{1, 7, 64}[raw[6]%3],
+			Shards:             []int{1, 7, 64}[raw[5]%3],
 		}
-		switch raw[7] % 4 {
+		switch raw[6] % 4 {
 		case 1:
 			base.DialStrategy = phonecall.DialQuasirandom
 		case 2:
@@ -80,13 +83,14 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 		// churner draws only from its own streams, so every run sees the
 		// same membership trajectory.
 		var topo func() phonecall.Topology
-		kind := []string{"static", "static-census", "overlay", "hypercube", "regular-stream"}[raw[8]%5]
+		kinds := []string{"static", "static-census", "view-census", "overlay", "hypercube", "hypercube-census", "regular-stream"}
+		kind := kinds[int(raw[7])%len(kinds)]
+		base.TrackEdgeUse = strings.HasSuffix(kind, "-census")
 		switch kind {
-		case "static":
+		case "static", "static-census":
 			topo = func() phonecall.Topology { return static }
-		case "static-census":
-			base.TrackEdgeUse = true
-			topo = func() phonecall.Topology { return static }
+		case "view-census":
+			topo = func() phonecall.Topology { return view }
 		case "overlay":
 			// Departed ids are recycled last-out-first-in, so at 4 % each way
 			// a joiner routinely takes the id of a peer that left informed in
@@ -94,7 +98,7 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			// against an oracle in TestChurnRecountMatchesOracle.
 			churn := churnGolden{joinProb: 0.04, leaveProb: 0.04, mixSteps: 3}
 			topo = func() phonecall.Topology { return buildChurnTopo(t, n, d, churn, seed) }
-		case "hypercube":
+		case "hypercube", "hypercube-census":
 			topo = func() phonecall.Topology { return phonecall.NewImplicit(cube) }
 		case "regular-stream":
 			topo = func() phonecall.Topology { return phonecall.NewImplicit(stream) }

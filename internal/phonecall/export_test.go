@@ -1,5 +1,7 @@
 package phonecall
 
+import "regcast/internal/graph"
+
 // ShardState is one shard's node range, cohort counts and latest skip
 // decision, exposed to the tests in package phonecall_test (which can
 // import the real protocol and overlay packages; this package cannot).
@@ -23,3 +25,7 @@ func (e *Engine) ShardStates() []ShardState {
 // LiveInformedAt returns the engine's receipt-round array itself, not the
 // copy a Result carries.
 func (e *Engine) LiveInformedAt() []int32 { return e.informedAt }
+
+// NewViewTopo is newViewTopo for package phonecall_test: g as a CSRViewer
+// whose listed ids are dead.
+func NewViewTopo(g *graph.Graph, dead ...int) Topology { return newViewTopo(g, dead...) }

@@ -7,20 +7,20 @@ package phonecall
 // fetches the view once and the shard pass runs against raw slices: no
 // Topology.Degree/Neighbor/Alive dynamic dispatch in dial sampling, the
 // push loop, or the pull scan, small-k distinct samplers
-// (xrand.Distinct2/3/4) instead of the scratch-based DistinctK, and —
-// with Config.TrackEdgeUse — a CSR-indexed bitset census instead of the
-// edge-key map. On a churning topology the view is re-fetched only when
-// its epoch advances (refreshCSR, once per Step), and liveness is a
-// bitset probe (aliveFast) placed exactly where the reference path calls
-// Topology.Alive.
+// (xrand.Distinct2/3/4) instead of the scratch-based DistinctK. On a
+// churning topology the view is re-fetched only when its epoch advances
+// (refreshCSR, once per Step), and liveness is a bitset probe (aliveFast)
+// placed exactly where the reference path calls Topology.Alive. The
+// Config.TrackEdgeUse census is the reference path's own: both passes
+// buffer edge keys and the merge applies them through markUsed.
 //
 // Contract: for identical Config (minus DisableFastPath) and seed, the
 // fast path produces bit-identical Results to the reference interface
 // path, because it consumes the PRNG stream draw-for-draw identically:
 // the small-k samplers are stream-compatible with DistinctK, alive checks
 // draw no randomness (bitset probes on churn views, vacuous on frozen
-// graphs), and the fault helpers (chanFails/msgLost) are shared with the
-// reference path. Golden tests (fastpath_test.go) pin this across the
+// graphs), and both paths make the same Bool draw per fault decision.
+// Golden tests (fastpath_test.go) pin this across the
 // E1–E20 configuration matrix and across churn overlay configurations.
 //
 // The CSR and implicit views share every sampler body; they differ only
@@ -45,8 +45,8 @@ func (e *Engine) nbrAt(v, off, idx int) int32 {
 }
 
 // sampleDialsFast is the fast twin of sampleDialsFor: it fills node v's
-// dialTargets row (and, when the edge census is on, its dialEdge row)
-// without Topology interface calls or, for small k, O(deg) scratch.
+// dialTargets row without Topology interface calls or, for small k,
+// O(deg) scratch.
 func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	base := v * e.k
 	for j := 0; j < e.k; j++ {
@@ -104,14 +104,13 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	failure := e.cfg.ChannelFailureProb
 	if e.aliveBits != nil {
 		// Partially-alive view: a dead target skips the slot before the
-		// fault draw, exactly like the reference path's Alive(w) check (no
-		// census on such views; NewEngine guarantees dialEdge == nil here).
+		// fault draw, exactly like the reference path's Alive(w) check.
 		for j, idx := range idxs {
 			w := e.nbrAt(v, off, idx)
 			if !e.aliveFast(int(w)) {
 				continue
 			}
-			if failure > 0 && e.chanFails(ds) {
+			if failure > 0 && ds.rng.Bool(failure) {
 				continue
 			}
 			e.dialTargets[base+j] = w
@@ -123,13 +122,10 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	// consumes no run randomness), and a failed channel then costs no
 	// replay work on streamed implicit families.
 	for j, idx := range idxs {
-		if failure > 0 && e.chanFails(ds) {
+		if failure > 0 && ds.rng.Bool(failure) {
 			continue
 		}
 		e.dialTargets[base+j] = e.nbrAt(v, off, idx)
-		if e.dialEdge != nil {
-			e.dialEdge[base+j] = e.slotEdge[off+idx]
-		}
 	}
 }
 
@@ -154,13 +150,10 @@ func (e *Engine) sampleQuasirandomFast(v, off, deg int, ds *dialState) {
 		if e.aliveBits != nil && !e.aliveFast(int(w)) {
 			continue // dead target: skip before the fault draw (reference order)
 		}
-		if failure > 0 && e.chanFails(ds) {
+		if failure > 0 && ds.rng.Bool(failure) {
 			continue
 		}
 		e.dialTargets[base+j] = w
-		if e.dialEdge != nil {
-			e.dialEdge[base+j] = e.slotEdge[off+idx]
-		}
 	}
 	e.listCursor[v] = int32((cur + kk) % deg)
 }
@@ -171,7 +164,6 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 	r := e.cfg.AvoidRecent
 	memBase := v * r
 	choice := int32(-1)
-	slot := -1
 	for attempt := 0; attempt < 4*deg+16; attempt++ {
 		idx := ds.rng.IntN(deg)
 		w := e.nbrAt(v, off, idx)
@@ -183,13 +175,12 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 			}
 		}
 		if !recent {
-			choice, slot = w, off+idx
+			choice = w
 			break
 		}
 	}
 	if choice < 0 {
-		idx := ds.rng.IntN(deg)
-		choice, slot = e.nbrAt(v, off, idx), off+idx
+		choice = e.nbrAt(v, off, ds.rng.IntN(deg))
 	}
 	// Record the partner regardless of channel failure: the node dialled it.
 	e.recent[memBase+e.recentPos[v]] = choice
@@ -197,21 +188,16 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 	if e.aliveBits != nil && !e.aliveFast(int(choice)) {
 		return // dead partner: recorded but no channel (reference order)
 	}
-	if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
+	if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 		return
 	}
 	e.dialTargets[v*e.k] = choice
-	if e.dialEdge != nil {
-		e.dialEdge[v*e.k] = e.slotEdge[slot]
-	}
 }
 
 // shardPassFast is the fast twin of shardPass: one round for the node
-// range a shard owns, drawing only from the shard's own stream. Census
-// hits are buffered as edge ids (not edge keys) and merged by
-// markUsedID, in shard order, exactly like the reference path's keys.
+// range a shard owns, drawing only from the shard's own stream.
 func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode) {
-	census := e.dialEdge != nil
+	census := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 	k := e.k
 
@@ -240,9 +226,9 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 			}
 			sh.tx++
 			if census {
-				sh.usedBuf = append(sh.usedBuf, int64(e.dialEdge[base+j]))
+				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
 			}
-			if loss > 0 && e.msgLost(&sh.ds) {
+			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
 			if e.informedAt[w] == Uninformed && e.aliveFast(int(w)) {
@@ -271,9 +257,9 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 			}
 			sh.tx++
 			if census {
-				sh.usedBuf = append(sh.usedBuf, int64(e.dialEdge[base+j]))
+				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
 			}
-			if loss > 0 && e.msgLost(&sh.ds) {
+			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
 			if uninformedCaller {
@@ -281,47 +267,4 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 			}
 		}
 	}
-}
-
-// initEdgeCensus builds the fast path's census structures: a dense edge
-// id per CSR adjacency slot (parallel edges between the same endpoints
-// share one id, so the census conflates them exactly like the reference
-// map, and a self-loop's two slots share one id that decrements its
-// node's counter twice on first use).
-func (e *Engine) initEdgeCensus() {
-	e.slotEdge = make([]int32, len(e.csrAdj))
-	ids := make(map[int64]int32, len(e.csrAdj)/2)
-	for v := 0; v < e.n; v++ {
-		for s := int(e.csrOff[v]); s < int(e.csrOff[v+1]); s++ {
-			w := int(e.csrAdj[s])
-			key := edgeKey(v, w)
-			id, ok := ids[key]
-			if !ok {
-				id = int32(len(e.edgeEndA))
-				ids[key] = id
-				a, b := v, w
-				if a > b {
-					a, b = b, a
-				}
-				e.edgeEndA = append(e.edgeEndA, int32(a))
-				e.edgeEndB = append(e.edgeEndB, int32(b))
-			}
-			e.slotEdge[s] = id
-		}
-	}
-	e.usedBits = make([]uint64, (len(e.edgeEndA)+63)/64)
-	e.dialEdge = make([]int32, e.n*e.k)
-}
-
-// markUsedID is markUsedKey for the fast path's dense edge ids: the first
-// transmission over an edge sets its bit and decrements both endpoints'
-// unused-edge counters (twice at v for a self-loop).
-func (e *Engine) markUsedID(id int32) {
-	word, bit := id>>6, uint64(1)<<(id&63)
-	if e.usedBits[word]&bit != 0 {
-		return
-	}
-	e.usedBits[word] |= bit
-	e.unusedDeg[e.edgeEndA[id]]--
-	e.unusedDeg[e.edgeEndB[id]]--
 }

@@ -97,12 +97,9 @@ func TestFastPathGoldenChurn(t *testing.T) {
 			mutate: func(cfg *phonecall.Config) { cfg.ChannelFailureProb = 0.2 },
 		},
 		{
-			name: "mix-only-message-loss-geometric", joinProb: 0, leaveProb: 0, mixSteps: 10,
-			proto: alg1,
-			mutate: func(cfg *phonecall.Config) {
-				cfg.MessageLossProb = 0.15
-				cfg.GeometricFaults = true
-			},
+			name: "mix-only-message-loss", joinProb: 0, leaveProb: 0, mixSteps: 10,
+			proto:  alg1,
+			mutate: func(cfg *phonecall.Config) { cfg.MessageLossProb = 0.15 },
 		},
 	}
 	for _, tc := range cases {

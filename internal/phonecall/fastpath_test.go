@@ -1,9 +1,8 @@
 // Package phonecall_test holds the cross-package contracts of the engine:
 // the CSR fast path pinned bit-identical to the reference interface path
 // across the E1–E20 configuration matrix (built from the real protocol
-// packages, which the internal test package cannot import), the geometric
-// fault-skipping mode's determinism and statistics, and the dial-budget
-// cache exercised on the E13b churn overlay.
+// packages, which the internal test package cannot import), and the
+// dial-budget cache exercised on the E13b churn overlay.
 package phonecall_test
 
 import (
@@ -245,47 +244,42 @@ func goldenCases() []goldenCase {
 // strategies, fault models, dial memory, the edge census, degree regimes
 // — the CSR fast path produces bit-identical traces to the reference
 // interface path, and the shard passes run inline (Workers 0 and 1) or
-// pooled (4) produce that same trace: one trace per (configuration,
-// fault mode), whatever the path and worker count. Geometric fault
-// skipping changes RNG consumption relative to Bernoulli mode, so each
-// mode has its own trace and both are pinned.
+// pooled (4) produce that same trace: one trace per configuration,
+// whatever the path and worker count.
 func TestFastPathGoldenE1toE20(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := tc.topo(t)
 			proto := tc.proto(t, topo.NumNodes())
-			for _, geometric := range []bool{false, true} {
-				var inline phonecall.Result // the Workers == 0 fast-path trace
-				for _, workers := range []int{0, 1, 4} {
-					base := phonecall.Config{
-						Topology:        topo,
-						Protocol:        proto,
-						Source:          3,
-						RecordRounds:    true,
-						Workers:         workers,
-						GeometricFaults: geometric,
-					}
-					if tc.mutate != nil {
-						tc.mutate(&base)
-					}
-					run := func(disable bool) phonecall.Result {
-						cfg := base
-						cfg.DisableFastPath = disable
-						cfg.RNG = xrand.New(20260726)
-						res, err := phonecall.Run(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					label := fmt.Sprintf("%s workers=%d geometric=%v (%s)", tc.name, workers, geometric, tc.experiments)
-					fast := run(false)
-					sameResult(t, label+" fast vs reference", fast, run(true))
-					if workers == 0 {
-						inline = fast
-					}
-					sameResult(t, label+" vs workers=0", inline, fast)
+			var inline phonecall.Result // the Workers == 0 fast-path trace
+			for _, workers := range []int{0, 1, 4} {
+				base := phonecall.Config{
+					Topology:     topo,
+					Protocol:     proto,
+					Source:       3,
+					RecordRounds: true,
+					Workers:      workers,
 				}
+				if tc.mutate != nil {
+					tc.mutate(&base)
+				}
+				run := func(disable bool) phonecall.Result {
+					cfg := base
+					cfg.DisableFastPath = disable
+					cfg.RNG = xrand.New(20260726)
+					res, err := phonecall.Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				label := fmt.Sprintf("%s workers=%d (%s)", tc.name, workers, tc.experiments)
+				fast := run(false)
+				sameResult(t, label+" fast vs reference", fast, run(true))
+				if workers == 0 {
+					inline = fast
+				}
+				sameResult(t, label+" vs workers=0", inline, fast)
 			}
 		})
 	}
@@ -341,147 +335,4 @@ func TestFastPathDisengagesOnChurn(t *testing.T) {
 		return res
 	}
 	sameResult(t, "churn (E13b shape)", run(false), run(true))
-}
-
-// TestGeometricFaultsDeterminism pins the compatibility contract of
-// Config.GeometricFaults: same seed => same trace, worker-count
-// independence, and a genuinely different stream
-// consumption than Bernoulli mode (the reason the switch exists).
-func TestGeometricFaultsDeterminism(t *testing.T) {
-	g := mustRegular(t, 256, 8, 91)
-	pp, err := baseline.NewPushPull(256, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int, geometric bool) phonecall.Result {
-		res, err := phonecall.Run(phonecall.Config{
-			Topology:           phonecall.NewStatic(g),
-			Protocol:           pp,
-			RNG:                xrand.New(5),
-			ChannelFailureProb: 0.15,
-			MessageLossProb:    0.25,
-			GeometricFaults:    geometric,
-			RecordRounds:       true,
-			Workers:            workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	sameResult(t, "geometric same-seed", run(0, true), run(0, true))
-	sameResult(t, "geometric workers 0 vs 1", run(0, true), run(1, true))
-	sameResult(t, "geometric workers 1 vs 8", run(1, true), run(8, true))
-
-	bern, geom := run(0, false), run(0, true)
-	same := bern.Transmissions == geom.Transmissions && bern.FirstAllInformed == geom.FirstAllInformed
-	if same {
-		for v := range bern.InformedAt {
-			if bern.InformedAt[v] != geom.InformedAt[v] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Error("geometric mode reproduced the Bernoulli trace exactly; the compatibility switch is not switching anything")
-	}
-}
-
-// longPushProto is a one-choice always-push schedule with an explicit
-// horizon, for statistics that must outlive the baseline schedules'
-// c·log n budget under heavy loss.
-type longPushProto struct{ horizon int }
-
-func (p longPushProto) Name() string            { return "test-long-push" }
-func (p longPushProto) Choices() int            { return 1 }
-func (p longPushProto) Horizon() int            { return p.horizon }
-func (p longPushProto) SendPush(t, ia int) bool { return true }
-func (p longPushProto) SendPull(t, ia int) bool { return false }
-func (p longPushProto) NeverPulls() bool        { return true }
-
-// TestGeometricFaultsStatistics checks the geometric skip counters
-// realise the right fault rates.
-//
-// Channel failures have an exact per-round expectation: on a push-only
-// schedule every informed sender dials min(k, d) channels and each
-// independently fails with probability p, so over the whole run
-// E[transmissions] = (1-p) × (dialled sender channels). Both quantities
-// are measurable from the per-round metrics, and the ratio must land
-// within a few standard errors of 1-p.
-//
-// Message loss has no per-transmission observable (duplicates mask
-// deliveries), so the two modes are compared distributionally instead:
-// mean completion round and mean transmissions over many seeds must
-// agree between Bernoulli and geometric sampling, as in the shard-count
-// equivalence test (TestShardedEquivalentStatistics).
-func TestGeometricFaultsStatistics(t *testing.T) {
-	g := mustRegular(t, 512, 8, 121)
-	push, err := baseline.NewPush(512, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const p = 0.3
-	var senderDials, tx int64
-	for seed := uint64(0); seed < 10; seed++ {
-		res, err := phonecall.Run(phonecall.Config{
-			Topology:           phonecall.NewStatic(g),
-			Protocol:           push,
-			RNG:                xrand.New(1000 + seed),
-			ChannelFailureProb: p,
-			GeometricFaults:    true,
-			RecordRounds:       true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		informed := int64(1)
-		for _, rm := range res.PerRound {
-			senderDials += informed // every informed node dials one channel
-			informed = int64(rm.Informed)
-		}
-		tx += res.Transmissions
-	}
-	got := float64(tx) / float64(senderDials)
-	want := 1 - p
-	// senderDials ~ 700k trials; 4 standard errors of a Bernoulli mean is
-	// well under 0.005 — use 0.01 for slack.
-	if got < want-0.01 || got > want+0.01 {
-		t.Errorf("geometric channel-failure rate: established fraction %.4f, want %.2f +/- 0.01", got, want)
-	}
-
-	// A generous horizon: the baseline schedule's c·log n rounds can fall
-	// short under 30% loss, and an incomplete run would skew the means.
-	const reps = 30
-	longPush := longPushProto{horizon: 400}
-	stat := func(geometric bool) (meanRounds, meanTx float64) {
-		for seed := uint64(0); seed < reps; seed++ {
-			res, err := phonecall.Run(phonecall.Config{
-				Topology:        phonecall.NewStatic(g),
-				Protocol:        longPush,
-				RNG:             xrand.New(4000 + seed),
-				MessageLossProb: 0.3,
-				GeometricFaults: geometric,
-				StopEarly:       true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.AllInformed {
-				t.Fatalf("lossy push incomplete at seed %d", seed)
-			}
-			meanRounds += float64(res.FirstAllInformed)
-			meanTx += float64(res.Transmissions)
-		}
-		return meanRounds / reps, meanTx / reps
-	}
-	bRounds, bTx := stat(false)
-	gRounds, gTx := stat(true)
-	if diff := bRounds - gRounds; diff > 1.5 || diff < -1.5 {
-		t.Errorf("mean completion rounds: Bernoulli %.2f vs geometric %.2f differ too much", bRounds, gRounds)
-	}
-	if ratio := gTx / bTx; ratio < 0.95 || ratio > 1.05 {
-		t.Errorf("mean transmissions: Bernoulli %.1f vs geometric %.1f (ratio %.4f) differ too much", bTx, gTx, ratio)
-	}
 }

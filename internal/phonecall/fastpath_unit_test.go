@@ -1,6 +1,7 @@
 package phonecall
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"testing"
@@ -67,23 +68,47 @@ func TestFastPathEngagement(t *testing.T) {
 	if e.aliveCount() != 63 {
 		t.Errorf("aliveCount over the bitset = %d, want 63", e.aliveCount())
 	}
+}
 
-	// The dense edge census needs a fully-alive view; with dead ids the
-	// engine must take the reference path (which records the census in
-	// the endpoint-keyed map).
-	census := viewed
-	census.RecordRounds = true
-	census.TrackEdgeUse = true
-	e, err = NewEngine(census)
+// TestEdgeCensusKeepsFastPath pins that TrackEdgeUse demotes no view to the
+// reference path: on a fully-alive CSR view, a partially-alive one and an
+// implicit one the engine stays fast, and the run — Result and per-round
+// |U(t)| — is bit-identical to the reference path's and to every worker
+// count's; the implicit run also equals its materialised twin's.
+func TestEdgeCensusKeepsFastPath(t *testing.T) {
+	g := testGraph(t, 64, 4, 1)
+	cube, err := graph.NewImplicitHypercube(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.fast {
-		t.Error("edge census on a partially-alive view kept the fast path")
+	dense, err := graph.Materialize(cube)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.usedEdges == nil {
-		t.Error("edge census on a partially-alive view lost the reference map")
+	run := func(topo Topology, reference bool, workers int) Result {
+		e, err := NewEngine(Config{
+			Topology: topo, Protocol: pushPullProto{2, 12}, Source: 3, RNG: xrand.New(9),
+			RecordRounds: true, TrackEdgeUse: true, DisableFastPath: reference, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.fast == reference {
+			t.Fatalf("%T: fast = %v with DisableFastPath = %v", topo, e.fast, reference)
+		}
+		return e.Run()
 	}
+	for _, topo := range []Topology{NewStatic(g), newViewTopo(g, 17, 40, 63), NewImplicit(cube)} {
+		fast := run(topo, false, 0)
+		if first := fast.PerRound[0].UnusedEdgeNodes; first == 0 || first > 64 {
+			t.Fatalf("%T: |U(1)| = %d, the census tracked nothing", topo, first)
+		}
+		for _, workers := range []int{0, 1, 4} {
+			assertSameTrace(t, fast, run(topo, false, workers))
+			assertSameTrace(t, fast, run(topo, true, workers))
+		}
+	}
+	assertSameTrace(t, run(NewImplicit(cube), false, 0), run(NewStatic(dense), false, 0))
 }
 
 // viewTopo adapts a frozen graph into a partially-alive CSRViewer — the
@@ -113,99 +138,112 @@ func (v *viewTopo) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64
 	return offsets, adj, v.alive, 0
 }
 
-// TestEdgeCensusBitset unit-tests the CSR census structures against the
-// reference map semantics: parallel edges between the same endpoints
-// share one id (the map conflates them by endpoint key), a self-loop's
-// two slots share one id, and the first markUsedID decrements both
-// endpoints' unused counters exactly once (twice at v for a self-loop).
+// TestEdgeCensusBitset unit-tests markUsed on a multigraph: parallel
+// edges between the same endpoints share one bit (the first slot holding
+// the higher endpoint in the lower endpoint's row), a self-loop decrements
+// its node twice on first use, a repeat use is a no-op, and unusedNodes
+// follows the counters down — on both paths, since the census is shared.
 func TestEdgeCensusBitset(t *testing.T) {
 	// Node 0: self-loop; nodes 1,2: double (parallel) edge; nodes 2,3: simple.
 	g, err := graph.NewFromEdges(4, [][2]int32{{0, 0}, {0, 1}, {1, 2}, {1, 2}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(Config{
-		Topology:     NewStatic(g),
-		Protocol:     pushProto{1, 4},
-		RNG:          xrand.New(1),
-		RecordRounds: true,
-		TrackEdgeUse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.usedEdges != nil {
-		t.Fatal("fast engine built the reference census map")
-	}
-	if len(e.edgeEndA) != 4 {
-		t.Fatalf("census found %d distinct edges, want 4 (self-loop, conflated double edge, 0-1, 2-3)", len(e.edgeEndA))
-	}
-	// The two slots of the parallel pair 1-2 at node 1 must share an id.
-	var ids []int32
-	off, adj := g.CSR()
-	for s := off[1]; s < off[2]; s++ {
-		if adj[s] == 2 {
-			ids = append(ids, e.slotEdge[s])
+	for _, reference := range []bool{false, true} {
+		e, err := NewEngine(Config{
+			Topology:        NewStatic(g),
+			Protocol:        pushProto{1, 4},
+			RNG:             xrand.New(1),
+			RecordRounds:    true,
+			TrackEdgeUse:    true,
+			DisableFastPath: reference,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		check := func(when string, wantNodes int, wantDeg ...int32) {
+			t.Helper()
+			for v, want := range wantDeg {
+				if e.unusedDeg[v] != want {
+					t.Fatalf("reference=%v %s: unusedDeg[%d] = %d, want %d", reference, when, v, e.unusedDeg[v], want)
+				}
+			}
+			if e.unusedNodes != wantNodes {
+				t.Fatalf("reference=%v %s: unusedNodes = %d, want %d", reference, when, e.unusedNodes, wantNodes)
+			}
+		}
+		if len(e.usedBits) != 1 {
+			t.Fatalf("reference=%v: %d census words for 10 slots, want 1", reference, len(e.usedBits))
+		}
+		check("initially", 4, 3, 3, 3, 1)
+		// Self-loop at 0: first use decrements node 0 twice; a repeat is a no-op.
+		e.markUsed(edgeKey(0, 0))
+		e.markUsed(edgeKey(0, 0))
+		check("after the self-loop", 4, 1, 3, 3, 1)
+		// Parallel edge 1-2, dialled from either side: one bit, so one
+		// decrement at each endpoint ever.
+		e.markUsed(edgeKey(1, 2))
+		e.markUsed(edgeKey(2, 1))
+		check("after the double edge", 4, 1, 2, 2, 1)
+		// The simple edges empty nodes 3 and 0; the conflated pair keeps 1 and
+		// 2 in U(t) for good.
+		e.markUsed(edgeKey(3, 2))
+		check("after 2-3", 3, 1, 2, 1, 0)
+		e.markUsed(edgeKey(1, 0))
+		e.markUsed(edgeKey(0, 1))
+		check("after 0-1", 2, 0, 1, 1, 0)
 	}
-	if len(ids) != 2 || ids[0] != ids[1] {
-		t.Fatalf("parallel edges got ids %v, want one shared id", ids)
-	}
+}
 
-	wantDeg := []int32{3, 3, 3, 1}
-	for v, want := range wantDeg {
-		if e.unusedDeg[v] != want {
-			t.Fatalf("unusedDeg[%d] = %d, want %d", v, e.unusedDeg[v], want)
-		}
+// hugeDegreeTopo is a 4-node stub whose every node reports degree 2³⁰, so
+// the census slots sum to 2³² without any adjacency existing.
+type hugeDegreeTopo struct{}
+
+func (hugeDegreeTopo) NumNodes() int         { return 4 }
+func (hugeDegreeTopo) Degree(int) int        { return 1 << 30 }
+func (hugeDegreeTopo) Neighbor(v, _ int) int { return (v + 1) % 4 }
+func (hugeDegreeTopo) Alive(int) bool        { return true }
+
+// TestEdgeCensusRejectsSlotOverflow pins the census bound: slot offsets are
+// int32, so a degree sum past math.MaxInt32 must fail in NewEngine — before
+// the bitset is allocated — instead of wrapping.
+func TestEdgeCensusRejectsSlotOverflow(t *testing.T) {
+	cfg := Config{Topology: hugeDegreeTopo{}, Protocol: pushProto{1, 4}, RNG: xrand.New(1), RecordRounds: true}
+	if _, err := NewEngine(cfg); err != nil {
+		t.Fatalf("without the census: %v", err)
 	}
-	// Self-loop at 0: first use decrements node 0 twice; repeat is a no-op.
-	loop := e.slotEdge[off[0]]
-	e.markUsedID(loop)
-	e.markUsedID(loop)
-	if e.unusedDeg[0] != 1 {
-		t.Errorf("after self-loop use, unusedDeg[0] = %d, want 1", e.unusedDeg[0])
-	}
-	// Parallel edge 1-2: one id, so one decrement at each endpoint ever.
-	e.markUsedID(ids[0])
-	e.markUsedID(ids[0])
-	if e.unusedDeg[1] != 2 || e.unusedDeg[2] != 2 {
-		t.Errorf("after double-edge use, unusedDeg[1,2] = %d,%d, want 2,2", e.unusedDeg[1], e.unusedDeg[2])
+	cfg.TrackEdgeUse = true
+	if _, err := NewEngine(cfg); !errors.Is(err, errCensusTooLarge) {
+		t.Fatalf("TrackEdgeUse with a 2^32 degree sum: err = %v, want errCensusTooLarge", err)
 	}
 }
 
 // TestFastPathZeroAllocsSteadyState is the CSR fast path's allocation
 // guard: with no observer, the steady-state round loop of the inline
-// driver (Workers 0 and 1) allocates nothing — including in geometric
-// fault-skipping mode, whose skip counters live in dialState. Two runs
-// differing only in horizon must allocate identically; any per-round
-// allocation would surface hundreds of times over the gap. The collector
-// is off while counting: the longer run's cohort table is a larger
-// object, so it would otherwise see more GC cycles, and a cycle's own
-// bookkeeping allocations are counted too.
+// driver (Workers 0 and 1) allocates nothing. Two runs differing only in
+// horizon must allocate identically; any per-round allocation would
+// surface hundreds of times over the gap. The collector is off while
+// counting: the longer run's cohort table is a larger object, so it would
+// otherwise see more GC cycles, and a cycle's own bookkeeping allocations
+// are counted too.
 func TestFastPathZeroAllocsSteadyState(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := testGraph(t, 256, 8, 6)
 	for _, tc := range []struct {
-		name      string
-		workers   int
-		geometric bool
-		loss      float64
+		name    string
+		workers int
 	}{
-		{"sequential", 0, false, 0},
-		{"sharded-inline", 1, false, 0},
-		{"sequential-geometric", 0, true, 0.2},
-		{"sharded-geometric", 1, true, 0.2},
+		{"sequential", 0},
+		{"sharded-inline", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(horizon int) float64 {
 				return testing.AllocsPerRun(5, func() {
 					e, err := NewEngine(Config{
-						Topology:        NewStatic(g),
-						Protocol:        pushProto{1, horizon},
-						RNG:             xrand.New(5),
-						Workers:         tc.workers,
-						GeometricFaults: tc.geometric,
-						MessageLossProb: tc.loss,
+						Topology: NewStatic(g),
+						Protocol: pushProto{1, horizon},
+						RNG:      xrand.New(5),
+						Workers:  tc.workers,
 					})
 					if err != nil {
 						t.Fatal(err)

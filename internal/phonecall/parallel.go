@@ -197,14 +197,8 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 			e.isPending[w] = true
 			e.pending = append(e.pending, w)
 		}
-		if e.fast {
-			for _, id := range sh.usedBuf {
-				e.markUsedID(int32(id))
-			}
-		} else {
-			for _, key := range sh.usedBuf {
-				e.markUsedKey(key)
-			}
+		for _, key := range sh.usedBuf {
+			e.markUsed(key)
 		}
 	}
 
@@ -268,7 +262,7 @@ func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 // concurrent shard passes never race. Delivery candidates are queued in
 // the outbox; global dedup happens in the sequential merge.
 func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
-	track := e.usedEdges != nil
+	track := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 
 	for v := sh.lo; v < sh.hi; v++ {
@@ -298,7 +292,7 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
 			if track {
 				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
 			}
-			if loss > 0 && e.msgLost(&sh.ds) {
+			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
 			if e.informedAt[w] == Uninformed && e.topo.Alive(int(w)) {
@@ -332,7 +326,7 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
 			if track {
 				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
 			}
-			if loss > 0 && e.msgLost(&sh.ds) {
+			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
 			if uninformedCaller {

@@ -243,6 +243,12 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.SilenceWindow == 0 {
 		cfg.SilenceWindow = DefaultSilenceWindow
 	}
+	if cfg.SilenceWindow < 1 {
+		return nil, errors.New("population: Config.SilenceWindow must be positive")
+	}
+	if cfg.MaxSteps < 0 {
+		return nil, errors.New("population: Config.MaxSteps must not be negative")
+	}
 	if cfg.MaxSteps == 0 {
 		if cfg.Pair != nil {
 			// ~256·log2(n) super-steps of BatchSize interactions: a

@@ -289,6 +289,8 @@ func TestConfigValidation(t *testing.T) {
 		"pair-n-1":      {N: 1, Pair: le},
 		"neg-shards":    {N: 8, Pair: le, Shards: -1},
 		"neg-batch":     {N: 8, Pair: le, BatchSize: -1},
+		"neg-window":    {N: 8, Pair: le, SilenceWindow: -1},
+		"neg-max-steps": {N: 8, Pair: le, MaxSteps: -5},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: Run accepted an invalid config", name)

@@ -10,8 +10,8 @@ import (
 
 // TestPopulationRunWorkerIndependent pins the facade-level bit-identity
 // guarantee: Run on a PopulationScenario produces the same result —
-// Result.Population included — for the sequential driver (Workers 0), the
-// one-worker sharded driver, and a four-worker sharded driver.
+// Result.Population included — for inline shard passes (Workers 0 and 1)
+// and a four-worker pool.
 func TestPopulationRunWorkerIndependent(t *testing.T) {
 	le, err := NewLeaderElection(250)
 	if err != nil {
@@ -24,7 +24,6 @@ func TestPopulationRunWorkerIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Engine = 0 // the one field that names the worker choice
 		if i == 0 {
 			want = res
 			if !res.Population.Converged {

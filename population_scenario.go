@@ -10,11 +10,10 @@ import (
 // Population-protocol facade: the SchedulerInteractions counterpart of
 // Scenario/Run. A PopulationScenario describes one run of an
 // agent-state machine under the uniform random-pair scheduler (or the
-// synchronous ring scheduler), and Runner.Run executes it on the same
-// engine selection the phone-call scenarios use —
-// EngineSequential and EngineSharded produce bit-identical traces here,
-// because population pair draws are state-independent (see
-// internal/population).
+// synchronous ring scheduler), and Runner.Run executes it on
+// EngineSimulator with the WithWorkers/WithShards the phone-call scenarios
+// use — every worker count produces the same trace here too, because
+// population pair draws are state-independent (see internal/population).
 
 // Facade aliases for the population engine's vocabulary.
 type (
@@ -151,17 +150,15 @@ type PopulationScenario struct {
 // AnyScenario union, so Runner.Run accepts it directly.
 func (PopulationScenario) anyScenario() {}
 
-// runPopulation executes one population scenario on the simulation
-// engines and folds its result into the shared Result shape (the mapping
-// documented on Runner.Run). EngineSequential runs the shard passes
-// inline; EngineSharded runs them on the worker pool; both execute the
-// same trace, bit-identical for every worker count at a fixed shard
-// count. Other engines reject the scenario. Cancelling ctx stops the run
+// runPopulation executes one population scenario on the simulator and
+// folds its result into the shared Result shape (the mapping documented on
+// Runner.Run); the trace is bit-identical for every worker count at a
+// fixed shard count. Other engines reject the scenario. Cancelling ctx stops the run
 // at the next super-step boundary and returns ctx.Err() alongside the
 // partial result.
 func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result, error) {
-	if !r.engine.simulates() {
-		return Result{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSequential or EngineSharded)", r.engine)
+	if r.engine != EngineSimulator {
+		return Result{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSimulator)", r.engine)
 	}
 	rng := s.RNG
 	if rng == nil {
@@ -176,7 +173,7 @@ func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result
 		MaxSteps:        s.MaxSteps,
 		BatchSize:       s.BatchSize,
 		SilenceWindow:   s.SilenceWindow,
-		Workers:         r.simWorkers(),
+		Workers:         r.workers,
 		Shards:          r.shards,
 		DisableFastPath: r.noFastPath,
 		Observer:        s.Observer,

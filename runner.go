@@ -9,26 +9,20 @@ import (
 	"regcast/internal/transport"
 )
 
-// Engine selects how a Runner executes a Scenario. There are four, one
-// per thing the repo measures: the simulator inline (the default every
-// experiment and benchmark cell runs), the simulator on a worker pool
-// (the same trace, checked against the inline one by the
-// Workers-independence tests), and the two tiers of the deployment-shaped
+// Engine selects how a Runner executes a Scenario. There are three, one
+// per thing the repo measures: the simulator (the default every experiment
+// and benchmark cell runs) and the two tiers of the deployment-shaped
 // gossip cluster — in-memory mailboxes (no sockets, the fast tier the
 // transport tests and examples build on) and the socket daemon (the only
 // tier with a health ledger and fault injection).
 type Engine int
 
 const (
-	// EngineSequential is the round simulator with its shard passes run
-	// inline on the calling goroutine: nodes partitioned into shards with
-	// independent PRNG streams (WithShards), no goroutines started.
-	EngineSequential Engine = iota
-	// EngineSharded is the same simulator with the shard passes on a pool
-	// of WithWorkers goroutines. Both honour WithShards and produce
-	// bit-identical results at a fixed shard count, whatever the worker
-	// count.
-	EngineSharded
+	// EngineSimulator is the round simulator: nodes partitioned into shards
+	// with independent PRNG streams (WithShards), the shard passes run
+	// inline or on a pool (WithWorkers) — bit-identical results at a fixed
+	// shard count, whatever the worker count.
+	EngineSimulator Engine = iota
 	// EngineGossipTransport executes the scenario as anti-entropy gossip
 	// over in-memory channel mailboxes (internal/transport): each tick,
 	// every node contacts Choices() random neighbours with push packets
@@ -43,16 +37,11 @@ const (
 	EngineDaemonTransport
 )
 
-// simulates reports whether e is one of the two simulation engines.
-func (e Engine) simulates() bool { return e == EngineSequential || e == EngineSharded }
-
 // String implements fmt.Stringer.
 func (e Engine) String() string {
 	switch e {
-	case EngineSequential:
-		return "sequential"
-	case EngineSharded:
-		return "sharded"
+	case EngineSimulator:
+		return "simulator"
 	case EngineGossipTransport:
 		return "gossip-transport"
 	case EngineDaemonTransport:
@@ -63,11 +52,11 @@ func (e Engine) String() string {
 }
 
 // Runner executes Scenarios on a chosen engine. The zero value runs the
-// simulator inline (EngineSequential); construct variants with NewRunner. Runners
-// are stateless values — one Runner may run many Scenarios, concurrently
-// if desired (a Scenario built with WithRNG is the exception: its stream
-// is unsynchronised, so never run that one scenario concurrently with
-// itself).
+// simulator with its shard passes inline; construct variants with
+// NewRunner. Runners are stateless values — one Runner may run many
+// Scenarios, concurrently if desired (a Scenario built with WithRNG is the
+// exception: its stream is unsynchronised, so never run that one scenario
+// concurrently with itself).
 type Runner struct {
 	engine     Engine
 	workers    int
@@ -84,41 +73,30 @@ type RunnerOption func(*Runner)
 func WithEngine(e Engine) RunnerOption { return func(r *Runner) { r.engine = e } }
 
 // WithWorkers chooses where the simulator's shard passes execute,
-// mirroring the commands' -workers flag: 0 is EngineSequential (inline),
-// WorkersAuto (-1) EngineSharded with GOMAXPROCS pooled workers, and any
-// n >= 1 EngineSharded with n workers. It affects wall-clock time only —
-// results are bit-identical for every value. Apply WithEngine after it to
-// pick a non-simulation engine instead.
-func WithWorkers(n int) RunnerOption {
-	return func(r *Runner) {
-		r.workers = n
-		if n == 0 {
-			r.engine = EngineSequential
-		} else {
-			r.engine = EngineSharded
-		}
-	}
-}
+// mirroring the commands' -workers flag: 0 and 1 inline on the calling
+// goroutine, WorkersAuto (-1) on GOMAXPROCS pooled workers, any larger n
+// on a pool of n. It affects wall-clock time only — results are
+// bit-identical for every value — and the transport engines ignore it.
+func WithWorkers(n int) RunnerOption { return func(r *Runner) { r.workers = n } }
 
-// WithShards fixes the simulation engines' partition count (default
-// DefaultShards), inline and pooled alike. The shard count — not the
-// worker count — determines the trace, so pin it when comparing runs.
+// WithShards fixes the simulator's partition count (default DefaultShards),
+// inline and pooled alike. The shard count — not the worker count —
+// determines the trace, so pin it when comparing runs.
 func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
 
 // WithMailbox sets the per-node mailbox capacity of the transport engines
 // (default 1024 packets).
 func WithMailbox(n int) RunnerOption { return func(r *Runner) { r.mailbox = n } }
 
-// WithoutFastPath forces whichever simulation engine runs the scenario
-// onto its reference interface-dispatch path: per-dial Topology calls
-// even on a frozen Static topology for a broadcast, per-pair Transition
-// calls and O(n) measure scans (no compiled tables) for a population
-// scenario. Both fast paths are bit-identical to their reference path
+// WithoutFastPath forces the simulator onto its reference
+// interface-dispatch path: per-dial Topology calls even on a frozen Static
+// topology for a broadcast, per-pair Transition calls and O(n) measure
+// scans (no compiled tables) for a population scenario. Both fast paths are bit-identical to their reference path
 // (golden tests pin this), so the switch exists for cross-validation and
 // benchmarking, not as a correctness escape hatch.
 func WithoutFastPath() RunnerOption { return func(r *Runner) { r.noFastPath = true } }
 
-// NewRunner builds a Runner; with no options it runs EngineSequential.
+// NewRunner builds a Runner; with no options it runs EngineSimulator.
 func NewRunner(opts ...RunnerOption) Runner {
 	var r Runner
 	for _, opt := range opts {
@@ -155,12 +133,12 @@ type Result struct {
 	// WithRecordRounds.
 	PerRound []RoundStats
 	// Transport is the transport engine's health snapshot (nil for the
-	// simulation engines): dials, retries, drop accounting, dedup hits,
+	// simulator): dials, retries, drop accounting, dedup hits,
 	// per-peer state, and — under WithTransportFaults — the fault ledger.
 	Transport *TransportHealth
 	// TickTimeouts counts the transport-engine ticks whose packets had not
-	// drained when the per-tick deadline passed (always 0 on the simulation
-	// engines). A timed-out tick is attributed the receipts seen so far;
+	// drained when the per-tick deadline passed (always 0 on the
+	// simulator). A timed-out tick is attributed the receipts seen so far;
 	// later arrivals are charged to a later tick, so a non-zero count means
 	// InformedAt and PerRound are skewed late.
 	TickTimeouts int
@@ -215,8 +193,8 @@ func resolveScenario(s AnyScenario) (scenarioKind, error) {
 	return scenarioKind{}, fmt.Errorf("regcast: nil scenario")
 }
 
-// Run executes the scenario with default runner options — the sequential
-// engine unless opts say otherwise.
+// Run executes the scenario with default runner options — the simulator,
+// shard passes inline — unless opts say otherwise.
 func Run(ctx context.Context, s AnyScenario, opts ...RunnerOption) (Result, error) {
 	return NewRunner(opts...).Run(ctx, s)
 }
@@ -260,7 +238,7 @@ func (r Runner) validate() error {
 		return fmt.Errorf("regcast: workers %d invalid (use WorkersAuto, 0 or a positive count)", r.workers)
 	}
 	switch r.engine {
-	case EngineSequential, EngineSharded:
+	case EngineSimulator:
 		if r.faults != nil {
 			return fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
 		}
@@ -269,18 +247,6 @@ func (r Runner) validate() error {
 		return fmt.Errorf("regcast: unknown engine %v", r.engine)
 	}
 	return nil
-}
-
-// simWorkers resolves the phonecall/population Config.Workers value of
-// the two simulation engines.
-func (r Runner) simWorkers() int {
-	if r.engine != EngineSharded {
-		return 0
-	}
-	if r.workers == 0 {
-		return WorkersAuto
-	}
-	return r.workers
 }
 
 // runScenario executes one phone-call scenario.
@@ -299,7 +265,7 @@ func (r Runner) runScenario(ctx context.Context, s Scenario) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if r.engine.simulates() {
+	if r.engine == EngineSimulator {
 		return r.runSimulation(ctx, s)
 	}
 	return r.runTransport(ctx, s)
@@ -332,8 +298,7 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runSimulation drives the phone-call engine, inline (EngineSequential)
-// or pooled (EngineSharded).
+// runSimulation drives the phone-call engine.
 func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 	cfg := phonecall.Config{
 		Topology:           s.topo,
@@ -342,13 +307,12 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		RNG:                s.runRNG(),
 		ChannelFailureProb: s.channelFailure,
 		MessageLossProb:    s.messageLoss,
-		GeometricFaults:    s.geometricFaults,
 		DialStrategy:       s.dial,
 		AvoidRecent:        s.avoidRecent,
 		RecordRounds:       s.recordRounds,
 		TrackEdgeUse:       s.trackEdgeUse,
 		StopEarly:          s.stopEarly,
-		Workers:            r.simWorkers(),
+		Workers:            r.workers,
 		Shards:             r.shards,
 		DisableFastPath:    r.noFastPath,
 		Observer:           s.observer(),

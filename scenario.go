@@ -29,9 +29,8 @@ type Scenario struct {
 	dial        DialStrategy
 	avoidRecent int
 
-	channelFailure  float64
-	messageLoss     float64
-	geometricFaults bool
+	channelFailure float64
+	messageLoss    float64
 
 	stopEarly    bool
 	recordRounds bool
@@ -83,18 +82,6 @@ func WithChannelFailure(p float64) ScenarioOption { return func(s *Scenario) { s
 // lost in transit (lost transmissions still count as transmissions).
 func WithMessageLoss(p float64) ScenarioOption { return func(s *Scenario) { s.messageLoss = p } }
 
-// WithGeometricFaults switches the simulation engines to the
-// randomness-efficient fault sampler: instead of one Bernoulli draw per
-// channel-failure/message-loss decision, each PRNG stream draws
-// Geometric(p) skip counters — one draw per fault event. The fault
-// processes are distribution-identical and every determinism contract
-// still holds (same seed => same trace, worker-count independence), but
-// the stream is consumed in a different order, so traces are NOT
-// comparable with the default Bernoulli mode — that is why this is an
-// explicit opt-in. Simulation engines only (the transport engines
-// simulate no faults at all).
-func WithGeometricFaults() ScenarioOption { return func(s *Scenario) { s.geometricFaults = true } }
-
 // WithStopEarly stops the run as soon as every alive node is informed,
 // instead of measuring the full schedule's transmission cost.
 func WithStopEarly() ScenarioOption { return func(s *Scenario) { s.stopEarly = true } }
@@ -106,7 +93,7 @@ func WithRecordRounds() ScenarioOption { return func(s *Scenario) { s.recordRoun
 
 // WithTrackEdgeUse enables the unused-edge census of the paper's Lemma 4
 // (RoundStats.UnusedEdgeNodes). Implies WithRecordRounds requirements:
-// simulation engines only, static topology.
+// EngineSimulator only, static topology.
 func WithTrackEdgeUse() ScenarioOption { return func(s *Scenario) { s.trackEdgeUse = true } }
 
 // WithObserver streams per-round metrics to obs during the run. Repeating

@@ -10,8 +10,9 @@ import (
 
 // transportSmoke runs one rumour through a real transport engine via the
 // public Runner and checks the round trip: scenario in, spread metrics
-// out, every node informed.
-func transportSmoke(t *testing.T, engine regcast.Engine) {
+// out, every node informed. opts are the runner options that must select
+// engine.
+func transportSmoke(t *testing.T, engine regcast.Engine, opts ...regcast.RunnerOption) {
 	t.Helper()
 	const n, d, k = 12, 4, 2
 	g, err := regcast.NewRegularGraph(n, d, regcast.NewRand(8))
@@ -30,7 +31,7 @@ func transportSmoke(t *testing.T, engine regcast.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := regcast.Run(context.Background(), scenario, regcast.WithEngine(engine))
+	res, err := regcast.Run(context.Background(), scenario, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,5 +64,14 @@ func transportSmoke(t *testing.T, engine regcast.Engine) {
 // TestGossipTransportRoundTrip proves the facade reaches the in-memory
 // gossip transport: a Scenario run end-to-end over channel mailboxes.
 func TestGossipTransportRoundTrip(t *testing.T) {
-	transportSmoke(t, regcast.EngineGossipTransport)
+	transportSmoke(t, regcast.EngineGossipTransport, regcast.WithEngine(regcast.EngineGossipTransport))
+}
+
+// TestEngineSelectionIgnoresOptionOrder pins that WithWorkers only stores a
+// count: a transport engine chosen before it stays chosen (WithWorkers used
+// to overwrite the engine with a simulator one), and after it likewise.
+func TestEngineSelectionIgnoresOptionOrder(t *testing.T) {
+	daemon, workers := regcast.WithEngine(regcast.EngineDaemonTransport), regcast.WithWorkers(2)
+	transportSmoke(t, regcast.EngineDaemonTransport, daemon, workers)
+	transportSmoke(t, regcast.EngineDaemonTransport, workers, daemon)
 }

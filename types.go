@@ -69,9 +69,9 @@ const (
 	// Uninformed is the sentinel receipt round in Result.InformedAt for
 	// nodes that never received the message.
 	Uninformed = phonecall.Uninformed
-	// WorkersAuto selects GOMAXPROCS pooled workers (EngineSharded).
+	// WorkersAuto selects GOMAXPROCS pooled workers (WithWorkers).
 	WorkersAuto = phonecall.WorkersAuto
-	// DefaultShards is the simulation engines' default partition count;
+	// DefaultShards is the simulator's default partition count;
 	// the shard count (not the worker count) determines the trace.
 	DefaultShards = phonecall.DefaultShards
 )
