@@ -65,6 +65,11 @@ func run() error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 	if err := tflags.Validate(); err != nil {
 		return err
 	}
@@ -89,7 +94,6 @@ func run() error {
 		}
 	}
 	var g *regcast.Graph
-	var err error
 	if spec == nil {
 		g, err = regcast.NewRegularGraph(*n, *d, master.Split())
 		if err != nil {

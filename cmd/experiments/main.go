@@ -46,6 +46,11 @@ func run() error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 	if *repWork < regcast.WorkersAuto {
 		return fmt.Errorf("-rep-workers %d invalid (use -1, 0 or a positive count)", *repWork)
 	}

@@ -40,12 +40,14 @@ func run() error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 
 	master := common.Rand()
-	var (
-		g   *regcast.Graph
-		err error
-	)
+	var g *regcast.Graph
 	switch *model {
 	case "simple":
 		g, err = graph.RandomRegular(*n, *d, master.Split())

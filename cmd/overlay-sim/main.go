@@ -44,6 +44,11 @@ func run() error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 
 	master := common.Rand()
 	ov, err := overlay.New(*n, *d, 4*(*n), master.Split())

@@ -3,6 +3,9 @@ package regcast
 import (
 	"flag"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -10,8 +13,8 @@ import (
 
 // CommonFlags is the flag surface shared by every regcast command:
 // one -seed and one -workers flag with identical names, defaults, and
-// semantics across binaries, parsed through this single helper so the
-// commands cannot drift apart again.
+// semantics across binaries — and one pair of pprof hooks — parsed through
+// this single helper so the commands cannot drift apart again.
 type CommonFlags struct {
 	// Seed is the master random seed; all of a command's randomness
 	// (topology generation and the runs themselves) derives from it.
@@ -34,6 +37,11 @@ type CommonFlags struct {
 	// fast path, false forces its reference path (WithoutFastPath) — the
 	// cross-validation and A/B-benchmark switch. It never changes a result.
 	FastPath bool
+	// CPUProfile and MemProfile name the files StartProfiles writes a CPU
+	// and a heap profile to (`go tool pprof <binary> <file>`); empty means
+	// no profile.
+	CPUProfile string
+	MemProfile string
 
 	scheduler Scheduler
 	spec      TopologySpec
@@ -52,7 +60,54 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"topology spec override, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
 	fs.BoolVar(&f.FastPath, "fastpath", true,
 		"engine fast path (phone-call: CSR/implicit views; population: table/counts/batch kernels); false forces the reference path, results are identical")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
 	return f
+}
+
+// StartProfiles starts the CPU profile -cpuprofile asks for and returns
+// the function that ends it and writes the heap profile -memprofile asks
+// for; a command calls it once after Validate and defers stop. Both files
+// are created here, so an unwritable path fails before the work starts.
+// With neither flag set it does nothing.
+func (f *CommonFlags) StartProfiles() (stop func(), err error) {
+	var cpu, mem *os.File
+	if f.CPUProfile != "" {
+		if cpu, err = os.Create(f.CPUProfile); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	stopCPU := func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "-cpuprofile:", err)
+			}
+		}
+	}
+	if f.MemProfile != "" {
+		if mem, err = os.Create(f.MemProfile); err != nil {
+			stopCPU()
+			return nil, fmt.Errorf("-memprofile: %w", err)
+		}
+	}
+	return func() {
+		stopCPU()
+		if mem != nil {
+			runtime.GC() // the heap profile is as of the last collection
+			err := pprof.WriteHeapProfile(mem)
+			if cerr := mem.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "-memprofile:", err)
+			}
+		}
+	}, nil
 }
 
 // Validate rejects flag values no engine accepts.

@@ -62,13 +62,19 @@ func ConfigurationModel(n, d int, rng *xrand.Rand) (*Graph, error) {
 // compares — one cache line at d = 16 — against the uniformity regime's
 // d = o(n^{1/3}); the repository never exceeds d = 64 outside tiny test
 // graphs. The three work arrays (unmatched stubs, row cursors, adjacency)
-// are allocated once and reused across restarts.
+// are allocated once and reused across restarts. A stub is stored as the
+// id of the node that owns it — which stub of the node it is never
+// matters — so a try divides nothing.
 //
-// The draws, the accept/reject decisions and the row order are those of
-// the historical build (an edge set in a map, an edge list replayed
-// through NewFromEdges), so the graph is element-identical and the
-// caller's generator ends in the same stream position, restarts included
-// (TestRandomRegularMatchesMapBuild).
+// A try is three dependent random reads (the stub, its node's cursor, the
+// node's row), so one pair at a time the pass waits on memory. It works in
+// batches instead (tryStegerWormald): swBatch pairs are drawn ahead as if
+// each will be accepted, their reads are issued together, and only then
+// are the pairs decided in order. The draws, the accept/reject decisions
+// and the row order are those of the historical build (an edge set in a
+// map, an edge list replayed through NewFromEdges), so the graph is
+// element-identical and the caller's generator ends in the same stream
+// position, restarts included (TestRandomRegularMatchesMapBuild).
 func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 	if err := checkRegularParams(n, d); err != nil {
 		return nil, err
@@ -88,49 +94,111 @@ func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) failed after %d restarts", n, d, maxRestarts)
 }
 
+// swBatch is how many pairs tryStegerWormald draws ahead: enough reads in
+// flight to cover a memory round trip, few enough that the four index
+// arrays stay on the stack and a rollback replays little.
+const swBatch = 16
+
+// swRollback, when set (tests only, export_test.go), sees every batch
+// rollback: the index of the pair that ended the batch and whether it did
+// so by drawing the same stub twice.
+var swRollback func(pair int, sameStub bool)
+
+// keepLoads consumes the batch's warm-up reads, which have no other use
+// and would be deleted as dead code; one call per batch.
+//
+//go:noinline
+func keepLoads(int32) {}
+
 // tryStegerWormald performs one pass of the pairing-with-rejection process
 // over n = len(fill) nodes, writing row v into adj[v·d : (v+1)·d] in
 // acceptance order; fill[v] is how much of row v is written. It returns
 // false if the process got stuck (only unsuitable pairs left); the caller
 // may then call it again with the same arrays.
+//
+// Pairs are drawn a batch ahead with the moduli m, m−2, … they would see
+// if every earlier pair of the batch were accepted, and the batch's reads
+// are issued stage by stage — both stubs of every pair, then both cursors,
+// then both rows — so the misses of a stage overlap instead of queueing
+// behind each other. The values read are only a warm-up (an earlier pair
+// of the batch may move a stub or grow a row); the pairs are then decided
+// in order, on current state. A pair that is not accepted (the same stub
+// twice, a self-loop, a parallel edge) is followed, in the one-at-a-time
+// process, by a draw with an unchanged modulus, so the rest of the batch
+// was drawn wrongly: the generator is reset to its batch-start value and
+// advanced over the pairs decided so far — the same IntN calls from the
+// same state, hence the same stream position — and the next batch starts
+// there. Rollbacks are rare (about (d²−1)/4 + ln m per graph), and they
+// make the draw sequence exactly the unbatched one.
 func tryStegerWormald(d int, rng *xrand.Rand, unmatched, fill, adj []int32) bool {
-	// unmatched holds stub ids; stub s belongs to node s/d.
-	for i := range unmatched {
-		unmatched[i] = int32(i)
-	}
 	for v := range fill {
 		fill[v] = 0
+		stubs := unmatched[v*d : (v+1)*d]
+		for s := range stubs {
+			stubs[s] = int32(v)
+		}
 	}
 	// A pairing step may need several retries; bound total retries to detect
 	// the (rare) stuck state without an expensive suitability scan.
 	retryBudget := 50*len(unmatched) + 1000
+	var bi, bj [swBatch]int           // the batch's drawn stub positions
+	var bu, bv, fu, fv [swBatch]int32 // warm-up: their nodes and row cursors
 	for len(unmatched) > 0 {
-		i := rng.IntN(len(unmatched))
-		j := rng.IntN(len(unmatched))
-		if i == j {
-			continue
+		m := len(unmatched)
+		start := *rng
+		nb := min(swBatch, m/2)
+		for p := 0; p < nb; p++ {
+			bi[p] = rng.IntN(m - 2*p)
+			bj[p] = rng.IntN(m - 2*p)
 		}
-		su, sv := unmatched[i], unmatched[j]
-		u, v := su/int32(d), sv/int32(d)
-		if u == v || adjacent(d, fill, adj, u, v) {
-			retryBudget--
-			if retryBudget <= 0 {
-				return false
+		for p := 0; p < nb; p++ {
+			bu[p], bv[p] = unmatched[bi[p]], unmatched[bj[p]]
+		}
+		for p := 0; p < nb; p++ {
+			fu[p], fv[p] = fill[bu[p]], fill[bv[p]]
+		}
+		var warm int32
+		for p := 0; p < nb; p++ {
+			// Row start (the probe) and next free slot (the append); an
+			// unmatched stub's row is not full, so the slot exists.
+			ru, rv := int(bu[p])*d, int(bv[p])*d
+			warm ^= adj[ru] ^ adj[ru+int(fu[p])] ^ adj[rv] ^ adj[rv+int(fv[p])]
+		}
+		keepLoads(warm)
+
+		for p := 0; p < nb; p++ {
+			i, j := bi[p], bj[p]
+			u, v := unmatched[i], unmatched[j]
+			if i == j || u == v || adjacent(d, fill, adj, u, v) {
+				*rng = start
+				for q := 0; q <= p; q++ {
+					rng.IntN(m - 2*q)
+					rng.IntN(m - 2*q)
+				}
+				if swRollback != nil {
+					swRollback(p, i == j)
+				}
+				if i != j {
+					retryBudget--
+					if retryBudget <= 0 {
+						return false
+					}
+				}
+				break
 			}
-			continue
+			adj[int(u)*d+int(fill[u])] = v
+			fill[u]++
+			adj[int(v)*d+int(fill[v])] = u
+			fill[v]++
+			// Remove both stubs (remove the larger index first).
+			if i < j {
+				i, j = j, i
+			}
+			unmatched[i] = unmatched[len(unmatched)-1]
+			unmatched = unmatched[:len(unmatched)-1]
+			unmatched[j] = unmatched[len(unmatched)-1]
+			unmatched = unmatched[:len(unmatched)-1]
 		}
-		adj[int(u)*d+int(fill[u])] = v
-		fill[u]++
-		adj[int(v)*d+int(fill[v])] = u
-		fill[v]++
-		// Remove both stubs (remove the larger index first).
-		if i < j {
-			i, j = j, i
-		}
-		unmatched[i] = unmatched[len(unmatched)-1]
-		unmatched = unmatched[:len(unmatched)-1]
-		unmatched[j] = unmatched[len(unmatched)-1]
-		unmatched = unmatched[:len(unmatched)-1]
 	}
 	return true
 }

@@ -192,35 +192,44 @@ func sameStream(t *testing.T, label string, a, b *xrand.Rand) {
 	}
 }
 
-// TestRandomRegularMatchesMapBuild pins the map-free Steger–Wormald build
-// to the historical one. The complete graphs (d = n-1) fill every row to
-// the brim and never get stuck; (8,6), (10,8) and (12,10) get stuck and
-// restart on most seeds, so the identity covers the reuse of the work
-// arrays across passes too.
+// TestRandomRegularMatchesMapBuild pins the map-free, batched
+// Steger–Wormald build to the historical one. The complete graphs
+// (d = n-1) fill every row to the brim and never get stuck; (8,6), (10,8)
+// and (12,10) get stuck and restart on most seeds, so the identity covers
+// the reuse of the work arrays across passes too. (1000,6) and (257,8) run
+// many full batches and end on a partial one (3000 and 1028 pairs against
+// batches of 16); the sweep must have rolled batches back both mid-batch
+// and for a stub paired with itself, or the replay is not covered.
 func TestRandomRegularMatchesMapBuild(t *testing.T) {
-	shapes := [][2]int{{4, 3}, {8, 6}, {10, 8}, {12, 10}, {17, 16}, {64, 63}, {256, 3}, {4096, 16}, {2048, 64}}
+	shapes := [][2]int{{4, 3}, {8, 6}, {10, 8}, {12, 10}, {17, 16}, {64, 63}, {256, 3}, {1000, 6}, {257, 8}, {4096, 16}, {2048, 64}}
 	restarts := 0
-	for seed := uint64(1); seed <= 20; seed++ {
-		for _, nd := range shapes {
-			n, d := nd[0], nd[1]
-			ra, rb := xrand.New(seed), xrand.New(seed)
-			got, err := RandomRegular(n, d, ra)
-			if err != nil {
-				t.Fatal(err)
+	midBatch, sameStub := countSWRollbacks(func() {
+		for seed := uint64(1); seed <= 20; seed++ {
+			for _, nd := range shapes {
+				n, d := nd[0], nd[1]
+				ra, rb := xrand.New(seed), xrand.New(seed)
+				got, err := RandomRegular(n, d, ra)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, stuck, err := refRandomRegular(n, d, rb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				restarts += stuck
+				label := fmt.Sprintf("random-regular seed=%d n=%d d=%d", seed, n, d)
+				sameGraph(t, label, got, want)
+				sameStream(t, label, ra, rb)
 			}
-			want, stuck, err := refRandomRegular(n, d, rb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restarts += stuck
-			label := fmt.Sprintf("random-regular seed=%d n=%d d=%d", seed, n, d)
-			sameGraph(t, label, got, want)
-			sameStream(t, label, ra, rb)
 		}
-	}
+	})
 	if restarts < 100 {
 		t.Fatalf("only %d restarts in the sweep: the restart path is not covered", restarts)
 	}
+	if midBatch < 100 || sameStub < 100 {
+		t.Fatalf("%d mid-batch and %d same-stub rollbacks in the sweep: the replay is not covered", midBatch, sameStub)
+	}
+	t.Logf("%d restarts, %d mid-batch rollbacks, %d same-stub rollbacks", restarts, midBatch, sameStub)
 }
 
 func TestRegularGeneratorsRejectInt32Overflow(t *testing.T) {

@@ -146,15 +146,16 @@ type Engine struct {
 	n          int
 	k          int
 	informedAt []int32
-	// informedBits mirrors informedAt != Uninformed as a bitset, so that the
-	// per-round recount under churn is popcount(alive & informed) over n/64
-	// words. NewEngine allocates it only for a Stepper on the fast path:
-	// static runs never pay for it, and a MultiEngine — which swaps
-	// informedAt per message and never steps a topology — never owns one
-	// (it is built by newEngine), so round's nil check keeps it out.
+	// informedBits mirrors informedAt != Uninformed as a bitset: "is the
+	// target informed?" — the one random read per transmission — touches
+	// n/8 bytes instead of 4n (informedFast), and the recount under churn is
+	// popcount(alive & informed) over n/64 words. NewEngine allocates it for
+	// every fast-path engine; a MultiEngine — which swaps informedAt per
+	// message — never owns one (it is built by newEngine), and the nil
+	// checks keep it on informedAt.
 	informedBits []uint64
-	pending      []int32 // nodes newly informed in the current round
-	isPending    []bool
+	pending      []int32  // nodes newly informed in the current round
+	isPending    []uint64 // bitset over node ids: already queued in pending
 
 	dialTargets []int32 // flat n×k; Uninformed (-1) marks "no channel"
 
@@ -188,10 +189,14 @@ type Engine struct {
 
 	// Per-round protocol decision tables, indexed by receipt round: round
 	// fills them once per call, so SendPush/SendPull is called
-	// O(rounds · cohorts) times instead of inside node loops. neverPulls
+	// O(rounds · cohorts) times instead of inside node loops. pullAll is the
+	// round's "every occupied cohort pulls" (with an informed bitset only):
+	// an informed callee then answers whatever its receipt round, so the
+	// pull scan probes the bit and never loads informedAt[w]. neverPulls
 	// caches the protocol's PullFree answer.
 	pushDec    []bool
 	pullDec    []bool
+	pullAll    bool
 	neverPulls bool
 
 	// memory for the sequentialised model (AvoidRecent > 0)
@@ -234,7 +239,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := checkOrigin(cfg.Topology, "source", cfg.Source); err != nil {
 		return nil, err
 	}
-	if _, churns := cfg.Topology.(Stepper); churns && e.fast {
+	if e.fast {
 		e.informedBits = make([]uint64, (e.n+63)/64)
 	}
 	return e, nil
@@ -324,7 +329,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	for i := range e.informedAt {
 		e.informedAt[i] = Uninformed
 	}
-	e.isPending = make([]bool, n)
+	e.isPending = make([]uint64, (n+63)/64)
 	e.dialTargets = make([]int32, n*e.k)
 	// Preallocate the receipt queue so the round loop never grows it, and
 	// the per-round protocol decision tables.
@@ -656,6 +661,17 @@ func (e *Engine) aliveFast(v int) bool {
 	return e.aliveBits == nil || e.aliveBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
+// informedFast reports whether v holds the rumour, from the informed bitset
+// when the engine keeps one (a MultiEngine's does not). The push loop and,
+// in a pullAll round, the pull scan ask it once per transmission about a
+// random node; it must stay inlinable.
+func (e *Engine) informedFast(v int) bool {
+	if e.informedBits == nil {
+		return e.informedAt[v] != Uninformed
+	}
+	return e.informedBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
+}
+
 // refreshCSR re-fetches the topology's fast-path view (CSR or implicit)
 // after a churn Step, but only when the epoch advanced — the contract
 // that lets churn runs keep the fast path between churn events at the
@@ -680,23 +696,17 @@ func (e *Engine) refreshCSR() {
 }
 
 // recount recomputes the informed-alive count after churn invalidated the
-// incremental counter (on the fast path over the view's alive bitset —
-// callers refresh the view first): word-wise against informedBits when the
-// engine keeps one, by scan otherwise. The reference path's scan is the
-// oracle the popcount is tested against.
+// incremental counter: word-wise over informedBits and the view's alive
+// bitset on the fast path (callers refresh the view first), by scan on the
+// reference path — the oracle the popcount is tested against.
 func (e *Engine) recount() int {
 	c := 0
-	if e.informedBits != nil && e.aliveBits != nil {
+	if e.informedBits != nil {
 		for i, w := range e.informedBits {
-			c += bits.OnesCount64(w & e.aliveBits[i])
-		}
-		return c
-	}
-	if e.fast {
-		for v := 0; v < e.n; v++ {
-			if e.aliveFast(v) && e.informedAt[v] != Uninformed {
-				c++
+			if e.aliveBits != nil {
+				w &= e.aliveBits[i]
 			}
+			c += bits.OnesCount64(w)
 		}
 		return c
 	}

@@ -29,3 +29,12 @@ func (e *Engine) LiveInformedAt() []int32 { return e.informedAt }
 // NewViewTopo is newViewTopo for package phonecall_test: g as a CSRViewer
 // whose listed ids are dead.
 func NewViewTopo(g *graph.Graph, dead ...int) Topology { return newViewTopo(g, dead...) }
+
+// LiveInformedBits returns the engine's informed bitset itself (nil on the
+// reference path).
+func (e *Engine) LiveInformedBits() []uint64 { return e.informedBits }
+
+// PullAll reports whether the latest round's pull scan probed the informed
+// bitset alone (every occupied cohort pulled) instead of loading receipt
+// rounds.
+func (e *Engine) PullAll() bool { return e.pullAll }

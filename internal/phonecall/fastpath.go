@@ -6,11 +6,13 @@ package phonecall
 // (ImplicitViewer) — and Config.DisableFastPath is unset, NewEngine
 // fetches the view once and the shard pass runs against raw slices: no
 // Topology.Degree/Neighbor/Alive dynamic dispatch in dial sampling, the
-// push loop, or the pull scan, small-k distinct samplers
-// (xrand.Distinct2/3/4) instead of the scratch-based DistinctK. On a
-// churning topology the view is re-fetched only when its epoch advances
+// push loop, or the pull scan, and for k <= 4 the scratch-free distinct
+// samplers (xrand.Distinct2/3/4) at every degree instead of DistinctK. On
+// a churning topology the view is re-fetched only when its epoch advances
 // (refreshCSR, once per Step), and liveness is a bitset probe (aliveFast)
-// placed exactly where the reference path calls Topology.Alive. The
+// placed exactly where the reference path calls Topology.Alive; "is the
+// target informed?" is one too (informedFast, over the bitset NewEngine
+// keeps beside informedAt), where the reference path loads informedAt. The
 // Config.TrackEdgeUse census is the reference path's own: both passes
 // buffer edge keys and the merge applies them through markUsed.
 //
@@ -74,27 +76,24 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	if kk > deg {
 		kk = deg
 	}
-	// Sampler selection, stream-compatible with DistinctK in every arm.
-	// k == 1 is a single IntN on either of DistinctK's branches. For
-	// k <= 4 in the rejection regime (deg >= 64, where xrand's shared
-	// rejectionRegime predicate holds) the scratch-free Distinct2/3/4
-	// win; below it DistinctK's vectorised scratch init measures faster
-	// (BenchmarkDistinctK). The deg >= 64 gate here is a performance
-	// choice only — both arms are stream-identical for any deg, so a
-	// retuned xrand threshold cannot break bit-identity.
+	// Sampler selection, stream-compatible with DistinctK in every arm:
+	// k == 1 is a single IntN on either of DistinctK's branches, k <= 4 is
+	// xrand's scratch-free Distinct2/3/4 at any degree (a virtual shuffle
+	// below deg 64, rejection from there), and DistinctK with the shard's
+	// scratch serves k >= 5 only.
 	var picks [4]int
 	var idxs []int
 	switch {
 	case kk == 1:
 		picks[0] = ds.rng.IntN(deg)
 		idxs = picks[:1]
-	case kk == 2 && deg >= 64:
+	case kk == 2:
 		picks[0], picks[1] = ds.rng.Distinct2(deg)
 		idxs = picks[:2]
-	case kk == 3 && deg >= 64:
+	case kk == 3:
 		picks[0], picks[1], picks[2] = ds.rng.Distinct3(deg)
 		idxs = picks[:3]
-	case kk == 4 && deg >= 64:
+	case kk == 4:
 		picks[0], picks[1], picks[2], picks[3] = ds.rng.Distinct4(deg)
 		idxs = picks[:4]
 	default:
@@ -231,7 +230,7 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
-			if e.informedAt[w] == Uninformed && e.aliveFast(int(w)) {
+			if !e.informedFast(int(w)) && e.aliveFast(int(w)) {
 				sh.outbox = append(sh.outbox, w)
 			}
 		}
@@ -251,8 +250,13 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 			if w < 0 {
 				continue
 			}
-			wia := e.informedAt[w]
-			if wia == Uninformed || int(wia) >= t || !e.pullDec[wia] {
+			// Every occupied cohort pulls: the callee answers iff informed,
+			// one bit. Otherwise its receipt round decides.
+			if e.pullAll {
+				if !e.informedFast(int(w)) {
+					continue
+				}
+			} else if wia := e.informedAt[w]; wia == Uninformed || int(wia) >= t || !e.pullDec[wia] {
 				continue
 			}
 			sh.tx++

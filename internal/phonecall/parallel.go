@@ -168,7 +168,7 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 		e.pushDec[ia] = e.proto.SendPush(t, ia)
 		e.pullDec[ia] = !e.neverPulls && e.proto.SendPull(t, ia)
 	}
-	anyPull := false
+	anyPull, pullAll := false, e.informedBits != nil
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.sends = false
@@ -176,9 +176,11 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 			if c > 0 {
 				sh.sends = sh.sends || e.pushDec[ia]
 				anyPull = anyPull || e.pullDec[ia]
+				pullAll = pullAll && e.pullDec[ia]
 			}
 		}
 	}
+	e.pullAll = pullAll
 	if dial == dialSenders && (anyPull || e.cfg.AvoidRecent > 0) {
 		dial = dialEveryone
 	}
@@ -191,10 +193,11 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 		sh := &e.shards[i]
 		roundTx += sh.tx
 		for _, w := range sh.outbox {
-			if e.isPending[w] {
+			word, bit := &e.isPending[uint(w)>>6], uint64(1)<<(uint(w)&63)
+			if *word&bit != 0 {
 				continue
 			}
-			e.isPending[w] = true
+			*word |= bit
 			e.pending = append(e.pending, w)
 		}
 		for _, key := range sh.usedBuf {
@@ -205,7 +208,7 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	// Step 4: apply receipts at the end of the round.
 	newly = len(e.pending)
 	for _, v := range e.pending {
-		e.isPending[v] = false
+		e.isPending[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		e.informedAt[v] = int32(t)
 		if e.informedBits != nil {
 			e.informedBits[uint(v)>>6] |= 1 << (uint(v) & 63)

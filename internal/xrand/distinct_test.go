@@ -2,46 +2,108 @@ package xrand
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
+// distinctSmallVia draws k <= 4 values through IntN or Distinct2/3/4, the
+// calls the phone-call fast path makes.
+func distinctSmallVia(r *Rand, k, n int) []int {
+	var got [4]int
+	switch k {
+	case 1:
+		got[0] = r.IntN(n)
+	case 2:
+		got[0], got[1] = r.Distinct2(n)
+	case 3:
+		got[0], got[1], got[2] = r.Distinct3(n)
+	case 4:
+		got[0], got[1], got[2], got[3] = r.Distinct4(n)
+	}
+	return got[:k]
+}
+
+// checkSmallMatchesDistinctK runs DistinctK on ra and the small sampler on
+// rb (generators in identical states) and fails unless values, order and
+// the next word of both streams agree.
+func checkSmallMatchesDistinctK(t *testing.T, ra, rb *Rand, k, n int) {
+	t.Helper()
+	want := ra.DistinctK(nil, k, n, nil)
+	got := distinctSmallVia(rb, k, n)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("k=%d n=%d: small sampler %v, DistinctK %v", k, n, got, want)
+		}
+	}
+	if ra.Uint64() != rb.Uint64() {
+		t.Fatalf("k=%d n=%d: stream positions diverged", k, n)
+	}
+}
+
 // TestDistinctSmallMatchesDistinctK is the stream-compatibility contract
-// of the small-k samplers: for every k in {2,3,4} and every n from k up
-// past the rejection threshold, DistinctN must return the same values as
-// DistinctK AND leave the generator in the same state (checked by drawing
-// one more word from both streams). This is what lets the phone-call fast
-// path swap samplers without changing a run's trace.
+// of the small-k samplers: for every k in {1,…,4}, every n of the
+// Fisher–Yates regime (k <= n < 64, the virtual shuffle) and sizes past
+// the rejection threshold, the sampler the fast path calls must return the
+// same values as DistinctK in the same order AND leave the generator in
+// the same state (checked by drawing one more word from both streams).
+// This is what lets the phone-call fast path swap samplers without
+// changing a run's trace.
 func TestDistinctSmallMatchesDistinctK(t *testing.T) {
-	sizes := []int{2, 3, 4, 5, 7, 8, 15, 16, 31, 63, 64, 65, 100, 1000}
-	for k := 2; k <= 4; k++ {
+	var sizes []int
+	for n := 1; n < 64; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 64, 65, 100, 1000)
+	for k := 1; k <= 4; k++ {
 		for _, n := range sizes {
 			if n < k {
 				continue
 			}
 			t.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(t *testing.T) {
-				for seed := uint64(1); seed <= 50; seed++ {
-					ra, rb := New(seed), New(seed)
-					want := ra.DistinctK(nil, k, n, nil)
-					var got [4]int
-					switch k {
-					case 2:
-						got[0], got[1] = rb.Distinct2(n)
-					case 3:
-						got[0], got[1], got[2] = rb.Distinct3(n)
-					case 4:
-						got[0], got[1], got[2], got[3] = rb.Distinct4(n)
-					}
-					for i := 0; i < k; i++ {
-						if got[i] != want[i] {
-							t.Fatalf("seed %d: Distinct%d(%d)[%d] = %d, DistinctK = %d",
-								seed, k, n, i, got[i], want[i])
-						}
-					}
-					if ra.Uint64() != rb.Uint64() {
-						t.Fatalf("seed %d: stream positions diverged after Distinct%d(%d)", seed, k, n)
-					}
+				for seed := uint64(1); seed <= 200; seed++ {
+					checkSmallMatchesDistinctK(t, New(seed), New(seed), k, n)
 				}
 			})
+		}
+	}
+}
+
+// unstep returns the state whose successor, one Uint64 call later, is r.
+func unstep(r Rand) Rand {
+	s3 := bits.RotateLeft64(r.s3, -45) // p3 ^ p1
+	y := r.s1 ^ r.s2                   // p1 ^ p1<<17
+	p1 := y ^ y<<17 ^ y<<34 ^ y<<51
+	p0 := r.s0 ^ s3
+	return Rand{p0, p1, r.s1 ^ p1 ^ p0, s3 ^ p1}
+}
+
+// TestDistinctSmallLemireRejection hits the Lemire rejection window at
+// each of the virtual shuffle's four stages. A window draw has probability
+// n/2^64, so the row is built backwards: a state with s1 = 0 outputs the
+// word 0 (lo = 0 < n), and unstepping it i times puts that word at stage i.
+// Power-of-two n has an empty rejection set (the window is entered, no
+// re-draw follows); the others re-draw.
+func TestDistinctSmallLemireRejection(t *testing.T) {
+	if prev := unstep(*New(3)); prev.Uint64() == 0 || prev != *New(3) {
+		t.Fatal("unstep does not invert the generator step")
+	}
+	for stage := 0; stage < 4; stage++ {
+		start := Rand{0x9e3779b97f4a7c15, 0, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}
+		for i := 0; i < stage; i++ {
+			start = unstep(start)
+		}
+		probe := start
+		for i := 0; i < stage; i++ {
+			probe.Uint64()
+		}
+		if probe.s1 != 0 {
+			t.Fatalf("stage %d's draw does not come from s1 = 0", stage)
+		}
+		for _, n := range []int{4, 5, 13, 16, 63} {
+			for k := stage + 1; k <= 4; k++ {
+				ra, rb := start, start
+				checkSmallMatchesDistinctK(t, &ra, &rb, k, n)
+			}
 		}
 	}
 }

@@ -4,12 +4,14 @@ import "testing"
 
 // FuzzDistinctK drives DistinctK with arbitrary parameters and verifies
 // the core contract: exactly k distinct in-range values, regardless of
-// seed, k/n combination or scratch capacity.
+// seed, k/n combination or scratch capacity. In the Fisher–Yates regime
+// (n < 64) it also holds the small samplers to DistinctK, k = 1…4.
 func FuzzDistinctK(f *testing.F) {
 	f.Add(uint64(1), uint16(4), uint16(16), uint8(0))
 	f.Add(uint64(2), uint16(0), uint16(1), uint8(3))
 	f.Add(uint64(3), uint16(100), uint16(100), uint8(50))
 	f.Add(uint64(4), uint16(5), uint16(1000), uint8(0))
+	f.Add(uint64(5), uint16(3), uint16(7), uint8(0)) // n = 8: the small samplers' virtual shuffle
 	f.Fuzz(func(t *testing.T, seed uint64, kRaw, nRaw uint16, scratchCap uint8) {
 		n := int(nRaw)%2000 + 1
 		k := int(kRaw) % (n + 1)
@@ -28,6 +30,11 @@ func FuzzDistinctK(f *testing.F) {
 				t.Fatalf("duplicate %d", v)
 			}
 			seen[v] = true
+		}
+		if n < 64 {
+			for ks := 1; ks <= 4 && ks <= n; ks++ {
+				checkSmallMatchesDistinctK(t, New(seed), New(seed), ks, n)
+			}
 		}
 	})
 }

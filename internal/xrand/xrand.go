@@ -323,64 +323,151 @@ func (r *Rand) distinctKRejection(dst []int, k, n int) []int {
 	return dst
 }
 
-// distinctSmall fills out[:k] (k <= 4) with k distinct uniform values from
-// [0, n), consuming the stream EXACTLY as DistinctK would: the same
-// rejection-vs-Fisher–Yates branch condition and, per branch, the same
-// draws in the same order. Callers can therefore switch between the two
-// without changing a run's trace. Unlike DistinctK it never allocates:
-// the rejection regime (the hot one — n >= 64 holds whenever k <= 4 and
-// n >= 64) checks duplicates against out itself, and the small-n
-// Fisher–Yates regime delegates to DistinctK over a stack scratch (n < 64
-// is what makes that scratch fixed-size).
-func (r *Rand) distinctSmall(out *[4]int, k, n int) {
+// distinctSmall returns k <= 4 distinct uniform values from [0, n) (the
+// results past the k-th are zero), consuming the stream EXACTLY as DistinctK
+// would: the same rejection-vs-Fisher–Yates branch condition and, per
+// branch, the same draws in the same order. Callers can therefore switch
+// between the two without changing a run's trace. Unlike DistinctK it never
+// allocates and touches no scratch: the rejection regime (n >= 64 whenever
+// k <= 4) checks duplicates against the values already drawn, and the
+// Fisher–Yates regime (n < 64 — every degree the paper's d <= δ·log n
+// setting produces) runs shuffleSmall's virtual shuffle.
+func (r *Rand) distinctSmall(k, n int) (a, b, c, d int) {
 	if k < 0 || k > n || k > 4 {
 		panic(fmt.Sprintf("xrand: distinctSmall k=%d n=%d", k, n))
 	}
-	if rejectionRegime(k, n) {
-		filled := 0
-		for filled < k {
-			v := r.IntN(n)
-			dup := false
-			for t := 0; t < filled; t++ {
-				if out[t&3] == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out[filled&3] = v
-				filled++
+	if !rejectionRegime(k, n) {
+		return r.shuffleSmall(k, n)
+	}
+	var out [4]int
+	filled := 0
+	for filled < k {
+		v := r.IntN(n)
+		dup := false
+		for t := 0; t < filled; t++ {
+			if out[t&3] == v {
+				dup = true
+				break
 			}
 		}
+		if !dup {
+			out[filled&3] = v
+			filled++
+		}
+	}
+	return out[0], out[1], out[2], out[3]
+}
+
+// shuffleSmall is DistinctK's partial Fisher–Yates for k <= 4 over a
+// VIRTUAL identity array. Stage i draws j = i + IntN(n-i), returns the
+// value at position j and moves the value at position i there; position i
+// itself is never read again (later stages draw j > i). So the whole array
+// is "p holds p" except at the j of each earlier stage: stage 0 left 0 at
+// position a, stage 1 left x1 at j1, stage 2 left x2 at j2, and a lookup
+// is at most three conditional moves, oldest displacement first so the
+// newest wins. One unrolled body with an early-out after stage k; the
+// generator state stays in registers for the whole row (step256) and is
+// stored once at the end, so a draw in the Lemire rejection window
+// (probability n/2^64 per draw) simply abandons the row to the scalar
+// path, from the untouched state in r.
+func (r *Rand) shuffleSmall(k, n int) (a, b, c, d int) {
+	if k == 0 {
 		return
 	}
+	un := uint64(n)
+	x, s0, s1, s2, s3 := step256(r.s0, r.s1, r.s2, r.s3)
+	hi, lo := lemire(x, un)
+	if lo < un {
+		return r.shuffleSmallScalar(k, n)
+	}
+	a = int(hi)
+	if k > 1 {
+		x, s0, s1, s2, s3 = step256(s0, s1, s2, s3)
+		hi, lo = lemire(x, un-1)
+		if lo < un-1 {
+			return r.shuffleSmallScalar(k, n)
+		}
+		j1 := int(hi) + 1
+		b = j1
+		if j1 == a {
+			b = 0
+		}
+		if k > 2 {
+			x1 := 1 // what position 1 held, now at j1
+			if a == 1 {
+				x1 = 0
+			}
+			x, s0, s1, s2, s3 = step256(s0, s1, s2, s3)
+			hi, lo = lemire(x, un-2)
+			if lo < un-2 {
+				return r.shuffleSmallScalar(k, n)
+			}
+			j2 := int(hi) + 2
+			c = j2
+			if j2 == a {
+				c = 0
+			}
+			if j2 == j1 {
+				c = x1
+			}
+			if k > 3 {
+				x2 := 2 // what position 2 held, now at j2
+				if a == 2 {
+					x2 = 0
+				}
+				if j1 == 2 {
+					x2 = x1
+				}
+				x, s0, s1, s2, s3 = step256(s0, s1, s2, s3)
+				hi, lo = lemire(x, un-3)
+				if lo < un-3 {
+					return r.shuffleSmallScalar(k, n)
+				}
+				j3 := int(hi) + 3
+				d = j3
+				if j3 == a {
+					d = 0
+				}
+				if j3 == j1 {
+					d = x1
+				}
+				if j3 == j2 {
+					d = x2
+				}
+			}
+		}
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return a, b, c, d
+}
+
+// shuffleSmallScalar is the row shuffleSmall abandons: DistinctK itself,
+// over a stack scratch (n < 64 is what makes it fixed-size).
+func (r *Rand) shuffleSmallScalar(k, n int) (a, b, c, d int) {
 	var scratch [64]int
-	var dst [4]int
-	copy(out[:], r.DistinctK(dst[:0], k, n, scratch[:]))
+	var out [4]int
+	r.DistinctK(out[:0], k, n, scratch[:])
+	return out[0], out[1], out[2], out[3]
 }
 
 // Distinct2 returns two distinct uniform values from [0, n) without
 // allocating. It is stream-compatible with DistinctK(dst, 2, n, scratch):
 // same draws, same values, in the same order. It panics if n < 2.
 func (r *Rand) Distinct2(n int) (a, b int) {
-	var out [4]int
-	r.distinctSmall(&out, 2, n)
-	return out[0], out[1]
+	a, b, _, _ = r.distinctSmall(2, n)
+	return a, b
 }
 
 // Distinct3 is Distinct2 for three values. It panics if n < 3.
 func (r *Rand) Distinct3(n int) (a, b, c int) {
-	var out [4]int
-	r.distinctSmall(&out, 3, n)
-	return out[0], out[1], out[2]
+	a, b, c, _ = r.distinctSmall(3, n)
+	return a, b, c
 }
 
-// Distinct4 is Distinct2 for four values — the paper's four-choice dial.
-// It panics if n < 4.
+// Distinct4 is Distinct2 for four values — the paper's four-choice dial,
+// one scratch-free row at any degree. It panics if n < 4.
 func (r *Rand) Distinct4(n int) (a, b, c, d int) {
-	var out [4]int
-	r.distinctSmall(&out, 4, n)
-	return out[0], out[1], out[2], out[3]
+	return r.distinctSmall(4, n)
 }
 
 // Binomial returns a Binomial(n, p) variate. For small n it sums Bernoulli

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -366,6 +367,23 @@ func BenchmarkDistinctK4of16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = r.DistinctK(dst, 4, 16, scratch)
+	}
+}
+
+// BenchmarkDistinct4SmallDegree is the four-choice row the engine's fast
+// path draws at the paper's degrees (the churn cell's d = 8, the dense
+// cell's d = 16); BenchmarkDistinctK4of16 above is what it replaced there.
+func BenchmarkDistinct4SmallDegree(b *testing.B) {
+	for _, n := range []int{8, 16} {
+		b.Run(fmt.Sprintf("deg=%d", n), func(b *testing.B) {
+			r := New(1)
+			var sink int
+			for i := 0; i < b.N; i++ {
+				a, _, _, d := r.Distinct4(n)
+				sink += a + d
+			}
+			_ = sink
+		})
 	}
 }
 
