@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"regcast"
 	"regcast/experiments"
@@ -134,7 +135,10 @@ func (p steadyPush) NeverPulls() bool        { return true }
 
 // TestNilObserverZeroAllocsPerRound guards the facade's core performance
 // contract: with no observer registered, the steady-state round loop
-// allocates nothing, on the default runner and with WithWorkers(1) alike.
+// allocates nothing, on the default runner and with WithWorkers(1) alike —
+// and neither does the engine's side of a registered observer: a plain
+// Observer (for which no clock is read) and a PhaseObserver (three stamps
+// and one callback per round) that do not allocate themselves see none.
 // Two runs that differ only in horizon must show identical allocation
 // counts — any per-round allocation would surface ~hundreds of times over
 // the horizon gap. The collector is off while counting (a GC cycle's own
@@ -146,16 +150,24 @@ func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	phases := &phaseCounter{}
 	for _, tc := range []struct {
-		name    string
-		workers int
+		name     string
+		workers  int
+		observer regcast.Observer
 	}{
-		{"sequential", 0},
-		{"sharded-inline", 1},
+		{"sequential", 0, nil},
+		{"sharded-inline", 1, nil},
+		{"plain-observer", 0, &countingObserver{}},
+		{"phase-observer", 0, phases},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(horizon int) float64 {
-				scenario, err := regcast.NewScenario(regcast.Static(g), steadyPush{horizon}, regcast.WithSeed(5))
+				opts := []regcast.ScenarioOption{regcast.WithSeed(5)}
+				if tc.observer != nil {
+					opts = append(opts, regcast.WithObserver(tc.observer))
+				}
+				scenario, err := regcast.NewScenario(regcast.Static(g), steadyPush{horizon}, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,10 +180,13 @@ func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 			}
 			short, long := allocs(80), allocs(400)
 			if extra := long - short; extra >= 1 {
-				t.Errorf("nil-observer run allocates per round: %.1f extra allocs over 320 extra rounds (%.3f/round)",
-					extra, extra/320)
+				t.Errorf("%s run allocates per round: %.1f extra allocs over 320 extra rounds (%.3f/round)",
+					tc.name, extra, extra/320)
 			}
 		})
+	}
+	if phases.rounds.Load() == 0 || phases.phases.Load() != phases.rounds.Load() {
+		t.Errorf("PhaseObserver saw %d OnRoundPhases for %d OnRound", phases.phases.Load(), phases.rounds.Load())
 	}
 }
 
@@ -183,6 +198,19 @@ type countingObserver struct {
 
 func (c *countingObserver) OnRound(regcast.RoundStats) { c.rounds.Add(1) }
 func (c *countingObserver) OnInformed(int, int)        { c.informed.Add(1) }
+
+// phaseCounter is a countingObserver that also takes the round's phase
+// stamps, through the facade's re-export of the interface.
+type phaseCounter struct {
+	countingObserver
+	phases atomic.Int64
+}
+
+var _ regcast.PhaseObserver = (*phaseCounter)(nil)
+
+func (p *phaseCounter) OnRoundPhases(int, time.Duration, time.Duration, time.Duration) {
+	p.phases.Add(1)
+}
 
 // BenchmarkObserverOverhead measures the cost the streaming Observer adds
 // to a broadcast, against the nil-observer fast path (which the guard

@@ -374,3 +374,92 @@ func TestGnpMatchesEdgeListBuild(t *testing.T) {
 		}
 	}
 }
+
+// pairCount is the brute-force census: every unordered pair's multiplicity
+// in a map (a loop's from its two entries in its own row), then loops and
+// surplus copies read off it; thickest is the largest multiplicity of a
+// proper edge.
+func pairCount(g *Graph) (c rowCounts, thickest int) {
+	pairs := make(map[[2]int32]int)
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if int(w) >= v {
+				pairs[[2]int32{int32(v), w}]++
+			}
+		}
+	}
+	for p, k := range pairs {
+		if p[0] == p[1] {
+			c.loops += k / 2
+		} else {
+			c.surplus += k - 1
+			thickest = max(thickest, k)
+		}
+	}
+	return c, thickest
+}
+
+// TestRowCensusMatchesPairCount checks the one row census behind
+// SelfLoopCount, MultiEdgeCount and IsSimple against the pair map, on
+// pairings small and dense enough to be full of loops, double and triple
+// edges, and on hand-built rows.
+func TestRowCensusMatchesPairCount(t *testing.T) {
+	check := func(label string, g *Graph, want rowCounts) {
+		t.Helper()
+		if got := g.rowCensus(); got != want {
+			t.Fatalf("%s: row census %+v, pair map %+v", label, got, want)
+		}
+		if g.SelfLoopCount() != want.loops || g.MultiEdgeCount() != want.surplus || g.IsSimple() != (want == rowCounts{}) {
+			t.Fatalf("%s: loops %d surplus %d simple %v disagree with the census %+v",
+				label, g.SelfLoopCount(), g.MultiEdgeCount(), g.IsSimple(), want)
+		}
+	}
+	var seen rowCounts
+	thickest := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		for _, n := range []int{8, 50} {
+			for _, d := range []int{6, 12} {
+				if d >= n {
+					continue // the pairing model wants d < n
+				}
+				g, err := ConfigurationModel(n, d, xrand.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, k := pairCount(g)
+				check(fmt.Sprintf("seed=%d n=%d d=%d", seed, n, d), g, want)
+				seen.loops += want.loops
+				seen.surplus += want.surplus
+				thickest = max(thickest, k)
+				if ref := refMultiEdgeCount(g); want.surplus != ref {
+					t.Fatalf("seed=%d n=%d d=%d: pair map counts %d surplus edges, the map census %d", seed, n, d, want.surplus, ref)
+				}
+			}
+		}
+	}
+	if seen.loops == 0 || seen.surplus == 0 || thickest < 3 {
+		t.Fatalf("vacuous: %d loops, %d surplus edges, no edge thicker than %d-fold over the pairings", seen.loops, seen.surplus, thickest)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges [][2]int32
+		want  rowCounts
+	}{
+		{"double self-loop", 3, [][2]int32{{1, 1}, {1, 1}, {0, 2}}, rowCounts{loops: 2}},
+		{"triple edge", 3, [][2]int32{{0, 2}, {2, 0}, {0, 2}, {1, 2}}, rowCounts{surplus: 2}},
+		{"isolated node", 4, [][2]int32{{0, 1}, {1, 3}, {3, 0}}, rowCounts{}},
+		{"loop beside a double edge to the same node", 2, [][2]int32{{0, 0}, {0, 1}, {1, 0}}, rowCounts{loops: 1, surplus: 1}},
+		{"no edges", 70, nil, rowCounts{}},
+	} {
+		g, err := NewFromEdges(tc.n, tc.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(tc.name, g, tc.want)
+		if got, _ := pairCount(g); got != tc.want {
+			t.Fatalf("%s: pair map %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

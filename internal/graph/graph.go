@@ -204,47 +204,42 @@ func (g *Graph) DegreeSequence() []int {
 	return ds
 }
 
-// SelfLoopCount returns the number of self-loop edges.
-func (g *Graph) SelfLoopCount() int {
-	loops := 0
+// rowCounts are a graph's self-loop edges and its surplus parallel edges,
+// k-1 for every pair {v,w}, v != w, joined by k >= 2 edges. rowCensus takes
+// both in one walk over the rows: while row v is read a bit per node says
+// "already named", so a further copy of w is surplus, and a second walk of
+// the row clears what it set — n/8 bytes that stay cached where an n-entry
+// stamp array does not. Either count is taken at both endpoints, so halved.
+type rowCounts struct{ loops, surplus int }
+
+func (g *Graph) rowCensus() (c rowCounts) {
+	seen := make([]uint64, (g.NumNodes()+63)/64)
 	for v := 0; v < g.NumNodes(); v++ {
-		for _, w := range g.Neighbors(v) {
+		row := g.Neighbors(v)
+		for _, w := range row {
 			if int(w) == v {
-				loops++
+				c.loops++
+			} else if bit := uint64(1) << (uint(w) & 63); seen[w>>6]&bit != 0 {
+				c.surplus++
+			} else {
+				seen[w>>6] |= bit
 			}
 		}
+		for _, w := range row {
+			seen[w>>6] &^= 1 << (uint(w) & 63)
+		}
 	}
-	return loops / 2 // each loop contributes two stub entries at v
+	return rowCounts{c.loops / 2, c.surplus / 2}
 }
 
-// MultiEdgeCount returns the number of surplus parallel edges: for every
-// unordered pair {v,w}, v != w, with k >= 2 parallel edges it adds k-1.
-// One sweep over the rows with an n-entry stamp array: stamp[w] == v+1
-// means row v already named w, so each further copy is one surplus edge.
-func (g *Graph) MultiEdgeCount() int {
-	surplus := 0
-	n := g.NumNodes()
-	stamp := make([]int32, n)
-	for v := 0; v < n; v++ {
-		mark := int32(v + 1)
-		for _, w := range g.Neighbors(v) {
-			if int(w) <= v { // count each unordered pair once, skip loops
-				continue
-			}
-			if stamp[w] == mark {
-				surplus++
-			} else {
-				stamp[w] = mark
-			}
-		}
-	}
-	return surplus
-}
+// SelfLoopCount returns the number of self-loop edges.
+func (g *Graph) SelfLoopCount() int { return g.rowCensus().loops }
+
+// MultiEdgeCount returns the number of surplus parallel edges.
+func (g *Graph) MultiEdgeCount() int { return g.rowCensus().surplus }
 
 // IsSimple reports whether the graph has no self-loops and no parallel edges.
-func (g *Graph) IsSimple() bool {
-	return g.SelfLoopCount() == 0 && g.MultiEdgeCount() == 0
-}
+func (g *Graph) IsSimple() bool { return g.rowCensus() == rowCounts{} }
 
 // ConnectedComponents returns, for every node, the id of its component
 // (ids are dense, starting at 0) together with the number of components.
@@ -286,10 +281,14 @@ func (g *Graph) IsConnected() bool {
 	if n == 0 {
 		return true
 	}
-	visited := make([]uint64, (n+63)/64)
+	visited, warm := make([]uint64, (n+63)/64), int32(0)
 	visited[0] = 1
 	queue := make([]int32, 1, n) // queue[0] = node 0
 	for head := 0; head < len(queue) && len(queue) < n; head++ {
+		// Touch the row twelve entries ahead: its miss overlaps these rows.
+		if ahead := head + 12; ahead < len(queue) {
+			warm ^= g.adj[g.offsets[queue[ahead]]] // queued over an edge: the slot exists
+		}
 		for _, w := range g.Neighbors(int(queue[head])) {
 			if bit := uint64(1) << (uint(w) & 63); visited[w>>6]&bit == 0 {
 				visited[w>>6] |= bit
@@ -297,6 +296,7 @@ func (g *Graph) IsConnected() bool {
 			}
 		}
 	}
+	keepLoads(warm)
 	return len(queue) == n
 }
 

@@ -131,13 +131,15 @@ type Result struct {
 	// model (every alive node dials min(k, degree) neighbours per round).
 	ChannelsDialed int64
 	// InformedAt[v] is the round in which v first received the message
-	// (Uninformed if never).
+	// (Uninformed if never). Run hands over the engine's own array: the
+	// caller owns it.
 	InformedAt []int32
 	// PerRound holds per-round metrics when Config.RecordRounds is set.
 	PerRound []RoundMetrics
 }
 
-// Engine runs one message broadcast under the random phone call model.
+// Engine runs one message broadcast under the random phone call model. It
+// is single use: Run hands the Result its receipt array; a second Run panics.
 type Engine struct {
 	cfg   Config
 	topo  Topology
@@ -154,10 +156,12 @@ type Engine struct {
 	// message — never owns one (it is built by newEngine), and the nil
 	// checks keep it on informedAt.
 	informedBits []uint64
-	pending      []int32  // nodes newly informed in the current round
-	isPending    []uint64 // bitset over node ids: already queued in pending
+	ran          bool // Run was called
 
-	dialTargets []int32 // flat n×k; Uninformed (-1) marks "no channel"
+	// Dial rows (k slots per node, Uninformed = "no channel"), see rowsFor:
+	// the free list of pull-round scratches; a MultiEngine's full n×k store.
+	rowFree chan []int32
+	allRows []int32
 
 	// CSR fast path (see fastpath.go): when the topology exposes an
 	// epoch-stamped CSR view (CSRViewer — frozen Static graphs and the
@@ -179,7 +183,7 @@ type Engine struct {
 	// through impNbrs.Degree/NeighborAt arithmetic instead of indexing
 	// csrOff/csrAdj (nbrAt in fastpath.go) — no adjacency array is ever
 	// built. All other fast-path machinery (aliveBits, csrEpoch, the
-	// shard pass, which only reads dialTargets) is shared unchanged.
+	// shard pass, which only reads dial rows) is shared unchanged.
 	impView ImplicitViewer
 	impNbrs ImplicitNeighbors
 
@@ -198,6 +202,7 @@ type Engine struct {
 	pullDec    []bool
 	pullAll    bool
 	neverPulls bool
+	phases     PhaseObserver // Config.Observer, when it times round's steps
 
 	// memory for the sequentialised model (AvoidRecent > 0)
 	recent    []int32 // flat n×AvoidRecent ring of recent partners
@@ -207,10 +212,12 @@ type Engine struct {
 	// quasirandom strategy (-1 until the first dial draws the start).
 	listCursor []int32
 
-	// budget caches the per-round dial budget. For frozen topologies it is
-	// computed once; for dynamic ones it is recomputed only after a Step
-	// that changed membership (joins reported, or the alive count moved —
-	// budgetAlive remembers the count the cache was computed for).
+	// budget caches the number of dials the model mandates per round. For
+	// frozen topologies it is computed once; for dynamic ones it is
+	// recomputed only after a Step that changed membership (refreshBudget:
+	// joins reported, or the alive count moved — budgetAlive remembers the
+	// count the cache was computed for), in O(1) on a DialBudgeter such as
+	// the overlay, by the O(n) DialBudget scan otherwise.
 	budget      int64
 	budgetAlive int
 
@@ -329,16 +336,12 @@ func newEngine(cfg Config) (*Engine, error) {
 	for i := range e.informedAt {
 		e.informedAt[i] = Uninformed
 	}
-	e.isPending = make([]uint64, (n+63)/64)
-	e.dialTargets = make([]int32, n*e.k)
-	// Preallocate the receipt queue so the round loop never grows it, and
-	// the per-round protocol decision tables.
-	e.pending = make([]int32, 0, n)
 	e.pushDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.pullDec = make([]bool, cfg.Protocol.Horizon()+1)
 	if pf, ok := cfg.Protocol.(PullFree); ok {
 		e.neverPulls = pf.NeverPulls()
 	}
+	e.phases, _ = cfg.Observer.(PhaseObserver)
 	if cfg.AvoidRecent > 0 {
 		e.recent = make([]int32, n*cfg.AvoidRecent)
 		for i := range e.recent {
@@ -384,7 +387,7 @@ func newEngine(cfg Config) (*Engine, error) {
 // an Observer is set, materialises the per-round metrics. With neither
 // consumer it stays allocation-free.
 func (e *Engine) recordRound(res *Result, t, newly, informedCount int, roundTx int64) {
-	budget := e.dialBudget()
+	budget := e.budget
 	res.Transmissions += roundTx
 	res.ChannelsDialed += budget
 	res.Rounds = t
@@ -424,12 +427,13 @@ func (e *Engine) noteCompletion(res *Result, t, informedCount int, churning bool
 	return false
 }
 
-// finishResult fills the end-of-run summary fields from the final state.
+// finishResult fills the end-of-run summary fields from the final state
+// and hands the receipt array over: the engine is spent.
 func (e *Engine) finishResult(res *Result) {
 	res.AliveNodes = e.aliveCount()
 	res.Informed = e.recount()
 	res.AllInformed = res.Informed == res.AliveNodes && res.AliveNodes > 0
-	res.InformedAt = append([]int32(nil), e.informedAt...)
+	res.InformedAt = e.informedAt
 }
 
 // edgeKey canonically encodes the undirected edge (v,w).
@@ -473,13 +477,16 @@ func (e *Engine) markUsed(key int64) {
 // race-free and deterministic regardless of worker count.
 type dialState struct {
 	rng     *xrand.Rand
+	row     []int32 // the one dial row of a round without pull scan
+	rows    []int32 // the current pass's rows (rowsFor); the samplers fill them
 	dialIdx []int
 	scratch []int
 }
 
 // newDialState builds a dialState for one PRNG stream.
 func newDialState(rng *xrand.Rand, k int) dialState {
-	return dialState{rng: rng, dialIdx: make([]int, 0, k)}
+	row := make([]int32, k)
+	return dialState{rng: rng, row: row, rows: row, dialIdx: make([]int, 0, k)}
 }
 
 // scratchFor returns a scratch slice with capacity >= n for DistinctK.
@@ -490,33 +497,24 @@ func (ds *dialState) scratchFor(n int) []int {
 	return ds.scratch
 }
 
-// clearDialRow marks every dial slot of v as "no channel".
-func (e *Engine) clearDialRow(v int) {
-	base := v * e.k
+// sampleDialsFor fills node v's row, the k slots from base of ds.rows:
+// min(k, deg) distinct neighbours, dead targets and failed channels recorded
+// as -1. All randomness is drawn from ds, the stream of the shard that owns
+// v. This is the reference interface path; sampleDialsFast is its fast twin.
+func (e *Engine) sampleDialsFor(v, base int, ds *dialState) {
 	for j := 0; j < e.k; j++ {
-		e.dialTargets[base+j] = Uninformed
-	}
-}
-
-// sampleDialsFor fills e.dialTargets for node v: min(k, deg) distinct
-// neighbours, with dead targets and failed channels recorded as -1. All
-// randomness is drawn from ds, the stream of the shard that owns node v.
-// This is the reference interface path; sampleDialsFast is its fast twin.
-func (e *Engine) sampleDialsFor(v int, ds *dialState) {
-	base := v * e.k
-	for j := 0; j < e.k; j++ {
-		e.dialTargets[base+j] = Uninformed
+		ds.rows[base+j] = Uninformed
 	}
 	deg := e.topo.Degree(v)
 	if deg == 0 {
 		return
 	}
 	if e.cfg.AvoidRecent > 0 {
-		e.sampleWithMemory(v, deg, ds)
+		e.sampleWithMemory(v, base, deg, ds)
 		return
 	}
 	if e.cfg.DialStrategy == DialQuasirandom {
-		e.sampleQuasirandom(v, deg, ds)
+		e.sampleQuasirandom(v, base, deg, ds)
 		return
 	}
 	kk := e.k
@@ -532,15 +530,14 @@ func (e *Engine) sampleDialsFor(v int, ds *dialState) {
 		if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 			continue
 		}
-		e.dialTargets[base+j] = int32(w)
+		ds.rows[base+j] = int32(w)
 	}
 }
 
 // sampleQuasirandom dials the next k entries of v's neighbour list,
 // drawing a uniform start position on the first dial (Doerr et al.'s
 // quasirandom model).
-func (e *Engine) sampleQuasirandom(v, deg int, ds *dialState) {
-	base := v * e.k
+func (e *Engine) sampleQuasirandom(v, base, deg int, ds *dialState) {
 	if e.listCursor[v] < 0 {
 		e.listCursor[v] = int32(ds.rng.IntN(deg))
 	}
@@ -557,7 +554,7 @@ func (e *Engine) sampleQuasirandom(v, deg int, ds *dialState) {
 		if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 			continue
 		}
-		e.dialTargets[base+j] = int32(w)
+		ds.rows[base+j] = int32(w)
 	}
 	e.listCursor[v] = int32((cur + kk) % deg)
 }
@@ -566,7 +563,7 @@ func (e *Engine) sampleQuasirandom(v, deg int, ds *dialState) {
 // per round, chosen uniformly among neighbours not contacted in the last
 // AvoidRecent rounds. If every neighbour is recent (possible only when
 // degree <= AvoidRecent), the choice falls back to uniform.
-func (e *Engine) sampleWithMemory(v, deg int, ds *dialState) {
+func (e *Engine) sampleWithMemory(v, base, deg int, ds *dialState) {
 	r := e.cfg.AvoidRecent
 	memBase := v * r
 	choice := -1
@@ -597,16 +594,7 @@ func (e *Engine) sampleWithMemory(v, deg int, ds *dialState) {
 	if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 		return
 	}
-	e.dialTargets[v*e.k] = int32(choice)
-}
-
-// dialBudget returns the number of dials the model mandates per round.
-// The value is cached: frozen topologies compute it once in NewEngine,
-// dynamic ones refresh it after membership changes (refreshBudget) — in
-// O(1) on a DialBudgeter such as the overlay, by the O(n) DialBudget scan
-// otherwise.
-func (e *Engine) dialBudget() int64 {
-	return e.budget
+	ds.rows[base] = int32(choice)
 }
 
 // refreshBudget recomputes the cached dial budget after a topology Step,

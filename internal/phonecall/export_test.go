@@ -38,3 +38,7 @@ func (e *Engine) LiveInformedBits() []uint64 { return e.informedBits }
 // bitset alone (every occupied cohort pulled) instead of loading receipt
 // rounds.
 func (e *Engine) PullAll() bool { return e.pullAll }
+
+// RowBuffers counts the pull-round row scratches the engine has made: every
+// one is back in the free list once Run has returned.
+func (e *Engine) RowBuffers() int { return len(e.rowFree) }

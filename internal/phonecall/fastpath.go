@@ -47,12 +47,11 @@ func (e *Engine) nbrAt(v, off, idx int) int32 {
 }
 
 // sampleDialsFast is the fast twin of sampleDialsFor: it fills node v's
-// dialTargets row without Topology interface calls or, for small k,
-// O(deg) scratch.
-func (e *Engine) sampleDialsFast(v int, ds *dialState) {
-	base := v * e.k
+// row, the k slots from base of ds.rows, without Topology interface calls
+// or, for small k, O(deg) scratch.
+func (e *Engine) sampleDialsFast(v, base int, ds *dialState) {
 	for j := 0; j < e.k; j++ {
-		e.dialTargets[base+j] = Uninformed
+		ds.rows[base+j] = Uninformed
 	}
 	var off, deg int
 	if e.impNbrs != nil {
@@ -65,11 +64,11 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 		return
 	}
 	if e.cfg.AvoidRecent > 0 {
-		e.sampleWithMemoryFast(v, off, deg, ds)
+		e.sampleWithMemoryFast(v, base, off, deg, ds)
 		return
 	}
 	if e.cfg.DialStrategy == DialQuasirandom {
-		e.sampleQuasirandomFast(v, off, deg, ds)
+		e.sampleQuasirandomFast(v, base, off, deg, ds)
 		return
 	}
 	kk := e.k
@@ -112,7 +111,7 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 			if failure > 0 && ds.rng.Bool(failure) {
 				continue
 			}
-			e.dialTargets[base+j] = w
+			ds.rows[base+j] = w
 		}
 		return
 	}
@@ -124,13 +123,12 @@ func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 		if failure > 0 && ds.rng.Bool(failure) {
 			continue
 		}
-		e.dialTargets[base+j] = e.nbrAt(v, off, idx)
+		ds.rows[base+j] = e.nbrAt(v, off, idx)
 	}
 }
 
 // sampleQuasirandomFast is the fast twin of sampleQuasirandom.
-func (e *Engine) sampleQuasirandomFast(v, off, deg int, ds *dialState) {
-	base := v * e.k
+func (e *Engine) sampleQuasirandomFast(v, base, off, deg int, ds *dialState) {
 	if e.listCursor[v] < 0 {
 		e.listCursor[v] = int32(ds.rng.IntN(deg))
 	}
@@ -152,14 +150,14 @@ func (e *Engine) sampleQuasirandomFast(v, off, deg int, ds *dialState) {
 		if failure > 0 && ds.rng.Bool(failure) {
 			continue
 		}
-		e.dialTargets[base+j] = w
+		ds.rows[base+j] = w
 	}
 	e.listCursor[v] = int32((cur + kk) % deg)
 }
 
 // sampleWithMemoryFast is the fast twin of sampleWithMemory (footnote 2's
 // sequentialised model: one dial per round avoiding recent partners).
-func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
+func (e *Engine) sampleWithMemoryFast(v, base, off, deg int, ds *dialState) {
 	r := e.cfg.AvoidRecent
 	memBase := v * r
 	choice := int32(-1)
@@ -190,12 +188,12 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 	if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 		return
 	}
-	e.dialTargets[v*e.k] = choice
+	ds.rows[base] = choice
 }
 
 // shardPassFast is the fast twin of shardPass: one round for the node
 // range a shard owns, drawing only from the shard's own stream.
-func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode) {
+func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
 	census := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 	k := e.k
@@ -205,21 +203,18 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 		// almost every node fails the cohort test, which is one load.
 		ia := e.informedAt[v]
 		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.aliveFast(v)
-		if dial == dialEveryone {
-			if e.aliveFast(v) {
-				e.sampleDialsFast(v, &sh.ds)
-			} else {
-				e.clearDialRow(v)
-			}
-		} else if sender && dial == dialSenders {
-			e.sampleDialsFast(v, &sh.ds)
+		if !sender && (dial != dialEveryone || !e.aliveFast(v)) {
+			continue
+		}
+		base := (v - sh.lo) * stride
+		if dial != dialSampled {
+			e.sampleDialsFast(v, base, &sh.ds)
 		}
 		if !sender {
 			continue
 		}
-		base := v * k
 		for j := 0; j < k; j++ {
-			w := e.dialTargets[base+j]
+			w := sh.ds.rows[base+j]
 			if w < 0 {
 				continue
 			}
@@ -244,9 +239,7 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode)
 			continue
 		}
 		uninformedCaller := e.informedAt[v] == Uninformed
-		base := v * k
-		for j := 0; j < k; j++ {
-			w := e.dialTargets[base+j]
+		for _, w := range sh.ds.rows[(v-sh.lo)*stride:][:k] {
 			if w < 0 {
 				continue
 			}

@@ -305,13 +305,14 @@ func BenchmarkDial(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
+					ds := &e.shards[0].ds
 					if path == "csr" {
 						for i := 0; i < b.N; i++ {
-							e.sampleDialsFast(i&(n-1), &e.shards[0].ds)
+							e.sampleDialsFast(i&(n-1), 0, ds)
 						}
 					} else {
 						for i := 0; i < b.N; i++ {
-							e.sampleDialsFor(i&(n-1), &e.shards[0].ds)
+							e.sampleDialsFor(i&(n-1), 0, ds)
 						}
 					}
 				})

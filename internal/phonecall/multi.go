@@ -54,7 +54,7 @@ type MultiResult struct {
 // driver over one Engine: every active message of a round is one
 // Engine.round call at the message's own age, over the message's receipt
 // ages and cohort counts, and all of them ride on the dial rows the
-// round's first call sampled.
+// round's first call sampled. Like an Engine it is single use.
 type MultiEngine struct {
 	cfg MultiConfig
 	eng *Engine
@@ -89,6 +89,8 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 			return nil, fmt.Errorf("phonecall: message %d created at negative round %d", m.ID, m.CreatedAt)
 		}
 	}
+	// The rows must outlive the shard passes of the round's first message.
+	eng.allRows = make([]int32, eng.n*eng.k)
 	e := &MultiEngine{cfg: cfg, eng: eng}
 	e.age = make([][]int32, len(cfg.Messages))
 	e.cohort = make([][]int32, len(cfg.Messages))
@@ -102,9 +104,10 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 	return e, nil
 }
 
-// Run executes the configured number of rounds.
+// Run executes the configured number of rounds, once: a second call panics.
 func (e *MultiEngine) Run() MultiResult {
 	eng := e.eng
+	eng.spend()
 	res := MultiResult{Rounds: e.cfg.Rounds}
 	res.PerMessage = make([]MessageResult, len(e.cfg.Messages))
 	for mi, m := range e.cfg.Messages {
@@ -115,7 +118,7 @@ func (e *MultiEngine) Run() MultiResult {
 	ages := horizon + 1 // receipt ages 0..Horizon
 
 	for t := 1; t <= e.cfg.Rounds; t++ {
-		res.ChannelsDialed += eng.dialBudget()
+		res.ChannelsDialed += eng.budget
 		// The round's channels are sampled once, by the first active
 		// message, for every alive node; the later ones reuse the rows.
 		dial := dialEveryone
@@ -131,8 +134,7 @@ func (e *MultiEngine) Run() MultiResult {
 			}
 			if age == 1 {
 				// Created at the end of the previous round.
-				eng.informedAt[mr.Message.Origin] = 0
-				eng.shardOf(mr.Message.Origin).cohort[0] = 1
+				eng.inform(mr.Message.Origin, 0)
 				mr.Informed = 1
 			}
 			newly, tx := eng.round(age, dial)

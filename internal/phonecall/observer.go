@@ -1,5 +1,7 @@
 package phonecall
 
+import "time"
+
 // Observer receives streaming per-round callbacks while a run executes, so
 // callers can consume metrics online instead of retaining a full trace
 // (Config.RecordRounds) in memory. The engine invokes observers from the
@@ -21,4 +23,14 @@ type Observer interface {
 	// OnInformed is called when node first receives the message (in round
 	// `round`; 0 is the source's creation round).
 	OnInformed(node, round int)
+}
+
+// PhaseObserver is an optional extension of Config.Observer: an observer
+// that implements it is also told, at the end of every round and before
+// that round's OnRound, how long the coordinator spent in each of round's
+// three steps — decision tables, shard passes, merge-and-apply — by the
+// monotonic clock. No clock is read for an observer that does not.
+type PhaseObserver interface {
+	Observer
+	OnRoundPhases(t int, tables, passes, merge time.Duration)
 }

@@ -1,6 +1,8 @@
 package phonecall
 
 import (
+	"time"
+
 	"regcast/internal/sched"
 )
 
@@ -48,7 +50,7 @@ type parShard struct {
 	usedBuf []int64 // edge keys that carried a transmission (TrackEdgeUse)
 	tx      int64   // transmissions sent by this shard
 
-	_ [16]byte // pad to three cache lines to soften false sharing between adjacent shards
+	_ [48]byte // pad to four cache lines to soften false sharing between adjacent shards
 }
 
 // initShards partitions the node range and derives one independent PRNG
@@ -61,6 +63,7 @@ func (e *Engine) initShards() {
 		nShards = DefaultShards
 	}
 	e.workers = sched.Resolve(e.cfg.Workers, nShards)
+	e.rowFree = make(chan []int32, max(1, e.workers)) // a send per scratch ever made
 	e.shards = make([]parShard, nShards)
 	rounds := e.proto.Horizon() + 1 // receipt rounds 0..Horizon
 	cohorts := make([]int32, nShards*rounds)
@@ -96,18 +99,12 @@ const (
 
 // Run executes the full schedule and returns the result: one round call
 // per simulated round, then the per-round accounting, churn and the
-// completion check.
+// completion check. An Engine runs once; a second call panics.
 func (e *Engine) Run() Result {
+	e.spend()
 	res := Result{FirstAllInformed: -1}
-	e.informedAt[e.cfg.Source] = 0
-	e.shardOf(e.cfg.Source).cohort[0] = 1
-	if e.informedBits != nil {
-		e.informedBits[uint(e.cfg.Source)>>6] |= 1 << (uint(e.cfg.Source) & 63)
-	}
+	e.inform(e.cfg.Source, 0)
 	informedCount := 1
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnInformed(e.cfg.Source, 0)
-	}
 
 	horizon := e.proto.Horizon()
 	stepper, _ := e.topo.(Stepper)
@@ -149,17 +146,39 @@ func (e *Engine) Run() Result {
 	return res
 }
 
+// spend marks the engine as run; a second Run would redo the first's work
+// over its receipts, in the array its Result was handed.
+func (e *Engine) spend() {
+	if e.ran {
+		panic("phonecall: Run called twice")
+	}
+	e.ran = true
+}
+
+// inform applies one receipt: w holds the rumour from the end of round t.
+func (e *Engine) inform(w, t int) {
+	e.informedAt[w] = int32(t)
+	if e.informedBits != nil {
+		e.informedBits[uint(w)>>6] |= 1 << (uint(w) & 63)
+	}
+	e.shardOf(w).cohort[t]++
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.OnInformed(w, t)
+	}
+}
+
 // round runs round t of one rumour over the receipt rounds in informedAt
 // and the shards' cohort counts, and returns the number of receipts it
-// applied and the transmissions it sent. Four steps: (1) compute the
+// applied and the transmissions it sent. Three steps: (1) compute the
 // protocol's push/pull decision tables for the round, (2) run the
 // dial/push/pull pass of every shard — inline, or concurrently on up to
 // Workers goroutines — with each shard drawing only from its own PRNG
-// stream and writing only its own dial rows and outbox, (3) merge the
-// per-shard outboxes into the global receipt queue in shard order, and
-// (4) apply the receipts. Because shard streams and the merge order are
-// fixed, the result is bit-identical for every worker count.
+// stream and writing only its own dial rows and outbox, and (3) walk the
+// outboxes in shard order and apply the receipts — the passes are over, so
+// nothing reads round-start state any more. Because shard streams and the
+// merge order are fixed, the result is bit-identical for every worker count.
 func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
+	t0 := e.stamp()
 	// Step 1: decision tables. A node's behaviour this round is a pure
 	// function of its receipt round, so one table lookup per node
 	// replaces per-node Protocol calls in the hot shard passes, and the
@@ -186,40 +205,36 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	}
 
 	// Step 2: shard passes (the parallel section).
+	t1 := e.stamp()
 	e.runShardPasses(t, anyPull, dial)
+	t2 := e.stamp()
 
-	// Step 3: merge outboxes in shard-index order (deterministic).
+	// Step 3: merge in shard-index order (deterministic), applying receipts.
 	for i := range e.shards {
 		sh := &e.shards[i]
 		roundTx += sh.tx
 		for _, w := range sh.outbox {
-			word, bit := &e.isPending[uint(w)>>6], uint64(1)<<(uint(w)&63)
-			if *word&bit != 0 {
-				continue
+			if !e.informedFast(int(w)) { // else an earlier candidate won
+				e.inform(int(w), t)
+				newly++
 			}
-			*word |= bit
-			e.pending = append(e.pending, w)
 		}
 		for _, key := range sh.usedBuf {
 			e.markUsed(key)
 		}
 	}
-
-	// Step 4: apply receipts at the end of the round.
-	newly = len(e.pending)
-	for _, v := range e.pending {
-		e.isPending[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		e.informedAt[v] = int32(t)
-		if e.informedBits != nil {
-			e.informedBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		}
-		e.shardOf(int(v)).cohort[t]++
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.OnInformed(int(v), t)
-		}
+	if e.phases != nil {
+		e.phases.OnRoundPhases(t, t1.Sub(t0), t2.Sub(t1), time.Since(t2))
 	}
-	e.pending = e.pending[:0]
 	return newly, roundTx
+}
+
+// stamp reads the monotonic clock, but only for a PhaseObserver.
+func (e *Engine) stamp() (now time.Time) {
+	if e.phases != nil {
+		now = time.Now()
+	}
+	return now
 }
 
 // runShardPasses executes the round's pass for every shard, inline when
@@ -251,20 +266,47 @@ func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 	if dial != dialEveryone && !sh.sends && !anyPull {
 		return
 	}
+	var stride int
+	sh.ds.rows, stride = e.rowsFor(sh, anyPull)
 	if e.fast {
-		e.shardPassFast(sh, t, anyPull, dial)
+		e.shardPassFast(sh, t, anyPull, dial, stride)
 	} else {
-		e.shardPass(sh, t, anyPull, dial)
+		e.shardPass(sh, t, anyPull, dial, stride)
 	}
+	if stride > 0 && e.allRows == nil {
+		e.rowFree <- sh.ds.rows
+	}
+}
+
+// rowsFor is the dial-row store of one shard pass: node v's row is
+// rows[(v-sh.lo)*stride:][:k]. Without a pull scan the push loop consumes a
+// row in the iteration that sampled it, so the shard's one row serves every
+// node (stride 0); with one, the rows live until the scan, in a scratch
+// borrowed from rowFree (pass returns it; one is made only when none is
+// free, so there are never more than passes in flight). A MultiEngine's
+// full store is the one special case.
+func (e *Engine) rowsFor(sh *parShard, anyPull bool) (rows []int32, stride int) {
+	switch {
+	case e.allRows != nil:
+		return e.allRows[sh.lo*e.k : sh.hi*e.k], e.k
+	case !anyPull:
+		return sh.ds.row, 0
+	}
+	select {
+	case rows = <-e.rowFree:
+	default:
+		rows = make([]int32, (e.n/len(e.shards)+1)*e.k) // fits every shard
+	}
+	return rows, e.k
 }
 
 // shardPass runs one round for the nodes a shard owns: dial sampling,
 // push transmissions, then pull transmissions, in ascending node order.
-// It reads informedAt (frozen during the round) and writes only the
-// shard's own dial rows, per-node dial memory/cursors, and outbox, so
-// concurrent shard passes never race. Delivery candidates are queued in
-// the outbox; global dedup happens in the sequential merge.
-func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
+// It reads informedAt (frozen during the round) and writes only its dial
+// rows, the shard's per-node dial memory/cursors, and outbox, so concurrent
+// shard passes never race. Delivery candidates are queued in the outbox;
+// global dedup happens in the sequential merge.
+func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
 	track := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 
@@ -273,21 +315,17 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
 		// almost every node fails the cohort test, which is one load.
 		ia := e.informedAt[v]
 		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.topo.Alive(v)
-		if dial == dialEveryone {
-			if e.topo.Alive(v) {
-				e.sampleDialsFor(v, &sh.ds)
-			} else {
-				e.clearDialRow(v)
-			}
-		} else if sender && dial == dialSenders {
-			e.sampleDialsFor(v, &sh.ds)
+		if !sender && (dial != dialEveryone || !e.topo.Alive(v)) {
+			continue
+		}
+		base := (v - sh.lo) * stride
+		if dial != dialSampled {
+			e.sampleDialsFor(v, base, &sh.ds)
 		}
 		if !sender {
 			continue
 		}
-		base := v * e.k
-		for j := 0; j < e.k; j++ {
-			w := e.dialTargets[base+j]
+		for _, w := range sh.ds.rows[base:][:e.k] {
 			if w < 0 {
 				continue
 			}
@@ -315,9 +353,7 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode) {
 			continue
 		}
 		uninformedCaller := e.informedAt[v] == Uninformed
-		base := v * e.k
-		for j := 0; j < e.k; j++ {
-			w := e.dialTargets[base+j]
+		for _, w := range sh.ds.rows[(v-sh.lo)*stride:][:e.k] {
 			if w < 0 {
 				continue
 			}

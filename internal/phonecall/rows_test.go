@@ -1,0 +1,173 @@
+package phonecall
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"regcast/internal/xrand"
+)
+
+// mustPanic runs f and fails unless it panics with exactly msg.
+func mustPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := recover(); got != msg {
+			t.Errorf("recovered %v, want panic %q", got, msg)
+		}
+	}()
+	f()
+}
+
+// TestRunTwicePanics: Run hands the receipt array to its Result, so a
+// second Run — which used to compute a second result over the first one's
+// receipts and cohorts, silently — would rewrite what the caller now owns.
+func TestRunTwicePanics(t *testing.T) {
+	g := testGraph(t, 64, 4, 3)
+	e, err := NewEngine(Config{Topology: NewStatic(g), Protocol: pushProto{1, 20}, RNG: xrand.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.Run()
+	want := append([]int32(nil), first.InformedAt...)
+	mustPanic(t, "phonecall: Run called twice", func() { e.Run() })
+	for v := range want {
+		if first.InformedAt[v] != want[v] {
+			t.Fatalf("the refused second Run rewrote InformedAt[%d]: %d, was %d", v, first.InformedAt[v], want[v])
+		}
+	}
+
+	m, err := NewMultiEngine(MultiConfig{
+		Topology: NewStatic(g), Protocol: pushProto{1, 20}, Rounds: 20, RNG: xrand.New(1),
+		Messages: []Message{{ID: 0, Origin: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run()
+	mustPanic(t, "phonecall: Run called twice", func() { m.Run() })
+}
+
+// TestRowBuffersBoundedByWorkers: the rows of a pull round live in a
+// scratch borrowed for the length of one shard pass, so a run makes at most
+// one per pass in flight — one inline, Workers under the pool, never one per
+// shard (which would be the n×k array again) — and a schedule that never
+// pulls makes none, dial memory or not.
+func TestRowBuffersBoundedByWorkers(t *testing.T) {
+	g := testGraph(t, 1024, 8, 5)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		pulls bool
+	}{
+		{"push-pull", Config{Protocol: pushPullProto{4, 30}}, true},
+		{"pull", Config{Protocol: pullProto{2, 40}, MessageLossProb: 0.1}, true},
+		{"push-only", Config{Protocol: pushProto{4, 30}}, false},
+		{"push-only-avoid-recent", Config{Protocol: pushProto{1, 60}, AvoidRecent: 2}, false},
+	} {
+		for _, reference := range []bool{false, true} {
+			for _, workers := range []int{0, 1, 4} {
+				cfg := tc.cfg
+				cfg.Topology, cfg.RNG = NewStatic(g), xrand.New(7)
+				cfg.Workers, cfg.DisableFastPath = workers, reference
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res := e.Run(); !res.AllInformed {
+					t.Fatalf("%s: broadcast incomplete", tc.name)
+				}
+				label := fmt.Sprintf("%s reference=%v workers=%d", tc.name, reference, workers)
+				switch got, most := e.RowBuffers(), max(1, workers); {
+				case !tc.pulls && got != 0:
+					t.Errorf("%s: %d row scratches made for a schedule without pull scan", label, got)
+				case tc.pulls && (got < 1 || got > most):
+					t.Errorf("%s: %d row scratches made, want 1..%d (%d shards)", label, got, most, len(e.shards))
+				}
+				if e.allRows != nil {
+					t.Errorf("%s: a single-message engine holds the full n×k row store", label)
+				}
+			}
+		}
+	}
+}
+
+// TestMultiEngineKeepsFullRows: the later messages of a round ride the
+// channels its first message sampled, so a MultiEngine — and nothing else,
+// see the test above — keeps every node's row past the shard pass.
+func TestMultiEngineKeepsFullRows(t *testing.T) {
+	g := testGraph(t, 256, 6, 9)
+	proto := pushPullProto{3, 12}
+	m, err := NewMultiEngine(MultiConfig{
+		Topology: NewStatic(g), Protocol: proto, Rounds: 16, RNG: xrand.New(2),
+		Messages: []Message{{ID: 0, Origin: 1}, {ID: 1, Origin: 200, CreatedAt: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(m.eng.allRows), 256*proto.Choices(); got != want {
+		t.Fatalf("MultiEngine row store has %d slots, want n×k = %d", got, want)
+	}
+	res := m.Run()
+	if got := m.eng.RowBuffers(); got != 0 {
+		t.Errorf("MultiEngine borrowed %d row scratches beside its full store", got)
+	}
+	for _, mr := range res.PerMessage {
+		if !mr.AllInformed {
+			t.Errorf("message %d reached %d/256 nodes", mr.Message.ID, mr.Informed)
+		}
+	}
+}
+
+// phaseLog records the PhaseObserver callbacks in order.
+type phaseLog struct {
+	events []string
+	total  time.Duration
+}
+
+func (p *phaseLog) OnRound(rm RoundMetrics) {
+	p.events = append(p.events, fmt.Sprintf("round %d", rm.Round))
+}
+func (p *phaseLog) OnInformed(int, int) {}
+func (p *phaseLog) OnRoundPhases(t int, tables, passes, merge time.Duration) {
+	p.events = append(p.events, fmt.Sprintf("phases %d", t))
+	if tables < 0 || passes < 0 || merge < 0 {
+		p.events = append(p.events, fmt.Sprintf("negative phase in round %d: %v %v %v", t, tables, passes, merge))
+	}
+	p.total += tables + passes + merge
+}
+
+// TestPhaseObserverStamps: an observer that implements PhaseObserver is
+// told every round's three step durations, before that round's OnRound,
+// and they add up to no more than the run took; the trace does not move.
+func TestPhaseObserverStamps(t *testing.T) {
+	g := testGraph(t, 512, 8, 11)
+	cfg := Config{Topology: NewStatic(g), Protocol: pushPullProto{2, 10}, MessageLossProb: 0.2}
+	cfg.RNG = xrand.New(3)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 4} {
+		log := &phaseLog{}
+		cfg.RNG, cfg.Observer, cfg.Workers = xrand.New(3), log, workers
+		start := time.Now()
+		timed, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start)
+		assertSameTrace(t, plain, timed)
+		var want []string
+		for r := 1; r <= 10; r++ {
+			want = append(want, fmt.Sprintf("phases %d", r), fmt.Sprintf("round %d", r))
+		}
+		if fmt.Sprint(log.events) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: callbacks %v, want %v", workers, log.events, want)
+		}
+		if log.total <= 0 || log.total > wall {
+			t.Errorf("workers=%d: phases sum to %v of a %v run", workers, log.total, wall)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package regcast
 
+import "time"
+
 // ObserverFuncs adapts plain functions to the Observer interface; nil
 // fields are skipped. It is the quickest way to stream metrics from a run:
 //
@@ -39,5 +41,17 @@ func (m multiObserver) OnRound(rs RoundStats) {
 func (m multiObserver) OnInformed(node, round int) {
 	for _, o := range m {
 		o.OnInformed(node, round)
+	}
+}
+
+// phaseFanout is the multiObserver of a run in which some observer is a
+// PhaseObserver; without one the simulator must not read its clock.
+type phaseFanout struct{ multiObserver }
+
+func (m phaseFanout) OnRoundPhases(t int, tables, passes, merge time.Duration) {
+	for _, o := range m.multiObserver {
+		if po, ok := o.(PhaseObserver); ok {
+			po.OnRoundPhases(t, tables, passes, merge)
+		}
 	}
 }

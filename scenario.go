@@ -264,7 +264,13 @@ func (s *Scenario) observer() Observer {
 	case 1:
 		return s.observers[0]
 	default:
-		return multiObserver(s.observers)
+		m := multiObserver(s.observers)
+		for _, o := range m {
+			if _, ok := o.(PhaseObserver); ok {
+				return phaseFanout{m}
+			}
+		}
+		return m
 	}
 }
 

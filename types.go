@@ -47,6 +47,11 @@ type (
 	// Observer receives streaming per-round callbacks; see the
 	// documentation on phonecall.Observer for the ordering guarantees.
 	Observer = phonecall.Observer
+	// PhaseObserver is the optional extension of Observer that also
+	// receives, per round, the time the simulator's coordinator spent in
+	// the round's three steps (decision tables, shard passes, merge). The
+	// transport engines have no such steps and never call it.
+	PhaseObserver = phonecall.PhaseObserver
 	// Graph is an immutable undirected multigraph (see internal/graph for
 	// generators beyond RandomRegular).
 	Graph = graph.Graph
