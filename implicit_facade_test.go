@@ -128,6 +128,11 @@ func TestRegularStreamFacadeGolden(t *testing.T) {
 	if got := fingerprint(res); got != want {
 		t.Errorf("regular-stream:n=300,d=6 push, seed 17: fingerprint %#v, want %#v", got, want)
 	}
+	// The fingerprint is what it was before settled runs were counted; the
+	// facade says which rounds were: the 7 after the last receipt.
+	if res.CountedRounds != res.Rounds-res.FirstAllInformed {
+		t.Errorf("CountedRounds = %d, want rounds %d − completion %d", res.CountedRounds, res.Rounds, res.FirstAllInformed)
+	}
 }
 
 // TestImplicitMatchesDenseUnderFaults extends the bit-identity pin to

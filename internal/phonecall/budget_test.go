@@ -277,3 +277,54 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 	}
 	sameResult(t, "churn recount fast vs reference", results[0], results[1])
 }
+
+// TestAvoidRecentBudgetIsOneDial: under AvoidRecent a node dials one channel
+// per round whatever Choices says (the samplers fill slot 0 only), so that
+// is what ChannelsDialed charges — it used to charge min(k, degree), up to
+// k times what any round could transmit. Both budget sites: NewEngine's on
+// a frozen graph, refreshBudget's on the E13b churn overlay.
+func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
+	const n, d, k = 512, 6, 3
+	push, err := baseline.NewPush(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reference := range []bool{false, true} {
+		master := xrand.New(60)
+		ov, err := overlay.New(n, d, n, master.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := overlay.NewChurner(ov, 0.02, 0.02, 5, master.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		churn := &churningTopo{Overlay: ov, ch: ch}
+		for _, topo := range []phonecall.Topology{phonecall.NewStatic(mustRegular(t, n, d, 61)), churn} {
+			alive := phonecall.DialBudget(topo, 1) // every degree is d >= 1
+			res, err := phonecall.Run(phonecall.Config{
+				Topology: topo, Protocol: push, RNG: master.Split(),
+				AvoidRecent: 2, RecordRounds: true, DisableFastPath: reference,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total int64
+			for i, rm := range res.PerRound {
+				if topo == phonecall.Topology(churn) && i > 0 {
+					alive = int64(churn.aliveAfter[i-1])
+				}
+				if rm.ChannelsDial != alive || rm.Transmissions > rm.ChannelsDial {
+					t.Fatalf("reference=%v %T: round %+v, want %d channels and no more transmissions than that", reference, topo, rm, alive)
+				}
+				total += alive
+			}
+			if res.ChannelsDialed != total {
+				t.Errorf("reference=%v %T: ChannelsDialed = %d, want one per alive node and round = %d", reference, topo, res.ChannelsDialed, total)
+			}
+		}
+		if ch.Joins == 0 || ch.Leaves == 0 {
+			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", ch.Joins, ch.Leaves)
+		}
+	}
+}

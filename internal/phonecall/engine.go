@@ -65,7 +65,8 @@ type Config struct {
 	// each node remembers the partners it dialled in the last AvoidRecent
 	// rounds and excludes them from the current choice. It disables the
 	// sender-only dial-sampling optimisation because memory must advance
-	// every round for every node.
+	// every round for every node, and a node dials one channel per round
+	// whatever Protocol.Choices says: ChannelsDialed charges one.
 	AvoidRecent int
 	// RecordRounds enables per-round metrics in the Result.
 	RecordRounds bool
@@ -76,9 +77,10 @@ type Config struct {
 	// and a simple static topology with symmetric adjacency (parallel edges
 	// would be conflated; an edge is looked up in its lower endpoint's row).
 	TrackEdgeUse bool
-	// StopEarly stops the run as soon as every alive node is informed.
-	// Leave it false to measure the transmission cost of the full schedule
-	// (the honest accounting used throughout EXPERIMENTS.md).
+	// StopEarly stops the run as soon as every alive node is informed: fewer
+	// rounds charged, and — a settled tail being counted (CountedRounds) — no
+	// faster on a static, fault-free topology. Leave it false to measure the
+	// full schedule (the honest accounting used throughout EXPERIMENTS.md).
 	StopEarly bool
 	// Workers selects where the round driver's shard passes execute (see
 	// parallel.go): 0 (the default) and 1 run them inline on the calling
@@ -115,6 +117,9 @@ type RoundMetrics struct {
 type Result struct {
 	// Rounds is the number of rounds actually executed.
 	Rounds int
+	// CountedRounds is how many of them, the last ones, were counted, not
+	// simulated (Engine.settle): 0 when the run never settled.
+	CountedRounds int
 	// Informed is the number of informed alive nodes when the run ended.
 	Informed int
 	// AliveNodes is the number of alive nodes when the run ended.
@@ -127,8 +132,8 @@ type Result struct {
 	// Transmissions is the total number of message transmissions (lost
 	// transmissions included, as in the paper's accounting).
 	Transmissions int64
-	// ChannelsDialed is the total number of channel dials mandated by the
-	// model (every alive node dials min(k, degree) neighbours per round).
+	// ChannelsDialed is the total number of channel dials the model mandates
+	// (min(k, degree) per alive node and round; one under Config.AvoidRecent).
 	ChannelsDialed int64
 	// InformedAt[v] is the round in which v first received the message
 	// (Uninformed if never). Run hands over the engine's own array: the
@@ -147,6 +152,7 @@ type Engine struct {
 
 	n          int
 	k          int
+	dials      int // channels a node dials per round: k, or 1 under AvoidRecent
 	informedAt []int32
 	// informedBits mirrors informedAt != Uninformed as a bitset: "is the
 	// target informed?" — the one random read per transmission — touches
@@ -220,6 +226,11 @@ type Engine struct {
 	// the overlay, by the O(n) DialBudget scan otherwise.
 	budget      int64
 	budgetAlive int
+
+	// A settled run (see settle): cohortDials[r] is what the nodes informed in
+	// round r dial per round (-1: nobody was); rounds >= countFrom are counted.
+	cohortDials []int64
+	countFrom   int
 
 	// aliveCounter, when the topology supports it, answers aliveCount in
 	// O(1) instead of an O(n) Alive scan.
@@ -311,6 +322,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		proto: cfg.Protocol,
 		n:     n,
 		k:     cfg.Protocol.Choices(),
+		dials: cfg.Protocol.Choices(),
 	}
 	// The zero-interface fast path engages on any topology exposing an
 	// epoch-stamped CSR view — frozen Static graphs and churning overlays
@@ -343,6 +355,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	e.phases, _ = cfg.Observer.(PhaseObserver)
 	if cfg.AvoidRecent > 0 {
+		e.dials = 1 // sampleWithMemory fills slot 0 only
 		e.recent = make([]int32, n*cfg.AvoidRecent)
 		for i := range e.recent {
 			e.recent[i] = -1
@@ -377,7 +390,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 		e.usedBits = make([]uint64, (slots+63)/64)
 	}
-	e.budget = DialBudget(cfg.Topology, e.k)
+	e.budget = DialBudget(cfg.Topology, e.dials)
 	e.budgetAlive = e.aliveCount()
 	e.initShards()
 	return e, nil
@@ -611,7 +624,7 @@ func (e *Engine) refreshBudget(joined []int) {
 		return
 	}
 	e.budgetAlive = alive
-	e.budget = DialBudget(e.topo, e.k)
+	e.budget = DialBudget(e.topo, e.dials)
 }
 
 // aliveCount returns the number of alive nodes.

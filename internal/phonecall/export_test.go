@@ -1,6 +1,9 @@
 package phonecall
 
-import "regcast/internal/graph"
+import (
+	"regcast/internal/graph"
+	"regcast/internal/xrand"
+)
 
 // ShardState is one shard's node range, cohort counts and latest skip
 // decision, exposed to the tests in package phonecall_test (which can
@@ -42,3 +45,17 @@ func (e *Engine) PullAll() bool { return e.pullAll }
 // RowBuffers counts the pull-round row scratches the engine has made: every
 // one is back in the free list once Run has returned.
 func (e *Engine) RowBuffers() int { return len(e.rowFree) }
+
+// StreamStates copies every shard's PRNG stream: two equal snapshots mean
+// no shard pass drew anything in between.
+func (e *Engine) StreamStates() []xrand.Rand {
+	out := make([]xrand.Rand, len(e.shards))
+	for i := range e.shards {
+		out[i] = *e.shards[i].ds.rng
+	}
+	return out
+}
+
+// Settled reports whether the MultiEngine's engine ever settled (Engine.Run
+// does that; round, which the two share, must not).
+func (e *MultiEngine) Settled() bool { return e.eng.cohortDials != nil }

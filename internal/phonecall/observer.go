@@ -29,7 +29,8 @@ type Observer interface {
 // that implements it is also told, at the end of every round and before
 // that round's OnRound, how long the coordinator spent in each of round's
 // three steps — decision tables, shard passes, merge-and-apply — by the
-// monotonic clock. No clock is read for an observer that does not.
+// monotonic clock; a counted round (Result.CountedRounds) reports
+// (count, 0, 0). No clock is read for an observer that does not.
 type PhaseObserver interface {
 	Observer
 	OnRoundPhases(t int, tables, passes, merge time.Duration)

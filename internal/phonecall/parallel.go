@@ -97,9 +97,9 @@ const (
 	dialSampled
 )
 
-// Run executes the full schedule and returns the result: one round call
-// per simulated round, then the per-round accounting, churn and the
-// completion check. An Engine runs once; a second call panics.
+// Run executes the full schedule and returns the result: per round one round
+// call — one count once the run has settled (settle) — then the accounting,
+// churn and the completion check. An Engine runs once; a second call panics.
 func (e *Engine) Run() Result {
 	e.spend()
 	res := Result{FirstAllInformed: -1}
@@ -108,9 +108,20 @@ func (e *Engine) Run() Result {
 
 	horizon := e.proto.Horizon()
 	stepper, _ := e.topo.(Stepper)
+	e.countFrom = horizon + 1
 
 	for t := 1; t <= horizon; t++ {
-		newly, roundTx := e.round(t, dialSenders)
+		newly, roundTx := 0, int64(0)
+		if t >= e.countFrom { // still one PhaseObserver call per round
+			t0 := e.stamp()
+			roundTx, _ = e.countRound(t)
+			res.CountedRounds++
+			if e.phases != nil {
+				e.phases.OnRoundPhases(t, time.Since(t0), 0, 0)
+			}
+		} else {
+			newly, roundTx = e.round(t, dialSenders)
+		}
 		informedCount += newly
 
 		e.recordRound(&res, t, newly, informedCount, roundTx)
@@ -140,10 +151,61 @@ func (e *Engine) Run() Result {
 		if e.cfg.Halt != nil && e.cfg.Halt() {
 			break
 		}
+		// n informed are n alive: only the alive receive, only a Stepper kills.
+		if e.cohortDials == nil && informedCount == e.n && stepper == nil &&
+			e.cfg.ChannelFailureProb == 0 && !e.cfg.TrackEdgeUse {
+			e.settle(t)
+		}
 	}
 
 	e.finishResult(&res)
 	return res
+}
+
+// settle is called after the round t that informed the last of n nodes on a
+// topology that cannot change, with no failing channels and no edge census.
+// Every channel now reaches an informed callee, so what a round transmits is
+// a function of which receipt cohorts send, not of whom anyone dials (a lost
+// transmission counts; cursors and dial memory are in no Result): the rounds
+// from countFrom on are counted from cohortDials, not simulated. A round in
+// which some occupied cohorts pull and others do not is the exception (who
+// answers depends on the dials); it and every round before it — skipped draws
+// would move the streams under it — are simulated, so no Result ever changes.
+func (e *Engine) settle(t int) {
+	e.cohortDials = make([]int64, e.proto.Horizon()+1)
+	for r := range e.cohortDials {
+		e.cohortDials[r] = -1
+	}
+	for v, ia := range e.informedAt {
+		e.cohortDials[ia] = max(e.cohortDials[ia], 0) + int64(min(e.dials, e.topo.Degree(v)))
+	}
+	e.countFrom = t + 1
+	for u := t + 1; u < len(e.cohortDials); u++ {
+		if _, ok := e.countRound(u); !ok {
+			e.countFrom = u + 1
+		}
+	}
+}
+
+// countRound returns what round t of a settled run transmits: every pushing
+// cohort over the channels its nodes dial, and when every occupied cohort
+// pulls, an answer on every channel dialled. ok is false for settle's exception.
+func (e *Engine) countRound(t int) (tx int64, ok bool) {
+	pulls, silent := false, false
+	for r, dials := range e.cohortDials {
+		if dials < 0 {
+			continue // nobody was informed in round r
+		}
+		if e.proto.SendPush(t, r) {
+			tx += dials
+		}
+		pull := !e.neverPulls && e.proto.SendPull(t, r)
+		pulls, silent = pulls || pull, silent || !pull
+	}
+	if pulls {
+		tx += e.budget
+	}
+	return tx, !(pulls && silent)
 }
 
 // spend marks the engine as run; a second Run would redo the first's work

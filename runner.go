@@ -112,6 +112,11 @@ type Result struct {
 	Engine Engine
 	// Rounds is the number of rounds (transport engines: ticks) executed.
 	Rounds int
+	// CountedRounds is how many of them, the last ones, the simulator
+	// counted instead of simulating: once every node is informed on a static,
+	// fault-free topology a round's transmissions are a sum over receipt
+	// cohorts. No count differs for it; 0 when the run never settled.
+	CountedRounds int
 	// Informed is the number of informed alive nodes at the end.
 	Informed int
 	// AliveNodes is the number of alive nodes at the end.
@@ -325,6 +330,7 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 	return Result{
 		Engine:           r.engine,
 		Rounds:           res.Rounds,
+		CountedRounds:    res.CountedRounds,
 		Informed:         res.Informed,
 		AliveNodes:       res.AliveNodes,
 		AllInformed:      res.AllInformed,

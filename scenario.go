@@ -83,7 +83,10 @@ func WithChannelFailure(p float64) ScenarioOption { return func(s *Scenario) { s
 func WithMessageLoss(p float64) ScenarioOption { return func(s *Scenario) { s.messageLoss = p } }
 
 // WithStopEarly stops the run as soon as every alive node is informed,
-// instead of measuring the full schedule's transmission cost.
+// instead of measuring the full schedule's transmission cost: a different
+// result (fewer rounds charged), not a faster way to the same one — on a
+// static, fault-free topology the simulator counts the rounds after the last
+// receipt instead of simulating them (Result.CountedRounds).
 func WithStopEarly() ScenarioOption { return func(s *Scenario) { s.stopEarly = true } }
 
 // WithRecordRounds retains per-round metrics in Result.PerRound. Prefer

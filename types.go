@@ -49,8 +49,9 @@ type (
 	Observer = phonecall.Observer
 	// PhaseObserver is the optional extension of Observer that also
 	// receives, per round, the time the simulator's coordinator spent in
-	// the round's three steps (decision tables, shard passes, merge). The
-	// transport engines have no such steps and never call it.
+	// the round's three steps (decision tables, shard passes, merge); a
+	// round that was counted, not simulated (Result.CountedRounds), reports
+	// (count, 0, 0). The transport engines have no such steps and never call it.
 	PhaseObserver = phonecall.PhaseObserver
 	// Graph is an immutable undirected multigraph (see internal/graph for
 	// generators beyond RandomRegular).
