@@ -154,6 +154,7 @@ func TestTransportFlags(t *testing.T) {
 func TestTransportFlagsValidation(t *testing.T) {
 	bad := [][]string{
 		{"-chaos", "-chaos-drop", "1.5"},
+		{"-chaos", "-chaos-reorder", "NaN"},
 		{"-chaos", "-chaos-dup", "-0.1"},
 		{"-mailbox", "-3"},
 		{"-chaos", "-chaos-partition", "nope"},

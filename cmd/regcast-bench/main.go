@@ -22,7 +22,7 @@
 //
 // Determinism: for a fixed -seed, grid and flag set (without -timing and
 // -mem), the output bytes are identical across runs and across every
-// -rep-workers, -workers and -fastpath value — those only change
+// -rep-workers and -workers value — those only change
 // wall-clock time. -timing and -mem add machine-dependent per-cell fields
 // and are not for byte comparison.
 package main

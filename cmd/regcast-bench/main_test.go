@@ -13,8 +13,7 @@ import (
 // TestGridGoldens is what is left of the old baseline gate, made strict:
 // rounds and transmissions are byte-deterministic, so the ci and
 // populations grids (default seed, no -timing) must serialise to exactly
-// the committed testdata/<grid>.json — for every replication-pool width
-// and on the reference path too. After a documented reseed, regenerate
+// the committed testdata/<grid>.json — for every replication-pool width. After a documented reseed, regenerate
 // with `go run ./cmd/regcast-bench -grid <grid> -o
 // cmd/regcast-bench/testdata/<grid>.json`.
 func TestGridGoldens(t *testing.T) {
@@ -32,7 +31,6 @@ func TestGridGoldens(t *testing.T) {
 		}{
 			{"rep-workers=0", 0, regcast.NewRunner()},
 			{"rep-workers=4", 4, regcast.NewRunner()},
-			{"reference-path", 0, regcast.NewRunner(regcast.WithoutFastPath())},
 		} {
 			report, err := newSweep(name, g, defaultSeed, g.reps, v.repWorkers, v.runner, false).Run(context.Background())
 			if err != nil {

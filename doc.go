@@ -60,17 +60,16 @@
 // split PRNG streams, shard-order merge — so traces are bit-identical
 // for every worker count.
 //
-// The population engine auto-engages a compiled fast path that runs the
-// bit-identical trace to its reference interpreter: protocols declaring
+// The population engine compiles what a protocol declares, with the
+// trace its interpreter would produce bit for bit: protocols declaring
 // a small state space (TablePairProtocol, RingTableProtocol) have their
 // transition function compiled into a dense lookup table, protocols
 // whose measure factors through state occupancy (CountsPairProtocol,
 // e.g. NewApproxMajority) get an incrementally-maintained occupancy
 // vector in place of the O(n) scan, and wide protocols can supply a
 // fused batch kernel (BatchPairProtocol); pair draws are always batched
-// into preallocated PairDraw buffers on the exact reference streams.
-// WithoutFastPath (flag -fastpath=false) forces the reference components
-// for cross-validation and A/B benchmarks.
+// into preallocated PairDraw buffers on the exact interpreter streams.
+// The interpreter runs only for a protocol that declines to compile.
 //
 // Behind the facade: the four-choice phased broadcast protocols
 // (internal/core), the random phone call simulator with its one sharded

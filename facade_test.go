@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -224,6 +225,10 @@ func TestScenarioValidation(t *testing.T) {
 			[]regcast.ScenarioOption{regcast.WithChannelFailure(1.5)}, "out of [0,1]"},
 		{"bad loss prob", regcast.Static(g), push,
 			[]regcast.ScenarioOption{regcast.WithMessageLoss(-0.1)}, "out of [0,1]"},
+		{"NaN failure prob", regcast.Static(g), push,
+			[]regcast.ScenarioOption{regcast.WithChannelFailure(math.NaN())}, "out of [0,1]"},
+		{"NaN loss prob", regcast.Static(g), push,
+			[]regcast.ScenarioOption{regcast.WithMessageLoss(math.NaN())}, "out of [0,1]"},
 		{"quasirandom with pulling protocol", regcast.Static(g), pushpull,
 			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "push-only"},
 		{"quasirandom with non-PullFree protocol", regcast.Static(g), four,

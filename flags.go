@@ -32,11 +32,6 @@ type CommonFlags struct {
 	// topology flags apply. Validate parses it and TopologySpec returns
 	// the parsed spec.
 	Topology string
-	// FastPath mirrors the engines' two-path contract on the command
-	// line: true (the default) lets whichever engine runs auto-engage its
-	// fast path, false forces its reference path (WithoutFastPath) — the
-	// cross-validation and A/B-benchmark switch. It never changes a result.
-	FastPath bool
 	// CPUProfile and MemProfile name the files StartProfiles writes a CPU
 	// and a heap profile to (`go tool pprof <binary> <file>`); empty means
 	// no profile.
@@ -58,8 +53,6 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
 	fs.StringVar(&f.Topology, "topology", "",
 		"topology spec override, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
-	fs.BoolVar(&f.FastPath, "fastpath", true,
-		"engine fast path (phone-call: CSR/implicit views; population: table/counts/batch kernels); false forces the reference path, results are identical")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
 	return f
@@ -142,14 +135,9 @@ func (f *CommonFlags) TopologySpec() TopologySpec { return f.spec }
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
 
 // RunnerOptions translates the -workers flag into WithWorkers — the single
-// definition of the flag's semantics — plus WithoutFastPath when
-// -fastpath=false.
+// definition of the flag's semantics.
 func (f *CommonFlags) RunnerOptions() []RunnerOption {
-	opts := []RunnerOption{WithWorkers(f.Workers)}
-	if !f.FastPath {
-		opts = append(opts, WithoutFastPath())
-	}
-	return opts
+	return []RunnerOption{WithWorkers(f.Workers)}
 }
 
 // Runner builds the Runner the flags select.
@@ -219,7 +207,7 @@ func (f *TransportFlags) Validate() error {
 		"-chaos-drop": f.Drop, "-chaos-dup": f.Duplicate,
 		"-chaos-reorder": f.Reorder, "-chaos-delay-prob": f.DelayProb,
 	} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // NaN fails too
 			return fmt.Errorf("%s %v out of [0,1]", name, p)
 		}
 	}

@@ -38,11 +38,9 @@ func fingerprint(res regcast.Result) [6]uint64 {
 }
 
 // TestImplicitMatchesDenseTraces pins that every implicit family replays
-// the exact trace of its materialised twin, across protocols, engines and
-// worker counts — including the forced reference path, so the implicit
-// fast path, the CSR fast path and the interface path all agree — and
-// that this is one trace per (family, protocol): inline, pooled and
-// reference runs are all the same.
+// the exact trace of its materialised twin, across protocols and worker
+// counts — the implicit view and the CSR view agree — and that this is one
+// trace per (family, protocol): inline and pooled runs are the same.
 func TestImplicitMatchesDenseTraces(t *testing.T) {
 	engines := []struct {
 		name string
@@ -51,7 +49,6 @@ func TestImplicitMatchesDenseTraces(t *testing.T) {
 		{"sequential", nil},
 		{"sharded-w1", []regcast.RunnerOption{regcast.WithWorkers(1)}},
 		{"sharded-w4", []regcast.RunnerOption{regcast.WithWorkers(4)}},
-		{"no-fast-path", []regcast.RunnerOption{regcast.WithoutFastPath()}},
 	}
 	protos := []struct {
 		name string
@@ -176,11 +173,10 @@ func TestImplicitMatchesDenseUnderFaults(t *testing.T) {
 }
 
 // TestImplicitEdgeCensusFallback pins the edge-use census on implicit
-// topologies. The census looks an edge up through Topology.Neighbor, so an
-// implicit view has no reference-path fallback to take (phonecall's
-// TestEdgeCensusKeepsFastPath asserts it stays fast); here the per-round
-// |U(t)| series must equal the dense twin's on the default runner, on a
-// worker pool and on the forced reference path.
+// topologies. The census looks an edge up through Topology.Neighbor, so it
+// changes no view (phonecall's TestEdgeCensusKeepsFastPath asserts the
+// engine keeps it); here the per-round |U(t)| series must equal the dense
+// twin's on the default runner and on a worker pool.
 func TestImplicitEdgeCensusFallback(t *testing.T) {
 	pair := implicitPairs()[0] // hypercube dim 8
 	n := regcast.SpecNodeCount(pair.implicit)
@@ -204,7 +200,7 @@ func TestImplicitEdgeCensusFallback(t *testing.T) {
 	if len(dense.PerRound) == 0 || dense.PerRound[0].UnusedEdgeNodes == 0 {
 		t.Fatal("census never reported an unused-edge node; nothing was tracked")
 	}
-	for _, opts := range [][]regcast.RunnerOption{nil, {regcast.WithWorkers(4)}, {regcast.WithoutFastPath()}} {
+	for _, opts := range [][]regcast.RunnerOption{nil, {regcast.WithWorkers(4)}} {
 		imp := run(pair.implicit, opts...)
 		if fingerprint(imp) != fingerprint(dense) {
 			t.Fatalf("census run: implicit %v != dense %v", fingerprint(imp), fingerprint(dense))
@@ -275,6 +271,17 @@ func TestParseTopologySpecRoundTrips(t *testing.T) {
 	for _, in := range bad {
 		if _, err := regcast.ParseTopologySpec(in); err == nil {
 			t.Errorf("%q: accepted", in)
+		}
+	}
+	// Well-formed but out of range: the spec parses and Build refuses it.
+	for _, in := range []string{"gnp:n=64,p=NaN", "gnp-stream:n=64,p=NaN", "gnp:n=64,p=1.5"} {
+		spec, err := regcast.ParseTopologySpec(in)
+		if err != nil {
+			t.Errorf("%q: %v", in, err)
+			continue
+		}
+		if _, err := spec.Build(0, regcast.NewRand(1)); err == nil {
+			t.Errorf("%q: built", in)
 		}
 	}
 

@@ -300,7 +300,7 @@ func Gnp(n int, p float64, rng *xrand.Rand) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: Gnp n=%d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails too
 		return nil, fmt.Errorf("graph: Gnp p=%v out of [0,1]", p)
 	}
 	if p == 1 {

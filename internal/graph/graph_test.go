@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -393,6 +394,9 @@ func TestGnpEdgeCases(t *testing.T) {
 	}
 	if _, err := Gnp(10, 1.5, xrand.New(1)); err == nil {
 		t.Error("p>1 accepted")
+	}
+	if _, err := Gnp(10, math.NaN(), xrand.New(1)); err == nil {
+		t.Error("p=NaN accepted")
 	}
 	if _, err := Gnp(-1, 0.5, xrand.New(1)); err == nil {
 		t.Error("n<0 accepted")

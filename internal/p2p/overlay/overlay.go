@@ -399,7 +399,7 @@ func NewChurner(o *Overlay, joinProb, leaveProb float64, mixSteps int, rng *xran
 	if o == nil || rng == nil {
 		return nil, fmt.Errorf("overlay: NewChurner requires overlay and rng")
 	}
-	if joinProb < 0 || joinProb > 1 || leaveProb < 0 || leaveProb > 1 {
+	if !(joinProb >= 0 && joinProb <= 1) || !(leaveProb >= 0 && leaveProb <= 1) { // NaN fails too
 		return nil, fmt.Errorf("overlay: churn probabilities out of [0,1]: join=%v leave=%v", joinProb, leaveProb)
 	}
 	if mixSteps < 0 {

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"math"
 	"testing"
 
 	"regcast/internal/core"
@@ -224,6 +225,9 @@ func TestChurnerValidation(t *testing.T) {
 	}
 	if _, err := NewChurner(o, 1.5, 0.1, 0, rng); err == nil {
 		t.Error("bad join prob accepted")
+	}
+	if _, err := NewChurner(o, 0.1, math.NaN(), 0, rng); err == nil {
+		t.Error("NaN leave prob accepted")
 	}
 	if _, err := NewChurner(o, 0.1, 0.1, -1, rng); err == nil {
 		t.Error("negative mix accepted")

@@ -16,7 +16,7 @@ import (
 // on the real E13b churn overlay every per-round ChannelsDial must equal
 // what a fresh scan of the stepped topology would charge, on a
 // membership-stable stepper the engine must not consult Degree at all
-// after construction, and on the churning overlay's fast path — whose
+// after construction, and on the churning overlay's CSR view — whose
 // budget is O(1) and whose recount is a popcount — a whole run must make
 // no Alive or Degree call through the interface.
 
@@ -202,7 +202,7 @@ func newMeteredChurn(t *testing.T, n, d int) *meteredChurn {
 
 // TestFastPathChurnRunMakesNoInterfaceScan pins "a churn round pays for
 // what changed" by count, not by time: once NewEngine has returned, a
-// fast-path run on the churning overlay makes no Topology.Alive and no
+// run on the churning overlay's CSR view makes no Topology.Alive and no
 // Topology.Degree call at all — the budget refresh and the informed
 // recount, which used to scan the id space through the interface after
 // every step, are O(1) and a popcount.
@@ -227,7 +227,7 @@ func TestFastPathChurnRunMakesNoInterfaceScan(t *testing.T) {
 		t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", topo.ch.Joins, topo.ch.Leaves)
 	}
 	if topo.aliveCalls != 0 || topo.degreeCalls != 0 {
-		t.Errorf("%d-round fast-path churn run made %d Alive and %d Degree interface calls, want 0 and 0",
+		t.Errorf("%d-round churn run made %d Alive and %d Degree interface calls, want 0 and 0",
 			res.Rounds, topo.aliveCalls, topo.degreeCalls)
 	}
 }
@@ -236,8 +236,8 @@ func TestFastPathChurnRunMakesNoInterfaceScan(t *testing.T) {
 // round, on a run in which peers join, leave and — ids being recycled —
 // rejoin on the id of a peer that held the message: every PerRound
 // Informed must be the oracle's count after the previous step plus the
-// round's own receipts, on the fast path and on the reference path, whose
-// scan is the independent implementation.
+// round's own receipts, on the overlay's CSR view and through
+// interfaceView, whose alive bitset is an independent Alive scan.
 func TestChurnRecountMatchesOracle(t *testing.T) {
 	const n, d = 256, 8
 	alg1, err := core.NewAlgorithm1(n)
@@ -275,7 +275,7 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 		}
 		results[i] = res
 	}
-	sameResult(t, "churn recount fast vs reference", results[0], results[1])
+	sameResult(t, "churn recount CSR vs interface view", results[0], results[1])
 }
 
 // TestAvoidRecentBudgetIsOneDial: under AvoidRecent a node dials one channel

@@ -53,10 +53,11 @@ type Config struct {
 	// MessageLossProb is the probability that an individual transmission is
 	// lost in transit. Lost transmissions still count as transmissions.
 	MessageLossProb float64
-	// DisableFastPath forces the reference interface-dispatch path even on
-	// a frozen Static topology. The fast path is bit-identical to the
-	// reference path (golden tests pin this), so the switch exists for
-	// verification and benchmarking, not for correctness workarounds.
+	// DisableFastPath reads the topology through interfaceView — its
+	// Degree/Neighbor/Alive methods — even when it exposes a CSR or
+	// implicit view. It selects a view, not another code body, and never
+	// changes a result; it is kept for bench/'s reference probe until
+	// ROADMAP 1(d).
 	DisableFastPath bool
 	// DialStrategy selects the neighbour-selection discipline (default
 	// DialUniform). DialQuasirandom is incompatible with AvoidRecent.
@@ -157,10 +158,10 @@ type Engine struct {
 	// informedBits mirrors informedAt != Uninformed as a bitset: "is the
 	// target informed?" — the one random read per transmission — touches
 	// n/8 bytes instead of 4n (informedFast), and the recount under churn is
-	// popcount(alive & informed) over n/64 words. NewEngine allocates it for
-	// every fast-path engine; a MultiEngine — which swaps informedAt per
-	// message — never owns one (it is built by newEngine), and the nil
-	// checks keep it on informedAt.
+	// popcount(alive & informed) over n/64 words. NewEngine allocates it
+	// for every engine; a MultiEngine — which swaps informedAt per message —
+	// never owns one (it is built by newEngine), and the nil checks keep it
+	// on informedAt.
 	informedBits []uint64
 	ran          bool // Run was called
 
@@ -169,29 +170,22 @@ type Engine struct {
 	rowFree chan []int32
 	allRows []int32
 
-	// CSR fast path (see fastpath.go): when the topology exposes an
-	// epoch-stamped CSR view (CSRViewer — frozen Static graphs and the
-	// churning overlay alike), the round loops index these raw arrays
-	// instead of calling Topology.Degree/Neighbor/Alive through the
-	// interface. aliveBits is the view's liveness bitset (nil = every id
-	// alive, the frozen-graph case); csrEpoch is the epoch the slices
-	// were fetched at — after every Stepper.Step the engine re-fetches
+	// The topology's view (see fastpath.go), exactly one of two kinds.
+	// CSR: when the topology exposes epoch-stamped CSR arrays (CSRViewer —
+	// frozen Static graphs and the churning overlay alike), the samplers
+	// index csrOff/csrAdj. Implicit: otherwise impView is the topology's
+	// ImplicitViewer, or interfaceView over its Topology methods, and the
+	// samplers resolve rows through impNbrs (nbrAt). aliveBits is the
+	// view's liveness bitset (nil = every id alive); csrEpoch is the epoch
+	// it was fetched at — after every Stepper.Step the engine re-fetches
 	// the view iff the epoch advanced (refreshCSR).
-	fast      bool
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
+	impView   ImplicitViewer
+	impNbrs   ImplicitNeighbors
 	aliveBits []uint64
 	csrEpoch  uint64
-
-	// Implicit fast path: when the topology exposes computable adjacency
-	// (ImplicitViewer) and no CSR view, the dial samplers resolve rows
-	// through impNbrs.Degree/NeighborAt arithmetic instead of indexing
-	// csrOff/csrAdj (nbrAt in fastpath.go) — no adjacency array is ever
-	// built. All other fast-path machinery (aliveBits, csrEpoch, the
-	// shard pass, which only reads dial rows) is shared unchanged.
-	impView ImplicitViewer
-	impNbrs ImplicitNeighbors
 
 	// Round-driver state; see parallel.go.
 	workers int
@@ -233,13 +227,13 @@ type Engine struct {
 	countFrom   int
 
 	// aliveCounter, when the topology supports it, answers aliveCount in
-	// O(1) instead of an O(n) Alive scan.
+	// O(1) instead of a popcount over the view's alive bitset.
 	aliveCounter AliveCounter
 
-	// Edge-use census (Config.TrackEdgeUse), one for both paths and every
-	// view: usedBits has a bit per adjacency slot (slotOff[v] is the first
-	// slot of v's row) and an edge owns the first slot holding the higher
-	// endpoint in the lower endpoint's row, so parallel edges share a bit.
+	// Edge-use census (Config.TrackEdgeUse), one for every view: usedBits
+	// has a bit per adjacency slot (slotOff[v] is the first slot of v's
+	// row) and an edge owns the first slot holding the higher endpoint in
+	// the lower endpoint's row, so parallel edges share a bit.
 	// unusedDeg[v] counts v's incident edges not yet used and unusedNodes
 	// the nodes whose counter is still positive, |U(t)|.
 	unusedDeg   []int32
@@ -257,9 +251,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := checkOrigin(cfg.Topology, "source", cfg.Source); err != nil {
 		return nil, err
 	}
-	if e.fast {
-		e.informedBits = make([]uint64, (e.n+63)/64)
-	}
+	e.informedBits = make([]uint64, (e.n+63)/64)
 	return e, nil
 }
 
@@ -295,10 +287,10 @@ func newEngine(cfg Config) (*Engine, error) {
 	if cfg.Protocol.Horizon() < 1 {
 		return nil, fmt.Errorf("phonecall: protocol %q has horizon %d < 1", cfg.Protocol.Name(), cfg.Protocol.Horizon())
 	}
-	if cfg.ChannelFailureProb < 0 || cfg.ChannelFailureProb > 1 {
+	if !(cfg.ChannelFailureProb >= 0 && cfg.ChannelFailureProb <= 1) { // NaN fails too
 		return nil, fmt.Errorf("phonecall: ChannelFailureProb %v out of [0,1]", cfg.ChannelFailureProb)
 	}
-	if cfg.MessageLossProb < 0 || cfg.MessageLossProb > 1 {
+	if !(cfg.MessageLossProb >= 0 && cfg.MessageLossProb <= 1) {
 		return nil, fmt.Errorf("phonecall: MessageLossProb %v out of [0,1]", cfg.MessageLossProb)
 	}
 	if cfg.AvoidRecent < 0 {
@@ -324,22 +316,18 @@ func newEngine(cfg Config) (*Engine, error) {
 		k:     cfg.Protocol.Choices(),
 		dials: cfg.Protocol.Choices(),
 	}
-	// The zero-interface fast path engages on any topology exposing an
-	// epoch-stamped CSR view — frozen Static graphs and churning overlays
-	// alike: the CSR arrays are fetched once (and re-fetched only when the
-	// epoch advances after a churn Step), and every per-node Degree/
-	// Neighbor/Alive interface call in the round loops disappears
-	// (fastpath.go).
+	// Every topology is read through a view, fetched here once and again
+	// only when its epoch advances after a churn Step (fastpath.go): its
+	// CSR arrays if it has them, else its implicit view, else interfaceView
+	// over its Topology methods.
 	if cv, ok := cfg.Topology.(CSRViewer); ok && !cfg.DisableFastPath {
-		e.fast = true
 		e.fastView = cv
 		e.csrOff, e.csrAdj, e.aliveBits, e.csrEpoch = cv.CSRView()
-	} else if iv, ok := cfg.Topology.(ImplicitViewer); ok && !cfg.DisableFastPath {
-		// The implicit fast path: same round loops, but the dial samplers
-		// compute neighbours arithmetically instead of indexing CSR arrays.
-		// A topology exposing both views takes the CSR branch above — if
-		// the arrays exist, indexing them is cheaper than recomputing.
-		e.fast = true
+	} else {
+		iv, ok := cfg.Topology.(ImplicitViewer)
+		if !ok || cfg.DisableFastPath {
+			iv = &interfaceView{Topology: cfg.Topology}
+		}
 		e.impView = iv
 		e.impNbrs, e.aliveBits, e.csrEpoch = iv.ImplicitView()
 	}
@@ -462,7 +450,7 @@ func edgeKey(v, w int) int64 {
 var errCensusTooLarge = errors.New("phonecall: TrackEdgeUse requires a degree sum <= math.MaxInt32")
 
 // markUsed records that the edge encoded by key carried a transmission
-// (Lemma 4's census; both shard passes buffer keys and the merge applies
+// (Lemma 4's census; the shard passes buffer keys and the merge applies
 // them here, in shard order). The edge's bit is the first slot holding the
 // higher endpoint in the lower endpoint's row, so parallel edges are
 // conflated. The first use decrements both endpoints' unused-edge counters
@@ -510,106 +498,6 @@ func (ds *dialState) scratchFor(n int) []int {
 	return ds.scratch
 }
 
-// sampleDialsFor fills node v's row, the k slots from base of ds.rows:
-// min(k, deg) distinct neighbours, dead targets and failed channels recorded
-// as -1. All randomness is drawn from ds, the stream of the shard that owns
-// v. This is the reference interface path; sampleDialsFast is its fast twin.
-func (e *Engine) sampleDialsFor(v, base int, ds *dialState) {
-	for j := 0; j < e.k; j++ {
-		ds.rows[base+j] = Uninformed
-	}
-	deg := e.topo.Degree(v)
-	if deg == 0 {
-		return
-	}
-	if e.cfg.AvoidRecent > 0 {
-		e.sampleWithMemory(v, base, deg, ds)
-		return
-	}
-	if e.cfg.DialStrategy == DialQuasirandom {
-		e.sampleQuasirandom(v, base, deg, ds)
-		return
-	}
-	kk := e.k
-	if kk > deg {
-		kk = deg
-	}
-	ds.dialIdx = ds.rng.DistinctK(ds.dialIdx, kk, deg, ds.scratchFor(deg))
-	for j, idx := range ds.dialIdx {
-		w := e.topo.Neighbor(v, idx)
-		if !e.topo.Alive(w) {
-			continue
-		}
-		if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
-			continue
-		}
-		ds.rows[base+j] = int32(w)
-	}
-}
-
-// sampleQuasirandom dials the next k entries of v's neighbour list,
-// drawing a uniform start position on the first dial (Doerr et al.'s
-// quasirandom model).
-func (e *Engine) sampleQuasirandom(v, base, deg int, ds *dialState) {
-	if e.listCursor[v] < 0 {
-		e.listCursor[v] = int32(ds.rng.IntN(deg))
-	}
-	kk := e.k
-	if kk > deg {
-		kk = deg
-	}
-	cur := int(e.listCursor[v])
-	for j := 0; j < kk; j++ {
-		w := e.topo.Neighbor(v, (cur+j)%deg)
-		if !e.topo.Alive(w) {
-			continue
-		}
-		if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
-			continue
-		}
-		ds.rows[base+j] = int32(w)
-	}
-	e.listCursor[v] = int32((cur + kk) % deg)
-}
-
-// sampleWithMemory implements footnote 2's sequentialised model: one dial
-// per round, chosen uniformly among neighbours not contacted in the last
-// AvoidRecent rounds. If every neighbour is recent (possible only when
-// degree <= AvoidRecent), the choice falls back to uniform.
-func (e *Engine) sampleWithMemory(v, base, deg int, ds *dialState) {
-	r := e.cfg.AvoidRecent
-	memBase := v * r
-	choice := -1
-	for attempt := 0; attempt < 4*deg+16; attempt++ {
-		idx := ds.rng.IntN(deg)
-		w := e.topo.Neighbor(v, idx)
-		recent := false
-		for i := 0; i < r; i++ {
-			if e.recent[memBase+i] == int32(w) {
-				recent = true
-				break
-			}
-		}
-		if !recent {
-			choice = w
-			break
-		}
-	}
-	if choice < 0 {
-		choice = e.topo.Neighbor(v, ds.rng.IntN(deg))
-	}
-	// Record the partner regardless of channel failure: the node dialled it.
-	e.recent[memBase+e.recentPos[v]] = int32(choice)
-	e.recentPos[v] = (e.recentPos[v] + 1) % r
-	if !e.topo.Alive(choice) {
-		return
-	}
-	if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
-		return
-	}
-	ds.rows[base] = int32(choice)
-}
-
 // refreshBudget recomputes the cached dial budget after a topology Step,
 // but only when membership actually changed: joins were reported or the
 // alive count moved. Steps that merely rewire edges degree-preservingly
@@ -629,35 +517,22 @@ func (e *Engine) refreshBudget(joined []int) {
 
 // aliveCount returns the number of alive nodes.
 func (e *Engine) aliveCount() int {
-	if e.fast && e.aliveBits == nil {
+	switch {
+	case e.aliveBits == nil:
 		return e.n
-	}
-	if _, ok := e.topo.(Static); ok {
-		return e.n
-	}
-	if e.aliveCounter != nil {
+	case e.aliveCounter != nil:
 		return e.aliveCounter.AliveCount()
 	}
-	if e.fast {
-		c := 0
-		for _, w := range e.aliveBits {
-			c += bits.OnesCount64(w)
-		}
-		return c
-	}
 	c := 0
-	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) {
-			c++
-		}
+	for _, w := range e.aliveBits {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
-// aliveFast reports liveness from the CSR view's bitset (nil = all
-// alive). Fast-path loops use it exactly where the reference path calls
-// Topology.Alive; neither draws randomness, which is what keeps the two
-// paths bit-identical.
+// aliveFast reports liveness from the view's bitset (nil = all alive). It
+// draws no randomness, which is what makes every view of one topology
+// bit-identical whatever its bitset's provenance.
 func (e *Engine) aliveFast(v int) bool {
 	return e.aliveBits == nil || e.aliveBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
@@ -673,10 +548,9 @@ func (e *Engine) informedFast(v int) bool {
 	return e.informedBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// refreshCSR re-fetches the topology's fast-path view (CSR or implicit)
-// after a churn Step, but only when the epoch advanced — the contract
-// that lets churn runs keep the fast path between churn events at the
-// cost of one epoch compare per round.
+// refreshCSR re-fetches the topology's view (CSR or implicit) after a
+// churn Step, but only when the epoch advanced — one epoch compare per
+// round between churn events.
 func (e *Engine) refreshCSR() {
 	if e.impView != nil {
 		nbrs, alive, epoch := e.impView.ImplicitView()
@@ -684,9 +558,6 @@ func (e *Engine) refreshCSR() {
 			return
 		}
 		e.impNbrs, e.aliveBits, e.csrEpoch = nbrs, alive, epoch
-		return
-	}
-	if e.fastView == nil {
 		return
 	}
 	off, adj, alive, epoch := e.fastView.CSRView()
@@ -697,24 +568,16 @@ func (e *Engine) refreshCSR() {
 }
 
 // recount recomputes the informed-alive count after churn invalidated the
-// incremental counter: word-wise over informedBits and the view's alive
-// bitset on the fast path (callers refresh the view first), by scan on the
-// reference path — the oracle the popcount is tested against.
+// incremental counter: popcount(informed & alive), word-wise over
+// informedBits and the view's alive bitset (callers refresh the view
+// first).
 func (e *Engine) recount() int {
 	c := 0
-	if e.informedBits != nil {
-		for i, w := range e.informedBits {
-			if e.aliveBits != nil {
-				w &= e.aliveBits[i]
-			}
-			c += bits.OnesCount64(w)
+	for i, w := range e.informedBits {
+		if e.aliveBits != nil {
+			w &= e.aliveBits[i]
 		}
-		return c
-	}
-	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) && e.informedAt[v] != Uninformed {
-			c++
-		}
+		c += bits.OnesCount64(w)
 	}
 	return c
 }

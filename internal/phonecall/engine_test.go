@@ -1,6 +1,7 @@
 package phonecall
 
 import (
+	"math"
 	"testing"
 
 	"regcast/internal/graph"
@@ -63,6 +64,8 @@ func TestConfigValidation(t *testing.T) {
 		{"source too large", func(c *Config) { c.Source = 20 }},
 		{"bad failure prob", func(c *Config) { c.ChannelFailureProb = 1.5 }},
 		{"bad loss prob", func(c *Config) { c.MessageLossProb = -0.1 }},
+		{"NaN failure prob", func(c *Config) { c.ChannelFailureProb = math.NaN() }},
+		{"NaN loss prob", func(c *Config) { c.MessageLossProb = math.NaN() }},
 		{"negative memory", func(c *Config) { c.AvoidRecent = -1 }},
 		{"zero choices", func(c *Config) { c.Protocol = pushProto{0, 10} }},
 		{"zero horizon", func(c *Config) { c.Protocol = pushProto{1, 0} }},

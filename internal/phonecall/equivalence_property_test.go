@@ -39,8 +39,8 @@ func (p windowProto) SendPull(t, ia int) bool {
 // dial discipline, topology kind (frozen CSR graph, partially-alive CSR
 // view, churning overlay, implicit family — the static ones with and
 // without the edge census) and shard count, every run of the
-// configuration — fast or reference path, shard passes inline (Workers 0
-// and 1) or pooled (4) — must produce the same Result bit for bit. Half of
+// configuration — the topology's own view or interfaceView, shard passes
+// inline (Workers 0 and 1) or pooled (4) — must produce the same Result bit for bit. Half of
 // the cases on a frozen topology without census, the ones that can settle,
 // are also run declared changeable (mayChange): a counted tail must read as
 // the simulated one does, whatever the generated schedule pulls when.

@@ -33,9 +33,20 @@ func (e *Engine) LiveInformedAt() []int32 { return e.informedAt }
 // whose listed ids are dead.
 func NewViewTopo(g *graph.Graph, dead ...int) Topology { return newViewTopo(g, dead...) }
 
-// LiveInformedBits returns the engine's informed bitset itself (nil on the
-// reference path).
+// LiveInformedBits returns the engine's informed bitset itself.
 func (e *Engine) LiveInformedBits() []uint64 { return e.informedBits }
+
+// View names the view the engine reads its topology through: "csr",
+// "implicit" (the topology's own ImplicitViewer) or "interface".
+func (e *Engine) View() string {
+	switch e.impView.(type) {
+	case nil:
+		return "csr"
+	case *interfaceView:
+		return "interface"
+	}
+	return "implicit"
+}
 
 // PullAll reports whether the latest round's pull scan probed the informed
 // bitset alone (every occupied cohort pulled) instead of loading receipt

@@ -1,44 +1,40 @@
 package phonecall
 
-// This file is the zero-interface hot path of the engine. When the
-// topology exposes an epoch-stamped view — CSR arrays (CSRViewer; frozen
-// Static graphs and the churning overlay alike) or computable adjacency
-// (ImplicitViewer) — and Config.DisableFastPath is unset, NewEngine
-// fetches the view once and the shard pass runs against raw slices: no
-// Topology.Degree/Neighbor/Alive dynamic dispatch in dial sampling, the
-// push loop, or the pull scan, and for k <= 4 the scratch-free distinct
-// samplers (xrand.Distinct2/3/4) at every degree instead of DistinctK. On
-// a churning topology the view is re-fetched only when its epoch advances
-// (refreshCSR, once per Step), and liveness is a bitset probe (aliveFast)
-// placed exactly where the reference path calls Topology.Alive; "is the
-// target informed?" is one too (informedFast, over the bitset NewEngine
-// keeps beside informedAt), where the reference path loads informedAt. The
-// Config.TrackEdgeUse census is the reference path's own: both passes
-// buffer edge keys and the merge applies them through markUsed.
+// This file is the engine's one shard pass and its dial samplers. Every
+// topology is read through an epoch-stamped view that NewEngine fetches
+// once: CSR arrays (CSRViewer; frozen Static graphs and the churning
+// overlay alike), computable adjacency (ImplicitViewer), or — for a
+// topology that exposes neither — interfaceView, which serves the
+// topology's own Degree/Neighbor as implicit adjacency and scans Alive
+// into a bitset. The pass therefore runs against raw slices and one
+// devirtualisable resolver (nbrAt): for k <= 4 the scratch-free distinct
+// samplers (xrand.Distinct2/3/4) at every degree, liveness a bitset probe
+// (aliveFast), "is the target informed?" one too (informedFast, over the
+// bitset NewEngine keeps beside informedAt). On a churning topology the
+// view is re-fetched only when its epoch advances (refreshCSR, once per
+// Step). The Config.TrackEdgeUse census is shared by every view: the pass
+// buffers edge keys and the merge applies them through markUsed.
 //
-// Contract: for identical Config (minus DisableFastPath) and seed, the
-// fast path produces bit-identical Results to the reference interface
-// path, because it consumes the PRNG stream draw-for-draw identically:
-// the small-k samplers are stream-compatible with DistinctK, alive checks
-// draw no randomness (bitset probes on churn views, vacuous on frozen
-// graphs), and both paths make the same Bool draw per fault decision.
-// Golden tests (fastpath_test.go) pin this across the
-// E1–E20 configuration matrix and across churn overlay configurations.
-//
-// The CSR and implicit views share every sampler body; they differ only
-// in how sampleDialsFast locates a row and how its idx-th entry is read
-// (nbrAt). Because NeighborAt draws none of the run's randomness and
-// ImplicitNeighbors must enumerate exactly the rows a materialised CSR
-// view would hold, a run over graph.Implicit `f` is bit-identical to the
-// same run over Static{Materialize(f)} — the implicit facade tests pin
-// this across engines and worker counts.
+// Contract: the CSR, implicit and interface views of one topology are
+// interchangeable bit for bit. For identical Config and seed, every view
+// yields the same Result, because the pass consumes the PRNG stream
+// draw-for-draw identically whatever the view: resolving a neighbour and
+// probing liveness draw no randomness, and ImplicitNeighbors must
+// enumerate exactly the rows a materialised CSR view would hold. So a run
+// over graph.Implicit `f` is bit-identical to the same run over
+// Static{Materialize(f)}, and Config.DisableFastPath (interfaceView on any
+// topology) changes nothing. Golden tests (fastpath_test.go,
+// fastpath_churn_test.go) pin one digest per configuration across the
+// E1–E20 matrix and the churn overlay, for every view and Workers value;
+// the digests were recorded while the deleted interface-dispatch bodies
+// still ran beside this pass.
 
-// nbrAt is the fast path's one neighbour resolver: the idx-th entry of
-// v's row (off is the row's first CSR slot, unused on an implicit view),
-// loaded from the CSR array or computed by the implicit family. It must
-// stay inlinable into the samplers below (`go build -gcflags=-m` reports
-// "can inline (*Engine).nbrAt"); with the row lookup in sampleDialsFast
-// it is the fast path's only implicit/dense branch.
+// nbrAt is the one neighbour resolver: the idx-th entry of v's row (off is
+// the row's first CSR slot, unused on an implicit view), loaded from the
+// CSR array or computed by the implicit view. It must stay inlinable into
+// the samplers below (`go build -gcflags=-m` reports "can inline
+// (*Engine).nbrAt"); with the row lookup in sampleDials it is the pass's
+// only implicit/dense branch.
 func (e *Engine) nbrAt(v, off, idx int) int32 {
 	if e.impNbrs != nil {
 		return e.impNbrs.NeighborAt(v, idx)
@@ -46,10 +42,11 @@ func (e *Engine) nbrAt(v, off, idx int) int32 {
 	return e.csrAdj[off+idx]
 }
 
-// sampleDialsFast is the fast twin of sampleDialsFor: it fills node v's
-// row, the k slots from base of ds.rows, without Topology interface calls
-// or, for small k, O(deg) scratch.
-func (e *Engine) sampleDialsFast(v, base int, ds *dialState) {
+// sampleDials fills node v's row, the k slots from base of ds.rows:
+// min(k, deg) distinct neighbours, dead targets and failed channels
+// recorded as -1, without O(deg) scratch for small k. All randomness is
+// drawn from ds, the stream of the shard that owns v.
+func (e *Engine) sampleDials(v, base int, ds *dialState) {
 	for j := 0; j < e.k; j++ {
 		ds.rows[base+j] = Uninformed
 	}
@@ -64,11 +61,11 @@ func (e *Engine) sampleDialsFast(v, base int, ds *dialState) {
 		return
 	}
 	if e.cfg.AvoidRecent > 0 {
-		e.sampleWithMemoryFast(v, base, off, deg, ds)
+		e.sampleWithMemory(v, base, off, deg, ds)
 		return
 	}
 	if e.cfg.DialStrategy == DialQuasirandom {
-		e.sampleQuasirandomFast(v, base, off, deg, ds)
+		e.sampleQuasirandom(v, base, off, deg, ds)
 		return
 	}
 	kk := e.k
@@ -102,7 +99,7 @@ func (e *Engine) sampleDialsFast(v, base int, ds *dialState) {
 	failure := e.cfg.ChannelFailureProb
 	if e.aliveBits != nil {
 		// Partially-alive view: a dead target skips the slot before the
-		// fault draw, exactly like the reference path's Alive(w) check.
+		// fault draw.
 		for j, idx := range idxs {
 			w := e.nbrAt(v, off, idx)
 			if !e.aliveFast(int(w)) {
@@ -127,8 +124,10 @@ func (e *Engine) sampleDialsFast(v, base int, ds *dialState) {
 	}
 }
 
-// sampleQuasirandomFast is the fast twin of sampleQuasirandom.
-func (e *Engine) sampleQuasirandomFast(v, base, off, deg int, ds *dialState) {
+// sampleQuasirandom dials the next k entries of v's neighbour list,
+// drawing a uniform start position on the first dial (Doerr et al.'s
+// quasirandom model).
+func (e *Engine) sampleQuasirandom(v, base, off, deg int, ds *dialState) {
 	if e.listCursor[v] < 0 {
 		e.listCursor[v] = int32(ds.rng.IntN(deg))
 	}
@@ -145,7 +144,7 @@ func (e *Engine) sampleQuasirandomFast(v, base, off, deg int, ds *dialState) {
 		}
 		w := e.nbrAt(v, off, idx)
 		if e.aliveBits != nil && !e.aliveFast(int(w)) {
-			continue // dead target: skip before the fault draw (reference order)
+			continue // dead target: skip before the fault draw
 		}
 		if failure > 0 && ds.rng.Bool(failure) {
 			continue
@@ -155,9 +154,11 @@ func (e *Engine) sampleQuasirandomFast(v, base, off, deg int, ds *dialState) {
 	e.listCursor[v] = int32((cur + kk) % deg)
 }
 
-// sampleWithMemoryFast is the fast twin of sampleWithMemory (footnote 2's
-// sequentialised model: one dial per round avoiding recent partners).
-func (e *Engine) sampleWithMemoryFast(v, base, off, deg int, ds *dialState) {
+// sampleWithMemory implements footnote 2's sequentialised model: one dial
+// per round, chosen uniformly among neighbours not contacted in the last
+// AvoidRecent rounds. If every neighbour is recent (possible only when
+// degree <= AvoidRecent), the choice falls back to uniform.
+func (e *Engine) sampleWithMemory(v, base, off, deg int, ds *dialState) {
 	r := e.cfg.AvoidRecent
 	memBase := v * r
 	choice := int32(-1)
@@ -183,7 +184,7 @@ func (e *Engine) sampleWithMemoryFast(v, base, off, deg int, ds *dialState) {
 	e.recent[memBase+e.recentPos[v]] = choice
 	e.recentPos[v] = (e.recentPos[v] + 1) % r
 	if e.aliveBits != nil && !e.aliveFast(int(choice)) {
-		return // dead partner: recorded but no channel (reference order)
+		return // dead partner: recorded but no channel
 	}
 	if e.cfg.ChannelFailureProb > 0 && ds.rng.Bool(e.cfg.ChannelFailureProb) {
 		return
@@ -191,9 +192,14 @@ func (e *Engine) sampleWithMemoryFast(v, base, off, deg int, ds *dialState) {
 	ds.rows[base] = choice
 }
 
-// shardPassFast is the fast twin of shardPass: one round for the node
-// range a shard owns, drawing only from the shard's own stream.
-func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
+// shardPass runs one round for the nodes a shard owns: dial sampling, push
+// transmissions, then pull transmissions, in ascending node order, drawing
+// only from the shard's own stream. It reads informedAt (frozen during the
+// round) and writes only its dial rows, the shard's per-node dial
+// memory/cursors and its outbox, so concurrent shard passes never race.
+// Delivery candidates are queued in the outbox; global dedup happens in the
+// sequential merge.
+func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
 	census := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 	k := e.k
@@ -208,7 +214,7 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode,
 		}
 		base := (v - sh.lo) * stride
 		if dial != dialSampled {
-			e.sampleDialsFast(v, base, &sh.ds)
+			e.sampleDials(v, base, &sh.ds)
 		}
 		if !sender {
 			continue
@@ -234,6 +240,9 @@ func (e *Engine) shardPassFast(sh *parShard, t int, anyPull bool, dial dialMode,
 	if !anyPull {
 		return
 	}
+	// Pull is evaluated caller-side: every channel v→w the shard's nodes
+	// dialled lets an informed, pulling callee w answer the caller v. The
+	// receiver is always the shard's own node v.
 	for v := sh.lo; v < sh.hi; v++ {
 		if !e.aliveFast(v) {
 			continue

@@ -1,7 +1,6 @@
 package phonecall_test
 
 import (
-	"fmt"
 	"testing"
 
 	"regcast/internal/baseline"
@@ -34,12 +33,13 @@ type churnGolden struct {
 	mixSteps            int
 	proto               func(t *testing.T, n int) phonecall.Protocol
 	mutate              func(cfg *phonecall.Config)
+	want                digest
 }
 
 // buildChurnTopo constructs a fresh overlay + churner pair from seed.
-// Fast and reference runs each get their own instance (churn mutates the
-// topology), built from the same seed so both experience the identical
-// membership trajectory — the churner draws only from its own streams.
+// Every run gets its own instance (churn mutates the topology), built from
+// the same seed so all experience the identical membership trajectory —
+// the churner draws only from its own streams.
 func buildChurnTopo(t testing.TB, n, d int, g churnGolden, seed uint64) churnTopo {
 	t.Helper()
 	master := xrand.New(seed)
@@ -54,12 +54,11 @@ func buildChurnTopo(t testing.TB, n, d int, g churnGolden, seed uint64) churnTop
 	return churnTopo{ov, ch}
 }
 
-// TestFastPathGoldenChurn extends the tentpole bit-identity contract to
-// churning topologies: on the overlay (an epoch-stamped CSRViewer), the
-// fast path must reproduce the reference interface path draw for draw —
-// across join/leave churn, degree-preserving mix-only churn, fault
-// models and pull schedules — and the trace must be the same one whether
-// the shard passes run inline (Workers 0 and 1) or pooled (4).
+// TestFastPathGoldenChurn extends the golden digests to churning
+// topologies: on the overlay (an epoch-stamped CSRViewer) and through
+// interfaceView, across join/leave churn, degree-preserving mix-only churn,
+// fault models and pull schedules, every view reproduces the committed
+// trace whether the shard passes run inline (Workers 0 and 1) or pooled (4).
 func TestFastPathGoldenChurn(t *testing.T) {
 	const n, d = 192, 8
 	alg1 := func(t *testing.T, n int) phonecall.Protocol {
@@ -82,6 +81,7 @@ func TestFastPathGoldenChurn(t *testing.T) {
 			// so the alive bitset, the CSR rows and the epoch all churn.
 			name: "join-leave", joinProb: 0.03, leaveProb: 0.03, mixSteps: 3,
 			proto: alg1,
+			want:  digest{34, 3823, 24744, -1, 0x1833ce51916e76d8},
 		},
 		{
 			// Degree-preserving rewiring only: membership is fixed but the
@@ -90,32 +90,33 @@ func TestFastPathGoldenChurn(t *testing.T) {
 			// mask behind membership refreshes.
 			name: "mix-only", joinProb: 0, leaveProb: 0, mixSteps: 25,
 			proto: push,
+			want:  digest{23, 2808, 4416, 15, 0x96b16cd9ecb0b97b},
 		},
 		{
 			name: "join-leave-channel-failure", joinProb: 0.02, leaveProb: 0.05, mixSteps: 2,
 			proto:  alg1,
 			mutate: func(cfg *phonecall.Config) { cfg.ChannelFailureProb = 0.2 },
+			want:   digest{34, 1590, 17212, -1, 0xfd9f812af6992a1c},
 		},
 		{
 			name: "mix-only-message-loss", joinProb: 0, leaveProb: 0, mixSteps: 10,
 			proto:  alg1,
 			mutate: func(cfg *phonecall.Config) { cfg.MessageLossProb = 0.15 },
+			want:   digest{34, 3093, 26112, 19, 0x2b021ffcfe531994},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var inline phonecall.Result // the Workers == 0 fast-path trace
-			for _, workers := range []int{0, 1, 4} {
-				run := func(disable bool) phonecall.Result {
-					topo := buildChurnTopo(t, n, d, tc, 1712)
+			for _, view := range goldenViews {
+				for _, workers := range []int{0, 1, 4} {
 					cfg := phonecall.Config{
-						Topology:        topo,
+						Topology:        buildChurnTopo(t, n, d, tc, 1712),
 						Protocol:        tc.proto(t, n),
 						Source:          5,
 						RNG:             xrand.New(20260726),
 						RecordRounds:    true,
 						Workers:         workers,
-						DisableFastPath: disable,
+						DisableFastPath: view.disable,
 					}
 					if tc.mutate != nil {
 						tc.mutate(&cfg)
@@ -124,15 +125,10 @@ func TestFastPathGoldenChurn(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res
+					if got := digestOf(res); got != tc.want {
+						t.Errorf("%s view=%s workers=%d: digest %+v, want %+v", tc.name, view.name, workers, got, tc.want)
+					}
 				}
-				label := fmt.Sprintf("%s workers=%d", tc.name, workers)
-				fast := run(false)
-				sameResult(t, label+" fast vs reference", fast, run(true))
-				if workers == 0 {
-					inline = fast
-				}
-				sameResult(t, label+" vs workers=0", inline, fast)
 			}
 		})
 	}
@@ -159,7 +155,7 @@ func TestChurnRunActuallyChurns(t *testing.T) {
 		t.Fatalf("churner performed %d joins / %d leaves; the golden matrix would be vacuous", topo.ch.Joins, topo.ch.Leaves)
 	}
 	if err := topo.CheckInvariants(); err != nil {
-		t.Fatalf("overlay invariants broken after a fast-path churn run: %v", err)
+		t.Fatalf("overlay invariants broken after a churn run: %v", err)
 	}
 	if res.Rounds == 0 {
 		t.Fatal("run executed no rounds")

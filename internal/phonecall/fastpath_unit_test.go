@@ -10,70 +10,52 @@ import (
 	"regcast/internal/xrand"
 )
 
-// TestFastPathEngagement pins when the CSR fast path engages: on any
-// topology exposing an epoch-stamped CSR view (frozen Static graphs and
-// CSRViewer implementations with liveness bitsets alike), and never when
-// DisableFastPath asks for the reference path or the topology offers no
-// view.
+// TestFastPathEngagement pins which view the engine reads a topology
+// through: the CSR arrays of any CSRViewer (frozen Static graphs and
+// partially-alive views alike), the ImplicitView of an ImplicitViewer, and
+// interfaceView for a topology without either or whenever DisableFastPath
+// asks for it — with a nil alive bitset exactly when every id is alive.
 func TestFastPathEngagement(t *testing.T) {
 	g := testGraph(t, 64, 4, 1)
-	base := Config{Topology: NewStatic(g), Protocol: pushProto{1, 10}, RNG: xrand.New(1)}
-
-	e, err := NewEngine(base)
+	cube, err := graph.NewImplicitHypercube(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.fast {
-		t.Error("Static topology did not engage the fast path")
-	}
-	if e.csrOff == nil || e.csrAdj == nil {
-		t.Error("fast engine is missing its CSR view")
-	}
-	if e.aliveBits != nil {
-		t.Error("Static view carries an alive bitset; it should be nil (all alive)")
-	}
-
-	ref := base
-	ref.DisableFastPath = true
-	e, err = NewEngine(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.fast {
-		t.Error("DisableFastPath did not force the reference path")
-	}
-
-	dyn := base
-	dyn.Topology = &churnTopo{g: g}
-	e, err = NewEngine(dyn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.fast {
-		t.Error("a Stepper without a CSR view engaged the fast path")
-	}
-
-	viewed := base
-	viewed.Topology = newViewTopo(g, 64-1) // highest id dead
-	e, err = NewEngine(viewed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.fast {
-		t.Error("CSRViewer topology did not engage the fast path")
-	}
-	if e.aliveBits == nil {
-		t.Error("partially-alive CSR view lost its alive bitset")
-	}
-	if e.aliveCount() != 63 {
-		t.Errorf("aliveCount over the bitset = %d, want 63", e.aliveCount())
+	for _, tc := range []struct {
+		name    string
+		topo    Topology
+		disable bool
+		view    string
+		alive   int // -1: nil bitset
+	}{
+		{"static", NewStatic(g), false, "csr", -1},
+		{"static-disabled", NewStatic(g), true, "interface", -1},
+		{"partially-alive", newViewTopo(g, 64-1), false, "csr", 63},
+		{"partially-alive-disabled", newViewTopo(g, 64-1), true, "interface", 63},
+		{"implicit", NewImplicit(cube), false, "implicit", -1},
+		{"implicit-disabled", NewImplicit(cube), true, "interface", -1},
+		{"viewless-stepper", &churnTopo{g: g}, false, "interface", -1},
+	} {
+		e, err := NewEngine(Config{Topology: tc.topo, Protocol: pushProto{1, 10}, RNG: xrand.New(1), DisableFastPath: tc.disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.View(); got != tc.view {
+			t.Errorf("%s: view %q, want %q", tc.name, got, tc.view)
+		}
+		if (e.aliveBits == nil) != (tc.alive < 0) {
+			t.Errorf("%s: alive bitset nil = %v, want %v", tc.name, e.aliveBits == nil, tc.alive < 0)
+		}
+		if tc.alive >= 0 && e.aliveCount() != tc.alive {
+			t.Errorf("%s: aliveCount over the bitset = %d, want %d", tc.name, e.aliveCount(), tc.alive)
+		}
 	}
 }
 
-// TestEdgeCensusKeepsFastPath pins that TrackEdgeUse demotes no view to the
-// reference path: on a fully-alive CSR view, a partially-alive one and an
-// implicit one the engine stays fast, and the run — Result and per-round
-// |U(t)| — is bit-identical to the reference path's and to every worker
+// TestEdgeCensusKeepsFastPath pins that TrackEdgeUse changes no view: on a
+// fully-alive CSR view, a partially-alive one and an implicit one the
+// engine keeps the topology's own view, and the run — Result and per-round
+// |U(t)| — is bit-identical to the interface view's and to every worker
 // count's; the implicit run also equals its materialised twin's.
 func TestEdgeCensusKeepsFastPath(t *testing.T) {
 	g := testGraph(t, 64, 4, 1)
@@ -85,30 +67,33 @@ func TestEdgeCensusKeepsFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(topo Topology, reference bool, workers int) Result {
+	run := func(topo Topology, view string, workers int) Result {
 		e, err := NewEngine(Config{
 			Topology: topo, Protocol: pushPullProto{2, 12}, Source: 3, RNG: xrand.New(9),
-			RecordRounds: true, TrackEdgeUse: true, DisableFastPath: reference, Workers: workers,
+			RecordRounds: true, TrackEdgeUse: true, DisableFastPath: view == "interface", Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.fast == reference {
-			t.Fatalf("%T: fast = %v with DisableFastPath = %v", topo, e.fast, reference)
+		if got := e.View(); got != view {
+			t.Fatalf("%T: view %q under the census, want %q", topo, got, view)
 		}
 		return e.Run()
 	}
-	for _, topo := range []Topology{NewStatic(g), newViewTopo(g, 17, 40, 63), NewImplicit(cube)} {
-		fast := run(topo, false, 0)
-		if first := fast.PerRound[0].UnusedEdgeNodes; first == 0 || first > 64 {
-			t.Fatalf("%T: |U(1)| = %d, the census tracked nothing", topo, first)
+	for _, tc := range []struct {
+		topo Topology
+		view string
+	}{{NewStatic(g), "csr"}, {newViewTopo(g, 17, 40, 63), "csr"}, {NewImplicit(cube), "implicit"}} {
+		own := run(tc.topo, tc.view, 0)
+		if first := own.PerRound[0].UnusedEdgeNodes; first == 0 || first > 64 {
+			t.Fatalf("%T: |U(1)| = %d, the census tracked nothing", tc.topo, first)
 		}
 		for _, workers := range []int{0, 1, 4} {
-			assertSameTrace(t, fast, run(topo, false, workers))
-			assertSameTrace(t, fast, run(topo, true, workers))
+			assertSameTrace(t, own, run(tc.topo, tc.view, workers))
+			assertSameTrace(t, own, run(tc.topo, "interface", workers))
 		}
 	}
-	assertSameTrace(t, run(NewImplicit(cube), false, 0), run(NewStatic(dense), false, 0))
+	assertSameTrace(t, run(NewImplicit(cube), "implicit", 0), run(NewStatic(dense), "csr", 0))
 }
 
 // viewTopo adapts a frozen graph into a partially-alive CSRViewer — the
@@ -142,7 +127,7 @@ func (v *viewTopo) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64
 // edges between the same endpoints share one bit (the first slot holding
 // the higher endpoint in the lower endpoint's row), a self-loop decrements
 // its node twice on first use, a repeat use is a no-op, and unusedNodes
-// follows the counters down — on both paths, since the census is shared.
+// follows the counters down — on both views, since the census is shared.
 func TestEdgeCensusBitset(t *testing.T) {
 	// Node 0: self-loop; nodes 1,2: double (parallel) edge; nodes 2,3: simple.
 	g, err := graph.NewFromEdges(4, [][2]int32{{0, 0}, {0, 1}, {1, 2}, {1, 2}, {2, 3}})
@@ -218,8 +203,8 @@ func TestEdgeCensusRejectsSlotOverflow(t *testing.T) {
 	}
 }
 
-// TestFastPathZeroAllocsSteadyState is the CSR fast path's allocation
-// guard: with no observer, the steady-state round loop of the inline
+// TestFastPathZeroAllocsSteadyState is the allocation guard of the shard
+// pass on the CSR view: with no observer, the steady-state round loop of the inline
 // driver (Workers 0 and 1) allocates nothing. Two runs differing only in
 // horizon must allocate identically; any per-round allocation would
 // surface hundreds of times over the gap. The collector is off while
@@ -248,15 +233,15 @@ func TestFastPathZeroAllocsSteadyState(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !e.fast {
-						t.Fatal("fast path did not engage")
+					if e.View() != "csr" {
+						t.Fatalf("view %q, want csr", e.View())
 					}
 					e.Run()
 				})
 			}
 			short, long := allocs(60), allocs(360)
 			if extra := long - short; extra >= 1 {
-				t.Errorf("fast path allocates per round: %.1f extra allocs over 300 extra rounds (%.3f/round)",
+				t.Errorf("the shard pass allocates per round: %.1f extra allocs over 300 extra rounds (%.3f/round)",
 					extra, extra/300)
 			}
 		})
@@ -284,39 +269,24 @@ func benchDialGraph(b *testing.B, name string, n int) *graph.Graph {
 }
 
 // BenchmarkDial measures one dial-sampling call — the engines' innermost
-// hot operation — on both paths, so sampler regressions show up without
-// running a full simulation. Grid: k in {1, 2, 4} × degree in {16, n-1}
-// × {interface reference path, CSR fast path}.
+// hot operation — so sampler regressions show up without running a full
+// simulation. Grid: k in {1, 2, 4} × degree in {16, n-1}, on the CSR view.
 func BenchmarkDial(b *testing.B) {
 	const n = 1024
 	for _, k := range []int{1, 2, 4} {
 		for _, gname := range []string{"deg=16", "deg=n-1"} {
 			g := benchDialGraph(b, gname, n)
-			for _, path := range []string{"interface", "csr"} {
-				name := fmt.Sprintf("%s/k=%d/%s", path, k, gname)
-				b.Run(name, func(b *testing.B) {
-					e, err := NewEngine(Config{
-						Topology:        NewStatic(g),
-						Protocol:        pushProto{k, 10},
-						RNG:             xrand.New(1),
-						DisableFastPath: path == "interface",
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					ds := &e.shards[0].ds
-					if path == "csr" {
-						for i := 0; i < b.N; i++ {
-							e.sampleDialsFast(i&(n-1), 0, ds)
-						}
-					} else {
-						for i := 0; i < b.N; i++ {
-							e.sampleDialsFor(i&(n-1), 0, ds)
-						}
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("csr/k=%d/%s", k, gname), func(b *testing.B) {
+				e, err := NewEngine(Config{Topology: NewStatic(g), Protocol: pushProto{k, 10}, RNG: xrand.New(1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				ds := &e.shards[0].ds
+				for i := 0; i < b.N; i++ {
+					e.sampleDials(i&(n-1), 0, ds)
+				}
+			})
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"regcast/internal/xrand"
 )
 
-// TestInformedBitsMirrorReceipts pins the informed bitset every fast-path
-// engine keeps to the receipt rounds it mirrors: after every round's
+// TestInformedBitsMirrorReceipts pins the informed bitset every
+// single-message engine keeps to the receipt rounds it mirrors: after every round's
 // receipts, and again after the churn step that follows (a rejoining id is
 // reset), bit v is set exactly when informedAt[v] != Uninformed — on a
 // frozen CSR view, an implicit view, a partially-alive view and a churning
@@ -85,13 +85,13 @@ func TestInformedBitsMirrorReceipts(t *testing.T) {
 	}
 }
 
-// TestPullScanBitsetShortcut pins the pull scan's two forms against the
-// reference path under loss and channel failure. When every occupied
-// cohort pulls, the fast path decides "does the callee answer?" from the
+// TestPullScanBitsetShortcut pins the pull scan's two forms on every view
+// under loss and channel failure. When every occupied cohort pulls, a
+// single-message engine decides "does the callee answer?" from the
 // informed bit alone; when only a window of cohorts pulls it must load the
-// callee's receipt round. One schedule of each kind: fast ≡ reference ≡
-// every Workers value, the first takes the bit probe in every round and
-// the second is seen on the receipt-round branch.
+// callee's receipt round. One schedule of each kind: the topology's own
+// view ≡ interfaceView ≡ every Workers value, the first takes the bit
+// probe in every round and the second is seen on the receipt-round branch.
 func TestPullScanBitsetShortcut(t *testing.T) {
 	const n, d = 96, 6
 	g := mustRegular(t, n, d, 71)
@@ -135,11 +135,9 @@ func TestPullScanBitsetShortcut(t *testing.T) {
 				}
 				res := e.Run()
 				switch {
-				case variant.reference && bitRounds > 0:
-					t.Fatalf("%s: the reference path claims the bitset shortcut", label)
-				case !variant.reference && tc.window == 0 && roundRounds > 0:
-					t.Fatalf("%s: %d rounds loaded receipt rounds although every cohort pulls", label, roundRounds)
-				case !variant.reference && tc.window > 0 && (roundRounds == 0 || bitRounds == 0):
+				case tc.window == 0 && roundRounds > 0:
+					t.Fatalf("%s reference=%v: %d rounds loaded receipt rounds although every cohort pulls", label, variant.reference, roundRounds)
+				case tc.window > 0 && (roundRounds == 0 || bitRounds == 0):
 					// Early rounds hold only recent cohorts (bit probe); once an
 					// older cohort exists the scan must switch.
 					t.Fatalf("%s: %d bit-probe and %d receipt-round rounds; both forms should run", label, bitRounds, roundRounds)

@@ -9,14 +9,14 @@ import (
 )
 
 // plainTopo hides every optional interface of the topology it wraps, so
-// the engine takes the reference path on it.
+// the engine reads it through interfaceView.
 type plainTopo struct{ Topology }
 
 // TestMultiEngineOneMessageBitIdenticalToEngine pins the shared round: a
 // single message created at round 0 is the single-message engine's run,
 // draw for draw, whenever that run also samples everyone's dials in every
-// round (a protocol that always pulls) — on both fast-path views and on
-// the reference path, with both fault kinds drawing from the streams.
+// round (a protocol that always pulls) — on every view, with both fault
+// kinds drawing from the streams.
 func TestMultiEngineOneMessageBitIdenticalToEngine(t *testing.T) {
 	g := testGraph(t, 256, 6, 31)
 	stream, err := graph.NewRegularStream(256, 6, 32)
@@ -24,10 +24,10 @@ func TestMultiEngineOneMessageBitIdenticalToEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	proto := pushPullProto{2, 12}
-	for name, topo := range map[string]Topology{
+	for view, topo := range map[string]Topology{
 		"csr":       NewStatic(g),
 		"implicit":  NewImplicit(stream),
-		"reference": plainTopo{NewStatic(g)},
+		"interface": plainTopo{NewStatic(g)},
 	} {
 		single, err := Run(Config{
 			Topology: topo, Protocol: proto, Source: 5, RNG: xrand.New(33),
@@ -44,19 +44,19 @@ func TestMultiEngineOneMessageBitIdenticalToEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast := name != "reference"; multi.eng.fast != fast {
-			t.Errorf("%s: fast path engaged = %v, want %v", name, multi.eng.fast, fast)
+		if got := multi.eng.View(); got != view {
+			t.Errorf("%s: the multi-message engine reads view %q", view, got)
 		}
 		res := multi.Run()
 		if got := multi.ReceivedAt(0); !reflect.DeepEqual(got, single.InformedAt) {
-			t.Errorf("%s: ReceivedAt differs from InformedAt", name)
+			t.Errorf("%s: ReceivedAt differs from InformedAt", view)
 		}
 		if res.Transmissions != single.Transmissions || res.ChannelsDialed != single.ChannelsDialed {
-			t.Errorf("%s: tx %d dials %d, single engine %d / %d", name,
+			t.Errorf("%s: tx %d dials %d, single engine %d / %d", view,
 				res.Transmissions, res.ChannelsDialed, single.Transmissions, single.ChannelsDialed)
 		}
 		if single.Informed == 1 || single.Transmissions == 0 {
-			t.Errorf("%s: degenerate run (informed %d, tx %d)", name, single.Informed, single.Transmissions)
+			t.Errorf("%s: degenerate run (informed %d, tx %d)", view, single.Informed, single.Transmissions)
 		}
 	}
 }
@@ -98,15 +98,15 @@ func TestMultiEngineMessagesDoNotInterfere(t *testing.T) {
 
 // TestMultiEngineCountersMatchReceiptScan checks the incremental
 // bookkeeping against a scan of ReceivedAt, on a partially-alive topology
-// (both paths) with staggered creation rounds, for schedules that do and
-// do not complete.
+// (CSR and interface views) with staggered creation rounds, for schedules
+// that do and do not complete.
 func TestMultiEngineCountersMatchReceiptScan(t *testing.T) {
 	g := testGraph(t, 128, 6, 36)
 	dead := []int{3, 64, 65, 127}
 	msgs := []Message{{ID: 0, Origin: 0}, {ID: 1, Origin: 100, CreatedAt: 4}, {ID: 2, Origin: 9, CreatedAt: 11}}
 	for name, topo := range map[string]Topology{
-		"fast":      newViewTopo(g, dead...),
-		"reference": plainTopo{newViewTopo(g, dead...)},
+		"csr":       newViewTopo(g, dead...),
+		"interface": plainTopo{newViewTopo(g, dead...)},
 	} {
 		for _, proto := range []Protocol{pushPullProto{2, 14}, pushProto{1, 3}} {
 			eng, err := NewMultiEngine(MultiConfig{

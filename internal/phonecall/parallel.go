@@ -135,9 +135,7 @@ func (e *Engine) Run() Result {
 				if ia := e.informedAt[v]; ia != Uninformed {
 					e.shardOf(v).cohort[ia]--
 					e.informedAt[v] = Uninformed
-					if e.informedBits != nil {
-						e.informedBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-					}
+					e.informedBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 				}
 			}
 			e.refreshCSR()
@@ -317,10 +315,10 @@ func (e *Engine) runShardPasses(t int, anyPull bool, dial dialMode) {
 	})
 }
 
-// pass resets a shard's per-round outputs and runs its round on the
-// engaged path — unless the shard can hold no sender, no cohort pulls and
-// the round does not dial everywhere (see parShard.sends), in which case
-// there is nothing to scan for.
+// pass resets a shard's per-round outputs and runs its shardPass — unless
+// the shard can hold no sender, no cohort pulls and the round does not
+// dial everywhere (see parShard.sends), in which case there is nothing to
+// scan for.
 func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 	sh.tx = 0
 	sh.outbox = sh.outbox[:0]
@@ -330,11 +328,7 @@ func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 	}
 	var stride int
 	sh.ds.rows, stride = e.rowsFor(sh, anyPull)
-	if e.fast {
-		e.shardPassFast(sh, t, anyPull, dial, stride)
-	} else {
-		e.shardPass(sh, t, anyPull, dial, stride)
-	}
+	e.shardPass(sh, t, anyPull, dial, stride)
 	if stride > 0 && e.allRows == nil {
 		e.rowFree <- sh.ds.rows
 	}
@@ -360,79 +354,4 @@ func (e *Engine) rowsFor(sh *parShard, anyPull bool) (rows []int32, stride int) 
 		rows = make([]int32, (e.n/len(e.shards)+1)*e.k) // fits every shard
 	}
 	return rows, e.k
-}
-
-// shardPass runs one round for the nodes a shard owns: dial sampling,
-// push transmissions, then pull transmissions, in ascending node order.
-// It reads informedAt (frozen during the round) and writes only its dial
-// rows, the shard's per-node dial memory/cursors, and outbox, so concurrent
-// shard passes never race. Delivery candidates are queued in the outbox;
-// global dedup happens in the sequential merge.
-func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
-	track := e.cfg.TrackEdgeUse
-	loss := e.cfg.MessageLossProb
-
-	for v := sh.lo; v < sh.hi; v++ {
-		// Receipt round first, liveness last: in sender-sparse rounds
-		// almost every node fails the cohort test, which is one load.
-		ia := e.informedAt[v]
-		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.topo.Alive(v)
-		if !sender && (dial != dialEveryone || !e.topo.Alive(v)) {
-			continue
-		}
-		base := (v - sh.lo) * stride
-		if dial != dialSampled {
-			e.sampleDialsFor(v, base, &sh.ds)
-		}
-		if !sender {
-			continue
-		}
-		for _, w := range sh.ds.rows[base:][:e.k] {
-			if w < 0 {
-				continue
-			}
-			sh.tx++
-			if track {
-				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
-			}
-			if loss > 0 && sh.ds.rng.Bool(loss) {
-				continue
-			}
-			if e.informedAt[w] == Uninformed && e.topo.Alive(int(w)) {
-				sh.outbox = append(sh.outbox, w)
-			}
-		}
-	}
-
-	if !anyPull {
-		return
-	}
-	// Pull is evaluated caller-side: every channel v→w the shard's nodes
-	// dialled lets an informed, pulling callee w answer the caller v. The
-	// receiver is always the shard's own node v.
-	for v := sh.lo; v < sh.hi; v++ {
-		if !e.topo.Alive(v) {
-			continue
-		}
-		uninformedCaller := e.informedAt[v] == Uninformed
-		for _, w := range sh.ds.rows[(v-sh.lo)*stride:][:e.k] {
-			if w < 0 {
-				continue
-			}
-			wia := e.informedAt[w]
-			if wia == Uninformed || int(wia) >= t || !e.pullDec[wia] {
-				continue
-			}
-			sh.tx++
-			if track {
-				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
-			}
-			if loss > 0 && sh.ds.rng.Bool(loss) {
-				continue
-			}
-			if uninformedCaller {
-				sh.outbox = append(sh.outbox, int32(v))
-			}
-		}
-	}
 }

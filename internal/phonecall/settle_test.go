@@ -19,7 +19,7 @@ func (noStep) Step(int) []int { return nil }
 
 // mayChange declares that topo might change, which is all it takes to keep
 // a run from settling: the engine must simulate every round. That run — same
-// topology, same view on the fast path, same seed — is the oracle a counted
+// topology, same view, same seed — is the oracle a counted
 // tail is checked against; there is no switch that forces simulation.
 func mayChange(topo phonecall.Topology) phonecall.Topology {
 	switch v := topo.(type) {
@@ -118,7 +118,7 @@ func settleSchedules(t *testing.T, n, d int) []phonecall.Config {
 
 // TestCountedRoundsMatchSimulation is the differential behind "a settled
 // run is counted": over schedules × sizes × degrees × message loss × worker
-// counts × both paths, and on the two implicit families, the run whose tail
+// counts × both views, and on the two implicit families, the run whose tail
 // is counted equals the run that simulates every round — Result, per-round
 // metrics and the whole Observer sequence.
 func TestCountedRoundsMatchSimulation(t *testing.T) {

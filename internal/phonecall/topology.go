@@ -50,14 +50,12 @@ type Stepper interface {
 	Step(round int) (joined []int)
 }
 
-// CSRViewer is the optional interface behind the zero-interface fast
-// path (fastpath.go): a topology that exposes its adjacency as
-// epoch-stamped compressed-sparse-row arrays. The engine engages the
-// fast path on any topology implementing it — frozen graphs and churning
-// overlays alike — and re-fetches the view only when the epoch advances
-// (it checks once after every Stepper.Step), so churn runs execute
-// fast-path rounds between churn events instead of falling back to
-// interface dispatch permanently.
+// CSRViewer is the optional interface for a topology that exposes its
+// adjacency as epoch-stamped compressed-sparse-row arrays — the cheapest
+// of the engine's views (fastpath.go). The engine reads any topology
+// implementing it — frozen graphs and churning overlays alike — through
+// the arrays, and re-fetches the view only when the epoch advances (it
+// checks once after every Stepper.Step).
 //
 // Contract:
 //
@@ -68,7 +66,7 @@ type Stepper interface {
 //     dead ids are unspecified and are never read — a fixed-stride
 //     implementation may leave stale entries there.
 //   - Adjacency entries may reference dead ids; the engine re-checks
-//     target liveness exactly where the reference path calls Alive.
+//     target liveness against the bitset before it opens a channel.
 //   - epoch changes whenever the contents of offsets, adj or alive
 //     change. The slices may be reallocated between epochs, so consumers
 //     must re-fetch all four values when the epoch moves; while the
@@ -82,7 +80,7 @@ type CSRViewer interface {
 // arithmetic instead of stored CSR arrays. NeighborAt(v, i) for
 // i in [0, Degree(v)) must enumerate exactly the slice a materialised
 // CSR row for v would hold, in the same order — that equivalence is
-// what keeps the implicit fast path bit-identical to the dense one.
+// what keeps the implicit view bit-identical to the dense one.
 // Implementations must be goroutine-safe and must not consume any of
 // the run's randomness (seeded families replay their own streams).
 type ImplicitNeighbors interface {
@@ -90,27 +88,64 @@ type ImplicitNeighbors interface {
 	NeighborAt(v, i int) int32
 }
 
-// ImplicitViewer is the second viewer contract behind the fast path,
-// for topologies whose adjacency is computed rather than stored. It
-// mirrors CSRViewer exactly — same alive-bitset semantics, same epoch
-// invalidation rules — with ImplicitNeighbors standing in for the
-// offsets/adj arrays:
+// ImplicitViewer is the second viewer contract, for topologies whose
+// adjacency is computed rather than stored. It mirrors CSRViewer exactly —
+// same alive-bitset semantics, same epoch invalidation rules — with
+// ImplicitNeighbors standing in for the offsets/adj arrays:
 //
 //   - nbrs.Degree(v) must equal Degree(v) for every alive v, and
 //     nbrs.NeighborAt(v, i) must equal Neighbor(v, i).
 //   - alive is a bitset over node ids (bit v of alive[v/64]); nil means
 //     every id is alive. Rows of dead ids are never read.
 //   - NeighborAt may return dead ids; the engine re-checks target
-//     liveness exactly where the reference path calls Alive.
+//     liveness against the bitset before it opens a channel.
 //   - epoch changes whenever nbrs or alive change; consumers re-fetch
 //     all three values when it moves.
 //
 // When a topology implements both viewer interfaces the engine prefers
 // CSRView (indexing a slice beats recomputing arithmetic only when the
-// arrays already exist — and if they exist, use them).
+// arrays already exist — and if they exist, use them). A topology that
+// implements neither is read through interfaceView.
 type ImplicitViewer interface {
 	Topology
 	ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, epoch uint64)
+}
+
+// interfaceView is the view of a topology that exposes none: its own
+// Degree and Neighbor as ImplicitNeighbors, and liveness scanned from Alive
+// into a bitset on every ImplicitView call (nil when every id is alive),
+// under a fresh epoch each time. The engine fetches it once in NewEngine
+// and again after every Step, so a topology may change anything in Step.
+type interfaceView struct {
+	Topology
+	alive []uint64
+	epoch uint64
+}
+
+// NeighborAt implements ImplicitNeighbors.
+func (t *interfaceView) NeighborAt(v, i int) int32 { return int32(t.Neighbor(v, i)) }
+
+// ImplicitView implements ImplicitViewer; the bitset's storage is reused,
+// which is safe because every call also moves the epoch.
+func (t *interfaceView) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, epoch uint64) {
+	n := t.NumNodes()
+	if len(t.alive) != (n+63)/64 {
+		t.alive = make([]uint64, (n+63)/64)
+	}
+	clear(t.alive)
+	all := true
+	for v := 0; v < n; v++ {
+		if t.Alive(v) {
+			t.alive[uint(v)>>6] |= 1 << (uint(v) & 63)
+		} else {
+			all = false
+		}
+	}
+	t.epoch++
+	if all {
+		return t, nil, t.epoch
+	}
+	return t, t.alive, t.epoch
 }
 
 // AliveCounter is an optional interface for topologies that can report
@@ -184,7 +219,7 @@ func (s Static) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 }
 
 // Implicit adapts an immutable graph.Implicit family to the Topology
-// interface, exposing it to the fast path through ImplicitViewer. It is
+// interface, exposing it to the engine through ImplicitViewer. It is
 // the algebraic twin of Static: every node alive, constant epoch, no
 // stored adjacency.
 type Implicit struct {
@@ -213,8 +248,7 @@ func (t Implicit) Neighbor(v, i int) int { return int(t.F.NeighborAt(v, i)) }
 // Alive implements Topology; every node of an implicit family is alive.
 func (t Implicit) Alive(int) bool { return true }
 
-// AliveCount implements AliveCounter in O(1), keeping the reference
-// path's per-round completion check off the O(n) Alive scan.
+// AliveCount implements AliveCounter in O(1).
 func (t Implicit) AliveCount() int { return t.F.NumNodes() }
 
 // ImplicitView implements ImplicitViewer: the family's own arithmetic,

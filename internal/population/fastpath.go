@@ -1,12 +1,11 @@
 // The population engine's fast path: table-compiled transitions, an
 // incremental occupancy measure, and batched pair draws.
 //
-// The two-path contract mirrors the phone-call engine's (see DESIGN.md,
-// "Two-path engine contract"): the reference path is the plain
-// interface-dispatch loop in population.go, the fast path below is pinned
-// bit-identical to it — same streams, same trace, same observer events —
-// for every Workers × Shards combination, and Config.DisableFastPath
-// forces the reference path for cross-validation and benchmarking. The
+// The reference is the plain interface-dispatch loop in population.go (the
+// interpreter); the fast path below is pinned bit-identical to it — same
+// streams, same trace, same observer events — for every Workers × Shards
+// combination. The interpreter runs only for a protocol that declines to
+// compile (and under Config.DisableFastPath, which bench/ alone sets). The
 // fast path engages automatically; its three components engage
 // independently, by protocol capability:
 //

@@ -127,11 +127,10 @@ type Config struct {
 	Workers int // sched worker goroutines; 0 or 1 inline, WorkersAuto = GOMAXPROCS
 	Shards  int // shard count (fixes the trace); 0 means sched.DefaultShards
 
-	// DisableFastPath forces the reference interface-dispatch path even
-	// when the protocol is table-compilable. The fast path is bit-identical
-	// to the reference path (the fastpath tests pin this), so the switch
-	// exists for cross-validation and benchmarking, not as a correctness
-	// escape hatch — the same discipline as the phone-call engine's flag.
+	// DisableFastPath runs the interpreter even when the protocol is
+	// table-compilable. The compiled kernels are bit-identical to it (the
+	// fastpath tests pin this); the field is kept for bench/'s reference
+	// probe until ROADMAP 1(d), and the facade never sets it.
 	DisableFastPath bool
 
 	Observer Observer    // optional per-super-step (and per-interaction) hook

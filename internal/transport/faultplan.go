@@ -60,7 +60,7 @@ func (c FaultConfig) validate() error {
 	for name, p := range map[string]float64{
 		"Drop": c.Drop, "Duplicate": c.Duplicate, "Reorder": c.Reorder, "DelayProb": c.DelayProb,
 	} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // NaN fails too
 			return fmt.Errorf("transport: FaultConfig.%s = %v out of [0,1]", name, p)
 		}
 	}

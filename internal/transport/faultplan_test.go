@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -32,6 +33,7 @@ func TestFaultConfigValidation(t *testing.T) {
 	defer func() { _ = inner.Close() }()
 	bad := []FaultConfig{
 		{Drop: -0.1},
+		{Drop: math.NaN()},
 		{Duplicate: 1.5},
 		{Reorder: 2},
 		{DelayProb: -1},

@@ -8,14 +8,10 @@ import (
 	"regcast"
 )
 
-// Population-engine scale benchmarks: the fast-path (compiled tables,
-// incremental occupancy, batched draws) vs reference (per-pair
-// interface dispatch, O(n) measure scan) micro-grid behind the
-// EXPERIMENTS.md speedup table. Both paths run the identical trace —
-// the two-path contract is pinned by internal/population's matrix
-// tests — so the ratio is pure wall-clock. MaxSteps is fixed (the 1M
-// runs never converge inside it), making every iteration the same
-// amount of simulated work. Run with:
+// Population-engine scale benchmarks: the compiled kernels (tables,
+// incremental occupancy, batched draws) inline and pooled. MaxSteps is
+// fixed (the 1M runs never converge inside it), making every iteration
+// the same amount of simulated work. Run with:
 //
 //	go test -bench BenchmarkPopulation -benchtime 3x .
 //
@@ -33,14 +29,10 @@ func benchPopSizes(b *testing.B) []int {
 	return []int{100_000, 1_000_000}
 }
 
-// benchPopulation runs one (scenario, path, workers) cell.
-func benchPopulation(b *testing.B, sc regcast.PopulationScenario, fast bool, workers int) {
+// benchPopulation runs one (scenario, workers) cell.
+func benchPopulation(b *testing.B, sc regcast.PopulationScenario, workers int) {
 	b.Helper()
-	opts := []regcast.RunnerOption{regcast.WithWorkers(workers)}
-	if !fast {
-		opts = append(opts, regcast.WithoutFastPath())
-	}
-	r := regcast.NewRunner(opts...)
+	r := regcast.NewRunner(regcast.WithWorkers(workers))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i) + 1
@@ -50,16 +42,8 @@ func benchPopulation(b *testing.B, sc regcast.PopulationScenario, fast bool, wor
 	}
 }
 
-// pathName labels the fast/reference axis.
-func pathName(fast bool) string {
-	if fast {
-		return "fast"
-	}
-	return "ref"
-}
-
 // BenchmarkPopulationLeader sweeps leader election — 25 state bits, so
-// the fast path engages the hand-fused ApplyPairs batch kernel plus
+// the engine runs the hand-fused ApplyPairs batch kernel plus
 // batched draws (no table, no counts).
 func BenchmarkPopulationLeader(b *testing.B) {
 	for _, n := range benchPopSizes(b) {
@@ -70,17 +54,15 @@ func BenchmarkPopulationLeader(b *testing.B) {
 		sc := regcast.PopulationScenario{
 			N: n, Pair: le, Init: regcast.InitAllLeaders, MaxSteps: 30,
 		}
-		for _, fast := range []bool{true, false} {
-			for _, workers := range []int{0, 4} {
-				b.Run(fmt.Sprintf("n=%d/%s/workers=%d", n, pathName(fast), workers),
-					func(b *testing.B) { benchPopulation(b, sc, fast, workers) })
-			}
+		for _, workers := range []int{0, 4} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers),
+				func(b *testing.B) { benchPopulation(b, sc, workers) })
 		}
 	}
 }
 
 // BenchmarkPopulationMajority sweeps approximate majority — 3 states,
-// deterministic transitions, so the fast path engages everything: the
+// deterministic transitions, so every kernel engages: the
 // compiled transition table, the incremental occupancy measure, and
 // batched draws.
 func BenchmarkPopulationMajority(b *testing.B) {
@@ -89,11 +71,9 @@ func BenchmarkPopulationMajority(b *testing.B) {
 			N: n, Pair: regcast.NewApproxMajority(),
 			Init: regcast.InitMajority(0.51), MaxSteps: 30,
 		}
-		for _, fast := range []bool{true, false} {
-			for _, workers := range []int{0, 4} {
-				b.Run(fmt.Sprintf("n=%d/%s/workers=%d", n, pathName(fast), workers),
-					func(b *testing.B) { benchPopulation(b, sc, fast, workers) })
-			}
+		for _, workers := range []int{0, 4} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers),
+				func(b *testing.B) { benchPopulation(b, sc, workers) })
 		}
 	}
 }

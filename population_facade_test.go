@@ -269,30 +269,3 @@ func TestSchedulerFlag(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
-
-// TestPopFastPathFlag pins the -fastpath wiring: the default Runner keeps
-// the fast paths on, and -fastpath=false routes WithoutFastPath into
-// RunnerOptions (the reference path on whichever engine runs).
-func TestPopFastPathFlag(t *testing.T) {
-	for _, tc := range []struct {
-		args    []string
-		disable bool
-	}{
-		{nil, false},
-		{[]string{"-fastpath=true"}, false},
-		{[]string{"-fastpath=false"}, true},
-	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := AddCommonFlags(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		r := f.Runner()
-		if r.noFastPath != tc.disable {
-			t.Fatalf("args %v: noFastPath=%v, want %v", tc.args, r.noFastPath, tc.disable)
-		}
-	}
-}

@@ -165,19 +165,18 @@ func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result
 		rng = NewRand(s.Seed)
 	}
 	pres, err := population.Run(population.Config{
-		N:               s.N,
-		Pair:            s.Pair,
-		Ring:            s.Ring,
-		Init:            s.Init,
-		RNG:             rng,
-		MaxSteps:        s.MaxSteps,
-		BatchSize:       s.BatchSize,
-		SilenceWindow:   s.SilenceWindow,
-		Workers:         r.workers,
-		Shards:          r.shards,
-		DisableFastPath: r.noFastPath,
-		Observer:        s.Observer,
-		Halt:            haltFor(ctx),
+		N:             s.N,
+		Pair:          s.Pair,
+		Ring:          s.Ring,
+		Init:          s.Init,
+		RNG:           rng,
+		MaxSteps:      s.MaxSteps,
+		BatchSize:     s.BatchSize,
+		SilenceWindow: s.SilenceWindow,
+		Workers:       r.workers,
+		Shards:        r.shards,
+		Observer:      s.Observer,
+		Halt:          haltFor(ctx),
 	})
 	if err != nil {
 		return Result{}, err

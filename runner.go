@@ -58,12 +58,11 @@ func (e Engine) String() string {
 // exception: its stream is unsynchronised, so never run that one scenario
 // concurrently with itself).
 type Runner struct {
-	engine     Engine
-	workers    int
-	shards     int
-	mailbox    int
-	noFastPath bool
-	faults     *transport.FaultConfig
+	engine  Engine
+	workers int
+	shards  int
+	mailbox int
+	faults  *transport.FaultConfig
 }
 
 // RunnerOption customises a Runner.
@@ -87,14 +86,6 @@ func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
 // WithMailbox sets the per-node mailbox capacity of the transport engines
 // (default 1024 packets).
 func WithMailbox(n int) RunnerOption { return func(r *Runner) { r.mailbox = n } }
-
-// WithoutFastPath forces the simulator onto its reference
-// interface-dispatch path: per-dial Topology calls even on a frozen Static
-// topology for a broadcast, per-pair Transition calls and O(n) measure
-// scans (no compiled tables) for a population scenario. Both fast paths are bit-identical to their reference path
-// (golden tests pin this), so the switch exists for cross-validation and
-// benchmarking, not as a correctness escape hatch.
-func WithoutFastPath() RunnerOption { return func(r *Runner) { r.noFastPath = true } }
 
 // NewRunner builds a Runner; with no options it runs EngineSimulator.
 func NewRunner(opts ...RunnerOption) Runner {
@@ -319,7 +310,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		StopEarly:          s.stopEarly,
 		Workers:            r.workers,
 		Shards:             r.shards,
-		DisableFastPath:    r.noFastPath,
 		Observer:           s.observer(),
 		Halt:               haltFor(ctx),
 	}

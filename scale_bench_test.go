@@ -126,17 +126,12 @@ func BenchmarkShardedFourChoice(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnBroadcast100k measures the epoch-aware fast path on the
+// BenchmarkChurnBroadcast100k measures the epoch-aware CSR view on the
 // paper's headline setting at scale: a 100k-peer maintained overlay with
-// per-round join/leave churn, broadcast with Algorithm 1. "csr" is the
-// default path — the overlay's epoch-stamped CSR view keeps every round
-// on the zero-interface loops, refreshed only when a churn step bumps
-// the epoch — and "interface" forces the reference dispatch path that
-// churn runs were permanently stuck on before the CSR-view contract.
-// Both paths produce bit-identical traces (TestFastPathGoldenChurn), so
-// the ratio is pure engine overhead; the EXPERIMENTS.md churn table
-// records it. Each iteration rebuilds the overlay outside the timer
-// (churn mutates it).
+// per-round join/leave churn, broadcast with Algorithm 1. The overlay's
+// epoch-stamped CSR view is re-fetched only when a churn step bumps the
+// epoch. Each iteration rebuilds the overlay outside the timer (churn
+// mutates it).
 func BenchmarkChurnBroadcast100k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale benchmarks skipped under -short (100k-node overlay)")
@@ -147,33 +142,28 @@ func BenchmarkChurnBroadcast100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, path := range []string{"csr", "interface"} {
-		b.Run("path="+path, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				master := xrand.New(uint64(i) + 41)
-				topo, err := regcast.OverlaySpec{
-					N: n, D: d, Headroom: n / 4,
-					JoinProb: churnRate, LeaveProb: churnRate, MixSteps: 5,
-				}.Build(0, master)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := phonecall.Run(phonecall.Config{
-					Topology:        topo,
-					Protocol:        proto,
-					RNG:             master.Split(),
-					DisableFastPath: path == "interface",
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Informed < n/2 {
-					b.Fatalf("implausible churn broadcast: %d/%d informed", res.Informed, res.AliveNodes)
-				}
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		master := xrand.New(uint64(i) + 41)
+		topo, err := regcast.OverlaySpec{
+			N: n, D: d, Headroom: n / 4,
+			JoinProb: churnRate, LeaveProb: churnRate, MixSteps: 5,
+		}.Build(0, master)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := phonecall.Run(phonecall.Config{
+			Topology: topo,
+			Protocol: proto,
+			RNG:      master.Split(),
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Informed < n/2 {
+			b.Fatalf("implausible churn broadcast: %d/%d informed", res.Informed, res.AliveNodes)
+		}
 	}
 }

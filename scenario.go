@@ -174,10 +174,10 @@ func (s *Scenario) validate() error {
 	} else if s.source < 0 {
 		return fmt.Errorf("regcast: source %d < 0", s.source)
 	}
-	if s.channelFailure < 0 || s.channelFailure > 1 {
+	if !(s.channelFailure >= 0 && s.channelFailure <= 1) { // NaN fails too
 		return fmt.Errorf("regcast: channel failure probability %v out of [0,1]", s.channelFailure)
 	}
-	if s.messageLoss < 0 || s.messageLoss > 1 {
+	if !(s.messageLoss >= 0 && s.messageLoss <= 1) {
 		return fmt.Errorf("regcast: message loss probability %v out of [0,1]", s.messageLoss)
 	}
 	if s.avoidRecent < 0 {

@@ -287,10 +287,9 @@ func (s RegularStreamSpec) Implicit() bool { return !s.Dense }
 // every round, and the topology implements Stepper.
 //
 // The overlay maintains an epoch-stamped CSR view incrementally under
-// Join/Leave/Mix, so runs on it — churning or not — execute on the
-// engines' zero-interface fast path, bit-identical to the reference
-// interface path (see DESIGN.md, "Topology specs and the epoch
-// contract").
+// Join/Leave/Mix, so runs on it — churning or not — index its arrays
+// directly, bit-identical to reading it through its Topology methods (see
+// DESIGN.md, "Topology specs and the epoch contract").
 type OverlaySpec struct {
 	N, D     int
 	Headroom int

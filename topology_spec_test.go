@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -75,36 +74,6 @@ func TestBatchAcceptsDynamicSpec(t *testing.T) {
 			}
 			if !bytes.Equal(gotCSV, baseCSV) {
 				t.Errorf("ReplicationWorkers=%d engineWorkers=%d changes the CSV report", rw, ew)
-			}
-		}
-	}
-}
-
-// TestSpecScenarioFastPathBitIdentity extends the two-path contract to
-// churn at the facade level: running the OverlaySpec scenario with
-// WithoutFastPath must reproduce the exact trace of the default (CSR
-// fast path) run, on both simulation engines.
-func TestSpecScenarioFastPathBitIdentity(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		run := func(opts ...regcast.RunnerOption) regcast.Result {
-			sc := overlayChurnScenario(t, 1234)
-			opts = append([]regcast.RunnerOption{regcast.WithWorkers(workers)}, opts...)
-			res, err := regcast.Run(context.Background(), sc, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		fast, ref := run(), run(regcast.WithoutFastPath())
-		label := fmt.Sprintf("workers=%d", workers)
-		if fast.Rounds != ref.Rounds || fast.Transmissions != ref.Transmissions ||
-			fast.ChannelsDialed != ref.ChannelsDialed || fast.Informed != ref.Informed ||
-			fast.AliveNodes != ref.AliveNodes || fast.FirstAllInformed != ref.FirstAllInformed {
-			t.Fatalf("%s: fast vs reference summaries differ:\n%+v\n%+v", label, fast, ref)
-		}
-		for v := range fast.InformedAt {
-			if fast.InformedAt[v] != ref.InformedAt[v] {
-				t.Fatalf("%s: InformedAt[%d] = %d (fast) vs %d (reference)", label, v, fast.InformedAt[v], ref.InformedAt[v])
 			}
 		}
 	}

@@ -24,13 +24,13 @@ type (
 	// Stepper marks topologies that churn between rounds.
 	Stepper = phonecall.Stepper
 	// CSRViewer marks topologies that expose an epoch-stamped CSR view —
-	// the contract behind the engines' zero-interface fast path. Static
+	// the cheapest of the simulator's views. Static
 	// graphs and OverlaySpec topologies implement it; custom topologies
 	// can too (see the documentation on phonecall.CSRViewer for the
 	// epoch and liveness-bitset rules).
 	CSRViewer = phonecall.CSRViewer
 	// ImplicitViewer marks topologies with computed adjacency — the second
-	// viewer contract behind the fast path, for families whose neighbours
+	// viewer contract, for families whose neighbours
 	// are arithmetic (hypercube, torus, seeded streaming graphs) so no
 	// adjacency array is ever built. See phonecall.ImplicitViewer for the
 	// epoch and liveness-bitset rules, which mirror CSRViewer exactly.
