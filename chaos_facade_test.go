@@ -3,6 +3,7 @@ package regcast_test
 import (
 	"context"
 	"flag"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestDaemonTransportRoundTrip proves the facade reaches the resilient
-// gossip daemon: persistent per-peer connections, dial scheduler, dedup.
+// gossip daemon: persistent per-peer connections, redial backoff, dedup.
 func TestDaemonTransportRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping daemon transport smoke test")
@@ -85,6 +86,38 @@ func TestFaultsRejectNonTransportEngines(t *testing.T) {
 	if _, err := regcast.Run(context.Background(), scenario,
 		regcast.WithTransportFaults(regcast.FaultConfig{Drop: 0.1})); err == nil {
 		t.Error("sequential engine accepted a fault plan")
+	}
+}
+
+// TestFaultWindowsRejectOutOfRangeNodes pins that a crash or partition
+// window naming a node outside [0, n) fails the run instead of being
+// accepted and never firing.
+func TestFaultWindowsRejectOutOfRangeNodes(t *testing.T) {
+	const n = 8
+	g, err := regcast.NewRegularGraph(n, 4, regcast.NewRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := baseline.NewPushPull(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario, err := regcast.NewScenario(regcast.Static(g), proto, regcast.WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  regcast.FaultConfig
+	}{
+		{"crash node", regcast.FaultConfig{Crashes: []regcast.CrashWindow{{Node: 99, From: 1, Until: 3}}}},
+		{"partition member", regcast.FaultConfig{Partitions: []regcast.PartitionWindow{{From: 1, Until: 3, A: []int{0, n}}}}},
+	} {
+		_, err := regcast.Run(context.Background(), scenario,
+			regcast.WithEngine(regcast.EngineDaemonTransport), regcast.WithTransportFaults(tc.cfg))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s outside [0,%d): Run error = %v, want out of range", tc.name, n, err)
+		}
 	}
 }
 
@@ -165,6 +198,13 @@ func TestTransportFlagsValidation(t *testing.T) {
 	for _, args := range bad {
 		if _, err := parseTransportFlags(t, args...); err == nil {
 			t.Errorf("flags %v validated", args)
+		}
+	}
+	// With two bad probabilities the error names the first flag, every time.
+	for i := 0; i < 20; i++ {
+		_, err := parseTransportFlags(t, "-chaos", "-chaos-drop", "2", "-chaos-reorder", "NaN")
+		if err == nil || !strings.HasPrefix(err.Error(), "-chaos-drop ") {
+			t.Fatalf("run %d: error %v, want it to name -chaos-drop", i, err)
 		}
 	}
 }

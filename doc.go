@@ -19,9 +19,9 @@
 // Engines: EngineSimulator (the round simulator; WithWorkers runs its
 // shard passes inline or on a worker pool, with bit-identical results for
 // every worker count at a fixed shard count), EngineGossipTransport and
-// EngineDaemonTransport (anti-entropy gossip over in-memory mailboxes, or over persistent
-// loopback TCP connections with a health ledger and seeded fault
-// injection; internal/transport).
+// EngineDaemonTransport (anti-entropy gossip over in-memory mailboxes or
+// persistent loopback TCP connections, both with a health ledger and
+// seeded fault injection; internal/transport).
 // Scenario construction fails fast on model violations — e.g.
 // DialQuasirandom with a protocol that may pull.
 //

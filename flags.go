@@ -150,8 +150,8 @@ func (f *CommonFlags) Runner() Runner {
 // chaos. Register with AddTransportFlags, check Validate, and pass
 // RunnerOptions() alongside CommonFlags.RunnerOptions().
 type TransportFlags struct {
-	// Daemon selects EngineDaemonTransport (persistent peers, dial
-	// scheduler, dedup, health metrics).
+	// Daemon selects EngineDaemonTransport (persistent peers redialled
+	// with backoff, dedup, health metrics).
 	Daemon bool
 	// Chaos enables the seeded fault plan; implies Daemon.
 	Chaos bool
@@ -181,7 +181,7 @@ type TransportFlags struct {
 func AddTransportFlags(fs *flag.FlagSet) *TransportFlags {
 	f := &TransportFlags{}
 	fs.BoolVar(&f.Daemon, "daemon", false,
-		"run over the resilient gossip daemon (persistent peers, dial scheduler, dedup, health metrics)")
+		"run over the resilient gossip daemon (persistent peers redialled with backoff, dedup, health metrics)")
 	fs.BoolVar(&f.Chaos, "chaos", false,
 		"inject seeded, reproducible faults in front of the daemon (implies -daemon)")
 	fs.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "fault-plan seed (0 = derive from -seed)")
@@ -203,12 +203,12 @@ func (f *TransportFlags) Validate() error {
 	if f.Chaos {
 		f.Daemon = true
 	}
-	for name, p := range map[string]float64{
-		"-chaos-drop": f.Drop, "-chaos-dup": f.Duplicate,
-		"-chaos-reorder": f.Reorder, "-chaos-delay-prob": f.DelayProb,
-	} {
-		if !(p >= 0 && p <= 1) { // NaN fails too
-			return fmt.Errorf("%s %v out of [0,1]", name, p)
+	for _, fl := range []struct {
+		name string
+		p    float64
+	}{{"-chaos-drop", f.Drop}, {"-chaos-dup", f.Duplicate}, {"-chaos-reorder", f.Reorder}, {"-chaos-delay-prob", f.DelayProb}} {
+		if !(fl.p >= 0 && fl.p <= 1) { // NaN fails too; the first bad flag is named
+			return fmt.Errorf("%s %v out of [0,1]", fl.name, fl.p)
 		}
 	}
 	if f.Mailbox < 0 {

@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"regcast/internal/xrand"
 )
 
 // DaemonConfig parameterises a Daemon. The zero value of every field is
@@ -45,15 +46,17 @@ type DaemonConfig struct {
 	// evicted first (default 512; 0 keeps the default, use a negative
 	// value for unlimited).
 	MaxConns int
-	// DedupExpiry is the dupemap rotation interval (default 1s); rumour
-	// content is remembered for DedupGens−1 .. DedupGens intervals.
+	// DedupExpiry is the dupemap rotation interval (default 1s; negative
+	// rotates on capacity only); rumour content is remembered for
+	// DedupGens−1 .. DedupGens intervals.
 	DedupExpiry time.Duration
 	// DedupGens is the number of dupemap generations (default 4, min 2).
 	DedupGens int
 	// StaticPeers are pinned: never budget-evicted and immune to
 	// RemovePeer. Everything else is a dynamic peer fed by discovery.
 	StaticPeers []int
-	// Seed drives backoff jitter; fixed seed, reproducible dial schedule.
+	// Seed drives backoff jitter: each link draws from its own split of
+	// it, so a link's dial schedule does not depend on the others'.
 	Seed uint64
 }
 
@@ -91,7 +94,7 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.MaxConns == 0 {
 		c.MaxConns = 512
 	} else if c.MaxConns < 0 {
-		c.MaxConns = 0 // scheduler convention: 0 = unlimited
+		c.MaxConns = 0 // ensureConn's convention: 0 = unlimited
 	}
 	if c.DedupExpiry == 0 {
 		c.DedupExpiry = time.Second
@@ -102,42 +105,48 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	return c
 }
 
-// Daemon is the resilient long-lived gossip transport over loopback TCP:
-// persistent per-peer connections behind a dial scheduler. Each
-// destination owns a peerLink with a bounded send queue and a writer
-// goroutine; writers dial lazily, retry broken writes on a fresh
-// connection, and quarantine unreachable peers with exponential backoff
-// so the rest of a fanout proceeds. Receivers
+// Daemon is the resilient long-lived gossip transport over loopback TCP.
+// Each destination owns a peerLink (dial.go) with a bounded send queue, a
+// writer goroutine and that peer's dial state: writers dial lazily, retry
+// broken writes on a fresh connection, and quarantine unreachable peers
+// with exponential backoff so the rest of a fanout proceeds. Receivers
 // decode newline-delimited JSON frames with a hard size bound and
 // suppress already-delivered rumour content through an expiring dupemap.
 // Every packet outcome is accounted in Metrics — see Health.LedgerGap.
+// Crashes are not the daemon's business: a FaultPlan's crash window drops
+// the crashed node's packets and severs its links through DropPeerConns.
 type Daemon struct {
-	cfg       DaemonConfig
+	cfg DaemonConfig
+	// now is the clock behind every backoff window and dedup rotation;
+	// tests replace it (newDaemon). Only the socket write deadline reads
+	// the wall clock directly.
+	now       func() time.Time
 	listeners []net.Listener
 	addrs     []string
 	boxes     []chan Packet
 	links     []*peerLink
 	active    []atomic.Bool // discovery membership (RemovePeer clears)
-	down      []atomic.Bool // crash-window flag (SetNodeDown)
 	static    []bool
 	dedup     *dupemap
-	sched     *dialScheduler
 	met       Metrics
+	open      atomic.Int64 // open outbound connections, against MaxConns
+	writes    atomic.Int64 // write sequence number; orders links for LRU eviction
 
-	mu      sync.Mutex
-	closed  bool
-	closeCh chan struct{}
-	conns   map[net.Conn]struct{} // accepted inbound connections
+	closed atomic.Bool
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // accepted inbound connections
 
-	wg       sync.WaitGroup // accept loops, readers, dedup rotator
+	wg       sync.WaitGroup // accept loops and readers
 	writerWg sync.WaitGroup // link writers
 }
 
 var _ Transport = (*Daemon)(nil)
-var _ HealthReporter = (*Daemon)(nil)
 
 // NewDaemon starts listeners and accept loops for cfg.Nodes endpoints.
-func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
+func NewDaemon(cfg DaemonConfig) (*Daemon, error) { return newDaemon(cfg, time.Now) }
+
+// newDaemon is NewDaemon on the given clock.
+func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("transport: NewDaemon(Nodes=%d) invalid", cfg.Nodes)
 	}
@@ -148,16 +157,14 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	n := cfg.Nodes
 	d := &Daemon{
 		cfg:       cfg,
+		now:       now,
 		listeners: make([]net.Listener, n),
 		addrs:     make([]string, n),
 		boxes:     make([]chan Packet, n),
 		links:     make([]*peerLink, n),
 		active:    make([]atomic.Bool, n),
-		down:      make([]atomic.Bool, n),
 		static:    make([]bool, n),
-		dedup:     newDupemap(cfg.DedupGens, 0),
-		sched:     newDialScheduler(cfg.BackoffBase, cfg.BackoffMax, cfg.MaxConns, cfg.Seed),
-		closeCh:   make(chan struct{}),
+		dedup:     newDupemap(cfg.DedupGens, 0, cfg.DedupExpiry, now()),
 		conns:     make(map[net.Conn]struct{}),
 	}
 	for _, p := range cfg.StaticPeers {
@@ -166,6 +173,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 		d.static[p] = true
 	}
+	jitter := xrand.New(cfg.Seed)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -175,16 +183,12 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		d.listeners[i] = ln
 		d.addrs[i] = ln.Addr().String()
 		d.boxes[i] = make(chan Packet, cfg.Mailbox)
-		d.links[i] = &peerLink{d: d, to: i, queue: make(chan Packet, cfg.QueueLen)}
+		d.links[i] = &peerLink{d: d, to: i, queue: make(chan Packet, cfg.QueueLen), jitter: jitter.Split()}
 		d.active[i].Store(true)
 	}
 	for i := 0; i < n; i++ {
 		d.wg.Add(1)
 		go d.acceptLoop(i)
-	}
-	if cfg.DedupExpiry > 0 {
-		d.wg.Add(1)
-		go d.rotateLoop()
 	}
 	return d, nil
 }
@@ -195,44 +199,29 @@ func (d *Daemon) Addr(node int) string { return d.addrs[node] }
 // Inbox implements Transport.
 func (d *Daemon) Inbox(node int) <-chan Packet { return d.boxes[node] }
 
-// isClosed reports the shutdown flag.
-func (d *Daemon) isClosed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.closed
-}
-
 // Send implements Transport: route the packet onto the destination's
-// bounded queue. Unreachable destinations (removed, down, quarantined,
-// queue full) drop with accounting and return nil — gossip tolerates
-// loss, and one dead peer must not abort a fanout. Only a shut-down
-// daemon returns an error (ErrClosed).
+// bounded queue. Unreachable destinations (removed, quarantined, queue
+// full) drop with accounting and return nil — gossip tolerates loss, and
+// one dead peer must not abort a fanout. Only a shut-down daemon returns
+// an error (ErrClosed).
 func (d *Daemon) Send(to int, p Packet) error {
 	if to < 0 || to >= len(d.links) {
 		return fmt.Errorf("transport: Send to %d out of range [0,%d)", to, len(d.links))
 	}
-	if d.isClosed() {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	d.met.Sends.Add(1)
-	if p.From >= 0 && p.From < len(d.down) && d.down[p.From].Load() {
-		d.met.DownDrops.Add(1) // a crashed node sends nothing
-		return nil
-	}
-	if d.down[to].Load() {
-		d.met.DownDrops.Add(1)
-		return nil
-	}
+	l := d.links[to]
 	if !d.active[to].Load() {
 		d.met.RemovedDrops.Add(1)
 		return nil
 	}
-	if d.sched.quarantined(to, time.Now()) {
+	if l.quarantined(d.now()) {
 		d.met.QuarantineDrops.Add(1)
 		return nil
 	}
 	p.To = to
-	l := d.links[to]
 	l.qmu.Lock()
 	if l.qclosed {
 		l.qmu.Unlock()
@@ -280,46 +269,12 @@ func (d *Daemon) RemovePeer(id int) {
 	d.links[id].closeConn()
 }
 
-// SetNodeDown marks a node crashed (true) or restarted (false). While
-// down, the node neither sends nor receives: packets in either direction
-// drop with DownDrops accounting, and its persistent connection is torn
-// down so the dial scheduler must re-establish it on restart. Fault plans
-// drive this during crash-restart windows.
-func (d *Daemon) SetNodeDown(id int, down bool) {
-	if id < 0 || id >= len(d.down) {
-		return
-	}
-	d.down[id].Store(down)
-	if down {
-		d.DropPeerConns(id)
-	}
-}
-
 // DropPeerConns severs the persistent connection to a peer without
-// touching membership — the fault injector's way of breaking a link
-// mid-flight so redial/backoff machinery is exercised for real.
+// touching membership — a crash window's way of breaking a link so the
+// redial path is exercised for real (the connKiller hook).
 func (d *Daemon) DropPeerConns(id int) {
 	if id >= 0 && id < len(d.links) {
 		d.links[id].closeConn()
-	}
-}
-
-// RotateDedup expires the oldest dedup generation immediately (tests use
-// this for deterministic expiry instead of the wall-clock rotator).
-func (d *Daemon) RotateDedup() { d.dedup.Rotate() }
-
-// rotateLoop expires dedup generations on the configured interval.
-func (d *Daemon) rotateLoop() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.cfg.DedupExpiry)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.closeCh:
-			return
-		case <-t.C:
-			d.dedup.Rotate()
-		}
 	}
 }
 
@@ -346,7 +301,7 @@ func (d *Daemon) acceptLoop(i int) {
 func (d *Daemon) trackConn(conn net.Conn) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return false
 	}
 	d.conns[conn] = struct{}{}
@@ -394,45 +349,33 @@ func (d *Daemon) readLoop(i int, conn net.Conn) {
 	}
 }
 
-// receive is the terminal accounting point for one decoded frame: down
-// check, dedup, then mailbox. The dedup key is only recorded after a
-// successful mailbox insert — marking content "seen" that was actually
-// dropped would suppress its retransmissions for a whole expiry window.
+// receive is the terminal accounting point for one decoded frame: dedup,
+// then mailbox. The dedup key is only recorded after a successful mailbox
+// insert — marking content "seen" that was actually dropped would suppress
+// its retransmissions for a whole expiry window.
 func (d *Daemon) receive(i int, p Packet) {
-	if d.down[i].Load() {
-		d.met.DownDrops.Add(1)
-		return
-	}
 	key, dedupable := contentKey(i, p)
-	if dedupable && d.dedup.Has(key) {
+	if dedupable && d.dedup.Has(key, d.now()) {
 		d.met.Deduped.Add(1)
 		return
 	}
-	select {
-	case d.boxes[i] <- p:
-		d.met.Delivered.Add(1)
-		if dedupable {
-			d.dedup.Add(key)
-		}
-	default:
-		d.met.MailboxDrops.Add(1)
+	if d.met.toMailbox(d.boxes[i], p) && dedupable {
+		d.dedup.Add(key, d.now())
 	}
 }
 
-// Health implements HealthReporter.
+// Health implements Transport.
 func (d *Daemon) Health() Health {
 	h := d.met.snapshot()
-	h.ConnsOpen = d.sched.openConns()
-	now := time.Now()
+	h.ConnsOpen = int(d.open.Load())
+	now := d.now()
 	h.Peers = make([]PeerHealth, len(d.links))
 	for i, l := range d.links {
 		state := PeerIdle
 		switch {
-		case d.down[i].Load():
-			state = PeerDown
 		case !d.active[i].Load():
 			state = PeerRemoved
-		case d.sched.quarantined(i, now):
+		case l.quarantined(now):
 			state = PeerQuarantined
 		case l.hasConn():
 			state = PeerUp
@@ -443,7 +386,7 @@ func (d *Daemon) Health() Health {
 			StateStr: state.String(),
 			Static:   d.static[i],
 			Queued:   len(l.queue),
-			Fails:    d.sched.failCount(i),
+			Fails:    int(l.fails.Load()),
 		}
 	}
 	return h
@@ -454,14 +397,9 @@ func (d *Daemon) Health() Health {
 // connections and listeners fall, then readers finish, and only then do
 // the mailboxes close — so no goroutine can deliver into a closed box.
 func (d *Daemon) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	if d.closed.Swap(true) {
 		return nil
 	}
-	d.closed = true
-	close(d.closeCh)
-	d.mu.Unlock()
 
 	for _, l := range d.links {
 		if l == nil {
@@ -497,170 +435,4 @@ func (d *Daemon) Close() error {
 		}
 	}
 	return nil
-}
-
-// peerLink is the persistent outbound link to one destination: a bounded
-// queue, a lazily-started writer goroutine, and at most one connection.
-type peerLink struct {
-	d  *Daemon
-	to int
-
-	qmu     sync.Mutex
-	queue   chan Packet
-	qclosed bool
-	started bool
-
-	cmu     sync.Mutex
-	conn    net.Conn
-	enc     *json.Encoder
-	lastUse atomic.Int64 // unix nanos of last successful write (LRU eviction)
-}
-
-// hasConn reports whether a connection is currently open.
-func (l *peerLink) hasConn() bool {
-	l.cmu.Lock()
-	defer l.cmu.Unlock()
-	return l.conn != nil
-}
-
-// closeConn tears down the link's connection (if any) and releases its
-// budget slot. Safe from any goroutine; the writer just redials.
-func (l *peerLink) closeConn() {
-	l.cmu.Lock()
-	if l.conn != nil {
-		_ = l.conn.Close()
-		l.conn = nil
-		l.enc = nil
-		l.d.sched.releaseSlot()
-	}
-	l.cmu.Unlock()
-}
-
-// writerLoop drains the queue until Close; it owns all writes on this
-// link.
-func (l *peerLink) writerLoop() {
-	defer l.d.writerWg.Done()
-	defer l.closeConn()
-	for p := range l.queue {
-		if l.d.isClosed() {
-			l.d.met.ShutdownDrops.Add(1)
-			continue
-		}
-		l.deliver(p)
-	}
-}
-
-// deliver writes one packet, dialing if needed and retrying a broken
-// write on a fresh connection. Exhausted retries quarantine the peer and
-// drop the packet with accounting — graceful degradation, not an error.
-func (l *peerLink) deliver(p Packet) {
-	d := l.d
-	if d.sched.quarantined(l.to, time.Now()) {
-		d.met.QuarantineDrops.Add(1)
-		return
-	}
-	if !d.active[l.to].Load() {
-		d.met.RemovedDrops.Add(1)
-		return
-	}
-	attempts := 0
-	for {
-		if err := l.ensureConn(); err != nil {
-			d.met.WriteDrops.Add(1)
-			return
-		}
-		l.cmu.Lock()
-		conn, enc := l.conn, l.enc
-		l.cmu.Unlock()
-		if conn == nil {
-			// Evicted or crashed between ensureConn and here; redial.
-			attempts++
-			if attempts > d.cfg.SendRetries {
-				d.sched.onFailure(l.to, time.Now())
-				d.met.WriteDrops.Add(1)
-				return
-			}
-			d.met.Retries.Add(1)
-			continue
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(d.cfg.SendTimeout))
-		// Count the frame before the reader can see it: once Encode has
-		// put bytes on the wire the receive side may bump FramesIn at any
-		// moment, and a snapshot must never read Written < FramesIn.
-		d.met.Written.Add(1)
-		if err := enc.Encode(p); err == nil {
-			l.lastUse.Store(time.Now().UnixNano())
-			return
-		}
-		d.met.Written.Add(-1)
-		l.closeConn()
-		attempts++
-		if attempts > d.cfg.SendRetries {
-			d.sched.onFailure(l.to, time.Now())
-			d.met.WriteDrops.Add(1)
-			return
-		}
-		d.met.Retries.Add(1)
-	}
-}
-
-// ensureConn dials the link's destination if no connection is open,
-// consulting the scheduler for budget (evicting an idle dynamic link
-// when over) and recording history for backoff.
-func (l *peerLink) ensureConn() error {
-	l.cmu.Lock()
-	if l.conn != nil {
-		l.cmu.Unlock()
-		return nil
-	}
-	l.cmu.Unlock()
-	d := l.d
-	if d.sched.acquireSlot(d.evictIdleConn) {
-		d.met.BudgetEvictions.Add(1)
-	}
-	d.met.Dials.Add(1)
-	conn, err := net.DialTimeout("tcp", d.addrs[l.to], d.cfg.DialTimeout)
-	if err != nil {
-		d.sched.releaseSlot()
-		d.met.DialFails.Add(1)
-		d.sched.onFailure(l.to, time.Now())
-		return err
-	}
-	if d.sched.onSuccess(l.to) {
-		d.met.Redials.Add(1)
-	}
-	l.cmu.Lock()
-	if l.conn != nil {
-		// Lost a race with another dial on this link (cannot happen while
-		// the writer is the only dialer, but stay safe).
-		l.cmu.Unlock()
-		_ = conn.Close()
-		d.sched.releaseSlot()
-		return nil
-	}
-	l.conn = conn
-	l.enc = json.NewEncoder(conn)
-	l.lastUse.Store(time.Now().UnixNano())
-	l.cmu.Unlock()
-	return nil
-}
-
-// evictIdleConn closes the least-recently-used idle dynamic connection to
-// free a budget slot; it reports whether it found a victim.
-func (d *Daemon) evictIdleConn() bool {
-	var victim *peerLink
-	oldest := int64(math.MaxInt64)
-	for i, l := range d.links {
-		if d.static[i] || !l.hasConn() || len(l.queue) > 0 {
-			continue
-		}
-		if lu := l.lastUse.Load(); lu < oldest {
-			oldest, victim = lu, l
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	victim.closeConn()
-	return true
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,25 +11,24 @@ import (
 	"regcast/internal/xrand"
 )
 
-// newTestDaemon builds a daemon with fast backoff so failure-path tests
-// do not sleep for human-scale windows.
-func newTestDaemon(t *testing.T, cfg DaemonConfig) *Daemon {
+// fakeClock is a daemon clock that moves only when a test advances it, so
+// backoff windows and dedup rotation are driven without sleeping.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// newTestDaemon builds a daemon on a fake clock; Cleanup closes it.
+func newTestDaemon(t *testing.T, cfg DaemonConfig) (*Daemon, *fakeClock) {
 	t.Helper()
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 5 * time.Millisecond
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 20 * time.Millisecond
-	}
-	if cfg.DedupExpiry == 0 {
-		cfg.DedupExpiry = time.Minute // tests rotate explicitly
-	}
-	d, err := NewDaemon(cfg)
+	clk := &fakeClock{}
+	clk.ns.Store(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	d, err := newDaemon(cfg, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = d.Close() })
-	return d
+	return d, clk
 }
 
 func TestDaemonValidation(t *testing.T) {
@@ -44,7 +44,7 @@ func TestDaemonValidation(t *testing.T) {
 }
 
 func TestDaemonSendReceive(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	want := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r1", Payload: "x"}}}
 	if err := d.Send(1, want); err != nil {
 		t.Fatal(err)
@@ -57,8 +57,7 @@ func TestDaemonSendReceive(t *testing.T) {
 	case <-time.After(stepWait(t, 2*time.Second)):
 		t.Fatal("packet not delivered")
 	}
-	// Delivered is bumped just after the mailbox insert; wait it out.
-	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery accounted")
+	// Delivered is counted before the mailbox insert, so it is 1 already.
 	h := d.Health()
 	if h.Sends != 1 || h.Dials != 1 {
 		t.Errorf("health = sends %d dials %d, want 1/1", h.Sends, h.Dials)
@@ -69,11 +68,12 @@ func TestDaemonSendReceive(t *testing.T) {
 }
 
 // TestDaemonLedgerNeverNegative polls Health while a burst is in flight:
-// a frame is counted as Written before the receive side can count it, so
-// no snapshot may show more frames decoded than written.
+// every stage counts a packet before the next stage can see it and the
+// snapshot reads downstream first, so no snapshot may show more frames
+// decoded than written, or a negative number in flight.
 func TestDaemonLedgerNeverNegative(t *testing.T) {
 	const burst = 200
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: burst, QueueLen: burst})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: burst, QueueLen: burst})
 	stop := make(chan struct{})
 	polls := make(chan int)
 	go func() {
@@ -86,8 +86,9 @@ func TestDaemonLedgerNeverNegative(t *testing.T) {
 			default:
 			}
 			n++
-			if h := d.Health(); h.WireLost() < 0 {
-				t.Errorf("snapshot %d: WireLost = %d (written %d, framesIn %d)", n, h.WireLost(), h.Written, h.FramesIn)
+			if h := d.Health(); h.WireLost() < 0 || h.InFlight() < 0 {
+				t.Errorf("snapshot %d: WireLost = %d (written %d, framesIn %d), InFlight = %d",
+					n, h.WireLost(), h.Written, h.FramesIn, h.InFlight())
 				return
 			}
 		}
@@ -103,13 +104,13 @@ func TestDaemonLedgerNeverNegative(t *testing.T) {
 	if n := <-polls; n == 0 {
 		t.Fatal("poller never ran")
 	}
-	if gap := d.Health().LedgerGap(); gap != 0 {
-		t.Errorf("LedgerGap = %d, want 0", gap)
+	if h := d.Health(); h.LedgerGap() != 0 || h.InFlight() != 0 {
+		t.Errorf("LedgerGap/InFlight = %d/%d, want 0/0", h.LedgerGap(), h.InFlight())
 	}
 }
 
 func TestDaemonPersistentConnection(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	const msgs = 25
 	for i := 0; i < msgs; i++ {
 		// Pull requests carry no rumour content, so none of them dedup.
@@ -135,7 +136,7 @@ func TestDaemonPersistentConnection(t *testing.T) {
 }
 
 func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2, DedupGens: 2})
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, DedupGens: 2, DedupExpiry: time.Second})
 	push := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r", Payload: "p"}}}
 	for i := 0; i < 3; i++ {
 		if err := d.Send(1, push); err != nil {
@@ -155,10 +156,15 @@ func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
 	if h.Delivered != 1 || h.Deduped != 3 {
 		t.Errorf("delivered/deduped = %d/%d, want 1/3", h.Delivered, h.Deduped)
 	}
-	// After the dedup ring fully rotates the content is deliverable again.
-	for i := 0; i < 2; i++ {
-		d.RotateDedup()
+	// The ring rotates on access by the daemon's clock: after DedupGens−1
+	// intervals the content is still suppressed, after DedupGens it is
+	// deliverable again.
+	clk.Advance(time.Second)
+	if err := d.Send(1, push); err != nil {
+		t.Fatal(err)
 	}
+	waitCond(t, func() bool { return d.Health().Deduped == 4 }, "still deduplicated after one interval")
+	clk.Advance(time.Second)
 	if err := d.Send(1, push); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
 }
 
 func TestDaemonRemoveAddPeer(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	d.RemovePeer(1)
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 		t.Fatal(err)
@@ -185,7 +191,7 @@ func TestDaemonRemoveAddPeer(t *testing.T) {
 }
 
 func TestDaemonStaticPeerPinned(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2, StaticPeers: []int{1}})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, StaticPeers: []int{1}})
 	// Static peers are immune to discovery removal.
 	d.RemovePeer(1)
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
@@ -197,31 +203,43 @@ func TestDaemonStaticPeerPinned(t *testing.T) {
 	}
 }
 
+// TestDaemonCrashWindowDropsBothDirections drives the one crash path: a
+// fault plan's crash window over the daemon drops the crashed node's
+// packets both ways and severs the link to it, which is redialled after
+// the restart.
 func TestDaemonCrashWindowDropsBothDirections(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2})
-	d.SetNodeDown(1, true)
-	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	plan, err := NewFaultPlan(d, FaultConfig{Crashes: []CrashWindow{{Node: 1, From: 1, Until: 2}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A crashed node sends nothing either.
-	if err := d.Send(0, Packet{From: 1, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
+	send := func(from, to int) {
+		t.Helper()
+		if err := plan.Send(to, Packet{From: from, Kind: KindPullRequest}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if h := d.Health(); h.DownDrops != 2 {
-		t.Errorf("DownDrops = %d, want 2", h.DownDrops)
+	send(0, 1) // epoch 0: connects the link to node 1
+	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery before the crash")
+	plan.AdvanceEpoch() // epoch 1: node 1 is down
+	if h := d.Health(); h.ConnsOpen != 0 || h.Peers[1].State != PeerIdle {
+		t.Errorf("crash left the link to node 1 open: conns %d, state %v", h.ConnsOpen, h.Peers[1].State)
 	}
-	if st := d.Health().Peers[1]; st.State != PeerDown {
-		t.Errorf("peer 1 state = %v, want down", st.State)
+	send(0, 1)
+	send(1, 0) // a crashed node sends nothing either
+	if f := plan.Health().Faults; f.CrashDrops != 2 {
+		t.Errorf("CrashDrops = %d, want 2", f.CrashDrops)
 	}
-	d.SetNodeDown(1, false)
-	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
+	plan.AdvanceEpoch() // epoch 2: restarted
+	send(0, 1)
+	waitCond(t, func() bool { return d.Health().Delivered == 2 }, "delivery after restart")
+	if h := plan.Health(); h.Redials != 1 || h.LedgerGap() != 0 {
+		t.Errorf("redials %d, LedgerGap %d, want 1/0", h.Redials, h.LedgerGap())
 	}
-	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery after restart")
 }
 
 func TestDaemonDialFailureQuarantinesPeer(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2, BackoffBase: time.Minute, BackoffMax: time.Minute})
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	// Kill node 1's listener so the dial gets connection-refused.
 	_ = d.listeners[1].Close()
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
@@ -246,10 +264,15 @@ func TestDaemonDialFailureQuarantinesPeer(t *testing.T) {
 	if gap := h.LedgerGap(); gap != 0 {
 		t.Errorf("LedgerGap = %d under dial failures, want 0", gap)
 	}
+	// The window ends on the daemon's clock, not the wall clock.
+	clk.Advance(2 * d.cfg.BackoffMax)
+	if st := d.Health().Peers[1]; st.State != PeerIdle {
+		t.Errorf("peer 1 = %v after its window, want idle", st.State)
+	}
 }
 
 func TestDaemonRedialAfterSeveredConnection(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +289,7 @@ func TestDaemonRedialAfterSeveredConnection(t *testing.T) {
 }
 
 func TestDaemonConnectionBudgetEvictsIdleLink(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 3, MaxConns: 1})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 3, MaxConns: 1})
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +308,7 @@ func TestDaemonConnectionBudgetEvictsIdleLink(t *testing.T) {
 }
 
 func TestDaemonMailboxBackpressure(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: 1})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: 1})
 	for i := 0; i < 3; i++ {
 		if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 			t.Fatal(err)
@@ -305,7 +328,7 @@ func TestDaemonMailboxBackpressure(t *testing.T) {
 }
 
 func TestDaemonOversizeFrameDropped(t *testing.T) {
-	d := newTestDaemon(t, DaemonConfig{Nodes: 2, MaxPacket: 256})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, MaxPacket: 256})
 	big := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "big", Payload: strings.Repeat("x", 1024)}}}
 	if err := d.Send(1, big); err != nil {
 		t.Fatal(err)
@@ -349,7 +372,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 		t.Skip("daemon gossip in -short mode")
 	}
 	g := gossipGraph(t, 12, 4)
-	d, err := NewDaemon(DaemonConfig{Nodes: 12, Mailbox: 4096, Seed: 9, DedupExpiry: time.Minute})
+	d, err := NewDaemon(DaemonConfig{Nodes: 12, Mailbox: 4096, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +384,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 	if err := c.Insert(0, Rumor{ID: "daemon-rumor", Payload: "persistent"}); err != nil {
 		t.Fatal(err)
 	}
-	ticks := driveUntilAllKnow(t, c, "daemon-rumor", 40)
-	// Settle the wire so written == decoded, then close for a final ledger.
-	waitCond(t, func() bool {
-		h := d.Health()
-		return h.Written == h.FramesIn
-	}, "wire quiescent")
+	ticks := tickUntilAllKnow(t, c, "daemon-rumor", 40, nil)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +413,7 @@ func TestDaemonOverlayDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newTestDaemon(t, DaemonConfig{Nodes: 12})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 12})
 	o.OnMembership(func(id int, joined bool) {
 		if joined {
 			d.AddPeer(id)

@@ -1,146 +1,203 @@
 package transport
 
 import (
+	"encoding/json"
+	"math"
+	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"regcast/internal/xrand"
 )
 
-// dialScheduler owns the daemon's outbound connection policy, in the
-// style of geth's p2p dialScheduler: a per-peer dial history gates
-// redials behind exponential backoff with jitter, and a global connection
-// budget caps simultaneously open links, evicting the least-recently-used
-// idle dynamic connection when a new dial would exceed it. Static peers
-// are pinned — they are never budget-evicted and survive discovery
-// removal — while dynamic peers arrive and depart through the discovery
-// feed (Daemon.AddPeer / RemovePeer).
-type dialScheduler struct {
-	mu      sync.Mutex
-	rng     *xrand.Rand // jitter source, seeded: schedules are reproducible
-	base    time.Duration
-	max     time.Duration
-	budget  int // max open connections; 0 = unlimited
-	open    int
-	history map[int]*dialRecord
+// peerLink is the persistent outbound link to one destination: a bounded
+// queue, a lazily-started writer goroutine, at most one connection, and the
+// destination's dial state. The writer is the only goroutine that dials its
+// peer, so it alone owns that state (geth's dial scheduler keeps the same
+// rule: one owner for dial history) and no lock guards it. Send and Health
+// read only what the writer publishes atomically: the quarantine expiry
+// and the failure count. Dial failures open a backoff window of
+// BackoffBase·2^(fails−1), capped at BackoffMax, with ±25% jitter from the
+// link's own seeded stream; a successful dial clears the history. A
+// MaxConns budget evicts the least-recently-written idle dynamic link
+// before a new dial; static peers are never evicted.
+type peerLink struct {
+	d  *Daemon
+	to int
+
+	qmu     sync.Mutex
+	queue   chan Packet
+	qclosed bool
+	started bool
+
+	// Dial state, written by the writer only.
+	ever   bool         // connected at least once: the next connect is a redial
+	jitter *xrand.Rand  // this link's split of DaemonConfig.Seed
+	fails  atomic.Int64 // consecutive failures (Health reads it)
+	until  atomic.Int64 // quarantine expiry in UnixNano on d.now (Send reads it)
+
+	cmu     sync.Mutex
+	conn    net.Conn
+	enc     *json.Encoder
+	lastUse atomic.Int64 // d.writes at this link's last connect or write
 }
 
-// dialRecord is one peer's dial history entry.
-type dialRecord struct {
-	fails int       // consecutive failures
-	until time.Time // quarantine expiry: no dial before this instant
-	ever  bool      // a connection to this peer succeeded at least once
+// quarantined reports whether the peer sits inside its backoff window.
+func (l *peerLink) quarantined(now time.Time) bool { return now.UnixNano() < l.until.Load() }
+
+// fail records a failed dial or an exhausted write and opens the peer's
+// backoff window, so a cohort of failed peers does not redial in lockstep.
+func (l *peerLink) fail() {
+	cfg := &l.d.cfg
+	fails := l.fails.Add(1)
+	backoff := cfg.BackoffBase << uint(min(fails-1, 16))
+	if backoff > cfg.BackoffMax || backoff <= 0 {
+		backoff = cfg.BackoffMax
+	}
+	backoff = time.Duration(float64(backoff) * (0.75 + 0.5*l.jitter.Float64()))
+	l.until.Store(l.d.now().Add(backoff).UnixNano())
 }
 
-func newDialScheduler(base, max time.Duration, budget int, seed uint64) *dialScheduler {
-	return &dialScheduler{
-		rng:     xrand.New(seed),
-		base:    base,
-		max:     max,
-		budget:  budget,
-		history: make(map[int]*dialRecord),
+// hasConn reports whether a connection is currently open.
+func (l *peerLink) hasConn() bool {
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+	return l.conn != nil
+}
+
+// closeConn tears down the link's connection (if any) and releases its
+// budget slot. Safe from any goroutine; the writer just redials.
+func (l *peerLink) closeConn() {
+	l.cmu.Lock()
+	if l.conn != nil {
+		_ = l.conn.Close()
+		l.conn, l.enc = nil, nil
+		l.d.open.Add(-1)
+	}
+	l.cmu.Unlock()
+}
+
+// writerLoop drains the queue until Close; it owns all writes and dials
+// on this link.
+func (l *peerLink) writerLoop() {
+	defer l.d.writerWg.Done()
+	defer l.closeConn()
+	for p := range l.queue {
+		if l.d.closed.Load() {
+			l.d.met.ShutdownDrops.Add(1)
+			continue
+		}
+		l.deliver(p)
 	}
 }
 
-func (s *dialScheduler) record(peer int) *dialRecord {
-	r := s.history[peer]
-	if r == nil {
-		r = &dialRecord{}
-		s.history[peer] = r
+// deliver writes one packet, dialing if needed and retrying a broken
+// write on a fresh connection. Exhausted retries quarantine the peer and
+// drop the packet with accounting — graceful degradation, not an error.
+func (l *peerLink) deliver(p Packet) {
+	d := l.d
+	if l.quarantined(d.now()) {
+		d.met.QuarantineDrops.Add(1)
+		return
 	}
-	return r
-}
-
-// quarantined reports whether peer sits inside its backoff window.
-func (s *dialScheduler) quarantined(peer int, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.history[peer]
-	return r != nil && now.Before(r.until)
-}
-
-// quarantineUntil returns the end of the peer's current backoff window
-// (zero time when none).
-func (s *dialScheduler) quarantineUntil(peer int) time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.history[peer]; r != nil {
-		return r.until
+	if !d.active[l.to].Load() {
+		d.met.RemovedDrops.Add(1)
+		return
 	}
-	return time.Time{}
-}
-
-// onSuccess clears the peer's failure history and reports whether this
-// was a redial (the peer had connected before).
-func (s *dialScheduler) onSuccess(peer int) (redial bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.record(peer)
-	redial = r.ever
-	r.fails = 0
-	r.until = time.Time{}
-	r.ever = true
-	return redial
-}
-
-// onFailure bumps the peer's failure count and opens a backoff window of
-// base·2^(fails−1), capped at max, with ±25% seeded jitter so a cohort of
-// failed peers does not redial in lockstep.
-func (s *dialScheduler) onFailure(peer int, now time.Time) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.record(peer)
-	r.fails++
-	backoff := s.base << uint(min(r.fails-1, 16))
-	if backoff > s.max || backoff <= 0 {
-		backoff = s.max
+	for attempt := 0; ; attempt++ {
+		if attempt > d.cfg.SendRetries {
+			l.fail()
+			d.met.WriteDrops.Add(1)
+			return
+		}
+		if attempt > 0 {
+			d.met.Retries.Add(1)
+		}
+		if err := l.ensureConn(); err != nil {
+			d.met.WriteDrops.Add(1)
+			return
+		}
+		if l.write(p) {
+			return
+		}
 	}
-	jitter := 0.75 + 0.5*s.rng.Float64()
-	backoff = time.Duration(float64(backoff) * jitter)
-	r.until = now.Add(backoff)
-	return backoff
 }
 
-// fails returns the peer's consecutive failure count.
-func (s *dialScheduler) failCount(peer int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.history[peer]; r != nil {
-		return r.fails
+// write encodes p on the open connection and reports success; a failed
+// write closes the connection for the next attempt to redial.
+func (l *peerLink) write(p Packet) bool {
+	l.cmu.Lock()
+	conn, enc := l.conn, l.enc
+	l.cmu.Unlock()
+	if conn == nil {
+		return false // severed since ensureConn (crash window or eviction)
 	}
-	return 0
-}
-
-// acquireSlot accounts a new open connection against the budget. When the
-// budget is exhausted it asks evict (called without the scheduler lock)
-// to close one idle connection; evict reports whether it freed a slot.
-// The dial proceeds either way — the budget bounds steady-state conns,
-// it must not deadlock a fully-busy link set.
-func (s *dialScheduler) acquireSlot(evict func() bool) (evicted bool) {
-	s.mu.Lock()
-	over := s.budget > 0 && s.open >= s.budget
-	s.mu.Unlock()
-	if over && evict != nil {
-		evicted = evict()
+	d := l.d
+	_ = conn.SetWriteDeadline(time.Now().Add(d.cfg.SendTimeout))
+	// Count the frame before the reader can see it: once Encode has put
+	// bytes on the wire the receive side may bump FramesIn at any moment,
+	// and a snapshot must never read Written < FramesIn.
+	d.met.Written.Add(1)
+	if err := enc.Encode(p); err != nil {
+		d.met.Written.Add(-1)
+		l.closeConn()
+		return false
 	}
-	s.mu.Lock()
-	s.open++
-	s.mu.Unlock()
-	return evicted
+	l.lastUse.Store(d.writes.Add(1))
+	return true
 }
 
-// releaseSlot accounts a closed connection.
-func (s *dialScheduler) releaseSlot() {
-	s.mu.Lock()
-	if s.open > 0 {
-		s.open--
+// ensureConn dials the link's destination if no connection is open,
+// evicting an idle dynamic link first when the budget is spent. The dial
+// proceeds either way — the budget bounds steady-state connections, it
+// must not deadlock a fully busy link set.
+func (l *peerLink) ensureConn() error {
+	if l.hasConn() {
+		return nil // only this writer sets conn, so it stays set or is severed
 	}
-	s.mu.Unlock()
+	d := l.d
+	if budget := int64(d.cfg.MaxConns); budget > 0 && d.open.Load() >= budget && d.evictIdleConn() {
+		d.met.BudgetEvictions.Add(1)
+	}
+	d.open.Add(1)
+	d.met.Dials.Add(1)
+	conn, err := net.DialTimeout("tcp", d.addrs[l.to], d.cfg.DialTimeout)
+	if err != nil {
+		d.open.Add(-1)
+		d.met.DialFails.Add(1)
+		l.fail()
+		return err
+	}
+	if l.ever {
+		d.met.Redials.Add(1)
+	}
+	l.ever = true
+	l.fails.Store(0)
+	l.until.Store(0)
+	l.cmu.Lock()
+	l.conn, l.enc = conn, json.NewEncoder(conn)
+	l.cmu.Unlock()
+	l.lastUse.Store(d.writes.Add(1))
+	return nil
 }
 
-// openConns returns the number of connections currently accounted open.
-func (s *dialScheduler) openConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.open
+// evictIdleConn closes the least-recently-written idle dynamic connection
+// to free a budget slot; it reports whether it found a victim.
+func (d *Daemon) evictIdleConn() bool {
+	var victim *peerLink
+	oldest := int64(math.MaxInt64)
+	for i, l := range d.links {
+		if d.static[i] || !l.hasConn() || len(l.queue) > 0 {
+			continue
+		}
+		if lu := l.lastUse.Load(); lu < oldest {
+			oldest, victim = lu, l
+		}
+	}
+	if victim == nil {
+		return false
+	}
+	victim.closeConn()
+	return true
 }

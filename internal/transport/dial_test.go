@@ -1,86 +1,138 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
 )
 
+// The dial schedule lives on each peerLink and is owned by its writer. In
+// these tests no writer goroutine is started: the test goroutine plays the
+// writer, calling deliver directly, so every dial happens synchronously and
+// the fake clock decides every backoff window — no sleeps.
+
+// refusedAddr returns a loopback address nothing listens on.
+func refusedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	return addr
+}
+
+// window is the rest of the link's backoff window on the daemon's clock.
+func window(l *peerLink, clk *fakeClock) time.Duration {
+	return time.Duration(l.until.Load() - clk.Now().UnixNano())
+}
+
+var pull = Packet{From: 0, Kind: KindPullRequest}
+
 func TestDialSchedulerBackoffGrowsAndCaps(t *testing.T) {
-	s := newDialScheduler(100*time.Millisecond, time.Second, 0, 1)
-	now := time.Now()
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second})
+	d.addrs[1] = refusedAddr(t)
+	l := d.links[1]
 	// Windows double per consecutive failure (±25% jitter) up to the cap.
 	wantBase := []time.Duration{100, 200, 400, 800, 1000, 1000}
 	for i, base := range wantBase {
-		got := s.onFailure(0, now)
+		l.deliver(pull)
+		got := window(l, clk)
 		lo := time.Duration(float64(base*time.Millisecond) * 0.75)
 		hi := time.Duration(float64(base*time.Millisecond) * 1.25)
 		if got < lo || got > hi {
 			t.Errorf("failure %d: backoff %v outside [%v, %v]", i+1, got, lo, hi)
 		}
+		clk.Advance(got) // the window is half-open: at its end the peer is dialable
+		if l.quarantined(clk.Now()) {
+			t.Errorf("failure %d: still quarantined at the end of its window", i+1)
+		}
 	}
-	if s.failCount(0) != len(wantBase) {
-		t.Errorf("failCount = %d, want %d", s.failCount(0), len(wantBase))
+	h := d.Health()
+	if n := int64(len(wantBase)); h.Peers[1].Fails != len(wantBase) || h.Dials != n || h.DialFails != n || h.WriteDrops != n {
+		t.Errorf("fails %d dials %d dialFails %d writeDrops %d, want %d each",
+			h.Peers[1].Fails, h.Dials, h.DialFails, h.WriteDrops, n)
 	}
 }
 
+// TestDialSchedulerQuarantineWindow: sends inside a failed peer's window
+// drop without dialling, and the window's expiry leads to exactly one
+// redial, after which the connection persists.
 func TestDialSchedulerQuarantineWindow(t *testing.T) {
-	s := newDialScheduler(100*time.Millisecond, time.Second, 0, 1)
-	now := time.Now()
-	if s.quarantined(0, now) {
-		t.Error("fresh peer quarantined")
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	l := d.links[1]
+	l.deliver(pull) // first connection
+	live := d.addrs[1]
+	l.closeConn() // severed, as a crash window does
+	d.addrs[1] = refusedAddr(t)
+	l.deliver(pull) // the redial fails: quarantined
+	d.addrs[1] = live
+	if !l.quarantined(clk.Now()) {
+		t.Fatal("peer not quarantined after a failed dial")
 	}
-	backoff := s.onFailure(0, now)
-	if !s.quarantined(0, now) {
-		t.Error("peer not quarantined right after a failure")
+	for i := 0; i < 3; i++ {
+		l.deliver(pull)
 	}
-	if s.quarantined(0, now.Add(backoff+time.Millisecond)) {
-		t.Error("quarantine outlived its window")
+	if err := d.Send(1, pull); err != nil { // Send reads the published window
+		t.Fatal(err)
 	}
-	until := s.quarantineUntil(0)
-	if until.Before(now) || until.After(now.Add(2*time.Second)) {
-		t.Errorf("quarantineUntil %v implausible", until.Sub(now))
+	if h := d.Health(); h.Dials != 2 || h.QuarantineDrops != 4 || h.Peers[1].State != PeerQuarantined {
+		t.Errorf("inside the window: dials %d quarantineDrops %d state %v, want 2/4/quarantined",
+			h.Dials, h.QuarantineDrops, h.Peers[1].State)
+	}
+	clk.Advance(window(l, clk))
+	for i := 0; i < 3; i++ {
+		l.deliver(pull)
+	}
+	if h := d.Health(); h.Dials != 3 || h.Redials != 1 || h.Written != 4 {
+		t.Errorf("after the window: dials %d redials %d written %d, want 3/1/4", h.Dials, h.Redials, h.Written)
 	}
 }
 
 func TestDialSchedulerSuccessClearsHistory(t *testing.T) {
-	s := newDialScheduler(100*time.Millisecond, time.Second, 0, 1)
-	now := time.Now()
-	if redial := s.onSuccess(0); redial {
-		t.Error("first-ever success reported as redial")
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	l := d.links[1]
+	live := d.addrs[1]
+	d.addrs[1] = refusedAddr(t)
+	for i := 0; i < 2; i++ {
+		l.deliver(pull)
+		clk.Advance(window(l, clk))
 	}
-	s.onFailure(0, now)
-	s.onFailure(0, now)
-	if redial := s.onSuccess(0); !redial {
-		t.Error("success after a prior connection not reported as redial")
+	if f := d.Health().Peers[1].Fails; f != 2 {
+		t.Fatalf("fails = %d after two refused dials, want 2", f)
 	}
-	if s.failCount(0) != 0 {
-		t.Error("success did not clear the failure count")
+	d.addrs[1] = live
+	l.deliver(pull)
+	h := d.Health()
+	if h.Peers[1].Fails != 0 || h.Peers[1].State != PeerUp || l.until.Load() != 0 {
+		t.Errorf("peer 1 = %+v after a successful dial, want up with its history cleared", h.Peers[1])
 	}
-	if s.quarantined(0, now) {
-		t.Error("success did not clear the quarantine window")
+	if h.Redials != 0 {
+		t.Errorf("first-ever connection counted as a redial (%d)", h.Redials)
 	}
 }
 
+// TestDialSchedulerBudget: the connection budget is one counter, and
+// eviction takes the least-recently-written idle dynamic link — never a
+// static one.
 func TestDialSchedulerBudget(t *testing.T) {
-	s := newDialScheduler(time.Millisecond, time.Millisecond, 1, 1)
-	if evicted := s.acquireSlot(nil); evicted {
-		t.Error("first slot triggered eviction")
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 5, MaxConns: 3, StaticPeers: []int{1}})
+	for _, to := range []int{1, 2, 3, 2} { // 2 is written after 3
+		d.links[to].deliver(pull)
 	}
-	if s.openConns() != 1 {
-		t.Errorf("openConns = %d, want 1", s.openConns())
+	d.links[4].deliver(pull) // over budget: 1 is oldest but static, so 3 goes
+	h := d.Health()
+	if h.ConnsOpen != 3 || h.BudgetEvictions != 1 {
+		t.Errorf("conns %d evictions %d, want 3/1", h.ConnsOpen, h.BudgetEvictions)
 	}
-	called := false
-	if evicted := s.acquireSlot(func() bool { called = true; return true }); !evicted || !called {
-		t.Error("over-budget acquire did not evict")
+	for peer, want := range map[int]PeerState{1: PeerUp, 2: PeerUp, 3: PeerIdle, 4: PeerUp} {
+		if got := h.Peers[peer].State; got != want {
+			t.Errorf("peer %d = %v, want %v", peer, got, want)
+		}
 	}
-	// The dial proceeds either way; the budget must never deadlock.
-	if evicted := s.acquireSlot(func() bool { return false }); evicted {
-		t.Error("failed eviction reported as eviction")
-	}
-	for i := 0; i < 5; i++ {
-		s.releaseSlot()
-	}
-	if s.openConns() != 0 {
-		t.Errorf("openConns = %d after releases, want 0 (never negative)", s.openConns())
+	d.links[3].closeConn() // already closed: the counter must not move
+	if c := d.Health().ConnsOpen; c != 3 {
+		t.Errorf("ConnsOpen = %d after closing a closed link, want 3", c)
 	}
 }

@@ -1,47 +1,56 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
+// TestDupemapHasAddRotate drives the ring by the clock its callers pass:
+// one rotation per elapsed interval, on access.
 func TestDupemapHasAddRotate(t *testing.T) {
-	m := newDupemap(3, 0)
-	if m.Has(1) {
+	t0 := time.Unix(1000, 0)
+	m := newDupemap(3, 0, time.Second, t0)
+	if m.Has(1, t0) {
 		t.Error("empty map claims key")
 	}
-	m.Add(1)
-	if !m.Has(1) {
+	m.Add(1, t0)
+	if !m.Has(1, t0) {
 		t.Error("key lost right after Add")
 	}
 	// A key survives gens-1 rotations and expires on the gens-th.
-	m.Rotate()
-	m.Rotate()
-	if !m.Has(1) {
+	if !m.Has(1, t0.Add(2*time.Second)) {
 		t.Error("key expired before its generation aged out")
 	}
-	m.Rotate()
-	if m.Has(1) {
+	if m.Has(1, t0.Add(3*time.Second)) {
 		t.Error("key survived full rotation of the ring")
+	}
+	// A gap longer than the ring clears it and restarts the schedule.
+	m.Add(2, t0.Add(time.Hour))
+	if !m.Has(2, t0.Add(time.Hour+2*time.Second)) || m.Has(2, t0.Add(time.Hour+3*time.Second)) {
+		t.Error("schedule did not restart after a long gap")
 	}
 }
 
 func TestDupemapMinimumGenerations(t *testing.T) {
-	m := newDupemap(0, 0)
+	m := newDupemap(0, 0, time.Second, time.Time{})
 	if len(m.gens) != 2 {
 		t.Errorf("gens = %d, want clamp to 2", len(m.gens))
 	}
 }
 
 func TestDupemapCapacityForcesRotation(t *testing.T) {
-	m := newDupemap(2, 4)
+	var now time.Time
+	m := newDupemap(2, 4, 0, now) // no interval: capacity rotation only
 	for k := uint64(0); k < 4; k++ {
-		m.Add(k)
+		m.Add(k, now)
 	}
 	// The current generation is full: the next Add must rotate first
 	// instead of growing without bound.
-	m.Add(99)
+	m.Add(99, now)
 	if got := len(m.gens[m.cur]); got != 1 {
 		t.Errorf("current generation holds %d keys after forced rotation, want 1", got)
 	}
-	if !m.Has(0) || !m.Has(99) {
+	if !m.Has(0, now) || !m.Has(99, now) {
 		t.Error("keys lost by forced rotation (previous generation must survive)")
 	}
 }

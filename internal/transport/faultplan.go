@@ -18,11 +18,11 @@ type PartitionWindow struct {
 }
 
 // CrashWindow takes one node down for an epoch range [From, Until): every
-// packet to or from it drops, and at window start its persistent
-// connection is severed so the dial scheduler has to re-establish it
-// after the restart. Node state (its rumour store) survives — this is a
-// transport-level crash-restart, the kind the paper's fault model
-// tolerates.
+// packet to or from it drops, and at window start the links to it are
+// severed so they have to be redialled after the restart. This is the one
+// crash path: the daemon itself has no notion of a node being down. Node
+// state (its rumour store) survives — this is a transport-level
+// crash-restart, the kind the paper's fault model tolerates.
 type CrashWindow struct {
 	Node        int
 	From, Until int
@@ -55,13 +55,15 @@ type FaultConfig struct {
 	RecordTrace bool
 }
 
-// validate rejects probabilities outside [0,1] and malformed windows.
+// validate rejects probabilities outside [0,1] and malformed windows,
+// naming the first bad field in declaration order.
 func (c FaultConfig) validate() error {
-	for name, p := range map[string]float64{
-		"Drop": c.Drop, "Duplicate": c.Duplicate, "Reorder": c.Reorder, "DelayProb": c.DelayProb,
-	} {
-		if !(p >= 0 && p <= 1) { // NaN fails too
-			return fmt.Errorf("transport: FaultConfig.%s = %v out of [0,1]", name, p)
+	for _, f := range []struct {
+		name string
+		p    float64
+	}{{"Drop", c.Drop}, {"Duplicate", c.Duplicate}, {"Reorder", c.Reorder}, {"DelayProb", c.DelayProb}} {
+		if !(f.p >= 0 && f.p <= 1) { // NaN fails too
+			return fmt.Errorf("transport: FaultConfig.%s = %v out of [0,1]", f.name, f.p)
 		}
 	}
 	if c.Delay < 0 {
@@ -111,14 +113,14 @@ type FaultPlan struct {
 	partA []map[int]bool
 
 	in, forwarded, dropped, partDrops, crashDrops, closedDrops atomic.Int64
-	duplicated, delayed, reordered                             atomic.Int64
+	duplicated, delayed, reordered, held                       atomic.Int64
 
 	tmu   sync.Mutex
 	trace []FaultDecision
 
 	mu     sync.Mutex
 	closed bool
-	wg     sync.WaitGroup // in-flight delayed forwards
+	wg     sync.WaitGroup // pending delayed forwards
 }
 
 // pairState carries one directed pair's sequence counter and held packet.
@@ -128,7 +130,6 @@ type pairState struct {
 }
 
 var _ Transport = (*FaultPlan)(nil)
-var _ HealthReporter = (*FaultPlan)(nil)
 
 // NewFaultPlan wraps inner with a seeded fault schedule.
 func NewFaultPlan(inner Transport, cfg FaultConfig) (*FaultPlan, error) {
@@ -184,8 +185,15 @@ func (f *FaultPlan) flushHeld() {
 	}
 	f.pmu.Unlock()
 	for _, p := range held {
-		f.forward(p.To, *p)
+		f.release(p)
 	}
+}
+
+// release forwards a reorder-held packet. It leaves the held gauge before
+// it can reach a terminal bucket, so a snapshot never counts it twice.
+func (f *FaultPlan) release(p *Packet) {
+	f.held.Add(-1)
+	f.forward(p.To, *p)
 }
 
 // crashed reports whether node is inside a crash window at epoch e.
@@ -303,6 +311,7 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 		// this pair (a pairwise swap). A previous holdover is released
 		// now so at most one packet per pair is ever in limbo.
 		f.reordered.Add(1)
+		f.held.Add(1)
 		f.record(p.From, to, seq, e, "reorder-hold")
 		held := p
 		f.pmu.Lock()
@@ -310,7 +319,7 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 		ps.held = &held
 		f.pmu.Unlock()
 		if prev != nil {
-			f.forward(prev.To, *prev)
+			f.release(prev)
 		}
 		return nil
 	}
@@ -324,20 +333,16 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 		f.delayed.Add(1)
 		f.record(p.From, to, seq, e, "delay")
 		f.wg.Add(1)
-		go func(to int, p Packet) {
+		time.AfterFunc(f.cfg.Delay, func() {
 			defer f.wg.Done()
-			time.Sleep(f.cfg.Delay)
 			f.forward(to, p)
-		}(to, p)
-		if prev != nil {
-			f.forward(prev.To, *prev)
-		}
-		return nil
+		})
+	} else {
+		f.record(p.From, to, seq, e, "pass")
+		f.forward(to, p)
 	}
-	f.record(p.From, to, seq, e, "pass")
-	f.forward(to, p)
 	if prev != nil {
-		f.forward(prev.To, *prev)
+		f.release(prev)
 	}
 	return nil
 }
@@ -369,28 +374,28 @@ func (f *FaultPlan) Close() error {
 	return f.inner.Close()
 }
 
-// Stats snapshots the plan's fault counters.
+// Stats snapshots the plan's fault counters, terminal buckets and the
+// held gauge before In and Duplicated (the order Metrics.snapshot
+// explains).
 func (f *FaultPlan) Stats() FaultStats {
 	return FaultStats{
-		In:             f.in.Load(),
-		Forwarded:      f.forwarded.Load(),
 		Dropped:        f.dropped.Load(),
 		PartitionDrops: f.partDrops.Load(),
 		CrashDrops:     f.crashDrops.Load(),
 		ClosedDrops:    f.closedDrops.Load(),
-		Duplicated:     f.duplicated.Load(),
+		Held:           f.held.Load(),
+		Forwarded:      f.forwarded.Load(),
 		Delayed:        f.delayed.Load(),
 		Reordered:      f.reordered.Load(),
+		Duplicated:     f.duplicated.Load(),
+		In:             f.in.Load(),
 	}
 }
 
-// Health implements HealthReporter: the inner transport's snapshot (when
-// it has one) with this plan's fault ledger attached.
+// Health implements Transport: the inner transport's snapshot, read first
+// because it is downstream, with this plan's fault ledger attached.
 func (f *FaultPlan) Health() Health {
-	var h Health
-	if hr, ok := f.inner.(HealthReporter); ok {
-		h = hr.Health()
-	}
+	h := f.inner.Health()
 	stats := f.Stats()
 	h.Faults = &stats
 	return h

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"regcast/internal/graph"
 	"regcast/internal/xrand"
@@ -60,11 +61,6 @@ func (n *Node) insert(rs []Rumor) int {
 	return added
 }
 
-// snapshotLocked returns all known rumours; callers hold no lock.
-func (n *Node) snapshot() []Rumor {
-	return n.Known()
-}
-
 // pickPeers selects min(k, len(peers)) distinct random neighbours.
 func (n *Node) pickPeers() []int {
 	n.mu.Lock()
@@ -81,7 +77,10 @@ func (n *Node) pickPeers() []int {
 	return out
 }
 
-// processLoop drains the inbox until the transport closes it.
+// processLoop drains the inbox until the transport closes it. A packet
+// counts as handled only after everything it causes — the insert, or the
+// reply's Send — so Settle never sees a handled packet whose reply is not
+// yet in the ledger.
 func (n *Node) processLoop(c *Cluster) {
 	defer close(n.done)
 	for p := range n.tr.Inbox(n.id) {
@@ -89,20 +88,22 @@ func (n *Node) processLoop(c *Cluster) {
 		case KindPush, KindPullReply:
 			n.insert(p.Rumors)
 		case KindPullRequest:
-			reply := Packet{From: n.id, Kind: KindPullReply, Rumors: n.snapshot()}
+			reply := Packet{From: n.id, Kind: KindPullReply, Rumors: n.Known()}
 			if err := n.tr.Send(p.From, reply); err == nil {
 				c.sent.Add(1)
 			}
 		}
+		c.handled.Add(1)
 	}
 }
 
 // Cluster couples gossip nodes over a transport according to a topology.
 type Cluster struct {
-	nodes []*Node
-	tr    Transport
-	sent  atomic.Int64
-	wg    sync.WaitGroup
+	nodes   []*Node
+	tr      Transport
+	sent    atomic.Int64
+	handled atomic.Int64 // inbox packets the node loops finished with
+	wg      sync.WaitGroup
 }
 
 // NewCluster builds one Node per vertex of g, wired through tr, each
@@ -166,7 +167,7 @@ func (c *Cluster) Insert(node int, r Rumor) error {
 // pull request to k random neighbours — one asynchronous "round".
 func (c *Cluster) Tick() error {
 	for _, n := range c.nodes {
-		rumors := n.snapshot()
+		rumors := n.Known()
 		for _, peer := range n.pickPeers() {
 			if len(rumors) > 0 {
 				if err := n.tr.Send(peer, Packet{From: n.id, Kind: KindPush, Rumors: rumors}); err != nil {
@@ -181,6 +182,35 @@ func (c *Cluster) Tick() error {
 		}
 	}
 	return nil
+}
+
+// Settle waits until the cluster is silent — the transport's ledger has
+// nothing in flight and the nodes have handled every delivered packet, so
+// no packet is moving and none will until the next Tick — and reports
+// whether deadline passed first. It reads the ledger, polling with a
+// backoff capped at a millisecond; nothing is inferred from counts that
+// merely stopped changing. A frame lost on a severed connection, or a
+// fault plan's delay longer than the deadline, makes it time out.
+func (c *Cluster) Settle(deadline time.Duration) (timedOut bool) {
+	giveUp := time.NewTimer(deadline)
+	defer giveUp.Stop()
+	for wait := time.Microsecond; !c.settled(); wait = min(2*wait, time.Millisecond) {
+		select {
+		case <-giveUp.C:
+			return !c.settled()
+		case <-time.After(wait):
+		}
+	}
+	return false
+}
+
+// settled reads handled before the ledger: a packet's reply is sent before
+// the packet counts as handled, so a handled count that includes it comes
+// with a ledger that includes the reply.
+func (c *Cluster) settled() bool {
+	handled := c.handled.Load()
+	h := c.tr.Health()
+	return h.InFlight() == 0 && handled == h.Delivered
 }
 
 // CountKnowing returns how many nodes have heard rumour id.

@@ -2,25 +2,31 @@ package transport
 
 import "sync/atomic"
 
-// Metrics is the daemon's live counter set. Every packet handed to Send
+// Metrics is a transport's live counter set. Every packet handed to Send
 // ends up in exactly one terminal bucket — delivered, deduped, or one of
 // the drop counters — which is what makes the health snapshot a ledger
 // rather than a vibe: Health.LedgerGap() must be zero at quiescence, and
 // the soak tests assert it under injected faults.
 //
-// Counters split by pipeline stage:
+// Counters split by pipeline stage (InMem uses the first and last rows'
+// Sends, MailboxDrops and Delivered only):
 //
-//	send side    Sends → {RemovedDrops, DownDrops, QueueDrops} or enqueue
+//	send side    Sends → {RemovedDrops, QuarantineDrops, QueueDrops} or enqueue
 //	writer       queue → {QuarantineDrops, WriteDrops, ShutdownDrops} or Written
-//	wire         Written − FramesIn − DecodeDrops − OversizeDrops = in-flight loss
-//	receive side FramesIn → {DownDrops, Deduped, MailboxDrops} or Delivered
+//	wire         Written − FramesIn = frames not (yet) decoded
+//	receive side FramesIn → {Deduped, MailboxDrops} or Delivered
+//
+// Each stage bumps its counter before the packet is visible to the next
+// stage (Written before Encode, Delivered before the mailbox insert), and
+// snapshot reads the stages downstream first, so a mid-run snapshot never
+// counts a packet in a later stage without counting it in the earlier
+// ones: InFlight() and WireLost() are never negative.
 type Metrics struct {
 	Sends     atomic.Int64 // packets accepted by Send
 	Delivered atomic.Int64 // packets placed in a destination mailbox
 	Deduped   atomic.Int64 // packets suppressed by the dupemap
 
 	RemovedDrops    atomic.Int64 // destination peer removed by discovery
-	DownDrops       atomic.Int64 // source or destination marked down (crash window)
 	QueueDrops      atomic.Int64 // per-peer send queue full (backpressure)
 	QuarantineDrops atomic.Int64 // peer inside its backoff window
 	WriteDrops      atomic.Int64 // dial/write failed after retries
@@ -55,9 +61,6 @@ const (
 	PeerQuarantined
 	// PeerRemoved means discovery withdrew the peer; sends are dropped.
 	PeerRemoved
-	// PeerDown means a fault plan crashed the peer; sends are dropped
-	// until its restart.
-	PeerDown
 )
 
 // String implements fmt.Stringer.
@@ -71,8 +74,6 @@ func (s PeerState) String() string {
 		return "quarantined"
 	case PeerRemoved:
 		return "removed"
-	case PeerDown:
-		return "down"
 	default:
 		return "unknown"
 	}
@@ -100,6 +101,7 @@ type FaultStats struct {
 	Duplicated     int64 `json:"duplicated"`     // extra copies injected
 	Delayed        int64 `json:"delayed"`        // packets held back before forwarding
 	Reordered      int64 `json:"reordered"`      // packets swapped with their successor
+	Held           int64 `json:"held"`           // reorder holds not yet released (a gauge, 0 after Close)
 }
 
 // drops sums the plan's terminal drop buckets.
@@ -108,15 +110,14 @@ func (f FaultStats) drops() int64 {
 }
 
 // Health is a point-in-time snapshot of a transport's counters, exposed
-// through the facade as regcast.TransportHealth. Snapshot after Close (or
-// at quiescence) for an exact ledger.
+// through the facade as regcast.TransportHealth. Snapshot after Close, or
+// once Cluster.Settle returned without a timeout, for an exact ledger.
 type Health struct {
 	Sends     int64 `json:"sends"`
 	Delivered int64 `json:"delivered"`
 	Deduped   int64 `json:"deduped"`
 
 	RemovedDrops    int64 `json:"removedDrops"`
-	DownDrops       int64 `json:"downDrops"`
 	QueueDrops      int64 `json:"queueDrops"`
 	QuarantineDrops int64 `json:"quarantineDrops"`
 	WriteDrops      int64 `json:"writeDrops"`
@@ -143,17 +144,12 @@ type Health struct {
 	Faults *FaultStats `json:"faults,omitempty"`
 }
 
-// HealthReporter is implemented by transports that expose a snapshot.
-type HealthReporter interface {
-	Health() Health
-}
-
 // WireLost is the number of frames fully written to a connection that
 // never came back out of a decoder — bytes stranded in kernel buffers or
 // rejected at the receiver (oversize and malformed frames are inside this
 // bucket; their dedicated counters are diagnostics, not separate ledger
-// entries). Connections are only torn down mid-flight by crash windows
-// and budget evictions, so clean runs should see zero here.
+// entries). Before Close it also holds the frames still on the wire, which
+// is why InFlight adds it back.
 func (h Health) WireLost() int64 {
 	return h.Written - h.FramesIn
 }
@@ -163,7 +159,7 @@ func (h Health) WireLost() int64 {
 // are not added — frames that failed to decode never counted as FramesIn,
 // so they are already inside WireLost.
 func (h Health) DroppedTotal() int64 {
-	total := h.RemovedDrops + h.DownDrops + h.QueueDrops + h.QuarantineDrops +
+	total := h.RemovedDrops + h.QueueDrops + h.QuarantineDrops +
 		h.WriteDrops + h.ShutdownDrops + h.MailboxDrops + h.WireLost()
 	if h.Faults != nil {
 		total += h.Faults.drops()
@@ -184,27 +180,42 @@ func (h Health) LedgerGap() int64 {
 	return in + dup - h.Delivered - h.Deduped - h.DroppedTotal()
 }
 
-// snapshot copies the live counters into a Health value. FramesIn is read
-// before Written: every frame decoded by then was counted as Written
-// before it went on the wire, so WireLost() >= 0 in a snapshot taken
-// mid-run.
+// InFlight is the number of accepted packets not yet in a terminal bucket:
+// queued, on the wire (a frame is in flight until it is decoded) or held
+// back by a fault plan's delay. Reorder holds are excluded — they wait for
+// the next packet on their pair or the next epoch, not for time. Zero means
+// nothing the transport accepted is still moving; a frame lost on a severed
+// connection keeps it above zero, so Cluster.Settle then reports a timeout
+// rather than guessing.
+func (h Health) InFlight() int64 {
+	n := h.LedgerGap() + h.WireLost()
+	if h.Faults != nil {
+		n -= h.Faults.Held
+	}
+	return n
+}
+
+// snapshot copies the live counters into a Health value, downstream stages
+// first (the keyed fields are evaluated in the order written): a packet a
+// later stage has counted was counted by every earlier stage before, so
+// the snapshot may show a packet as still moving but never as both moving
+// and done. MailboxDrops precedes Delivered because a failed insert takes
+// its Delivered back before it counts the drop.
 func (m *Metrics) snapshot() Health {
-	framesIn := m.FramesIn.Load()
 	return Health{
-		Sends:           m.Sends.Load(),
+		MailboxDrops:    m.MailboxDrops.Load(),
 		Delivered:       m.Delivered.Load(),
 		Deduped:         m.Deduped.Load(),
-		RemovedDrops:    m.RemovedDrops.Load(),
-		DownDrops:       m.DownDrops.Load(),
-		QueueDrops:      m.QueueDrops.Load(),
-		QuarantineDrops: m.QuarantineDrops.Load(),
-		WriteDrops:      m.WriteDrops.Load(),
-		ShutdownDrops:   m.ShutdownDrops.Load(),
-		MailboxDrops:    m.MailboxDrops.Load(),
 		OversizeDrops:   m.OversizeDrops.Load(),
 		DecodeDrops:     m.DecodeDrops.Load(),
+		FramesIn:        m.FramesIn.Load(),
 		Written:         m.Written.Load(),
-		FramesIn:        framesIn,
+		WriteDrops:      m.WriteDrops.Load(),
+		ShutdownDrops:   m.ShutdownDrops.Load(),
+		QuarantineDrops: m.QuarantineDrops.Load(),
+		QueueDrops:      m.QueueDrops.Load(),
+		RemovedDrops:    m.RemovedDrops.Load(),
+		Sends:           m.Sends.Load(),
 		Dials:           m.Dials.Load(),
 		Redials:         m.Redials.Load(),
 		DialFails:       m.DialFails.Load(),

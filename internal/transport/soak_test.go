@@ -2,44 +2,9 @@ package transport
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 	"time"
 )
-
-// quietKey is the comparable part of a health snapshot, used to detect
-// quiescence (two identical consecutive snapshots = nothing in flight).
-type quietKey struct {
-	h Health
-	f FaultStats
-}
-
-func healthKey(hr HealthReporter) quietKey {
-	h := hr.Health()
-	var f FaultStats
-	if h.Faults != nil {
-		f = *h.Faults
-	}
-	h.Faults = nil
-	h.Peers = nil
-	return quietKey{h, f}
-}
-
-// settleHealth polls until the transport's counters stop moving.
-func settleHealth(t *testing.T, hr HealthReporter) {
-	t.Helper()
-	deadline := time.Now().Add(stepWait(t, 5*time.Second))
-	prev := healthKey(hr)
-	for time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		cur := healthKey(hr)
-		if reflect.DeepEqual(cur, prev) {
-			return
-		}
-		prev = cur
-	}
-	t.Log("settleHealth: counters still moving at deadline; ledger check may be early")
-}
 
 // TestChaosSoak is the tentpole's acceptance test: anti-entropy gossip
 // over the resilient daemon with deterministic fault injection. For every
@@ -62,7 +27,6 @@ func TestChaosSoak(t *testing.T) {
 		name      string
 		cfg       FaultConfig
 		wantFault func(FaultStats) bool // the regime must actually fire
-		wireLoss  bool                  // severed conns may strand written frames
 	}{
 		{
 			name:      "drop20",
@@ -83,7 +47,6 @@ func TestChaosSoak(t *testing.T) {
 			name:      "crash-restart",
 			cfg:       FaultConfig{Seed: 93, Crashes: []CrashWindow{{Node: 3, From: 1, Until: 4}}},
 			wantFault: func(s FaultStats) bool { return s.CrashDrops > 0 },
-			wireLoss:  true,
 		},
 		{
 			name: "everything",
@@ -94,7 +57,6 @@ func TestChaosSoak(t *testing.T) {
 				Crashes:    []CrashWindow{{Node: 5, From: 1, Until: 3}},
 			},
 			wantFault: func(s FaultStats) bool { return s.Dropped > 0 && s.Duplicated > 0 },
-			wireLoss:  true,
 		},
 	}
 	for _, tc := range cases {
@@ -103,7 +65,6 @@ func TestChaosSoak(t *testing.T) {
 			d, err := NewDaemon(DaemonConfig{
 				Nodes: n, Mailbox: 8192, Seed: 5,
 				BackoffBase: 5 * time.Millisecond, BackoffMax: 25 * time.Millisecond,
-				DedupExpiry: time.Minute,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -121,26 +82,9 @@ func TestChaosSoak(t *testing.T) {
 			if err := c.Insert(0, Rumor{ID: rumorID, Payload: "survives faults"}); err != nil {
 				t.Fatal(err)
 			}
-			ticks := 0
-			for tick := 1; tick <= maxTicks; tick++ {
-				plan.AdvanceEpoch() // one tick = one fault epoch
-				if err := c.Tick(); err != nil {
-					t.Fatal(err)
-				}
-				// Let the tick's packets drain before counting knowers.
-				spreadDeadline := time.Now().Add(stepWait(t, 250*time.Millisecond))
-				for time.Now().Before(spreadDeadline) && c.CountKnowing(rumorID) < n {
-					time.Sleep(2 * time.Millisecond)
-				}
-				ticks = tick
-				if c.CountKnowing(rumorID) == n {
-					break
-				}
-			}
-			if know := c.CountKnowing(rumorID); know != n {
-				t.Fatalf("%s: rumour reached %d/%d nodes in %d ticks", tc.name, know, n, ticks)
-			}
-			settleHealth(t, plan)
+			// One tick = one fault epoch; each tick settles before the next
+			// epoch severs anything, so no frame is on a severed wire.
+			ticks := tickUntilAllKnow(t, c, rumorID, maxTicks, plan.AdvanceEpoch)
 			if err := c.Close(); err != nil { // closes plan, then daemon
 				t.Fatal(err)
 			}
@@ -157,16 +101,17 @@ func TestChaosSoak(t *testing.T) {
 			if gap := h.LedgerGap(); gap != 0 {
 				t.Errorf("%s: LedgerGap = %d, want 0 (faults %+v)", tc.name, gap, *h.Faults)
 			}
-			if !tc.wireLoss && h.WireLost() != 0 {
-				t.Errorf("%s: WireLost = %d with no severed connections, want 0", tc.name, h.WireLost())
+			if h.WireLost() != 0 {
+				t.Errorf("%s: WireLost = %d, want 0 (links are severed only between settled ticks)", tc.name, h.WireLost())
 			}
 		})
 	}
 }
 
 // TestChaosSoakCrashExercisesRedial pins the crash-restart acceptance
-// detail: severing the crashed node's connection forces the dial
-// scheduler to re-establish it after the restart.
+// detail: severing the links to the crashed node forces a redial after
+// the restart. Tick 1 runs fault-free, so node 2's pull replies open the
+// link to it; from tick 4 on its pull replies redial it.
 func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak in -short mode")
@@ -175,13 +120,10 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	d, err := NewDaemon(DaemonConfig{
 		Nodes: 8, Mailbox: 4096, Seed: 5,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 25 * time.Millisecond,
-		DedupExpiry: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// From: 2, not 1 — tick 1 runs fault-free so persistent connections to
-	// node 2 exist before the crash severs them.
 	plan, err := NewFaultPlan(d, FaultConfig{
 		Seed:    95,
 		Crashes: []CrashWindow{{Node: 2, From: 2, Until: 4}},
@@ -197,17 +139,11 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	if err := c.Insert(0, Rumor{ID: "redial-rumor"}); err != nil {
 		t.Fatal(err)
 	}
-	for tick := 1; tick <= 40 && c.CountKnowing("redial-rumor") < 8; tick++ {
+	for n := 1; n <= 4; n++ { // through the restart epoch
 		plan.AdvanceEpoch()
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
+		tick(t, c)
 	}
-	if know := c.CountKnowing("redial-rumor"); know != 8 {
-		t.Fatalf("rumour reached %d/8 nodes despite crash-restart", know)
-	}
-	settleHealth(t, plan)
+	tickUntilAllKnow(t, c, "redial-rumor", 36, plan.AdvanceEpoch)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +151,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	if h.Redials == 0 {
 		t.Errorf("crash-restart exercised zero redials (dials %d)", h.Dials)
 	}
-	if gap := h.LedgerGap(); gap != 0 {
-		t.Errorf("LedgerGap = %d, want 0", gap)
+	if gap := h.LedgerGap(); gap != 0 || h.WireLost() != 0 {
+		t.Errorf("LedgerGap = %d, WireLost = %d, want 0/0", gap, h.WireLost())
 	}
 }

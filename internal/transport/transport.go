@@ -66,18 +66,19 @@ type Transport interface {
 	// Inbox returns the receive channel of a node. The channel is closed
 	// when the transport shuts down.
 	Inbox(node int) <-chan Packet
+	// Health snapshots the transport's ledger (see Metrics).
+	Health() Health
 	// Close shuts the transport down and releases resources.
 	Close() error
 }
 
-// InMem is an in-process transport backed by buffered channels.
+// InMem is an in-process transport backed by buffered channels. Its
+// ledger has three buckets: Sends, Delivered and MailboxDrops.
 type InMem struct {
 	mu     sync.Mutex
 	boxes  []chan Packet
 	closed bool
-	// Dropped counts sends that found a full mailbox (treated as message
-	// loss, which gossip tolerates by design).
-	Dropped int
+	met    Metrics
 }
 
 var _ Transport = (*InMem)(nil)
@@ -95,8 +96,8 @@ func NewInMem(n, mailbox int) (*InMem, error) {
 	return t, nil
 }
 
-// Send implements Transport. A full mailbox drops the packet (recorded in
-// Dropped) rather than blocking, mirroring a lossy network.
+// Send implements Transport. A full mailbox drops the packet (counted in
+// MailboxDrops) rather than blocking, mirroring a lossy network.
 func (t *InMem) Send(to int, p Packet) error {
 	if to < 0 || to >= len(t.boxes) {
 		return fmt.Errorf("transport: Send to %d out of range [0,%d)", to, len(t.boxes))
@@ -106,18 +107,33 @@ func (t *InMem) Send(to int, p Packet) error {
 	if t.closed {
 		return ErrClosed
 	}
+	t.met.Sends.Add(1)
 	p.To = to
+	t.met.toMailbox(t.boxes[to], p)
+	return nil
+}
+
+// toMailbox is the terminal accounting point of a mailbox insert, shared
+// by both transports: Delivered is counted before the packet becomes
+// visible to the node's loop and taken back, before the drop is counted,
+// when the mailbox is full (the order Metrics.snapshot relies on).
+func (m *Metrics) toMailbox(box chan<- Packet, p Packet) bool {
+	m.Delivered.Add(1)
 	select {
-	case t.boxes[to] <- p:
-		return nil
+	case box <- p:
+		return true
 	default:
-		t.Dropped++
-		return nil
+		m.Delivered.Add(-1)
+		m.MailboxDrops.Add(1)
+		return false
 	}
 }
 
 // Inbox implements Transport.
 func (t *InMem) Inbox(node int) <-chan Packet { return t.boxes[node] }
+
+// Health implements Transport.
+func (t *InMem) Health() Health { return t.met.snapshot() }
 
 // Close implements Transport.
 func (t *InMem) Close() error {

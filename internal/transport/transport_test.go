@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -85,15 +86,15 @@ func TestInMemSendErrors(t *testing.T) {
 	if err := tr.Send(5, Packet{}); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	// Overfill: second send is dropped silently, recorded in Dropped.
+	// Overfill: second send is dropped silently, counted in the ledger.
 	if err := tr.Send(0, Packet{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Send(0, Packet{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", tr.Dropped)
+	if h := tr.Health(); h.Sends != 2 || h.Delivered != 1 || h.MailboxDrops != 1 || h.LedgerGap() != 0 {
+		t.Errorf("ledger = sends %d delivered %d mailboxDrops %d, want 2/1/1", h.Sends, h.Delivered, h.MailboxDrops)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -146,28 +147,30 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
-// driveUntilAllKnow ticks the cluster until every node knows the rumour or
-// the deadline passes, returning the number of ticks used.
-func driveUntilAllKnow(t *testing.T, c *Cluster, id string, maxTicks int) int {
+// tick runs one gossip tick and waits for it to fall silent; a tick that
+// does not settle fails the test, since every transport here settles.
+func tick(t *testing.T, c *Cluster) {
 	t.Helper()
-	for tick := 1; tick <= maxTicks; tick++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Settle(stepWait(t, 5*time.Second)) {
+		t.Fatalf("tick did not settle: %+v", c.tr.Health())
+	}
+}
+
+// tickUntilAllKnow ticks the cluster until every node knows the rumour,
+// running advance (when non-nil) before each tick, and returns the number
+// of ticks used.
+func tickUntilAllKnow(t *testing.T, c *Cluster, id string, maxTicks int, advance func()) int {
+	t.Helper()
+	for n := 1; n <= maxTicks; n++ {
+		if advance != nil {
+			advance()
 		}
-		deadline := time.After(stepWait(t, time.Second))
-		for c.CountKnowing(id) < c.Size() {
-			select {
-			case <-deadline:
-				// settle this tick; go to next
-				deadline = nil
-			case <-time.After(time.Millisecond):
-			}
-			if deadline == nil {
-				break
-			}
-		}
+		tick(t, c)
 		if c.CountKnowing(id) == c.Size() {
-			return tick
+			return n
 		}
 	}
 	t.Fatalf("rumour %q reached %d/%d nodes after %d ticks", id, c.CountKnowing(id), c.Size(), maxTicks)
@@ -188,7 +191,7 @@ func TestGossipOverInMem(t *testing.T) {
 	if err := c.Insert(0, Rumor{ID: "update-1", Payload: "hello"}); err != nil {
 		t.Fatal(err)
 	}
-	ticks := driveUntilAllKnow(t, c, "update-1", 40)
+	ticks := tickUntilAllKnow(t, c, "update-1", 40, nil)
 	t.Logf("rumour reached all 32 nodes in %d ticks, %d packets", ticks, c.PacketsSent())
 	if c.PacketsSent() == 0 {
 		t.Error("no packets counted")
@@ -235,11 +238,107 @@ func TestMultipleRumorsConverge(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		driveUntilAllKnow(t, c, id, 60)
+		tickUntilAllKnow(t, c, id, 60, nil)
 	}
 	for _, n := range []int{0, 7, 15} {
 		if got := len(c.Node(n).Known()); got != len(ids) {
 			t.Errorf("node %d knows %d rumours, want %d", n, got, len(ids))
 		}
+	}
+}
+
+// ledgerOf is a snapshot's ledger: the counters, without the per-peer
+// states and open connections that Close itself changes.
+func ledgerOf(h Health) Health {
+	h.Peers, h.ConnsOpen = nil, 0
+	return h
+}
+
+// TestSettleMatchesClosedLedger is Settle's exactness contract: once it
+// returns without a timeout nothing is moving, so the ledger read then
+// equals the ledger after Close — on the in-memory tier, the daemon, and
+// a fault plan with drops, duplicates and delays over the daemon.
+func TestSettleMatchesClosedLedger(t *testing.T) {
+	daemon := func(t *testing.T) Transport {
+		d, err := NewDaemon(DaemonConfig{Nodes: 16, Mailbox: 4096, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name string
+		tr   func(t *testing.T) Transport
+	}{
+		{"inmem", func(t *testing.T) Transport {
+			tr, err := NewInMem(16, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+		{"daemon", daemon},
+		{"faultplan", func(t *testing.T) Transport {
+			plan, err := NewFaultPlan(daemon(t), FaultConfig{
+				Seed: 4, Drop: 0.2, Duplicate: 0.1, DelayProb: 0.2, Delay: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr(t)
+			c, err := NewCluster(gossipGraph(t, 16, 4), tr, 2, 48)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Close() }()
+			if err := c.Insert(0, Rumor{ID: "exact"}); err != nil {
+				t.Fatal(err)
+			}
+			tickUntilAllKnow(t, c, "exact", 40, nil)
+			settled := tr.Health()
+			if settled.InFlight() != 0 || settled.LedgerGap() != 0 {
+				t.Errorf("settled ledger: InFlight %d, LedgerGap %d, want 0/0", settled.InFlight(), settled.LedgerGap())
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ledgerOf(settled), ledgerOf(tr.Health()); !reflect.DeepEqual(got, want) {
+				t.Errorf("ledger at Settle differs from the closed ledger:\n settled %+v\n closed  %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestSettleReportsDeadline: a delay that outlasts the deadline leaves
+// packets in flight, and Settle says so instead of returning early.
+func TestSettleReportsDeadline(t *testing.T) {
+	inner, err := NewInMem(8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewFaultPlan(inner, FaultConfig{Seed: 1, DelayProb: 1, Delay: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(gossipGraph(t, 8, 4), plan, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if in := plan.Health().InFlight(); in == 0 {
+		t.Error("InFlight = 0 while delayed packets are pending")
+	}
+	if !c.Settle(time.Millisecond) {
+		t.Fatalf("Settle returned with every packet delayed: %+v", plan.Health())
+	}
+	if c.Settle(stepWait(t, 5*time.Second)) {
+		t.Errorf("Settle timed out after the delays ended: %+v", plan.Health())
 	}
 }

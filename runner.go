@@ -13,8 +13,8 @@ import (
 // per thing the repo measures: the simulator (the default every experiment
 // and benchmark cell runs) and the two tiers of the deployment-shaped
 // gossip cluster — in-memory mailboxes (no sockets, the fast tier the
-// transport tests and examples build on) and the socket daemon (the only
-// tier with a health ledger and fault injection).
+// transport tests and examples build on) and the socket daemon (dials,
+// queues, a wire and dedup). Both transport tiers keep a health ledger.
 type Engine int
 
 const (
@@ -30,10 +30,10 @@ const (
 	// measured (not simulated) and wall-clock dependent.
 	EngineGossipTransport
 	// EngineDaemonTransport is the resilient gossip daemon: persistent
-	// per-peer TCP connections behind a backoff dial scheduler, bounded
+	// per-peer TCP connections, each link redialling with backoff, bounded
 	// per-peer send queues with drop accounting, and expiring-bucket
-	// rumour dedup. Result.Transport carries its health snapshot, and
-	// WithTransportFaults injects reproducible chaos in front of it.
+	// rumour dedup. WithTransportFaults injects reproducible chaos in
+	// front of it (or of the in-memory tier).
 	EngineDaemonTransport
 )
 
@@ -128,15 +128,16 @@ type Result struct {
 	// PerRound holds per-round metrics when the scenario was built with
 	// WithRecordRounds.
 	PerRound []RoundStats
-	// Transport is the transport engine's health snapshot (nil for the
-	// simulator): dials, retries, drop accounting, dedup hits,
-	// per-peer state, and — under WithTransportFaults — the fault ledger.
+	// Transport is either transport engine's ledger, taken after the
+	// cluster closed (nil for the simulator): drop buckets on both tiers,
+	// dials, dedup hits and per-peer state on the daemon, and the fault
+	// ledger under WithTransportFaults. Its LedgerGap() is zero.
 	Transport *TransportHealth
-	// TickTimeouts counts the transport-engine ticks whose packets had not
-	// drained when the per-tick deadline passed (always 0 on the
-	// simulator). A timed-out tick is attributed the receipts seen so far;
-	// later arrivals are charged to a later tick, so a non-zero count means
-	// InformedAt and PerRound are skewed late.
+	// TickTimeouts counts the transport-engine ticks that had not fallen
+	// silent (Cluster.Settle) when the per-tick deadline passed; always 0
+	// on the simulator. A timed-out tick is attributed the receipts seen so
+	// far; later arrivals are charged to a later tick, so a non-zero count
+	// means InformedAt and PerRound are skewed late.
 	TickTimeouts int
 	// Population is the population engine's own result (nil for
 	// broadcasts): the Measure trajectory's end point, the silence
@@ -350,6 +351,11 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	}
 	g := st.G
 	n := g.NumNodes()
+	if r.faults != nil {
+		if err := faultNodesInRange(*r.faults, n); err != nil {
+			return Result{}, err
+		}
+	}
 	mailbox := r.mailbox
 	if mailbox == 0 {
 		mailbox = 1024
@@ -420,7 +426,7 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		if err := cluster.Tick(); err != nil {
 			return Result{}, err
 		}
-		if waitQuiescent(cluster, rumorID, tickDeadline) {
+		if cluster.Settle(tickDeadline) {
 			res.TickTimeouts++
 		}
 
@@ -461,41 +467,12 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	res.AllInformed = informed == n
 	res.Transmissions = cluster.PacketsSent()
 	res.InformedAt = informedAt
-	if hr, ok := tr.(transport.HealthReporter); ok {
-		// Close first (idempotent; the deferred Close becomes a no-op) so
-		// the snapshot is a quiescent, fully-accounted ledger.
-		_ = cluster.Close()
-		h := hr.Health()
-		res.Transport = &h
-	}
+	// Close first (idempotent) so the snapshot is a fully-accounted ledger.
+	_ = cluster.Close()
+	h := tr.Health()
+	res.Transport = &h
 	return res, ctxErr(ctx)
 }
 
-// tickDeadline bounds how long runTransport lets one tick's packets drain.
-const tickDeadline = time.Second
-
-// quiescer is what waitQuiescent polls: the transport cluster's spread
-// count and packet counter (a fake in the unit test).
-type quiescer interface {
-	CountKnowing(rumorID string) int
-	PacketsSent() int64
-}
-
-// waitQuiescent lets a tick's packets drain: transports deliver
-// asynchronously, so the spread count is only meaningful once it stops
-// moving. It returns false once (knowers, packets) is stable for two
-// consecutive polls, and true if it gave up because deadline passed first.
-func waitQuiescent(c quiescer, rumorID string, deadline time.Duration) (timedOut bool) {
-	giveUp := time.Now().Add(deadline)
-	prevKnow, prevSent := -1, int64(-1)
-	for time.Now().Before(giveUp) {
-		know := c.CountKnowing(rumorID)
-		sent := c.PacketsSent()
-		if know == prevKnow && sent == prevSent {
-			return false
-		}
-		prevKnow, prevSent = know, sent
-		time.Sleep(2 * time.Millisecond)
-	}
-	return true
-}
+// tickDeadline bounds one tick's Settle; a test shortens it.
+var tickDeadline = time.Second

@@ -47,6 +47,14 @@ func transportSmoke(t *testing.T, engine regcast.Engine, opts ...regcast.RunnerO
 	if res.FirstAllInformed < 1 || res.FirstAllInformed > proto.Horizon() {
 		t.Errorf("%v: FirstAllInformed = %d out of (0, %d]", engine, res.FirstAllInformed, proto.Horizon())
 	}
+	// Both tiers keep the ledger, closed and balanced; every tick fell
+	// silent before the deadline.
+	if h := res.Transport; h == nil || h.LedgerGap() != 0 || h.InFlight() != 0 || h.Sends == 0 {
+		t.Errorf("%v: Result.Transport = %+v, want a balanced closed ledger", engine, h)
+	}
+	if res.TickTimeouts != 0 {
+		t.Errorf("%v: %d tick timeouts on a clean run", engine, res.TickTimeouts)
+	}
 	for v, at := range res.InformedAt {
 		if at == regcast.Uninformed {
 			t.Errorf("%v: node %d never marked informed", engine, v)
