@@ -2,6 +2,7 @@ package regcast
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,8 @@ func TestRunValidatesBeforeDispatch(t *testing.T) {
 		{"faults population on daemon", pop, []RunnerOption{WithEngine(EngineDaemonTransport), faults}, "cannot run population scenarios"},
 		// A negative window used to report convergence after one super-step.
 		{"negative silence window", PopulationScenario{N: 32, Pair: le, Init: InitAllLeaders, SilenceWindow: -1}, nil, "SilenceWindow must be positive"},
+		// Past 2³¹ agents a pair index would wrap negative in the kernel.
+		{"pair run past int32 agents", PopulationScenario{N: math.MaxInt32 + 1, Pair: le, Seed: 1}, nil, "int32 agent index"},
 	} {
 		_, err := Run(context.Background(), tc.s, tc.opts...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -60,16 +60,16 @@
 // split PRNG streams, shard-order merge — so traces are bit-identical
 // for every worker count.
 //
-// The population engine compiles what a protocol declares, with the
-// trace its interpreter would produce bit for bit: protocols declaring
-// a small state space (TablePairProtocol, RingTableProtocol) have their
-// transition function compiled into a dense lookup table, protocols
-// whose measure factors through state occupancy (CountsPairProtocol,
-// e.g. NewApproxMajority) get an incrementally-maintained occupancy
-// vector in place of the O(n) scan, and wide protocols can supply a
-// fused batch kernel (BatchPairProtocol); pair draws are always batched
-// into preallocated PairDraw buffers on the exact interpreter streams.
-// The interpreter runs only for a protocol that declines to compile.
+// The population engine has one super-step per scheduler and compiles
+// what a protocol declares into the apply arm it runs, with the same
+// trace bit for bit: protocols declaring a small state space
+// (TablePairProtocol, RingTableProtocol) have their transition function
+// compiled into a dense lookup table, whose loop also keeps an occupancy
+// vector that a CountsPairProtocol (e.g. NewApproxMajority) measures in
+// place of the O(n) scan; wide protocols can supply a fused batch kernel
+// (BatchPairProtocol); anything else takes one interface call per pair.
+// Pair draws always go through the batched block sampler into
+// preallocated PairDraw buffers.
 //
 // Behind the facade: the four-choice phased broadcast protocols
 // (internal/core), the random phone call simulator with its one sharded

@@ -1,48 +1,44 @@
-// The population engine's fast path: table-compiled transitions, an
-// incremental occupancy measure, and batched pair draws.
+// The population engine's apply arms: table-compiled transitions with an
+// exact occupancy vector, a protocol's own whole-block kernel, and the
+// uncompiled interface call.
 //
-// The reference is the plain interface-dispatch loop in population.go (the
-// interpreter); the fast path below is pinned bit-identical to it — same
-// streams, same trace, same observer events — for every Workers × Shards
-// combination. The interpreter runs only for a protocol that declines to
-// compile (and under Config.DisableFastPath, which bench/ alone sets). The
-// fast path engages automatically; its three components engage
-// independently, by protocol capability:
+// Both schedulers have one super-step (population.go): pairStep draws every
+// pair through xrand.FillPairDraws and hands each block to apply; ringStep
+// runs ringShard over each agent range. compile picks the arm once, at
+// construction, by protocol capability, and every arm is bit-identical to
+// the uncompiled one — same streams, same trace, same observer events —
+// for every Workers × Shards combination (the fastpath tests pin committed
+// digests for both):
 //
-//   - Batched draws (always, pair driver): each shard's interaction quota
-//     is filled by xrand.FillPairDraws, which keeps the xoshiro state in
-//     registers for the whole block and consumes the stream exactly as
-//     the scalar IntN/IntN/Uint64 loop would.
-//   - Devirtualised transitions (TableProtocol): when the declared state
-//     space fits (StateBound ≤ MaxTableStates) and the declared coin
-//     arity is small, Transition is compiled into a flat dense []uint64
-//     table indexed by ((a<<k)|b)<<c | coin-bits, each word packing the
-//     next pair plus its changed-agent count — the apply loop's interface
-//     call becomes a slice load. RingTableProtocol is the synchronous
-//     twin: NeedsCoin and Update compile into tables the ring pass
-//     indexes the same way.
-//   - Incremental measure (CountsProtocol): the engine keeps an exact
-//     per-state occupancy vector under Init and every applied transition,
-//     so the per-super-step Measure becomes an O(states) fold
-//     (MeasureCounts) instead of an O(n) configuration scan.
+//   - Table (TableProtocol): when the declared state space fits
+//     (StateBound ≤ MaxTableStates) and the declared coin arity is small,
+//     Transition is compiled into a flat dense []uint64 table indexed by
+//     ((a<<k)|b)<<c | coin-bits, each word packing the next pair plus its
+//     changed-agent count — the apply loop's interface call becomes a
+//     slice load. The loop keeps a per-state occupancy vector exact under
+//     Init and every transition; a CountsProtocol then measures through
+//     MeasureCounts, an O(states) fold, instead of the O(n) scan.
+//     RingTableProtocol is the synchronous twin: NeedsCoin and Update
+//     compile into tables the ring pass indexes the same way.
+//   - Batch (BatchProtocol): a protocol too large to tabulate applies
+//     each pre-drawn block in its own devirtualised loop.
+//   - Observed (InteractionObserver): one Transition call per pair plus
+//     the per-interaction event; nothing is compiled.
+//   - Uncompiled: one Transition call per pair. Config.DisableFastPath
+//     selects it (and the uncompiled ring pass) for any protocol.
 //
 // A protocol that misdeclares its bounds cannot corrupt the run: the
 // compiler verifies every initial state and every table output against
-// StateBound and declines (falling back to the reference behaviour of
-// that component) on any violation, so table indices stay in range by
-// induction.
+// StateBound and declines (leaving the uncompiled arm) on any violation,
+// so table indices stay in range by induction.
 package population
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"regcast/internal/sched"
-)
-
-// TableProtocol is the optional PairProtocol extension behind the
-// devirtualised fast path: protocols with a small declared state space
-// and coin arity have their Transition compiled into a dense lookup
-// table at engine construction.
+// TableProtocol is the optional PairProtocol extension behind the table
+// arm: protocols with a small declared state space and coin arity have
+// their Transition compiled into a dense lookup table at engine
+// construction.
 type TableProtocol interface {
 	PairProtocol
 	// StateBound returns S: every state Init emits and Transition returns
@@ -57,10 +53,12 @@ type TableProtocol interface {
 
 // CountsProtocol is the optional measure-through-occupancy extension: a
 // protocol whose Measure factors through the per-state occupancy vector
-// implements MeasureCounts, and the engine replaces the O(n) per-step
-// configuration scan with an incrementally maintained counts vector and
-// an O(states) fold. MeasureCounts(counts) must equal Measure(cfg)
-// whenever counts is the exact occupancy of cfg.
+// implements MeasureCounts. It engages alongside a compiled transition
+// table (the protocol must also be a TableProtocol that compiles): the
+// table arm keeps the counts vector exact, and the engine replaces the
+// O(n) per-step configuration scan with an O(states) fold.
+// MeasureCounts(counts) must equal Measure(cfg) whenever counts is the
+// exact occupancy of cfg.
 type CountsProtocol interface {
 	StateBound() int
 	MeasureCounts(counts []int64) int
@@ -81,10 +79,9 @@ type RingTableProtocol interface {
 // Transition to every pre-drawn pair in slice order, in place, and
 // returns how many agent states changed. Implementations must be
 // observationally identical to calling Transition per pair — the
-// fast≡reference matrix tests pin this — which lets the concrete
-// transition logic inline into one tight loop instead of paying an
-// interface call per interaction. It engages only when the incremental
-// counts vector is not in play (ApplyPairs does not maintain counts).
+// committed-digest tests pin this — which lets the concrete transition
+// logic inline into one tight loop instead of paying an interface call
+// per interaction. It engages when the table does not compile.
 type BatchProtocol interface {
 	PairProtocol
 	ApplyPairs(states []State, pairs []PairDraw) (changed int)
@@ -100,84 +97,62 @@ const (
 	// maxTableBits caps the total table index width (2k+c), bounding the
 	// table at 1<<20 words = 8 MiB.
 	maxTableBits = 20
-	// maxCountsStates caps the incremental occupancy vector (512 KiB of
-	// int64 at the cap); the counts path needs no table, so it accepts
-	// wider state spaces than the transition compiler.
-	maxCountsStates = 1 << 16
 	// fuseBlock is the single-threaded draw/apply interleave grain: small
 	// enough that a block of PairDraws lives in L1 between fill and apply,
 	// large enough to amortise the two calls per block.
 	fuseBlock = 256
 )
 
-// compileFastPath decides, once, at construction, which fast-path
-// components this run can use. It never changes a trace: every compiled
-// component is bit-identical to the reference behaviour it replaces.
-func (e *engine) compileFastPath() {
-	if e.cfg.DisableFastPath {
-		return
-	}
+// compile chooses the run's apply arm, once, at construction. It never
+// changes a trace: every arm is bit-identical to the uncompiled one.
+func (e *engine) compile() {
 	if e.cfg.Ring != nil {
-		e.compileRingTable()
+		if !e.cfg.DisableFastPath {
+			e.compileRingTable()
+		}
 		return
 	}
-	e.fast = true // batched draws engage for every pair protocol
-	if _, ok := e.cfg.Observer.(InteractionObserver); ok {
-		// Per-interaction observation keeps the reference apply loop (the
-		// callback dominates it) and the scan measure (counts are
-		// maintained only by the specialised apply loops).
+	if e.iobs, _ = e.cfg.Observer.(InteractionObserver); e.iobs != nil || e.cfg.DisableFastPath {
 		return
 	}
-	e.compileCounts()
-	e.compileTable()
-	if e.table == nil && e.counts == nil {
+	if e.compileTable(); e.table == nil {
 		e.batch, _ = e.cfg.Pair.(BatchProtocol)
 	}
 }
 
-// compileCounts engages the incremental occupancy vector when the
-// protocol supports it and the initial configuration respects the
-// declared bound.
-func (e *engine) compileCounts() {
-	cp, ok := e.cfg.Pair.(CountsProtocol)
-	if !ok {
-		return
+// tableShape validates a declared state bound s and coin arity c for
+// either table compiler and returns the state index width k. It declines
+// a shape past the table caps and an initial configuration that escapes
+// the declared space.
+func (e *engine) tableShape(s, c int) (k uint, ok bool) {
+	if s < 1 || s > MaxTableStates || c < 0 || c > maxTableCoinBits {
+		return 0, false
 	}
-	s := cp.StateBound()
-	if s < 1 || s > maxCountsStates {
-		return
+	k = uint(bits.Len(uint(s - 1)))
+	if 2*k+uint(c) > maxTableBits {
+		return 0, false
 	}
-	bound := State(s)
-	counts := make([]int64, s)
 	for _, st := range e.states {
-		if st >= bound {
-			return // Init escaped the declared space: keep the scan
+		if st >= State(s) {
+			return 0, false
 		}
-		counts[st]++
 	}
-	e.counts, e.countsProto = counts, cp
+	return k, true
 }
 
-// compileTable compiles PairProtocol.Transition into the dense table.
+// compileTable compiles PairProtocol.Transition into the dense table and
+// seeds the occupancy vector from the initial configuration.
 func (e *engine) compileTable() {
 	tp, ok := e.cfg.Pair.(TableProtocol)
 	if !ok {
 		return
 	}
 	s, c := tp.StateBound(), tp.CoinBits()
-	if s < 1 || s > MaxTableStates || c < 0 || c > maxTableCoinBits {
-		return
-	}
-	k := uint(bits.Len(uint(s - 1)))
-	if 2*k+uint(c) > maxTableBits {
+	k, ok := e.tableShape(s, c)
+	if !ok {
 		return
 	}
 	bound := State(s)
-	for _, st := range e.states {
-		if st >= bound {
-			return
-		}
-	}
 	table := make([]uint64, 1<<(2*k+uint(c)))
 	for a := 0; a < s; a++ {
 		for b := 0; b < s; b++ {
@@ -197,9 +172,13 @@ func (e *engine) compileTable() {
 			}
 		}
 	}
-	e.table = table
-	e.tshift = uint32(k)
-	e.tcoin = uint32(c)
+	counts := make([]int64, s)
+	for _, st := range e.states {
+		counts[st]++
+	}
+	e.table, e.counts = table, counts
+	e.tshift, e.tcoin = uint32(k), uint32(c)
+	e.countsProto, _ = tp.(CountsProtocol)
 }
 
 // compileRingTable compiles RingProtocol.NeedsCoin and .Update into
@@ -210,18 +189,9 @@ func (e *engine) compileRingTable() {
 		return
 	}
 	s, c := tp.StateBound(), tp.CoinBits()
-	if s < 1 || s > MaxTableStates || c < 0 || c > maxTableCoinBits {
+	k, ok := e.tableShape(s, c)
+	if !ok {
 		return
-	}
-	k := uint(bits.Len(uint(s - 1)))
-	if 2*k+uint(c) > maxTableBits {
-		return
-	}
-	bound := State(s)
-	for _, st := range e.states {
-		if st >= bound {
-			return
-		}
 	}
 	needs := make([]bool, 1<<(2*k))
 	upd := make([]State, 1<<(2*k+uint(c)))
@@ -231,110 +201,39 @@ func (e *engine) compileRingTable() {
 			needs[si] = tp.NeedsCoin(State(self), State(pred))
 			for coin := 0; coin < 1<<c; coin++ {
 				nv := tp.Update(State(self), State(pred), uint64(coin))
-				if nv >= bound {
-					return
+				if nv >= State(s) {
+					return // Update escaped the declared space
 				}
 				upd[si<<c|coin] = nv
 			}
 		}
 	}
 	e.ringNeeds, e.ringUpd = needs, upd
-	e.tshift = uint32(k)
-	e.tcoin = uint32(c)
-	e.fast = true
+	e.tshift, e.tcoin = uint32(k), uint32(c)
 }
 
-// fastPairStep is pairStep's fast twin: batched draws, then the most
-// specialised apply loop the compiled components allow. Single-threaded
-// runs fuse the two phases per shard — the shard's pair block is drawn
-// and applied while still cache-resident instead of round-tripping the
-// whole super-step's buffers through memory; with workers the draw
-// phase fans out first, exactly like the reference path. Both shapes
-// consume the per-shard streams identically, so the trace cannot
-// depend on the choice.
-func (e *engine) fastPairStep(step int) (interactions, changed int) {
-	if _, ok := e.cfg.Observer.(InteractionObserver); ok {
-		// Per-interaction observation keeps the reference apply loop;
-		// only the batched draws engage.
-		if e.workers <= 1 {
-			for i := range e.shards {
-				e.fastDrawPairs(&e.shards[i])
-			}
-		} else {
-			sched.Pool(e.workers, len(e.shards), func(i int) { e.fastDrawPairs(&e.shards[i]) })
-		}
-		return e.applyPairs(step)
-	}
-	if e.workers <= 1 {
-		// Fused draw/apply in micro-blocks: one xoshiro stream is a
-		// serial dependency chain (~12 cycles per pair), so a separate
-		// draw phase is latency-bound while the apply phase is
-		// throughput-bound. Alternating small blocks lets the
-		// out-of-order core overlap the next block's generator chain
-		// with the previous block's apply work, and the block stays in
-		// L1 between fill and apply. Stream consumption and apply order
-		// are exactly those of the phase-separated shape, so the trace
-		// cannot depend on the choice.
-		for i := range e.shards {
-			sh := &e.shards[i]
-			q := sh.qhi - sh.qlo
-			sh.pairs = sh.pairs[:q]
-			interactions += q
-			for off := 0; off < q; off += fuseBlock {
-				end := off + fuseBlock
-				if end > q {
-					end = q
-				}
-				blk := sh.pairs[off:end]
-				sh.stream.FillPairDraws(blk, e.n)
-				changed += e.applyShardFast(blk)
-			}
-		}
-		return interactions, changed
-	}
-	sched.Pool(e.workers, len(e.shards), func(i int) { e.fastDrawPairs(&e.shards[i]) })
-	for i := range e.shards {
-		pairs := e.shards[i].pairs
-		interactions += len(pairs)
-		changed += e.applyShardFast(pairs)
-	}
-	return interactions, changed
-}
-
-// applyShardFast applies one shard's pre-drawn block through the most
-// specialised loop available. Transitions always apply sequentially in
-// shard order — only drawing parallelises — so this is called from one
-// goroutine.
-func (e *engine) applyShardFast(pairs []pairDraw) int {
+// apply applies one pre-drawn block through the run's arm. Transitions
+// always apply sequentially in shard order — only drawing parallelises —
+// so this is called from one goroutine.
+func (e *engine) apply(step int, pairs []PairDraw) int {
 	switch {
-	case e.table != nil && e.counts != nil:
-		return applyTableShardCounts(pairs, e.states, e.table, e.counts, e.tshift, e.tcoin, uint32(1)<<e.tcoin-1)
 	case e.table != nil:
-		return applyTableShard(pairs, e.states, e.table, e.tshift, e.tcoin, uint32(1)<<e.tcoin-1)
+		return applyTable(pairs, e.states, e.table, e.counts, e.tshift, e.tcoin)
 	case e.batch != nil:
 		return e.batch.ApplyPairs(e.states, pairs)
-	case e.counts != nil:
-		return applyShardCounts(pairs, e.states, e.counts, e.cfg.Pair)
+	case e.iobs != nil:
+		return applyObserved(pairs, e.states, e.cfg.Pair, e.iobs, step)
 	default:
 		return applyShard(pairs, e.states, e.cfg.Pair)
 	}
 }
 
-// fastDrawPairs fills a shard's full quota through the block sampler —
-// the same stream consumption as drawPairs, with the generator state in
-// registers across the block.
-func (e *engine) fastDrawPairs(sh *popShard) {
-	sh.pairs = sh.pairs[:sh.qhi-sh.qlo]
-	sh.stream.FillPairDraws(sh.pairs, e.n)
-}
-
-// applyShard is the fast apply loop for protocols without a compiled
-// table: still one Transition interface call per interaction, but over
-// a pre-drawn block with unconditional stores. The per-shard apply
-// helpers are free functions with minimal live state so the hot loops
+// applyShard is the uncompiled arm: one Transition interface call per
+// interaction, over a pre-drawn block with unconditional stores. The
+// apply arms are free functions with minimal live state so the hot loops
 // stay register-resident — the out-of-order window then spans enough
 // iterations to overlap the uniform-random state misses on its own.
-func applyShard(pairs []pairDraw, states []State, proto PairProtocol) (changed int) {
+func applyShard(pairs []PairDraw, states []State, proto PairProtocol) (changed int) {
 	for j := range pairs {
 		d := pairs[j]
 		sa, sb := states[d.A], states[d.B]
@@ -346,45 +245,29 @@ func applyShard(pairs []pairDraw, states []State, proto PairProtocol) (changed i
 	return changed
 }
 
-func applyShardCounts(pairs []pairDraw, states []State, counts []int64, proto PairProtocol) (changed int) {
+// applyObserved is applyShard plus the per-interaction event, reported
+// after the pair's transition in application order.
+func applyObserved(pairs []PairDraw, states []State, proto PairProtocol, iobs InteractionObserver, step int) (changed int) {
 	for j := range pairs {
 		d := pairs[j]
 		sa, sb := states[d.A], states[d.B]
 		na, nb := proto.Transition(sa, sb, d.Coin)
 		states[d.A] = na
 		states[d.B] = nb
-		if na != sa || nb != sb {
-			changed += b2i(na != sa) + b2i(nb != sb)
-			// The ±1 pair for an agent that did not change cancels
-			// itself, so updating both agents under one branch is exact;
-			// skipping fully quiet interactions keeps the counter
-			// read-modify-write chains off the quiescent-phase hot loop.
-			counts[sa]--
-			counts[na]++
-			counts[sb]--
-			counts[nb]++
-		}
+		changed += b2i(na != sa) + b2i(nb != sb)
+		iobs.OnInteraction(step, int(d.A), int(d.B))
 	}
 	return changed
 }
 
-// applyTableShard is the devirtualised apply loop: the interface call
-// becomes a load from the compiled table, with the changed-agent count
-// packed in the same word.
-func applyTableShard(pairs []pairDraw, states []State, table []uint64, k, c, cmask uint32) (changed int) {
-	for j := range pairs {
-		d := pairs[j]
-		sa, sb := states[d.A], states[d.B]
-		w := table[(sa<<k|sb)<<c|State(uint32(d.Coin)&cmask)]
-		na, nb := State(w&0xFF), State(w>>8&0xFF)
-		states[d.A] = na
-		states[d.B] = nb
-		changed += int(w >> 16 & 3)
-	}
-	return changed
-}
-
-func applyTableShardCounts(pairs []pairDraw, states []State, table []uint64, counts []int64, k, c, cmask uint32) (changed int) {
+// applyTable is the table arm: the interface call becomes a load from
+// the compiled table, with the changed-agent count packed in the same
+// word. The ±1 pair for an agent that did not change cancels itself, so
+// updating both agents' counts under one branch is exact; skipping fully
+// quiet interactions keeps the counter read-modify-write chains off the
+// quiescent-phase hot loop.
+func applyTable(pairs []PairDraw, states []State, table []uint64, counts []int64, k, c uint32) (changed int) {
+	cmask := uint32(1)<<c - 1
 	for j := range pairs {
 		d := pairs[j]
 		sa, sb := states[d.A], states[d.B]
@@ -403,25 +286,41 @@ func applyTableShardCounts(pairs []pairDraw, states []State, table []uint64, cou
 	return changed
 }
 
-// ringPassTable is ringPass with the two interface calls per agent
-// replaced by table loads, and the predecessor state carried across the
-// iteration instead of re-read through a modulo index.
-func (e *engine) ringPassTable(sh *popShard) {
-	needs, upd := e.ringNeeds, e.ringUpd
-	k, c := e.tshift, e.tcoin
-	cmask := uint64(1)<<c - 1
+// ringShard computes the next state of one shard's agent range: table
+// loads when the ring table compiled, two interface calls per agent
+// otherwise. The predecessor state is carried across the iteration
+// instead of re-read through a modulo index.
+func (e *engine) ringShard(sh *popShard) {
 	states, next := e.states, e.next
-	n := e.n
+	lo, hi := sh.lo, sh.hi
+	pred := states[(lo-1+e.n)%e.n]
 	sh.changed = 0
-	pred := states[(sh.lo-1+n)%n]
-	for v := sh.lo; v < sh.hi; v++ {
+	if e.ringUpd != nil {
+		needs, upd := e.ringNeeds, e.ringUpd
+		k, c := e.tshift, e.tcoin
+		cmask := uint64(1)<<c - 1
+		for v := lo; v < hi; v++ {
+			self := states[v]
+			si := self<<k | pred
+			var coin uint64
+			if needs[si] {
+				coin = sh.stream.Uint64()
+			}
+			nv := upd[uint64(si)<<c|coin&cmask]
+			next[v] = nv
+			sh.changed += b2i(nv != self)
+			pred = self
+		}
+		return
+	}
+	proto := e.cfg.Ring
+	for v := lo; v < hi; v++ {
 		self := states[v]
-		si := self<<k | pred
 		var coin uint64
-		if needs[si] {
+		if proto.NeedsCoin(self, pred) {
 			coin = sh.stream.Uint64()
 		}
-		nv := upd[uint64(si)<<c|coin&cmask]
+		nv := proto.Update(self, pred, coin)
 		next[v] = nv
 		sh.changed += b2i(nv != self)
 		pred = self

@@ -166,7 +166,7 @@ func InitPoisoned(i, n int, coin uint64) State {
 // conditional moves — the rank comparison and role bits are coin flips
 // during the epidemic phase, so branches here would mispredict half the
 // time. Observationally identical to per-pair Transition —
-// TestLeaderApplyPairsMatchesTransition and the fast≡reference matrix
+// TestLeaderApplyPairsMatchesTransition and the committed-digest matrix
 // pin that.
 func (p *LeaderElection) ApplyPairs(states []State, pairs []PairDraw) (changed int) {
 	const valBits = leValMask << leValShift

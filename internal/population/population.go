@@ -33,6 +33,7 @@ package population
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 
 	"regcast/internal/sched"
@@ -127,10 +128,11 @@ type Config struct {
 	Workers int // sched worker goroutines; 0 or 1 inline, WorkersAuto = GOMAXPROCS
 	Shards  int // shard count (fixes the trace); 0 means sched.DefaultShards
 
-	// DisableFastPath runs the interpreter even when the protocol is
-	// table-compilable. The compiled kernels are bit-identical to it (the
-	// fastpath tests pin this); the field is kept for bench/'s reference
-	// probe until ROADMAP 1(d), and the facade never sets it.
+	// DisableFastPath compiles nothing: the run takes the uncompiled
+	// arms — one interface call per interaction and the O(n) Measure
+	// scan — through the same super-step. Every arm is bit-identical (the
+	// fastpath tests pin the digests); the field survives only for
+	// bench/'s reference probe (ROADMAP 1), and the facade never sets it.
 	DisableFastPath bool
 
 	Observer Observer    // optional per-super-step (and per-interaction) hook
@@ -160,13 +162,10 @@ const DefaultSilenceWindow = 3
 // PairDraw is one pre-drawn interaction: the ordered pair and its coin
 // word. Draws are state-independent, which is what lets the drawing
 // phase run concurrently while transitions apply sequentially. The type
-// is xrand's batched draw record, so the fast path's FillPairDraws block
-// sampler, the reference scalar loop, and BatchProtocol.ApplyPairs all
-// share the same buffers.
+// is xrand's batched draw record: xrand.FillPairDraws fills it and every
+// apply arm, BatchProtocol.ApplyPairs included, reads the same buffers.
+// Its int32 agent indices are why a pair run rejects N > MaxInt32.
 type PairDraw = xrand.PairDraw
-
-// pairDraw is the engine-internal spelling of PairDraw.
-type pairDraw = PairDraw
 
 // popShard owns one slice of each super-step's work: a contiguous
 // interaction quota [qlo, qhi) for the pair driver, the contiguous agent
@@ -175,7 +174,7 @@ type popShard struct {
 	stream   *xrand.Rand
 	qlo, qhi int // interaction quota (pair driver)
 	lo, hi   int // agent range (ring driver)
-	pairs    []pairDraw
+	pairs    []PairDraw
 	changed  int
 }
 
@@ -189,18 +188,17 @@ type engine struct {
 
 	interactions int64
 
-	// Fast-path state; see fastpath.go for the compilation rules. fast
-	// selects the batched-draw/specialised-apply step functions; the
-	// remaining fields engage independently per protocol capability.
-	fast        bool
-	table       []uint64 // compiled pair transition table (nil = interface dispatch)
-	tshift      uint32   // state index shift: entry index is ((a<<tshift)|b)<<tcoin | coin bits
-	tcoin       uint32   // coin bits folded into the table index
-	counts      []int64  // incremental occupancy vector (nil = O(n) measure scan)
-	countsProto CountsProtocol
-	batch       BatchProtocol // devirtualised whole-block apply (nil = per-pair dispatch)
-	ringNeeds   []bool        // compiled RingProtocol.NeedsCoin table
-	ringUpd     []State       // compiled RingProtocol.Update table
+	// The apply arm, chosen once by compile (fastpath.go): at most one of
+	// table, batch and iobs is set for a pair run; none selects applyShard.
+	table       []uint64            // compiled pair transition table
+	tshift      uint32              // state index shift: entry index is ((a<<tshift)|b)<<tcoin | coin bits
+	tcoin       uint32              // coin bits folded into the table index
+	counts      []int64             // occupancy vector the table arm keeps exact
+	countsProto CountsProtocol      // non-nil: measure folds counts instead of scanning
+	batch       BatchProtocol       // devirtualised whole-block apply
+	iobs        InteractionObserver // per-interaction events
+	ringNeeds   []bool              // compiled RingProtocol.NeedsCoin table
+	ringUpd     []State             // compiled RingProtocol.Update table
 }
 
 // Run executes one population-protocol run to convergence, silence, or
@@ -223,6 +221,11 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	if cfg.N < minN {
 		return nil, errors.New("population: Config.N too small for the selected scheduler")
+	}
+	if cfg.Pair != nil && cfg.N > math.MaxInt32 {
+		// Checked before the configuration is allocated: PairDraw's agent
+		// indices are int32 and would wrap negative.
+		return nil, errors.New("population: Config.N exceeds the pair scheduler's int32 agent index")
 	}
 	if cfg.RNG == nil {
 		cfg.RNG = xrand.New(0)
@@ -285,17 +288,17 @@ func newEngine(cfg Config) (*engine, error) {
 			// Preallocate the interaction quota once, here, so no super-step
 			// — first included — grows the buffer via append: the engine's
 			// steady state is allocation-free (the fastpath tests guard it).
-			sh.pairs = make([]pairDraw, 0, sh.qhi-sh.qlo)
+			sh.pairs = make([]PairDraw, 0, sh.qhi-sh.qlo)
 		}
 	}
 	e.workers = sched.Resolve(cfg.Workers, cfg.Shards)
-	e.compileFastPath()
+	e.compile()
 	return e, nil
 }
 
 func (e *engine) measure() int {
-	if e.counts != nil {
-		// The incremental occupancy vector is kept exact under Init and
+	if e.countsProto != nil {
+		// The table arm keeps the occupancy vector exact under Init and
 		// every applied transition, so the O(states) fold replaces the
 		// O(n) scan with the same value (the cross-check test pins this).
 		return e.countsProto.MeasureCounts(e.counts)
@@ -377,49 +380,36 @@ func (e *engine) run() Result {
 }
 
 // pairStep runs one super-step of the pair driver: every shard draws its
-// interaction quota from its own stream (concurrently when Workers > 1),
-// then the coordinator applies all drawn transitions sequentially in
-// shard order. Because draws are state-independent, both phases produce
-// the same trace at every worker count. When the fast path is compiled
-// (fastpath.go) both phases run their batched/devirtualised twins —
-// bit-identical, so the dispatch here is invisible in every trace.
+// interaction quota from its own stream through the block sampler, and
+// the coordinator applies the drawn transitions sequentially in shard
+// order. With workers the draw phase fans out first. Inline, draw and
+// apply alternate in fuseBlock blocks: one xoshiro stream is a serial
+// dependency chain (~12 cycles per pair), so a separate draw phase is
+// latency-bound while the apply phase is throughput-bound; alternating
+// small blocks lets the out-of-order core overlap the next block's
+// generator chain with the previous block's apply work, and the block
+// stays in L1 between fill and apply. Draws are state-independent and
+// both shapes consume the streams and apply the pairs in the same order,
+// so the trace is the same at every worker count.
 func (e *engine) pairStep(step int) (interactions, changed int) {
-	if e.fast {
-		return e.fastPairStep(step)
-	}
-	if e.workers <= 1 {
-		for i := range e.shards {
-			e.drawPairs(&e.shards[i])
-		}
-	} else {
+	if e.workers > 1 {
 		sched.Pool(e.workers, len(e.shards), func(i int) { e.drawPairs(&e.shards[i]) })
+		for i := range e.shards {
+			pairs := e.shards[i].pairs
+			interactions += len(pairs)
+			changed += e.apply(step, pairs)
+		}
+		return interactions, changed
 	}
-	return e.applyPairs(step)
-}
-
-// applyPairs is the reference apply phase: one interface call per drawn
-// interaction, in shard order. The fast path reuses it verbatim when an
-// InteractionObserver is attached (the per-interaction callback dominates
-// the loop there anyway).
-func (e *engine) applyPairs(step int) (interactions, changed int) {
-	iobs, _ := e.cfg.Observer.(InteractionObserver)
-	proto := e.cfg.Pair
 	for i := range e.shards {
-		for _, d := range e.shards[i].pairs {
-			sa, sb := e.states[d.A], e.states[d.B]
-			na, nb := proto.Transition(sa, sb, d.Coin)
-			if na != sa {
-				e.states[d.A] = na
-				changed++
-			}
-			if nb != sb {
-				e.states[d.B] = nb
-				changed++
-			}
-			interactions++
-			if iobs != nil {
-				iobs.OnInteraction(step, int(d.A), int(d.B))
-			}
+		sh := &e.shards[i]
+		q := sh.qhi - sh.qlo
+		sh.pairs = sh.pairs[:q]
+		interactions += q
+		for off := 0; off < q; off += fuseBlock {
+			blk := sh.pairs[off:min(off+fuseBlock, q)]
+			sh.stream.FillPairDraws(blk, e.n)
+			changed += e.apply(step, blk)
 		}
 	}
 	return interactions, changed
@@ -429,16 +419,8 @@ func (e *engine) applyPairs(step int) (interactions, changed int) {
 // of distinct agents, uniform over the n·(n−1) possibilities, plus one
 // coin word each — all from the shard's own stream.
 func (e *engine) drawPairs(sh *popShard) {
-	sh.pairs = sh.pairs[:0]
-	n := e.n
-	for j := sh.qlo; j < sh.qhi; j++ {
-		a := sh.stream.IntN(n)
-		b := sh.stream.IntN(n - 1)
-		if b >= a {
-			b++
-		}
-		sh.pairs = append(sh.pairs, pairDraw{A: int32(a), B: int32(b), Coin: sh.stream.Uint64()})
-	}
+	sh.pairs = sh.pairs[:sh.qhi-sh.qlo]
+	sh.stream.FillPairDraws(sh.pairs, e.n)
 }
 
 // ringStep runs one synchronous ring super-step: each shard computes the
@@ -446,42 +428,16 @@ func (e *engine) drawPairs(sh *popShard) {
 // writes, so passes may run concurrently), drawing coin words from its
 // stream only where the protocol flips one; then the buffers swap.
 func (e *engine) ringStep() (interactions, changed int) {
-	switch {
-	case e.ringUpd != nil && e.workers <= 1:
+	if e.workers <= 1 {
 		for i := range e.shards {
-			e.ringPassTable(&e.shards[i])
+			e.ringShard(&e.shards[i])
 		}
-	case e.ringUpd != nil:
-		sched.Pool(e.workers, len(e.shards), func(i int) { e.ringPassTable(&e.shards[i]) })
-	case e.workers <= 1:
-		for i := range e.shards {
-			e.ringPass(&e.shards[i])
-		}
-	default:
-		sched.Pool(e.workers, len(e.shards), func(i int) { e.ringPass(&e.shards[i]) })
+	} else {
+		sched.Pool(e.workers, len(e.shards), func(i int) { e.ringShard(&e.shards[i]) })
 	}
 	for i := range e.shards {
 		changed += e.shards[i].changed
 	}
 	e.states, e.next = e.next, e.states
 	return e.n, changed
-}
-
-func (e *engine) ringPass(sh *popShard) {
-	proto := e.cfg.Ring
-	n := e.n
-	sh.changed = 0
-	for v := sh.lo; v < sh.hi; v++ {
-		self := e.states[v]
-		pred := e.states[(v-1+n)%n]
-		var coin uint64
-		if proto.NeedsCoin(self, pred) {
-			coin = sh.stream.Uint64()
-		}
-		nv := proto.Update(self, pred, coin)
-		e.next[v] = nv
-		if nv != self {
-			sh.changed++
-		}
-	}
 }

@@ -291,6 +291,9 @@ func TestConfigValidation(t *testing.T) {
 		"neg-batch":     {N: 8, Pair: le, BatchSize: -1},
 		"neg-window":    {N: 8, Pair: le, SilenceWindow: -1},
 		"neg-max-steps": {N: 8, Pair: le, MaxSteps: -5},
+		// PairDraw's agent indices are int32: rejected before the 8 GiB
+		// configuration would be allocated.
+		"pair-n-over-int32": {N: math.MaxInt32 + 1, Pair: fixpointProtocol{}},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: Run accepted an invalid config", name)

@@ -49,8 +49,10 @@ type (
 	// population.TableProtocol for the StateBound/CoinBits contract.
 	TablePairProtocol = population.TableProtocol
 	// CountsPairProtocol is the optional measure-through-occupancy
-	// extension: the engine maintains an exact per-state occupancy vector
-	// and folds it with MeasureCounts instead of scanning all n agents.
+	// extension: it engages alongside a compiled transition table (the
+	// protocol must also be a TablePairProtocol that compiles), whose
+	// loop keeps an exact per-state occupancy vector; the engine folds it
+	// with MeasureCounts instead of scanning all n agents.
 	CountsPairProtocol = population.CountsProtocol
 	// BatchPairProtocol is the devirtualisation hook for protocols whose
 	// state space is too large to table-compile: ApplyPairs applies a
