@@ -3,6 +3,10 @@ package regcast_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"regcast"
@@ -217,11 +221,10 @@ func TestImplicitEdgeCensusFallback(t *testing.T) {
 	}
 }
 
-// TestParseTopologySpecRoundTrips checks the string form builds the same
-// topologies the programmatic specs do, and that malformed specs are
-// rejected with the offending detail.
-func TestParseTopologySpecRoundTrips(t *testing.T) {
-	good := []struct {
+// goodSpecs are well-formed topology specs with the id space and
+// implicitness each builds; badSpecs are rejected by the parser.
+var (
+	goodSpecs = []struct {
 		in       string
 		n        int
 		implicit bool
@@ -237,7 +240,32 @@ func TestParseTopologySpecRoundTrips(t *testing.T) {
 		{"regular-stream:n=200,d=4", 200, true},
 		{"overlay:n=128,d=8,join=0.01,leave=0.01,mix=4", 256, false},
 	}
-	for _, tc := range good {
+	badSpecs = []string{
+		"",                              // no family
+		"mesh:n=100",                    // unknown family
+		"hypercube:dim=9,n=512",         // unknown key for the family
+		"hypercube:dim=abc",             // malformed int
+		"gnp:n=100,p=lots",              // malformed float
+		"torus:rows=8,rows=9",           // duplicate key
+		"hypercube:dim=9,dense=perhaps", // malformed bool
+		"regular:=8",                    // empty key
+		"gnp:n=64,p=NaN",                // NaN probability
+		"gnp-stream:n=64,p=NaN",         // NaN probability
+		"gnp:n=64,p=1.5",                // probability above 1
+		"overlay:n=64,d=8,leave=-0.1",   // negative probability
+		"regular:n=-512,d=8",            // negative count
+		"hypercube:dim=-1",              // negative dimension
+		"hypercube:dim=64",              // 2^64 ids
+		"torus:rows=65536,cols=65536",   // 2^32 ids
+		"overlay:n=2000000000,d=8",      // 4e9 ids with the default headroom
+	}
+)
+
+// TestParseTopologySpecRoundTrips checks the string form builds the same
+// topologies the programmatic specs do, and that malformed specs are
+// rejected with the offending detail.
+func TestParseTopologySpecRoundTrips(t *testing.T) {
+	for _, tc := range goodSpecs {
 		spec, err := regcast.ParseTopologySpec(tc.in)
 		if err != nil {
 			t.Errorf("%q: %v", tc.in, err)
@@ -258,23 +286,13 @@ func TestParseTopologySpecRoundTrips(t *testing.T) {
 			t.Errorf("%q: built %d nodes, want %d", tc.in, topo.NumNodes(), tc.n)
 		}
 	}
-	bad := []string{
-		"",                              // no family
-		"mesh:n=100",                    // unknown family
-		"hypercube:dim=9,n=512",         // unknown key for the family
-		"hypercube:dim=abc",             // malformed int
-		"gnp:n=100,p=lots",              // malformed float
-		"torus:rows=8,rows=9",           // duplicate key
-		"hypercube:dim=9,dense=perhaps", // malformed bool
-		"regular:=8",                    // empty key
-	}
-	for _, in := range bad {
+	for _, in := range badSpecs {
 		if _, err := regcast.ParseTopologySpec(in); err == nil {
 			t.Errorf("%q: accepted", in)
 		}
 	}
-	// Well-formed but out of range: the spec parses and Build refuses it.
-	for _, in := range []string{"gnp:n=64,p=NaN", "gnp-stream:n=64,p=NaN", "gnp:n=64,p=1.5"} {
+	// In range for the parser, refused by the family's Build.
+	for _, in := range []string{"regular:n=9,d=3", "overlay:n=8,d=8"} {
 		spec, err := regcast.ParseTopologySpec(in)
 		if err != nil {
 			t.Errorf("%q: %v", in, err)
@@ -308,4 +326,49 @@ func TestParseTopologySpecRoundTrips(t *testing.T) {
 	if run(parsed) != run(regcast.HypercubeSpec{Dim: 9}) {
 		t.Error("parsed hypercube spec diverged from the programmatic spec")
 	}
+}
+
+// FuzzParseTopologySpec feeds arbitrary strings to the parser, seeded with
+// TestParseTopologySpecRoundTrips's inputs. It must never panic; a spec it
+// accepts has every integer parameter in [0, math.MaxInt32], every number
+// a probability in [0, 1], and an id space SpecNodeCount reports without
+// panicking, inside the int32 id range; a value that reads as NaN or as a
+// negative number is never accepted.
+func FuzzParseTopologySpec(f *testing.F) {
+	for _, tc := range goodSpecs {
+		f.Add(tc.in)
+	}
+	for _, in := range badSpecs {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := regcast.ParseTopologySpec(in)
+		if _, params, _ := strings.Cut(in, ":"); err == nil && params != "" {
+			for _, kv := range strings.Split(params, ",") {
+				_, v, _ := strings.Cut(kv, "=")
+				if x, _ := strconv.ParseFloat(strings.TrimSpace(v), 64); math.IsNaN(x) || x < 0 {
+					t.Fatalf("%q: accepted the value %q", in, v)
+				}
+			}
+		}
+		if err != nil {
+			return
+		}
+		fields := reflect.ValueOf(spec)
+		for i := 0; i < fields.NumField(); i++ {
+			switch x := fields.Field(i); x.Kind() {
+			case reflect.Int:
+				if x.Int() < 0 || x.Int() > math.MaxInt32 {
+					t.Fatalf("%q: accepted %s = %d", in, fields.Type().Field(i).Name, x.Int())
+				}
+			case reflect.Float64:
+				if !(x.Float() >= 0 && x.Float() <= 1) {
+					t.Fatalf("%q: accepted %s = %v", in, fields.Type().Field(i).Name, x.Float())
+				}
+			}
+		}
+		if ids := regcast.SpecNodeCount(spec); ids < 0 || ids > math.MaxInt32 {
+			t.Fatalf("%q: accepted an id space of %d", in, ids)
+		}
+	})
 }

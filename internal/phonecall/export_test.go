@@ -1,6 +1,8 @@
 package phonecall
 
 import (
+	"math/bits"
+
 	"regcast/internal/graph"
 	"regcast/internal/xrand"
 )
@@ -32,6 +34,30 @@ func (e *Engine) LiveInformedAt() []int32 { return e.informedAt }
 // NewViewTopo is newViewTopo for package phonecall_test: g as a CSRViewer
 // whose listed ids are dead.
 func NewViewTopo(g *graph.Graph, dead ...int) Topology { return newViewTopo(g, dead...) }
+
+// ShardWalk runs the shard pass's word walk over [lo, hi) in round t on an
+// engine holding only the given receipt rounds (its informed bitset built
+// from them), alive bitset (nil = every id alive) and push decisions. It
+// returns the ids the walk visits, in order, and whether the pass treats
+// each as pushing: senders selects a dialSenders round's walk, pushAll the
+// shard's every-cohort-pushes flag.
+func ShardWalk(informedAt []int32, alive []uint64, pushDec []bool, lo, hi, t int, senders, pushAll bool) (visited []int, pushing []bool) {
+	e := &Engine{informedAt: informedAt, informedBits: make([]uint64, (len(informedAt)+63)/64), aliveBits: alive, pushDec: pushDec}
+	for v, ia := range informedAt {
+		if ia != Uninformed {
+			e.informedBits[v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+	sh := &parShard{lo: lo, hi: hi, sends: true, pushAll: pushAll}
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		for m := e.shardWord(wi, lo, hi, senders); m != 0; m &= m - 1 {
+			v := wi<<6 + bits.TrailingZeros64(m)
+			visited = append(visited, v)
+			pushing = append(pushing, e.pushes(sh, v, t, senders))
+		}
+	}
+	return visited, pushing
+}
 
 // LiveInformedBits returns the engine's informed bitset itself.
 func (e *Engine) LiveInformedBits() []uint64 { return e.informedBits }

@@ -29,6 +29,8 @@ package phonecall
 // the digests were recorded while the deleted interface-dispatch bodies
 // still ran beside this pass.
 
+import "math/bits"
+
 // nbrAt is the one neighbour resolver: the idx-th entry of v's row (off is
 // the row's first CSR slot, unused on an implicit view), loaded from the
 // CSR array or computed by the implicit view. It must stay inlinable into
@@ -68,10 +70,7 @@ func (e *Engine) sampleDials(v, base int, ds *dialState) {
 		e.sampleQuasirandom(v, base, off, deg, ds)
 		return
 	}
-	kk := e.k
-	if kk > deg {
-		kk = deg
-	}
+	kk := min(e.k, deg)
 	// Sampler selection, stream-compatible with DistinctK in every arm:
 	// k == 1 is a single IntN on either of DistinctK's branches, k <= 4 is
 	// xrand's scratch-free Distinct2/3/4 at any degree (a virtual shuffle
@@ -131,10 +130,7 @@ func (e *Engine) sampleQuasirandom(v, base, off, deg int, ds *dialState) {
 	if e.listCursor[v] < 0 {
 		e.listCursor[v] = int32(ds.rng.IntN(deg))
 	}
-	kk := e.k
-	if kk > deg {
-		kk = deg
-	}
+	kk := min(e.k, deg)
 	cur := int(e.listCursor[v])
 	failure := e.cfg.ChannelFailureProb
 	for j := 0; j < kk; j++ {
@@ -192,47 +188,78 @@ func (e *Engine) sampleWithMemory(v, base, off, deg int, ds *dialState) {
 	ds.rows[base] = choice
 }
 
+// shardWord is word w of the walk over [lo, hi): the informed, alive ids if
+// senders, else the alive ones (all on a fully-alive view). Keep inlinable.
+func (e *Engine) shardWord(w, lo, hi int, senders bool) uint64 {
+	m := ^uint64(0)
+	if senders {
+		m = e.informedBits[w]
+	}
+	if e.aliveBits != nil {
+		m &= e.aliveBits[w]
+	}
+	if w == lo>>6 {
+		m &= ^uint64(0) << (uint(lo) & 63)
+	}
+	if w == hi>>6 {
+		m &= 1<<(uint(hi)&63) - 1
+	}
+	return m
+}
+
+// pushes reports whether v, visited by the walk of round t, pushes: under
+// pushAll iff informed (all a senders walk visits), else by receipt round.
+func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
+	if sh.pushAll {
+		return senders || e.informedFast(v)
+	}
+	ia := e.informedAt[v]
+	return sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia]
+}
+
 // shardPass runs one round for the nodes a shard owns: dial sampling, push
-// transmissions, then pull transmissions, in ascending node order, drawing
-// only from the shard's own stream. It reads informedAt (frozen during the
-// round) and writes only its dial rows, the shard's per-node dial
-// memory/cursors and its outbox, so concurrent shard passes never race.
-// Delivery candidates are queued in the outbox; global dedup happens in the
-// sequential merge.
+// transmissions, then pull transmissions, in ascending node order (both
+// loops walk bitset words, shardWord), drawing only from the shard's own
+// stream. It reads informedAt and informedBits — frozen during the round:
+// the merge applies round t's receipts after every pass — and writes only
+// its dial rows, the shard's per-node dial memory/cursors and its outbox,
+// so concurrent shard passes never race. Delivery candidates are queued in
+// the outbox; global dedup happens in the sequential merge.
 func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
 	census := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 	k := e.k
+	senders := dial == dialSenders
 
-	for v := sh.lo; v < sh.hi; v++ {
-		// Receipt round first, liveness last: in sender-sparse rounds
-		// almost every node fails the cohort test, which is one load.
-		ia := e.informedAt[v]
-		sender := sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia] && e.aliveFast(v)
-		if !sender && (dial != dialEveryone || !e.aliveFast(v)) {
-			continue
-		}
-		base := (v - sh.lo) * stride
-		if dial != dialSampled {
-			e.sampleDials(v, base, &sh.ds)
-		}
-		if !sender {
-			continue
-		}
-		for j := 0; j < k; j++ {
-			w := sh.ds.rows[base+j]
-			if w < 0 {
+	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
+		for m := e.shardWord(wi, sh.lo, sh.hi, senders); m != 0; m &= m - 1 {
+			v := wi<<6 + bits.TrailingZeros64(m)
+			sender := e.pushes(sh, v, t, senders)
+			if !sender && dial != dialEveryone {
 				continue
 			}
-			sh.tx++
-			if census {
-				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
+			base := (v - sh.lo) * stride
+			if dial != dialSampled {
+				e.sampleDials(v, base, &sh.ds)
 			}
-			if loss > 0 && sh.ds.rng.Bool(loss) {
+			if !sender {
 				continue
 			}
-			if !e.informedFast(int(w)) && e.aliveFast(int(w)) {
-				sh.outbox = append(sh.outbox, w)
+			for j := 0; j < k; j++ {
+				w := sh.ds.rows[base+j]
+				if w < 0 {
+					continue
+				}
+				sh.tx++
+				if census {
+					sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
+				}
+				if loss > 0 && sh.ds.rng.Bool(loss) {
+					continue
+				}
+				if !e.informedFast(int(w)) && e.aliveFast(int(w)) {
+					sh.outbox = append(sh.outbox, w)
+				}
 			}
 		}
 	}
@@ -243,33 +270,33 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 	// Pull is evaluated caller-side: every channel v→w the shard's nodes
 	// dialled lets an informed, pulling callee w answer the caller v. The
 	// receiver is always the shard's own node v.
-	for v := sh.lo; v < sh.hi; v++ {
-		if !e.aliveFast(v) {
-			continue
-		}
-		uninformedCaller := e.informedAt[v] == Uninformed
-		for _, w := range sh.ds.rows[(v-sh.lo)*stride:][:k] {
-			if w < 0 {
-				continue
-			}
-			// Every occupied cohort pulls: the callee answers iff informed,
-			// one bit. Otherwise its receipt round decides.
-			if e.pullAll {
-				if !e.informedFast(int(w)) {
+	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
+		for m := e.shardWord(wi, sh.lo, sh.hi, false); m != 0; m &= m - 1 {
+			v := wi<<6 + bits.TrailingZeros64(m)
+			uninformedCaller := !e.informedFast(v)
+			for _, w := range sh.ds.rows[(v-sh.lo)*stride:][:k] {
+				if w < 0 {
 					continue
 				}
-			} else if wia := e.informedAt[w]; wia == Uninformed || int(wia) >= t || !e.pullDec[wia] {
-				continue
-			}
-			sh.tx++
-			if census {
-				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
-			}
-			if loss > 0 && sh.ds.rng.Bool(loss) {
-				continue
-			}
-			if uninformedCaller {
-				sh.outbox = append(sh.outbox, int32(v))
+				// Every occupied cohort pulls: the callee answers iff informed,
+				// one bit. Otherwise its receipt round decides.
+				if e.pullAll {
+					if !e.informedFast(int(w)) {
+						continue
+					}
+				} else if wia := e.informedAt[w]; wia == Uninformed || int(wia) >= t || !e.pullDec[wia] {
+					continue
+				}
+				sh.tx++
+				if census {
+					sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
+				}
+				if loss > 0 && sh.ds.rng.Bool(loss) {
+					continue
+				}
+				if uninformedCaller {
+					sh.outbox = append(sh.outbox, int32(v))
+				}
 			}
 		}
 	}

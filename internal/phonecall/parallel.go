@@ -42,8 +42,10 @@ type parShard struct {
 	// push this round may have a member in the shard. When it is false, no
 	// cohort pulls and the round does not dial everywhere, the shard's pass
 	// is skipped; it would have found no sender, sampled no dial and drawn
-	// nothing, so skipping cannot move the trace.
-	sends bool
+	// nothing, so skipping cannot move the trace. pushAll is the round's
+	// "every cohort counted here pushes" (with an informed bitset only): an
+	// informed node then pushes whatever its receipt round (pushes).
+	sends, pushAll bool
 
 	// Per-round outputs, merged sequentially in shard-index order.
 	outbox  []int32 // candidate receivers queued by this shard
@@ -250,10 +252,11 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	anyPull, pullAll := false, e.informedBits != nil
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.sends = false
+		sh.sends, sh.pushAll = false, e.informedBits != nil
 		for ia, c := range sh.cohort[:t] {
 			if c > 0 {
 				sh.sends = sh.sends || e.pushDec[ia]
+				sh.pushAll = sh.pushAll && e.pushDec[ia]
 				anyPull = anyPull || e.pullDec[ia]
 				pullAll = pullAll && e.pullDec[ia]
 			}

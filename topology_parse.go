@@ -2,9 +2,14 @@ package regcast
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
+
+// maxHypercubeDim is the largest dimension the implicit hypercube builds:
+// 2^30 ids.
+const maxHypercubeDim = 30
 
 // ParseTopologySpec parses the string form of a TopologySpec:
 //
@@ -24,10 +29,13 @@ import (
 //	overlay:n=4096,d=8[,headroom=0,join=0.01,leave=0.01,mix=8]  OverlaySpec
 //
 // Boolean keys may be given bare (`dense`) or explicitly (`dense=true`).
-// Validation of the parameter values themselves (ranges, parity) stays
-// with each spec's Build, which is where the programmatic API reports
-// them; ParseTopologySpec only rejects unknown families, unknown keys,
-// and malformed values.
+// ParseTopologySpec rejects unknown families, unknown keys, malformed
+// values, and values no Build could accept: a negative integer, a
+// probability outside [0, 1] (NaN included), a hypercube dimension above
+// 30, and an id space (SpecNodeCount) beyond math.MaxInt32, the engines'
+// int32 node ids. Family-specific constraints (parity, n > d, connectivity
+// of the parameters) stay with each spec's Build, which is where the
+// programmatic API reports them.
 func ParseTopologySpec(s string) (TopologySpec, error) {
 	family := s
 	params := ""
@@ -45,13 +53,17 @@ func ParseTopologySpec(s string) (TopologySpec, error) {
 	case "config":
 		spec = ConfigurationModelSpec{N: p.intKey("n"), D: p.intKey("d"), Erased: p.boolKey("erased")}
 	case "gnp":
-		spec = GnpSpec{N: p.intKey("n"), P: p.floatKey("p")}
+		spec = GnpSpec{N: p.intKey("n"), P: p.probKey("p")}
 	case "hypercube":
-		spec = HypercubeSpec{Dim: p.intKey("dim"), Dense: p.boolKey("dense")}
+		dim := p.intKey("dim")
+		if dim > maxHypercubeDim {
+			p.fail(fmt.Errorf("key %q: %d above %d", "dim", dim, maxHypercubeDim))
+		}
+		spec = HypercubeSpec{Dim: dim, Dense: p.boolKey("dense")}
 	case "torus":
 		spec = TorusSpec{Rows: p.intKey("rows"), Cols: p.intKey("cols"), Dense: p.boolKey("dense")}
 	case "gnp-stream":
-		spec = GnpStreamSpec{N: p.intKey("n"), P: p.floatKey("p"), Dense: p.boolKey("dense")}
+		spec = GnpStreamSpec{N: p.intKey("n"), P: p.probKey("p"), Dense: p.boolKey("dense")}
 	case "regular-stream":
 		spec = RegularStreamSpec{N: p.intKey("n"), D: p.intKey("d"), Dense: p.boolKey("dense")}
 	case "overlay":
@@ -59,12 +71,15 @@ func ParseTopologySpec(s string) (TopologySpec, error) {
 			N:         p.intKey("n"),
 			D:         p.intKey("d"),
 			Headroom:  p.intKey("headroom"),
-			JoinProb:  p.floatKey("join"),
-			LeaveProb: p.floatKey("leave"),
+			JoinProb:  p.probKey("join"),
+			LeaveProb: p.probKey("leave"),
 			MixSteps:  p.intKey("mix"),
 		}
 	default:
 		return nil, fmt.Errorf("regcast: topology spec %q: unknown family %q (want regular, config, gnp, hypercube, torus, gnp-stream, regular-stream or overlay)", s, family)
+	}
+	if p.err == nil && SpecNodeCount(spec) > math.MaxInt32 {
+		p.fail(fmt.Errorf("%d node ids exceed the int32 id space", SpecNodeCount(spec)))
 	}
 	if p.err != nil {
 		return nil, fmt.Errorf("regcast: topology spec %q: %w", s, p.err)
@@ -115,26 +130,42 @@ func (p *specParams) take(key string) (string, bool) {
 	return v, ok
 }
 
+// fail records the first value error.
+func (p *specParams) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// intKey reads an integer in [0, math.MaxInt32]; every integer key is a
+// count or a size.
 func (p *specParams) intKey(key string) int {
 	v, ok := p.take(key)
 	if !ok {
 		return 0
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil && p.err == nil {
-		p.err = fmt.Errorf("key %q: %q is not an integer", key, v)
+	switch {
+	case err != nil:
+		p.fail(fmt.Errorf("key %q: %q is not an integer", key, v))
+	case n < 0 || n > math.MaxInt32:
+		p.fail(fmt.Errorf("key %q: %d out of [0, %d]", key, n, math.MaxInt32))
 	}
 	return n
 }
 
-func (p *specParams) floatKey(key string) float64 {
+// probKey reads a probability; every number key is one.
+func (p *specParams) probKey(key string) float64 {
 	v, ok := p.take(key)
 	if !ok {
 		return 0
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil && p.err == nil {
-		p.err = fmt.Errorf("key %q: %q is not a number", key, v)
+	switch {
+	case err != nil:
+		p.fail(fmt.Errorf("key %q: %q is not a number", key, v))
+	case !(f >= 0 && f <= 1): // NaN fails too
+		p.fail(fmt.Errorf("key %q: %v out of [0, 1]", key, f))
 	}
 	return f
 }
@@ -145,8 +176,8 @@ func (p *specParams) boolKey(key string) bool {
 		return false
 	}
 	b, err := strconv.ParseBool(v)
-	if err != nil && p.err == nil {
-		p.err = fmt.Errorf("key %q: %q is not a boolean", key, v)
+	if err != nil {
+		p.fail(fmt.Errorf("key %q: %q is not a boolean", key, v))
 	}
 	return b
 }
