@@ -138,8 +138,6 @@ func TestRunValidatesBeforeDispatch(t *testing.T) {
 		{"faults broadcast", bc, []RunnerOption{faults}, "requires a transport engine"},
 		{"faults population", pop, []RunnerOption{faults}, "requires a transport engine"},
 		{"faults population on daemon", pop, []RunnerOption{WithEngine(EngineDaemonTransport), faults}, "cannot run population scenarios"},
-		// A negative window used to report convergence after one super-step.
-		{"negative silence window", PopulationScenario{N: 32, Pair: le, Init: InitAllLeaders, SilenceWindow: -1}, nil, "SilenceWindow must be positive"},
 		// Past 2³¹ agents a pair index would wrap negative in the kernel.
 		{"pair run past int32 agents", PopulationScenario{N: math.MaxInt32 + 1, Pair: le, Seed: 1}, nil, "int32 agent index"},
 	} {

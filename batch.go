@@ -26,8 +26,7 @@ import (
 type Batch struct {
 	// Scenario is the replicated run, of either kind. Each replication
 	// executes a copy of it whose randomness is replaced by the
-	// replication's derived stream. Exactly one of Scenario and New must be
-	// set.
+	// replication's derived stream. Required.
 	//
 	// A PopulationScenario replicates through the same plan, pool and
 	// fold: the aggregates read its runs through Runner.Run's fixed mapping
@@ -36,8 +35,8 @@ type Batch struct {
 	// convergence, or the budget-censored total when a run did not
 	// converge, ChannelsDialed = total interactions, InformedFrac = the
 	// convergence rate). It must use Seed, not RNG, and carry no Observer
-	// (per-run state shared across concurrent replications); New and
-	// RandomizeSource are broadcast-only.
+	// (per-run state shared across concurrent replications);
+	// RandomizeSource is broadcast-only.
 	//
 	// A spec scenario (NewScenarioSpec) builds a fresh topology per
 	// replication from the replication's stream, so dynamic topologies —
@@ -48,23 +47,9 @@ type Batch struct {
 	// leaking state between runs (and racing under a concurrent pool) —
 	// use the equivalent spec instead. Scenarios built with WithRNG or
 	// WithObserver are rejected either way: a batch re-seeds every
-	// replication, and observers are per-run state (build those through
-	// New).
+	// replication, and observers are per-run state (run such ensembles
+	// through Replicate).
 	Scenario AnyScenario
-
-	// New, when non-nil, builds the broadcast scenario for each replication
-	// from the replication's derived stream. Since topology variation is
-	// covered by spec scenarios (see Scenario), New remains for batches
-	// whose *protocol*, options or observers vary per replication. The builder
-	// must derive all of the scenario's randomness from rng (typically
-	// WithRNG(rng) or WithRNG(rng.Split())); a builder that instead pins
-	// an explicit WithSeed makes every replication identical. New may
-	// return a spec scenario (e.g. per-replication observers on an
-	// OverlaySpec): its topology is then built on the builder's WithRNG
-	// stream or explicit WithSeed when given, else on the replication
-	// stream. New is called from pool workers and must be safe for
-	// concurrent calls with distinct rep values.
-	New func(rep int, rng *Rand) (Scenario, error)
 
 	// Replications is R, the number of runs. Required, >= 1.
 	Replications int
@@ -83,9 +68,8 @@ type Batch struct {
 	Runner Runner
 
 	// Seed overrides the master seed the replication streams derive from.
-	// When 0, Scenario batches use the scenario's own seed (so a Batch
-	// over NewScenario(..., WithSeed(s)) is fully determined by s); New
-	// batches use 0.
+	// When 0, a batch uses the scenario's own seed (so a Batch over
+	// NewScenario(..., WithSeed(s)) is fully determined by s).
 	Seed uint64
 
 	// RandomizeSource re-draws the broadcast source per replication from
@@ -211,8 +195,6 @@ func (b Batch) seed(k scenarioKind) uint64 {
 	switch {
 	case b.Seed != 0:
 		return b.Seed
-	case b.New != nil:
-		return 0
 	case k.isPopulation:
 		return k.population.Seed
 	default:
@@ -229,14 +211,8 @@ func (b Batch) validate() (scenarioKind, error) {
 	if b.ReplicationWorkers < WorkersAuto {
 		return scenarioKind{}, fmt.Errorf("regcast: batch ReplicationWorkers %d invalid (use WorkersAuto, 0 or a positive count)", b.ReplicationWorkers)
 	}
-	if b.New != nil {
-		if b.Scenario != nil {
-			return scenarioKind{}, fmt.Errorf("regcast: batch Scenario and New are mutually exclusive")
-		}
-		return scenarioKind{}, nil
-	}
 	if b.Scenario == nil {
-		return scenarioKind{}, fmt.Errorf("regcast: batch needs a Scenario or a New builder")
+		return scenarioKind{}, fmt.Errorf("regcast: batch needs a Scenario")
 	}
 	k, err := resolveScenario(b.Scenario)
 	if err != nil {
@@ -262,7 +238,7 @@ func (b Batch) validate() (scenarioKind, error) {
 		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios must use WithSeed, not WithRNG: replications re-derive their streams from the master seed")
 	}
 	if len(sc.observers) > 0 {
-		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications); build per-replication observers from Batch.New")
+		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications); run per-replication observers through Replicate")
 	}
 	if sc.topo != nil && sc.dynamic() {
 		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot share a dynamic (Stepper) topology instance across replications (churn state would leak between runs and race under a concurrent pool); describe the topology with NewScenarioSpec — e.g. OverlaySpec — so each replication builds its own")
@@ -303,7 +279,7 @@ func (b Batch) plan(k scenarioKind) ([]repPlan, error) {
 		// split (the classic derivation, preserved bit-for-bit); spec
 		// scenarios have no topology yet — their source is drawn from the
 		// replication stream after the per-replication build (runRep).
-		if b.New == nil && b.RandomizeSource && k.broadcast.topo != nil {
+		if b.RandomizeSource && k.broadcast.topo != nil {
 			src, err := drawAliveSource(master, k.broadcast.topo)
 			if err != nil {
 				return nil, err
@@ -330,54 +306,28 @@ func (b Batch) runRep(ctx context.Context, rep int, p repPlan, k scenarioKind) (
 	return res, nil
 }
 
-// buildRep assembles one replication's broadcast scenario: the New
-// builder's, the spec scenario materialised on the replication stream, or
-// the shared instance re-seeded.
+// buildRep assembles one replication's broadcast scenario: the spec
+// scenario materialised on the replication stream, or the shared instance
+// re-seeded.
 func (b Batch) buildRep(rep int, p repPlan, sc Scenario) (Scenario, error) {
-	var err error
-	switch {
-	case b.New != nil:
-		sc, err = b.New(rep, p.rng)
-		if err != nil {
-			return Scenario{}, err
-		}
-		if sc.spec == nil && sc.topo == nil {
-			return Scenario{}, fmt.Errorf("New returned a scenario without a topology")
-		}
-		if sc.topo == nil {
-			// New returned a spec scenario (the composition for
-			// per-replication observers on a dynamic topology). Build it on
-			// a builder-chosen WithRNG stream or an explicit WithSeed seed
-			// when given; otherwise on the replication stream — the default
-			// a builder that just forwards the scenario expects.
-			buildRNG := sc.rng
-			if buildRNG == nil && sc.seedSet {
-				buildRNG = NewRand(sc.seed)
-			}
-			if buildRNG == nil {
-				buildRNG = p.rng
-			}
-			if sc, err = sc.materialize(rep, buildRNG); err != nil {
-				return Scenario{}, err
-			}
-		}
-	case sc.topo == nil:
+	if sc.topo == nil {
 		// Spec scenario: build this replication's topology from the
 		// replication stream (materialize carries the stream forward for
 		// the run itself).
+		var err error
 		if sc, err = sc.materialize(rep, p.rng); err != nil {
 			return Scenario{}, err
 		}
-	default:
+	} else {
 		sc.rng = p.rng
 		if p.source >= 0 {
 			sc.source = p.source
 		}
 	}
-	// For per-replication-built scenarios (New or spec), the randomized
-	// source is drawn from the replication stream after the build, over
-	// the topology that actually exists this replication; instance
-	// scenarios received their master-drawn source through the plan.
+	// For spec scenarios the randomized source is drawn from the
+	// replication stream after the build, over the topology that actually
+	// exists this replication; instance scenarios received their
+	// master-drawn source through the plan.
 	if b.RandomizeSource && p.source < 0 {
 		src, err := drawAliveSource(p.rng, sc.topo)
 		if err != nil {

@@ -116,48 +116,6 @@ func TestBatchAggregates(t *testing.T) {
 	}
 }
 
-// TestBatchNewBuilder exercises the per-replication scenario builder path
-// and its determinism across pool widths.
-func TestBatchNewBuilder(t *testing.T) {
-	build := func(rep int, rng *regcast.Rand) (regcast.Scenario, error) {
-		// Per-replication topology: a fresh graph from the replication
-		// stream.
-		g, err := regcast.NewRegularGraph(128, 8, rng.Split())
-		if err != nil {
-			return regcast.Scenario{}, err
-		}
-		proto, err := regcast.NewFourChoice(128, 8)
-		if err != nil {
-			return regcast.Scenario{}, err
-		}
-		return regcast.NewScenario(regcast.Static(g), proto, regcast.WithRNG(rng.Split()))
-	}
-	run := func(rw int) (regcast.BatchResult, []byte) {
-		res, err := regcast.Batch{
-			Seed:               9,
-			New:                build,
-			Replications:       6,
-			ReplicationWorkers: rw,
-			RandomizeSource:    true,
-		}.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, buf
-	}
-	serial, serialJSON := run(0)
-	if serial.Completed != 6 {
-		t.Errorf("completed %d/6", serial.Completed)
-	}
-	if _, parallelJSON := run(3); !bytes.Equal(parallelJSON, serialJSON) {
-		t.Errorf("New-builder batch differs across pool widths:\n%s\nvs\n%s", parallelJSON, serialJSON)
-	}
-}
-
 // deadSlotTopo wraps a graph with extra never-alive id slots past the
 // graph's nodes — the shape of overlay topologies with headroom.
 type deadSlotTopo struct {
@@ -218,12 +176,7 @@ func TestBatchValidation(t *testing.T) {
 		want string
 	}{
 		{"no replications", regcast.Batch{Scenario: sc}, "Replications"},
-		{"no scenario", regcast.Batch{Replications: 3}, "Scenario or a New"},
-		{"both scenario and new", regcast.Batch{
-			Scenario:     sc,
-			New:          func(int, *regcast.Rand) (regcast.Scenario, error) { return sc, nil },
-			Replications: 3,
-		}, "mutually exclusive"},
+		{"no scenario", regcast.Batch{Replications: 3}, "needs a Scenario"},
 		{"bad workers", regcast.Batch{Scenario: sc, Replications: 3, ReplicationWorkers: -2}, "ReplicationWorkers"},
 		{"rng scenario", regcast.Batch{
 			Scenario:     batchFixture(t, 128, regcast.WithRNG(regcast.NewRand(3))),

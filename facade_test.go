@@ -77,9 +77,10 @@ func TestFacadeTraceGoldenSequential(t *testing.T) {
 	checkGolden(t, "seq/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 }
 
-// TestFacadeTraceGoldenSharded pins the simulator at a fixed shard count:
-// bit-identical to the pre-redesign sharded engine, for every worker
-// count, and the worker choice leaves no mark on Result.Engine.
+// TestFacadeTraceGoldenSharded pins the simulator on pooled shard passes:
+// the facade always runs DefaultShards streams, so every worker count
+// reproduces the inline golden, and the worker choice leaves no mark on
+// Result.Engine.
 func TestFacadeTraceGoldenSharded(t *testing.T) {
 	g := goldenGraph(t)
 	four, err := core.New(2048, 8)
@@ -92,14 +93,14 @@ func TestFacadeTraceGoldenSharded(t *testing.T) {
 	}
 	for workers := 1; workers <= 4; workers++ {
 		res, err := regcast.Run(context.Background(), scenario,
-			regcast.WithWorkers(workers), regcast.WithShards(16))
+			regcast.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Engine != regcast.EngineSimulator {
 			t.Fatalf("engine = %v, want simulator", res.Engine)
 		}
-		checkGolden(t, "sharded16/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xd6df1d4371527f14})
+		checkGolden(t, "pooled/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 	}
 }
 

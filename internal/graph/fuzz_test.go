@@ -1,40 +1,9 @@
 package graph
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
-
-// FuzzReadEdgeList feeds arbitrary text to the parser: it must either
-// return an error or a structurally valid graph, never panic.
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("3 2\n0 1\n1 2\n")
-	f.Add("1 1\n0 0\n")
-	f.Add("0 0\n")
-	f.Add("garbage")
-	f.Add("2 1\n0 9\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		// A successfully parsed graph must round-trip losslessly.
-		var buf bytes.Buffer
-		if err := g.WriteEdgeList(&buf); err != nil {
-			t.Fatalf("write after successful read: %v", err)
-		}
-		back, err := ReadEdgeList(&buf)
-		if err != nil {
-			t.Fatalf("re-read own output: %v", err)
-		}
-		if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
-			t.Fatalf("round trip changed shape: (%d,%d) → (%d,%d)",
-				g.NumNodes(), g.NumEdges(), back.NumNodes(), back.NumEdges())
-		}
-	})
-}
 
 // FuzzRegularStreamInverse drives the stream's one permutation body over
 // arbitrary (n, d, seed): every slot must land in [0,n) and slot i^1

@@ -6,10 +6,7 @@
 // cuts, degree census) the analysis relies on.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is an immutable undirected (multi)graph in compressed sparse row
 // form. Self-loops and parallel edges are representable: a self-loop (v,v)
@@ -192,16 +189,6 @@ func (g *Graph) IsRegular(d int) bool {
 		}
 	}
 	return true
-}
-
-// DegreeSequence returns the multiset of degrees in non-increasing order.
-func (g *Graph) DegreeSequence() []int {
-	ds := make([]int, g.NumNodes())
-	for v := range ds {
-		ds[v] = g.Degree(v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-	return ds
 }
 
 // rowCounts are a graph's self-loop edges and its surplus parallel edges,
@@ -430,42 +417,4 @@ func (g *Graph) NeighborsInSet(v int, inSet []bool) int {
 		}
 	}
 	return c
-}
-
-// InducedSubgraph returns the subgraph induced by the nodes with keep[v]
-// true, along with the mapping from new ids to original ids.
-func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32, error) {
-	if len(keep) != g.NumNodes() {
-		return nil, nil, fmt.Errorf("graph: InducedSubgraph mask length %d != n %d", len(keep), g.NumNodes())
-	}
-	newID := make([]int32, g.NumNodes())
-	var orig []int32
-	for v := range newID {
-		newID[v] = -1
-		if keep[v] {
-			newID[v] = int32(len(orig))
-			orig = append(orig, int32(v))
-		}
-	}
-	adj := make([][]int32, len(orig))
-	for newV, oldV := range orig {
-		for _, w := range g.Neighbors(int(oldV)) {
-			if keep[w] {
-				adj[newV] = append(adj[newV], newID[w])
-			}
-		}
-	}
-	sub, err := NewFromAdjacency(adj)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, orig, nil
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		offsets: append([]int32(nil), g.offsets...),
-		adj:     append([]int32(nil), g.adj...),
-	}
 }

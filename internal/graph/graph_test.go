@@ -242,44 +242,10 @@ func TestEdgesBetweenAndWithin(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := mustRing(t, 6)
-	keep := []bool{true, true, true, true, false, false}
-	sub, orig, err := g.InducedSubgraph(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumNodes() != 4 || sub.NumEdges() != 3 {
-		t.Fatalf("sub n=%d m=%d", sub.NumNodes(), sub.NumEdges())
-	}
-	if len(orig) != 4 || orig[0] != 0 || orig[3] != 3 {
-		t.Errorf("orig mapping %v", orig)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := mustRing(t, 5)
-	c := g.Clone()
-	if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-		t.Fatal("clone differs")
-	}
-	c.adj[0] = 99 // mutating the clone must not affect the original
-	if g.adj[0] == 99 {
-		t.Error("clone shares backing array")
-	}
-}
-
-func TestDegreeSequence(t *testing.T) {
+func TestMinMaxDegree(t *testing.T) {
 	g, err := NewFromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	ds := g.DegreeSequence()
-	want := []int{3, 1, 1, 1}
-	for i, w := range want {
-		if ds[i] != w {
-			t.Fatalf("degree sequence %v", ds)
-		}
 	}
 	if g.MaxDegree() != 3 || g.MinDegree() != 1 {
 		t.Errorf("max=%d min=%d", g.MaxDegree(), g.MinDegree())
@@ -477,12 +443,5 @@ func TestConfigurationModelStubUniformityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInducedSubgraphMaskLengthError(t *testing.T) {
-	g := mustRing(t, 5)
-	if _, _, err := g.InducedSubgraph([]bool{true}); err == nil {
-		t.Error("bad mask length accepted")
 	}
 }

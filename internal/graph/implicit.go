@@ -161,8 +161,8 @@ type GnpStream struct {
 // NewGnpStream builds the seeded streaming G(n,p). Construction costs
 // one replay pass to count per-row degrees.
 func NewGnpStream(n int, p float64, seed uint64) (*GnpStream, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: Gnp needs n >= 2 nodes, got %d", n)
+	if n < 2 || int64(n) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: Gnp n %d out of range [2, MaxInt32]", n)
 	}
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return nil, fmt.Errorf("graph: edge probability %v outside [0,1]", p)

@@ -86,6 +86,15 @@ func TestMaterializeRejectsInt32Overflow(t *testing.T) {
 	}
 }
 
+// TestGnpStreamRejectsIdSpacePastInt32: ids are int32 on every view, so
+// the constructor refuses n > MaxInt32 before it allocates the degree
+// array (8 GiB at 2³¹).
+func TestGnpStreamRejectsIdSpacePastInt32(t *testing.T) {
+	if _, err := NewGnpStream(math.MaxInt32+1, 0, 1); err == nil {
+		t.Fatal("NewGnpStream accepted n = MaxInt32+1")
+	}
+}
+
 func TestGnpStreamMatchesMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		n    int

@@ -88,32 +88,6 @@ func TestNeighborsInSetSumsToCut(t *testing.T) {
 	}
 }
 
-// TestInducedSubgraphPreservesInternalEdges: the induced subgraph has
-// exactly the edges with both endpoints kept.
-func TestInducedSubgraphPreservesInternalEdges(t *testing.T) {
-	g, err := RandomRegular(80, 6, xrand.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := make([]bool, 80)
-	for i := 0; i < 40; i++ {
-		keep[i] = true
-	}
-	sub, orig, err := g.InducedSubgraph(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumEdges() != g.EdgesWithin(keep) {
-		t.Errorf("subgraph edges %d != EdgesWithin %d", sub.NumEdges(), g.EdgesWithin(keep))
-	}
-	// Degrees must match the kept-neighbour counts of the originals.
-	for newV, oldV := range orig {
-		if sub.Degree(newV) != g.NeighborsInSet(int(oldV), keep) {
-			t.Errorf("node %d degree mismatch", oldV)
-		}
-	}
-}
-
 // TestConfigurationModelLoopAndMultiEdgeRates checks the classical pairing
 // model expectations: E[self-loops] ≈ (d−1)/2, E[surplus multi-edges] ≈
 // (d−1)²/4, independent of n.

@@ -75,15 +75,6 @@ func AlwaysPush(horizon int) (*Schedule, error) {
 	return NewSchedule("always-push", push, make([]bool, horizon))
 }
 
-// AlwaysPull returns the schedule that pulls in all of the given rounds.
-func AlwaysPull(horizon int) (*Schedule, error) {
-	pull := make([]bool, horizon)
-	for i := range pull {
-		pull[i] = true
-	}
-	return NewSchedule("always-pull", make([]bool, horizon), pull)
-}
-
 // AlwaysBoth returns the schedule that pushes and pulls in every round.
 func AlwaysBoth(horizon int) (*Schedule, error) {
 	both := make([]bool, horizon)

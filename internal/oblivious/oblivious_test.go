@@ -48,15 +48,6 @@ func TestConstructors(t *testing.T) {
 			t.Fatalf("AlwaysPush wrong at round %d", tt)
 		}
 	}
-	apl, err := AlwaysPull(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt := 1; tt <= 10; tt++ {
-		if apl.SendPush(tt, 0) || !apl.SendPull(tt, 0) {
-			t.Fatalf("AlwaysPull wrong at round %d", tt)
-		}
-	}
 	both, err := AlwaysBoth(5)
 	if err != nil {
 		t.Fatal(err)

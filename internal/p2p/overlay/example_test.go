@@ -8,8 +8,8 @@ import (
 	"regcast/internal/xrand"
 )
 
-// Example maintains an exactly 6-regular overlay through joins (including
-// a decentralised walk-based join) and leaves.
+// Example maintains an exactly 6-regular overlay through a join and a
+// leave.
 func Example() {
 	o, err := overlay.New(100, 6, 20, xrand.New(1))
 	if err != nil {
@@ -19,20 +19,14 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	walkID, err := o.WalkJoin(id, 14) // discover edges by random walks
-	if err != nil {
-		log.Fatal(err)
-	}
 	if err := o.Leave(0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("alive peers:", o.AliveCount())
 	fmt.Println("new peer degree:", o.Degree(id))
-	fmt.Println("walk-joined degree:", o.Degree(walkID))
 	fmt.Println("invariants hold:", o.CheckInvariants() == nil)
 	// Output:
-	// alive peers: 101
+	// alive peers: 100
 	// new peer degree: 6
-	// walk-joined degree: 6
 	// invariants hold: true
 }

@@ -49,9 +49,8 @@ type Overlay struct {
 }
 
 // MembershipFunc receives membership events: joined reports whether id
-// just joined (true) or left (false). This is the overlay's peer
-// discovery feed — the transport daemon subscribes so churn-discovered
-// peers become dialable and departed ones stop being dialed.
+// just joined (true) or left (false), after the overlay has applied the
+// change.
 type MembershipFunc func(id int, joined bool)
 
 var _ phonecall.Topology = (*Overlay)(nil)
@@ -142,9 +141,6 @@ func (o *Overlay) row(v int) []int32 { return o.stubs[v*o.d : v*o.d+int(o.deg[v]
 
 // AliveCount returns the number of participating peers.
 func (o *Overlay) AliveCount() int { return o.aliveCnt }
-
-// TargetDegree returns d.
-func (o *Overlay) TargetDegree() int { return o.d }
 
 // Degree implements phonecall.Topology.
 func (o *Overlay) Degree(v int) int { return int(o.deg[v]) }

@@ -42,9 +42,6 @@ func TestInitialInvariants(t *testing.T) {
 	if o.AliveCount() != 100 || o.NumNodes() != 120 {
 		t.Errorf("alive=%d capacity=%d", o.AliveCount(), o.NumNodes())
 	}
-	if o.TargetDegree() != 6 {
-		t.Errorf("d=%d", o.TargetDegree())
-	}
 }
 
 func TestJoinPreservesRegularity(t *testing.T) {
@@ -327,7 +324,7 @@ func TestMembershipEvents(t *testing.T) {
 	if err := o.Leave(3); err != nil {
 		t.Fatal(err)
 	}
-	wid, err := o.WalkJoin(0, 8)
+	wid, err := o.Join()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +346,13 @@ func TestMembershipEvents(t *testing.T) {
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// WalkJoin may recycle the id Leave just freed; only when it picked a
-	// different slot must 3 still be dead.
+	// The second Join may recycle the id Leave just freed; only when it
+	// picked a different slot must 3 still be dead.
 	if wid != 3 && o.Alive(3) {
 		t.Error("departed peer 3 still alive")
 	}
 	if !o.Alive(wid) {
-		t.Error("walk-joined peer not alive")
+		t.Error("second joined peer not alive")
 	}
 }
 

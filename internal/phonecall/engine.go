@@ -158,10 +158,8 @@ type Engine struct {
 	// informedBits mirrors informedAt != Uninformed as a bitset: "is the
 	// target informed?" — the one random read per transmission — touches
 	// n/8 bytes instead of 4n (informedFast), and the recount under churn is
-	// popcount(alive & informed) over n/64 words. NewEngine allocates it
-	// for every engine; a MultiEngine — which swaps informedAt per message —
-	// never owns one (it is built by newEngine), and the nil checks keep it
-	// on informedAt.
+	// popcount(alive & informed) over n/64 words. A MultiEngine swaps it
+	// beside informedAt, one per message.
 	informedBits []uint64
 	ran          bool // Run was called
 
@@ -194,10 +192,9 @@ type Engine struct {
 	// Per-round protocol decision tables, indexed by receipt round: round
 	// fills them once per call, so SendPush/SendPull is called
 	// O(rounds · cohorts) times instead of inside node loops. pullAll is the
-	// round's "every occupied cohort pulls" (with an informed bitset only):
-	// an informed callee then answers whatever its receipt round, so the
-	// pull scan probes the bit and never loads informedAt[w]. neverPulls
-	// caches the protocol's PullFree answer.
+	// round's "every occupied cohort pulls": an informed callee then answers
+	// whatever its receipt round, so the pull scan probes the bit and never
+	// loads informedAt[w]. neverPulls caches the protocol's PullFree answer.
 	pushDec    []bool
 	pullDec    []bool
 	pullAll    bool
@@ -251,7 +248,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := checkOrigin(cfg.Topology, "source", cfg.Source); err != nil {
 		return nil, err
 	}
-	e.informedBits = make([]uint64, (e.n+63)/64)
 	return e, nil
 }
 
@@ -281,6 +277,12 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("phonecall: Config.RNG is required")
 	}
 	n := cfg.Topology.NumNodes()
+	if int64(n) > math.MaxInt32 {
+		// Checked before the view fetch, which scans Alive and allocates
+		// n/64 words: views, dial rows and outboxes hold int32 ids, so a
+		// larger id space would wrap silently.
+		return nil, fmt.Errorf("phonecall: %d nodes exceed the int32 node ids", n)
+	}
 	if cfg.Protocol.Choices() < 1 {
 		return nil, fmt.Errorf("phonecall: protocol %q dials %d < 1 neighbours", cfg.Protocol.Name(), cfg.Protocol.Choices())
 	}
@@ -336,6 +338,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	for i := range e.informedAt {
 		e.informedAt[i] = Uninformed
 	}
+	e.informedBits = make([]uint64, (n+63)/64)
 	e.pushDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.pullDec = make([]bool, cfg.Protocol.Horizon()+1)
 	if pf, ok := cfg.Protocol.(PullFree); ok {
@@ -537,14 +540,10 @@ func (e *Engine) aliveFast(v int) bool {
 	return e.aliveBits == nil || e.aliveBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// informedFast reports whether v holds the rumour, from the informed bitset
-// when the engine keeps one (a MultiEngine's does not). The push loop and,
-// in a pullAll round, the pull scan ask it once per transmission about a
-// random node; it must stay inlinable.
+// informedFast reports whether v holds the rumour, from the informed
+// bitset. The push loop and, in a pullAll round, the pull scan ask it once
+// per transmission about a random node; it must stay inlinable.
 func (e *Engine) informedFast(v int) bool {
-	if e.informedBits == nil {
-		return e.informedAt[v] != Uninformed
-	}
 	return e.informedBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 

@@ -49,6 +49,16 @@ func testGraph(t *testing.T, n, d int, seed uint64) *graph.Graph {
 	return g
 }
 
+// hugeTopo claims an id space of 2³¹ and panics on any per-node query:
+// newEngine must reject it from NumNodes alone, before the view fetch
+// scans Alive.
+type hugeTopo struct{}
+
+func (hugeTopo) NumNodes() int         { return 1 << 31 }
+func (hugeTopo) Degree(int) int        { panic("hugeTopo: Degree called") }
+func (hugeTopo) Neighbor(int, int) int { panic("hugeTopo: Neighbor called") }
+func (hugeTopo) Alive(int) bool        { panic("hugeTopo: Alive called") }
+
 func TestConfigValidation(t *testing.T) {
 	g := testGraph(t, 20, 4, 1)
 	valid := Config{Topology: NewStatic(g), Protocol: pushProto{1, 10}, RNG: xrand.New(1)}
@@ -69,6 +79,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative memory", func(c *Config) { c.AvoidRecent = -1 }},
 		{"zero choices", func(c *Config) { c.Protocol = pushProto{0, 10} }},
 		{"zero horizon", func(c *Config) { c.Protocol = pushProto{1, 0} }},
+		{"id space past int32", func(c *Config) { c.Topology = hugeTopo{} }},
 	}
 	for _, tc := range cases {
 		cfg := valid
@@ -79,6 +90,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(valid); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+	if _, err := NewMultiEngine(MultiConfig{Topology: hugeTopo{}, Protocol: pushProto{1, 10}, Rounds: 10, RNG: xrand.New(1)}); err == nil {
+		t.Error("MultiEngine accepted an id space past int32")
 	}
 }
 

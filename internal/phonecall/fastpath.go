@@ -10,7 +10,7 @@ package phonecall
 // devirtualisable resolver (nbrAt): for k <= 4 the scratch-free distinct
 // samplers (xrand.Distinct2/3/4) at every degree, liveness a bitset probe
 // (aliveFast), "is the target informed?" one too (informedFast, over the
-// bitset NewEngine keeps beside informedAt). On a churning topology the
+// bitset every engine keeps beside informedAt). On a churning topology the
 // view is re-fetched only when its epoch advances (refreshCSR, once per
 // Step). The Config.TrackEdgeUse census is shared by every view: the pass
 // buffers edge keys and the merge applies them through markUsed.

@@ -60,10 +60,12 @@ type MultiEngine struct {
 	eng *Engine
 
 	// Per message: age[m][v] is the age (round − CreatedAt) at which v first
-	// received m, Uninformed if never; cohort[m] holds m's per-shard cohort
-	// counts, shard-major like the engine's own.
-	age    [][]int32
-	cohort [][]int32
+	// received m, Uninformed if never; informed[m] is its bitset;
+	// cohort[m] holds m's per-shard cohort counts, shard-major like the
+	// engine's own.
+	age      [][]int32
+	informed [][]uint64
+	cohort   [][]int32
 }
 
 // NewMultiEngine validates cfg and prepares a run.
@@ -93,12 +95,14 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 	eng.allRows = make([]int32, eng.n*eng.k)
 	e := &MultiEngine{cfg: cfg, eng: eng}
 	e.age = make([][]int32, len(cfg.Messages))
+	e.informed = make([][]uint64, len(cfg.Messages))
 	e.cohort = make([][]int32, len(cfg.Messages))
 	for i := range e.age {
 		e.age[i] = make([]int32, eng.n)
 		for v := range e.age[i] {
 			e.age[i][v] = Uninformed
 		}
+		e.informed[i] = make([]uint64, len(eng.informedBits))
 		e.cohort[i] = make([]int32, len(eng.shards)*(cfg.Protocol.Horizon()+1))
 	}
 	return e, nil
@@ -128,7 +132,7 @@ func (e *MultiEngine) Run() MultiResult {
 			if age < 1 || age > horizon {
 				continue // message inactive this round
 			}
-			eng.informedAt = e.age[mi]
+			eng.informedAt, eng.informedBits = e.age[mi], e.informed[mi]
 			for i := range eng.shards {
 				eng.shards[i].cohort = e.cohort[mi][i*ages : (i+1)*ages]
 			}

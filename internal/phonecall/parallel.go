@@ -220,9 +220,7 @@ func (e *Engine) spend() {
 // inform applies one receipt: w holds the rumour from the end of round t.
 func (e *Engine) inform(w, t int) {
 	e.informedAt[w] = int32(t)
-	if e.informedBits != nil {
-		e.informedBits[uint(w)>>6] |= 1 << (uint(w) & 63)
-	}
+	e.informedBits[uint(w)>>6] |= 1 << (uint(w) & 63)
 	e.shardOf(w).cohort[t]++
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnInformed(w, t)
@@ -249,10 +247,10 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 		e.pushDec[ia] = e.proto.SendPush(t, ia)
 		e.pullDec[ia] = !e.neverPulls && e.proto.SendPull(t, ia)
 	}
-	anyPull, pullAll := false, e.informedBits != nil
+	anyPull, pullAll := false, true
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.sends, sh.pushAll = false, e.informedBits != nil
+		sh.sends, sh.pushAll = false, true
 		for ia, c := range sh.cohort[:t] {
 			if c > 0 {
 				sh.sends = sh.sends || e.pushDec[ia]

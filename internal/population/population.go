@@ -7,7 +7,7 @@
 // The engine is the second instance of the repository's deterministic
 // sharded super-step contract (internal/sched; the first is the
 // phone-call round engine in internal/phonecall). Interactions are
-// batched into super-steps of Config.BatchSize pairs; each super-step
+// batched into super-steps of Config.N pairs; each super-step
 // partitions its interaction quota over Config.Shards shards, each shard
 // draws its pairs and coin words from its own split PRNG stream
 // concurrently, and the drawn interactions are then applied to the
@@ -26,9 +26,9 @@
 // RingProtocol.NeedsCoin reports a coin flip.
 //
 // A run halts when the protocol's progress measure reaches 1 and stays
-// there for SilenceWindow consecutive super-steps (Converged), when no
-// agent state changes for SilenceWindow consecutive super-steps (a
-// silent configuration, Silent), at MaxSteps, or when Config.Halt asks.
+// there for DefaultSilenceWindow consecutive super-steps (Converged), when
+// no agent state changes for DefaultSilenceWindow consecutive super-steps
+// (a silent configuration, Silent), at MaxSteps, or when Config.Halt asks.
 package population
 
 import (
@@ -61,7 +61,7 @@ type PairProtocol interface {
 	// Measure reports the protocol's progress measure on a
 	// configuration — the number of leaders, tokens, or other witnesses.
 	// The engine declares convergence when Measure reaches 1 and stays
-	// there for Config.SilenceWindow consecutive super-steps.
+	// there for DefaultSilenceWindow consecutive super-steps.
 	Measure(cfg []State) int
 }
 
@@ -87,7 +87,7 @@ type RingProtocol interface {
 // SuperStepStats is the per-super-step record streamed to Observers.
 type SuperStepStats struct {
 	Step         int // 1-based super-step index
-	Interactions int // interactions applied this step (BatchSize, or N for rings)
+	Interactions int // interactions applied this step (N)
 	Changed      int // agent-state writes that changed a state this step
 	Measure      int // protocol progress measure after this step
 }
@@ -121,9 +121,7 @@ type Config struct {
 
 	RNG *xrand.Rand // master stream for the run; nil seeds a default
 
-	MaxSteps      int // super-step budget; 0 selects a per-scheduler default
-	BatchSize     int // pair interactions per super-step; 0 means N
-	SilenceWindow int // consecutive steps confirming convergence/silence; 0 means 3
+	MaxSteps int // super-step budget; 0 selects a per-scheduler default
 
 	Workers int // sched worker goroutines; 0 or 1 inline, WorkersAuto = GOMAXPROCS
 	Shards  int // shard count (fixes the trace); 0 means sched.DefaultShards
@@ -144,19 +142,19 @@ type Result struct {
 	Steps        int   // super-steps executed
 	Interactions int64 // total interactions applied
 	Measure      int   // final progress measure
-	Converged    bool  // measure reached 1 and held for SilenceWindow steps
+	Converged    bool  // measure reached 1 and held for DefaultSilenceWindow steps
 	ConvergedAt  int   // first step of the sustained measure-1 run (-1 if never)
 	// ConvergedInteractions is the cumulative interaction count at
 	// ConvergedAt — the natural convergence-time unit of the
 	// population-protocol literature.
 	ConvergedInteractions int64
-	Silent                bool    // no state changed for SilenceWindow steps
+	Silent                bool    // no state changed for DefaultSilenceWindow steps
 	Final                 []State // final configuration (owned by the caller)
 }
 
-// DefaultSilenceWindow is the confirmation window used when
-// Config.SilenceWindow is 0: measure 1 (or zero changes) must hold for
-// this many consecutive super-steps before the run halts.
+// DefaultSilenceWindow is the confirmation window: measure 1 (or zero
+// changes) must hold for this many consecutive super-steps before the run
+// halts.
 const DefaultSilenceWindow = 3
 
 // PairDraw is one pre-drawn interaction: the ordered pair and its coin
@@ -167,15 +165,15 @@ const DefaultSilenceWindow = 3
 // Its int32 agent indices are why a pair run rejects N > MaxInt32.
 type PairDraw = xrand.PairDraw
 
-// popShard owns one slice of each super-step's work: a contiguous
-// interaction quota [qlo, qhi) for the pair driver, the contiguous agent
-// range [lo, hi) for the ring driver, and the shard's own PRNG stream.
+// popShard owns one slice of each super-step's work and the shard's own
+// PRNG stream. The ring driver updates the contiguous agent range
+// [lo, hi); the pair driver draws and applies hi−lo interactions, so a
+// super-step's quotas sum to N.
 type popShard struct {
-	stream   *xrand.Rand
-	qlo, qhi int // interaction quota (pair driver)
-	lo, hi   int // agent range (ring driver)
-	pairs    []PairDraw
-	changed  int
+	stream  *xrand.Rand
+	lo, hi  int
+	pairs   []PairDraw
+	changed int
 }
 
 type engine struct {
@@ -236,25 +234,13 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Shards < 1 {
 		return nil, errors.New("population: Config.Shards must be positive")
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = cfg.N
-	}
-	if cfg.BatchSize < 1 {
-		return nil, errors.New("population: Config.BatchSize must be positive")
-	}
-	if cfg.SilenceWindow == 0 {
-		cfg.SilenceWindow = DefaultSilenceWindow
-	}
-	if cfg.SilenceWindow < 1 {
-		return nil, errors.New("population: Config.SilenceWindow must be positive")
-	}
 	if cfg.MaxSteps < 0 {
 		return nil, errors.New("population: Config.MaxSteps must not be negative")
 	}
 	if cfg.MaxSteps == 0 {
 		if cfg.Pair != nil {
-			// ~256·log2(n) super-steps of BatchSize interactions: a
-			// generous Θ(n log n)-interaction budget at BatchSize = n.
+			// ~256·log2(n) super-steps of n interactions: a generous
+			// Θ(n log n)-interaction budget.
 			cfg.MaxSteps = 256 * bits.Len(uint(cfg.N))
 		} else {
 			// Herman-style rings converge in O(n²) expected steps
@@ -282,13 +268,12 @@ func newEngine(cfg Config) (*engine, error) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.stream = cfg.RNG.Split()
-		sh.qlo, sh.qhi = sched.Bounds(i, cfg.BatchSize, cfg.Shards)
 		sh.lo, sh.hi = sched.Bounds(i, e.n, cfg.Shards)
 		if cfg.Pair != nil {
 			// Preallocate the interaction quota once, here, so no super-step
 			// — first included — grows the buffer via append: the engine's
 			// steady state is allocation-free (the fastpath tests guard it).
-			sh.pairs = make([]PairDraw, 0, sh.qhi-sh.qlo)
+			sh.pairs = make([]PairDraw, 0, sh.hi-sh.lo)
 		}
 	}
 	e.workers = sched.Resolve(cfg.Workers, cfg.Shards)
@@ -311,7 +296,7 @@ func (e *engine) measure() int {
 
 func (e *engine) run() Result {
 	res := Result{ConvergedAt: -1}
-	window := e.cfg.SilenceWindow
+	const window = DefaultSilenceWindow
 
 	// runLen counts consecutive super-steps (the initial configuration
 	// counts as step 0) at measure 1; quiet counts consecutive steps with
@@ -403,7 +388,7 @@ func (e *engine) pairStep(step int) (interactions, changed int) {
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
-		q := sh.qhi - sh.qlo
+		q := sh.hi - sh.lo
 		sh.pairs = sh.pairs[:q]
 		interactions += q
 		for off := 0; off < q; off += fuseBlock {
@@ -419,7 +404,7 @@ func (e *engine) pairStep(step int) (interactions, changed int) {
 // of distinct agents, uniform over the n·(n−1) possibilities, plus one
 // coin word each — all from the shard's own stream.
 func (e *engine) drawPairs(sh *popShard) {
-	sh.pairs = sh.pairs[:sh.qhi-sh.qlo]
+	sh.pairs = sh.pairs[:sh.hi-sh.lo]
 	sh.stream.FillPairDraws(sh.pairs, e.n)
 }
 

@@ -288,8 +288,6 @@ func TestConfigValidation(t *testing.T) {
 		"two-protocols": {N: 9, Pair: le, Ring: hm},
 		"pair-n-1":      {N: 1, Pair: le},
 		"neg-shards":    {N: 8, Pair: le, Shards: -1},
-		"neg-batch":     {N: 8, Pair: le, BatchSize: -1},
-		"neg-window":    {N: 8, Pair: le, SilenceWindow: -1},
 		"neg-max-steps": {N: 8, Pair: le, MaxSteps: -5},
 		// PairDraw's agent indices are int32: rejected before the 8 GiB
 		// configuration would be allocated.

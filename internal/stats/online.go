@@ -8,12 +8,11 @@ import (
 
 // Accumulator computes mean, variance, min and max of a stream online
 // (Welford's algorithm), so replication ensembles never need to retain
-// their per-run samples. Accumulators merge exactly (Chan et al.'s
-// parallel formula), which lets per-shard or per-cell aggregates combine
-// into one. The zero value is an empty accumulator ready for use.
+// their per-run samples. The zero value is an empty accumulator ready for
+// use.
 //
-// Floating-point caveat: Add and Merge are deterministic functions of the
-// call order, so two accumulators fed the same values in the same order are
+// Floating-point caveat: Add is a deterministic function of the call order,
+// so two accumulators fed the same values in the same order are
 // bit-identical — the property the batch engine's
 // aggregate-in-replication-order discipline relies on.
 type Accumulator struct {
@@ -40,31 +39,6 @@ func (a *Accumulator) Add(x float64) {
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-}
-
-// Merge folds b into a, as if every observation of b had been Added to a
-// (up to floating-point association; the combined moments are exact in
-// exact arithmetic).
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	na, nb := float64(a.n), float64(b.n)
-	d := b.mean - a.mean
-	n := na + nb
-	a.mean += d * nb / n
-	a.m2 += b.m2 + d*d*na*nb/n
-	a.n += b.n
 }
 
 // N returns the number of observations recorded.
@@ -142,15 +116,15 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation (0 for an empty accumulator).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// StreamHist is a mergeable streaming quantile sketch: the fixed-size
-// centroid histogram of Ben-Haim & Tom-Tov ("A Streaming Parallel Decision
-// Tree Algorithm", JMLR 2010). It retains at most maxBins (value, count)
+// StreamHist is a streaming quantile sketch: the fixed-size centroid
+// histogram of Ben-Haim & Tom-Tov ("A Streaming Parallel Decision Tree
+// Algorithm", JMLR 2010). It retains at most maxBins (value, count)
 // centroids, merging the closest adjacent pair when full, and estimates
 // quantiles by interpolating the cumulative counts between centroids.
 //
 // The sketch is exact while the number of distinct values is at most
 // maxBins, and deterministic: the state is a pure function of the sequence
-// of Add/Merge calls (no randomness, no map iteration), so identical feeds
+// of Add calls (no randomness, no map iteration), so identical feeds
 // produce bit-identical quantiles. It is not safe for concurrent use.
 type StreamHist struct {
 	maxBins int
@@ -175,22 +149,16 @@ func NewStreamHist(maxBins int) (*StreamHist, error) {
 
 // Add records one observation.
 func (h *StreamHist) Add(x float64) {
-	h.insert(x, 1)
 	h.count++
-	h.compact()
-}
-
-// insert adds a centroid, keeping bins sorted and collapsing exact value
-// duplicates.
-func (h *StreamHist) insert(v, c float64) {
-	i := sort.Search(len(h.bins), func(i int) bool { return h.bins[i].value >= v })
-	if i < len(h.bins) && h.bins[i].value == v {
-		h.bins[i].count += c
+	i := sort.Search(len(h.bins), func(i int) bool { return h.bins[i].value >= x })
+	if i < len(h.bins) && h.bins[i].value == x {
+		h.bins[i].count++ // exact duplicates share a centroid
 		return
 	}
 	h.bins = append(h.bins, histBin{})
 	copy(h.bins[i+1:], h.bins[i:])
-	h.bins[i] = histBin{value: v, count: c}
+	h.bins[i] = histBin{value: x, count: 1}
+	h.compact()
 }
 
 // compact merges closest adjacent centroids until at most maxBins remain.
@@ -209,22 +177,6 @@ func (h *StreamHist) compact() {
 		h.bins = append(h.bins[:best+1], h.bins[best+2:]...)
 	}
 }
-
-// Merge folds o into h. The result is the sketch of the concatenated
-// streams (approximately, once either side has compacted).
-func (h *StreamHist) Merge(o *StreamHist) {
-	if o == nil {
-		return
-	}
-	for _, b := range o.bins {
-		h.insert(b.value, b.count)
-	}
-	h.count += o.count
-	h.compact()
-}
-
-// N returns the number of observations recorded.
-func (h *StreamHist) N() int64 { return h.count }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) of the stream. Each
 // centroid is treated as its count of observations at its value, with

@@ -41,30 +41,6 @@ func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	xs := []float64{-2, 0, 1, 3, 3, 8, 13, 21, -5, 0.5, 2.5}
-	for split := 0; split <= len(xs); split++ {
-		var a, b, whole Accumulator
-		for i, x := range xs {
-			if i < split {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-			whole.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("split %d: N = %d, want %d", split, a.N(), whole.N())
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-12 ||
-			math.Abs(a.Variance()-whole.Variance()) > 1e-10 ||
-			a.Min() != whole.Min() || a.Max() != whole.Max() {
-			t.Errorf("split %d: merged %+v, sequential %+v", split, a, whole)
-		}
-	}
-}
-
 func TestStreamHistExactBelowCapacity(t *testing.T) {
 	h, err := NewStreamHist(64)
 	if err != nil {
@@ -74,9 +50,6 @@ func TestStreamHistExactBelowCapacity(t *testing.T) {
 	// exactly the middle value.
 	for _, x := range []float64{9, 1, 8, 2, 7, 3, 6, 4, 5} {
 		h.Add(x)
-	}
-	if h.N() != 9 {
-		t.Fatalf("N = %d", h.N())
 	}
 	if got := h.Quantile(0.5); math.Abs(got-5) > 1e-12 {
 		t.Errorf("median = %v, want 5", got)
@@ -117,36 +90,6 @@ func TestStreamHistApproximatesQuantiles(t *testing.T) {
 		}
 		prev = v
 	}
-}
-
-func TestStreamHistMerge(t *testing.T) {
-	mk := func() *StreamHist {
-		h, err := NewStreamHist(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	a, b, whole := mk(), mk(), mk()
-	for i := 0; i < 1000; i++ {
-		x := float64(i%97) / 97
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		whole.Add(x)
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if got, want := a.Quantile(q), whole.Quantile(q); math.Abs(got-want) > 0.1 {
-			t.Errorf("merged q%.1f = %v vs sequential %v", q, got, want)
-		}
-	}
-	a.Merge(nil) // no-op
 }
 
 func TestStreamHistDeterministic(t *testing.T) {

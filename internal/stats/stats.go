@@ -1,10 +1,11 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, quantiles, normal-approximation
-// confidence intervals, least-squares regression for scaling-exponent fits,
-// and fixed-width histograms. The regression fits back the asymptotic
-// claims of the paper — e.g. E1 fits completion rounds against log₂ n and
-// E2 fits transmissions per node against log log n (see DESIGN.md's
-// experiment index for which statistic each experiment uses).
+// experiment harness: summary statistics, quantiles, online moments with
+// normal-approximation confidence intervals, a streaming quantile sketch,
+// and least-squares regression for scaling-exponent fits. The regression
+// fits back the asymptotic claims of the paper — e.g. E1 fits completion
+// rounds against log₂ n and E2 fits transmissions per node against
+// log log n (see DESIGN.md's experiment index for which statistic each
+// experiment uses).
 package stats
 
 import (
@@ -89,16 +90,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean of xs. Zero for samples of size < 2.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	s := Summarize(xs)
-	return 1.96 * s.Stddev / math.Sqrt(float64(s.N))
-}
-
 // LinearFit holds the result of an ordinary-least-squares fit y = a + b*x.
 type LinearFit struct {
 	Intercept float64 // a
@@ -115,7 +106,6 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 	if len(xs) < 2 {
 		return LinearFit{}, fmt.Errorf("stats: FitLine needs >= 2 points, got %d", len(xs))
 	}
-	n := float64(len(xs))
 	mx, my := Mean(xs), Mean(ys)
 	sxx, sxy, syy := 0.0, 0.0, 0.0
 	for i := range xs {
@@ -134,93 +124,5 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 	} else {
 		fit.R2 = 1 // ys constant and perfectly fit by the horizontal line
 	}
-	_ = n
 	return fit, nil
-}
-
-// PowerLawExponent fits y ≈ c * x^e on log-log axes and returns the exponent
-// e. All inputs must be positive.
-func PowerLawExponent(xs, ys []float64) (float64, error) {
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if i >= len(ys) {
-			break
-		}
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return 0, fmt.Errorf("stats: PowerLawExponent requires positive data, got (%v, %v)", xs[i], ys[i])
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	fit, err := FitLine(lx, ly)
-	if err != nil {
-		return 0, err
-	}
-	return fit.Slope, nil
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations below Lo
-	Over     int // observations >= Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: NewHistogram bins=%d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: NewHistogram invalid range [%v, %v)", lo, hi)
-	}
-	return &Histogram{
-		Lo:       lo,
-		Hi:       hi,
-		Counts:   make([]int, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}, nil
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // floating point edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: GeoMean of empty sample")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: GeoMean requires positive data, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }

@@ -93,17 +93,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCI95(t *testing.T) {
-	if CI95([]float64{1}) != 0 {
-		t.Error("CI95 of single sample should be 0")
-	}
-	xs := []float64{10, 12, 9, 11, 10, 12, 9, 11}
-	ci := CI95(xs)
-	if ci <= 0 || ci > 3 {
-		t.Errorf("CI95 = %v, implausible", ci)
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
@@ -138,84 +127,6 @@ func TestFitLineConstantY(t *testing.T) {
 	}
 	if !almostEqual(fit.Slope, 0, 1e-12) || !almostEqual(fit.Intercept, 5, 1e-12) {
 		t.Errorf("fit %+v", fit)
-	}
-}
-
-func TestPowerLawExponent(t *testing.T) {
-	// y = 3 x^2
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * x * x
-	}
-	e, err := PowerLawExponent(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(e, 2, 1e-9) {
-		t.Errorf("exponent %v want 2", e)
-	}
-}
-
-func TestPowerLawExponentRejectsNonPositive(t *testing.T) {
-	if _, err := PowerLawExponent([]float64{1, -2}, []float64{1, 2}); err == nil {
-		t.Error("negative x accepted")
-	}
-	if _, err := PowerLawExponent([]float64{1, 2}, []float64{0, 2}); err == nil {
-		t.Error("zero y accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(10, 0, 5); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(g, 2, 1e-12) {
-		t.Errorf("GeoMean = %v", g)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty GeoMean accepted")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("zero element accepted")
 	}
 }
 

@@ -24,15 +24,6 @@ type DaemonConfig struct {
 	// QueueLen is the per-peer bounded send-queue capacity; a full queue
 	// drops with backpressure accounting instead of blocking (default 128).
 	QueueLen int
-	// SendTimeout bounds one write attempt on a peer connection
-	// (default 2s).
-	SendTimeout time.Duration
-	// SendRetries is how many times a broken write is retried on a fresh
-	// connection before the packet is dropped and the peer quarantined
-	// (default 1).
-	SendRetries int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// BackoffBase is the first quarantine window after a failure; windows
 	// double per consecutive failure up to BackoffMax, with ±25% seeded
 	// jitter (defaults 25ms / 1s).
@@ -42,19 +33,14 @@ type DaemonConfig struct {
 	// receiver and the connection dropped (default MaxPacketBytes).
 	MaxPacket int
 	// MaxConns is the outbound connection budget: when a dial would
-	// exceed it, the least-recently-used idle dynamic connection is
-	// evicted first (default 512; 0 keeps the default, use a negative
+	// exceed it, the least-recently-used idle connection is evicted
+	// first (default 512; 0 keeps the default, use a negative
 	// value for unlimited).
 	MaxConns int
-	// DedupExpiry is the dupemap rotation interval (default 1s; negative
-	// rotates on capacity only); rumour content is remembered for
-	// DedupGens−1 .. DedupGens intervals.
-	DedupExpiry time.Duration
-	// DedupGens is the number of dupemap generations (default 4, min 2).
+	// DedupGens is the number of dupemap generations (default 4, min 2);
+	// rumour content is remembered for DedupGens−1 .. DedupGens rotations
+	// of dedupExpiry.
 	DedupGens int
-	// StaticPeers are pinned: never budget-evicted and immune to
-	// RemovePeer. Everything else is a dynamic peer fed by discovery.
-	StaticPeers []int
 	// Seed drives backoff jitter: each link draws from its own split of
 	// it, so a link's dial schedule does not depend on the others'.
 	Seed uint64
@@ -65,6 +51,18 @@ type DaemonConfig struct {
 // rejected and counted, and the decoder never buffers unbounded input.
 const MaxPacketBytes = 1 << 20
 
+const (
+	// sendTimeout bounds one write attempt on a peer connection.
+	sendTimeout = 2 * time.Second
+	// sendRetries is how many times a broken write is retried on a fresh
+	// connection before the packet is dropped and the peer quarantined.
+	sendRetries = 1
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// dedupExpiry is the dupemap rotation interval.
+	dedupExpiry = time.Second
+)
+
 // withDefaults fills zero fields.
 func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.Mailbox == 0 {
@@ -72,15 +70,6 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	}
 	if c.QueueLen == 0 {
 		c.QueueLen = 128
-	}
-	if c.SendTimeout == 0 {
-		c.SendTimeout = 2 * time.Second
-	}
-	if c.SendRetries == 0 {
-		c.SendRetries = 1
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.BackoffBase == 0 {
 		c.BackoffBase = 25 * time.Millisecond
@@ -95,9 +84,6 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 		c.MaxConns = 512
 	} else if c.MaxConns < 0 {
 		c.MaxConns = 0 // ensureConn's convention: 0 = unlimited
-	}
-	if c.DedupExpiry == 0 {
-		c.DedupExpiry = time.Second
 	}
 	if c.DedupGens == 0 {
 		c.DedupGens = 4
@@ -125,8 +111,6 @@ type Daemon struct {
 	addrs     []string
 	boxes     []chan Packet
 	links     []*peerLink
-	active    []atomic.Bool // discovery membership (RemovePeer clears)
-	static    []bool
 	dedup     *dupemap
 	met       Metrics
 	open      atomic.Int64 // open outbound connections, against MaxConns
@@ -162,16 +146,8 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 		addrs:     make([]string, n),
 		boxes:     make([]chan Packet, n),
 		links:     make([]*peerLink, n),
-		active:    make([]atomic.Bool, n),
-		static:    make([]bool, n),
-		dedup:     newDupemap(cfg.DedupGens, 0, cfg.DedupExpiry, now()),
+		dedup:     newDupemap(cfg.DedupGens, 0, dedupExpiry, now()),
 		conns:     make(map[net.Conn]struct{}),
-	}
-	for _, p := range cfg.StaticPeers {
-		if p < 0 || p >= n {
-			return nil, fmt.Errorf("transport: static peer %d out of range [0,%d)", p, n)
-		}
-		d.static[p] = true
 	}
 	jitter := xrand.New(cfg.Seed)
 	for i := 0; i < n; i++ {
@@ -184,7 +160,6 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 		d.addrs[i] = ln.Addr().String()
 		d.boxes[i] = make(chan Packet, cfg.Mailbox)
 		d.links[i] = &peerLink{d: d, to: i, queue: make(chan Packet, cfg.QueueLen), jitter: jitter.Split()}
-		d.active[i].Store(true)
 	}
 	for i := 0; i < n; i++ {
 		d.wg.Add(1)
@@ -193,17 +168,14 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 	return d, nil
 }
 
-// Addr returns the listen address of a node.
-func (d *Daemon) Addr(node int) string { return d.addrs[node] }
-
 // Inbox implements Transport.
 func (d *Daemon) Inbox(node int) <-chan Packet { return d.boxes[node] }
 
 // Send implements Transport: route the packet onto the destination's
-// bounded queue. Unreachable destinations (removed, quarantined, queue
-// full) drop with accounting and return nil — gossip tolerates loss, and
-// one dead peer must not abort a fanout. Only a shut-down daemon returns
-// an error (ErrClosed).
+// bounded queue. Unreachable destinations (quarantined, queue full) drop
+// with accounting and return nil — gossip tolerates loss, and one dead
+// peer must not abort a fanout. Only a shut-down daemon returns an error
+// (ErrClosed).
 func (d *Daemon) Send(to int, p Packet) error {
 	if to < 0 || to >= len(d.links) {
 		return fmt.Errorf("transport: Send to %d out of range [0,%d)", to, len(d.links))
@@ -213,10 +185,6 @@ func (d *Daemon) Send(to int, p Packet) error {
 	}
 	d.met.Sends.Add(1)
 	l := d.links[to]
-	if !d.active[to].Load() {
-		d.met.RemovedDrops.Add(1)
-		return nil
-	}
 	if l.quarantined(d.now()) {
 		d.met.QuarantineDrops.Add(1)
 		return nil
@@ -250,28 +218,9 @@ func (d *Daemon) Send(to int, p Packet) error {
 	return nil
 }
 
-// AddPeer (re-)admits a peer to the dialable set — the discovery feed's
-// join half. Peers start admitted; this is for re-admission after churn.
-func (d *Daemon) AddPeer(id int) {
-	if id >= 0 && id < len(d.active) {
-		d.active[id].Store(true)
-	}
-}
-
-// RemovePeer withdraws a dynamic peer from the dialable set and closes
-// its persistent connection — the discovery feed's leave half. Static
-// peers are pinned and ignore removal.
-func (d *Daemon) RemovePeer(id int) {
-	if id < 0 || id >= len(d.active) || d.static[id] {
-		return
-	}
-	d.active[id].Store(false)
-	d.links[id].closeConn()
-}
-
-// DropPeerConns severs the persistent connection to a peer without
-// touching membership — a crash window's way of breaking a link so the
-// redial path is exercised for real (the connKiller hook).
+// DropPeerConns severs the persistent connection to a peer — a crash
+// window's way of breaking a link so the redial path is exercised for real
+// (the connKiller hook).
 func (d *Daemon) DropPeerConns(id int) {
 	if id >= 0 && id < len(d.links) {
 		d.links[id].closeConn()
@@ -373,8 +322,6 @@ func (d *Daemon) Health() Health {
 	for i, l := range d.links {
 		state := PeerIdle
 		switch {
-		case !d.active[i].Load():
-			state = PeerRemoved
 		case l.quarantined(now):
 			state = PeerQuarantined
 		case l.hasConn():
@@ -384,7 +331,6 @@ func (d *Daemon) Health() Health {
 			Peer:     i,
 			State:    state,
 			StateStr: state.String(),
-			Static:   d.static[i],
 			Queued:   len(l.queue),
 			Fails:    int(l.fails.Load()),
 		}

@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"regcast/internal/p2p/overlay"
-	"regcast/internal/xrand"
 )
 
 // fakeClock is a daemon clock that moves only when a test advances it, so
@@ -37,9 +34,6 @@ func TestDaemonValidation(t *testing.T) {
 	}
 	if _, err := NewDaemon(DaemonConfig{Nodes: 2, Mailbox: -1}); err == nil {
 		t.Error("negative mailbox accepted")
-	}
-	if _, err := NewDaemon(DaemonConfig{Nodes: 2, StaticPeers: []int{7}}); err == nil {
-		t.Error("out-of-range static peer accepted")
 	}
 }
 
@@ -136,7 +130,7 @@ func TestDaemonPersistentConnection(t *testing.T) {
 }
 
 func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
-	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, DedupGens: 2, DedupExpiry: time.Second})
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, DedupGens: 2})
 	push := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r", Payload: "p"}}}
 	for i := 0; i < 3; i++ {
 		if err := d.Send(1, push); err != nil {
@@ -156,51 +150,19 @@ func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
 	if h.Delivered != 1 || h.Deduped != 3 {
 		t.Errorf("delivered/deduped = %d/%d, want 1/3", h.Delivered, h.Deduped)
 	}
-	// The ring rotates on access by the daemon's clock: after DedupGens−1
-	// intervals the content is still suppressed, after DedupGens it is
-	// deliverable again.
-	clk.Advance(time.Second)
+	// The ring rotates on access by the daemon's clock, every dedupExpiry:
+	// after DedupGens−1 intervals the content is still suppressed, after
+	// DedupGens it is deliverable again.
+	clk.Advance(dedupExpiry)
 	if err := d.Send(1, push); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, func() bool { return d.Health().Deduped == 4 }, "still deduplicated after one interval")
-	clk.Advance(time.Second)
+	clk.Advance(dedupExpiry)
 	if err := d.Send(1, push); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, func() bool { return d.Health().Delivered == 2 }, "re-delivery after dedup expiry")
-}
-
-func TestDaemonRemoveAddPeer(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
-	d.RemovePeer(1)
-	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
-	}
-	if h := d.Health(); h.RemovedDrops != 1 {
-		t.Errorf("RemovedDrops = %d, want 1", h.RemovedDrops)
-	}
-	if st := d.Health().Peers[1]; st.State != PeerRemoved {
-		t.Errorf("peer 1 state = %v, want removed", st.State)
-	}
-	d.AddPeer(1)
-	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery after re-admission")
-}
-
-func TestDaemonStaticPeerPinned(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, StaticPeers: []int{1}})
-	// Static peers are immune to discovery removal.
-	d.RemovePeer(1)
-	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery to pinned static peer")
-	if !d.Health().Peers[1].Static {
-		t.Error("peer 1 not flagged static in health snapshot")
-	}
 }
 
 // TestDaemonCrashWindowDropsBothDirections drives the one crash path: a
@@ -404,42 +366,4 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 	if h.Dials >= h.Sends {
 		t.Errorf("dials %d >= sends %d: connections are not persistent", h.Dials, h.Sends)
 	}
-}
-
-// TestDaemonOverlayDiscovery wires the overlay's membership feed into the
-// daemon: churn-discovered peers become dialable, departed ones drop.
-func TestDaemonOverlayDiscovery(t *testing.T) {
-	o, err := overlay.New(8, 4, 4, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 12})
-	o.OnMembership(func(id int, joined bool) {
-		if joined {
-			d.AddPeer(id)
-		} else {
-			d.RemovePeer(id)
-		}
-	})
-	victim := 5
-	if err := o.Leave(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Send(victim, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
-	}
-	if h := d.Health(); h.RemovedDrops != 1 {
-		t.Errorf("RemovedDrops = %d after overlay leave, want 1", h.RemovedDrops)
-	}
-	id, err := o.Join()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != victim {
-		t.Logf("join recycled id %d (victim was %d)", id, victim)
-	}
-	if err := d.Send(id, Packet{From: 0, Kind: KindPullRequest}); err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery to rejoined peer")
 }

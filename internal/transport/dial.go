@@ -20,8 +20,8 @@ import (
 // and the failure count. Dial failures open a backoff window of
 // BackoffBase·2^(fails−1), capped at BackoffMax, with ±25% jitter from the
 // link's own seeded stream; a successful dial clears the history. A
-// MaxConns budget evicts the least-recently-written idle dynamic link
-// before a new dial; static peers are never evicted.
+// MaxConns budget evicts the least-recently-written idle link before a new
+// dial.
 type peerLink struct {
 	d  *Daemon
 	to int
@@ -101,12 +101,8 @@ func (l *peerLink) deliver(p Packet) {
 		d.met.QuarantineDrops.Add(1)
 		return
 	}
-	if !d.active[l.to].Load() {
-		d.met.RemovedDrops.Add(1)
-		return
-	}
 	for attempt := 0; ; attempt++ {
-		if attempt > d.cfg.SendRetries {
+		if attempt > sendRetries {
 			l.fail()
 			d.met.WriteDrops.Add(1)
 			return
@@ -134,7 +130,7 @@ func (l *peerLink) write(p Packet) bool {
 		return false // severed since ensureConn (crash window or eviction)
 	}
 	d := l.d
-	_ = conn.SetWriteDeadline(time.Now().Add(d.cfg.SendTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	// Count the frame before the reader can see it: once Encode has put
 	// bytes on the wire the receive side may bump FramesIn at any moment,
 	// and a snapshot must never read Written < FramesIn.
@@ -149,7 +145,7 @@ func (l *peerLink) write(p Packet) bool {
 }
 
 // ensureConn dials the link's destination if no connection is open,
-// evicting an idle dynamic link first when the budget is spent. The dial
+// evicting an idle link first when the budget is spent. The dial
 // proceeds either way — the budget bounds steady-state connections, it
 // must not deadlock a fully busy link set.
 func (l *peerLink) ensureConn() error {
@@ -162,7 +158,8 @@ func (l *peerLink) ensureConn() error {
 	}
 	d.open.Add(1)
 	d.met.Dials.Add(1)
-	conn, err := net.DialTimeout("tcp", d.addrs[l.to], d.cfg.DialTimeout)
+	dialer := net.Dialer{Timeout: dialTimeout}
+	conn, err := dialer.Dial("tcp", d.addrs[l.to])
 	if err != nil {
 		d.open.Add(-1)
 		d.met.DialFails.Add(1)
@@ -182,13 +179,13 @@ func (l *peerLink) ensureConn() error {
 	return nil
 }
 
-// evictIdleConn closes the least-recently-written idle dynamic connection
+// evictIdleConn closes the least-recently-written idle connection
 // to free a budget slot; it reports whether it found a victim.
 func (d *Daemon) evictIdleConn() bool {
 	var victim *peerLink
 	oldest := int64(math.MaxInt64)
-	for i, l := range d.links {
-		if d.static[i] || !l.hasConn() || len(l.queue) > 0 {
+	for _, l := range d.links {
+		if !l.hasConn() || len(l.queue) > 0 {
 			continue
 		}
 		if lu := l.lastUse.Load(); lu < oldest {

@@ -114,24 +114,23 @@ func TestDialSchedulerSuccessClearsHistory(t *testing.T) {
 }
 
 // TestDialSchedulerBudget: the connection budget is one counter, and
-// eviction takes the least-recently-written idle dynamic link — never a
-// static one.
+// eviction takes the least-recently-written idle link.
 func TestDialSchedulerBudget(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 5, MaxConns: 3, StaticPeers: []int{1}})
-	for _, to := range []int{1, 2, 3, 2} { // 2 is written after 3
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 5, MaxConns: 3})
+	for _, to := range []int{1, 2, 3, 1} { // 1 is written after 3
 		d.links[to].deliver(pull)
 	}
-	d.links[4].deliver(pull) // over budget: 1 is oldest but static, so 3 goes
+	d.links[4].deliver(pull) // over budget: 1 connected first but 2 is oldest
 	h := d.Health()
 	if h.ConnsOpen != 3 || h.BudgetEvictions != 1 {
 		t.Errorf("conns %d evictions %d, want 3/1", h.ConnsOpen, h.BudgetEvictions)
 	}
-	for peer, want := range map[int]PeerState{1: PeerUp, 2: PeerUp, 3: PeerIdle, 4: PeerUp} {
+	for peer, want := range map[int]PeerState{1: PeerUp, 2: PeerIdle, 3: PeerUp, 4: PeerUp} {
 		if got := h.Peers[peer].State; got != want {
 			t.Errorf("peer %d = %v, want %v", peer, got, want)
 		}
 	}
-	d.links[3].closeConn() // already closed: the counter must not move
+	d.links[2].closeConn() // already closed: the counter must not move
 	if c := d.Health().ConnsOpen; c != 3 {
 		t.Errorf("ConnsOpen = %d after closing a closed link, want 3", c)
 	}

@@ -154,9 +154,6 @@ func NewFaultPlan(inner Transport, cfg FaultConfig) (*FaultPlan, error) {
 	return f, nil
 }
 
-// Epoch returns the current fault epoch.
-func (f *FaultPlan) Epoch() int { return int(f.epoch.Load()) }
-
 // AdvanceEpoch moves the fault clock one epoch forward. Chaos drivers
 // call it at tick boundaries. Crossing into a crash window severs the
 // crashed node's connections on a connKiller inner transport; advancing

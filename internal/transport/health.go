@@ -11,7 +11,7 @@ import "sync/atomic"
 // Counters split by pipeline stage (InMem uses the first and last rows'
 // Sends, MailboxDrops and Delivered only):
 //
-//	send side    Sends → {RemovedDrops, QuarantineDrops, QueueDrops} or enqueue
+//	send side    Sends → {QuarantineDrops, QueueDrops} or enqueue
 //	writer       queue → {QuarantineDrops, WriteDrops, ShutdownDrops} or Written
 //	wire         Written − FramesIn = frames not (yet) decoded
 //	receive side FramesIn → {Deduped, MailboxDrops} or Delivered
@@ -26,7 +26,6 @@ type Metrics struct {
 	Delivered atomic.Int64 // packets placed in a destination mailbox
 	Deduped   atomic.Int64 // packets suppressed by the dupemap
 
-	RemovedDrops    atomic.Int64 // destination peer removed by discovery
 	QueueDrops      atomic.Int64 // per-peer send queue full (backpressure)
 	QuarantineDrops atomic.Int64 // peer inside its backoff window
 	WriteDrops      atomic.Int64 // dial/write failed after retries
@@ -59,8 +58,6 @@ const (
 	// PeerQuarantined means the peer failed recently and sits in its
 	// exponential-backoff window; sends are dropped until it expires.
 	PeerQuarantined
-	// PeerRemoved means discovery withdrew the peer; sends are dropped.
-	PeerRemoved
 )
 
 // String implements fmt.Stringer.
@@ -72,8 +69,6 @@ func (s PeerState) String() string {
 		return "up"
 	case PeerQuarantined:
 		return "quarantined"
-	case PeerRemoved:
-		return "removed"
 	default:
 		return "unknown"
 	}
@@ -84,7 +79,6 @@ type PeerHealth struct {
 	Peer     int       `json:"peer"`
 	State    PeerState `json:"-"`
 	StateStr string    `json:"state"`
-	Static   bool      `json:"static,omitempty"`
 	Queued   int       `json:"queued,omitempty"`
 	Fails    int       `json:"fails,omitempty"`
 }
@@ -117,7 +111,6 @@ type Health struct {
 	Delivered int64 `json:"delivered"`
 	Deduped   int64 `json:"deduped"`
 
-	RemovedDrops    int64 `json:"removedDrops"`
 	QueueDrops      int64 `json:"queueDrops"`
 	QuarantineDrops int64 `json:"quarantineDrops"`
 	WriteDrops      int64 `json:"writeDrops"`
@@ -159,8 +152,8 @@ func (h Health) WireLost() int64 {
 // are not added — frames that failed to decode never counted as FramesIn,
 // so they are already inside WireLost.
 func (h Health) DroppedTotal() int64 {
-	total := h.RemovedDrops + h.QueueDrops + h.QuarantineDrops +
-		h.WriteDrops + h.ShutdownDrops + h.MailboxDrops + h.WireLost()
+	total := h.QueueDrops + h.QuarantineDrops + h.WriteDrops +
+		h.ShutdownDrops + h.MailboxDrops + h.WireLost()
 	if h.Faults != nil {
 		total += h.Faults.drops()
 	}
@@ -214,7 +207,6 @@ func (m *Metrics) snapshot() Health {
 		ShutdownDrops:   m.ShutdownDrops.Load(),
 		QuarantineDrops: m.QuarantineDrops.Load(),
 		QueueDrops:      m.QueueDrops.Load(),
-		RemovedDrops:    m.RemovedDrops.Load(),
 		Sends:           m.Sends.Load(),
 		Dials:           m.Dials.Load(),
 		Redials:         m.Redials.Load(),

@@ -106,33 +106,3 @@ func Chart(width, height int, series ...Series) (string, error) {
 	b.WriteString(strings.Repeat(" ", 9) + strings.Join(legend, "   ") + "\n")
 	return b.String(), nil
 }
-
-// Sparkline renders values as a single line using block characters,
-// scaled to the series' own min/max.
-func Sparkline(values []float64) (string, error) {
-	if len(values) == 0 {
-		return "", fmt.Errorf("viz: empty sparkline")
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return "", fmt.Errorf("viz: non-finite value")
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		return strings.Repeat(string(blocks[0]), len(values)), nil
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		b.WriteRune(blocks[idx])
-	}
-	return b.String(), nil
-}

@@ -80,39 +80,3 @@ func TestChartFlatSeries(t *testing.T) {
 		t.Error("flat series not plotted")
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	s, err := Sparkline([]float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runes := []rune(s)
-	if len(runes) != 3 {
-		t.Fatalf("length %d", len(runes))
-	}
-	if runes[0] != '▁' || runes[2] != '█' {
-		t.Errorf("scaling wrong: %q", s)
-	}
-	if runes[0] == runes[1] || runes[1] == runes[2] {
-		t.Errorf("middle value not distinct: %q", s)
-	}
-}
-
-func TestSparklineFlat(t *testing.T) {
-	s, err := Sparkline([]float64{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != "▁▁" {
-		t.Errorf("flat sparkline %q", s)
-	}
-}
-
-func TestSparklineErrors(t *testing.T) {
-	if _, err := Sparkline(nil); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := Sparkline([]float64{math.Inf(1)}); err == nil {
-		t.Error("Inf accepted")
-	}
-}

@@ -90,11 +90,6 @@ func (r *Rand) SplitN(n int) []*Rand {
 	return out
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // PairDraw is one pre-drawn ordered-pair interaction: two distinct values
 // in [0, n) and a raw 64-bit coin word. It is the record type of the
 // population engine's batched draw path (FillPairDraws); the fields are
@@ -240,16 +235,6 @@ func (r *Rand) NormFloat64() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle randomises the order of n elements using the provided swap
@@ -517,16 +502,4 @@ func (r *Rand) Geometric(p float64) int {
 		u = r.Float64()
 	}
 	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
-// Exp returns an exponential variate with rate lambda.
-func (r *Rand) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("xrand: Exp lambda=%v", lambda))
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / lambda
 }

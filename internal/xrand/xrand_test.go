@@ -144,17 +144,18 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
+func TestShuffleIsPermutation(t *testing.T) {
 	r := New(21)
 	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid element %d", n, v)
+				t.Fatalf("Shuffle(%d) invalid element %d", n, v)
 			}
 			seen[v] = true
 		}
@@ -302,22 +303,6 @@ func TestGeometricOne(t *testing.T) {
 		if v := r.Geometric(1); v != 0 {
 			t.Fatalf("Geometric(1) = %d", v)
 		}
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(105)
-	const lambda, draws = 2.0, 50000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := r.Exp(lambda)
-		if v < 0 {
-			t.Fatalf("Exp produced negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1/lambda) > 0.02 {
-		t.Errorf("Exp(%v) mean %v want %v", lambda, mean, 1/lambda)
 	}
 }
 

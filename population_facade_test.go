@@ -172,13 +172,11 @@ func TestBatchPopulationMatchesManualFold(t *testing.T) {
 func TestBatchPopulationValidation(t *testing.T) {
 	le, _ := NewLeaderElection(16)
 	sc := PopulationScenario{N: 16, Pair: le, Seed: 1}
-	build := func(int, *Rand) (Scenario, error) { return Scenario{}, nil }
 	for name, b := range map[string]Batch{
 		"no-reps":          {Scenario: sc},
 		"observer":         {Scenario: PopulationScenario{N: 16, Pair: le, Observer: observerStub{}}, Replications: 1},
 		"rng":              {Scenario: PopulationScenario{N: 16, Pair: le, RNG: NewRand(1)}, Replications: 1},
 		"randomize-source": {Scenario: sc, Replications: 1, RandomizeSource: true},
-		"with-new":         {Scenario: sc, Replications: 1, New: build},
 		"typed-nil":        {Scenario: (*PopulationScenario)(nil), Replications: 1},
 	} {
 		if _, err := b.Run(context.Background()); err == nil {

@@ -11,9 +11,10 @@ import (
 // Scenario/Run. A PopulationScenario describes one run of an
 // agent-state machine under the uniform random-pair scheduler (or the
 // synchronous ring scheduler), and Runner.Run executes it on
-// EngineSimulator with the WithWorkers/WithShards the phone-call scenarios
-// use — every worker count produces the same trace here too, because
-// population pair draws are state-independent (see internal/population).
+// EngineSimulator with the WithWorkers and DefaultShards the phone-call
+// scenarios use — every worker count produces the same trace here too,
+// because population pair draws are state-independent (see
+// internal/population).
 
 // Facade aliases for the population engine's vocabulary.
 type (
@@ -119,9 +120,7 @@ func HermanInitTokens(n, k int) (func(i, n int, coin uint64) PopulationState, er
 
 // PopulationScenario describes one population-protocol run: the agent
 // count, the protocol (exactly one of Pair and Ring), an optional
-// adversarial initial configuration, and the run's seed and budgets.
-// The zero values of the budget fields select the engine defaults
-// documented on population.Config.
+// adversarial initial configuration, and the run's seed and step budget.
 type PopulationScenario struct {
 	// N is the number of agents.
 	N int
@@ -138,11 +137,9 @@ type PopulationScenario struct {
 	// the hook Batch uses to inject per-replication streams. Runs sharing
 	// an RNG value are not independent; prefer Seed.
 	RNG *Rand
-	// MaxSteps, BatchSize and SilenceWindow bound the run; zero selects
-	// the defaults documented on population.Config.
-	MaxSteps      int
-	BatchSize     int
-	SilenceWindow int
+	// MaxSteps bounds the run in super-steps of N interactions; zero
+	// selects the default documented on population.Config.
+	MaxSteps int
 	// Observer receives per-super-step statistics (and, if it also
 	// implements InteractionObserver, per-interaction events).
 	Observer PopulationObserver
@@ -154,8 +151,8 @@ func (PopulationScenario) anyScenario() {}
 
 // runPopulation executes one population scenario on the simulator and
 // folds its result into the shared Result shape (the mapping documented on
-// Runner.Run); the trace is bit-identical for every worker count at a
-// fixed shard count. Other engines reject the scenario. Cancelling ctx stops the run
+// Runner.Run); the trace is bit-identical for every worker count. Other
+// engines reject the scenario. Cancelling ctx stops the run
 // at the next super-step boundary and returns ctx.Err() alongside the
 // partial result.
 func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result, error) {
@@ -167,18 +164,15 @@ func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result
 		rng = NewRand(s.Seed)
 	}
 	pres, err := population.Run(population.Config{
-		N:             s.N,
-		Pair:          s.Pair,
-		Ring:          s.Ring,
-		Init:          s.Init,
-		RNG:           rng,
-		MaxSteps:      s.MaxSteps,
-		BatchSize:     s.BatchSize,
-		SilenceWindow: s.SilenceWindow,
-		Workers:       r.workers,
-		Shards:        r.shards,
-		Observer:      s.Observer,
-		Halt:          haltFor(ctx),
+		N:        s.N,
+		Pair:     s.Pair,
+		Ring:     s.Ring,
+		Init:     s.Init,
+		RNG:      rng,
+		MaxSteps: s.MaxSteps,
+		Workers:  r.workers,
+		Observer: s.Observer,
+		Halt:     haltFor(ctx),
 	})
 	if err != nil {
 		return Result{}, err

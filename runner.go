@@ -18,10 +18,10 @@ import (
 type Engine int
 
 const (
-	// EngineSimulator is the round simulator: nodes partitioned into shards
-	// with independent PRNG streams (WithShards), the shard passes run
-	// inline or on a pool (WithWorkers) — bit-identical results at a fixed
-	// shard count, whatever the worker count.
+	// EngineSimulator is the round simulator: nodes partitioned into
+	// DefaultShards shards with independent PRNG streams, the shard passes
+	// run inline or on a pool (WithWorkers) — bit-identical results,
+	// whatever the worker count.
 	EngineSimulator Engine = iota
 	// EngineGossipTransport executes the scenario as anti-entropy gossip
 	// over in-memory channel mailboxes (internal/transport): each tick,
@@ -60,7 +60,6 @@ func (e Engine) String() string {
 type Runner struct {
 	engine  Engine
 	workers int
-	shards  int
 	mailbox int
 	faults  *transport.FaultConfig
 }
@@ -77,11 +76,6 @@ func WithEngine(e Engine) RunnerOption { return func(r *Runner) { r.engine = e }
 // on a pool of n. It affects wall-clock time only — results are
 // bit-identical for every value — and the transport engines ignore it.
 func WithWorkers(n int) RunnerOption { return func(r *Runner) { r.workers = n } }
-
-// WithShards fixes the simulator's partition count (default DefaultShards),
-// inline and pooled alike. The shard count — not the worker count —
-// determines the trace, so pin it when comparing runs.
-func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
 
 // WithMailbox sets the per-node mailbox capacity of the transport engines
 // (default 1024 packets).
@@ -310,7 +304,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		TrackEdgeUse:       s.trackEdgeUse,
 		StopEarly:          s.stopEarly,
 		Workers:            r.workers,
-		Shards:             r.shards,
 		Observer:           s.observer(),
 		Halt:               haltFor(ctx),
 	}

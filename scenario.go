@@ -24,7 +24,6 @@ type Scenario struct {
 
 	source      int
 	seed        uint64
-	seedSet     bool // WithSeed was applied (vs. the default seed 1)
 	rng         *Rand
 	dial        DialStrategy
 	avoidRecent int
@@ -52,7 +51,7 @@ func WithSource(v int) ScenarioOption { return func(s *Scenario) { s.source = v 
 // WithSeed seeds the run's randomness (default 1). Every Run of the same
 // Scenario and engine reproduces the same trace.
 func WithSeed(seed uint64) ScenarioOption {
-	return func(s *Scenario) { s.seed, s.seedSet = seed, true }
+	return func(s *Scenario) { s.seed = seed }
 }
 
 // WithRNG drives the run from an existing stream instead of a fresh seed —

@@ -79,72 +79,6 @@ func TestBatchAcceptsDynamicSpec(t *testing.T) {
 	}
 }
 
-// TestBatchNewComposesWithSpecScenario: the two escape hatches compose —
-// a Batch.New builder may return a spec scenario (per-replication
-// observers on a per-replication-built dynamic topology); the batch
-// materialises it on the scenario's own stream, deterministically
-// across pool widths.
-func TestBatchNewComposesWithSpecScenario(t *testing.T) {
-	const n = 192
-	proto, err := core.NewAlgorithm1(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(rw int, explicitRNG bool) ([]int64, []byte) {
-		informed := make([]int64, 6) // per-rep observer tallies
-		res, err := regcast.Batch{
-			Seed:               31,
-			Replications:       6,
-			ReplicationWorkers: rw,
-			New: func(rep int, rng *regcast.Rand) (regcast.Scenario, error) {
-				opts := []regcast.ScenarioOption{regcast.WithObserver(regcast.ObserverFuncs{
-					Informed: func(node, round int) { informed[rep]++ },
-				})}
-				if explicitRNG {
-					opts = append(opts, regcast.WithRNG(rng.Split()))
-				}
-				// Without WithRNG, the spec builds on the replication
-				// stream — the builder-just-forwards default.
-				return regcast.NewScenarioSpec(
-					regcast.OverlaySpec{N: n, D: 8, JoinProb: 0.02, LeaveProb: 0.02, MixSteps: 3},
-					proto, opts...)
-			},
-		}.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return informed, buf
-	}
-	for _, explicitRNG := range []bool{true, false} {
-		serialObs, serialJSON := run(0, explicitRNG)
-		allSame := true
-		for rep, c := range serialObs {
-			if c == 0 {
-				t.Fatalf("explicitRNG=%v replication %d: observer saw no informed events", explicitRNG, rep)
-			}
-			if c != serialObs[0] {
-				allSame = false
-			}
-		}
-		if allSame {
-			t.Errorf("explicitRNG=%v: every replication informed the same count; per-replication spec building is not drawing from the replication streams", explicitRNG)
-		}
-		pooledObs, pooledJSON := run(4, explicitRNG)
-		if !bytes.Equal(pooledJSON, serialJSON) {
-			t.Errorf("explicitRNG=%v: New+spec batch differs across pool widths:\n%s\nvs\n%s", explicitRNG, pooledJSON, serialJSON)
-		}
-		for rep := range serialObs {
-			if serialObs[rep] != pooledObs[rep] {
-				t.Errorf("explicitRNG=%v replication %d: observer tallies differ across pool widths: %d vs %d", explicitRNG, rep, serialObs[rep], pooledObs[rep])
-			}
-		}
-	}
-}
-
 // TestSpecScenarioRunDeterminism: a spec scenario rebuilds its topology
 // every Run from its own seed, so repeated runs are identical and the
 // scenario value stays reusable (nothing is memoised into it).

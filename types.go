@@ -101,22 +101,6 @@ func NewRegularGraph(n, d int, rng *Rand) (*Graph, error) {
 // Static wraps an immutable graph as a Topology.
 func Static(g *Graph) Topology { return phonecall.NewStatic(g) }
 
-// ImplicitTopology wraps a computed-adjacency graph family as a
-// Topology, the algebraic twin of Static: every node alive, adjacency
-// evaluated per draw through the fast path's ImplicitViewer contract,
-// no neighbour array ever built. NeighborAt(v, i) for i in
-// [0, Degree(v)) must enumerate exactly the multiset a materialised CSR
-// row would hold, in the same order, must be goroutine-safe, and must
-// not draw shared randomness at query time. The built-in implicit specs
-// (HypercubeSpec, TorusSpec, GnpStreamSpec, RegularStreamSpec) route
-// through this same wrapper.
-func ImplicitTopology(f interface {
-	NumNodes() int
-	ImplicitNeighbors
-}) Topology {
-	return phonecall.NewImplicit(f)
-}
-
 // NewFourChoice returns the paper's headline protocol for an n-node
 // d-regular network: four distinct dials per round on a phased
 // push/pull schedule, O(log n) rounds and O(n·log log n) transmissions.
