@@ -28,7 +28,8 @@ func (p steadyPush) NeverPulls() bool        { return true }
 // allocates nothing, on the default runner and with WithWorkers(1) alike —
 // and neither does the engine's side of a registered observer: a plain
 // Observer (for which no clock is read) and a PhaseObserver (three stamps
-// and one callback per round) that do not allocate themselves see none.
+// and one callback per round; the -phases PhaseTotals is one) that do not
+// allocate themselves see none.
 // Two runs that differ only in horizon must show identical allocation
 // counts — any per-round allocation would surface ~hundreds of times over
 // the horizon gap. The collector is off while counting (a GC cycle's own
@@ -50,6 +51,7 @@ func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 		{"sharded-inline", 1, nil},
 		{"plain-observer", 0, &countingObserver{}},
 		{"phase-observer", 0, phases},
+		{"phases-flag", 0, &regcast.PhaseTotals{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(horizon int) float64 {

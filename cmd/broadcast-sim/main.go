@@ -8,6 +8,7 @@
 //	broadcast-sim -n 4096 -d 8 -protocol fourchoice -seed 1 -trace
 //	broadcast-sim -n 1000000 -d 16 -protocol push -workers -1   # pooled shard passes
 //	broadcast-sim -topology hypercube:dim=27 -protocol push -stop-early -mem
+//	broadcast-sim -topology regular-stream:n=1000000,d=8 -protocol push -phases
 //	broadcast-sim -scheduler interactions -n 1024 -trace        # population demo
 //	broadcast-sim -n 32 -d 6 -daemon                            # gossip daemon over sockets
 //	broadcast-sim -n 32 -d 6 -chaos -chaos-drop 0.2             # + seeded fault injection
@@ -172,6 +173,10 @@ func run() error {
 			},
 		}))
 	}
+	phases := common.PhaseTotals()
+	if phases != nil {
+		sopts = append(sopts, regcast.WithObserver(phases))
+	}
 	var scenario regcast.Scenario
 	if spec == nil {
 		scenario, err = regcast.NewScenario(regcast.Static(g), proto, sopts...)
@@ -206,6 +211,9 @@ func run() error {
 	ms := func(from, to time.Time) time.Duration { return to.Sub(from).Round(time.Millisecond) }
 	fmt.Printf("wall clock: %s (build %s, report %s, run %s)\n",
 		ms(start, done), ms(start, built), ms(built, reported), ms(reported, done))
+	if phases != nil {
+		fmt.Println(phases)
+	}
 	if res.TickTimeouts > 0 {
 		fmt.Printf("tick timeouts: %d of %d ticks hit the drain deadline (receipt rounds are skewed late)\n", res.TickTimeouts, res.Rounds)
 	}

@@ -88,8 +88,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	scenario, err := regcast.NewScenario(regcast.Static(g), probe,
-		regcast.WithRNG(master.Split()), regcast.WithStopEarly())
+	sopts := []regcast.ScenarioOption{regcast.WithRNG(master.Split()), regcast.WithStopEarly()}
+	phases := common.PhaseTotals()
+	if phases != nil {
+		sopts = append(sopts, regcast.WithObserver(phases))
+	}
+	scenario, err := regcast.NewScenario(regcast.Static(g), probe, sopts...)
 	if err != nil {
 		return err
 	}
@@ -102,6 +106,9 @@ func run() error {
 		fmt.Printf(" in %d rounds\n", res.FirstAllInformed)
 	} else {
 		fmt.Printf(" after %d rounds (incomplete)\n", res.Rounds)
+	}
+	if phases != nil {
+		fmt.Println(phases)
 	}
 	return nil
 }

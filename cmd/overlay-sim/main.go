@@ -99,8 +99,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		scenario, err := regcast.NewScenario(regcast.Static(lastSnap), proto,
-			regcast.WithRNG(master.Split()), regcast.WithStopEarly())
+		sopts := []regcast.ScenarioOption{regcast.WithRNG(master.Split()), regcast.WithStopEarly()}
+		phases := common.PhaseTotals()
+		if phases != nil {
+			sopts = append(sopts, regcast.WithObserver(phases))
+		}
+		scenario, err := regcast.NewScenario(regcast.Static(lastSnap), proto, sopts...)
 		if err != nil {
 			return err
 		}
@@ -114,6 +118,9 @@ func run() error {
 		} else {
 			fmt.Printf("broadcast check on final snapshot (%s): incomplete — informed %d/%d after %d rounds\n",
 				proto.Name(), res.Informed, res.AliveNodes, res.Rounds)
+		}
+		if phases != nil {
+			fmt.Println(phases)
 		}
 	}
 	return nil

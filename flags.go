@@ -13,7 +13,8 @@ import (
 
 // CommonFlags is the flag surface shared by every regcast command:
 // one -seed and one -workers flag with identical names, defaults, and
-// semantics across binaries — and one pair of pprof hooks — parsed through
+// semantics across binaries — and one pair of pprof hooks and the -phases
+// summary — parsed through
 // this single helper so the commands cannot drift apart again.
 type CommonFlags struct {
 	// Seed is the master random seed; all of a command's randomness
@@ -37,6 +38,9 @@ type CommonFlags struct {
 	// no profile.
 	CPUProfile string
 	MemProfile string
+	// Phases asks for the run's summed round-phase times (PhaseTotals),
+	// printed in one line after the run.
+	Phases bool
 
 	scheduler Scheduler
 	spec      TopologySpec
@@ -55,7 +59,18 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"topology spec override, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
+	fs.BoolVar(&f.Phases, "phases", false,
+		"print the simulator's round-phase times summed over the run: decision tables, shard passes, merge, counted rounds (broadcast-sim, graphgen, overlay-sim)")
 	return f
+}
+
+// PhaseTotals returns a fresh -phases observer, or nil when the flag is off:
+// a command registers it with WithObserver and prints it after the run.
+func (f *CommonFlags) PhaseTotals() *PhaseTotals {
+	if !f.Phases {
+		return nil
+	}
+	return &PhaseTotals{}
 }
 
 // StartProfiles starts the CPU profile -cpuprofile asks for and returns

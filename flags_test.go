@@ -5,9 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"regcast"
+	"regcast/internal/baseline"
 )
 
 // TestProfileFlags drives the shared pprof hooks the way a command does:
@@ -72,5 +74,55 @@ func TestProfileFlags(t *testing.T) {
 
 	if _, err := run("-memprofile", filepath.Join(dir, "missing", "mem.prof")); err == nil {
 		t.Error("StartProfiles accepted a -memprofile path whose directory does not exist")
+	}
+}
+
+// TestPhasesFlag: -phases hands a command a PhaseTotals observer whose sums
+// cover every round of the run — the counted tail apart — and without the
+// flag there is no observer, so the run reads no clock.
+func TestPhasesFlag(t *testing.T) {
+	parse := func(args ...string) *regcast.CommonFlags {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := regcast.AddCommonFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	if p := parse().PhaseTotals(); p != nil {
+		t.Fatalf("-phases is off by default, got an observer %v", p)
+	}
+	phases := parse("-phases").PhaseTotals()
+	if phases == nil {
+		t.Fatal("-phases gave no observer")
+	}
+	proto, err := baseline.NewPush(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := regcast.ParseTopologySpec("regular-stream:n=4096,d=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := regcast.NewScenarioSpec(spec, proto, regcast.WithSeed(3), regcast.WithObserver(phases))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := regcast.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CountedRounds == 0 {
+		t.Fatal("the run settled nowhere: no counted rounds to sum")
+	}
+	if phases.Rounds != res.Rounds || phases.CountedRounds != res.CountedRounds {
+		t.Errorf("summed %d rounds (%d counted), the run had %d (%d counted)",
+			phases.Rounds, phases.CountedRounds, res.Rounds, res.CountedRounds)
+	}
+	if phases.Passes <= 0 || phases.Merge <= 0 {
+		t.Errorf("simulated rounds summed no pass or merge time: %v", phases)
+	}
+	if line := phases.String(); !strings.HasPrefix(line, "phases: ") || strings.Count(line, "\n") != 0 {
+		t.Errorf("not one line: %q", line)
 	}
 }

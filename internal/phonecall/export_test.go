@@ -59,6 +59,19 @@ func ShardWalk(informedAt []int32, alive []uint64, pushDec []bool, lo, hi, t int
 	return visited, pushing
 }
 
+// WordKernelShards counts the shards whose pass in the latest round, if a
+// senders round (a protocol that never pulls, no AvoidRecent), ran the word
+// kernel (pushWords) instead of the general walk.
+func (e *Engine) WordKernelShards() int {
+	c := 0
+	for i := range e.shards {
+		if sh := &e.shards[i]; sh.sends && e.oneDialRound(sh, dialSenders) {
+			c++
+		}
+	}
+	return c
+}
+
 // LiveInformedBits returns the engine's informed bitset itself.
 func (e *Engine) LiveInformedBits() []uint64 { return e.informedBits }
 

@@ -1,6 +1,7 @@
 package phonecall
 
-// This file is the engine's one shard pass and its dial samplers. Every
+// This file is the engine's one shard pass, its dial samplers and the
+// word kernel the pass hands one-dial push rounds to (pushWords). Every
 // topology is read through an epoch-stamped view that NewEngine fetches
 // once: CSR arrays (CSRViewer; frozen Static graphs and the churning
 // overlay alike), computable adjacency (ImplicitViewer), or — for a
@@ -34,7 +35,7 @@ import "math/bits"
 // nbrAt is the one neighbour resolver: the idx-th entry of v's row (off is
 // the row's first CSR slot, unused on an implicit view), loaded from the
 // CSR array or computed by the implicit view. It must stay inlinable into
-// the samplers below (`go build -gcflags=-m` reports "can inline
+// the samplers and pushWords below (`go build -gcflags=-m` reports "can inline
 // (*Engine).nbrAt"); with the row lookup in sampleDials it is the pass's
 // only implicit/dense branch.
 func (e *Engine) nbrAt(v, off, idx int) int32 {
@@ -217,6 +218,56 @@ func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 	return sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia]
 }
 
+// oneDialRound reports whether shardPass hands sh to pushWords: a senders
+// round (so no pull scan follows) in which every id the walk visits pushes
+// (pushAll), one dial each (k == 1), over a fully-alive view, with no fault
+// draw, census key, dial memory or list cursor beside the dial.
+func (e *Engine) oneDialRound(sh *parShard, dial dialMode) bool {
+	c := &e.cfg
+	return dial == dialSenders && sh.pushAll && e.k == 1 && e.aliveBits == nil &&
+		c.ChannelFailureProb == 0 && c.MessageLossProb == 0 && !c.TrackEdgeUse &&
+		c.AvoidRecent == 0 && c.DialStrategy == DialUniform
+}
+
+// pushWords is shardPass for a oneDialRound. Each bitset word of the shard
+// runs in three stages: draw every sender's pick (sampleDials' k == 1 IntN,
+// in the same ascending id order, so the stream is the general pass's),
+// resolve the picks to targets, then deliver. No informed-bit branch sits
+// between two neighbour resolutions, so consecutive Feistel networks of an
+// implicit view overlap instead of stalling on a mispredicted probe.
+func (e *Engine) pushWords(sh *parShard) {
+	var from, to [64]int32 // a word's senders; their slots, then targets
+	rng := sh.ds.rng
+	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
+		c := 0
+		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
+			v := wi<<6 + bits.TrailingZeros64(m)
+			var off, deg int
+			if e.impNbrs != nil {
+				deg = e.impNbrs.Degree(v)
+			} else {
+				off = int(e.csrOff[v])
+				deg = int(e.csrOff[v+1]) - off
+			}
+			if deg > 0 {
+				from[c], to[c] = int32(v), int32(off+rng.IntN(deg))
+				c++
+			}
+		}
+		// off + pick is the CSR slot, and the pick itself on an implicit
+		// view (off 0): either way nbrAt(v, 0, slot) is the target.
+		for i, v := range from[:c] {
+			to[i] = e.nbrAt(int(v), 0, int(to[i]))
+		}
+		sh.tx += int64(c)
+		for _, w := range to[:c] {
+			if !e.informedFast(int(w)) {
+				sh.outbox = append(sh.outbox, w)
+			}
+		}
+	}
+}
+
 // shardPass runs one round for the nodes a shard owns: dial sampling, push
 // transmissions, then pull transmissions, in ascending node order (both
 // loops walk bitset words, shardWord), drawing only from the shard's own
@@ -226,6 +277,10 @@ func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 // so concurrent shard passes never race. Delivery candidates are queued in
 // the outbox; global dedup happens in the sequential merge.
 func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
+	if e.oneDialRound(sh, dial) {
+		e.pushWords(sh)
+		return
+	}
 	census := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
 	k := e.k

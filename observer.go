@@ -1,6 +1,9 @@
 package regcast
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // ObserverFuncs adapts plain functions to the Observer interface; nil
 // fields are skipped. It is the quickest way to stream metrics from a run:
@@ -54,4 +57,34 @@ func (m phaseFanout) OnRoundPhases(t int, tables, passes, merge time.Duration) {
 			po.OnRoundPhases(t, tables, passes, merge)
 		}
 	}
+}
+
+// PhaseTotals is the -phases observer (CommonFlags.PhaseTotals): it sums the
+// simulator's PhaseObserver stamps over a run. A counted round, which reports
+// (count, 0, 0), is summed into Counted; every other round into Tables,
+// Passes and Merge. It allocates nothing per round.
+type PhaseTotals struct {
+	ObserverFuncs
+	Tables, Passes, Merge, Counted time.Duration
+	// Rounds is the number of stamped rounds, CountedRounds those counted.
+	Rounds, CountedRounds int
+}
+
+// OnRoundPhases implements PhaseObserver.
+func (p *PhaseTotals) OnRoundPhases(_ int, tables, passes, merge time.Duration) {
+	p.Rounds++
+	if passes == 0 && merge == 0 {
+		p.Counted += tables
+		p.CountedRounds++
+		return
+	}
+	p.Tables += tables
+	p.Passes += passes
+	p.Merge += merge
+}
+
+// String is the one line a command prints after the run.
+func (p *PhaseTotals) String() string {
+	return fmt.Sprintf("phases: %d rounds: tables %s, passes %s, merge %s, counted %s (%d rounds)",
+		p.Rounds, p.Tables, p.Passes, p.Merge, p.Counted, p.CountedRounds)
 }
