@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"regcast/internal/graph"
 	"regcast/internal/xrand"
 )
 
@@ -176,12 +177,15 @@ type Engine struct {
 	// samplers resolve rows through impNbrs (nbrAt). aliveBits is the
 	// view's liveness bitset (nil = every id alive); csrEpoch is the epoch
 	// it was fetched at — after every Stepper.Step the engine re-fetches
-	// the view iff the epoch advanced (refreshCSR).
+	// the view iff the epoch advanced (refreshCSR). uniDeg is impNbrs'
+	// graph.UniformDegree when it has one (0 otherwise): the word
+	// kernels read it instead of calling impNbrs.Degree per sender.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
 	impView   ImplicitViewer
 	impNbrs   ImplicitNeighbors
+	uniDeg    int
 	aliveBits []uint64
 	csrEpoch  uint64
 
@@ -331,7 +335,7 @@ func newEngine(cfg Config) (*Engine, error) {
 			iv = &interfaceView{Topology: cfg.Topology}
 		}
 		e.impView = iv
-		e.impNbrs, e.aliveBits, e.csrEpoch = iv.ImplicitView()
+		e.refreshCSR()
 	}
 	e.aliveCounter, _ = cfg.Topology.(AliveCounter)
 	e.informedAt = make([]int32, n)
@@ -549,14 +553,19 @@ func (e *Engine) informedFast(v int) bool {
 
 // refreshCSR re-fetches the topology's view (CSR or implicit) after a
 // churn Step, but only when the epoch advanced — one epoch compare per
-// round between churn events.
+// round between churn events. newEngine makes the first implicit fetch
+// through it too (impNbrs is still nil then).
 func (e *Engine) refreshCSR() {
 	if e.impView != nil {
 		nbrs, alive, epoch := e.impView.ImplicitView()
-		if epoch == e.csrEpoch {
+		if epoch == e.csrEpoch && e.impNbrs != nil {
 			return
 		}
 		e.impNbrs, e.aliveBits, e.csrEpoch = nbrs, alive, epoch
+		e.uniDeg = 0
+		if u, ok := nbrs.(graph.UniformDegree); ok {
+			e.uniDeg = u.UniformDegree()
+		}
 		return
 	}
 	off, adj, alive, epoch := e.fastView.CSRView()

@@ -59,17 +59,29 @@ func ShardWalk(informedAt []int32, alive []uint64, pushDec []bool, lo, hi, t int
 	return visited, pushing
 }
 
-// WordKernelShards counts the shards whose pass in the latest round, if a
-// senders round (a protocol that never pulls, no AvoidRecent), ran the word
-// kernel (pushWords) instead of the general walk.
-func (e *Engine) WordKernelShards() int {
-	c := 0
+// WordKernelShards counts the sending shards whose pass in the latest
+// round, round t, ran a word kernel instead of the general walk: push ran
+// pushWords, dial ran dialWords. A round dials only its senders unless some
+// cohort pulled or nodes keep dial memory (round's upgrade to dialEveryone).
+func (e *Engine) WordKernelShards(t int) (push, dial int) {
+	mode := dialSenders
 	for i := range e.shards {
-		if sh := &e.shards[i]; sh.sends && e.oneDialRound(sh, dialSenders) {
-			c++
+		for ia, c := range e.shards[i].cohort[:t] {
+			if c > 0 && e.pullDec[ia] || e.cfg.AvoidRecent > 0 {
+				mode = dialEveryone
+			}
 		}
 	}
-	return c
+	for i := range e.shards {
+		switch sh := &e.shards[i]; {
+		case !sh.sends:
+		case e.oneDialRound(sh, mode):
+			push++
+		case e.wordRound(mode):
+			dial++
+		}
+	}
+	return push, dial
 }
 
 // LiveInformedBits returns the engine's informed bitset itself.

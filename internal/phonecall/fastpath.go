@@ -1,20 +1,21 @@
 package phonecall
 
-// This file is the engine's one shard pass, its dial samplers and the
-// word kernel the pass hands one-dial push rounds to (pushWords). Every
-// topology is read through an epoch-stamped view that NewEngine fetches
-// once: CSR arrays (CSRViewer; frozen Static graphs and the churning
-// overlay alike), computable adjacency (ImplicitViewer), or — for a
-// topology that exposes neither — interfaceView, which serves the
-// topology's own Degree/Neighbor as implicit adjacency and scans Alive
-// into a bitset. The pass therefore runs against raw slices and one
-// devirtualisable resolver (nbrAt): for k <= 4 the scratch-free distinct
-// samplers (xrand.Distinct2/3/4) at every degree, liveness a bitset probe
-// (aliveFast), "is the target informed?" one too (informedFast, over the
-// bitset every engine keeps beside informedAt). On a churning topology the
-// view is re-fetched only when its epoch advances (refreshCSR, once per
-// Step). The Config.TrackEdgeUse census is shared by every view: the pass
-// buffers edge keys and the merge applies them through markUsed.
+// This file is the engine's one shard pass, its dial samplers and the two
+// word kernels the pass hands fault-free senders rounds of at most four
+// dials to (pushWords, dialWords). Every topology is read through an
+// epoch-stamped view that NewEngine fetches once: CSR arrays (CSRViewer;
+// frozen Static graphs and the churning overlay alike), computable
+// adjacency (ImplicitViewer), or — for a topology that exposes neither —
+// interfaceView, which serves the topology's own Degree/Neighbor as
+// implicit adjacency and scans Alive into a bitset. The pass therefore runs
+// against raw slices and one devirtualisable resolver (nbrAt): for k <= 4
+// the scratch-free distinct samplers (xrand.Distinct2/3/4) at every degree,
+// liveness a bitset probe (aliveFast), "is the target informed?" one too
+// (informedFast, over the bitset every engine keeps beside informedAt). On
+// a churning topology the view is re-fetched only when its epoch advances
+// (refreshCSR, once per Step). The Config.TrackEdgeUse census is shared by
+// every view: the pass buffers edge keys and the merge applies them through
+// markUsed.
 //
 // Contract: the CSR, implicit and interface views of one topology are
 // interchangeable bit for bit. For identical Config and seed, every view
@@ -218,52 +219,121 @@ func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 	return sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia]
 }
 
-// oneDialRound reports whether shardPass hands sh to pushWords: a senders
-// round (so no pull scan follows) in which every id the walk visits pushes
-// (pushAll), one dial each (k == 1), over a fully-alive view, with no fault
-// draw, census key, dial memory or list cursor beside the dial.
-func (e *Engine) oneDialRound(sh *parShard, dial dialMode) bool {
+// wordRound reports whether shardPass hands a round of mode dial to a word
+// kernel: a senders round (so no pull scan follows) of at most four dials
+// per sender over a fully-alive view, with no fault draw, census key, dial
+// memory or list cursor beside the dials.
+func (e *Engine) wordRound(dial dialMode) bool {
 	c := &e.cfg
-	return dial == dialSenders && sh.pushAll && e.k == 1 && e.aliveBits == nil &&
+	return dial == dialSenders && e.k <= 4 && e.aliveBits == nil &&
 		c.ChannelFailureProb == 0 && c.MessageLossProb == 0 && !c.TrackEdgeUse &&
 		c.AvoidRecent == 0 && c.DialStrategy == DialUniform
+}
+
+// oneDialRound reports whether shardPass hands sh to pushWords: a wordRound
+// in which every id the walk visits pushes (pushAll), one dial each.
+func (e *Engine) oneDialRound(sh *parShard, dial dialMode) bool {
+	return e.wordRound(dial) && sh.pushAll && e.k == 1
 }
 
 // pushWords is shardPass for a oneDialRound. Each bitset word of the shard
 // runs in three stages: draw every sender's pick (sampleDials' k == 1 IntN,
 // in the same ascending id order, so the stream is the general pass's),
-// resolve the picks to targets, then deliver. No informed-bit branch sits
-// between two neighbour resolutions, so consecutive Feistel networks of an
-// implicit view overlap instead of stalling on a mispredicted probe.
+// then resolve the picks to targets and deliver them (deliverSlots). No
+// informed-bit branch sits between two neighbour resolutions, so
+// consecutive Feistel networks of an implicit view overlap instead of
+// stalling on a mispredicted probe.
 func (e *Engine) pushWords(sh *parShard) {
-	var from, to [64]int32 // a word's senders; their slots, then targets
+	var from, slot [64]int32 // a word's senders; their slots
 	rng := sh.ds.rng
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		c := 0
 		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
 			v := wi<<6 + bits.TrailingZeros64(m)
-			var off, deg int
-			if e.impNbrs != nil {
-				deg = e.impNbrs.Degree(v)
-			} else {
+			off, deg := 0, e.uniDeg // v's row, the degree hoisted when uniform
+			if e.impNbrs == nil {
 				off = int(e.csrOff[v])
 				deg = int(e.csrOff[v+1]) - off
+			} else if deg == 0 {
+				deg = e.impNbrs.Degree(v)
 			}
 			if deg > 0 {
-				from[c], to[c] = int32(v), int32(off+rng.IntN(deg))
+				from[c], slot[c] = int32(v), int32(off+rng.IntN(deg))
 				c++
 			}
 		}
-		// off + pick is the CSR slot, and the pick itself on an implicit
-		// view (off 0): either way nbrAt(v, 0, slot) is the target.
-		for i, v := range from[:c] {
-			to[i] = e.nbrAt(int(v), 0, int(to[i]))
-		}
-		sh.tx += int64(c)
-		for _, w := range to[:c] {
-			if !e.informedFast(int(w)) {
-				sh.outbox = append(sh.outbox, w)
+		e.deliverSlots(sh, from[:c], slot[:c])
+	}
+}
+
+// dialWords is shardPass for every other wordRound: any cohort mix, up to
+// four dials per sender. The draw stage walks the senders in ascending id
+// order and draws each one's min(k, deg) picks with sampleDials' arm (IntN,
+// Distinct2/3/4), so the stream is the general pass's; when fewer than k
+// slots remain, deliverSlots drains the buffer. Slots are delivered in the
+// order they were drawn, so transmissions and the outbox are the general
+// pass's too.
+func (e *Engine) dialWords(sh *parShard, t int) {
+	var from, slot [64]int32 // each slot's sender; its slot
+	rng := sh.ds.rng
+	k, c := e.k, 0
+	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
+		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
+			v := wi<<6 + bits.TrailingZeros64(m)
+			if !e.pushes(sh, v, t, true) { // always true under pushAll
+				continue
 			}
+			off, deg := 0, e.uniDeg // v's row, the degree hoisted when uniform
+			if e.impNbrs == nil {
+				off = int(e.csrOff[v])
+				deg = int(e.csrOff[v+1]) - off
+			} else if deg == 0 {
+				deg = e.impNbrs.Degree(v)
+			}
+			if deg == 0 {
+				continue
+			}
+			if c > len(slot)-k {
+				e.deliverSlots(sh, from[:c], slot[:c])
+				c = 0
+			}
+			kk := min(k, deg)
+			switch kk {
+			case 1:
+				slot[c] = int32(off + rng.IntN(deg))
+			case 2:
+				p0, p1 := rng.Distinct2(deg)
+				slot[c], slot[c+1] = int32(off+p0), int32(off+p1)
+			case 3:
+				p0, p1, p2 := rng.Distinct3(deg)
+				slot[c], slot[c+1], slot[c+2] = int32(off+p0), int32(off+p1), int32(off+p2)
+			default:
+				p0, p1, p2, p3 := rng.Distinct4(deg)
+				slot[c], slot[c+1], slot[c+2], slot[c+3] = int32(off+p0), int32(off+p1), int32(off+p2), int32(off+p3)
+			}
+			for j := c; j < c+kk; j++ {
+				from[j] = int32(v)
+			}
+			c += kk
+		}
+	}
+	e.deliverSlots(sh, from[:c], slot[:c])
+}
+
+// deliverSlots is the word kernels' last two stages: resolve every slot to
+// its target in one nbrAt loop (off + pick is the CSR slot, and the pick
+// itself on an implicit view, so nbrAt(v, 0, slot) is the target either
+// way), then count the transmissions and queue every target not yet
+// informed, in slot order.
+func (e *Engine) deliverSlots(sh *parShard, from, slot []int32) {
+	slot = slot[:len(from)]
+	for i, v := range from {
+		slot[i] = e.nbrAt(int(v), 0, int(slot[i]))
+	}
+	sh.tx += int64(len(slot))
+	for _, w := range slot {
+		if !e.informedFast(int(w)) {
+			sh.outbox = append(sh.outbox, w)
 		}
 	}
 }
@@ -277,8 +347,12 @@ func (e *Engine) pushWords(sh *parShard) {
 // so concurrent shard passes never race. Delivery candidates are queued in
 // the outbox; global dedup happens in the sequential merge.
 func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
-	if e.oneDialRound(sh, dial) {
+	switch {
+	case e.oneDialRound(sh, dial):
 		e.pushWords(sh)
+		return
+	case e.wordRound(dial):
+		e.dialWords(sh, t)
 		return
 	}
 	census := e.cfg.TrackEdgeUse

@@ -56,8 +56,14 @@ func (l *eventLog) OnInformed(node, round int) {
 // result with everything its observer saw.
 func runLogged(t *testing.T, cfg phonecall.Config, topo phonecall.Topology) (phonecall.Result, *eventLog) {
 	t.Helper()
+	return runSeeded(t, cfg, topo, 9)
+}
+
+// runSeeded is runLogged from the given seed.
+func runSeeded(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog) {
+	t.Helper()
 	log := &eventLog{}
-	cfg.Topology, cfg.RNG, cfg.Observer, cfg.RecordRounds = topo, xrand.New(9), log, true
+	cfg.Topology, cfg.RNG, cfg.Observer, cfg.RecordRounds = topo, xrand.New(seed), log, true
 	res, err := phonecall.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,11 +59,75 @@ func allAlive(topo phonecall.Topology) phonecall.Topology {
 	return implicitAllAlive{topo, methodNbrs{topo}, alive}
 }
 
+// sparseGraph is a CSR graph whose rows stop the word kernels short: a
+// 2000-node 8-regular core, then 500 ids that cycle through degrees 0 (no
+// neighbour: the deg == 0 skip), 1, 2 and 3 (below k: the min(k, deg)
+// arms) and 5, each joined to distinct core nodes.
+func sparseGraph(t testing.TB) *graph.Graph {
+	const core, extra = 2000, 500
+	g := mustRegular(t, core, 8, 43)
+	var edges [][2]int32
+	for v := 0; v < core; v++ {
+		for _, w := range g.Neighbors(v) {
+			if int(w) > v {
+				edges = append(edges, [2]int32{int32(v), w})
+			}
+		}
+	}
+	rng := xrand.New(44)
+	var picks []int
+	for v := core; v < core+extra; v++ {
+		deg := []int{0, 1, 2, 3, 5}[v%5]
+		picks = rng.DistinctK(picks[:0], deg, core, make([]int, core))
+		for _, w := range picks {
+			edges = append(edges, [2]int32{int32(v), int32(w)})
+		}
+	}
+	sg, err := graph.NewFromEdges(core+extra, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sg
+}
+
+// kernelProtocols is every protocol shape the word kernels take rounds of,
+// on n nodes: one-dial push and pull-push, four-choice at k = 1…4 through
+// core.WithChoices, and the paper's Algorithms 1 and 2 (k = 4), whose
+// phase 1 and phase 4 rounds push from some cohorts only.
+func kernelProtocols(t testing.TB, n int) []phonecall.Protocol {
+	push, err := baseline.NewPush(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushPull, err := baseline.NewPushPull(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := []phonecall.Protocol{push, pushPull}
+	for k := 1; k <= 4; k++ {
+		p, err := core.New(n, 8, core.WithChoices(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		protos = append(protos, p)
+	}
+	alg1, err := core.NewAlgorithm1(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg2, err := core.NewAlgorithm2(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(protos, alg1, alg2)
+}
+
 // TestWordKernelMatchesGeneralPass is the differential behind the word
-// kernel: on every view (CSR, two implicit families, interfaceView), for
-// one-dial push, pull-push and four-choice, at several shard and worker
-// counts, a run equals the same run on its allAlive oracle — Result,
-// per-round metrics and the whole Observer sequence.
+// kernels: on every view (CSR, two implicit families, interfaceView, and a
+// CSR graph with isolated and low-degree ids under both its CSR and its
+// interface view), for every kernelProtocols shape, at several shard and
+// worker counts, a run equals the same run on its allAlive oracle —
+// Result, per-round metrics and the whole Observer sequence.
 func TestWordKernelMatchesGeneralPass(t *testing.T) {
 	stream, err := graph.NewRegularStream(3000, 8, 5)
 	if err != nil {
@@ -74,34 +138,26 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	static := phonecall.NewStatic(mustRegular(t, 2000, 8, 41))
+	sparse := phonecall.NewStatic(sparseGraph(t))
 	views := []struct {
-		name string
-		topo phonecall.Topology
+		name   string
+		topo   phonecall.Topology
+		source int
 	}{
-		{"csr", static},
-		{"regular-stream", phonecall.NewImplicit(stream)},
-		{"hypercube", phonecall.NewImplicit(cube)},
-		{"interface", struct{ phonecall.Topology }{static}}, // hides CSRView
+		{"csr", static, 0},
+		{"regular-stream", phonecall.NewImplicit(stream), 0},
+		{"hypercube", phonecall.NewImplicit(cube), 0},
+		{"interface", struct{ phonecall.Topology }{static}, 0}, // hides CSRView
+		{"sparse-csr", sparse, 0},
+		{"sparse-interface", struct{ phonecall.Topology }{sparse}, 0},
+		{"sparse-csr isolated source", sparse, 2000}, // an isolated sender
 	}
 	for _, view := range views {
-		n := view.topo.NumNodes()
-		push, err := baseline.NewPush(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pushPull, err := baseline.NewPushPull(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fourChoice, err := core.New(n, view.topo.Degree(0), core.WithChoices(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, proto := range []phonecall.Protocol{push, pushPull, fourChoice} {
+		for _, proto := range kernelProtocols(t, view.topo.NumNodes()) {
 			for _, shards := range []int{1, 7, 64} {
 				for _, workers := range []int{0, 4} {
-					label := fmt.Sprintf("%s %s shards=%d workers=%d", view.name, proto.Name(), shards, workers)
-					cfg := phonecall.Config{Protocol: proto, Shards: shards, Workers: workers}
+					label := fmt.Sprintf("%s %s k=%d shards=%d workers=%d", view.name, proto.Name(), proto.Choices(), shards, workers)
+					cfg := phonecall.Config{Protocol: proto, Source: view.source, Shards: shards, Workers: workers}
 					got, gotLog := runLogged(t, cfg, view.topo)
 					want, wantLog := runLogged(t, cfg, allAlive(view.topo))
 					sameResult(t, label, want, got)
@@ -114,10 +170,12 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 	}
 }
 
-// TestWordKernelEngages pins where the kernel runs: in every simulated
+// TestWordKernelEngages pins where the kernels run: in every simulated
 // round of stream-push's configuration (regular-stream, one-dial push,
-// Workers 1) each sending shard takes it, and under the allAlive oracle
-// none does.
+// Workers 1) each sending shard takes pushWords, in every simulated round
+// of dense-fourchoice's (a Static random regular graph, core.New's
+// Algorithm 2, Workers 0) each takes dialWords, and under the allAlive
+// oracle none takes either.
 func TestWordKernelEngages(t *testing.T) {
 	const n = 1 << 14
 	stream, err := graph.NewRegularStream(n, 8, 3)
@@ -128,42 +186,113 @@ func TestWordKernelEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dense := phonecall.NewStatic(mustRegular(t, n, 16, 3))
+	fourChoice, err := core.New(n, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fourChoice.Variant() != core.Algorithm2 {
+		t.Fatalf("core.New(%d, 16) chose %v, want Algorithm 2", n, fourChoice.Variant())
+	}
 	for _, tc := range []struct {
-		name   string
-		topo   phonecall.Topology
-		kernel bool
+		name       string
+		topo       phonecall.Topology
+		proto      phonecall.Protocol
+		workers    int
+		push, dial bool // the kernel every sending shard must take
 	}{
-		{"stream-push", phonecall.NewImplicit(stream), true},
-		{"oracle", allAlive(phonecall.NewImplicit(stream)), false},
+		{"stream-push", phonecall.NewImplicit(stream), push, 1, true, false},
+		{"stream-push oracle", allAlive(phonecall.NewImplicit(stream)), push, 1, false, false},
+		{"dense-fourchoice", dense, fourChoice, 0, false, true},
+		{"dense-fourchoice oracle", allAlive(dense), fourChoice, 0, false, false},
 	} {
 		var eng *phonecall.Engine
-		var kernel, sending []int
-		obs := roundHooks{onRound: func(phonecall.RoundMetrics) {
+		var pushes, dials, sending []int
+		obs := roundHooks{onRound: func(rm phonecall.RoundMetrics) {
 			s := 0
 			for _, st := range eng.ShardStates() {
 				if st.Sends {
 					s++
 				}
 			}
-			kernel, sending = append(kernel, eng.WordKernelShards()), append(sending, s)
+			p, d := eng.WordKernelShards(rm.Round)
+			pushes, dials, sending = append(pushes, p), append(dials, d), append(sending, s)
 		}}
-		eng, err = phonecall.NewEngine(phonecall.Config{Topology: tc.topo, Protocol: push, RNG: xrand.New(9), Workers: 1, Observer: obs})
+		eng, err = phonecall.NewEngine(phonecall.Config{Topology: tc.topo, Protocol: tc.proto, RNG: xrand.New(9), Workers: tc.workers, Observer: obs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := eng.Run()
-		simulated := res.Rounds - res.CountedRounds
-		if simulated < 10 {
-			t.Fatalf("%s: only %d rounds simulated", tc.name, simulated)
-		}
+		simulated, sent := res.Rounds-res.CountedRounds, 0
 		for r := 0; r < simulated; r++ {
-			want := 0
-			if tc.kernel {
-				want = sending[r]
+			if sending[r] > 0 {
+				sent++
 			}
-			if sending[r] == 0 || kernel[r] != want {
-				t.Fatalf("%s round %d: %d of %d sending shards ran the word kernel, want %d", tc.name, r+1, kernel[r], sending[r], want)
+			wantPush, wantDial := 0, 0
+			if tc.push {
+				wantPush = sending[r]
 			}
+			if tc.dial {
+				wantDial = sending[r]
+			}
+			if pushes[r] != wantPush || dials[r] != wantDial {
+				t.Fatalf("%s round %d: of %d sending shards %d ran pushWords and %d dialWords, want %d and %d",
+					tc.name, r+1, sending[r], pushes[r], dials[r], wantPush, wantDial)
+			}
+		}
+		if sent < 10 {
+			t.Fatalf("%s: only %d of %d simulated rounds had a sending shard", tc.name, sent, simulated)
 		}
 	}
+}
+
+// FuzzWordKernel holds both word kernels to the general pass on generated
+// runs: a regular-stream graph of n ids and even degree d, as an implicit
+// view and materialised as a CSR one, under push, pull-push or Algorithm 1
+// or 2 at k = 1…4 dials, over any shard count, inline or on four workers,
+// from any seed. Every run must equal its allAlive oracle — Result,
+// per-round metrics and the Observer sequence. Seed corpus:
+// testdata/fuzz/FuzzWordKernel.
+func FuzzWordKernel(f *testing.F) {
+	f.Add(uint16(1000), uint8(3), uint8(3), uint8(3), uint8(7), true, uint64(1))
+	f.Fuzz(func(t *testing.T, n16 uint16, d8, k8, proto8, shards8 uint8, pooled bool, seed uint64) {
+		n := 8 + int(n16)%1024
+		d := min(2+2*int(d8%8), (n-1)&^1)
+		k := 1 + int(k8%4)
+		stream, err := graph.NewRegularStream(n, d, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := graph.Materialize(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var proto phonecall.Protocol
+		switch proto8 % 4 {
+		case 0:
+			proto, err = baseline.NewPush(n, k)
+		case 1:
+			proto, err = baseline.NewPushPull(n, k)
+		case 2:
+			proto, err = core.NewAlgorithm1(n, core.WithChoices(k))
+		default:
+			proto, err = core.NewAlgorithm2(n, core.WithChoices(k))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := phonecall.Config{Protocol: proto, Shards: 1 + int(shards8%64)}
+		if pooled {
+			cfg.Workers = 4
+		}
+		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(stream), phonecall.NewStatic(g)} {
+			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, cfg.Shards, cfg.Workers, seed)
+			got, gotLog := runSeeded(t, cfg, topo, seed)
+			want, wantLog := runSeeded(t, cfg, allAlive(topo), seed)
+			sameResult(t, label, want, got)
+			if !reflect.DeepEqual(gotLog, wantLog) {
+				t.Fatalf("%s: observer sequences differ", label)
+			}
+		}
+	})
 }
