@@ -178,8 +178,8 @@ type Engine struct {
 	// view's liveness bitset (nil = every id alive); csrEpoch is the epoch
 	// it was fetched at — after every Stepper.Step the engine re-fetches
 	// the view iff the epoch advanced (refreshCSR). uniDeg is impNbrs'
-	// graph.UniformDegree when it has one (0 otherwise): the word
-	// kernels read it instead of calling impNbrs.Degree per sender.
+	// graph.UniformDegree when it has one (0 otherwise): row reads it
+	// instead of calling impNbrs.Degree per sender.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32

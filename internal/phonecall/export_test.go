@@ -60,28 +60,23 @@ func ShardWalk(informedAt []int32, alive []uint64, pushDec []bool, lo, hi, t int
 }
 
 // WordKernelShards counts the sending shards whose pass in the latest
-// round, round t, ran a word kernel instead of the general walk: push ran
-// pushWords, dial ran dialWords. A round dials only its senders unless some
-// cohort pulled or nodes keep dial memory (round's upgrade to dialEveryone).
-func (e *Engine) WordKernelShards(t int) (push, dial int) {
-	mode := dialSenders
+// round, round t, ran the word kernel (dialWords) instead of the general
+// walk. The dial mode is round's (roundDial), from whether any occupied
+// cohort pulled in round t.
+func (e *Engine) WordKernelShards(t int) int {
+	anyPull := false
 	for i := range e.shards {
 		for ia, c := range e.shards[i].cohort[:t] {
-			if c > 0 && e.pullDec[ia] || e.cfg.AvoidRecent > 0 {
-				mode = dialEveryone
-			}
+			anyPull = anyPull || c > 0 && e.pullDec[ia]
 		}
 	}
+	kernel := 0
 	for i := range e.shards {
-		switch sh := &e.shards[i]; {
-		case !sh.sends:
-		case e.oneDialRound(sh, mode):
-			push++
-		case e.wordRound(mode):
-			dial++
+		if e.shards[i].sends && e.wordRound(e.roundDial(dialSenders, anyPull)) {
+			kernel++
 		}
 	}
-	return push, dial
+	return kernel
 }
 
 // LiveInformedBits returns the engine's informed bitset itself.

@@ -1,14 +1,14 @@
 package phonecall
 
-// This file is the engine's one shard pass, its dial samplers and the two
-// word kernels the pass hands fault-free senders rounds of at most four
-// dials to (pushWords, dialWords). Every topology is read through an
-// epoch-stamped view that NewEngine fetches once: CSR arrays (CSRViewer;
-// frozen Static graphs and the churning overlay alike), computable
-// adjacency (ImplicitViewer), or — for a topology that exposes neither —
-// interfaceView, which serves the topology's own Degree/Neighbor as
-// implicit adjacency and scans Alive into a bitset. The pass therefore runs
-// against raw slices and one devirtualisable resolver (nbrAt): for k <= 4
+// This file is the engine's one shard pass, its dial samplers and the word
+// kernel the pass hands fault-free senders rounds of at most four dials to
+// (dialWords). Every topology is read through an epoch-stamped view that
+// NewEngine fetches once: CSR arrays (CSRViewer; frozen Static graphs and
+// the churning overlay alike), computable adjacency (ImplicitViewer), or —
+// for a topology that exposes neither — interfaceView, which serves the
+// topology's own Degree/Neighbor as implicit adjacency and scans Alive into
+// a bitset. The pass therefore runs against raw slices and one
+// devirtualisable resolver (nbrAt): for k <= 4
 // the scratch-free distinct samplers (xrand.Distinct2/3/4) at every degree,
 // liveness a bitset probe (aliveFast), "is the target informed?" one too
 // (informedFast, over the bitset every engine keeps beside informedAt). On
@@ -33,12 +33,23 @@ package phonecall
 
 import "math/bits"
 
+// row is v's first CSR slot and degree; on an implicit view 0 and uniDeg,
+// which is 0 without a uniform degree: a Degree call would not inline, so
+// sampleDials makes it and wordRound leaves such views to it. Keep inlinable.
+func (e *Engine) row(v int) (off, deg int) {
+	if e.impNbrs == nil {
+		off = int(e.csrOff[v])
+		return off, int(e.csrOff[v+1]) - off
+	}
+	return 0, e.uniDeg
+}
+
 // nbrAt is the one neighbour resolver: the idx-th entry of v's row (off is
 // the row's first CSR slot, unused on an implicit view), loaded from the
 // CSR array or computed by the implicit view. It must stay inlinable into
-// the samplers and pushWords below (`go build -gcflags=-m` reports "can inline
-// (*Engine).nbrAt"); with the row lookup in sampleDials it is the pass's
-// only implicit/dense branch.
+// the samplers and deliverSlots below (`go build -gcflags=-m` reports "can
+// inline (*Engine).nbrAt"); with row it is the pass's only implicit/dense
+// branch.
 func (e *Engine) nbrAt(v, off, idx int) int32 {
 	if e.impNbrs != nil {
 		return e.impNbrs.NeighborAt(v, idx)
@@ -54,12 +65,9 @@ func (e *Engine) sampleDials(v, base int, ds *dialState) {
 	for j := 0; j < e.k; j++ {
 		ds.rows[base+j] = Uninformed
 	}
-	var off, deg int
-	if e.impNbrs != nil {
+	off, deg := e.row(v)
+	if deg == 0 && e.impNbrs != nil { // no uniform degree for row to read
 		deg = e.impNbrs.Degree(v)
-	} else {
-		off = int(e.csrOff[v])
-		deg = int(e.csrOff[v+1]) - off
 	}
 	if deg == 0 {
 		return
@@ -221,58 +229,25 @@ func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 
 // wordRound reports whether shardPass hands a round of mode dial to a word
 // kernel: a senders round (so no pull scan follows) of at most four dials
-// per sender over a fully-alive view, with no fault draw, census key, dial
-// memory or list cursor beside the dials.
+// per sender over a fully-alive view row reads, with no fault draw, census
+// key, dial memory or list cursor beside the dials.
 func (e *Engine) wordRound(dial dialMode) bool {
 	c := &e.cfg
 	return dial == dialSenders && e.k <= 4 && e.aliveBits == nil &&
+		(e.impNbrs == nil || e.uniDeg > 0) &&
 		c.ChannelFailureProb == 0 && c.MessageLossProb == 0 && !c.TrackEdgeUse &&
 		c.AvoidRecent == 0 && c.DialStrategy == DialUniform
 }
 
-// oneDialRound reports whether shardPass hands sh to pushWords: a wordRound
-// in which every id the walk visits pushes (pushAll), one dial each.
-func (e *Engine) oneDialRound(sh *parShard, dial dialMode) bool {
-	return e.wordRound(dial) && sh.pushAll && e.k == 1
-}
-
-// pushWords is shardPass for a oneDialRound. Each bitset word of the shard
-// runs in three stages: draw every sender's pick (sampleDials' k == 1 IntN,
-// in the same ascending id order, so the stream is the general pass's),
-// then resolve the picks to targets and deliver them (deliverSlots). No
-// informed-bit branch sits between two neighbour resolutions, so
-// consecutive Feistel networks of an implicit view overlap instead of
-// stalling on a mispredicted probe.
-func (e *Engine) pushWords(sh *parShard) {
-	var from, slot [64]int32 // a word's senders; their slots
-	rng := sh.ds.rng
-	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
-		c := 0
-		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
-			v := wi<<6 + bits.TrailingZeros64(m)
-			off, deg := 0, e.uniDeg // v's row, the degree hoisted when uniform
-			if e.impNbrs == nil {
-				off = int(e.csrOff[v])
-				deg = int(e.csrOff[v+1]) - off
-			} else if deg == 0 {
-				deg = e.impNbrs.Degree(v)
-			}
-			if deg > 0 {
-				from[c], slot[c] = int32(v), int32(off+rng.IntN(deg))
-				c++
-			}
-		}
-		e.deliverSlots(sh, from[:c], slot[:c])
-	}
-}
-
-// dialWords is shardPass for every other wordRound: any cohort mix, up to
-// four dials per sender. The draw stage walks the senders in ascending id
-// order and draws each one's min(k, deg) picks with sampleDials' arm (IntN,
-// Distinct2/3/4), so the stream is the general pass's; when fewer than k
-// slots remain, deliverSlots drains the buffer. Slots are delivered in the
-// order they were drawn, so transmissions and the outbox are the general
-// pass's too.
+// dialWords is shardPass for a wordRound: any cohort mix, one to four dials
+// per sender, in three stages. Draw: walk the senders in ascending id order
+// and draw each one's min(k, deg) picks with sampleDials' arm (IntN,
+// Distinct2/3/4), so the stream is the general pass's. Resolve and deliver
+// (deliverSlots) whenever fewer than k slots remain, in the order the slots
+// were drawn, so transmissions and the outbox are the general pass's too.
+// No informed-bit branch sits between two neighbour resolutions, so
+// consecutive Feistel networks or CSR loads overlap instead of stalling on
+// a mispredicted probe.
 func (e *Engine) dialWords(sh *parShard, t int) {
 	var from, slot [64]int32 // each slot's sender; its slot
 	rng := sh.ds.rng
@@ -283,13 +258,7 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 			if !e.pushes(sh, v, t, true) { // always true under pushAll
 				continue
 			}
-			off, deg := 0, e.uniDeg // v's row, the degree hoisted when uniform
-			if e.impNbrs == nil {
-				off = int(e.csrOff[v])
-				deg = int(e.csrOff[v+1]) - off
-			} else if deg == 0 {
-				deg = e.impNbrs.Degree(v)
-			}
+			off, deg := e.row(v)
 			if deg == 0 {
 				continue
 			}
@@ -320,7 +289,7 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 	e.deliverSlots(sh, from[:c], slot[:c])
 }
 
-// deliverSlots is the word kernels' last two stages: resolve every slot to
+// deliverSlots is the word kernel's last two stages: resolve every slot to
 // its target in one nbrAt loop (off + pick is the CSR slot, and the pick
 // itself on an implicit view, so nbrAt(v, 0, slot) is the target either
 // way), then count the transmissions and queue every target not yet
@@ -347,11 +316,7 @@ func (e *Engine) deliverSlots(sh *parShard, from, slot []int32) {
 // so concurrent shard passes never race. Delivery candidates are queued in
 // the outbox; global dedup happens in the sequential merge.
 func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
-	switch {
-	case e.oneDialRound(sh, dial):
-		e.pushWords(sh)
-		return
-	case e.wordRound(dial):
+	if e.wordRound(dial) {
 		e.dialWords(sh, t)
 		return
 	}

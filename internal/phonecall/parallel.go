@@ -89,7 +89,7 @@ type dialMode uint8
 const (
 	// dialSenders samples a row only for the nodes that push this round;
 	// round upgrades it to dialEveryone when a cohort pulls (a pull needs
-	// the caller's channels) or nodes keep dial memory (AvoidRecent).
+	// the caller's channels) or nodes keep dial memory (roundDial).
 	dialSenders dialMode = iota
 	// dialEveryone samples the row of every alive node.
 	dialEveryone
@@ -261,9 +261,7 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 		}
 	}
 	e.pullAll = pullAll
-	if dial == dialSenders && (anyPull || e.cfg.AvoidRecent > 0) {
-		dial = dialEveryone
-	}
+	dial = e.roundDial(dial, anyPull)
 
 	// Step 2: shard passes (the parallel section).
 	t1 := e.stamp()
@@ -288,6 +286,14 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 		e.phases.OnRoundPhases(t, t1.Sub(t0), t2.Sub(t1), time.Since(t2))
 	}
 	return newly, roundTx
+}
+
+// roundDial is the mode round runs when its driver asks for dial (dialSenders).
+func (e *Engine) roundDial(dial dialMode, anyPull bool) dialMode {
+	if dial == dialSenders && (anyPull || e.cfg.AvoidRecent > 0) {
+		return dialEveryone
+	}
+	return dial
 }
 
 // stamp reads the monotonic clock, but only for a PhaseObserver.

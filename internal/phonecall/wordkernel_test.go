@@ -59,7 +59,7 @@ func allAlive(topo phonecall.Topology) phonecall.Topology {
 	return implicitAllAlive{topo, methodNbrs{topo}, alive}
 }
 
-// sparseGraph is a CSR graph whose rows stop the word kernels short: a
+// sparseGraph is a CSR graph whose rows stop the word kernel short: a
 // 2000-node 8-regular core, then 500 ids that cycle through degrees 0 (no
 // neighbour: the deg == 0 skip), 1, 2 and 3 (below k: the min(k, deg)
 // arms) and 5, each joined to distinct core nodes.
@@ -90,7 +90,7 @@ func sparseGraph(t testing.TB) *graph.Graph {
 	return sg
 }
 
-// kernelProtocols is every protocol shape the word kernels take rounds of,
+// kernelProtocols is every protocol shape the word kernel takes rounds of,
 // on n nodes: one-dial push and pull-push, four-choice at k = 1…4 through
 // core.WithChoices, and the paper's Algorithms 1 and 2 (k = 4), whose
 // phase 1 and phase 4 rounds push from some cohorts only.
@@ -123,11 +123,13 @@ func kernelProtocols(t testing.TB, n int) []phonecall.Protocol {
 }
 
 // TestWordKernelMatchesGeneralPass is the differential behind the word
-// kernels: on every view (CSR, two implicit families, interfaceView, and a
+// kernel: on every view (CSR, two implicit families, interfaceView, and a
 // CSR graph with isolated and low-degree ids under both its CSR and its
 // interface view), for every kernelProtocols shape, at several shard and
 // worker counts, a run equals the same run on its allAlive oracle —
-// Result, per-round metrics and the whole Observer sequence.
+// Result, per-round metrics and the whole Observer sequence. The interface
+// views take the general pass on both sides (they have no uniform degree):
+// they hold sampleDials' Degree call beside row.
 func TestWordKernelMatchesGeneralPass(t *testing.T) {
 	stream, err := graph.NewRegularStream(3000, 8, 5)
 	if err != nil {
@@ -170,12 +172,12 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 	}
 }
 
-// TestWordKernelEngages pins where the kernels run: in every simulated
-// round of stream-push's configuration (regular-stream, one-dial push,
-// Workers 1) each sending shard takes pushWords, in every simulated round
-// of dense-fourchoice's (a Static random regular graph, core.New's
-// Algorithm 2, Workers 0) each takes dialWords, and under the allAlive
-// oracle none takes either.
+// TestWordKernelEngages pins where the kernel runs: every sending shard
+// takes dialWords in every simulated round of stream-push's configuration
+// (regular-stream, one-dial push, Workers 1) and of dense-fourchoice's (a
+// Static random regular graph, core.New's Algorithm 2, Workers 0), and none
+// does under the allAlive oracle or on an implicit view without a uniform
+// degree (the same graph through interfaceView), whose rows row cannot read.
 func TestWordKernelEngages(t *testing.T) {
 	const n = 1 << 14
 	stream, err := graph.NewRegularStream(n, 8, 3)
@@ -199,15 +201,17 @@ func TestWordKernelEngages(t *testing.T) {
 		topo       phonecall.Topology
 		proto      phonecall.Protocol
 		workers    int
-		push, dial bool // the kernel every sending shard must take
+		kernel     bool // every sending shard takes dialWords
+		everyRound bool // every simulated round has a sending shard
 	}{
-		{"stream-push", phonecall.NewImplicit(stream), push, 1, true, false},
-		{"stream-push oracle", allAlive(phonecall.NewImplicit(stream)), push, 1, false, false},
-		{"dense-fourchoice", dense, fourChoice, 0, false, true},
+		{"stream-push", phonecall.NewImplicit(stream), push, 1, true, true},
+		{"stream-push oracle", allAlive(phonecall.NewImplicit(stream)), push, 1, false, true},
+		{"dense-fourchoice", dense, fourChoice, 0, true, false},
 		{"dense-fourchoice oracle", allAlive(dense), fourChoice, 0, false, false},
+		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false},
 	} {
 		var eng *phonecall.Engine
-		var pushes, dials, sending []int
+		var kernel, sending []int
 		obs := roundHooks{onRound: func(rm phonecall.RoundMetrics) {
 			s := 0
 			for _, st := range eng.ShardStates() {
@@ -215,8 +219,7 @@ func TestWordKernelEngages(t *testing.T) {
 					s++
 				}
 			}
-			p, d := eng.WordKernelShards(rm.Round)
-			pushes, dials, sending = append(pushes, p), append(dials, d), append(sending, s)
+			kernel, sending = append(kernel, eng.WordKernelShards(rm.Round)), append(sending, s)
 		}}
 		eng, err = phonecall.NewEngine(phonecall.Config{Topology: tc.topo, Protocol: tc.proto, RNG: xrand.New(9), Workers: tc.workers, Observer: obs})
 		if err != nil {
@@ -227,17 +230,15 @@ func TestWordKernelEngages(t *testing.T) {
 		for r := 0; r < simulated; r++ {
 			if sending[r] > 0 {
 				sent++
+			} else if tc.everyRound {
+				t.Fatalf("%s round %d: no shard sends", tc.name, r+1)
 			}
-			wantPush, wantDial := 0, 0
-			if tc.push {
-				wantPush = sending[r]
+			want := 0
+			if tc.kernel {
+				want = sending[r]
 			}
-			if tc.dial {
-				wantDial = sending[r]
-			}
-			if pushes[r] != wantPush || dials[r] != wantDial {
-				t.Fatalf("%s round %d: of %d sending shards %d ran pushWords and %d dialWords, want %d and %d",
-					tc.name, r+1, sending[r], pushes[r], dials[r], wantPush, wantDial)
+			if kernel[r] != want {
+				t.Fatalf("%s round %d: %d of %d sending shards ran dialWords, want %d", tc.name, r+1, kernel[r], sending[r], want)
 			}
 		}
 		if sent < 10 {
@@ -246,7 +247,7 @@ func TestWordKernelEngages(t *testing.T) {
 	}
 }
 
-// FuzzWordKernel holds both word kernels to the general pass on generated
+// FuzzWordKernel holds the word kernel to the general pass on generated
 // runs: a regular-stream graph of n ids and even degree d, as an implicit
 // view and materialised as a CSR one, under push, pull-push or Algorithm 1
 // or 2 at k = 1…4 dials, over any shard count, inline or on four workers,
