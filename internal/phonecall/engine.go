@@ -54,11 +54,9 @@ type Config struct {
 	// MessageLossProb is the probability that an individual transmission is
 	// lost in transit. Lost transmissions still count as transmissions.
 	MessageLossProb float64
-	// DisableFastPath reads the topology through interfaceView — its
-	// Degree/Neighbor/Alive methods — even when it exposes a CSR or
-	// implicit view. It selects a view, not another code body, and never
-	// changes a result; it is kept for bench/'s reference probe until
-	// ROADMAP 1(d).
+	// DisableFastPath reads the topology through its Degree/Neighbor/Alive
+	// methods (interfaceView) even when it exposes a CSR or implicit view. It
+	// never changes a result; bench/'s reference probe reads it.
 	DisableFastPath bool
 	// DialStrategy selects the neighbour-selection discipline (default
 	// DialUniform). DialQuasirandom is incompatible with AvoidRecent.
@@ -80,15 +78,12 @@ type Config struct {
 	// would be conflated; an edge is looked up in its lower endpoint's row).
 	TrackEdgeUse bool
 	// StopEarly stops the run as soon as every alive node is informed: fewer
-	// rounds charged, and — a settled tail being counted (CountedRounds) — no
-	// faster on a static, fault-free topology. Leave it false to measure the
-	// full schedule (the honest accounting used throughout EXPERIMENTS.md).
+	// rounds charged, not a faster run (a settled tail is counted). Leave it
+	// false to measure the full schedule, as EXPERIMENTS.md does.
 	StopEarly bool
-	// Workers selects where the round driver's shard passes execute (see
-	// parallel.go): 0 (the default) and 1 run them inline on the calling
-	// goroutine, a larger value on min(Workers, Shards) pooled goroutines,
-	// WorkersAuto (-1) on GOMAXPROCS of them. It never changes a result:
-	// for a fixed seed and shard count every value is bit-identical.
+	// Workers selects where the shard passes execute: 0 (the default) and 1
+	// inline on the calling goroutine, more on min(Workers, Shards) pooled
+	// goroutines, WorkersAuto (-1) on GOMAXPROCS. It never changes a result.
 	Workers int
 	// Shards is the number of node partitions (and independent PRNG
 	// streams); 0 means DefaultShards. The shard count — not the worker
@@ -98,9 +93,8 @@ type Config struct {
 	// Observer). It never changes the trace: observers are called after all
 	// of a round's randomness has been drawn.
 	Observer Observer
-	// Halt, when non-nil, is polled once at the end of every round; a true
-	// return stops the run early with the partial result accumulated so
-	// far. The facade uses it to honour context cancellation.
+	// Halt, when non-nil, is polled at the end of every round; true stops the
+	// run with the partial result (the facade's context cancellation).
 	Halt func() bool
 }
 
@@ -156,30 +150,28 @@ type Engine struct {
 	k          int
 	dials      int // channels a node dials per round: k, or 1 under AvoidRecent
 	informedAt []int32
-	// informedBits mirrors informedAt != Uninformed as a bitset: "is the
-	// target informed?" — the one random read per transmission — touches
-	// n/8 bytes instead of 4n (informedFast), and the recount under churn is
-	// popcount(alive & informed) over n/64 words. A MultiEngine swaps it
-	// beside informedAt, one per message.
+	// informedBits mirrors informedAt != Uninformed in n/8 bytes: the walk,
+	// the pull scan (informedFast), the merge's mask and the recount under
+	// churn read it. A MultiEngine swaps it beside informedAt per message.
 	informedBits []uint64
 	ran          bool // Run was called
 
-	// Dial rows (k slots per node, Uninformed = "no channel"), see rowsFor:
-	// the free list of pull-round scratches; a MultiEngine's full n×k store.
-	rowFree chan []int32
-	allRows []int32
+	// Per-pass scratch, lent by borrow: pull-round dial rows (k slots per
+	// node, Uninformed = "no channel"; rowsFor) and receipt bitsets (one bit
+	// per id; pass). allRows is a MultiEngine's full n×k store, nexts
+	// applyReceipts' list of the bitsets.
+	rowFree  chan []int32
+	nextFree chan []uint64
+	allRows  []int32
+	nexts    [][]uint64
 
-	// The topology's view (see fastpath.go), exactly one of two kinds.
-	// CSR: when the topology exposes epoch-stamped CSR arrays (CSRViewer —
-	// frozen Static graphs and the churning overlay alike), the samplers
-	// index csrOff/csrAdj. Implicit: otherwise impView is the topology's
-	// ImplicitViewer, or interfaceView over its Topology methods, and the
-	// samplers resolve rows through impNbrs (nbrAt). aliveBits is the
-	// view's liveness bitset (nil = every id alive); csrEpoch is the epoch
-	// it was fetched at — after every Stepper.Step the engine re-fetches
-	// the view iff the epoch advanced (refreshCSR). uniDeg is impNbrs'
-	// graph.UniformDegree when it has one (0 otherwise): row reads it
-	// instead of calling impNbrs.Degree per sender.
+	// The topology's view (see fastpath.go): CSR arrays (CSRViewer — frozen
+	// Static graphs and the churning overlay alike), or impView, the
+	// topology's ImplicitViewer or interfaceView over its methods, whose rows
+	// impNbrs resolves (nbrAt). aliveBits is the view's liveness bitset (nil
+	// = every id alive), csrEpoch the epoch it was fetched at (refreshCSR
+	// re-fetches when a Step advanced it). uniDeg is impNbrs'
+	// graph.UniformDegree, or 0: row reads it instead of calling Degree.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
@@ -193,12 +185,10 @@ type Engine struct {
 	workers int
 	shards  []parShard
 
-	// Per-round protocol decision tables, indexed by receipt round: round
-	// fills them once per call, so SendPush/SendPull is called
-	// O(rounds · cohorts) times instead of inside node loops. pullAll is the
-	// round's "every occupied cohort pulls": an informed callee then answers
-	// whatever its receipt round, so the pull scan probes the bit and never
-	// loads informedAt[w]. neverPulls caches the protocol's PullFree answer.
+	// Per-round protocol decision tables, indexed by receipt round, filled
+	// once per round call instead of inside node loops. pullAll is "every
+	// occupied cohort pulls": the pull scan then probes the informed bit and
+	// never loads informedAt[w]. neverPulls caches PullFree's answer.
 	pushDec    []bool
 	pullDec    []bool
 	pullAll    bool
@@ -213,12 +203,9 @@ type Engine struct {
 	// quasirandom strategy (-1 until the first dial draws the start).
 	listCursor []int32
 
-	// budget caches the number of dials the model mandates per round. For
-	// frozen topologies it is computed once; for dynamic ones it is
-	// recomputed only after a Step that changed membership (refreshBudget:
-	// joins reported, or the alive count moved — budgetAlive remembers the
-	// count the cache was computed for), in O(1) on a DialBudgeter such as
-	// the overlay, by the O(n) DialBudget scan otherwise.
+	// budget caches the dials the model mandates per round, recomputed only
+	// after a Step that changed membership (refreshBudget; budgetAlive is
+	// the alive count it was computed for).
 	budget      int64
 	budgetAlive int
 
@@ -227,16 +214,12 @@ type Engine struct {
 	cohortDials []int64
 	countFrom   int
 
-	// aliveCounter, when the topology supports it, answers aliveCount in
-	// O(1) instead of a popcount over the view's alive bitset.
+	// aliveCounter, if the topology has one, answers aliveCount in O(1).
 	aliveCounter AliveCounter
 
-	// Edge-use census (Config.TrackEdgeUse), one for every view: usedBits
-	// has a bit per adjacency slot (slotOff[v] is the first slot of v's
-	// row) and an edge owns the first slot holding the higher endpoint in
-	// the lower endpoint's row, so parallel edges share a bit.
-	// unusedDeg[v] counts v's incident edges not yet used and unusedNodes
-	// the nodes whose counter is still positive, |U(t)|.
+	// Edge-use census (Config.TrackEdgeUse; markUsed): usedBits has a bit
+	// per adjacency slot (slotOff[v] is v's first), unusedDeg[v] counts v's
+	// incident edges not yet used, unusedNodes those counters above 0, |U(t)|.
 	unusedDeg   []int32
 	slotOff     []int32
 	usedBits    []uint64
@@ -283,8 +266,8 @@ func newEngine(cfg Config) (*Engine, error) {
 	n := cfg.Topology.NumNodes()
 	if int64(n) > math.MaxInt32 {
 		// Checked before the view fetch, which scans Alive and allocates
-		// n/64 words: views, dial rows and outboxes hold int32 ids, so a
-		// larger id space would wrap silently.
+		// n/64 words: views and dial rows hold int32 ids, so a larger id
+		// space would wrap silently.
 		return nil, fmt.Errorf("phonecall: %d nodes exceed the int32 node ids", n)
 	}
 	if cfg.Protocol.Choices() < 1 {
@@ -485,8 +468,9 @@ func (e *Engine) markUsed(key int64) {
 // race-free and deterministic regardless of worker count.
 type dialState struct {
 	rng     *xrand.Rand
-	row     []int32 // the one dial row of a round without pull scan
-	rows    []int32 // the current pass's rows (rowsFor); the samplers fill them
+	row     []int32  // the one dial row of a round without pull scan
+	rows    []int32  // the current pass's rows (rowsFor); the samplers fill them
+	next    []uint64 // the current pass's receipt bitset (borrow)
 	dialIdx []int
 	scratch []int
 }
@@ -506,13 +490,10 @@ func (ds *dialState) scratchFor(n int) []int {
 }
 
 // refreshBudget recomputes the cached dial budget after a topology Step,
-// but only when membership actually changed: joins were reported or the
-// alive count moved. Steps that merely rewire edges degree-preservingly
-// (the overlay's Mix) leave the budget untouched. A Stepper that changes
-// degrees without any membership change would need to pair the change
-// with a join/leave to be budgeted — no topology in this repository does
-// that, and the per-round budget test on the churn overlay pins the
-// cached values against the overlay's alive × min(k, d) ground truth.
+// but only when joins were reported or the alive count moved: a
+// degree-preserving rewire (the overlay's Mix) leaves it as it is. A
+// Stepper that changed degrees without a join or leave would go unbudgeted;
+// none does, and the churn overlay's per-round budget test pins the cache.
 func (e *Engine) refreshBudget(joined []int) {
 	alive := e.aliveCount()
 	if len(joined) == 0 && alive == e.budgetAlive {
@@ -549,6 +530,12 @@ func (e *Engine) aliveFast(v int) bool {
 // per transmission about a random node; it must stay inlinable.
 func (e *Engine) informedFast(v int) bool {
 	return e.informedBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
+}
+
+// setBit sets bit v of bs (a receipt bitset, the informed bitset). It must
+// stay inlinable.
+func setBit(bs []uint64, v int) {
+	bs[uint(v)>>6] |= 1 << (uint(v) & 63)
 }
 
 // refreshCSR re-fetches the topology's view (CSR or implicit) after a

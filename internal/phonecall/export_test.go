@@ -116,3 +116,20 @@ func (e *Engine) StreamStates() []xrand.Rand {
 // Settled reports whether the MultiEngine's engine ever settled (Engine.Run
 // does that; round, which the two share, must not).
 func (e *MultiEngine) Settled() bool { return e.eng.cohortDials != nil }
+
+// ReceiptBitsets counts the receipt bitsets the engine has made and the
+// words still set in any of them. Between rounds every bitset is back in
+// the free list, so this sees them all; it must not run during a round.
+func (e *Engine) ReceiptBitsets() (made, dirtyWords int) {
+	made = len(e.nextFree)
+	for range made {
+		next := <-e.nextFree
+		for _, w := range next {
+			if w != 0 {
+				dirtyWords++
+			}
+		}
+		e.nextFree <- next
+	}
+	return made, dirtyWords
+}

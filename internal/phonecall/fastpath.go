@@ -3,33 +3,28 @@ package phonecall
 // This file is the engine's one shard pass, its dial samplers and the word
 // kernel the pass hands fault-free senders rounds of at most four dials to
 // (dialWords). Every topology is read through an epoch-stamped view that
-// NewEngine fetches once: CSR arrays (CSRViewer; frozen Static graphs and
-// the churning overlay alike), computable adjacency (ImplicitViewer), or —
-// for a topology that exposes neither — interfaceView, which serves the
-// topology's own Degree/Neighbor as implicit adjacency and scans Alive into
-// a bitset. The pass therefore runs against raw slices and one
-// devirtualisable resolver (nbrAt): for k <= 4
-// the scratch-free distinct samplers (xrand.Distinct2/3/4) at every degree,
-// liveness a bitset probe (aliveFast), "is the target informed?" one too
-// (informedFast, over the bitset every engine keeps beside informedAt). On
-// a churning topology the view is re-fetched only when its epoch advances
-// (refreshCSR, once per Step). The Config.TrackEdgeUse census is shared by
-// every view: the pass buffers edge keys and the merge applies them through
-// markUsed.
+// NewEngine fetches once (refreshCSR re-fetches it when a Step advanced the
+// epoch): CSR arrays (CSRViewer), computable adjacency (ImplicitViewer), or
+// interfaceView, which serves a topology's own Degree/Neighbor as implicit
+// adjacency and scans Alive into a bitset. The pass therefore runs against
+// raw slices and one devirtualisable resolver (nbrAt): for k <= 4 the
+// scratch-free samplers (xrand.Distinct2/3/4) at every degree, liveness a
+// bitset probe (aliveFast), "does the callee answer a pull?" one too
+// (informedFast). A delivery asks nothing: the pass ORs the target's bit into
+// its receipt bitset (setBit), and the merge applies the union of those
+// bitsets less the informed (applyReceipts). Edge census keys
+// (Config.TrackEdgeUse) are buffered and applied by the merge (markUsed).
 //
 // Contract: the CSR, implicit and interface views of one topology are
-// interchangeable bit for bit. For identical Config and seed, every view
-// yields the same Result, because the pass consumes the PRNG stream
-// draw-for-draw identically whatever the view: resolving a neighbour and
-// probing liveness draw no randomness, and ImplicitNeighbors must
-// enumerate exactly the rows a materialised CSR view would hold. So a run
-// over graph.Implicit `f` is bit-identical to the same run over
-// Static{Materialize(f)}, and Config.DisableFastPath (interfaceView on any
-// topology) changes nothing. Golden tests (fastpath_test.go,
-// fastpath_churn_test.go) pin one digest per configuration across the
-// E1–E20 matrix and the churn overlay, for every view and Workers value;
-// the digests were recorded while the deleted interface-dispatch bodies
-// still ran beside this pass.
+// interchangeable bit for bit: the pass consumes the PRNG stream draw for
+// draw identically whatever the view (resolving a neighbour and probing
+// liveness draw nothing, and ImplicitNeighbors enumerates exactly the rows
+// a materialised CSR view would hold). So a run over graph.Implicit `f`
+// equals the run over Static{Materialize(f)}, and Config.DisableFastPath
+// changes nothing. Golden tests (fastpath_test.go, fastpath_churn_test.go)
+// pin one digest per configuration across the E1–E20 matrix and the churn
+// overlay, for every view and Workers value, recorded while the deleted
+// interface-dispatch bodies still ran beside this pass.
 
 import "math/bits"
 
@@ -121,10 +116,8 @@ func (e *Engine) sampleDials(v, base int, ds *dialState) {
 		}
 		return
 	}
-	// Fully-alive view: the fault draw comes before the neighbour is
-	// resolved. The order between the two is unobservable (resolving
-	// consumes no run randomness), and a failed channel then costs no
-	// replay work on streamed implicit families.
+	// Fully-alive view: the fault draw comes first (resolving draws nothing,
+	// so the order is unobservable), and a failed channel costs no resolving.
 	for j, idx := range idxs {
 		if failure > 0 && ds.rng.Bool(failure) {
 			continue
@@ -243,11 +236,9 @@ func (e *Engine) wordRound(dial dialMode) bool {
 // per sender, in three stages. Draw: walk the senders in ascending id order
 // and draw each one's min(k, deg) picks with sampleDials' arm (IntN,
 // Distinct2/3/4), so the stream is the general pass's. Resolve and deliver
-// (deliverSlots) whenever fewer than k slots remain, in the order the slots
-// were drawn, so transmissions and the outbox are the general pass's too.
-// No informed-bit branch sits between two neighbour resolutions, so
-// consecutive Feistel networks or CSR loads overlap instead of stalling on
-// a mispredicted probe.
+// (deliverSlots) whenever fewer than k slots remain, so transmissions and
+// receipts are the general pass's too. No branch sits between two neighbour
+// resolutions, so consecutive Feistel networks or CSR loads overlap.
 func (e *Engine) dialWords(sh *parShard, t int) {
 	var from, slot [64]int32 // each slot's sender; its slot
 	rng := sh.ds.rng
@@ -292,29 +283,27 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 // deliverSlots is the word kernel's last two stages: resolve every slot to
 // its target in one nbrAt loop (off + pick is the CSR slot, and the pick
 // itself on an implicit view, so nbrAt(v, 0, slot) is the target either
-// way), then count the transmissions and queue every target not yet
-// informed, in slot order.
+// way), then count the transmissions and set every target's receipt bit in
+// a loop of its own: with no neighbour arithmetic between two of them,
+// many of these scattered writes are in flight at once.
 func (e *Engine) deliverSlots(sh *parShard, from, slot []int32) {
 	slot = slot[:len(from)]
 	for i, v := range from {
 		slot[i] = e.nbrAt(int(v), 0, int(slot[i]))
 	}
 	sh.tx += int64(len(slot))
+	next := sh.ds.next
 	for _, w := range slot {
-		if !e.informedFast(int(w)) {
-			sh.outbox = append(sh.outbox, w)
-		}
+		setBit(next, int(w))
 	}
 }
 
 // shardPass runs one round for the nodes a shard owns: dial sampling, push
 // transmissions, then pull transmissions, in ascending node order (both
 // loops walk bitset words, shardWord), drawing only from the shard's own
-// stream. It reads informedAt and informedBits — frozen during the round:
-// the merge applies round t's receipts after every pass — and writes only
-// its dial rows, the shard's per-node dial memory/cursors and its outbox,
-// so concurrent shard passes never race. Delivery candidates are queued in
-// the outbox; global dedup happens in the sequential merge.
+// stream. It reads informedAt and informedBits, frozen until the merge, and
+// writes only its dial rows, the shard's per-node dial memory/cursors and
+// its borrowed receipt bitset, so concurrent shard passes never race.
 func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, stride int) {
 	if e.wordRound(dial) {
 		e.dialWords(sh, t)
@@ -324,6 +313,7 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 	loss := e.cfg.MessageLossProb
 	k := e.k
 	senders := dial == dialSenders
+	next := sh.ds.next
 
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		for m := e.shardWord(wi, sh.lo, sh.hi, senders); m != 0; m &= m - 1 {
@@ -351,9 +341,7 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 				if loss > 0 && sh.ds.rng.Bool(loss) {
 					continue
 				}
-				if !e.informedFast(int(w)) && e.aliveFast(int(w)) {
-					sh.outbox = append(sh.outbox, w)
-				}
+				setBit(next, int(w))
 			}
 		}
 	}
@@ -367,7 +355,6 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		for m := e.shardWord(wi, sh.lo, sh.hi, false); m != 0; m &= m - 1 {
 			v := wi<<6 + bits.TrailingZeros64(m)
-			uninformedCaller := !e.informedFast(v)
 			for _, w := range sh.ds.rows[(v-sh.lo)*stride:][:k] {
 				if w < 0 {
 					continue
@@ -388,9 +375,7 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 				if loss > 0 && sh.ds.rng.Bool(loss) {
 					continue
 				}
-				if uninformedCaller {
-					sh.outbox = append(sh.outbox, int32(v))
-				}
+				setBit(next, v)
 			}
 		}
 	}

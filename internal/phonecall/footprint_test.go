@@ -14,12 +14,13 @@ import (
 // TestEngineFootprint prices the engine's own state in bytes per node:
 // everything NewEngine and Run allocate, the topology excluded. What the
 // model needs is a 4-byte receipt round per node; beside it the engine
-// keeps an informed bit, the shards' outboxes and — in a pull round — one
-// shard's worth of dial rows per pass in flight. A global n×k dial array
-// (4k B/node), a preallocated receipt queue (4 B/node) or a copy of the
-// receipts for the Result (4 B/node) each break a budget below, and the
-// view must not matter: a dense Static view gets the implicit view's
-// budget and nothing per node on top.
+// keeps an informed bit and, per shard pass in flight (one, inline), a
+// receipt bit and — in a pull round — one shard's worth of dial rows. A
+// global n×k dial array (4k B/node), a receipt queue or per-shard outboxes
+// (4 B per queued receipt) or a copy of the receipts for the Result
+// (4 B/node) each break a budget below, and the view must not matter: a
+// dense Static view gets the implicit view's budget and nothing per node
+// on top.
 func TestEngineFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
@@ -47,10 +48,10 @@ func TestEngineFootprint(t *testing.T) {
 		proto   phonecall.Protocol
 		perNode float64
 	}{
-		{"push/implicit", phonecall.NewImplicit(stream), push, 8},
-		{"fourchoice/implicit", phonecall.NewImplicit(stream), fourChoice, 16},
-		{"push/dense", phonecall.NewStatic(dense), push, 8},
-		{"fourchoice/dense", phonecall.NewStatic(dense), fourChoice, 16},
+		{"push/implicit", phonecall.NewImplicit(stream), push, 5},
+		{"fourchoice/implicit", phonecall.NewImplicit(stream), fourChoice, 5},
+		{"push/dense", phonecall.NewStatic(dense), push, 5},
+		{"fourchoice/dense", phonecall.NewStatic(dense), fourChoice, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

@@ -138,7 +138,7 @@ func (e *MultiEngine) Run() MultiResult {
 			}
 			if age == 1 {
 				// Created at the end of the previous round.
-				eng.inform(mr.Message.Origin, 0)
+				eng.inform(eng.shardOf(mr.Message.Origin), mr.Message.Origin, 0)
 				mr.Informed = 1
 			}
 			newly, tx := eng.round(age, dial)

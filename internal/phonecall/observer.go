@@ -9,8 +9,8 @@ import "time"
 //
 //   - OnInformed(source, 0) once, before round 1;
 //   - for every round t, OnInformed(v, t) for each node first informed in
-//     round t (in the engine's receipt order), then OnRound with round t's
-//     metrics.
+//     round t, in ascending node id (a round's receipts are a set: no
+//     caller reaches a node "first"), then OnRound with round t's metrics.
 //
 // Under churn a node can lose the message when it rejoins and be informed
 // again later, so OnInformed may fire more than once for the same node.

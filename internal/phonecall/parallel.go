@@ -1,6 +1,7 @@
 package phonecall
 
 import (
+	"math/bits"
 	"time"
 
 	"regcast/internal/sched"
@@ -10,45 +11,33 @@ import (
 // goroutines for the shard passes.
 const WorkersAuto = sched.WorkersAuto
 
-// DefaultShards is the shard count used when Config.Shards is 0. It comes
-// from the shared scheduler substrate (internal/sched): a fixed constant —
-// deliberately NOT tied to GOMAXPROCS — so that a run's trace depends only
-// on (seed, topology, protocol, shard count) and is reproducible across
-// machines and worker counts.
-//
-// Determinism scope: there is one round driver (Run), and Config.Workers
-// only chooses where its shard passes execute — inline on the calling
-// goroutine (0 and 1) or on a pool (> 1, WorkersAuto). Every value yields
-// the same trace bit for bit. Per-shard streams are what make that
-// possible at all — a single shared stream would make the draw order
-// depend on goroutine scheduling.
+// DefaultShards is the shard count used when Config.Shards is 0: a fixed
+// constant of internal/sched, deliberately not tied to GOMAXPROCS, so that
+// a run's trace depends only on (seed, topology, protocol, shard count).
+// Config.Workers only chooses where the one round driver's shard passes
+// execute, inline (0 and 1) or on a pool; per-shard streams are what make
+// every value yield the same trace bit for bit.
 const DefaultShards = sched.DefaultShards
 
-// parShard is one node partition of the engine. A shard owns the
-// contiguous node range [lo, hi), its own PRNG stream (derived
-// deterministically from the run RNG and the shard index), and its own
-// outbox, so the per-round shard passes share no mutable state.
+// parShard is one node partition of the engine: the contiguous node range
+// [lo, hi), its own PRNG stream (the i-th Split of the run RNG), dial state
+// and per-round outputs. Its pass ORs receipts into a bitset no other pass
+// in flight holds, so concurrent passes share no mutable state.
 type parShard struct {
 	lo, hi int
 	ds     dialState
 
-	// cohort[r] counts the shard's nodes whose receipt round is r. It is
-	// incremented when a receipt is applied and decremented when a
-	// rejoining id is reset, so under churn (departed nodes stay counted)
-	// it is an upper bound on the shard's alive cohort — which is all the
-	// skip below needs: a zero count proves the cohort has no member here.
+	// cohort[r] counts the shard's nodes whose receipt round is r; departed
+	// nodes stay counted until their id rejoins, so it bounds the alive
+	// cohort from above, and a zero proves the cohort has no member here.
 	cohort []int32
-	// sends is the round's skip decision: some cohort the protocol lets
-	// push this round may have a member in the shard. When it is false, no
-	// cohort pulls and the round does not dial everywhere, the shard's pass
-	// is skipped; it would have found no sender, sampled no dial and drawn
-	// nothing, so skipping cannot move the trace. pushAll is the round's
-	// "every cohort counted here pushes" (with an informed bitset only): an
-	// informed node then pushes whatever its receipt round (pushes).
+	// sends: some cohort that pushes this round may have a member here. If
+	// not, and the round neither pulls nor dials everyone, the pass is
+	// skipped: it would draw nothing, so skipping cannot move the trace.
+	// pushAll: every cohort counted here pushes, so an informed node pushes.
 	sends, pushAll bool
 
 	// Per-round outputs, merged sequentially in shard-index order.
-	outbox  []int32 // candidate receivers queued by this shard
 	usedBuf []int64 // edge keys that carried a transmission (TrackEdgeUse)
 	tx      int64   // transmissions sent by this shard
 
@@ -65,7 +54,9 @@ func (e *Engine) initShards() {
 		nShards = DefaultShards
 	}
 	e.workers = sched.Resolve(e.cfg.Workers, nShards)
-	e.rowFree = make(chan []int32, max(1, e.workers)) // a send per scratch ever made
+	e.rowFree = make(chan []int32, max(1, e.workers))   // a send per scratch ever made
+	e.nextFree = make(chan []uint64, max(1, e.workers)) // likewise, per bitset
+	e.nexts = make([][]uint64, 0, max(1, e.workers))
 	e.shards = make([]parShard, nShards)
 	rounds := e.proto.Horizon() + 1 // receipt rounds 0..Horizon
 	cohorts := make([]int32, nShards*rounds)
@@ -105,7 +96,7 @@ const (
 func (e *Engine) Run() Result {
 	e.spend()
 	res := Result{FirstAllInformed: -1}
-	e.inform(e.cfg.Source, 0)
+	e.inform(e.shardOf(e.cfg.Source), e.cfg.Source, 0)
 	informedCount := 1
 
 	horizon := e.proto.Horizon()
@@ -163,14 +154,12 @@ func (e *Engine) Run() Result {
 }
 
 // settle is called after the round t that informed the last of n nodes on a
-// topology that cannot change, with no failing channels and no edge census.
-// Every channel now reaches an informed callee, so what a round transmits is
-// a function of which receipt cohorts send, not of whom anyone dials (a lost
-// transmission counts; cursors and dial memory are in no Result): the rounds
-// from countFrom on are counted from cohortDials, not simulated. A round in
-// which some occupied cohorts pull and others do not is the exception (who
-// answers depends on the dials); it and every round before it — skipped draws
-// would move the streams under it — are simulated, so no Result ever changes.
+// static topology with no failing channels and no edge census. Every channel
+// now reaches an informed callee, so a round's transmissions depend on which
+// cohorts send, not on whom anyone dials: the rounds from countFrom on are
+// counted from cohortDials. A round in which some occupied cohorts pull and
+// others do not (who answers depends on the dials) and every round before it
+// are simulated, so skipped draws move no stream and no Result changes.
 func (e *Engine) settle(t int) {
 	e.cohortDials = make([]int64, e.proto.Horizon()+1)
 	for r := range e.cohortDials {
@@ -217,26 +206,25 @@ func (e *Engine) spend() {
 	e.ran = true
 }
 
-// inform applies one receipt: w holds the rumour from the end of round t.
-func (e *Engine) inform(w, t int) {
+// inform applies one receipt: w, a node of shard sh, holds the rumour from
+// the end of round t.
+func (e *Engine) inform(sh *parShard, w, t int) {
 	e.informedAt[w] = int32(t)
-	e.informedBits[uint(w)>>6] |= 1 << (uint(w) & 63)
-	e.shardOf(w).cohort[t]++
+	setBit(e.informedBits, w)
+	sh.cohort[t]++
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnInformed(w, t)
 	}
 }
 
 // round runs round t of one rumour over the receipt rounds in informedAt
-// and the shards' cohort counts, and returns the number of receipts it
-// applied and the transmissions it sent. Three steps: (1) compute the
-// protocol's push/pull decision tables for the round, (2) run the
-// dial/push/pull pass of every shard — inline, or concurrently on up to
-// Workers goroutines — with each shard drawing only from its own PRNG
-// stream and writing only its own dial rows and outbox, and (3) walk the
-// outboxes in shard order and apply the receipts — the passes are over, so
-// nothing reads round-start state any more. Because shard streams and the
-// merge order are fixed, the result is bit-identical for every worker count.
+// and the shards' cohort counts, and returns the receipts it applied and
+// the transmissions it sent. Three steps: (1) the protocol's decision
+// tables, (2) every shard's pass, inline or on up to Workers goroutines,
+// each drawing only from its own stream and writing only its own rows and
+// a borrowed receipt bitset, (3) the merge (applyReceipts). A round's
+// receipts are a set union, which no worker schedule can reorder, so the
+// result is bit-identical for every worker count.
 func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	t0 := e.stamp()
 	// Step 1: decision tables. A node's behaviour this round is a pure
@@ -268,24 +256,55 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	e.runShardPasses(t, anyPull, dial)
 	t2 := e.stamp()
 
-	// Step 3: merge in shard-index order (deterministic), applying receipts.
+	// Step 3: merge: counts and census keys in shard order, then receipts.
 	for i := range e.shards {
 		sh := &e.shards[i]
 		roundTx += sh.tx
-		for _, w := range sh.outbox {
-			if !e.informedFast(int(w)) { // else an earlier candidate won
-				e.inform(int(w), t)
-				newly++
-			}
-		}
 		for _, key := range sh.usedBuf {
 			e.markUsed(key)
 		}
 	}
+	newly = e.applyReceipts(t)
 	if e.phases != nil {
 		e.phases.OnRoundPhases(t, t1.Sub(t0), t2.Sub(t1), time.Since(t2))
 	}
 	return newly, roundTx
+}
+
+// applyReceipts applies round t's receipts — the ids set in some pass's
+// bitset (all back in nextFree), less the informed — in ascending id order,
+// clears the bitsets and returns how many it applied. No dead id is ever
+// set: the samplers leave dead targets out of the rows, and a pull's
+// receiver is a caller the walk found alive.
+func (e *Engine) applyReceipts(t int) (newly int) {
+	nexts := e.nexts[:0]
+	for len(e.nextFree) > 0 {
+		nexts = append(nexts, <-e.nextFree)
+	}
+	s := 0
+	for i, informed := range e.informedBits {
+		var m uint64
+		for _, next := range nexts {
+			if x := next[i]; x != 0 {
+				m |= x
+				next[i] = 0
+			}
+		}
+		m &^= informed
+		for ; m != 0; m &= m - 1 {
+			w := i<<6 + bits.TrailingZeros64(m)
+			for w >= e.shards[s].hi { // a cursor, not shardOf's division
+				s++
+			}
+			e.inform(&e.shards[s], w, t)
+			newly++
+		}
+	}
+	for _, next := range nexts {
+		e.nextFree <- next
+	}
+	e.nexts = nexts
+	return newly
 }
 
 // roundDial is the mode round runs when its driver asks for dial (dialSenders).
@@ -305,9 +324,8 @@ func (e *Engine) stamp() (now time.Time) {
 }
 
 // runShardPasses executes the round's pass for every shard, inline when
-// at most one worker is configured and on a small work-stealing pool
-// otherwise. Shard-to-worker assignment is arbitrary; shard results are
-// not, so scheduling cannot influence the outcome.
+// at most one worker is configured, else on a work-stealing pool; which
+// worker runs a shard cannot influence the outcome.
 func (e *Engine) runShardPasses(t int, anyPull bool, dial dialMode) {
 	if e.workers <= 1 {
 		// A plain loop, not the pool with one worker: the inline path must
@@ -322,20 +340,19 @@ func (e *Engine) runShardPasses(t int, anyPull bool, dial dialMode) {
 	})
 }
 
-// pass resets a shard's per-round outputs and runs its shardPass — unless
-// the shard can hold no sender, no cohort pulls and the round does not
-// dial everywhere (see parShard.sends), in which case there is nothing to
-// scan for.
+// pass resets a shard's per-round outputs and, unless parShard.sends skips
+// it, runs its shardPass over a borrowed receipt bitset.
 func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 	sh.tx = 0
-	sh.outbox = sh.outbox[:0]
 	sh.usedBuf = sh.usedBuf[:0]
 	if dial != dialEveryone && !sh.sends && !anyPull {
 		return
 	}
 	var stride int
 	sh.ds.rows, stride = e.rowsFor(sh, anyPull)
+	sh.ds.next = borrow(e.nextFree, len(e.informedBits))
 	e.shardPass(sh, t, anyPull, dial, stride)
+	e.nextFree <- sh.ds.next
 	if stride > 0 && e.allRows == nil {
 		e.rowFree <- sh.ds.rows
 	}
@@ -344,10 +361,8 @@ func (e *Engine) pass(sh *parShard, t int, anyPull bool, dial dialMode) {
 // rowsFor is the dial-row store of one shard pass: node v's row is
 // rows[(v-sh.lo)*stride:][:k]. Without a pull scan the push loop consumes a
 // row in the iteration that sampled it, so the shard's one row serves every
-// node (stride 0); with one, the rows live until the scan, in a scratch
-// borrowed from rowFree (pass returns it; one is made only when none is
-// free, so there are never more than passes in flight). A MultiEngine's
-// full store is the one special case.
+// node (stride 0); with one, the rows live until the scan, in a borrowed
+// scratch. A MultiEngine's full store is the one special case.
 func (e *Engine) rowsFor(sh *parShard, anyPull bool) (rows []int32, stride int) {
 	switch {
 	case e.allRows != nil:
@@ -355,10 +370,18 @@ func (e *Engine) rowsFor(sh *parShard, anyPull bool) (rows []int32, stride int) 
 	case !anyPull:
 		return sh.ds.row, 0
 	}
+	return borrow(e.rowFree, (e.n/len(e.shards)+1)*e.k), e.k // fits every shard
+}
+
+// borrow lends a shard pass a scratch from free, making one of size only
+// when none is free; pass returns it. So there are never more than passes in
+// flight: one inline, at most Workers on the pool. A receipt bitset (size
+// n/64 words) comes back clear from the merge.
+func borrow[T int32 | uint64](free chan []T, size int) []T {
 	select {
-	case rows = <-e.rowFree:
+	case s := <-free:
+		return s
 	default:
-		rows = make([]int32, (e.n/len(e.shards)+1)*e.k) // fits every shard
+		return make([]T, size)
 	}
-	return rows, e.k
 }

@@ -93,6 +93,81 @@ func TestRowBuffersBoundedByWorkers(t *testing.T) {
 	}
 }
 
+// bitsetCheck is a PhaseObserver that, after every round's merge, counts
+// the rounds that left a receipt bitset word set.
+type bitsetCheck struct {
+	eng   *Engine
+	dirty []int
+}
+
+func (c *bitsetCheck) OnRound(RoundMetrics) {}
+func (c *bitsetCheck) OnInformed(int, int)  {}
+func (c *bitsetCheck) OnRoundPhases(t int, _, _, _ time.Duration) {
+	if _, dirty := c.eng.ReceiptBitsets(); dirty != 0 {
+		c.dirty = append(c.dirty, t)
+	}
+}
+
+// TestReceiptBitsetsBoundedByWorkers: a shard pass ORs its deliveries into a
+// receipt bitset borrowed for the length of the pass, so a run makes at most
+// one per pass in flight — one inline, Workers under the pool, never one per
+// shard — and the merge leaves every one of them clear for the next round,
+// on an Engine and on the MultiEngine that shares them among its messages.
+func TestReceiptBitsetsBoundedByWorkers(t *testing.T) {
+	g := testGraph(t, 1024, 8, 5)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		multi bool
+	}{
+		{"push-pull", Config{Protocol: pushPullProto{4, 30}}, false},
+		{"pull-lossy", Config{Protocol: pullProto{2, 40}, MessageLossProb: 0.1}, false},
+		{"push-word-kernel", Config{Protocol: pushProto{4, 30}}, false},
+		{"push-dead-ids", Config{Topology: newViewTopo(g, 3, 64, 65, 700), Protocol: pushProto{2, 40}}, false},
+		{"multi-push-pull", Config{Protocol: pushPullProto{3, 12}}, true},
+	} {
+		for _, workers := range []int{0, 1, 2, 4} {
+			cfg := tc.cfg
+			if cfg.Topology == nil {
+				cfg.Topology = NewStatic(g)
+			}
+			cfg.RNG, cfg.Workers = xrand.New(7), workers
+			check := &bitsetCheck{}
+			var eng *Engine
+			if tc.multi {
+				m, err := NewMultiEngine(MultiConfig{
+					Topology: cfg.Topology, Protocol: cfg.Protocol, Rounds: 16, RNG: cfg.RNG,
+					Messages: []Message{{ID: 0, Origin: 1}, {ID: 1, Origin: 900, CreatedAt: 2}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// MultiConfig has no Workers or Observer: set them on its engine.
+				eng = m.eng
+				eng.workers, eng.phases = workers, check
+				eng.nextFree = make(chan []uint64, max(1, workers))
+				check.eng = eng
+				m.Run()
+			} else {
+				cfg.Observer = check
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, check.eng = e, e
+				e.Run()
+			}
+			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
+			if made, _ := eng.ReceiptBitsets(); made < 1 || made > max(1, workers) {
+				t.Errorf("%s: %d receipt bitsets made, want 1..%d (%d shards)", label, made, max(1, workers), len(eng.shards))
+			}
+			if len(check.dirty) > 0 {
+				t.Errorf("%s: rounds %v left a receipt bitset word set", label, check.dirty)
+			}
+		}
+	}
+}
+
 // TestMultiEngineKeepsFullRows: the later messages of a round ride the
 // channels its first message sampled, so a MultiEngine — and nothing else,
 // see the test above — keeps every node's row past the shard pass.
