@@ -3,9 +3,9 @@ package regcast
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
+	"regcast/internal/sched"
 	"regcast/internal/stats"
 	"regcast/internal/xrand"
 )
@@ -208,8 +208,8 @@ func (b Batch) validate() (scenarioKind, error) {
 	if b.Replications <= 0 {
 		return scenarioKind{}, fmt.Errorf("regcast: batch needs Replications >= 1, got %d", b.Replications)
 	}
-	if b.ReplicationWorkers < WorkersAuto {
-		return scenarioKind{}, fmt.Errorf("regcast: batch ReplicationWorkers %d invalid (use WorkersAuto, 0 or a positive count)", b.ReplicationWorkers)
+	if err := sched.CheckWorkers("regcast: batch ReplicationWorkers", b.ReplicationWorkers); err != nil {
+		return scenarioKind{}, err
 	}
 	if b.Scenario == nil {
 		return scenarioKind{}, fmt.Errorf("regcast: batch needs a Scenario")
@@ -441,8 +441,8 @@ func Replicate(ctx context.Context, seed uint64, reps, workers int, fn func(rep 
 	if reps < 0 {
 		return fmt.Errorf("regcast: Replicate reps %d < 0", reps)
 	}
-	if workers < WorkersAuto {
-		return fmt.Errorf("regcast: Replicate workers %d invalid (use WorkersAuto, 0 or a positive count)", workers)
+	if err := sched.CheckWorkers("regcast: Replicate workers", workers); err != nil {
+		return err
 	}
 	rngs := xrand.New(seed).SplitN(reps)
 	return runPool(ctx, reps, workers, func(rep int) error {
@@ -450,69 +450,45 @@ func Replicate(ctx context.Context, seed uint64, reps, workers int, fn func(rep 
 	})
 }
 
-// runPool executes fn(0..reps-1) on a pool of the given width. The error
-// returned is deterministic: the one from the lowest-indexed failing
-// replication (dispatch is in index order, so a replication below the
-// first observed failure is never skipped). Context cancellation surfaces
-// as ctx.Err().
+// runPool executes fn(0..reps-1): inline for at most one worker, else on
+// sched.Pool. The error returned is deterministic: the one from the
+// lowest-indexed failing replication (the pool hands out indices in
+// ascending order and skips only those above the lowest failure seen, so
+// no replication below it is skipped). Context cancellation surfaces as
+// ctx.Err().
 func runPool(ctx context.Context, reps, workers int, fn func(rep int) error) error {
-	w := workers
-	if w == WorkersAuto {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > reps {
-		w = reps
-	}
-	errs := make([]error, reps)
-	firstErr := func() error {
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return ctx.Err()
-	}
-
+	w := sched.Resolve(workers, reps)
 	if w <= 1 {
 		for rep := 0; rep < reps; rep++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if errs[rep] = fn(rep); errs[rep] != nil {
-				return firstErr()
+			if err := fn(rep); err != nil {
+				return err
 			}
 		}
-		return firstErr()
+		return ctx.Err()
 	}
-
-	idx := make(chan int)
-	done := make(chan struct{}, w)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	for i := 0; i < w; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for rep := range idx {
-				if errs[rep] = fn(rep); errs[rep] != nil {
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
+	errs := make([]error, reps)
+	var lowest atomic.Int64 // the lowest failing replication so far
+	lowest.Store(int64(reps))
+	sched.Pool(w, reps, func(rep int) {
+		if int64(rep) > lowest.Load() || ctx.Err() != nil {
+			return
+		}
+		if errs[rep] = fn(rep); errs[rep] == nil {
+			return
+		}
+		for cur := lowest.Load(); int64(rep) < cur; cur = lowest.Load() {
+			if lowest.CompareAndSwap(cur, int64(rep)) {
+				break
 			}
-		}()
-	}
-dispatch:
-	for rep := 0; rep < reps; rep++ {
-		select {
-		case idx <- rep:
-		case <-stop:
-			break dispatch
-		case <-ctx.Done():
-			break dispatch
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	close(idx)
-	for i := 0; i < w; i++ {
-		<-done
-	}
-	return firstErr()
+	return ctx.Err()
 }

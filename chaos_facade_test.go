@@ -17,7 +17,7 @@ func TestDaemonTransportRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping daemon transport smoke test")
 	}
-	transportSmoke(t, regcast.EngineDaemonTransport, regcast.WithEngine(regcast.EngineDaemonTransport))
+	transportSmoke(t, regcast.WithEngine(regcast.EngineDaemonTransport))
 }
 
 // TestChaosRunLedger runs a scenario over the daemon with a 20% seeded

@@ -87,7 +87,7 @@ func run() error {
 	master := common.Rand()
 	spec := common.TopologySpec()
 	if tflags.Daemon && spec != nil {
-		return fmt.Errorf("-daemon/-chaos need the dense -n/-d graph (transport engines require a Static topology)")
+		return fmt.Errorf("-daemon/-chaos need the dense -n/-d graph (the daemon engine requires a Static topology)")
 	}
 	if spec != nil {
 		if nn := regcast.SpecNodeCount(spec); nn > 0 {

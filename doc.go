@@ -3,9 +3,10 @@
 // Elsässer, Friedetzky; PODC 2008 / Distributed Computing 2016) as a Go
 // library, and is itself the public API: programs describe a broadcast as
 // a Scenario (topology + protocol + fault model, via functional options),
-// execute it with a Runner that selects among three engines behind one
+// execute it with a Runner that selects between two engines behind one
 // Run(ctx, AnyScenario) call, and consume per-round metrics online through
-// the streaming Observer interface instead of retaining full traces.
+// the streaming Observer interface — the one way they leave a run (Result
+// keeps totals only).
 //
 //	g, _ := regcast.NewRegularGraph(1<<14, 8, regcast.NewRand(1))
 //	proto, _ := regcast.NewFourChoice(1<<14, 8) // the paper's schedule
@@ -18,10 +19,9 @@
 //
 // Engines: EngineSimulator (the round simulator; WithWorkers runs its
 // shard passes inline or on a worker pool, with bit-identical results for
-// every worker count at a fixed shard count), EngineGossipTransport and
-// EngineDaemonTransport (anti-entropy gossip over in-memory mailboxes or
-// persistent loopback TCP connections, both with a health ledger and
-// seeded fault injection; internal/transport).
+// every worker count at a fixed shard count) and EngineDaemonTransport
+// (anti-entropy gossip over persistent loopback TCP connections, with a
+// health ledger and seeded fault injection; internal/transport).
 // Scenario construction fails fast on model violations — e.g.
 // DialQuasirandom with a protocol that may pull.
 //

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -143,10 +142,11 @@ func (r *recordingObserver) OnInformed(node, round int) {
 	r.informedAt[node] = round
 }
 
-// TestObserverStreamsResult checks, on every simulation engine, that the
-// streamed callbacks carry exactly the data of the retained trace: the
-// OnRound stream equals Result.PerRound and the OnInformed stream equals
-// Result.InformedAt.
+// TestObserverStreamsResult checks the one per-round channel on both
+// engines: OnRound fires exactly Result.Rounds times, for rounds
+// 1…Rounds in order — a counted tail and a StopEarly cut included — and
+// its stream adds up to the Result's totals, while the OnInformed stream
+// equals Result.InformedAt.
 func TestObserverStreamsResult(t *testing.T) {
 	g, err := regcast.NewRegularGraph(512, 8, regcast.NewRand(3))
 	if err != nil {
@@ -156,28 +156,65 @@ func TestObserverStreamsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	small, err := regcast.NewRegularGraph(12, 4, regcast.NewRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushPull, err := baseline.NewPushPull(12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name string
-		opts []regcast.RunnerOption
+		name   string
+		g      *regcast.Graph
+		proto  regcast.Protocol
+		opts   []regcast.ScenarioOption
+		runner []regcast.RunnerOption
 	}{
-		{"sequential", nil},
-		{"sharded", []regcast.RunnerOption{regcast.WithWorkers(4)}},
+		{"sequential", g, four, nil, nil},
+		{"sharded", g, four, nil, []regcast.RunnerOption{regcast.WithWorkers(4)}},
+		{"stop-early", g, four, []regcast.ScenarioOption{regcast.WithStopEarly()}, nil},
+		{"daemon", small, pushPull, nil, []regcast.RunnerOption{regcast.WithEngine(regcast.EngineDaemonTransport)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			obs := &recordingObserver{}
-			scenario, err := regcast.NewScenario(regcast.Static(g), four,
-				regcast.WithSeed(9),
-				regcast.WithRecordRounds(),
-				regcast.WithObserver(obs))
+			opts := append([]regcast.ScenarioOption{regcast.WithSeed(9), regcast.WithObserver(obs)}, tc.opts...)
+			scenario, err := regcast.NewScenario(regcast.Static(tc.g), tc.proto, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := regcast.Run(context.Background(), scenario, tc.opts...)
+			res, err := regcast.Run(context.Background(), scenario, tc.runner...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(obs.rounds, res.PerRound) {
-				t.Errorf("OnRound stream differs from Result.PerRound")
+			switch {
+			case tc.name == "stop-early" && res.Rounds != res.FirstAllInformed:
+				t.Fatalf("StopEarly ran %d rounds, all informed after %d", res.Rounds, res.FirstAllInformed)
+			case res.Engine == regcast.EngineSimulator && tc.name != "stop-early" && res.CountedRounds == 0:
+				t.Fatalf("no counted tail in %d rounds: the case must exercise one", res.Rounds)
+			}
+			if len(obs.rounds) != res.Rounds {
+				t.Fatalf("%d OnRound calls for %d rounds", len(obs.rounds), res.Rounds)
+			}
+			informed, tx, dials := 1, int64(0), int64(0)
+			for i, rs := range obs.rounds {
+				if rs.Round != i+1 {
+					t.Fatalf("OnRound call %d reports round %d", i+1, rs.Round)
+				}
+				if rs.Informed != informed+rs.NewlyInformed {
+					t.Fatalf("round %d: informed %d != prev %d + new %d", rs.Round, rs.Informed, informed, rs.NewlyInformed)
+				}
+				informed = rs.Informed
+				tx += rs.Transmissions
+				dials += rs.ChannelsDial
+			}
+			if informed != res.Informed || dials != res.ChannelsDialed {
+				t.Errorf("stream ends at %d informed over %d dials, result says %d over %d", informed, dials, res.Informed, res.ChannelsDialed)
+			}
+			// The daemon's total is read after the last tick: equal only when
+			// every tick fell silent before its deadline.
+			if tx != res.Transmissions && res.TickTimeouts == 0 {
+				t.Errorf("stream transmissions sum to %d, result says %d", tx, res.Transmissions)
 			}
 			if len(obs.informedAt) != res.Informed {
 				t.Errorf("OnInformed fired for %d nodes, result says %d informed", len(obs.informedAt), res.Informed)
@@ -305,7 +342,7 @@ func TestRunnerRejectsInvalidCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := regcast.Run(context.Background(), lossy,
-		regcast.WithEngine(regcast.EngineGossipTransport)); err == nil {
+		regcast.WithEngine(regcast.EngineDaemonTransport)); err == nil {
 		t.Error("transport engine accepted simulated message loss")
 	}
 	memory, err := regcast.NewScenario(regcast.Static(g), push, regcast.WithAvoidRecent(2))
@@ -313,8 +350,15 @@ func TestRunnerRejectsInvalidCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := regcast.Run(context.Background(), memory,
-		regcast.WithEngine(regcast.EngineGossipTransport)); err == nil {
+		regcast.WithEngine(regcast.EngineDaemonTransport)); err == nil {
 		t.Error("transport engine accepted dial memory")
+	}
+	census, err := regcast.NewScenario(regcast.Static(g), push, regcast.WithTrackEdgeUse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regcast.Run(context.Background(), census); err == nil {
+		t.Error("edge census without an Observer to read it accepted")
 	}
 	if _, err := regcast.Run(context.Background(), regcast.Scenario{}); err == nil {
 		t.Error("zero-value Scenario accepted")

@@ -185,7 +185,7 @@ type TransportFlags struct {
 	// Crash is an optional "node:from:until" transport-level
 	// crash-restart window.
 	Crash string
-	// Mailbox is the per-node inbox capacity of the transport engines.
+	// Mailbox is the per-node inbox capacity of the daemon engine.
 	Mailbox int
 
 	partition *PartitionWindow // parsed by Validate (nil when unset)

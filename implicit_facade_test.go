@@ -188,9 +188,10 @@ func TestImplicitEdgeCensusFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(spec regcast.TopologySpec, opts ...regcast.RunnerOption) regcast.Result {
+	run := func(spec regcast.TopologySpec, opts ...regcast.RunnerOption) (regcast.Result, []regcast.RoundStats) {
+		obs := &recordingObserver{}
 		sc, err := regcast.NewScenarioSpec(spec, proto,
-			regcast.WithSeed(5), regcast.WithRecordRounds(), regcast.WithTrackEdgeUse())
+			regcast.WithSeed(5), regcast.WithObserver(obs), regcast.WithTrackEdgeUse())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,24 +199,24 @@ func TestImplicitEdgeCensusFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, obs.rounds
 	}
-	dense := run(pair.dense)
-	if len(dense.PerRound) == 0 || dense.PerRound[0].UnusedEdgeNodes == 0 {
+	dense, denseRounds := run(pair.dense)
+	if len(denseRounds) == 0 || denseRounds[0].UnusedEdgeNodes == 0 {
 		t.Fatal("census never reported an unused-edge node; nothing was tracked")
 	}
 	for _, opts := range [][]regcast.RunnerOption{nil, {regcast.WithWorkers(4)}} {
-		imp := run(pair.implicit, opts...)
+		imp, impRounds := run(pair.implicit, opts...)
 		if fingerprint(imp) != fingerprint(dense) {
 			t.Fatalf("census run: implicit %v != dense %v", fingerprint(imp), fingerprint(dense))
 		}
-		if len(imp.PerRound) != len(dense.PerRound) {
-			t.Fatalf("per-round lengths: implicit %d, dense %d", len(imp.PerRound), len(dense.PerRound))
+		if len(impRounds) != len(denseRounds) {
+			t.Fatalf("per-round lengths: implicit %d, dense %d", len(impRounds), len(denseRounds))
 		}
-		for r := range imp.PerRound {
-			if imp.PerRound[r].UnusedEdgeNodes != dense.PerRound[r].UnusedEdgeNodes {
+		for r := range impRounds {
+			if impRounds[r].UnusedEdgeNodes != denseRounds[r].UnusedEdgeNodes {
 				t.Fatalf("round %d: |U(t)| implicit %d, dense %d",
-					r, imp.PerRound[r].UnusedEdgeNodes, dense.PerRound[r].UnusedEdgeNodes)
+					r, impRounds[r].UnusedEdgeNodes, denseRounds[r].UnusedEdgeNodes)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"regcast"
@@ -73,16 +72,11 @@ func runE9(o Options) ([]*table.Table, error) {
 		"protocol", "choices", "completion round", "tx/n", "completed")
 	maxRounds := 0
 	for i, p := range protos {
-		sc, err := regcast.NewScenario(regcast.Static(g), p,
-			regcast.WithRNG(master.Split()), regcast.WithRecordRounds())
+		res, perRound, err := o.runRounds(regcast.Static(g), p, regcast.WithRNG(master.Split()))
 		if err != nil {
 			return nil, err
 		}
-		res, err := o.runner().Run(context.Background(), sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, rm := range res.PerRound {
+		for _, rm := range perRound {
 			traj[i] = append(traj[i], float64(rm.Informed)/float64(n))
 		}
 		if len(traj[i]) > maxRounds {

@@ -50,26 +50,22 @@ func init() {
 // β (long Phase 2, so the decay is observable over several rounds) —
 // with the default constants the Phase 1 cascade already covers the graph
 // at laptop sizes. It returns per-round metrics.
-func phaseProfileRun(o Options, n, d int, alpha, beta float64, seed uint64, trackEdges bool) (*core.FourChoice, regcast.Result, *graph.Graph, error) {
+func phaseProfileRun(o Options, n, d int, alpha, beta float64, seed uint64, trackEdges bool) (*core.FourChoice, regcast.Result, []regcast.RoundStats, *graph.Graph, error) {
 	master := xrand.New(seed)
 	g, err := regular(n, d, master.Split())
 	if err != nil {
-		return nil, regcast.Result{}, nil, err
+		return nil, regcast.Result{}, nil, nil, err
 	}
 	proto, err := core.NewAlgorithm1(n, core.WithAlpha(alpha), core.WithBeta(beta))
 	if err != nil {
-		return nil, regcast.Result{}, nil, err
+		return nil, regcast.Result{}, nil, nil, err
 	}
-	opts := []regcast.ScenarioOption{regcast.WithRNG(master.Split()), regcast.WithRecordRounds()}
+	opts := []regcast.ScenarioOption{regcast.WithRNG(master.Split())}
 	if trackEdges {
 		opts = append(opts, regcast.WithTrackEdgeUse())
 	}
-	sc, err := regcast.NewScenario(regcast.Static(g), proto, opts...)
-	if err != nil {
-		return nil, regcast.Result{}, nil, err
-	}
-	res, err := o.runner().Run(context.Background(), sc)
-	return proto, res, g, err
+	res, perRound, err := o.runRounds(regcast.Static(g), proto, opts...)
+	return proto, res, perRound, g, err
 }
 
 func runE5(o Options) ([]*table.Table, error) {
@@ -78,7 +74,7 @@ func runE5(o Options) ([]*table.Table, error) {
 		n = 1 << 12
 	}
 	const d = 8
-	proto, res, _, err := phaseProfileRun(o, n, d, core.DefaultAlpha, core.DefaultBeta, o.Seed, false)
+	proto, _, perRound, _, err := phaseProfileRun(o, n, d, core.DefaultAlpha, core.DefaultBeta, o.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +82,7 @@ func runE5(o Options) ([]*table.Table, error) {
 	tb := table.New(fmt.Sprintf("E5: Phase 1 growth, n=%d d=%d", n, d),
 		"round", "|I+(t)|", "growth |I+(t)|/|I+(t-1)|", "informed", "informed/n")
 	prevNew := 1 // the source counts as the round-0 cohort
-	for _, rm := range res.PerRound {
+	for _, rm := range perRound {
 		if rm.Round > t1 || rm.Informed > n/2 {
 			break
 		}
@@ -102,7 +98,7 @@ func runE5(o Options) ([]*table.Table, error) {
 	}
 	// End-of-phase coverage.
 	endInformed := 0
-	for _, rm := range res.PerRound {
+	for _, rm := range perRound {
 		if rm.Round == t1 {
 			endInformed = rm.Informed
 		}
@@ -122,7 +118,7 @@ func runE6(o Options) ([]*table.Table, error) {
 	// α = 0.4 keeps Phase 1 short enough that Phase 2 receives a
 	// non-trivial uninformed set to shrink.
 	const alpha = 0.4
-	proto, res, _, err := phaseProfileRun(o, n, d, alpha, 2.5, o.Seed, false)
+	proto, _, perRound, _, err := phaseProfileRun(o, n, d, alpha, 2.5, o.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +127,7 @@ func runE6(o Options) ([]*table.Table, error) {
 		"round", "h(t) uninformed", "h(t)/h(t-1)", "n/log2(n)^5 target")
 	target := float64(n) / math.Pow(math.Log2(float64(n)), 5)
 	prevH := -1
-	for _, rm := range res.PerRound {
+	for _, rm := range perRound {
 		if rm.Round < t1 || rm.Round > t2 {
 			continue
 		}
@@ -154,14 +150,14 @@ func runE7(o Options) ([]*table.Table, error) {
 	}
 	const d = 8
 	const alpha = 0.4
-	proto, res, _, err := phaseProfileRun(o, n, d, alpha, 2.5, o.Seed, true)
+	proto, _, perRound, _, err := phaseProfileRun(o, n, d, alpha, 2.5, o.Seed, true)
 	if err != nil {
 		return nil, err
 	}
 	t1, t2, _, _ := proto.PhaseBoundaries()
 	tb := table.New(fmt.Sprintf("E7: unused-edge nodes |U(t)| through Phase 2, n=%d d=%d", n, d),
 		"round", "|U(t)|", "bound n·(1-1/d)^{10(t-T1+1)}", "|U(t)|/bound")
-	for _, rm := range res.PerRound {
+	for _, rm := range perRound {
 		if rm.Round < t1 || rm.Round > t2 {
 			continue
 		}
@@ -200,7 +196,7 @@ func runE8(o Options) ([]*table.Table, error) {
 	slots := make([]slot, reps)
 	err := regcast.Replicate(context.Background(), o.Seed, reps, o.ReplicationWorkers,
 		func(rep int, rng *regcast.Rand) error {
-			_, res, g, err := phaseProfileRun(o, n, d, 0.6, 2.5, rng.Uint64(), false)
+			_, res, perRound, g, err := phaseProfileRun(o, n, d, 0.6, 2.5, rng.Uint64(), false)
 			if err != nil {
 				return err
 			}
@@ -208,7 +204,7 @@ func runE8(o Options) ([]*table.Table, error) {
 			// closest to the target window (and strictly inside the
 			// hd/n < 1 regime).
 			bestT, bestH := -1, 0
-			for _, rm := range res.PerRound {
+			for _, rm := range perRound {
 				hh := n - rm.Informed
 				if float64(hh)*float64(d)/float64(n) >= 0.9 || hh == 0 {
 					continue

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -161,18 +160,13 @@ func phaseBudgetTable(o Options, d int) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := regcast.NewScenario(regcast.Static(g), proto,
-		regcast.WithRNG(master.Split()), regcast.WithRecordRounds())
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.runner().Run(context.Background(), sc)
+	res, perRound, err := o.runRounds(regcast.Static(g), proto, regcast.WithRNG(master.Split()))
 	if err != nil {
 		return nil, err
 	}
 	var perPhase [5]int64
 	var rounds [5]int
-	for _, rm := range res.PerRound {
+	for _, rm := range perRound {
 		ph := proto.Phase(rm.Round)
 		perPhase[ph] += rm.Transmissions
 		rounds[ph]++

@@ -51,6 +51,19 @@ func (o Options) runner() regcast.Runner {
 	return regcast.NewRunner(regcast.WithWorkers(o.Workers))
 }
 
+// runRounds runs a broadcast scenario on o's runner with a run-local
+// observer that keeps every round's RoundStats, in round order.
+func (o Options) runRounds(topo regcast.Topology, proto regcast.Protocol, opts ...regcast.ScenarioOption) (regcast.Result, []regcast.RoundStats, error) {
+	var rounds []regcast.RoundStats
+	keep := regcast.ObserverFuncs{Round: func(rs regcast.RoundStats) { rounds = append(rounds, rs) }}
+	sc, err := regcast.NewScenario(topo, proto, append(opts, regcast.WithObserver(keep))...)
+	if err != nil {
+		return regcast.Result{}, nil, err
+	}
+	res, err := o.runner().Run(context.Background(), sc)
+	return res, rounds, err
+}
+
 // Experiment is one registered, reproducible measurement.
 type Experiment struct {
 	// ID is the experiment identifier used in DESIGN.md and EXPERIMENTS.md

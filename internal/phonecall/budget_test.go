@@ -67,12 +67,11 @@ func TestChurnBudgetMatchesTopologyE13b(t *testing.T) {
 			t.Fatal(err)
 		}
 		initialAlive := ov.AliveCount()
-		res, err := phonecall.Run(phonecall.Config{
-			Topology:     topo,
-			Protocol:     push,
-			RNG:          master.Split(),
-			RecordRounds: true,
-			Workers:      workers,
+		_, rounds, err := phonecall.RunRounds(phonecall.Config{
+			Topology: topo,
+			Protocol: push,
+			RNG:      master.Split(),
+			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +79,7 @@ func TestChurnBudgetMatchesTopologyE13b(t *testing.T) {
 		if ch.Joins == 0 || ch.Leaves == 0 {
 			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", ch.Joins, ch.Leaves)
 		}
-		for i, rm := range res.PerRound {
+		for i, rm := range rounds {
 			aliveBefore := initialAlive
 			if i > 0 {
 				aliveBefore = topo.aliveAfter[i-1]
@@ -128,10 +127,9 @@ func TestBudgetNotRecomputedWithoutMembershipChange(t *testing.T) {
 	g := mustRegular(t, 128, 6, 7)
 	topo := &meteredStatic{g: g}
 	res, err := phonecall.Run(phonecall.Config{
-		Topology:     topo,
-		Protocol:     silentK1{horizon: 50},
-		RNG:          xrand.New(3),
-		RecordRounds: true,
+		Topology: topo,
+		Protocol: silentK1{horizon: 50},
+		RNG:      xrand.New(3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +146,8 @@ func TestBudgetNotRecomputedWithoutMembershipChange(t *testing.T) {
 
 // meteredChurn is the churning overlay with every Alive and Degree call
 // that arrives through the Topology interface counted. It doubles as the
-// run's Observer to keep an informed set of its own, from which Step
-// derives the recount oracle: after each step, the number of alive peers
+// run's Observer to keep an informed set and a RoundLog of its own; Step
+// derives the recount oracle from the set: after each step, the number of alive peers
 // that hold the message once the joiners have lost it.
 type meteredChurn struct {
 	*overlay.Overlay
@@ -159,6 +157,7 @@ type meteredChurn struct {
 	informed        []bool
 	informedAfter   []int // oracle, per step
 	rejoinedHolders int   // joiners that took over the id of a peer holding the message
+	rounds          phonecall.RoundLog
 }
 
 func (m *meteredChurn) Alive(v int) bool {
@@ -171,8 +170,8 @@ func (m *meteredChurn) Degree(v int) int {
 	return m.Overlay.Degree(v)
 }
 
-func (m *meteredChurn) OnRound(phonecall.RoundMetrics) {}
-func (m *meteredChurn) OnInformed(node, round int)     { m.informed[node] = true }
+func (m *meteredChurn) OnRound(rm phonecall.RoundMetrics) { m.rounds.OnRound(rm) }
+func (m *meteredChurn) OnInformed(node, round int)        { m.informed[node] = true }
 
 func (m *meteredChurn) Step(round int) []int {
 	joined := m.ch.Step(round)
@@ -234,7 +233,7 @@ func TestFastPathChurnRunMakesNoInterfaceScan(t *testing.T) {
 
 // TestChurnRecountMatchesOracle checks the popcount recount round by
 // round, on a run in which peers join, leave and — ids being recycled —
-// rejoin on the id of a peer that held the message: every PerRound
+// rejoin on the id of a peer that held the message: every round's
 // Informed must be the oracle's count after the previous step plus the
 // round's own receipts, on the overlay's CSR view and through
 // interfaceView, whose alive bitset is an independent Alive scan.
@@ -245,13 +244,13 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var results [2]phonecall.Result
+	var rounds [2]phonecall.RoundLog
 	for i, reference := range []bool{false, true} {
 		topo := newMeteredChurn(t, n, d)
 		res, err := phonecall.Run(phonecall.Config{
 			Topology:        topo,
 			Protocol:        alg1,
 			RNG:             xrand.New(5),
-			RecordRounds:    true,
 			Observer:        topo,
 			DisableFastPath: reference,
 		})
@@ -263,7 +262,7 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 				reference, topo.ch.Joins, topo.ch.Leaves, topo.rejoinedHolders)
 		}
 		before := 1 // the source
-		for r, rm := range res.PerRound {
+		for r, rm := range topo.rounds {
 			if want := before + rm.NewlyInformed; rm.Informed != want {
 				t.Fatalf("reference=%v round %d: Informed = %d, oracle says %d + %d new = %d",
 					reference, rm.Round, rm.Informed, before, rm.NewlyInformed, want)
@@ -273,9 +272,10 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 		if res.Informed != before {
 			t.Fatalf("reference=%v: final Informed = %d, oracle says %d", reference, res.Informed, before)
 		}
-		results[i] = res
+		results[i], rounds[i] = res, topo.rounds
 	}
 	sameResult(t, "churn recount CSR vs interface view", results[0], results[1])
+	sameRounds(t, "churn recount CSR vs interface view", rounds[0], rounds[1])
 }
 
 // TestAvoidRecentBudgetIsOneDial: under AvoidRecent a node dials one channel
@@ -302,15 +302,15 @@ func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
 		churn := &churningTopo{Overlay: ov, ch: ch}
 		for _, topo := range []phonecall.Topology{phonecall.NewStatic(mustRegular(t, n, d, 61)), churn} {
 			alive := phonecall.DialBudget(topo, 1) // every degree is d >= 1
-			res, err := phonecall.Run(phonecall.Config{
+			res, rounds, err := phonecall.RunRounds(phonecall.Config{
 				Topology: topo, Protocol: push, RNG: master.Split(),
-				AvoidRecent: 2, RecordRounds: true, DisableFastPath: reference,
+				AvoidRecent: 2, DisableFastPath: reference,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var total int64
-			for i, rm := range res.PerRound {
+			for i, rm := range rounds {
 				if topo == phonecall.Topology(churn) && i > 0 {
 					alive = int64(churn.aliveAfter[i-1])
 				}

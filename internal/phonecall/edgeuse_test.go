@@ -10,21 +10,23 @@ func TestTrackEdgeUseValidation(t *testing.T) {
 	g := testGraph(t, 32, 4, 20)
 	if _, err := NewEngine(Config{
 		Topology: NewStatic(g), Protocol: pushProto{1, 10}, RNG: xrand.New(1),
-		TrackEdgeUse: true, // RecordRounds missing
+		TrackEdgeUse: true, // no Observer to read |U(t)|
 	}); err == nil {
-		t.Error("TrackEdgeUse without RecordRounds accepted")
+		t.Error("TrackEdgeUse without an Observer accepted")
 	}
 }
 
 // censusScan is an Observer that recounts |U(t)| from the per-node
 // counters every round — the O(n) scan markUsed's running count replaces.
 type censusScan struct {
-	t *testing.T
-	e *Engine
+	t      *testing.T
+	e      *Engine
+	rounds RoundLog
 }
 
 func (c *censusScan) OnInformed(int, int) {}
 func (c *censusScan) OnRound(rm RoundMetrics) {
+	c.rounds.OnRound(rm)
 	scan := 0
 	for _, left := range c.e.unusedDeg {
 		if left > 0 {
@@ -41,15 +43,15 @@ func TestUnusedEdgeCensus(t *testing.T) {
 	scan := &censusScan{t: t}
 	e, err := NewEngine(Config{
 		Topology: NewStatic(g), Protocol: pushProto{1, 40}, RNG: xrand.New(2),
-		RecordRounds: true, TrackEdgeUse: true, Observer: scan,
+		TrackEdgeUse: true, Observer: scan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	scan.e = e
-	res := e.Run()
+	e.Run()
 	prev := 128 + 1
-	for _, rm := range res.PerRound {
+	for _, rm := range scan.rounds {
 		if rm.UnusedEdgeNodes > prev {
 			t.Fatalf("U(t) increased at round %d: %d > %d", rm.Round, rm.UnusedEdgeNodes, prev)
 		}
@@ -58,11 +60,11 @@ func TestUnusedEdgeCensus(t *testing.T) {
 		}
 		prev = rm.UnusedEdgeNodes
 	}
-	first := res.PerRound[0].UnusedEdgeNodes
+	first := scan.rounds[0].UnusedEdgeNodes
 	if first < 126 {
 		t.Errorf("after one push round U(1) = %d, should be nearly n", first)
 	}
-	last := res.PerRound[len(res.PerRound)-1].UnusedEdgeNodes
+	last := scan.rounds[len(scan.rounds)-1].UnusedEdgeNodes
 	if last >= first {
 		t.Errorf("U(t) never decreased: first=%d last=%d", first, last)
 	}
@@ -70,14 +72,14 @@ func TestUnusedEdgeCensus(t *testing.T) {
 
 func TestSilentRunLeavesAllEdgesUnused(t *testing.T) {
 	g := testGraph(t, 64, 4, 22)
-	res, err := Run(Config{
+	_, rounds, err := RunRounds(Config{
 		Topology: NewStatic(g), Protocol: silentProto{5}, RNG: xrand.New(3),
-		RecordRounds: true, TrackEdgeUse: true,
+		TrackEdgeUse: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rm := range res.PerRound {
+	for _, rm := range rounds {
 		if rm.UnusedEdgeNodes != 64 {
 			t.Fatalf("silent run: U(%d) = %d, want 64", rm.Round, rm.UnusedEdgeNodes)
 		}

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"regcast/internal/graph"
+	"regcast/internal/sched"
 	"regcast/internal/xrand"
 )
 
@@ -68,14 +69,13 @@ type Config struct {
 	// every round for every node, and a node dials one channel per round
 	// whatever Protocol.Choices says: ChannelsDialed charges one.
 	AvoidRecent int
-	// RecordRounds enables per-round metrics in the Result.
-	RecordRounds bool
 	// TrackEdgeUse enables the unused-edge census of Lemma 4: an edge
 	// counts as used once a transmission crossed it in either direction,
 	// and RoundMetrics.UnusedEdgeNodes records |U(t)|, the number of nodes
-	// still incident to at least one unused edge. Requires RecordRounds
-	// and a simple static topology with symmetric adjacency (parallel edges
-	// would be conflated; an edge is looked up in its lower endpoint's row).
+	// still incident to at least one unused edge. Requires an Observer
+	// (the only reader of RoundMetrics) and a simple static topology with
+	// symmetric adjacency (parallel edges would be conflated; an edge is
+	// looked up in its lower endpoint's row).
 	TrackEdgeUse bool
 	// StopEarly stops the run as soon as every alive node is informed: fewer
 	// rounds charged, not a faster run (a settled tail is counted). Leave it
@@ -135,8 +135,6 @@ type Result struct {
 	// (Uninformed if never). Run hands over the engine's own array: the
 	// caller owns it.
 	InformedAt []int32
-	// PerRound holds per-round metrics when Config.RecordRounds is set.
-	PerRound []RoundMetrics
 }
 
 // Engine runs one message broadcast under the random phone call model. It
@@ -291,8 +289,8 @@ func newEngine(cfg Config) (*Engine, error) {
 	if cfg.DialStrategy == DialQuasirandom && cfg.AvoidRecent > 0 {
 		return nil, fmt.Errorf("phonecall: DialQuasirandom is incompatible with AvoidRecent")
 	}
-	if cfg.Workers < WorkersAuto {
-		return nil, fmt.Errorf("phonecall: Workers %d invalid (use WorkersAuto, 0 or a positive count)", cfg.Workers)
+	if err := sched.CheckWorkers("phonecall: Workers", cfg.Workers); err != nil {
+		return nil, err
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("phonecall: Shards %d < 0", cfg.Shards)
@@ -347,8 +345,8 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 	}
 	if cfg.TrackEdgeUse {
-		if !cfg.RecordRounds {
-			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires RecordRounds")
+		if cfg.Observer == nil {
+			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires an Observer")
 		}
 		if _, dynamic := cfg.Topology.(Stepper); dynamic {
 			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires a static topology")
@@ -374,18 +372,17 @@ func newEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// recordRound charges the round's totals to res and, when RecordRounds or
-// an Observer is set, materialises the per-round metrics. With neither
-// consumer it stays allocation-free.
+// recordRound charges the round's totals to res and hands the round's
+// metrics to the Observer, if any. Without one it stays allocation-free.
 func (e *Engine) recordRound(res *Result, t, newly, informedCount int, roundTx int64) {
 	budget := e.budget
 	res.Transmissions += roundTx
 	res.ChannelsDialed += budget
 	res.Rounds = t
-	if !e.cfg.RecordRounds && e.cfg.Observer == nil {
+	if e.cfg.Observer == nil {
 		return
 	}
-	rm := RoundMetrics{
+	e.cfg.Observer.OnRound(RoundMetrics{
 		Round:         t,
 		NewlyInformed: newly,
 		Informed:      informedCount,
@@ -393,13 +390,7 @@ func (e *Engine) recordRound(res *Result, t, newly, informedCount int, roundTx i
 		ChannelsDial:  budget,
 		// |U(t)|; stays 0 without TrackEdgeUse.
 		UnusedEdgeNodes: e.unusedNodes,
-	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnRound(rm)
-	}
-	if e.cfg.RecordRounds {
-		res.PerRound = append(res.PerRound, rm)
-	}
+	})
 }
 
 // noteCompletion updates FirstAllInformed after round t and reports

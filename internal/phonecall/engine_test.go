@@ -207,37 +207,6 @@ func TestStopEarly(t *testing.T) {
 	}
 }
 
-func TestRecordRounds(t *testing.T) {
-	g := testGraph(t, 64, 4, 10)
-	res, err := Run(Config{
-		Topology: NewStatic(g), Protocol: pushProto{1, 30}, RNG: xrand.New(2), RecordRounds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerRound) != res.Rounds {
-		t.Fatalf("PerRound has %d entries for %d rounds", len(res.PerRound), res.Rounds)
-	}
-	var tx int64
-	prevInformed := 1
-	for i, rm := range res.PerRound {
-		if rm.Round != i+1 {
-			t.Errorf("round numbering broken at %d", i)
-		}
-		if rm.Informed < prevInformed {
-			t.Errorf("informed count decreased at round %d", rm.Round)
-		}
-		if rm.Informed != prevInformed+rm.NewlyInformed {
-			t.Errorf("round %d: informed %d != prev %d + new %d", rm.Round, rm.Informed, prevInformed, rm.NewlyInformed)
-		}
-		prevInformed = rm.Informed
-		tx += rm.Transmissions
-	}
-	if tx != res.Transmissions {
-		t.Errorf("per-round transmissions sum %d != total %d", tx, res.Transmissions)
-	}
-}
-
 func TestMonotoneInformedAndSourceZero(t *testing.T) {
 	g := testGraph(t, 100, 4, 11)
 	res, err := Run(Config{
@@ -338,14 +307,14 @@ func TestFourChoicesAreDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Topology: NewStatic(g), Protocol: pushProto{4, 1}, Source: 0, RNG: xrand.New(6), RecordRounds: true,
+	_, rounds, err := RunRounds(Config{
+		Topology: NewStatic(g), Protocol: pushProto{4, 1}, Source: 0, RNG: xrand.New(6),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerRound[0].NewlyInformed != 4 {
-		t.Errorf("hub informed %d leaves in one round, want exactly 4 (distinct choices)", res.PerRound[0].NewlyInformed)
+	if rounds[0].NewlyInformed != 4 {
+		t.Errorf("hub informed %d leaves in one round, want exactly 4 (distinct choices)", rounds[0].NewlyInformed)
 	}
 }
 
@@ -386,15 +355,15 @@ func TestPushTransmissionCountMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Topology: NewStatic(g), Protocol: pushProto{1, 3}, RNG: xrand.New(8), RecordRounds: true,
+	res, rounds, err := RunRounds(Config{
+		Topology: NewStatic(g), Protocol: pushProto{1, 3}, RNG: xrand.New(8),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want int64
 	informed := int64(1)
-	for _, rm := range res.PerRound {
+	for _, rm := range rounds {
 		want += informed
 		informed = int64(rm.Informed)
 	}

@@ -73,7 +73,6 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			Protocol:           proto,
 			ChannelFailureProb: float64(raw[3]%3) * 0.2,
 			MessageLossProb:    float64(raw[4]%3) * 0.15,
-			RecordRounds:       true,
 			Shards:             []int{1, 7, 64}[raw[5]%3],
 		}
 		switch raw[6] % 4 {
@@ -109,6 +108,7 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 		label := fmt.Sprintf("seed=%d push=%#x pull=%#x raw=%v (%s)", seed, push, pull, raw, kind)
 
 		var first phonecall.Result
+		var firstRounds phonecall.RoundLog
 		for i, variant := range []struct {
 			reference bool
 			workers   int
@@ -119,24 +119,27 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			cfg.RNG = xrand.New(seed)
 			cfg.DisableFastPath = variant.reference
 			cfg.Workers = variant.workers
-			res, err := phonecall.Run(cfg)
+			res, rounds, err := phonecall.RunRounds(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if i == 0 {
-				first = res
+				first, firstRounds = res, rounds
 				continue
 			}
-			sameResult(t, fmt.Sprintf("%s reference=%v workers=%d", label, variant.reference, variant.workers), first, res)
+			variantLabel := fmt.Sprintf("%s reference=%v workers=%d", label, variant.reference, variant.workers)
+			sameResult(t, variantLabel, first, res)
+			sameRounds(t, variantLabel, firstRounds, rounds)
 		}
 		if settles := kind == "static" || kind == "hypercube" || kind == "regular-stream"; settles && seed%2 == 0 {
 			cfg := base
 			cfg.Topology, cfg.Source, cfg.RNG = mayChange(topo()), int(seed%64), xrand.New(seed)
-			oracle, err := phonecall.Run(cfg)
+			oracle, oracleRounds, err := phonecall.RunRounds(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			sameResult(t, label+" against the may-change oracle", oracle, first)
+			sameRounds(t, label+" against the may-change oracle", oracleRounds, firstRounds)
 		}
 		return true
 	}

@@ -10,9 +10,20 @@ import (
 	"regcast/internal/xrand"
 )
 
-// Example runs the classical one-choice push protocol and inspects the
-// per-round trace: exponential growth, then the long saturation tail that
-// costs push its Θ(n·log n) transmissions.
+// halfway is an Observer that notes the first round after which at least
+// half of n nodes are informed.
+type halfway struct{ n, round int }
+
+func (h *halfway) OnRound(rm phonecall.RoundMetrics) {
+	if h.round == 0 && 2*rm.Informed >= h.n {
+		h.round = rm.Round
+	}
+}
+func (h *halfway) OnInformed(node, round int) {}
+
+// Example runs the classical one-choice push protocol and watches the
+// per-round stream through an Observer: exponential growth, then the long
+// saturation tail that costs push its Θ(n·log n) transmissions.
 func Example() {
 	g, err := graph.RandomRegular(1024, 8, xrand.New(1))
 	if err != nil {
@@ -22,26 +33,20 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	half := &halfway{n: 1024}
 	res, err := phonecall.Run(phonecall.Config{
-		Topology:     phonecall.NewStatic(g),
-		Protocol:     push,
-		RNG:          xrand.New(2),
-		RecordRounds: true,
-		StopEarly:    true,
+		Topology:  phonecall.NewStatic(g),
+		Protocol:  push,
+		RNG:       xrand.New(2),
+		StopEarly: true,
+		Observer:  half,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("completed:", res.AllInformed)
-	half := 0
-	for _, rm := range res.PerRound {
-		if rm.Informed >= 512 {
-			half = rm.Round
-			break
-		}
-	}
-	fmt.Println("half informed by round:", half)
-	fmt.Println("tail rounds after half:", res.FirstAllInformed-half)
+	fmt.Println("half informed by round:", half.round)
+	fmt.Println("tail rounds after half:", res.FirstAllInformed-half.round)
 	// Output:
 	// completed: true
 	// half informed by round: 12

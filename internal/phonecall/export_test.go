@@ -133,3 +133,22 @@ func (e *Engine) ReceiptBitsets() (made, dirtyWords int) {
 	}
 	return made, dirtyWords
 }
+
+// RoundLog is an Observer that keeps every round's metrics in round order:
+// the trajectory a test reads, which Result does not retain.
+type RoundLog []RoundMetrics
+
+// OnRound implements Observer.
+func (l *RoundLog) OnRound(rm RoundMetrics) { *l = append(*l, rm) }
+
+// OnInformed implements Observer.
+func (*RoundLog) OnInformed(int, int) {}
+
+// RunRounds runs cfg, which carries no Observer of its own, with a
+// RoundLog and returns the log beside the result.
+func RunRounds(cfg Config) (Result, RoundLog, error) {
+	var log RoundLog
+	cfg.Observer = &log
+	res, err := Run(cfg)
+	return res, log, err
+}

@@ -114,18 +114,17 @@ func TestFastPathGoldenChurn(t *testing.T) {
 						Protocol:        tc.proto(t, n),
 						Source:          5,
 						RNG:             xrand.New(20260726),
-						RecordRounds:    true,
 						Workers:         workers,
 						DisableFastPath: view.disable,
 					}
 					if tc.mutate != nil {
 						tc.mutate(&cfg)
 					}
-					res, err := phonecall.Run(cfg)
+					res, rounds, err := phonecall.RunRounds(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := digestOf(res); got != tc.want {
+					if got := digestOf(res, rounds); got != tc.want {
 						t.Errorf("%s view=%s workers=%d: digest %+v, want %+v", tc.name, view.name, workers, got, tc.want)
 					}
 				}

@@ -19,7 +19,8 @@ import (
 	"regcast/internal/xrand"
 )
 
-// sameResult fails unless a and b are bit-identical runs.
+// sameResult fails unless a and b are bit-identical runs (sameRounds
+// compares their OnRound streams).
 func sameResult(t *testing.T, label string, a, b phonecall.Result) {
 	t.Helper()
 	if a.Rounds != b.Rounds || a.Transmissions != b.Transmissions ||
@@ -32,18 +33,23 @@ func sameResult(t *testing.T, label string, a, b phonecall.Result) {
 			t.Fatalf("%s: InformedAt[%d] = %d vs %d", label, v, a.InformedAt[v], b.InformedAt[v])
 		}
 	}
-	if len(a.PerRound) != len(b.PerRound) {
-		t.Fatalf("%s: PerRound lengths differ: %d vs %d", label, len(a.PerRound), len(b.PerRound))
+}
+
+// sameRounds fails unless two runs' OnRound streams are equal.
+func sameRounds(t *testing.T, label string, a, b phonecall.RoundLog) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: OnRound streams differ in length: %d vs %d", label, len(a), len(b))
 	}
-	for i := range a.PerRound {
-		if a.PerRound[i] != b.PerRound[i] {
-			t.Fatalf("%s: PerRound[%d] differs: %+v vs %+v", label, i, a.PerRound[i], b.PerRound[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: OnRound %d differs: %+v vs %+v", label, i+1, a[i], b[i])
 		}
 	}
 }
 
 // digest is a run's committed expectation: its summary counts and an
-// FNV-1a-64 hash of InformedAt and PerRound. The goldens below were
+// FNV-1a-64 hash of InformedAt and the OnRound stream. The goldens below were
 // recorded at the commit where the interface-dispatch sampler and shard
 // pass bodies still ran beside the view pass and agreed with it, so they
 // keep those deleted bodies as the reference.
@@ -55,7 +61,7 @@ type digest struct {
 	Trace            uint64
 }
 
-func digestOf(res phonecall.Result) digest {
+func digestOf(res phonecall.Result, rounds phonecall.RoundLog) digest {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(x int64) {
@@ -65,7 +71,7 @@ func digestOf(res phonecall.Result) digest {
 	for _, ia := range res.InformedAt {
 		put(int64(ia))
 	}
-	for _, rm := range res.PerRound {
+	for _, rm := range rounds {
 		for _, x := range [...]int64{int64(rm.Round), int64(rm.NewlyInformed), int64(rm.Informed),
 			rm.Transmissions, rm.ChannelsDial, int64(rm.UnusedEdgeNodes)} {
 			put(x)
@@ -315,18 +321,17 @@ func TestFastPathGoldenE1toE20(t *testing.T) {
 						Protocol:        proto,
 						Source:          3,
 						RNG:             xrand.New(20260726),
-						RecordRounds:    true,
 						Workers:         workers,
 						DisableFastPath: view.disable,
 					}
 					if tc.mutate != nil {
 						tc.mutate(&cfg)
 					}
-					res, err := phonecall.Run(cfg)
+					res, rounds, err := phonecall.RunRounds(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := digestOf(res); got != tc.want {
+					if got := digestOf(res, rounds); got != tc.want {
 						t.Errorf("%s view=%s workers=%d (%s): digest %+v, want %+v",
 							tc.name, view.name, workers, tc.experiments, got, tc.want)
 					}
@@ -388,13 +393,14 @@ func TestInterfaceViewTracksLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		run := func(topo phonecall.Topology, view string) phonecall.Result {
+		run := func(topo phonecall.Topology, view string) (phonecall.Result, phonecall.RoundLog) {
+			var log phonecall.RoundLog
 			e, err := phonecall.NewEngine(phonecall.Config{
-				Topology:     topo,
-				Protocol:     pushPull,
-				RNG:          xrand.New(77),
-				RecordRounds: true,
-				Workers:      workers,
+				Topology: topo,
+				Protocol: pushPull,
+				RNG:      xrand.New(77),
+				Workers:  workers,
+				Observer: &log,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -402,13 +408,16 @@ func TestInterfaceViewTracksLiveness(t *testing.T) {
 			if got := e.View(); got != view {
 				t.Fatalf("%T: view %q, want %q", topo, got, view)
 			}
-			return e.Run()
+			res := e.Run()
+			return res, log
 		}
-		viewless := run(&dynamicRing{g: g}, "interface")
-		if viewless.PerRound[3].ChannelsDial == viewless.PerRound[0].ChannelsDial {
+		viewless, viewlessRounds := run(&dynamicRing{g: g}, "interface")
+		if viewlessRounds[3].ChannelsDial == viewlessRounds[0].ChannelsDial {
 			t.Fatal("the flapping node's death did not reach the dial budget")
 		}
-		sameResult(t, fmt.Sprintf("churn (E13b shape) workers=%d", workers),
-			run(viewedRing{&dynamicRing{g: g}}, "csr"), viewless)
+		label := fmt.Sprintf("churn (E13b shape) workers=%d", workers)
+		viewed, viewedRounds := run(viewedRing{&dynamicRing{g: g}}, "csr")
+		sameResult(t, label, viewed, viewless)
+		sameRounds(t, label, viewedRounds, viewlessRounds)
 	}
 }

@@ -67,10 +67,11 @@ func TestEdgeCensusKeepsFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(topo Topology, view string, workers int) Result {
+	run := func(topo Topology, view string, workers int) trace {
+		var log RoundLog
 		e, err := NewEngine(Config{
 			Topology: topo, Protocol: pushPullProto{2, 12}, Source: 3, RNG: xrand.New(9),
-			RecordRounds: true, TrackEdgeUse: true, DisableFastPath: view == "interface", Workers: workers,
+			TrackEdgeUse: true, Observer: &log, DisableFastPath: view == "interface", Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,14 +79,15 @@ func TestEdgeCensusKeepsFastPath(t *testing.T) {
 		if got := e.View(); got != view {
 			t.Fatalf("%T: view %q under the census, want %q", topo, got, view)
 		}
-		return e.Run()
+		res := e.Run()
+		return trace{res, log}
 	}
 	for _, tc := range []struct {
 		topo Topology
 		view string
 	}{{NewStatic(g), "csr"}, {newViewTopo(g, 17, 40, 63), "csr"}, {NewImplicit(cube), "implicit"}} {
 		own := run(tc.topo, tc.view, 0)
-		if first := own.PerRound[0].UnusedEdgeNodes; first == 0 || first > 64 {
+		if first := own.rounds[0].UnusedEdgeNodes; first == 0 || first > 64 {
 			t.Fatalf("%T: |U(1)| = %d, the census tracked nothing", tc.topo, first)
 		}
 		for _, workers := range []int{0, 1, 4} {
@@ -139,8 +141,8 @@ func TestEdgeCensusBitset(t *testing.T) {
 			Topology:        NewStatic(g),
 			Protocol:        pushProto{1, 4},
 			RNG:             xrand.New(1),
-			RecordRounds:    true,
 			TrackEdgeUse:    true,
+			Observer:        new(RoundLog),
 			DisableFastPath: reference,
 		})
 		if err != nil {
@@ -193,7 +195,7 @@ func (hugeDegreeTopo) Alive(int) bool        { return true }
 // int32, so a degree sum past math.MaxInt32 must fail in NewEngine — before
 // the bitset is allocated — instead of wrapping.
 func TestEdgeCensusRejectsSlotOverflow(t *testing.T) {
-	cfg := Config{Topology: hugeDegreeTopo{}, Protocol: pushProto{1, 4}, RNG: xrand.New(1), RecordRounds: true}
+	cfg := Config{Topology: hugeDegreeTopo{}, Protocol: pushProto{1, 4}, RNG: xrand.New(1), Observer: new(RoundLog)}
 	if _, err := NewEngine(cfg); err != nil {
 		t.Fatalf("without the census: %v", err)
 	}

@@ -106,12 +106,14 @@ func TestPullScanBitsetShortcut(t *testing.T) {
 			label := fmt.Sprintf("%s/%T", tc.name, topo)
 			proto := windowProto{k: 3, horizon: 24, window: tc.window, push: 0x11111111, pull: ^uint32(0)}
 			var first phonecall.Result
+			var firstRounds phonecall.RoundLog
 			for i, variant := range []struct {
 				reference bool
 				workers   int
 			}{{false, 0}, {false, 1}, {false, 4}, {true, 0}, {true, 1}, {true, 4}} {
 				var e *phonecall.Engine
 				bitRounds, roundRounds := 0, 0
+				var rounds phonecall.RoundLog
 				e, err := phonecall.NewEngine(phonecall.Config{
 					Topology:           topo,
 					Protocol:           proto,
@@ -119,10 +121,10 @@ func TestPullScanBitsetShortcut(t *testing.T) {
 					RNG:                xrand.New(72),
 					ChannelFailureProb: 0.2,
 					MessageLossProb:    0.3,
-					RecordRounds:       true,
 					DisableFastPath:    variant.reference,
 					Workers:            variant.workers,
-					Observer: roundHooks{func(phonecall.RoundMetrics) {
+					Observer: roundHooks{func(rm phonecall.RoundMetrics) {
+						rounds.OnRound(rm)
 						if e.PullAll() {
 							bitRounds++
 						} else {
@@ -146,10 +148,12 @@ func TestPullScanBitsetShortcut(t *testing.T) {
 					if res.Transmissions == 0 || res.Informed < n/2 {
 						t.Fatalf("%s: %d transmissions, %d informed: the pull scan went unexercised", label, res.Transmissions, res.Informed)
 					}
-					first = res
+					first, firstRounds = res, rounds
 					continue
 				}
-				sameResult(t, fmt.Sprintf("%s reference=%v workers=%d", label, variant.reference, variant.workers), first, res)
+				variantLabel := fmt.Sprintf("%s reference=%v workers=%d", label, variant.reference, variant.workers)
+				sameResult(t, variantLabel, first, res)
+				sameRounds(t, variantLabel, firstRounds, rounds)
 			}
 		}
 	}

@@ -2,10 +2,10 @@ package phonecall
 
 import "time"
 
-// Observer receives streaming per-round callbacks while a run executes, so
-// callers can consume metrics online instead of retaining a full trace
-// (Config.RecordRounds) in memory. The engine invokes observers from the
-// coordinating goroutine only, in a deterministic order:
+// Observer receives streaming per-round callbacks while a run executes: it
+// is the only way RoundMetrics leave the engine (Result keeps totals), so a
+// caller that wants a trajectory collects it here. The engine invokes
+// observers from the coordinating goroutine only, in a deterministic order:
 //
 //   - OnInformed(source, 0) once, before round 1;
 //   - for every round t, OnInformed(v, t) for each node first informed in

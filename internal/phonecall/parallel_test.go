@@ -19,19 +19,27 @@ func (p pushPullProto) Horizon() int            { return p.horizon }
 func (p pushPullProto) SendPush(t, ia int) bool { return true }
 func (p pushPullProto) SendPull(t, ia int) bool { return true }
 
-// runWorkers runs cfg with the given worker count and a fixed seed.
-func runWorkers(t *testing.T, cfg Config, workers int) Result {
+// trace is a run's Result with the OnRound stream its RoundLog saw (nil
+// for a run that carried another observer).
+type trace struct {
+	Result
+	rounds RoundLog
+}
+
+// runWorkers runs cfg, which carries no Observer, with the given worker
+// count and logs its rounds.
+func runWorkers(t *testing.T, cfg Config, workers int) trace {
 	t.Helper()
 	cfg.Workers = workers
-	res, err := Run(cfg)
+	res, rounds, err := RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return trace{res, rounds}
 }
 
 // assertSameTrace fails unless a and b are bit-identical runs.
-func assertSameTrace(t *testing.T, a, b Result) {
+func assertSameTrace(t *testing.T, a, b trace) {
 	t.Helper()
 	if a.Rounds != b.Rounds || a.Transmissions != b.Transmissions ||
 		a.ChannelsDialed != b.ChannelsDialed || a.FirstAllInformed != b.FirstAllInformed ||
@@ -43,12 +51,12 @@ func assertSameTrace(t *testing.T, a, b Result) {
 			t.Fatalf("InformedAt[%d] = %d vs %d", v, a.InformedAt[v], b.InformedAt[v])
 		}
 	}
-	if len(a.PerRound) != len(b.PerRound) {
-		t.Fatalf("PerRound lengths differ: %d vs %d", len(a.PerRound), len(b.PerRound))
+	if len(a.rounds) != len(b.rounds) {
+		t.Fatalf("OnRound streams differ in length: %d vs %d", len(a.rounds), len(b.rounds))
 	}
-	for i := range a.PerRound {
-		if a.PerRound[i] != b.PerRound[i] {
-			t.Fatalf("PerRound[%d] differs: %+v vs %+v", i, a.PerRound[i], b.PerRound[i])
+	for i := range a.rounds {
+		if a.rounds[i] != b.rounds[i] {
+			t.Fatalf("OnRound %d differs: %+v vs %+v", i+1, a.rounds[i], b.rounds[i])
 		}
 	}
 }
@@ -64,14 +72,14 @@ func TestShardedTraceIndependentOfWorkers(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"push", Config{Protocol: pushProto{2, 60}, RecordRounds: true}},
-		{"pull", Config{Protocol: pullProto{1, 80}, RecordRounds: true}},
-		{"push-pull", Config{Protocol: pushPullProto{2, 40}, RecordRounds: true}},
-		{"lossy", Config{Protocol: pushPullProto{2, 60}, MessageLossProb: 0.3, ChannelFailureProb: 0.2, RecordRounds: true}},
-		{"quasirandom", Config{Protocol: pushProto{2, 60}, DialStrategy: DialQuasirandom, RecordRounds: true}},
-		{"avoid-recent", Config{Protocol: pushProto{1, 120}, AvoidRecent: 3, RecordRounds: true}},
-		{"edge-use", Config{Protocol: pushPullProto{2, 40}, TrackEdgeUse: true, RecordRounds: true}},
-		{"stop-early", Config{Protocol: pushProto{4, 100}, StopEarly: true, RecordRounds: true}},
+		{"push", Config{Protocol: pushProto{2, 60}}},
+		{"pull", Config{Protocol: pullProto{1, 80}}},
+		{"push-pull", Config{Protocol: pushPullProto{2, 40}}},
+		{"lossy", Config{Protocol: pushPullProto{2, 60}, MessageLossProb: 0.3, ChannelFailureProb: 0.2}},
+		{"quasirandom", Config{Protocol: pushProto{2, 60}, DialStrategy: DialQuasirandom}},
+		{"avoid-recent", Config{Protocol: pushProto{1, 120}, AvoidRecent: 3}},
+		{"edge-use", Config{Protocol: pushPullProto{2, 40}, TrackEdgeUse: true}},
+		{"stop-early", Config{Protocol: pushProto{4, 100}, StopEarly: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,19 +125,13 @@ func (c *churnTopo) Step(round int) []int {
 // topology and checks worker-count independence there too.
 func TestShardedChurnMatchesAcrossWorkers(t *testing.T) {
 	g := testGraph(t, 128, 6, 31)
-	run := func(workers int) Result {
-		res, err := Run(Config{
-			Topology:     &churnTopo{g: g},
-			Protocol:     pushProto{2, 40},
-			Source:       0,
-			RNG:          xrand.New(77),
-			RecordRounds: true,
-			Workers:      workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func(workers int) trace {
+		return runWorkers(t, Config{
+			Topology: &churnTopo{g: g},
+			Protocol: pushProto{2, 40},
+			Source:   0,
+			RNG:      xrand.New(77),
+		}, workers)
 	}
 	assertSameTrace(t, run(0), run(1))
 	assertSameTrace(t, run(0), run(8))
@@ -198,14 +200,13 @@ func TestShardedEdgeUse(t *testing.T) {
 		cfg := Config{
 			Topology:     NewStatic(g),
 			Protocol:     pushPullProto{2, 30},
-			RecordRounds: true,
 			TrackEdgeUse: true,
 			Shards:       shards,
 		}
 		cfg.RNG = xrand.New(9)
 		res := runWorkers(t, cfg, 8)
 		prev := g.NumNodes() + 1
-		for _, rm := range res.PerRound {
+		for _, rm := range res.rounds {
 			if rm.UnusedEdgeNodes > prev {
 				t.Fatalf("shards=%d: U(t) increased: %d -> %d at round %d", shards, prev, rm.UnusedEdgeNodes, rm.Round)
 			}

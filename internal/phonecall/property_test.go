@@ -57,9 +57,8 @@ func TestEngineInvariantsUnderRandomSchedules(t *testing.T) {
 			RNG:                xrand.New(seed),
 			ChannelFailureProb: float64(failRaw%50) / 100,
 			MessageLossProb:    float64(lossRaw%50) / 100,
-			RecordRounds:       true,
 		}
-		res, err := Run(cfg)
+		res, rounds, err := RunRounds(cfg)
 		if err != nil {
 			return false
 		}
@@ -75,7 +74,7 @@ func TestEngineInvariantsUnderRandomSchedules(t *testing.T) {
 		// (3) and (5)
 		var tx int64
 		prev := 1
-		for _, rm := range res.PerRound {
+		for _, rm := range rounds {
 			if rm.Informed < prev || rm.Informed != prev+rm.NewlyInformed {
 				return false
 			}
@@ -103,17 +102,16 @@ func TestReceiptRoundMatchesTransmittingRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Topology:     NewStatic(g),
-		Protocol:     pushProto{2, 40},
-		RNG:          xrand.New(52),
-		RecordRounds: true,
+	res, rounds, err := RunRounds(Config{
+		Topology: NewStatic(g),
+		Protocol: pushProto{2, 40},
+		RNG:      xrand.New(52),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	txAt := map[int]int64{}
-	for _, rm := range res.PerRound {
+	for _, rm := range rounds {
 		txAt[rm.Round] = rm.Transmissions
 	}
 	for v, ia := range res.InformedAt {
@@ -164,19 +162,18 @@ func TestPullCountsOnePerIncomingChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Topology:     NewStatic(g),
-		Protocol:     pullProto{1, 1},
-		Source:       0,
-		RNG:          xrand.New(55),
-		RecordRounds: true,
+	res, rounds, err := RunRounds(Config{
+		Topology: NewStatic(g),
+		Protocol: pullProto{1, 1},
+		Source:   0,
+		RNG:      xrand.New(55),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every leaf dials the hub (its only neighbour); hub answers each.
-	if res.PerRound[0].Transmissions != leaves {
-		t.Errorf("pull transmissions = %d, want %d", res.PerRound[0].Transmissions, leaves)
+	if rounds[0].Transmissions != leaves {
+		t.Errorf("pull transmissions = %d, want %d", rounds[0].Transmissions, leaves)
 	}
 	if !res.AllInformed {
 		t.Error("single pull round on star should inform every leaf")

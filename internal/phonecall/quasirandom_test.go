@@ -52,13 +52,12 @@ func TestQuasirandomCoversListWithoutRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err := Run(Config{
+		res, rounds, err := RunRounds(Config{
 			Topology:     NewStatic(g),
 			Protocol:     pushProto{1, leaves},
 			Source:       0,
 			RNG:          xrand.New(seed),
 			DialStrategy: DialQuasirandom,
-			RecordRounds: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +67,7 @@ func TestQuasirandomCoversListWithoutRepeats(t *testing.T) {
 				seed, res.Informed, leaves+1, leaves)
 		}
 		// Exactly one new leaf per round: no repeats within a sweep.
-		for _, rm := range res.PerRound {
+		for _, rm := range rounds {
 			if rm.NewlyInformed != 1 {
 				t.Fatalf("seed %d round %d informed %d leaves (want exactly 1)",
 					seed, rm.Round, rm.NewlyInformed)
@@ -105,19 +104,18 @@ func TestQuasirandomFourChoiceWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	_, rounds, err := RunRounds(Config{
 		Topology:     NewStatic(g),
 		Protocol:     pushProto{4, 2},
 		Source:       0,
 		RNG:          xrand.New(33),
 		DialStrategy: DialQuasirandom,
-		RecordRounds: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerRound[0].NewlyInformed != 4 || res.PerRound[1].NewlyInformed != 4 {
+	if rounds[0].NewlyInformed != 4 || rounds[1].NewlyInformed != 4 {
 		t.Errorf("per-round informs %d, %d — want 4, 4 (cursor must not rewind)",
-			res.PerRound[0].NewlyInformed, res.PerRound[1].NewlyInformed)
+			rounds[0].NewlyInformed, rounds[1].NewlyInformed)
 	}
 }

@@ -233,7 +233,7 @@ func TestPhaseObserverStamps(t *testing.T) {
 			t.Fatal(err)
 		}
 		wall := time.Since(start)
-		assertSameTrace(t, plain, timed)
+		assertSameTrace(t, trace{Result: plain}, trace{Result: timed})
 		var want []string
 		for r := 1; r <= 10; r++ {
 			want = append(want, fmt.Sprintf("phases %d", r), fmt.Sprintf("round %d", r))

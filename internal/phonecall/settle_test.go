@@ -63,7 +63,7 @@ func runLogged(t *testing.T, cfg phonecall.Config, topo phonecall.Topology) (pho
 func runSeeded(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog) {
 	t.Helper()
 	log := &eventLog{}
-	cfg.Topology, cfg.RNG, cfg.Observer, cfg.RecordRounds = topo, xrand.New(seed), log, true
+	cfg.Topology, cfg.RNG, cfg.Observer = topo, xrand.New(seed), log
 	res, err := phonecall.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func runSeeded(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed
 // sameAsOracle runs cfg on topo twice — as it is, and declared changeable so
 // that every round is simulated — and fails unless the two Results (every
 // field but CountedRounds) and Observer sequences are equal. It returns the
-// plain run's Result.
-func sameAsOracle(t *testing.T, label string, cfg phonecall.Config, topo phonecall.Topology) phonecall.Result {
+// plain run's Result and OnRound stream.
+func sameAsOracle(t *testing.T, label string, cfg phonecall.Config, topo phonecall.Topology) (phonecall.Result, []phonecall.RoundMetrics) {
 	t.Helper()
 	got, gotLog := runLogged(t, cfg, topo)
 	want, wantLog := runLogged(t, cfg, mayChange(topo))
@@ -90,7 +90,7 @@ func sameAsOracle(t *testing.T, label string, cfg phonecall.Config, topo phoneca
 	if tail := got.Rounds - got.FirstAllInformed; got.CountedRounds != 0 && (got.FirstAllInformed < 0 || got.CountedRounds < 0 || got.CountedRounds > tail) {
 		t.Fatalf("%s: %d counted rounds, all informed after %d of %d", label, got.CountedRounds, got.FirstAllInformed, got.Rounds)
 	}
-	return got
+	return got, gotLog.rounds
 }
 
 // settleSchedules are the schedules the differential runs: every protocol
@@ -135,7 +135,7 @@ func TestCountedRoundsMatchSimulation(t *testing.T) {
 				cfg.MessageLossProb, cfg.Workers = loss, workers
 				l := fmt.Sprintf("%s %s avoid=%d dial=%v loss=%v workers=%d reference=%v",
 					label, cfg.Protocol.Name(), cfg.AvoidRecent, cfg.DialStrategy, loss, workers, cfg.DisableFastPath)
-				if res := sameAsOracle(t, l, cfg, topo); res.CountedRounds > 0 {
+				if res, _ := sameAsOracle(t, l, cfg, topo); res.CountedRounds > 0 {
 					engaged[schedule]++
 				}
 			}
@@ -202,11 +202,11 @@ func TestCountedRoundsEngage(t *testing.T) {
 	}
 
 	t.Run("push tail", func(t *testing.T) {
-		res := sameAsOracle(t, "push", phonecall.Config{Protocol: push}, phonecall.NewImplicit(stream))
+		res, rounds := sameAsOracle(t, "push", phonecall.Config{Protocol: push}, phonecall.NewImplicit(stream))
 		if res.FirstAllInformed < 0 || res.CountedRounds != push.Horizon()-res.FirstAllInformed {
 			t.Errorf("counted %d rounds, want horizon %d − completion %d", res.CountedRounds, push.Horizon(), res.FirstAllInformed)
 		}
-		for _, rm := range res.PerRound[res.FirstAllInformed:] {
+		for _, rm := range rounds[res.FirstAllInformed:] {
 			if rm.Transmissions != 4096 || rm.ChannelsDial != 4096 || rm.NewlyInformed != 0 || rm.Informed != 4096 {
 				t.Fatalf("counted round reads %+v, want 4096 transmissions on 4096 channels and no receipt", rm)
 			}
@@ -219,7 +219,7 @@ func TestCountedRoundsEngage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := sameAsOracle(t, "four-choice", phonecall.Config{Protocol: proto}, phonecall.NewStatic(mustRegular(t, n, d, 6)))
+		res, rounds := sameAsOracle(t, "four-choice", phonecall.Config{Protocol: proto}, phonecall.NewStatic(mustRegular(t, n, d, 6)))
 		_, t2, pullEnd, horizon := proto.PhaseBoundaries()
 		if res.FirstAllInformed < 0 || res.FirstAllInformed > t2 {
 			t.Fatalf("all informed after round %d, want before the pull rounds %d–%d (pick another seed)", res.FirstAllInformed, t2+1, pullEnd)
@@ -228,7 +228,7 @@ func TestCountedRoundsEngage(t *testing.T) {
 			t.Errorf("counted %d rounds, want every round after %d of %d", res.CountedRounds, res.FirstAllInformed, horizon)
 		}
 		for r := t2 + 1; r <= pullEnd; r++ {
-			if rm := res.PerRound[r-1]; rm.Transmissions != n*4 {
+			if rm := rounds[r-1]; rm.Transmissions != n*4 {
 				t.Errorf("pull round %d: %d transmissions, want one answer on each of %d channels", r, rm.Transmissions, n*4)
 			}
 		}
@@ -246,14 +246,14 @@ func TestCountedRoundsEngage(t *testing.T) {
 		}
 		for _, reference := range []bool{false, true} {
 			cfg := phonecall.Config{Protocol: proto, DisableFastPath: reference, MessageLossProb: 0.1}
-			res := sameAsOracle(t, "mixed", cfg, phonecall.NewStatic(mustRegular(t, n, 8, 7)))
+			res, rounds := sameAsOracle(t, "mixed", cfg, phonecall.NewStatic(mustRegular(t, n, 8, 7)))
 			if res.FirstAllInformed < 0 || res.FirstAllInformed >= 16 {
 				t.Fatalf("all informed after round %d, want before 16", res.FirstAllInformed)
 			}
 			if res.CountedRounds != horizon-mixed {
 				t.Errorf("counted %d rounds, want the %d after the mixed round", res.CountedRounds, horizon-mixed)
 			}
-			if tx := res.PerRound[mixed-1].Transmissions; tx <= 0 || tx >= n*k {
+			if tx := rounds[mixed-1].Transmissions; tx <= 0 || tx >= n*k {
 				t.Errorf("mixed round: %d transmissions, want some but not all of %d channels answered", tx, n*k)
 			}
 			for r := mixed + 1; r <= horizon; r++ {
@@ -261,7 +261,7 @@ func TestCountedRoundsEngage(t *testing.T) {
 				if r%2 == 0 || r == 25 {
 					want = n * k
 				}
-				if tx := res.PerRound[r-1].Transmissions; tx != want {
+				if tx := rounds[r-1].Transmissions; tx != want {
 					t.Errorf("counted round %d: %d transmissions, want %d", r, tx, want)
 				}
 			}

@@ -92,19 +92,18 @@ func TestShardedShardGeometry(t *testing.T) {
 				key := fmt.Sprintf("%s/%s/%d", topo.name, p.name, shards)
 				want, ok := geometryGoldens[key]
 				for _, workers := range []int{0, 4} {
-					res, err := phonecall.Run(phonecall.Config{
-						Topology:     topo.build(),
-						Protocol:     p.proto,
-						Source:       5,
-						RNG:          xrand.New(20261016),
-						RecordRounds: true,
-						Workers:      workers,
-						Shards:       shards,
+					res, rounds, err := phonecall.RunRounds(phonecall.Config{
+						Topology: topo.build(),
+						Protocol: p.proto,
+						Source:   5,
+						RNG:      xrand.New(20261016),
+						Workers:  workers,
+						Shards:   shards,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := digestOf(res)
+					got := digestOf(res, rounds)
 					switch {
 					case !ok:
 						t.Errorf("%q: no committed digest; this run reads %#v", key, got)

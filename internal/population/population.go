@@ -234,6 +234,9 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Shards < 1 {
 		return nil, errors.New("population: Config.Shards must be positive")
 	}
+	if err := sched.CheckWorkers("population: Config.Workers", cfg.Workers); err != nil {
+		return nil, err
+	}
 	if cfg.MaxSteps < 0 {
 		return nil, errors.New("population: Config.MaxSteps must not be negative")
 	}

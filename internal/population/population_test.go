@@ -289,6 +289,10 @@ func TestConfigValidation(t *testing.T) {
 		"pair-n-1":      {N: 1, Pair: le},
 		"neg-shards":    {N: 8, Pair: le, Shards: -1},
 		"neg-max-steps": {N: 8, Pair: le, MaxSteps: -5},
+		// Below WorkersAuto: the one rule (sched.CheckWorkers) the
+		// phone-call engine and the facade apply too, not an inline run.
+		"pair-workers-below-auto": {N: 8, Pair: le, Workers: -7},
+		"ring-workers-below-auto": {N: 9, Ring: hm, Workers: -2},
 		// PairDraw's agent indices are int32: rejected before the 8 GiB
 		// configuration would be allocated.
 		"pair-n-over-int32": {N: math.MaxInt32 + 1, Pair: fixpointProtocol{}},

@@ -30,6 +30,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,16 @@ const WorkersAuto = -1
 // so that a run's trace depends only on (seed, topology/protocol, shard
 // count) and is reproducible across machines and worker counts.
 const DefaultShards = 64
+
+// CheckWorkers is the one rule for a Workers knob: WorkersAuto, 0 (inline)
+// or a positive count. Anything below WorkersAuto is an error, reported as
+// "<knob> <value> invalid (…)".
+func CheckWorkers(knob string, workers int) error {
+	if workers < WorkersAuto {
+		return fmt.Errorf("%s %d invalid (use WorkersAuto, 0 or a positive count)", knob, workers)
+	}
+	return nil
+}
 
 // Resolve maps a Workers knob (WorkersAuto, or an explicit count) to the
 // concrete number of worker goroutines for nShards shards: GOMAXPROCS for

@@ -8,8 +8,8 @@ import "sync/atomic"
 // rather than a vibe: Health.LedgerGap() must be zero at quiescence, and
 // the soak tests assert it under injected faults.
 //
-// Counters split by pipeline stage (InMem uses the first and last rows'
-// Sends, MailboxDrops and Delivered only):
+// Counters split by pipeline stage (the tests' InMem fake uses the first
+// and last rows' Sends, MailboxDrops and Delivered only):
 //
 //	send side    Sends → {QuarantineDrops, QueueDrops} or enqueue
 //	writer       queue → {QuarantineDrops, WriteDrops, ShutdownDrops} or Written

@@ -1,15 +1,14 @@
 // Package transport provides message transports and a small anti-entropy
 // gossip node for running push/pull rumour spreading over real channels —
-// the deployment-shaped counterpart of the round-based simulator. Two
-// transports are provided: an in-memory one (per-node buffered mailboxes)
-// and the Daemon (newline-delimited JSON frames over persistent loopback
-// TCP connections), both behind the same interface.
+// the deployment-shaped counterpart of the round-based simulator. The
+// transport is the Daemon (newline-delimited JSON frames over persistent
+// loopback TCP connections); FaultPlan wraps any Transport with seeded
+// chaos, and the package tests run the cluster over an in-memory fake.
 package transport
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrClosed is returned by Send after the transport has shut down. Every
@@ -72,51 +71,10 @@ type Transport interface {
 	Close() error
 }
 
-// InMem is an in-process transport backed by buffered channels. Its
-// ledger has three buckets: Sends, Delivered and MailboxDrops.
-type InMem struct {
-	mu     sync.Mutex
-	boxes  []chan Packet
-	closed bool
-	met    Metrics
-}
-
-var _ Transport = (*InMem)(nil)
-
-// NewInMem creates an in-memory transport for n nodes with the given
-// per-node mailbox capacity.
-func NewInMem(n, mailbox int) (*InMem, error) {
-	if n <= 0 || mailbox <= 0 {
-		return nil, fmt.Errorf("transport: NewInMem(n=%d, mailbox=%d) invalid", n, mailbox)
-	}
-	t := &InMem{boxes: make([]chan Packet, n)}
-	for i := range t.boxes {
-		t.boxes[i] = make(chan Packet, mailbox)
-	}
-	return t, nil
-}
-
-// Send implements Transport. A full mailbox drops the packet (counted in
-// MailboxDrops) rather than blocking, mirroring a lossy network.
-func (t *InMem) Send(to int, p Packet) error {
-	if to < 0 || to >= len(t.boxes) {
-		return fmt.Errorf("transport: Send to %d out of range [0,%d)", to, len(t.boxes))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
-	t.met.Sends.Add(1)
-	p.To = to
-	t.met.toMailbox(t.boxes[to], p)
-	return nil
-}
-
-// toMailbox is the terminal accounting point of a mailbox insert, shared
-// by both transports: Delivered is counted before the packet becomes
-// visible to the node's loop and taken back, before the drop is counted,
-// when the mailbox is full (the order Metrics.snapshot relies on).
+// toMailbox is the terminal accounting point of a mailbox insert (the
+// Daemon's, and the test fake's): Delivered is counted before the packet
+// becomes visible to the node's loop and taken back, before the drop is
+// counted, when the mailbox is full (the order Metrics.snapshot relies on).
 func (m *Metrics) toMailbox(box chan<- Packet, p Packet) bool {
 	m.Delivered.Add(1)
 	select {
@@ -127,24 +85,4 @@ func (m *Metrics) toMailbox(box chan<- Packet, p Packet) bool {
 		m.MailboxDrops.Add(1)
 		return false
 	}
-}
-
-// Inbox implements Transport.
-func (t *InMem) Inbox(node int) <-chan Packet { return t.boxes[node] }
-
-// Health implements Transport.
-func (t *InMem) Health() Health { return t.met.snapshot() }
-
-// Close implements Transport.
-func (t *InMem) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	for _, b := range t.boxes {
-		close(b)
-	}
-	return nil
 }

@@ -256,7 +256,7 @@ func ledgerOf(h Health) Health {
 
 // TestSettleMatchesClosedLedger is Settle's exactness contract: once it
 // returns without a timeout nothing is moving, so the ledger read then
-// equals the ledger after Close — on the in-memory tier, the daemon, and
+// equals the ledger after Close — on the in-memory fake, the daemon, and
 // a fault plan with drops, duplicates and delays over the daemon.
 func TestSettleMatchesClosedLedger(t *testing.T) {
 	daemon := func(t *testing.T) Transport {

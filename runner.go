@@ -6,15 +6,14 @@ import (
 	"time"
 
 	"regcast/internal/phonecall"
+	"regcast/internal/sched"
 	"regcast/internal/transport"
 )
 
-// Engine selects how a Runner executes a Scenario. There are three, one
-// per thing the repo measures: the simulator (the default every experiment
-// and benchmark cell runs) and the two tiers of the deployment-shaped
-// gossip cluster — in-memory mailboxes (no sockets, the fast tier the
-// transport tests and examples build on) and the socket daemon (dials,
-// queues, a wire and dedup). Both transport tiers keep a health ledger.
+// Engine selects how a Runner executes a Scenario. There are two: the
+// simulator (the default every experiment and benchmark cell runs) and the
+// deployment-shaped gossip daemon (sockets, dials, queues, a wire, dedup
+// and a health ledger).
 type Engine int
 
 const (
@@ -23,17 +22,15 @@ const (
 	// run inline or on a pool (WithWorkers) — bit-identical results,
 	// whatever the worker count.
 	EngineSimulator Engine = iota
-	// EngineGossipTransport executes the scenario as anti-entropy gossip
-	// over in-memory channel mailboxes (internal/transport): each tick,
-	// every node contacts Choices() random neighbours with push packets
-	// and pull requests. Deployment-shaped, so per-tick metrics are
-	// measured (not simulated) and wall-clock dependent.
-	EngineGossipTransport
-	// EngineDaemonTransport is the resilient gossip daemon: persistent
-	// per-peer TCP connections, each link redialling with backoff, bounded
-	// per-peer send queues with drop accounting, and expiring-bucket
-	// rumour dedup. WithTransportFaults injects reproducible chaos in
-	// front of it (or of the in-memory tier).
+	// EngineDaemonTransport executes the scenario as anti-entropy gossip
+	// on the resilient gossip daemon (internal/transport): each tick, every
+	// node contacts Choices() random neighbours with push packets and pull
+	// requests over persistent per-peer TCP connections, each link
+	// redialling with backoff, bounded per-peer send queues with drop
+	// accounting, and expiring-bucket rumour dedup. Deployment-shaped, so
+	// per-tick metrics are measured (not simulated) and wall-clock
+	// dependent. WithTransportFaults injects reproducible chaos in front
+	// of it.
 	EngineDaemonTransport
 )
 
@@ -42,8 +39,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineSimulator:
 		return "simulator"
-	case EngineGossipTransport:
-		return "gossip-transport"
 	case EngineDaemonTransport:
 		return "daemon-transport"
 	default:
@@ -74,10 +69,10 @@ func WithEngine(e Engine) RunnerOption { return func(r *Runner) { r.engine = e }
 // mirroring the commands' -workers flag: 0 and 1 inline on the calling
 // goroutine, WorkersAuto (-1) on GOMAXPROCS pooled workers, any larger n
 // on a pool of n. It affects wall-clock time only — results are
-// bit-identical for every value — and the transport engines ignore it.
+// bit-identical for every value — and the daemon engine ignores it.
 func WithWorkers(n int) RunnerOption { return func(r *Runner) { r.workers = n } }
 
-// WithMailbox sets the per-node mailbox capacity of the transport engines
+// WithMailbox sets the per-node mailbox capacity of the daemon engine
 // (default 1024 packets).
 func WithMailbox(n int) RunnerOption { return func(r *Runner) { r.mailbox = n } }
 
@@ -95,7 +90,7 @@ func NewRunner(opts ...RunnerOption) Runner {
 type Result struct {
 	// Engine records which engine executed the run.
 	Engine Engine
-	// Rounds is the number of rounds (transport engines: ticks) executed.
+	// Rounds is the number of rounds (daemon engine: ticks) executed.
 	Rounds int
 	// CountedRounds is how many of them, the last ones, the simulator
 	// counted instead of simulating: once every node is informed on a static,
@@ -111,27 +106,24 @@ type Result struct {
 	// FirstAllInformed is the earliest round after which every alive node
 	// was informed, or -1 if that never happened.
 	FirstAllInformed int
-	// Transmissions counts message transmissions (transport engines:
-	// packets handed to the transport).
+	// Transmissions counts message transmissions (daemon engine: packets
+	// handed to the transport).
 	Transmissions int64
 	// ChannelsDialed counts the channel dials the model mandates.
 	ChannelsDialed int64
 	// InformedAt[v] is the round in which v first received the message
 	// (Uninformed if never).
 	InformedAt []int32
-	// PerRound holds per-round metrics when the scenario was built with
-	// WithRecordRounds.
-	PerRound []RoundStats
-	// Transport is either transport engine's ledger, taken after the
-	// cluster closed (nil for the simulator): drop buckets on both tiers,
-	// dials, dedup hits and per-peer state on the daemon, and the fault
-	// ledger under WithTransportFaults. Its LedgerGap() is zero.
+	// Transport is the daemon engine's ledger, taken after the cluster
+	// closed (nil for the simulator): drop buckets, dials, dedup hits,
+	// per-peer state, and the fault ledger under WithTransportFaults. Its
+	// LedgerGap() is zero.
 	Transport *TransportHealth
-	// TickTimeouts counts the transport-engine ticks that had not fallen
+	// TickTimeouts counts the daemon engine's ticks that had not fallen
 	// silent (Cluster.Settle) when the per-tick deadline passed; always 0
 	// on the simulator. A timed-out tick is attributed the receipts seen so
 	// far; later arrivals are charged to a later tick, so a non-zero count
-	// means InformedAt and PerRound are skewed late.
+	// means InformedAt and the OnRound stream are skewed late.
 	TickTimeouts int
 	// Population is the population engine's own result (nil for
 	// broadcasts): the Measure trajectory's end point, the silence
@@ -225,15 +217,15 @@ func (r Runner) run(ctx context.Context, k scenarioKind) (Result, error) {
 
 // validate rejects runner configurations no scenario kind accepts.
 func (r Runner) validate() error {
-	if r.workers < WorkersAuto {
-		return fmt.Errorf("regcast: workers %d invalid (use WorkersAuto, 0 or a positive count)", r.workers)
+	if err := sched.CheckWorkers("regcast: workers", r.workers); err != nil {
+		return err
 	}
 	switch r.engine {
 	case EngineSimulator:
 		if r.faults != nil {
 			return fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
 		}
-	case EngineGossipTransport, EngineDaemonTransport:
+	case EngineDaemonTransport:
 	default:
 		return fmt.Errorf("regcast: unknown engine %v", r.engine)
 	}
@@ -300,7 +292,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		MessageLossProb:    s.messageLoss,
 		DialStrategy:       s.dial,
 		AvoidRecent:        s.avoidRecent,
-		RecordRounds:       s.recordRounds,
 		TrackEdgeUse:       s.trackEdgeUse,
 		StopEarly:          s.stopEarly,
 		Workers:            r.workers,
@@ -322,15 +313,14 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		Transmissions:    res.Transmissions,
 		ChannelsDialed:   res.ChannelsDialed,
 		InformedAt:       res.InformedAt,
-		PerRound:         res.PerRound,
 	}, ctxErr(ctx)
 }
 
-// runTransport executes the scenario as anti-entropy gossip over a real
-// transport. The protocol contributes its fan-out (Choices) and tick
-// budget (Horizon); the push/pull schedule itself is the transport
-// cluster's continuous anti-entropy, so traces are wall-clock dependent
-// and not reproducible from the seed alone.
+// runTransport executes the scenario as anti-entropy gossip on the daemon.
+// The protocol contributes its fan-out (Choices) and tick budget
+// (Horizon); the push/pull schedule itself is the transport cluster's
+// continuous anti-entropy, so traces are wall-clock dependent and not
+// reproducible from the seed alone.
 func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	st, ok := s.topo.(phonecall.Static)
 	if !ok {
@@ -349,24 +339,12 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 			return Result{}, err
 		}
 	}
-	mailbox := r.mailbox
-	if mailbox == 0 {
-		mailbox = 1024
-	}
-
-	var (
-		tr  transport.Transport
-		err error
-	)
-	if r.engine == EngineDaemonTransport {
-		tr, err = transport.NewDaemon(transport.DaemonConfig{
-			Nodes:   n,
-			Mailbox: mailbox,
-			Seed:    s.runSeed(),
-		})
-	} else {
-		tr, err = transport.NewInMem(n, mailbox)
-	}
+	var tr transport.Transport
+	tr, err := transport.NewDaemon(transport.DaemonConfig{
+		Nodes:   n,
+		Mailbox: r.mailbox,
+		Seed:    s.runSeed(),
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -435,20 +413,16 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		}
 		informed += newly
 		sent := cluster.PacketsSent()
-		rm := RoundStats{
-			Round:         t,
-			NewlyInformed: newly,
-			Informed:      informed,
-			Transmissions: sent - lastSent,
-			ChannelsDial:  budget,
+		if obs != nil {
+			obs.OnRound(RoundStats{
+				Round:         t,
+				NewlyInformed: newly,
+				Informed:      informed,
+				Transmissions: sent - lastSent,
+				ChannelsDial:  budget,
+			})
 		}
 		lastSent = sent
-		if obs != nil {
-			obs.OnRound(rm)
-		}
-		if s.recordRounds {
-			res.PerRound = append(res.PerRound, rm)
-		}
 		res.Rounds = t
 		res.ChannelsDialed += budget
 		if informed == n {

@@ -32,7 +32,6 @@ type Scenario struct {
 	messageLoss    float64
 
 	stopEarly    bool
-	recordRounds bool
 	trackEdgeUse bool
 
 	observers []Observer
@@ -88,17 +87,13 @@ func WithMessageLoss(p float64) ScenarioOption { return func(s *Scenario) { s.me
 // receipt instead of simulating them (Result.CountedRounds).
 func WithStopEarly() ScenarioOption { return func(s *Scenario) { s.stopEarly = true } }
 
-// WithRecordRounds retains per-round metrics in Result.PerRound. Prefer
-// WithObserver for long runs: observers consume the same RoundStats online
-// without the O(rounds) retention.
-func WithRecordRounds() ScenarioOption { return func(s *Scenario) { s.recordRounds = true } }
-
 // WithTrackEdgeUse enables the unused-edge census of the paper's Lemma 4
-// (RoundStats.UnusedEdgeNodes). Implies WithRecordRounds requirements:
-// EngineSimulator only, static topology.
+// (RoundStats.UnusedEdgeNodes), read through WithObserver: the run needs
+// an observer, EngineSimulator and a static topology.
 func WithTrackEdgeUse() ScenarioOption { return func(s *Scenario) { s.trackEdgeUse = true } }
 
-// WithObserver streams per-round metrics to obs during the run. Repeating
+// WithObserver streams per-round metrics to obs during the run — the one
+// way a caller sees RoundStats; Result keeps totals only. Repeating
 // the option registers several observers; they are invoked in registration
 // order, from the engine's coordinating goroutine only.
 func WithObserver(obs Observer) ScenarioOption {
@@ -249,7 +244,7 @@ func (s *Scenario) runRNG() *Rand {
 }
 
 // runSeed returns a uint64 seed for engines that derive their own streams
-// (the transport engines).
+// (the daemon engine).
 func (s *Scenario) runSeed() uint64 {
 	if s.rng != nil {
 		return s.rng.Uint64()

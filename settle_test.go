@@ -32,7 +32,7 @@ func TestTickTimeoutCountsSettleDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(ctx, sc, WithEngine(EngineGossipTransport),
+	res, err := Run(ctx, sc, WithEngine(EngineDaemonTransport),
 		WithTransportFaults(FaultConfig{Seed: 1, DelayProb: 1, Delay: 100 * time.Millisecond}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled after the first tick", err)

@@ -6,7 +6,7 @@ import (
 	"regcast/internal/transport"
 )
 
-// The transport engines' ledger and fault injector surface here: health
+// The daemon engine's ledger and fault injector surface here: health
 // snapshots come back on Result.Transport, and chaos schedules go in
 // through WithTransportFaults. The underlying machinery lives in
 // internal/transport — persistent per-peer connections that redial with
@@ -16,9 +16,9 @@ import (
 // functions of (seed, peer pair, packet sequence, epoch), so chaos runs
 // replay bit-identically.
 type (
-	// TransportHealth is a transport engine's metrics snapshot: per-bucket
-	// drop accounting on both tiers; dials, redials, retries, dedup hits
-	// and per-peer link state on the daemon. Its LedgerGap method checks
+	// TransportHealth is the daemon engine's metrics snapshot: per-bucket
+	// drop accounting, dials, redials, retries, dedup hits and per-peer
+	// link state. Its LedgerGap method checks
 	// that every packet handed to Send is accounted by exactly one outcome
 	// — zero once the cluster closed, asserted by the chaos soak tests —
 	// and InFlight counts what is still moving.
@@ -29,7 +29,7 @@ type (
 	// TransportHealth when a chaos run wrapped the transport.
 	TransportFaultStats = transport.FaultStats
 	// FaultConfig is a seeded, reproducible chaos schedule for the
-	// transport engines: probabilistic drop/duplicate/reorder/delay plus
+	// daemon engine: probabilistic drop/duplicate/reorder/delay plus
 	// epoch-windowed partitions and crash-restarts.
 	FaultConfig = transport.FaultConfig
 	// PartitionWindow splits the node set in two for a range of fault

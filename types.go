@@ -41,8 +41,8 @@ type (
 	ImplicitNeighbors = phonecall.ImplicitNeighbors
 	// DialStrategy selects the neighbour-selection discipline.
 	DialStrategy = phonecall.DialStrategy
-	// RoundStats carries the per-round metrics streamed to observers and
-	// recorded in Result.PerRound.
+	// RoundStats carries one round's metrics, streamed to observers
+	// (WithObserver) — the only per-round channel out of a run.
 	RoundStats = phonecall.RoundMetrics
 	// Observer receives streaming per-round callbacks; see the
 	// documentation on phonecall.Observer for the ordering guarantees.
@@ -51,7 +51,7 @@ type (
 	// receives, per round, the time the simulator's coordinator spent in
 	// the round's three steps (decision tables, shard passes, merge); a
 	// round that was counted, not simulated (Result.CountedRounds), reports
-	// (count, 0, 0). The transport engines have no such steps and never call it.
+	// (count, 0, 0). The daemon engine has no such steps and never calls it.
 	PhaseObserver = phonecall.PhaseObserver
 	// Graph is an immutable undirected multigraph (see internal/graph for
 	// generators beyond RandomRegular).
@@ -82,7 +82,7 @@ const (
 	DefaultShards = phonecall.DefaultShards
 )
 
-// ErrTransportClosed is the sentinel the transport engines' Send returns
+// ErrTransportClosed is the sentinel the daemon engine's Send returns
 // after shutdown (test with errors.Is). Chaos drops are NOT errors —
 // gossip tolerates loss, and the daemon degrades gracefully — so this is
 // the only send failure a transport-engine run surfaces.
