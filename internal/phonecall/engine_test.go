@@ -207,6 +207,40 @@ func TestStopEarly(t *testing.T) {
 	}
 }
 
+// TestRecordRounds checks the per-round record an Observer receives: one
+// entry per round, numbered 1…Rounds, informed counts that add up, and
+// transmissions that sum to the run's total.
+func TestRecordRounds(t *testing.T) {
+	g := testGraph(t, 64, 4, 10)
+	res, rounds, err := RunRounds(Config{
+		Topology: NewStatic(g), Protocol: pushProto{1, 30}, RNG: xrand.New(2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rounds) != res.Rounds {
+		t.Fatalf("observer saw %d rounds for %d rounds", len(rounds), res.Rounds)
+	}
+	var tx int64
+	prevInformed := 1
+	for i, rm := range rounds {
+		if rm.Round != i+1 {
+			t.Errorf("round numbering broken at %d", i)
+		}
+		if rm.Informed < prevInformed {
+			t.Errorf("informed count decreased at round %d", rm.Round)
+		}
+		if rm.Informed != prevInformed+rm.NewlyInformed {
+			t.Errorf("round %d: informed %d != prev %d + new %d", rm.Round, rm.Informed, prevInformed, rm.NewlyInformed)
+		}
+		prevInformed = rm.Informed
+		tx += rm.Transmissions
+	}
+	if tx != res.Transmissions {
+		t.Errorf("per-round transmissions sum %d != total %d", tx, res.Transmissions)
+	}
+}
+
 func TestMonotoneInformedAndSourceZero(t *testing.T) {
 	g := testGraph(t, 100, 4, 11)
 	res, err := Run(Config{
