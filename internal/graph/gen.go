@@ -62,9 +62,10 @@ func ConfigurationModel(n, d int, rng *xrand.Rand) (*Graph, error) {
 // compares — one cache line at d = 16 — against the uniformity regime's
 // d = o(n^{1/3}); the repository never exceeds d = 64 outside tiny test
 // graphs. The three work arrays (unmatched stubs, row cursors, adjacency)
-// are allocated once and reused across restarts. A stub is stored as the
-// id of the node that owns it — which stub of the node it is never
-// matters — so a try divides nothing.
+// are allocated once and reused across restarts (StegerWormald, which the
+// churn overlay calls on its own rows). A stub is stored as the id of the
+// node that owns it — which stub of the node it is never matters — so a
+// try divides nothing.
 //
 // A try is three dependent random reads (the stub, its node's cursor, the
 // node's row), so one pair at a time the pass waits on memory. It works in
@@ -83,15 +84,27 @@ func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 	for v := 0; v <= n; v++ {
 		g.offsets[v] = int32(v * d)
 	}
-	unmatched := make([]int32, n*d)
-	fill := make([]int32, n)
+	if err := StegerWormald(d, rng, make([]int32, n*d), make([]int32, n), g.adj); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// StegerWormald is RandomRegular's pairing over caller-owned arrays: it
+// pairs the stubs of n = len(fill) nodes of degree d, restarting when the
+// process gets stuck, and writes row v into adj[v·d : (v+1)·d] (fill[v] = d
+// on success). unmatched is scratch of n·d entries; adj must hold n·d. The
+// draws, the rows and the generator's final position are RandomRegular's,
+// so a caller with its own fixed-stride rows (the churn overlay) pairs into
+// them in place. The caller validates n and d (see RandomRegular).
+func StegerWormald(d int, rng *xrand.Rand, unmatched, fill, adj []int32) error {
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		if tryStegerWormald(d, rng, unmatched, fill, g.adj) {
-			return g, nil
+		if tryStegerWormald(d, rng, unmatched, fill, adj) {
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) failed after %d restarts", n, d, maxRestarts)
+	return fmt.Errorf("graph: Steger–Wormald pairing (n=%d, d=%d) failed after %d restarts", len(fill), d, maxRestarts)
 }
 
 // swBatch is how many pairs tryStegerWormald draws ahead: enough reads in

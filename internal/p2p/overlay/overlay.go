@@ -1,10 +1,11 @@
 // Package overlay implements the dynamic d-regular peer-to-peer topology
 // that motivates the paper: a random-regular-like overlay maintained under
-// churn by local edge operations. Joins splice the new peer into d/2
-// random edges (preserving exact d-regularity), leaves re-pair the
-// departing peer's neighbours, and a switch-chain Mix step (random 2-edge
-// swaps, as in Cooper–Dyer–Greenhill) keeps the topology close to a
-// uniform random d-regular (multi)graph.
+// churn by local edge operations. It starts as a uniform-ish random simple
+// d-regular graph, paired straight into its own rows (New). Joins splice
+// the new peer into d/2 random edges (preserving exact d-regularity),
+// leaves re-pair the departing peer's neighbours, and a switch-chain Mix
+// step (random 2-edge swaps, as in Cooper–Dyer–Greenhill) keeps the
+// topology close to a uniform random d-regular (multi)graph.
 //
 // Overlay implements phonecall.Topology, and Churner implements
 // phonecall.Stepper, so the broadcast engine runs on a churning overlay
@@ -28,23 +29,22 @@ import (
 // peer between operations, 0 for a dead id) — no per-row slice header, so
 // each local edge operation is index arithmetic on two flat arrays and
 // updates the CSR view in place. That is what makes the overlay a
-// phonecall.CSRViewer — the broadcast engine's zero-interface fast path
-// runs directly on these arrays, with an alive bitset for liveness and an
-// epoch counter that tells the engine when anything changed (see
-// CSRView). Exact d-regularity of the alive peers (CheckInvariants) is
-// also what lets DialBudget answer in O(1).
+// phonecall.CSRViewer — the broadcast engine's shard pass and word kernel
+// run directly on these arrays, with the alive bitset (the overlay's only
+// liveness record) and an epoch counter that tells the engine when
+// anything changed (see CSRView). Exact d-regularity of the alive peers
+// (CheckInvariants) is also what lets DialBudget answer in O(1).
 type Overlay struct {
 	d         int
-	stubs     []int32 // flat (cap × d) backing; row v is stubs[v*d : v*d+deg[v]]
-	deg       []int32 // slots of row v in use
-	offsets   []int32 // fixed stride: offsets[v] = v*d (the CSR view's offsets)
-	dangling  []int32 // Leave's stub scratch (capacity d), reused across calls
-	alive     []bool
-	aliveBits []uint64 // bit v mirrors alive[v] (the CSR view's liveness)
+	stubs     []int32  // flat (cap × d) backing; row v is stubs[v*d : v*d+deg[v]]
+	deg       []int32  // slots of row v in use
+	offsets   []int32  // fixed stride: offsets[v] = v*d (the CSR view's offsets)
+	dangling  []int32  // Leave's stub scratch (capacity d), reused across calls
+	aliveBits []uint64 // bit v set iff v is alive: the one liveness record
 	aliveCnt  int
 	epoch     uint64 // bumped by every mutating operation
 	rng       *xrand.Rand
-	freeIDs   []int32
+	freeIDs   []int32 // dead ids, a stack Join pops; allocated once at capacity
 	watchers  []MembershipFunc
 }
 
@@ -60,7 +60,11 @@ var _ phonecall.DialBudgeter = (*Overlay)(nil)
 
 // New builds an overlay of n alive peers of even degree d, with headroom
 // spare slots for future joins, seeded from an exact random d-regular
-// graph.
+// graph: graph.StegerWormald pairs the stubs straight into the first n
+// fixed-stride rows, with deg as the fill cursors, so the rows and the
+// generator's final position are graph.RandomRegular(n, d, rng)'s and no
+// Graph is built. When headroom >= n the dead headroom rows serve as the
+// pairing's unmatched-stub scratch; otherwise the scratch is allocated.
 func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 	if d%2 != 0 {
 		return nil, fmt.Errorf("overlay: degree %d must be even (joins splice d/2 edges)", d)
@@ -78,42 +82,41 @@ func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 	if int64(capacity)*int64(d) > int64(1)<<31-1 {
 		return nil, fmt.Errorf("overlay: capacity %d × degree %d overflows the CSR id space", capacity, d)
 	}
-	g, err := graph.RandomRegular(n, d, rng)
-	if err != nil {
-		return nil, fmt.Errorf("overlay: seeding topology: %w", err)
-	}
 	o := &Overlay{
 		d:         d,
 		stubs:     make([]int32, capacity*d),
 		deg:       make([]int32, capacity),
 		offsets:   make([]int32, capacity+1),
 		dangling:  make([]int32, 0, d),
-		alive:     make([]bool, capacity),
 		aliveBits: make([]uint64, (capacity+63)/64),
 		rng:       rng,
+		freeIDs:   make([]int32, headroom, capacity),
+	}
+	unmatched := o.stubs[n*d:]
+	if headroom < n {
+		unmatched = make([]int32, n*d)
+	}
+	if err := graph.StegerWormald(d, rng, unmatched[:n*d], o.deg[:n], o.stubs[:n*d]); err != nil {
+		return nil, fmt.Errorf("overlay: seeding topology: %w", err)
 	}
 	for v := 0; v <= capacity; v++ {
 		o.offsets[v] = int32(v * d)
 	}
 	for v := 0; v < n; v++ {
-		copy(o.stubs[v*d:(v+1)*d], g.Neighbors(v))
-		o.deg[v] = int32(d)
 		o.setAlive(v, true)
 	}
-	for v := capacity - 1; v >= n; v-- {
-		o.freeIDs = append(o.freeIDs, int32(v))
+	for i := range o.freeIDs {
+		o.freeIDs[i] = int32(capacity - 1 - i)
 	}
 	o.epoch++
 	return o, nil
 }
 
-// setAlive flips v's membership in the bool array, the bitset and the
-// counter together.
+// setAlive flips v's bit and the alive counter together.
 func (o *Overlay) setAlive(v int, alive bool) {
-	if o.alive[v] == alive {
+	if o.Alive(v) == alive {
 		return
 	}
-	o.alive[v] = alive
 	if alive {
 		o.aliveBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		o.aliveCnt++
@@ -149,7 +152,7 @@ func (o *Overlay) Degree(v int) int { return int(o.deg[v]) }
 func (o *Overlay) Neighbor(v, i int) int { return int(o.row(v)[i]) }
 
 // Alive implements phonecall.Topology.
-func (o *Overlay) Alive(v int) bool { return o.alive[v] }
+func (o *Overlay) Alive(v int) bool { return o.aliveBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0 }
 
 // DialBudget implements phonecall.DialBudgeter in O(1): every alive peer
 // has degree exactly d between operations (the invariant CheckInvariants
@@ -206,7 +209,7 @@ func (o *Overlay) Join() (int, error) {
 // degree is preserved (self-loops can arise and are represented as two
 // stub entries, exactly as in the configuration model).
 func (o *Overlay) Leave(v int) error {
-	if v < 0 || v >= len(o.deg) || !o.alive[v] {
+	if v < 0 || v >= len(o.deg) || !o.Alive(v) {
 		return fmt.Errorf("overlay: Leave(%d): not an alive peer", v)
 	}
 	if o.aliveCnt <= o.d+1 {
@@ -265,7 +268,7 @@ func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
 	var orig []int32
 	for v := range o.deg {
 		newID[v] = -1
-		if o.alive[v] {
+		if o.Alive(v) {
 			newID[v] = int32(len(orig))
 			orig = append(orig, int32(v))
 		}
@@ -273,7 +276,7 @@ func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
 	adj := make([][]int32, len(orig))
 	for nv, ov := range orig {
 		for _, w := range o.row(int(ov)) {
-			if o.alive[w] {
+			if o.Alive(int(w)) {
 				adj[nv] = append(adj[nv], newID[w])
 			}
 		}
@@ -291,7 +294,7 @@ func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
 func (o *Overlay) CheckInvariants() error {
 	counts := make(map[[2]int32]int)
 	for v := range o.deg {
-		if !o.alive[v] {
+		if !o.Alive(v) {
 			if o.deg[v] != 0 {
 				return fmt.Errorf("overlay: dead peer %d has %d stubs", v, o.deg[v])
 			}
@@ -301,7 +304,7 @@ func (o *Overlay) CheckInvariants() error {
 			return fmt.Errorf("overlay: peer %d has degree %d, want %d", v, o.deg[v], o.d)
 		}
 		for _, w := range o.row(v) {
-			if !o.alive[w] {
+			if !o.Alive(int(w)) {
 				return fmt.Errorf("overlay: peer %d adjacent to dead peer %d", v, w)
 			}
 			a, b := int32(v), w
@@ -325,7 +328,7 @@ func (o *Overlay) CheckInvariants() error {
 func (o *Overlay) randomEdge() (int, int32) {
 	for {
 		v := o.rng.IntN(len(o.deg))
-		if !o.alive[v] || o.deg[v] == 0 {
+		if !o.Alive(v) || o.deg[v] == 0 {
 			continue
 		}
 		return v, o.stubs[v*o.d+o.rng.IntN(int(o.deg[v]))]
@@ -447,7 +450,7 @@ func (c *Churner) randomAlive() int {
 	}
 	for tries := 0; tries < 16*len(o.deg); tries++ {
 		v := c.rng.IntN(len(o.deg))
-		if o.alive[v] {
+		if o.Alive(v) {
 			return v
 		}
 	}

@@ -61,22 +61,23 @@ func ShardWalk(informedAt []int32, alive []uint64, pushDec []bool, lo, hi, t int
 
 // WordKernelShards counts the sending shards whose pass in the latest
 // round, round t, ran the word kernel (dialWords) instead of the general
-// walk. The dial mode is round's (roundDial), from whether any occupied
-// cohort pulled in round t.
-func (e *Engine) WordKernelShards(t int) int {
+// walk, and reports whether t was a senders round (no pull scan). The dial
+// mode is round's (roundDial), from whether any occupied cohort pulled in
+// round t.
+func (e *Engine) WordKernelShards(t int) (kernel int, sendersRound bool) {
 	anyPull := false
 	for i := range e.shards {
 		for ia, c := range e.shards[i].cohort[:t] {
 			anyPull = anyPull || c > 0 && e.pullDec[ia]
 		}
 	}
-	kernel := 0
+	dial := e.roundDial(dialSenders, anyPull)
 	for i := range e.shards {
-		if e.shards[i].sends && e.wordRound(e.roundDial(dialSenders, anyPull)) {
+		if e.shards[i].sends && e.wordRound(dial) {
 			kernel++
 		}
 	}
-	return kernel
+	return kernel, dial == dialSenders
 }
 
 // LiveInformedBits returns the engine's informed bitset itself.

@@ -2,18 +2,19 @@ package phonecall
 
 // This file is the engine's one shard pass, its dial samplers and the word
 // kernel the pass hands fault-free senders rounds of at most four dials to
-// (dialWords). Every topology is read through an epoch-stamped view that
-// NewEngine fetches once (refreshCSR re-fetches it when a Step advanced the
-// epoch): CSR arrays (CSRViewer), computable adjacency (ImplicitViewer), or
-// interfaceView, which serves a topology's own Degree/Neighbor as implicit
-// adjacency and scans Alive into a bitset. The pass therefore runs against
-// raw slices and one devirtualisable resolver (nbrAt): for k <= 4 the
-// scratch-free samplers (xrand.Distinct2/3/4) at every degree, liveness a
-// bitset probe (aliveFast), "does the callee answer a pull?" one too
-// (informedFast). A delivery asks nothing: the pass ORs the target's bit into
-// its receipt bitset (setBit), and the merge applies the union of those
-// bitsets less the informed (applyReceipts). Edge census keys
-// (Config.TrackEdgeUse) are buffered and applied by the merge (markUsed).
+// (dialWords), on fully and partially alive views alike. Every topology is
+// read through an epoch-stamped view that NewEngine fetches once
+// (refreshCSR re-fetches it when a Step advanced the epoch): CSR arrays
+// (CSRViewer), computable adjacency (ImplicitViewer), or interfaceView,
+// which serves a topology's own Degree/Neighbor as implicit adjacency and
+// scans Alive into a bitset. The pass therefore runs against raw slices
+// and one devirtualisable resolver (nbrAt): for k <= 4 the scratch-free
+// samplers (xrand.Distinct2/3/4) at every degree, liveness a bitset probe
+// (aliveFast), "does the callee answer a pull?" one too (informedFast). A
+// delivery asks nothing: the pass ORs the target's bit into its receipt
+// bitset (setBit), and the merge applies the union of those bitsets less
+// the informed (applyReceipts). Edge census keys (Config.TrackEdgeUse) are
+// buffered and applied by the merge (markUsed).
 //
 // Contract: the CSR, implicit and interface views of one topology are
 // interchangeable bit for bit: the pass consumes the PRNG stream draw for
@@ -24,7 +25,9 @@ package phonecall
 // changes nothing. Golden tests (fastpath_test.go, fastpath_churn_test.go)
 // pin one digest per configuration across the E1–E20 matrix and the churn
 // overlay, for every view and Workers value, recorded while the deleted
-// interface-dispatch bodies still ran beside this pass.
+// interface-dispatch bodies still ran beside this pass; the word kernel is
+// held to the general pass by a census run, which never takes it
+// (wordkernel_test.go).
 
 import "math/bits"
 
@@ -222,11 +225,13 @@ func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 
 // wordRound reports whether shardPass hands a round of mode dial to a word
 // kernel: a senders round (so no pull scan follows) of at most four dials
-// per sender over a fully-alive view row reads, with no fault draw, census
-// key, dial memory or list cursor beside the dials.
+// per sender over a view row reads, with no fault draw, census key, dial
+// memory or list cursor beside the dials. A partially-alive view (the churn
+// overlay) qualifies: with no fault draw, liveness draws nothing, so a dead
+// target is only a slot deliverSlots skips.
 func (e *Engine) wordRound(dial dialMode) bool {
 	c := &e.cfg
-	return dial == dialSenders && e.k <= 4 && e.aliveBits == nil &&
+	return dial == dialSenders && e.k <= 4 &&
 		(e.impNbrs == nil || e.uniDeg > 0) &&
 		c.ChannelFailureProb == 0 && c.MessageLossProb == 0 && !c.TrackEdgeUse &&
 		c.AvoidRecent == 0 && c.DialStrategy == DialUniform
@@ -285,14 +290,28 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 // itself on an implicit view, so nbrAt(v, 0, slot) is the target either
 // way), then count the transmissions and set every target's receipt bit in
 // a loop of its own: with no neighbour arithmetic between two of them,
-// many of these scattered writes are in flight at once.
+// many of these scattered writes are in flight at once. On a
+// partially-alive view a dead target is a slot without a channel, as in
+// sampleDials: no transmission and no receipt bit. That loop is its own
+// (branch-free: the target's alive bit is both the count and the bit), so
+// the fully-alive loop carries no liveness test.
 func (e *Engine) deliverSlots(sh *parShard, from, slot []int32) {
 	slot = slot[:len(from)]
 	for i, v := range from {
 		slot[i] = e.nbrAt(int(v), 0, int(slot[i]))
 	}
-	sh.tx += int64(len(slot))
 	next := sh.ds.next
+	if alive := e.aliveBits; alive != nil {
+		var tx uint64
+		for _, w := range slot {
+			b := alive[uint(w)>>6] >> (uint(w) & 63) & 1
+			tx += b
+			next[uint(w)>>6] |= b << (uint(w) & 63)
+		}
+		sh.tx += int64(tx)
+		return
+	}
+	sh.tx += int64(len(slot))
 	for _, w := range slot {
 		setBit(next, int(w))
 	}

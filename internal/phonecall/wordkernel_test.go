@@ -18,45 +18,109 @@ type methodNbrs struct{ phonecall.Topology }
 
 func (m methodNbrs) NeighborAt(v, i int) int32 { return int32(m.Neighbor(v, i)) }
 
-// csrAllAlive and implicitAllAlive are a view with a non-nil alive bitset.
-type csrAllAlive struct {
+// csrWithAlive and implicitWithAlive are a view with a non-nil alive
+// bitset, which Alive reads too.
+type csrWithAlive struct {
 	phonecall.CSRViewer
 	alive []uint64
 }
 
-func (t csrAllAlive) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
+func (t csrWithAlive) Alive(v int) bool { return t.alive[v>>6]&(1<<(uint(v)&63)) != 0 }
+
+func (t csrWithAlive) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 	offsets, adj, _, epoch = t.CSRViewer.CSRView()
 	return offsets, adj, t.alive, epoch
 }
 
-type implicitAllAlive struct {
+type implicitWithAlive struct {
 	phonecall.Topology
 	nbrs  phonecall.ImplicitNeighbors
 	alive []uint64
 }
 
-func (t implicitAllAlive) ImplicitView() (phonecall.ImplicitNeighbors, []uint64, uint64) {
+func (t implicitWithAlive) Alive(v int) bool { return t.alive[v>>6]&(1<<(uint(v)&63)) != 0 }
+
+func (t implicitWithAlive) ImplicitView() (phonecall.ImplicitNeighbors, []uint64, uint64) {
 	return t.nbrs, t.alive, 0
 }
 
-// allAlive is the word kernel's oracle: topo's adjacency under a view whose
-// alive bitset is non-nil — every id's bit set, the tail bits past n clear.
-// Nothing about the run changes but that the view no longer reads as fully
-// alive, which sends every round through the general shard pass.
-func allAlive(topo phonecall.Topology) phonecall.Topology {
+// withDead is topo's adjacency under a view whose alive bitset is non-nil:
+// every id's bit set but the listed ids' (and the tail bits past n). The
+// rows still name the dead ids, so some dials pick a dead target: a slot
+// that opens no channel. With no id listed nothing about the run changes
+// but that the view no longer reads as fully alive.
+func withDead(topo phonecall.Topology, dead ...int) phonecall.Topology {
 	n := topo.NumNodes()
 	alive := make([]uint64, (n+63)/64)
 	for v := 0; v < n; v++ {
 		alive[v>>6] |= 1 << (uint(v) & 63)
 	}
+	for _, v := range dead {
+		alive[v>>6] &^= 1 << (uint(v) & 63)
+	}
 	switch v := topo.(type) {
 	case phonecall.CSRViewer:
-		return csrAllAlive{v, alive}
+		return csrWithAlive{v, alive}
 	case phonecall.ImplicitViewer:
 		nbrs, _, _ := v.ImplicitView()
-		return implicitAllAlive{v, nbrs, alive}
+		return implicitWithAlive{v, nbrs, alive}
 	}
-	return implicitAllAlive{topo, methodNbrs{topo}, alive}
+	return implicitWithAlive{topo, methodNbrs{topo}, alive}
+}
+
+// everyThird lists every third id of [1, n): dead ids for withDead that
+// spare the source 0.
+func everyThird(n int) []int {
+	var ids []int
+	for v := 1; v < n; v += 3 {
+		ids = append(ids, v)
+	}
+	return ids
+}
+
+// generalPass runs cfg on topo's word kernel oracle, which takes every round
+// through the general shard pass and draws exactly what a kernel round
+// draws. On a static topology that is a census run (TrackEdgeUse, which
+// wordRound excludes; the census only marks bits in the merge): it never
+// settles, so it simulates the tail a plain run may count (the settle
+// contract), and its rounds carry |U(t)|, which the oracle's log clears as
+// a run without a census reports it. The census refuses a churning
+// topology, whose oracle is its interfaceView instead (no uniform degree
+// for row to read), with Step still forwarded.
+func generalPass(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog) {
+	t.Helper()
+	if _, ok := topo.(phonecall.Stepper); ok {
+		return runSeeded(t, cfg, churnInterface(topo), seed)
+	}
+	cfg.TrackEdgeUse = true
+	res, log := runSeeded(t, cfg, topo, seed)
+	for i := range log.rounds {
+		log.rounds[i].UnusedEdgeNodes = 0
+	}
+	return res, log
+}
+
+// churnInterface is a churning topology with every view hidden but its
+// Step: the engine reads it through interfaceView.
+func churnInterface(topo phonecall.Topology) phonecall.Topology {
+	return struct {
+		phonecall.Topology
+		phonecall.Stepper
+	}{topo, topo.(phonecall.Stepper)}
+}
+
+// matchesGeneralPass fails unless a run of cfg on topo equals the same run
+// through the general pass — Result, per-round metrics and the whole
+// Observer sequence. fresh builds each run's topology (a churning one is
+// mutated by its run).
+func matchesGeneralPass(t *testing.T, label string, cfg phonecall.Config, fresh func() phonecall.Topology, seed uint64) {
+	t.Helper()
+	got, gotLog := runSeeded(t, cfg, fresh(), seed)
+	want, wantLog := generalPass(t, cfg, fresh(), seed)
+	sameResult(t, label, want, got)
+	if !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("%s: observer sequences differ", label)
+	}
 }
 
 // sparseGraph is a CSR graph whose rows stop the word kernel short: a
@@ -123,13 +187,14 @@ func kernelProtocols(t testing.TB, n int) []phonecall.Protocol {
 }
 
 // TestWordKernelMatchesGeneralPass is the differential behind the word
-// kernel: on every view (CSR, two implicit families, interfaceView, and a
-// CSR graph with isolated and low-degree ids under both its CSR and its
-// interface view), for every kernelProtocols shape, at several shard and
-// worker counts, a run equals the same run on its allAlive oracle —
-// Result, per-round metrics and the whole Observer sequence. The interface
-// views take the general pass on both sides (they have no uniform degree):
-// they hold sampleDials' Degree call beside row.
+// kernel: on every view (CSR, two implicit families, interfaceView, a CSR
+// graph with isolated and low-degree ids under both its CSR and its
+// interface view, views whose alive bitset is all ones or marks a third of
+// the ids dead, and a churning overlay), for every kernelProtocols shape, at
+// several shard and worker counts, a run equals its general-pass oracle
+// (generalPass). The interface views take the general pass on both sides
+// (they have no uniform degree): they hold sampleDials' Degree call beside
+// row.
 func TestWordKernelMatchesGeneralPass(t *testing.T) {
 	stream, err := graph.NewRegularStream(3000, 8, 5)
 	if err != nil {
@@ -141,31 +206,38 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 	}
 	static := phonecall.NewStatic(mustRegular(t, 2000, 8, 41))
 	sparse := phonecall.NewStatic(sparseGraph(t))
+	fixed := func(topo phonecall.Topology) func() phonecall.Topology {
+		return func() phonecall.Topology { return topo }
+	}
+	churn := churnGolden{joinProb: 0.03, leaveProb: 0.03, mixSteps: 3}
 	views := []struct {
 		name   string
-		topo   phonecall.Topology
+		topo   func() phonecall.Topology
 		source int
 	}{
-		{"csr", static, 0},
-		{"regular-stream", phonecall.NewImplicit(stream), 0},
-		{"hypercube", phonecall.NewImplicit(cube), 0},
-		{"interface", struct{ phonecall.Topology }{static}, 0}, // hides CSRView
-		{"sparse-csr", sparse, 0},
-		{"sparse-interface", struct{ phonecall.Topology }{sparse}, 0},
-		{"sparse-csr isolated source", sparse, 2000}, // an isolated sender
+		{"csr", fixed(static), 0},
+		{"regular-stream", fixed(phonecall.NewImplicit(stream)), 0},
+		{"hypercube", fixed(phonecall.NewImplicit(cube)), 0},
+		{"interface", fixed(struct{ phonecall.Topology }{static}), 0}, // hides CSRView
+		{"sparse-csr", fixed(sparse), 0},
+		{"sparse-interface", fixed(struct{ phonecall.Topology }{sparse}), 0},
+		{"sparse-csr isolated source", fixed(sparse), 2000}, // an isolated sender
+		{"csr all-ones alive", fixed(withDead(static)), 0},
+		{"csr dead ids", fixed(withDead(static, everyThird(2000)...)), 0},
+		{"regular-stream dead ids", fixed(withDead(phonecall.NewImplicit(stream), everyThird(3000)...)), 0},
+		{"churn overlay", func() phonecall.Topology { return buildChurnTopo(t, 600, 8, churn, 17) }, 5},
 	}
 	for _, view := range views {
-		for _, proto := range kernelProtocols(t, view.topo.NumNodes()) {
+		n := view.topo().NumNodes()
+		if ac, ok := view.topo().(phonecall.AliveCounter); ok {
+			n = ac.AliveCount()
+		}
+		for _, proto := range kernelProtocols(t, n) {
 			for _, shards := range []int{1, 7, 64} {
 				for _, workers := range []int{0, 4} {
 					label := fmt.Sprintf("%s %s k=%d shards=%d workers=%d", view.name, proto.Name(), proto.Choices(), shards, workers)
 					cfg := phonecall.Config{Protocol: proto, Source: view.source, Shards: shards, Workers: workers}
-					got, gotLog := runLogged(t, cfg, view.topo)
-					want, wantLog := runLogged(t, cfg, allAlive(view.topo))
-					sameResult(t, label, want, got)
-					if !reflect.DeepEqual(gotLog, wantLog) {
-						t.Fatalf("%s: observer sequences differ", label)
-					}
+					matchesGeneralPass(t, label, cfg, view.topo, 9)
 				}
 			}
 		}
@@ -173,11 +245,13 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 }
 
 // TestWordKernelEngages pins where the kernel runs: every sending shard
-// takes dialWords in every simulated round of stream-push's configuration
-// (regular-stream, one-dial push, Workers 1) and of dense-fourchoice's (a
-// Static random regular graph, core.New's Algorithm 2, Workers 0), and none
-// does under the allAlive oracle or on an implicit view without a uniform
-// degree (the same graph through interfaceView), whose rows row cannot read.
+// takes dialWords in every simulated senders round of stream-push's
+// configuration (regular-stream, one-dial push, Workers 1), of
+// dense-fourchoice's (a Static random regular graph, core.New's Algorithm
+// 2, Workers 0) and of churn-ensemble's (four-choice on a churning overlay,
+// whose alive bitset is partial), and none does in a census run (the
+// generalPass oracle) or on a view without a uniform degree (the same graph
+// or overlay through interfaceView), whose rows row cannot read.
 func TestWordKernelEngages(t *testing.T) {
 	const n = 1 << 14
 	stream, err := graph.NewRegularStream(n, 8, 3)
@@ -196,22 +270,31 @@ func TestWordKernelEngages(t *testing.T) {
 	if fourChoice.Variant() != core.Algorithm2 {
 		t.Fatalf("core.New(%d, 16) chose %v, want Algorithm 2", n, fourChoice.Variant())
 	}
+	churnFourChoice, err := core.New(n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnCell := churnGolden{joinProb: 0.01, leaveProb: 0.01, mixSteps: 5}
 	for _, tc := range []struct {
 		name       string
 		topo       phonecall.Topology
 		proto      phonecall.Protocol
 		workers    int
-		kernel     bool // every sending shard takes dialWords
+		census     bool
+		kernel     bool // every sending shard takes dialWords in a senders round
 		everyRound bool // every simulated round has a sending shard
 	}{
-		{"stream-push", phonecall.NewImplicit(stream), push, 1, true, true},
-		{"stream-push oracle", allAlive(phonecall.NewImplicit(stream)), push, 1, false, true},
-		{"dense-fourchoice", dense, fourChoice, 0, true, false},
-		{"dense-fourchoice oracle", allAlive(dense), fourChoice, 0, false, false},
-		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false},
+		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true},
+		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true},
+		{"dense-fourchoice", dense, fourChoice, 0, false, true, false},
+		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false},
+		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false},
+		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), churnFourChoice, 0, false, true, false},
+		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), churnFourChoice, 0, false, false, false},
 	} {
 		var eng *phonecall.Engine
 		var kernel, sending []int
+		var senders []bool
 		obs := roundHooks{onRound: func(rm phonecall.RoundMetrics) {
 			s := 0
 			for _, st := range eng.ShardStates() {
@@ -219,30 +302,33 @@ func TestWordKernelEngages(t *testing.T) {
 					s++
 				}
 			}
-			kernel, sending = append(kernel, eng.WordKernelShards(rm.Round)), append(sending, s)
+			k, sr := eng.WordKernelShards(rm.Round)
+			kernel, sending, senders = append(kernel, k), append(sending, s), append(senders, sr)
 		}}
-		eng, err = phonecall.NewEngine(phonecall.Config{Topology: tc.topo, Protocol: tc.proto, RNG: xrand.New(9), Workers: tc.workers, Observer: obs})
+		eng, err = phonecall.NewEngine(phonecall.Config{Topology: tc.topo, Protocol: tc.proto, RNG: xrand.New(9),
+			Workers: tc.workers, Observer: obs, TrackEdgeUse: tc.census})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := eng.Run()
-		simulated, sent := res.Rounds-res.CountedRounds, 0
+		simulated, engaged := res.Rounds-res.CountedRounds, 0
 		for r := 0; r < simulated; r++ {
-			if sending[r] > 0 {
-				sent++
-			} else if tc.everyRound {
+			if sending[r] == 0 && tc.everyRound {
 				t.Fatalf("%s round %d: no shard sends", tc.name, r+1)
 			}
 			want := 0
-			if tc.kernel {
+			if tc.kernel && senders[r] {
 				want = sending[r]
 			}
 			if kernel[r] != want {
 				t.Fatalf("%s round %d: %d of %d sending shards ran dialWords, want %d", tc.name, r+1, kernel[r], sending[r], want)
 			}
+			if senders[r] && sending[r] > 0 {
+				engaged++
+			}
 		}
-		if sent < 10 {
-			t.Fatalf("%s: only %d of %d simulated rounds had a sending shard", tc.name, sent, simulated)
+		if engaged < 10 {
+			t.Fatalf("%s: only %d of %d simulated rounds were senders rounds with a sending shard", tc.name, engaged, simulated)
 		}
 	}
 }
@@ -251,8 +337,8 @@ func TestWordKernelEngages(t *testing.T) {
 // runs: a regular-stream graph of n ids and even degree d, as an implicit
 // view and materialised as a CSR one, under push, pull-push or Algorithm 1
 // or 2 at k = 1…4 dials, over any shard count, inline or on four workers,
-// from any seed. Every run must equal its allAlive oracle — Result,
-// per-round metrics and the Observer sequence. Seed corpus:
+// from any seed. Every run must equal its generalPass oracle (a census
+// run) — Result, per-round metrics and the Observer sequence. Seed corpus:
 // testdata/fuzz/FuzzWordKernel.
 func FuzzWordKernel(f *testing.F) {
 	f.Add(uint16(1000), uint8(3), uint8(3), uint8(3), uint8(7), true, uint64(1))
@@ -288,12 +374,7 @@ func FuzzWordKernel(f *testing.F) {
 		}
 		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(stream), phonecall.NewStatic(g)} {
 			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, cfg.Shards, cfg.Workers, seed)
-			got, gotLog := runSeeded(t, cfg, topo, seed)
-			want, wantLog := runSeeded(t, cfg, allAlive(topo), seed)
-			sameResult(t, label, want, got)
-			if !reflect.DeepEqual(gotLog, wantLog) {
-				t.Fatalf("%s: observer sequences differ", label)
-			}
+			matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return topo }, seed)
 		}
 	})
 }
