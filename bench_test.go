@@ -21,7 +21,6 @@ func (p steadyPush) Choices() int            { return 1 }
 func (p steadyPush) Horizon() int            { return p.horizon }
 func (p steadyPush) SendPush(t, ia int) bool { return true }
 func (p steadyPush) SendPull(t, ia int) bool { return false }
-func (p steadyPush) NeverPulls() bool        { return true }
 
 // TestNilObserverZeroAllocsPerRound guards the facade's core performance
 // contract: with no observer registered, the steady-state round loop

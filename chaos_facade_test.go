@@ -189,6 +189,7 @@ func TestTransportFlagsValidation(t *testing.T) {
 		{"-chaos", "-chaos-drop", "1.5"},
 		{"-chaos", "-chaos-reorder", "NaN"},
 		{"-chaos", "-chaos-dup", "-0.1"},
+		{"-chaos", "-chaos-delay", "-1ms"},
 		{"-mailbox", "-3"},
 		{"-chaos", "-chaos-partition", "nope"},
 		{"-chaos", "-chaos-partition", "5:2"},

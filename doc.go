@@ -75,8 +75,8 @@
 // (internal/core), the random phone call simulator with its one sharded
 // round driver (internal/phonecall), random-regular-graph
 // generation and analysis (internal/graph, internal/spectral), the
-// strictly-oblivious lower-bound machinery (internal/oblivious), baseline
-// gossip protocols (internal/baseline), a churning P2P overlay and a
+// strictly oblivious baseline schedules, push/pull/push&pull and the
+// lower-bound shapes alike (internal/baseline), a churning P2P overlay and a
 // replicated database built on broadcast (internal/p2p), and the
 // per-theorem experiment harness (internal/experiments) — every one of
 // its replication ensembles routes through the batch layer, and its

@@ -14,8 +14,8 @@ import (
 	"math/bits"
 
 	"regcast"
+	"regcast/internal/baseline"
 	"regcast/internal/core"
-	"regcast/internal/oblivious"
 )
 
 func main() {
@@ -27,22 +27,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bound := oblivious.TransmissionBound(n, d)
+	bound := baseline.TransmissionBound(n, d)
 	fmt.Printf("G(%d,%d): Theorem 1 reference n·log₂n/log₂d = %.0f transmissions\n\n", n, d, bound)
 
 	logN := bits.Len(uint(n - 1)) // ⌈log₂ n⌉
 	horizon := 3 * logN           // 3·log₂ n rounds — the O(log n) budget
-	mk := func(s *oblivious.Schedule, err error) *oblivious.Schedule {
+	mk := func(s *baseline.Schedule, err error) *baseline.Schedule {
 		if err != nil {
 			log.Fatal(err)
 		}
 		return s
 	}
-	schedules := []*oblivious.Schedule{
-		mk(oblivious.AlwaysPush(horizon)),
-		mk(oblivious.AlwaysBoth(horizon)),
-		mk(oblivious.PushThenPull(logN, horizon)),
-		mk(oblivious.Alternating(horizon)),
+	schedules := []*baseline.Schedule{
+		mk(baseline.AlwaysPush(horizon)),
+		mk(baseline.AlwaysBoth(horizon)),
+		mk(baseline.PushThenPull(logN, horizon)),
+		mk(baseline.Alternating(horizon)),
 	}
 
 	for _, s := range schedules {

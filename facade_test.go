@@ -248,6 +248,16 @@ func TestScenarioValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pushes in all 18 rounds and pulls in the last one only.
+	pushAt, pullAt := make([]bool, 18), make([]bool, 18)
+	for i := range pushAt {
+		pushAt[i] = true
+	}
+	pullAt[17] = true
+	lastPull, err := baseline.NewSchedule("last-round-pull", pushAt, pullAt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		topo    regcast.Topology
@@ -269,7 +279,9 @@ func TestScenarioValidation(t *testing.T) {
 			[]regcast.ScenarioOption{regcast.WithMessageLoss(math.NaN())}, "out of [0,1]"},
 		{"quasirandom with pulling protocol", regcast.Static(g), pushpull,
 			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "push-only"},
-		{"quasirandom with non-PullFree protocol", regcast.Static(g), four,
+		{"quasirandom with four-choice protocol", regcast.Static(g), four,
+			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "push-only"},
+		{"quasirandom with a pull in the last round only", regcast.Static(g), lastPull,
 			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "push-only"},
 		{"quasirandom with dial memory", regcast.Static(g), push,
 			[]regcast.ScenarioOption{
@@ -293,6 +305,16 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := regcast.NewScenario(regcast.Static(g), push,
 		regcast.WithDialStrategy(regcast.DialQuasirandom)); err != nil {
 		t.Fatalf("push-only quasirandom scenario rejected: %v", err)
+	}
+	// Push-only is read off the schedule itself, so an E4 schedule that
+	// never pulls qualifies too.
+	alwaysPush, err := baseline.AlwaysPush(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regcast.NewScenario(regcast.Static(g), alwaysPush,
+		regcast.WithDialStrategy(regcast.DialQuasirandom)); err != nil {
+		t.Fatalf("push-only E4 schedule rejected under DialQuasirandom: %v", err)
 	}
 }
 

@@ -226,6 +226,9 @@ func (f *TransportFlags) Validate() error {
 			return fmt.Errorf("%s %v out of [0,1]", fl.name, fl.p)
 		}
 	}
+	if f.Delay < 0 {
+		return fmt.Errorf("-chaos-delay %v negative", f.Delay)
+	}
 	if f.Mailbox < 0 {
 		return fmt.Errorf("-mailbox %d negative", f.Mailbox)
 	}

@@ -49,9 +49,6 @@ func TestPushScheduleShape(t *testing.T) {
 	if p.SendPull(5, 0) {
 		t.Error("push baseline pulled")
 	}
-	if !p.NeverPulls() {
-		t.Error("NeverPulls should be true")
-	}
 }
 
 func TestPullScheduleShape(t *testing.T) {

@@ -1,4 +1,4 @@
-package oblivious
+package baseline
 
 import (
 	"math"

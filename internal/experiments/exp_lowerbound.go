@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"regcast"
-	"regcast/internal/oblivious"
+	"regcast/internal/baseline"
 	"regcast/internal/table"
 	"regcast/internal/xrand"
 )
@@ -40,17 +40,17 @@ func runE4(o Options) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bound := oblivious.TransmissionBound(n, d)
+		bound := baseline.TransmissionBound(n, d)
 
-		push, err := oblivious.AlwaysPush(horizon)
+		push, err := baseline.AlwaysPush(horizon)
 		if err != nil {
 			return nil, err
 		}
-		both, err := oblivious.AlwaysBoth(horizon)
+		both, err := baseline.AlwaysBoth(horizon)
 		if err != nil {
 			return nil, err
 		}
-		ptp, err := oblivious.PushThenPull(logN, horizon)
+		ptp, err := baseline.PushThenPull(logN, horizon)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,6 @@ type MembershipFunc func(id int, joined bool)
 
 var _ phonecall.Topology = (*Overlay)(nil)
 var _ phonecall.CSRViewer = (*Overlay)(nil)
-var _ phonecall.AliveCounter = (*Overlay)(nil)
 var _ phonecall.DialBudgeter = (*Overlay)(nil)
 
 // New builds an overlay of n alive peers of even degree d, with headroom

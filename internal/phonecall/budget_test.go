@@ -30,7 +30,6 @@ type churningTopo struct {
 }
 
 var _ phonecall.Stepper = (*churningTopo)(nil)
-var _ phonecall.AliveCounter = (*churningTopo)(nil)
 var _ phonecall.DialBudgeter = (*churningTopo)(nil)
 
 func (c *churningTopo) Step(round int) []int {

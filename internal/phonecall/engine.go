@@ -167,9 +167,10 @@ type Engine struct {
 	// Static graphs and the churning overlay alike), or impView, the
 	// topology's ImplicitViewer or interfaceView over its methods, whose rows
 	// impNbrs resolves (nbrAt). aliveBits is the view's liveness bitset (nil
-	// = every id alive), csrEpoch the epoch it was fetched at (refreshCSR
-	// re-fetches when a Step advanced it). uniDeg is impNbrs'
-	// graph.UniformDegree, or 0: row reads it instead of calling Degree.
+	// = every id alive) and aliveN its population count, csrEpoch the epoch
+	// they were fetched at (refreshCSR re-fetches when a Step advanced it).
+	// uniDeg is impNbrs' graph.UniformDegree, or 0: row reads it instead of
+	// calling Degree.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
@@ -177,6 +178,7 @@ type Engine struct {
 	impNbrs   ImplicitNeighbors
 	uniDeg    int
 	aliveBits []uint64
+	aliveN    int
 	csrEpoch  uint64
 
 	// Round-driver state; see parallel.go.
@@ -186,12 +188,11 @@ type Engine struct {
 	// Per-round protocol decision tables, indexed by receipt round, filled
 	// once per round call instead of inside node loops. pullAll is "every
 	// occupied cohort pulls": the pull scan then probes the informed bit and
-	// never loads informedAt[w]. neverPulls caches PullFree's answer.
-	pushDec    []bool
-	pullDec    []bool
-	pullAll    bool
-	neverPulls bool
-	phases     PhaseObserver // Config.Observer, when it times round's steps
+	// never loads informedAt[w].
+	pushDec []bool
+	pullDec []bool
+	pullAll bool
+	phases  PhaseObserver // Config.Observer, when it times round's steps
 
 	// memory for the sequentialised model (AvoidRecent > 0)
 	recent    []int32 // flat n×AvoidRecent ring of recent partners
@@ -211,9 +212,6 @@ type Engine struct {
 	// round r dial per round (-1: nobody was); rounds >= countFrom are counted.
 	cohortDials []int64
 	countFrom   int
-
-	// aliveCounter, if the topology has one, answers aliveCount in O(1).
-	aliveCounter AliveCounter
 
 	// Edge-use census (Config.TrackEdgeUse; markUsed): usedBits has a bit
 	// per adjacency slot (slotOff[v] is v's first), unusedDeg[v] counts v's
@@ -309,16 +307,14 @@ func newEngine(cfg Config) (*Engine, error) {
 	// over its Topology methods.
 	if cv, ok := cfg.Topology.(CSRViewer); ok && !cfg.DisableFastPath {
 		e.fastView = cv
-		e.csrOff, e.csrAdj, e.aliveBits, e.csrEpoch = cv.CSRView()
 	} else {
 		iv, ok := cfg.Topology.(ImplicitViewer)
 		if !ok || cfg.DisableFastPath {
 			iv = &interfaceView{Topology: cfg.Topology}
 		}
 		e.impView = iv
-		e.refreshCSR()
 	}
-	e.aliveCounter, _ = cfg.Topology.(AliveCounter)
+	e.refreshCSR()
 	e.informedAt = make([]int32, n)
 	for i := range e.informedAt {
 		e.informedAt[i] = Uninformed
@@ -326,9 +322,6 @@ func newEngine(cfg Config) (*Engine, error) {
 	e.informedBits = make([]uint64, (n+63)/64)
 	e.pushDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.pullDec = make([]bool, cfg.Protocol.Horizon()+1)
-	if pf, ok := cfg.Protocol.(PullFree); ok {
-		e.neverPulls = pf.NeverPulls()
-	}
 	e.phases, _ = cfg.Observer.(PhaseObserver)
 	if cfg.AvoidRecent > 0 {
 		e.dials = 1 // sampleWithMemory fills slot 0 only
@@ -494,20 +487,8 @@ func (e *Engine) refreshBudget(joined []int) {
 	e.budget = DialBudget(e.topo, e.dials)
 }
 
-// aliveCount returns the number of alive nodes.
-func (e *Engine) aliveCount() int {
-	switch {
-	case e.aliveBits == nil:
-		return e.n
-	case e.aliveCounter != nil:
-		return e.aliveCounter.AliveCount()
-	}
-	c := 0
-	for _, w := range e.aliveBits {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+// aliveCount returns the number of alive nodes, as of the last view fetch.
+func (e *Engine) aliveCount() int { return e.aliveN }
 
 // aliveFast reports liveness from the view's bitset (nil = all alive). It
 // draws no randomness, which is what makes every view of one topology
@@ -531,26 +512,39 @@ func setBit(bs []uint64, v int) {
 
 // refreshCSR re-fetches the topology's view (CSR or implicit) after a
 // churn Step, but only when the epoch advanced — one epoch compare per
-// round between churn events. newEngine makes the first implicit fetch
-// through it too (impNbrs is still nil then).
+// round between churn events — and counts the fetched alive bitset.
+// newEngine makes the first fetch through it too (impNbrs and csrOff are
+// still nil then).
 func (e *Engine) refreshCSR() {
+	var alive []uint64
+	var epoch uint64
 	if e.impView != nil {
-		nbrs, alive, epoch := e.impView.ImplicitView()
+		var nbrs ImplicitNeighbors
+		nbrs, alive, epoch = e.impView.ImplicitView()
 		if epoch == e.csrEpoch && e.impNbrs != nil {
 			return
 		}
-		e.impNbrs, e.aliveBits, e.csrEpoch = nbrs, alive, epoch
+		e.impNbrs = nbrs
 		e.uniDeg = 0
 		if u, ok := nbrs.(graph.UniformDegree); ok {
 			e.uniDeg = u.UniformDegree()
 		}
-		return
+	} else {
+		var off, adj []int32
+		off, adj, alive, epoch = e.fastView.CSRView()
+		if epoch == e.csrEpoch && e.csrOff != nil {
+			return
+		}
+		e.csrOff, e.csrAdj = off, adj
 	}
-	off, adj, alive, epoch := e.fastView.CSRView()
-	if epoch == e.csrEpoch {
-		return
+	e.aliveBits, e.csrEpoch = alive, epoch
+	e.aliveN = e.n
+	if alive != nil {
+		e.aliveN = 0
+		for _, w := range alive {
+			e.aliveN += bits.OnesCount64(w)
+		}
 	}
-	e.csrOff, e.csrAdj, e.aliveBits, e.csrEpoch = off, adj, alive, epoch
 }
 
 // recount recomputes the informed-alive count after churn invalidated the

@@ -18,7 +18,6 @@ func (p pushProto) Choices() int            { return p.k }
 func (p pushProto) Horizon() int            { return p.horizon }
 func (p pushProto) SendPush(t, ia int) bool { return true }
 func (p pushProto) SendPull(t, ia int) bool { return false }
-func (p pushProto) NeverPulls() bool        { return true }
 
 // pullProto pulls in every round and never pushes.
 type pullProto struct {

@@ -13,7 +13,7 @@ import (
 // churnTopo fuses an overlay with its churner, exactly like the facade's
 // OverlaySpec topology and experiment E13b: the engine sees one dynamic
 // topology that is simultaneously a Stepper and (through the embedded
-// overlay) a CSRViewer + AliveCounter.
+// overlay) a CSRViewer.
 type churnTopo struct {
 	*overlay.Overlay
 	ch *overlay.Churner

@@ -14,7 +14,6 @@ import (
 	"regcast/internal/baseline"
 	"regcast/internal/core"
 	"regcast/internal/graph"
-	"regcast/internal/oblivious"
 	"regcast/internal/phonecall"
 	"regcast/internal/xrand"
 )
@@ -198,7 +197,7 @@ func goldenCases() []goldenCase {
 			name: "oblivious-always-both", experiments: "E4",
 			topo: regularTopo(8),
 			proto: func(t *testing.T, n int) phonecall.Protocol {
-				p, err := oblivious.AlwaysBoth(60)
+				p, err := baseline.AlwaysBoth(60)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,7 +209,7 @@ func goldenCases() []goldenCase {
 			name: "oblivious-push-then-pull", experiments: "E4",
 			topo: regularTopo(8),
 			proto: func(t *testing.T, n int) phonecall.Protocol {
-				p, err := oblivious.PushThenPull(9, 60)
+				p, err := baseline.PushThenPull(9, 60)
 				if err != nil {
 					t.Fatal(err)
 				}

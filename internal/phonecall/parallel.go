@@ -188,7 +188,7 @@ func (e *Engine) countRound(t int) (tx int64, ok bool) {
 		if e.proto.SendPush(t, r) {
 			tx += dials
 		}
-		pull := !e.neverPulls && e.proto.SendPull(t, r)
+		pull := e.proto.SendPull(t, r)
 		pulls, silent = pulls || pull, silent || !pull
 	}
 	if pulls {
@@ -233,7 +233,7 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	// per-shard cohort counts tell which shards can hold a sender.
 	for ia := 0; ia < t; ia++ {
 		e.pushDec[ia] = e.proto.SendPush(t, ia)
-		e.pullDec[ia] = !e.neverPulls && e.proto.SendPull(t, ia)
+		e.pullDec[ia] = e.proto.SendPull(t, ia)
 	}
 	anyPull, pullAll := false, true
 	for i := range e.shards {

@@ -35,13 +35,3 @@ type Protocol interface {
 	// answers the nodes that dialled it).
 	SendPull(t, informedAt int) bool
 }
-
-// PullFree is an optional marker for protocols that never pull. The engine
-// uses it to skip dial sampling for nodes whose channels cannot carry the
-// message, which keeps push-only rounds proportional to the number of
-// senders instead of n. Protocols that sometimes pull simply don't
-// implement it; the engine then asks SendPull round by round.
-type PullFree interface {
-	// NeverPulls reports that SendPull is false for all inputs.
-	NeverPulls() bool
-}

@@ -62,9 +62,11 @@ type Stepper interface {
 //   - The adjacency of an alive node v is adj[offsets[v]:offsets[v+1]],
 //     and offsets[v+1]-offsets[v] == Degree(v) for every alive v.
 //   - alive is a bitset over node ids (bit v of alive[v/64]); nil means
-//     every id is alive. The bits must agree with Alive(v). The rows of
-//     dead ids are unspecified and are never read — a fixed-stride
-//     implementation may leave stale entries there.
+//     every id is alive. The bits must agree with Alive(v), and no bit
+//     past NumNodes() may be set: the engine takes its alive count from
+//     the bitset's population count at every fetch. The rows of dead ids
+//     are unspecified and are never read — a fixed-stride implementation
+//     may leave stale entries there.
 //   - Adjacency entries may reference dead ids; the engine re-checks
 //     target liveness against the bitset before it opens a channel.
 //   - epoch changes whenever the contents of offsets, adj or alive
@@ -148,15 +150,6 @@ func (t *interfaceView) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, 
 	return t, t.alive, t.epoch
 }
 
-// AliveCounter is an optional interface for topologies that can report
-// their alive-node count in O(1) (the churn overlay maintains one). The
-// engine uses it for the per-round completion check and for membership-
-// change detection in the dial-budget cache, instead of an O(n) Alive
-// scan. The count must agree with what scanning Alive would find.
-type AliveCounter interface {
-	AliveCount() int
-}
-
 // DialBudgeter is an optional interface for topologies that can compute
 // the per-round dial budget without an O(n) interface scan — uniform-
 // degree implicit families and the exactly d-regular churn overlay answer
@@ -229,7 +222,6 @@ type Implicit struct {
 var (
 	_ Topology       = Implicit{}
 	_ ImplicitViewer = Implicit{}
-	_ AliveCounter   = Implicit{}
 	_ DialBudgeter   = Implicit{}
 )
 
@@ -247,9 +239,6 @@ func (t Implicit) Neighbor(v, i int) int { return int(t.F.NeighborAt(v, i)) }
 
 // Alive implements Topology; every node of an implicit family is alive.
 func (t Implicit) Alive(int) bool { return true }
-
-// AliveCount implements AliveCounter in O(1).
-func (t Implicit) AliveCount() int { return t.F.NumNodes() }
 
 // ImplicitView implements ImplicitViewer: the family's own arithmetic,
 // a nil alive bitset and a constant epoch.

@@ -22,8 +22,6 @@
 //     compile into tables the ring pass indexes the same way.
 //   - Batch (BatchProtocol): a protocol too large to tabulate applies
 //     each pre-drawn block in its own devirtualised loop.
-//   - Observed (InteractionObserver): one Transition call per pair plus
-//     the per-interaction event; nothing is compiled.
 //   - Uncompiled: one Transition call per pair. Config.DisableFastPath
 //     selects it (and the uncompiled ring pass) for any protocol.
 //
@@ -106,17 +104,14 @@ const (
 // compile chooses the run's apply arm, once, at construction. It never
 // changes a trace: every arm is bit-identical to the uncompiled one.
 func (e *engine) compile() {
-	if e.cfg.Ring != nil {
-		if !e.cfg.DisableFastPath {
-			e.compileRingTable()
+	switch {
+	case e.cfg.DisableFastPath: // the uncompiled arms
+	case e.cfg.Ring != nil:
+		e.compileRingTable()
+	default:
+		if e.compileTable(); e.table == nil {
+			e.batch, _ = e.cfg.Pair.(BatchProtocol)
 		}
-		return
-	}
-	if e.iobs, _ = e.cfg.Observer.(InteractionObserver); e.iobs != nil || e.cfg.DisableFastPath {
-		return
-	}
-	if e.compileTable(); e.table == nil {
-		e.batch, _ = e.cfg.Pair.(BatchProtocol)
 	}
 }
 
@@ -215,14 +210,12 @@ func (e *engine) compileRingTable() {
 // apply applies one pre-drawn block through the run's arm. Transitions
 // always apply sequentially in shard order — only drawing parallelises —
 // so this is called from one goroutine.
-func (e *engine) apply(step int, pairs []PairDraw) int {
+func (e *engine) apply(pairs []PairDraw) int {
 	switch {
 	case e.table != nil:
 		return applyTable(pairs, e.states, e.table, e.counts, e.tshift, e.tcoin)
 	case e.batch != nil:
 		return e.batch.ApplyPairs(e.states, pairs)
-	case e.iobs != nil:
-		return applyObserved(pairs, e.states, e.cfg.Pair, e.iobs, step)
 	default:
 		return applyShard(pairs, e.states, e.cfg.Pair)
 	}
@@ -241,21 +234,6 @@ func applyShard(pairs []PairDraw, states []State, proto PairProtocol) (changed i
 		states[d.A] = na
 		states[d.B] = nb
 		changed += b2i(na != sa) + b2i(nb != sb)
-	}
-	return changed
-}
-
-// applyObserved is applyShard plus the per-interaction event, reported
-// after the pair's transition in application order.
-func applyObserved(pairs []PairDraw, states []State, proto PairProtocol, iobs InteractionObserver, step int) (changed int) {
-	for j := range pairs {
-		d := pairs[j]
-		sa, sb := states[d.A], states[d.B]
-		na, nb := proto.Transition(sa, sb, d.Coin)
-		states[d.A] = na
-		states[d.B] = nb
-		changed += b2i(na != sa) + b2i(nb != sb)
-		iobs.OnInteraction(step, int(d.A), int(d.B))
 	}
 	return changed
 }

@@ -35,8 +35,6 @@ func arm(e *engine) string {
 		return "table"
 	case e.batch != nil:
 		return "batch"
-	case e.iobs != nil:
-		return "observed"
 	default:
 		return "uncompiled"
 	}
@@ -133,60 +131,6 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReferenceWithInteractionObserver pins the observed
-// arm: a per-interaction observer compiles nothing, yet its event
-// sequence and the final configuration match the digest recorded from
-// the interpreter, inline and pooled, on the bare and the wrapped
-// protocol.
-func TestFastPathMatchesReferenceWithInteractionObserver(t *testing.T) {
-	const want = 0xcdae301ff44600be
-	for _, workers := range []int{0, 4} {
-		for _, wrapped := range []bool{false, true} {
-			le, err := NewLeaderElection(500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := &recordingObserver{}
-			cfg := Config{N: 500, Pair: le, Init: InitAllLeaders, MaxSteps: 10,
-				RNG: xrand.New(5), Observer: rec, Workers: workers}
-			if wrapped {
-				cfg = plain(cfg)
-			}
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(len(rec.events)) != res.Interactions || len(rec.events) != 3500 {
-				t.Fatalf("workers=%d wrapped=%v: %d events for %d interactions, want 3500",
-					workers, wrapped, len(rec.events), res.Interactions)
-			}
-			h := uint64(1469598103934665603)
-			for _, ev := range rec.events {
-				h = (h ^ uint64(ev.step)) * 1099511628211
-				h = (h ^ uint64(ev.a)) * 1099511628211
-				h = (h ^ uint64(ev.b)) * 1099511628211
-			}
-			for _, s := range res.Final {
-				h = (h ^ uint64(s)) * 1099511628211
-			}
-			if h != want {
-				t.Errorf("workers=%d wrapped=%v: events+final digest %#x, want %#x", workers, wrapped, h, uint64(want))
-			}
-		}
-	}
-}
-
-type popEvent struct{ step, a, b int }
-
-type recordingObserver struct {
-	events []popEvent
-}
-
-func (r *recordingObserver) OnSuperStep(SuperStepStats) {}
-func (r *recordingObserver) OnInteraction(step, a, b int) {
-	r.events = append(r.events, popEvent{step, a, b})
-}
-
 // TestCountsMatchesScan cross-checks the occupancy vector the table arm
 // keeps: after every super-step of a majority run, the engine's
 // counts-derived measure must equal a fresh O(n) scan of the live
@@ -204,7 +148,7 @@ func TestCountsMatchesScan(t *testing.T) {
 			e.table != nil, e.countsProto != nil)
 	}
 	for step := 1; step <= 50; step++ {
-		e.pairStep(step)
+		e.pairStep()
 		if got, want := e.measure(), p.Measure(e.states); got != want {
 			t.Fatalf("step %d: counts measure %d != scan measure %d", step, got, want)
 		}
@@ -303,12 +247,6 @@ func (escapingProto) Measure(cfg []State) int { return 1 }
 func (escapingProto) StateBound() int         { return 2 }
 func (escapingProto) CoinBits() int           { return 0 }
 
-// nopInteractions is an InteractionObserver that ignores every event.
-type nopInteractions struct{}
-
-func (nopInteractions) OnSuperStep(SuperStepStats)   {}
-func (nopInteractions) OnInteraction(step, a, b int) {}
-
 // TestPairStepSteadyStateAllocFree guards the 0-alloc steady state on
 // every arm: with the quota buffers preallocated at construction, pair
 // and ring super-steps allocate nothing.
@@ -327,8 +265,6 @@ func TestPairStepSteadyStateAllocFree(t *testing.T) {
 	}
 	majority := Config{N: 5000, Pair: NewApproxMajority(), Init: InitMajority(0.6)}
 	leader := Config{N: 5000, Pair: le, Init: InitAllLeaders}
-	observed := leader
-	observed.Observer = nopInteractions{}
 	ring := Config{N: 5001, Ring: hm, Init: hmInit}
 	for _, tc := range []struct {
 		arm string
@@ -337,7 +273,6 @@ func TestPairStepSteadyStateAllocFree(t *testing.T) {
 		{"table", majority},
 		{"batch", leader},
 		{"uncompiled", plain(leader)},
-		{"observed", observed},
 		{"ring-table", ring},
 		{"ring", plain(ring)},
 	} {
@@ -350,11 +285,9 @@ func TestPairStepSteadyStateAllocFree(t *testing.T) {
 		if got := arm(e); got != tc.arm {
 			t.Fatalf("arm %q, want %q", got, tc.arm)
 		}
-		step := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			step++
 			if e.cfg.Pair != nil {
-				e.pairStep(step)
+				e.pairStep()
 			} else {
 				e.ringStep()
 			}

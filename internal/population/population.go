@@ -97,15 +97,6 @@ type Observer interface {
 	OnSuperStep(SuperStepStats)
 }
 
-// InteractionObserver is an optional extension of Observer: when the
-// configured Observer also implements it, the pair driver reports every
-// applied interaction, in the deterministic application order. (The ring
-// driver does not emit per-interaction events; its super-step IS the
-// interaction.)
-type InteractionObserver interface {
-	OnInteraction(step, initiator, responder int)
-}
-
 // Config describes one population-protocol run. Exactly one of Pair and
 // Ring must be set; it selects the scheduler.
 type Config struct {
@@ -133,7 +124,7 @@ type Config struct {
 	// bench/'s reference probe (ROADMAP 1), and the facade never sets it.
 	DisableFastPath bool
 
-	Observer Observer    // optional per-super-step (and per-interaction) hook
+	Observer Observer    // optional per-super-step hook
 	Halt     func() bool // optional cooperative cancellation, polled per step
 }
 
@@ -187,16 +178,15 @@ type engine struct {
 	interactions int64
 
 	// The apply arm, chosen once by compile (fastpath.go): at most one of
-	// table, batch and iobs is set for a pair run; none selects applyShard.
-	table       []uint64            // compiled pair transition table
-	tshift      uint32              // state index shift: entry index is ((a<<tshift)|b)<<tcoin | coin bits
-	tcoin       uint32              // coin bits folded into the table index
-	counts      []int64             // occupancy vector the table arm keeps exact
-	countsProto CountsProtocol      // non-nil: measure folds counts instead of scanning
-	batch       BatchProtocol       // devirtualised whole-block apply
-	iobs        InteractionObserver // per-interaction events
-	ringNeeds   []bool              // compiled RingProtocol.NeedsCoin table
-	ringUpd     []State             // compiled RingProtocol.Update table
+	// table and batch is set for a pair run; neither selects applyShard.
+	table       []uint64       // compiled pair transition table
+	tshift      uint32         // state index shift: entry index is ((a<<tshift)|b)<<tcoin | coin bits
+	tcoin       uint32         // coin bits folded into the table index
+	counts      []int64        // occupancy vector the table arm keeps exact
+	countsProto CountsProtocol // non-nil: measure folds counts instead of scanning
+	batch       BatchProtocol  // devirtualised whole-block apply
+	ringNeeds   []bool         // compiled RingProtocol.NeedsCoin table
+	ringUpd     []State        // compiled RingProtocol.Update table
 }
 
 // Run executes one population-protocol run to convergence, silence, or
@@ -314,7 +304,7 @@ func (e *engine) run() Result {
 	for step := 1; step <= e.cfg.MaxSteps; step++ {
 		var inter, changed int
 		if e.cfg.Pair != nil {
-			inter, changed = e.pairStep(step)
+			inter, changed = e.pairStep()
 		} else {
 			inter, changed = e.ringStep()
 		}
@@ -379,13 +369,13 @@ func (e *engine) run() Result {
 // stays in L1 between fill and apply. Draws are state-independent and
 // both shapes consume the streams and apply the pairs in the same order,
 // so the trace is the same at every worker count.
-func (e *engine) pairStep(step int) (interactions, changed int) {
+func (e *engine) pairStep() (interactions, changed int) {
 	if e.workers > 1 {
 		sched.Pool(e.workers, len(e.shards), func(i int) { e.drawPairs(&e.shards[i]) })
 		for i := range e.shards {
 			pairs := e.shards[i].pairs
 			interactions += len(pairs)
-			changed += e.apply(step, pairs)
+			changed += e.apply(pairs)
 		}
 		return interactions, changed
 	}
@@ -397,7 +387,7 @@ func (e *engine) pairStep(step int) (interactions, changed int) {
 		for off := 0; off < q; off += fuseBlock {
 			blk := sh.pairs[off:min(off+fuseBlock, q)]
 			sh.stream.FillPairDraws(blk, e.n)
-			changed += e.apply(step, blk)
+			changed += e.apply(blk)
 		}
 	}
 	return interactions, changed

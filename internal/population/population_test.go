@@ -252,34 +252,6 @@ func TestSilentConfigurationHalts(t *testing.T) {
 	}
 }
 
-func TestInteractionObserver(t *testing.T) {
-	le, err := NewLeaderElection(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io := &interactionCounter{n: 16}
-	res, err := Run(Config{N: 16, Pair: le, Init: InitAllLeaders, RNG: xrand.New(5), Observer: io})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(io.count) != res.Interactions {
-		t.Fatalf("observer saw %d interactions, result says %d", io.count, res.Interactions)
-	}
-}
-
-type interactionCounter struct {
-	n     int
-	count int
-}
-
-func (c *interactionCounter) OnSuperStep(SuperStepStats) {}
-func (c *interactionCounter) OnInteraction(step, a, b int) {
-	if a == b || a < 0 || b < 0 || a >= c.n || b >= c.n {
-		panic("invalid interaction pair")
-	}
-	c.count++
-}
-
 func TestConfigValidation(t *testing.T) {
 	le, _ := NewLeaderElection(8)
 	hm, _ := NewHerman(9)

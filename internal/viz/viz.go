@@ -13,16 +13,14 @@ import (
 	"strings"
 )
 
-// Series is one named curve.
+// Series is one named curve. Chart plots the i-th series with the i-th
+// of eight marker runes, cycling.
 type Series struct {
 	Name   string
 	Values []float64
-	// Marker is the rune plotted for this series; assigned automatically
-	// if zero.
-	Marker rune
 }
 
-var defaultMarkers = []rune{'*', '+', 'o', 'x', '#', '@', '%', '&'}
+var markers = []rune{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
 // Chart renders the series into a width×height character grid with a
 // y-axis label column and an x-axis. X is the sample index (scaled to
@@ -64,10 +62,7 @@ func Chart(width, height int, series ...Series) (string, error) {
 		grid[r] = []rune(strings.Repeat(" ", width))
 	}
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
+		marker := markers[si%len(markers)]
 		for i, v := range s.Values {
 			col := 0
 			if maxLen > 1 {
@@ -97,11 +92,7 @@ func Chart(width, height int, series ...Series) (string, error) {
 	b.WriteString(strings.Repeat(" ", 9) + fmt.Sprintf("1 .. %d (samples)", maxLen) + "\n")
 	legend := make([]string, 0, len(series))
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
-		legend = append(legend, fmt.Sprintf("%c %s", marker, s.Name))
+		legend = append(legend, fmt.Sprintf("%c %s", markers[si%len(markers)], s.Name))
 	}
 	b.WriteString(strings.Repeat(" ", 9) + strings.Join(legend, "   ") + "\n")
 	return b.String(), nil

@@ -43,16 +43,6 @@ func TestChartMultipleSeries(t *testing.T) {
 	}
 }
 
-func TestChartCustomMarker(t *testing.T) {
-	out, err := Chart(20, 4, Series{Name: "c", Values: []float64{1, 2}, Marker: '~'})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "~ c") {
-		t.Error("custom marker ignored")
-	}
-}
-
 func TestChartErrors(t *testing.T) {
 	if _, err := Chart(4, 10, Series{Name: "x", Values: []float64{1}}); err == nil {
 		t.Error("tiny width accepted")

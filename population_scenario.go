@@ -29,9 +29,6 @@ type (
 	SuperStepStats = population.SuperStepStats
 	// PopulationObserver consumes per-super-step statistics online.
 	PopulationObserver = population.Observer
-	// InteractionObserver optionally extends PopulationObserver with
-	// per-interaction events from the pair driver.
-	InteractionObserver = population.InteractionObserver
 	// PopulationResult summarises one population run.
 	PopulationResult = population.Result
 	// LeaderElection is the self-stabilizing ranked-timeout leader
@@ -140,8 +137,7 @@ type PopulationScenario struct {
 	// MaxSteps bounds the run in super-steps of N interactions; zero
 	// selects the default documented on population.Config.
 	MaxSteps int
-	// Observer receives per-super-step statistics (and, if it also
-	// implements InteractionObserver, per-interaction events).
+	// Observer receives per-super-step statistics.
 	Observer PopulationObserver
 }
 

@@ -62,9 +62,9 @@ func WithSeed(seed uint64) ScenarioOption {
 func WithRNG(rng *Rand) ScenarioOption { return func(s *Scenario) { s.rng = rng } }
 
 // WithDialStrategy selects the neighbour-selection discipline (default
-// DialUniform). DialQuasirandom requires a push-only (PullFree) protocol
-// and is incompatible with WithAvoidRecent; NewScenario rejects both
-// combinations.
+// DialUniform). DialQuasirandom requires a push-only protocol (SendPull
+// false in every round of the horizon) and is incompatible with
+// WithAvoidRecent; NewScenario rejects both combinations.
 func WithDialStrategy(d DialStrategy) ScenarioOption { return func(s *Scenario) { s.dial = d } }
 
 // WithAvoidRecent enables the sequentialised model of the paper's footnote
@@ -189,13 +189,26 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("regcast: DialQuasirandom is incompatible with WithAvoidRecent: " +
 				"the quasirandom cursor replaces dial memory")
 		}
-		if pf, ok := s.proto.(PullFree); !ok || !pf.NeverPulls() {
+		if pulls(s.proto) {
 			return fmt.Errorf("regcast: DialQuasirandom requires a push-only protocol "+
-				"(one implementing PullFree with NeverPulls() == true); %q may pull, and pull rounds "+
+				"(SendPull false in every round of the horizon); %q pulls, and pull rounds "+
 				"are undefined in the quasirandom model", s.proto.Name())
 		}
 	}
 	return nil
+}
+
+// pulls reports whether p pulls in any round the engine asks about: some
+// receipt round r < t in some round 1 <= t <= Horizon.
+func pulls(p Protocol) bool {
+	for t := 1; t <= p.Horizon(); t++ {
+		for r := 0; r < t; r++ {
+			if p.SendPull(t, r) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // validateTopo checks the constraints that need a topology instance.

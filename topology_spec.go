@@ -315,8 +315,8 @@ func (s OverlaySpec) churns() bool {
 
 // overlayTopology is a built OverlaySpec: the overlay plus its churner.
 // It exposes the overlay's whole API (CheckInvariants, Snapshot, ...)
-// through the embedded pointer, and phonecall's CSRViewer/AliveCounter
-// with it.
+// through the embedded pointer, and phonecall's CSRViewer and
+// DialBudgeter with it.
 type overlayTopology struct {
 	*overlay.Overlay
 	ch *overlay.Churner

@@ -17,8 +17,6 @@ type (
 	// Protocol is a strictly oblivious broadcast schedule; see the
 	// documentation on phonecall.Protocol for the model's ground rules.
 	Protocol = phonecall.Protocol
-	// PullFree is the optional marker for protocols that never pull.
-	PullFree = phonecall.PullFree
 	// Topology is the engines' view of the network.
 	Topology = phonecall.Topology
 	// Stepper marks topologies that churn between rounds.
