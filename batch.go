@@ -20,8 +20,8 @@ import (
 // Determinism contract: every replication draws from a PRNG stream that is
 // precomputed in replication order from one master seed (xrand.SplitN
 // discipline), and results are aggregated in replication order once all
-// runs finish. Aggregate results — and any Report serialised from them —
-// are therefore bit-identical for every ReplicationWorkers value. Only
+// runs finish. Aggregate results — and their JSON encoding — are
+// therefore bit-identical for every ReplicationWorkers value. Only
 // wall-clock time changes.
 type Batch struct {
 	// Scenario is the replicated run, of either kind. Each replication

@@ -19,7 +19,7 @@
 // leader-election population protocol on an -n agent clique from the
 // all-leaders adversarial start, tracing super-steps.
 //
-// The shared -topology flag overrides -n/-d with any parseable topology
+// The -topology flag overrides -n/-d with any parseable topology
 // spec (regcast.ParseTopologySpec); implicit families (hypercube, torus,
 // gnp-stream, regular-stream) never materialise adjacency, which is what
 // makes 100M+-node runs fit one box.
@@ -59,12 +59,21 @@ func run() error {
 		trace     = flag.Bool("trace", false, "print a per-round trace")
 		stopEarly = flag.Bool("stop-early", false, "stop as soon as every node is informed (skip the schedule's tail)")
 		mem       = flag.Bool("mem", false, "report allocation totals (runtime.MemStats) for the run")
-		common    = regcast.AddCommonFlags(flag.CommandLine)
-		tflags    = regcast.AddTransportFlags(flag.CommandLine)
+		topology  = flag.String("topology", "",
+			"topology spec overriding -n/-d, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
+		common = regcast.AddCommonFlags(flag.CommandLine)
+		tflags = regcast.AddTransportFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	if err := common.Validate(); err != nil {
 		return err
+	}
+	var spec regcast.TopologySpec
+	if *topology != "" {
+		var err error
+		if spec, err = regcast.ParseTopologySpec(*topology); err != nil {
+			return fmt.Errorf("-topology: %w", err)
+		}
 	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
@@ -85,7 +94,6 @@ func run() error {
 	}
 
 	master := common.Rand()
-	spec := common.TopologySpec()
 	if tflags.Daemon && spec != nil {
 		return fmt.Errorf("-daemon/-chaos need the dense -n/-d graph (the daemon engine requires a Static topology)")
 	}
@@ -145,7 +153,7 @@ func run() error {
 		if regcast.SpecImplicit(spec) {
 			kind = "implicit"
 		}
-		fmt.Printf("topology: %s (%s, n=%d)\n", common.Topology, kind, *n)
+		fmt.Printf("topology: %s (%s, n=%d)\n", *topology, kind, *n)
 		if rs, ok := spec.(regcast.RegularStreamSpec); ok && rs.D == 2 {
 			fmt.Println("note: regular-stream with d=2 is a single permutation 2-factor, a disjoint union of cycles that is almost never connected; use d >= 4 for broadcast")
 		}

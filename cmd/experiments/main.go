@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,22 +29,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and writes the selected experiments' tables to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		runIDs   = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		quick    = flag.Bool("quick", false, "use the fast profile (smaller sweeps)")
-		markdown = flag.Bool("markdown", false, "emit Markdown instead of plain text")
-		repWork  = flag.Int("rep-workers", 0,
+		runIDs   = fs.String("run", "", "comma-separated experiment ids (default: all)")
+		quick    = fs.Bool("quick", false, "use the fast profile (smaller sweeps)")
+		markdown = fs.Bool("markdown", false, "emit Markdown instead of plain text")
+		repWork  = fs.Int("rep-workers", 0,
 			"replication-pool workers over whole runs: 0/1 = serial, -1 = GOMAXPROCS, n = n workers (never changes results)")
-		common = regcast.AddCommonFlags(flag.CommandLine)
+		common = regcast.AddCommonFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if err := common.Validate(); err != nil {
 		return err
 	}
@@ -80,11 +89,11 @@ func run() error {
 	opts := experiments.FromFlags(common, *quick, *repWork)
 	for _, e := range selected {
 		if *markdown {
-			fmt.Printf("## %s — %s\n\n", e.ID, e.Title)
-			fmt.Printf("**Paper claim.** %s\n\n", e.PaperClaim)
+			fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
+			fmt.Fprintf(w, "**Paper claim.** %s\n\n", e.PaperClaim)
 		} else {
-			fmt.Printf("=== %s — %s ===\n", e.ID, e.Title)
-			fmt.Printf("paper claim: %s\n\n", e.PaperClaim)
+			fmt.Fprintf(w, "=== %s — %s ===\n", e.ID, e.Title)
+			fmt.Fprintf(w, "paper claim: %s\n\n", e.PaperClaim)
 		}
 		tables, err := e.Run(opts)
 		if err != nil {
@@ -92,9 +101,9 @@ func run() error {
 		}
 		for _, tb := range tables {
 			if *markdown {
-				fmt.Println(tb.Markdown())
+				fmt.Fprintln(w, tb.Markdown())
 			} else {
-				fmt.Println(tb.String())
+				fmt.Fprintln(w, tb.String())
 			}
 		}
 	}

@@ -31,20 +31,18 @@
 // ConfigurationModelSpec, GnpSpec, HypercubeSpec, TorusSpec, and
 // OverlaySpec, the paper's churning p2p overlay. Spec scenarios build a
 // fresh topology per Batch replication, so dynamic topologies replicate
-// and sweep like static graphs, and overlay topologies keep the
+// like static graphs, and overlay topologies keep the
 // engines' zero-interface CSR fast path even under churn via
 // epoch-stamped CSR views (see DESIGN.md).
 //
-// Above the engines sits the batch layer (batch.go, sweep.go,
-// report.go): Batch runs R seed-derived replications of a scenario of
-// either kind on a worker pool of whole runs and aggregates them online (Replicate is
-// the same pool for non-Scenario ensembles), Sweep crosses parameter
-// axes into an ordered grid of Batches, and Report serialises the grid
-// as versioned JSON/CSV — the format cmd/regcast-bench writes and CI
-// uploads. Replication streams are precomputed in replication order and
-// results folded in replication order, so batch aggregates are
-// bit-identical for every ReplicationWorkers value; replication-level
-// parallelism composes with WithWorkers' per-run workers.
+// Above the engines sits the batch layer (batch.go): Batch runs R
+// seed-derived replications of a scenario of either kind on a worker
+// pool of whole runs and aggregates them online (Replicate is the same
+// pool for non-Scenario ensembles). Replication streams are precomputed
+// in replication order and results folded in replication order, so batch
+// aggregates are bit-identical for every ReplicationWorkers value;
+// replication-level parallelism composes with WithWorkers' per-run
+// workers.
 //
 // The phone-call rounds above are one Scheduler (SchedulerRounds); the
 // facade also ships SchedulerInteractions, the population-protocol
@@ -54,7 +52,7 @@
 // RingProtocol such as NewHermanRing) and execute it with the same Run
 // (Result.Population carries the population-specific fields); Batch
 // folds convergence ensembles into the same BatchResult the broadcast
-// batches produce, so Sweep and cmd/regcast-bench grid them unchanged.
+// batches produce.
 // Both scheduler families run on the shared deterministic sharded
 // super-step contract (internal/sched) — fixed shard count, per-shard
 // split PRNG streams, shard-order merge — so traces are bit-identical

@@ -8,9 +8,8 @@
 // redesign, internal/experiments drives every replication ensemble
 // through regcast.Batch and regcast.Replicate, so the root package cannot
 // also re-export the registry without an import cycle. Programs that only
-// run broadcasts never need this package; programs that regenerate paper
-// tables (cmd/experiments, the bench harness) import it alongside
-// regcast.
+// run broadcasts never need this package; cmd/experiments, which
+// regenerates the paper tables, imports it alongside regcast.
 package experiments
 
 import (

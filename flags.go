@@ -28,11 +28,6 @@ type CommonFlags struct {
 	// "interactions"); Validate parses it and Scheduler returns the
 	// typed selection.
 	SchedulerName string
-	// Topology is the raw -topology value (the ParseTopologySpec string
-	// form, e.g. "hypercube:dim=27"); empty means the command's own
-	// topology flags apply. Validate parses it and TopologySpec returns
-	// the parsed spec.
-	Topology string
 	// CPUProfile and MemProfile name the files StartProfiles writes a CPU
 	// and a heap profile to (`go tool pprof <binary> <file>`); empty means
 	// no profile.
@@ -43,7 +38,6 @@ type CommonFlags struct {
 	Phases bool
 
 	scheduler Scheduler
-	spec      TopologySpec
 }
 
 // AddCommonFlags registers the canonical -seed/-workers/-scheduler flags
@@ -55,8 +49,6 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"engine workers: 0 = shard passes inline, -1 = pool of GOMAXPROCS, n = pool of n; results are identical for every value")
 	fs.StringVar(&f.SchedulerName, "scheduler", SchedulerRounds.String(),
 		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
-	fs.StringVar(&f.Topology, "topology", "",
-		"topology spec override, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
 	fs.BoolVar(&f.Phases, "phases", false,
@@ -128,23 +120,12 @@ func (f *CommonFlags) Validate() error {
 		return fmt.Errorf("-scheduler %q invalid (use rounds or interactions)", f.SchedulerName)
 	}
 	f.scheduler = s
-	if f.Topology != "" {
-		spec, err := ParseTopologySpec(f.Topology)
-		if err != nil {
-			return fmt.Errorf("-topology: %w", err)
-		}
-		f.spec = spec
-	}
 	return nil
 }
 
 // Scheduler returns the engine family the -scheduler flag selected;
 // call Validate first.
 func (f *CommonFlags) Scheduler() Scheduler { return f.scheduler }
-
-// TopologySpec returns the spec the -topology flag selected, or nil when
-// the flag was not given; call Validate first.
-func (f *CommonFlags) TopologySpec() TopologySpec { return f.spec }
 
 // Rand returns the master RNG derived from -seed; Split it per consumer.
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
@@ -153,11 +134,6 @@ func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
 // definition of the flag's semantics.
 func (f *CommonFlags) RunnerOptions() []RunnerOption {
 	return []RunnerOption{WithWorkers(f.Workers)}
-}
-
-// Runner builds the Runner the flags select.
-func (f *CommonFlags) Runner() Runner {
-	return NewRunner(f.RunnerOptions()...)
 }
 
 // TransportFlags is the shared flag surface for commands that can run a

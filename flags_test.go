@@ -46,7 +46,7 @@ func TestProfileFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Runner().Run(context.Background(), sc); err != nil {
+		if _, err := regcast.Run(context.Background(), sc, f.RunnerOptions()...); err != nil {
 			t.Fatal(err)
 		}
 		return stop, nil

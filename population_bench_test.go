@@ -15,9 +15,8 @@ import (
 //
 //	go test -bench BenchmarkPopulation -benchtime 3x .
 //
-// Like the other scale benchmarks, the grid skips itself under -short:
-// CI's machine-readable population numbers come from cmd/regcast-bench's
-// populations grid instead.
+// Like the other scale benchmarks, the grid skips itself under -short;
+// bench/run.sh's population-leader workload is the end-to-end measurement.
 
 // benchPopSizes returns the agent counts to sweep, skipping under
 // -short (CI smoke).

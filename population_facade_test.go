@@ -192,50 +192,6 @@ type observerStub struct{}
 
 func (observerStub) OnSuperStep(SuperStepStats) {}
 
-// TestSweepPopulationCells runs a tiny population sweep end-to-end through
-// Sweep.Build and checks the report carries the population cells in the
-// standard schema.
-func TestSweepPopulationCells(t *testing.T) {
-	sw := Sweep{
-		Name: "population-test",
-		Seed: 5,
-		Axes: []Axis{Vals("n", 60, 120)},
-		Build: func(p Point) (Batch, error) {
-			n := p.Value("n").(int)
-			le, err := NewLeaderElection(n)
-			if err != nil {
-				return Batch{}, err
-			}
-			return Batch{
-				Scenario: PopulationScenario{N: n, Pair: le, Init: InitAllLeaders, Seed: p.Seed},
-			}, nil
-		},
-		Replications: 4,
-	}
-	rep, err := sw.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != ReportSchema {
-		t.Fatalf("schema %q, want %q", rep.Schema, ReportSchema)
-	}
-	if len(rep.Cells) != 2 {
-		t.Fatalf("%d cells, want 2", len(rep.Cells))
-	}
-	for _, c := range rep.Cells {
-		if c.Replications != 4 {
-			t.Fatalf("cell %s ran %d replications, want 4", c.Label, c.Replications)
-		}
-		if c.Completed == 0 {
-			t.Fatalf("cell %s: no replication converged", c.Label)
-		}
-	}
-
-	if _, err := (Sweep{Name: "no-build", Axes: sw.Axes}).Run(context.Background()); err == nil {
-		t.Error("Sweep.Run accepted a sweep with no Build function")
-	}
-}
-
 func TestSchedulerFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

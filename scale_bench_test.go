@@ -23,8 +23,8 @@ import (
 //	go test -bench BenchmarkSharded -benchtime 3x .
 //
 // All scale benchmarks skip themselves under -short: the CI benchmark
-// smoke must never build a 100k- or 1M-node graph (machine-readable CI
-// perf numbers come from cmd/regcast-bench's small grid instead).
+// smoke must never build a 100k- or 1M-node graph (the repository
+// benchmark, bench/run.sh, is where end-to-end timings are measured).
 
 var (
 	benchGraphMu    sync.Mutex

@@ -12,8 +12,7 @@ import (
 // one — the declarative form that lets a single Scenario value stand for
 // a whole family of networks. A Batch over a spec scenario builds one
 // fresh topology per replication (so dynamic, churning topologies
-// replicate safely: no state leaks between runs), and a Sweep can carry
-// specs as axis values.
+// replicate safely: no state leaks between runs).
 //
 // Build must derive every bit of randomness it needs from rng — the
 // convention is one rng.Split() per internal consumer, mirroring the

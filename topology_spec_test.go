@@ -30,50 +30,38 @@ func overlayChurnScenario(t testing.TB, seed uint64) regcast.Scenario {
 	return sc
 }
 
-// TestBatchAcceptsDynamicSpec is the tentpole's batch contract: a batch
-// over a dynamic (churning) TopologySpec scenario runs — no Batch.New
-// escape hatch — and its aggregate JSON and CSV report bytes are
-// identical for every ReplicationWorkers value and every engine worker
-// count with the same trace contract (the sharded engine at any worker
-// count).
+// TestBatchAcceptsDynamicSpec is the batch contract for dynamic
+// topologies: a batch over a churning TopologySpec scenario runs — no
+// Batch.New escape hatch — and its aggregate JSON is identical for every
+// ReplicationWorkers value and every engine worker count.
 func TestBatchAcceptsDynamicSpec(t *testing.T) {
-	runReport := func(repWorkers, engineWorkers int) ([]byte, []byte) {
-		sweep := regcast.Sweep{
-			Name:               "churn-spec",
-			Seed:               99,
+	sc := overlayChurnScenario(t, 99)
+	marshal := func(repWorkers, engineWorkers int) []byte {
+		res, err := regcast.Batch{
+			Scenario:           sc,
 			Replications:       6,
 			ReplicationWorkers: repWorkers,
 			Runner:             regcast.NewRunner(regcast.WithWorkers(engineWorkers)),
-			Build: func(p regcast.Point) (regcast.Batch, error) {
-				return regcast.Batch{Scenario: overlayChurnScenario(t, p.Seed), RandomizeSource: true}, nil
-			},
-		}
-		report, err := sweep.Run(context.Background())
+			RandomizeSource:    true,
+		}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var j, c bytes.Buffer
-		if err := report.WriteJSON(&j); err != nil {
+		buf, err := json.Marshal(res)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := report.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		return j.Bytes(), c.Bytes()
+		return buf
 	}
 
-	baseJSON, baseCSV := runReport(0, 1)
-	if !strings.Contains(string(baseJSON), `"replications": 6`) {
-		t.Fatalf("implausible churn-spec report:\n%s", baseJSON)
+	base := marshal(0, 1)
+	if !strings.Contains(string(base), `"replications":6`) {
+		t.Fatalf("implausible churn-spec aggregate:\n%s", base)
 	}
-	for _, rw := range []int{1, 4} {
+	for _, rw := range []int{0, 1, 4} {
 		for _, ew := range []int{1, 4} {
-			gotJSON, gotCSV := runReport(rw, ew)
-			if !bytes.Equal(gotJSON, baseJSON) {
-				t.Errorf("ReplicationWorkers=%d engineWorkers=%d changes the JSON report:\n%s\nvs\n%s", rw, ew, gotJSON, baseJSON)
-			}
-			if !bytes.Equal(gotCSV, baseCSV) {
-				t.Errorf("ReplicationWorkers=%d engineWorkers=%d changes the CSV report", rw, ew)
+			if got := marshal(rw, ew); !bytes.Equal(got, base) {
+				t.Errorf("ReplicationWorkers=%d engineWorkers=%d changes the aggregate JSON:\n%s\nvs\n%s", rw, ew, got, base)
 			}
 		}
 	}
