@@ -76,3 +76,31 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		})
 	}
 }
+
+func TestDeterministicAcrossRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("determinism sweep in -short mode")
+	}
+	// A fixed seed must reproduce identical tables (E2 exercises graph
+	// generation, protocol runs and fitting).
+	e, ok := ByID("E2")
+	if !ok {
+		t.Fatal("E2 missing")
+	}
+	a, err := e.Run(Options{Seed: 7, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Run(Options{Seed: 7, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatal("table count differs")
+	}
+	for i := range a {
+		if a[i].String() != b[i].String() {
+			t.Errorf("table %d differs between identical runs:\n%s\nvs\n%s", i, a[i], b[i])
+		}
+	}
+}

@@ -71,3 +71,58 @@ func TestMeasureEngineSelection(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelProfileDeterministicAndComplete reruns a representative
+// experiment across engine worker counts — inline (0, 1) and pooled (8):
+// the tables must be identical (the trace is a function of the shard
+// count, not the worker count).
+func TestParallelProfileDeterministicAndComplete(t *testing.T) {
+	e, ok := ByID("E1")
+	if !ok {
+		t.Fatal("E1 not registered")
+	}
+	run := func(workers int) string {
+		tables, err := e.Run(Options{Seed: 11, Quick: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ""
+		for _, tb := range tables {
+			out += tb.String()
+		}
+		return out
+	}
+	inline := run(0)
+	for _, workers := range []int{1, 8} {
+		if got := run(workers); got != inline {
+			t.Errorf("E1 tables differ between 0 and %d workers:\n%s\nvs\n%s", workers, inline, got)
+		}
+	}
+}
+
+// TestExperimentDeterministicAcrossReplicationWorkers reruns E1 with the
+// replication pool at different widths; every table must be byte-identical
+// (the acceptance contract of the batch migration).
+func TestExperimentDeterministicAcrossReplicationWorkers(t *testing.T) {
+	e, ok := ByID("E1")
+	if !ok {
+		t.Fatal("E1 not registered")
+	}
+	run := func(rw int) string {
+		tables, err := e.Run(Options{Seed: 11, Quick: true, ReplicationWorkers: rw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ""
+		for _, tb := range tables {
+			out += tb.String()
+		}
+		return out
+	}
+	serial := run(0)
+	for _, rw := range []int{1, 4, regcast.WorkersAuto} {
+		if got := run(rw); got != serial {
+			t.Errorf("E1 tables differ between ReplicationWorkers=0 and %d:\n%s\nvs\n%s", rw, serial, got)
+		}
+	}
+}
