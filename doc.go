@@ -20,8 +20,9 @@
 // Engines: EngineSimulator (the round simulator; WithWorkers runs its
 // shard passes inline or on a worker pool, with bit-identical results for
 // every worker count at a fixed shard count) and EngineDaemonTransport
-// (anti-entropy gossip over persistent loopback TCP connections, with a
-// health ledger and seeded fault injection; internal/transport).
+// (the scenario's protocol, tick by tick, over persistent loopback TCP
+// connections, with a health ledger and seeded fault injection;
+// internal/transport).
 // Scenario construction fails fast on model violations — e.g.
 // DialQuasirandom with a protocol that may pull.
 //

@@ -1,5 +1,5 @@
 // TCP cluster example: sixteen gossip nodes, each with its own loopback
-// TCP listener, spreading a rumour with push&pull anti-entropy over real
+// TCP listener, spreading a rumour by the push&pull schedule over real
 // sockets (the gossip daemon: one persistent connection per peer) — the
 // deployment-shaped counterpart of the simulator, driven
 // through the same public Scenario/Runner API: only the engine changes,
@@ -22,9 +22,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The protocol contributes its fan-out (k dials per tick) and tick
-	// budget; on a transport engine the push&pull exchange itself runs as
-	// anti-entropy over the wire.
+	// The protocol decides on the daemon as in the simulator: each tick is
+	// one round, in which every node dials k neighbours and pushes, or
+	// answers pull requests, exactly when the schedule says so. Only
+	// packets that carry the rumour count as transmissions.
 	proto, err := baseline.NewPushPull(n, k)
 	if err != nil {
 		log.Fatal(err)
@@ -34,7 +35,7 @@ func main() {
 		regcast.WithSeed(3),
 		regcast.WithObserver(regcast.ObserverFuncs{
 			Round: func(rs regcast.RoundStats) {
-				fmt.Printf("tick %2d: %2d/%d nodes know the rumour (%d packets this tick)\n",
+				fmt.Printf("tick %2d: %2d/%d nodes know the rumour (%d transmissions this tick)\n",
 					rs.Round, rs.Informed, n, rs.Transmissions)
 			},
 		}))
@@ -51,6 +52,6 @@ func main() {
 	if !res.AllInformed {
 		log.Fatalf("rumour reached only %d/%d nodes in %d ticks", res.Informed, n, res.Rounds)
 	}
-	fmt.Printf("\nall %d nodes informed over TCP in %d ticks (%d packets on the wire)\n",
-		n, res.FirstAllInformed, res.Transmissions)
+	fmt.Printf("\nall %d nodes informed over TCP in %d ticks (%d transmissions over the %d-tick schedule)\n",
+		n, res.FirstAllInformed, res.Transmissions, res.Rounds)
 }

@@ -15,35 +15,36 @@ import (
 )
 
 // DaemonConfig parameterises a Daemon. The zero value of every field is
-// replaced by a sensible default; only Nodes is required.
+// replaced by a sensible default; only Nodes is required, and only the
+// package tests set the unexported fields.
 type DaemonConfig struct {
 	// Nodes is the number of local gossip endpoints (one listener each).
 	Nodes int
 	// Mailbox is the per-node inbox capacity (default 1024).
 	Mailbox int
-	// QueueLen is the per-peer bounded send-queue capacity; a full queue
-	// drops with backpressure accounting instead of blocking (default 128).
-	QueueLen int
-	// BackoffBase is the first quarantine window after a failure; windows
-	// double per consecutive failure up to BackoffMax, with ±25% seeded
-	// jitter (defaults 25ms / 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxPacket bounds one wire frame; larger frames are rejected at the
-	// receiver and the connection dropped (default MaxPacketBytes).
-	MaxPacket int
-	// MaxConns is the outbound connection budget: when a dial would
-	// exceed it, the least-recently-used idle connection is evicted
-	// first (default 512; 0 keeps the default, use a negative
-	// value for unlimited).
-	MaxConns int
-	// DedupGens is the number of dupemap generations (default 4, min 2);
-	// rumour content is remembered for DedupGens−1 .. DedupGens rotations
-	// of dedupExpiry.
-	DedupGens int
 	// Seed drives backoff jitter: each link draws from its own split of
 	// it, so a link's dial schedule does not depend on the others'.
 	Seed uint64
+	// queueLen is the per-peer bounded send-queue capacity; a full queue
+	// drops with backpressure accounting instead of blocking (default 128).
+	queueLen int
+	// backoffBase is the first quarantine window after a failure; windows
+	// double per consecutive failure up to backoffMax, with ±25% seeded
+	// jitter (defaults 25ms / 1s).
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	// maxPacket bounds one wire frame; larger frames are rejected at the
+	// receiver and the connection dropped (default MaxPacketBytes).
+	maxPacket int
+	// maxConns is the outbound connection budget: when a dial would
+	// exceed it, the least-recently-used idle connection is evicted
+	// first (default 512; 0 keeps the default, use a negative
+	// value for unlimited).
+	maxConns int
+	// dedupGens is the number of dupemap generations (default 4, min 2);
+	// rumour content is remembered for dedupGens−1 .. dedupGens rotations
+	// of dedupExpiry.
+	dedupGens int
 }
 
 // MaxPacketBytes is the default bound on one wire frame. A peer that
@@ -68,25 +69,25 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.Mailbox == 0 {
 		c.Mailbox = 1024
 	}
-	if c.QueueLen == 0 {
-		c.QueueLen = 128
+	if c.queueLen == 0 {
+		c.queueLen = 128
 	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 25 * time.Millisecond
+	if c.backoffBase == 0 {
+		c.backoffBase = 25 * time.Millisecond
 	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = time.Second
+	if c.backoffMax == 0 {
+		c.backoffMax = time.Second
 	}
-	if c.MaxPacket == 0 {
-		c.MaxPacket = MaxPacketBytes
+	if c.maxPacket == 0 {
+		c.maxPacket = MaxPacketBytes
 	}
-	if c.MaxConns == 0 {
-		c.MaxConns = 512
-	} else if c.MaxConns < 0 {
-		c.MaxConns = 0 // ensureConn's convention: 0 = unlimited
+	if c.maxConns == 0 {
+		c.maxConns = 512
+	} else if c.maxConns < 0 {
+		c.maxConns = 0 // ensureConn's convention: 0 = unlimited
 	}
-	if c.DedupGens == 0 {
-		c.DedupGens = 4
+	if c.dedupGens == 0 {
+		c.dedupGens = 4
 	}
 	return c
 }
@@ -113,7 +114,7 @@ type Daemon struct {
 	links     []*peerLink
 	dedup     *dupemap
 	met       Metrics
-	open      atomic.Int64 // open outbound connections, against MaxConns
+	open      atomic.Int64 // open outbound connections, against maxConns
 	writes    atomic.Int64 // write sequence number; orders links for LRU eviction
 
 	closed atomic.Bool
@@ -134,7 +135,7 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("transport: NewDaemon(Nodes=%d) invalid", cfg.Nodes)
 	}
-	if cfg.Mailbox < 0 || cfg.QueueLen < 0 {
+	if cfg.Mailbox < 0 || cfg.queueLen < 0 {
 		return nil, fmt.Errorf("transport: NewDaemon negative capacity")
 	}
 	cfg = cfg.withDefaults()
@@ -146,7 +147,7 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 		addrs:     make([]string, n),
 		boxes:     make([]chan Packet, n),
 		links:     make([]*peerLink, n),
-		dedup:     newDupemap(cfg.DedupGens, 0, dedupExpiry, now()),
+		dedup:     newDupemap(cfg.dedupGens, 0, dedupExpiry, now()),
 		conns:     make(map[net.Conn]struct{}),
 	}
 	jitter := xrand.New(cfg.Seed)
@@ -159,7 +160,7 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 		d.listeners[i] = ln
 		d.addrs[i] = ln.Addr().String()
 		d.boxes[i] = make(chan Packet, cfg.Mailbox)
-		d.links[i] = &peerLink{d: d, to: i, queue: make(chan Packet, cfg.QueueLen), jitter: jitter.Split()}
+		d.links[i] = &peerLink{d: d, to: i, queue: make(chan Packet, cfg.queueLen), jitter: jitter.Split()}
 	}
 	for i := 0; i < n; i++ {
 		d.wg.Add(1)
@@ -266,18 +267,18 @@ func (d *Daemon) untrackConn(conn net.Conn) {
 }
 
 // readLoop decodes newline-delimited JSON frames off one inbound
-// connection, with MaxPacket bounding each frame.
+// connection, with maxPacket bounding each frame.
 func (d *Daemon) readLoop(i int, conn net.Conn) {
 	defer d.wg.Done()
 	defer d.untrackConn(conn)
 	sc := bufio.NewScanner(conn)
 	// Scanner's limit is max(cap(buf), max): keep the initial buffer at or
-	// under MaxPacket or a small configured bound would be ignored.
+	// under maxPacket or a small configured bound would be ignored.
 	bufCap := 64 << 10
-	if d.cfg.MaxPacket < bufCap {
-		bufCap = d.cfg.MaxPacket
+	if d.cfg.maxPacket < bufCap {
+		bufCap = d.cfg.maxPacket
 	}
-	sc.Buffer(make([]byte, 0, bufCap), d.cfg.MaxPacket)
+	sc.Buffer(make([]byte, 0, bufCap), d.cfg.maxPacket)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {

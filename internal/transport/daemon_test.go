@@ -67,7 +67,7 @@ func TestDaemonSendReceive(t *testing.T) {
 // decoded than written, or a negative number in flight.
 func TestDaemonLedgerNeverNegative(t *testing.T) {
 	const burst = 200
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: burst, QueueLen: burst})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: burst, queueLen: burst})
 	stop := make(chan struct{})
 	polls := make(chan int)
 	go func() {
@@ -130,7 +130,7 @@ func TestDaemonPersistentConnection(t *testing.T) {
 }
 
 func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
-	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, DedupGens: 2})
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, dedupGens: 2})
 	push := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r", Payload: "p"}}}
 	for i := 0; i < 3; i++ {
 		if err := d.Send(1, push); err != nil {
@@ -151,8 +151,8 @@ func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
 		t.Errorf("delivered/deduped = %d/%d, want 1/3", h.Delivered, h.Deduped)
 	}
 	// The ring rotates on access by the daemon's clock, every dedupExpiry:
-	// after DedupGens−1 intervals the content is still suppressed, after
-	// DedupGens it is deliverable again.
+	// after dedupGens−1 intervals the content is still suppressed, after
+	// dedupGens it is deliverable again.
 	clk.Advance(dedupExpiry)
 	if err := d.Send(1, push); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestDaemonDialFailureQuarantinesPeer(t *testing.T) {
 		t.Errorf("LedgerGap = %d under dial failures, want 0", gap)
 	}
 	// The window ends on the daemon's clock, not the wall clock.
-	clk.Advance(2 * d.cfg.BackoffMax)
+	clk.Advance(2 * d.cfg.backoffMax)
 	if st := d.Health().Peers[1]; st.State != PeerIdle {
 		t.Errorf("peer 1 = %v after its window, want idle", st.State)
 	}
@@ -251,7 +251,7 @@ func TestDaemonRedialAfterSeveredConnection(t *testing.T) {
 }
 
 func TestDaemonConnectionBudgetEvictsIdleLink(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 3, MaxConns: 1})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 3, maxConns: 1})
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestDaemonMailboxBackpressure(t *testing.T) {
 }
 
 func TestDaemonOversizeFrameDropped(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, MaxPacket: 256})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, maxPacket: 256})
 	big := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "big", Payload: strings.Repeat("x", 1024)}}}
 	if err := d.Send(1, big); err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(g, d, 2, 45)
+	c, err := NewCluster(g, d, antiEntropy(2), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 	if err := c.Insert(0, Rumor{ID: "daemon-rumor", Payload: "persistent"}); err != nil {
 		t.Fatal(err)
 	}
-	ticks := tickUntilAllKnow(t, c, "daemon-rumor", 40, nil)
+	ticks := tickUntilAllHeard(t, c, 40, nil)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 		t.Errorf("WireLost = %d on a clean run, want 0", h.WireLost())
 	}
 	if h.Deduped == 0 {
-		t.Error("anti-entropy gossip produced zero dedup hits (dupemap inert?)")
+		t.Error("always-push gossip produced zero dedup hits (dupemap inert?)")
 	}
 	// Persistent links: far fewer dials than packets.
 	if h.Dials >= h.Sends {

@@ -18,9 +18,9 @@ import (
 // rule: one owner for dial history) and no lock guards it. Send and Health
 // read only what the writer publishes atomically: the quarantine expiry
 // and the failure count. Dial failures open a backoff window of
-// BackoffBase·2^(fails−1), capped at BackoffMax, with ±25% jitter from the
+// backoffBase·2^(fails−1), capped at backoffMax, with ±25% jitter from the
 // link's own seeded stream; a successful dial clears the history. A
-// MaxConns budget evicts the least-recently-written idle link before a new
+// maxConns budget evicts the least-recently-written idle link before a new
 // dial.
 type peerLink struct {
 	d  *Daemon
@@ -51,9 +51,9 @@ func (l *peerLink) quarantined(now time.Time) bool { return now.UnixNano() < l.u
 func (l *peerLink) fail() {
 	cfg := &l.d.cfg
 	fails := l.fails.Add(1)
-	backoff := cfg.BackoffBase << uint(min(fails-1, 16))
-	if backoff > cfg.BackoffMax || backoff <= 0 {
-		backoff = cfg.BackoffMax
+	backoff := cfg.backoffBase << uint(min(fails-1, 16))
+	if backoff > cfg.backoffMax || backoff <= 0 {
+		backoff = cfg.backoffMax
 	}
 	backoff = time.Duration(float64(backoff) * (0.75 + 0.5*l.jitter.Float64()))
 	l.until.Store(l.d.now().Add(backoff).UnixNano())
@@ -153,7 +153,7 @@ func (l *peerLink) ensureConn() error {
 		return nil // only this writer sets conn, so it stays set or is severed
 	}
 	d := l.d
-	if budget := int64(d.cfg.MaxConns); budget > 0 && d.open.Load() >= budget && d.evictIdleConn() {
+	if budget := int64(d.cfg.maxConns); budget > 0 && d.open.Load() >= budget && d.evictIdleConn() {
 		d.met.BudgetEvictions.Add(1)
 	}
 	d.open.Add(1)

@@ -31,7 +31,7 @@ func window(l *peerLink, clk *fakeClock) time.Duration {
 var pull = Packet{From: 0, Kind: KindPullRequest}
 
 func TestDialSchedulerBackoffGrowsAndCaps(t *testing.T) {
-	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second})
+	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, backoffBase: 100 * time.Millisecond, backoffMax: time.Second})
 	d.addrs[1] = refusedAddr(t)
 	l := d.links[1]
 	// Windows double per consecutive failure (±25% jitter) up to the cap.
@@ -116,7 +116,7 @@ func TestDialSchedulerSuccessClearsHistory(t *testing.T) {
 // TestDialSchedulerBudget: the connection budget is one counter, and
 // eviction takes the least-recently-written idle link.
 func TestDialSchedulerBudget(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 5, MaxConns: 3})
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 5, maxConns: 3})
 	for _, to := range []int{1, 2, 3, 1} { // 1 is written after 3
 		d.links[to].deliver(pull)
 	}

@@ -40,7 +40,7 @@ func frameCounts(data []byte, max int) (frames, oversize int64) {
 func FuzzDaemonFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clk := &fakeClock{}
-		d, err := newDaemon(DaemonConfig{Nodes: 1, MaxPacket: fuzzMaxPacket}, clk.Now)
+		d, err := newDaemon(DaemonConfig{Nodes: 1, maxPacket: fuzzMaxPacket}, clk.Now)
 		if err != nil {
 			t.Fatal(err)
 		}

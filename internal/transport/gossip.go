@@ -2,186 +2,192 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"regcast/internal/graph"
+	"regcast/internal/phonecall"
 	"regcast/internal/xrand"
 )
 
-// Node is an anti-entropy gossip participant: it continuously merges
-// rumours from its inbox, answers pull requests, and — when ticked —
-// contacts k random neighbours with a push packet and a pull request.
-// This is the push&pull pattern of the phone call model running over a
-// real transport instead of simulated rounds.
-type Node struct {
+// unheard is a node's heardAt before it holds the rumour.
+const unheard = phonecall.Uninformed
+
+// node is one gossip participant. It takes every decision from the
+// cluster's protocol and the tick in which it first held the rumour
+// (heardAt), as a node of the round simulator does.
+type node struct {
 	id    int
-	tr    Transport
 	peers []int
-	k     int
+	rng   *xrand.Rand // read by Tick alone
+
+	mu      sync.Mutex
+	heardAt int // the tick the rumour first arrived in; unheard before
+}
+
+// Cluster runs the phone call model's rounds as ticks over a transport:
+// one node per vertex of a topology, pushing and answering pulls exactly
+// when the scenario's protocol says so — the simulator's decision source.
+// A transmission is a packet that carries the rumour (a push or a pull
+// reply); pull requests are the channels the model dials.
+type Cluster struct {
+	nodes   []*node
+	tr      Transport
+	proto   phonecall.Protocol
+	k       int
+	rumor   atomic.Pointer[Rumor] // the one rumour, set by the first Insert
+	now     atomic.Int64          // the current tick, which stamps arrivals
+	tx      atomic.Int64
+	handled atomic.Int64 // inbox packets the node loops finished with
+	wg      sync.WaitGroup
 
 	mu    sync.Mutex
-	rng   *xrand.Rand
-	known map[string]Rumor
-
-	done chan struct{}
+	fresh []int // nodes that first heard the rumour since the last Newly
 }
 
-// Known returns a snapshot of the rumours this node has heard.
-func (n *Node) Known() []Rumor {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Rumor, 0, len(n.known))
-	for _, r := range n.known {
-		out = append(out, r)
+// NewCluster builds one node per vertex of g, wired through tr, each
+// dialling proto.Choices() random neighbours per tick and deciding by
+// proto's SendPush and SendPull. Node RNGs derive from seed.
+func NewCluster(g *graph.Graph, tr Transport, proto phonecall.Protocol, seed uint64) (*Cluster, error) {
+	if g == nil || tr == nil || proto == nil {
+		return nil, fmt.Errorf("transport: NewCluster requires graph, transport and protocol")
 	}
-	return out
-}
-
-// Knows reports whether the node has heard rumour id.
-func (n *Node) Knows(id string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.known[id]
-	return ok
-}
-
-// insert merges rumours and reports how many were new.
-func (n *Node) insert(rs []Rumor) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	added := 0
-	for _, r := range rs {
-		if _, ok := n.known[r.ID]; !ok {
-			n.known[r.ID] = r
-			added++
+	c := &Cluster{tr: tr, proto: proto, k: proto.Choices()}
+	if c.k < 1 {
+		return nil, fmt.Errorf("transport: NewCluster k=%d must be >= 1", c.k)
+	}
+	master := xrand.New(seed)
+	for v := 0; v < g.NumNodes(); v++ {
+		peers := make([]int, 0, g.Degree(v))
+		for _, w := range g.Neighbors(v) {
+			peers = append(peers, int(w))
 		}
+		c.nodes = append(c.nodes, &node{id: v, peers: peers, rng: master.Split(), heardAt: unheard})
 	}
-	return added
+	for _, n := range c.nodes {
+		c.wg.Add(1)
+		go func(n *node) {
+			defer c.wg.Done()
+			c.processLoop(n)
+		}(n)
+	}
+	return c, nil
 }
 
-// pickPeers selects min(k, len(peers)) distinct random neighbours.
-func (n *Node) pickPeers() []int {
+// hear stamps the rumour's first arrival at n with the current tick. The
+// tick is read under the node's lock, which HeardAt takes too, so Tick(t)
+// sees every arrival stamped before t.
+func (c *Cluster) hear(n *node) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	k := n.k
-	if k > len(n.peers) {
-		k = len(n.peers)
+	if n.heardAt == unheard {
+		n.heardAt = int(c.now.Load())
+		c.mu.Lock()
+		c.fresh = append(c.fresh, n.id)
+		c.mu.Unlock()
 	}
-	idx := n.rng.DistinctK(nil, k, len(n.peers), nil)
-	out := make([]int, 0, k)
-	for _, i := range idx {
-		out = append(out, n.peers[i])
-	}
-	return out
 }
 
-// processLoop drains the inbox until the transport closes it. A packet
-// counts as handled only after everything it causes — the insert, or the
-// reply's Send — so Settle never sees a handled packet whose reply is not
-// yet in the ledger.
-func (n *Node) processLoop(c *Cluster) {
-	defer close(n.done)
-	for p := range n.tr.Inbox(n.id) {
+// processLoop drains a node's inbox until the transport closes it. A
+// packet counts as handled only after everything it causes — the stamp, or
+// the reply's Send — so Settle never sees a handled packet whose reply is
+// not yet in the ledger.
+func (c *Cluster) processLoop(n *node) {
+	for p := range c.tr.Inbox(n.id) {
 		switch p.Kind {
 		case KindPush, KindPullReply:
-			n.insert(p.Rumors)
+			if len(p.Rumors) > 0 {
+				c.hear(n)
+			}
 		case KindPullRequest:
-			reply := Packet{From: n.id, Kind: KindPullReply, Rumors: n.Known()}
-			if err := n.tr.Send(p.From, reply); err == nil {
-				c.sent.Add(1)
+			// The callee answers iff it held the rumour before this tick
+			// and its cohort pulls now; otherwise it stays silent.
+			t, at := int(c.now.Load()), c.HeardAt(n.id)
+			if at == unheard || at >= t || !c.proto.SendPull(t, at) {
+				break
+			}
+			reply := Packet{From: n.id, Kind: KindPullReply, Rumors: []Rumor{*c.rumor.Load()}}
+			if err := c.tr.Send(p.From, reply); err == nil {
+				c.tx.Add(1)
 			}
 		}
 		c.handled.Add(1)
 	}
 }
 
-// Cluster couples gossip nodes over a transport according to a topology.
-type Cluster struct {
-	nodes   []*Node
-	tr      Transport
-	sent    atomic.Int64
-	handled atomic.Int64 // inbox packets the node loops finished with
-	wg      sync.WaitGroup
-}
+// Transmissions returns the number of rumour-carrying packets (pushes and
+// pull replies) successfully handed to the transport so far.
+func (c *Cluster) Transmissions() int64 { return c.tx.Load() }
 
-// NewCluster builds one Node per vertex of g, wired through tr, each
-// contacting k random neighbours per tick. Node RNGs derive from seed.
-func NewCluster(g *graph.Graph, tr Transport, k int, seed uint64) (*Cluster, error) {
-	if g == nil || tr == nil {
-		return nil, fmt.Errorf("transport: NewCluster requires graph and transport")
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("transport: NewCluster k=%d must be >= 1", k)
-	}
-	master := xrand.New(seed)
-	c := &Cluster{tr: tr}
-	for v := 0; v < g.NumNodes(); v++ {
-		peers := make([]int, 0, g.Degree(v))
-		for _, w := range g.Neighbors(v) {
-			peers = append(peers, int(w))
-		}
-		n := &Node{
-			id:    v,
-			tr:    tr,
-			peers: peers,
-			k:     k,
-			rng:   master.Split(),
-			known: make(map[string]Rumor),
-			done:  make(chan struct{}),
-		}
-		c.nodes = append(c.nodes, n)
-	}
-	for _, n := range c.nodes {
-		c.wg.Add(1)
-		go func(n *Node) {
-			defer c.wg.Done()
-			n.processLoop(c)
-		}(n)
-	}
-	return c, nil
-}
-
-// Node returns the v-th node.
-func (c *Cluster) Node(v int) *Node { return c.nodes[v] }
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
-// PacketsSent returns the number of packets successfully handed to the
-// transport so far.
-func (c *Cluster) PacketsSent() int64 { return c.sent.Load() }
-
-// Insert seeds a rumour at the given node.
+// Insert makes node a source: it holds r from tick 0. The cluster spreads
+// one rumour, so every Insert must pass the same one.
 func (c *Cluster) Insert(node int, r Rumor) error {
 	if node < 0 || node >= len(c.nodes) {
 		return fmt.Errorf("transport: Insert at node %d out of range", node)
 	}
-	c.nodes[node].insert([]Rumor{r})
+	if !c.rumor.CompareAndSwap(nil, &r) && *c.rumor.Load() != r {
+		return fmt.Errorf("transport: the cluster spreads one rumour (%q), not %q", c.rumor.Load().ID, r.ID)
+	}
+	n := c.nodes[node]
+	n.mu.Lock()
+	n.heardAt = 0
+	n.mu.Unlock()
 	return nil
 }
 
-// Tick makes every node that knows at least one rumour contact k random
-// neighbours with a push packet, and every node (informed or not) issue a
-// pull request to k random neighbours — one asynchronous "round".
-func (c *Cluster) Tick() error {
-	for _, n := range c.nodes {
-		rumors := n.Known()
-		for _, peer := range n.pickPeers() {
-			if len(rumors) > 0 {
-				if err := n.tr.Send(peer, Packet{From: n.id, Kind: KindPush, Rumors: rumors}); err != nil {
-					return fmt.Errorf("transport: push from %d to %d: %w", n.id, peer, err)
+// Tick runs round t (numbered from 1, increasing) on the tick's start
+// state: every node picks min(k, deg) distinct peers, pushes the rumour to
+// them iff it heard it before t and SendPush(t, heardAt), and sends them
+// pull requests iff some informed cohort pulls in round t. A packet
+// arriving during tick t stamps t, so no node acts in tick t on what it
+// heard in it.
+func (c *Cluster) Tick(t int) error {
+	c.now.Store(int64(t))
+	anyPull := slices.ContainsFunc(c.nodes, func(n *node) bool {
+		at := c.HeardAt(n.id)
+		return at != unheard && at < t && c.proto.SendPull(t, at)
+	})
+	for v, n := range c.nodes {
+		at := c.HeardAt(v)
+		push := at != unheard && at < t && c.proto.SendPush(t, at)
+		for _, i := range n.rng.DistinctK(nil, min(c.k, len(n.peers)), len(n.peers), nil) {
+			if push {
+				if err := c.tr.Send(n.peers[i], Packet{From: v, Kind: KindPush, Rumors: []Rumor{*c.rumor.Load()}}); err != nil {
+					return fmt.Errorf("transport: push from %d to %d: %w", v, n.peers[i], err)
 				}
-				c.sent.Add(1)
+				c.tx.Add(1)
 			}
-			if err := n.tr.Send(peer, Packet{From: n.id, Kind: KindPullRequest}); err != nil {
-				return fmt.Errorf("transport: pull-request from %d to %d: %w", n.id, peer, err)
+			if anyPull {
+				if err := c.tr.Send(n.peers[i], Packet{From: v, Kind: KindPullRequest}); err != nil {
+					return fmt.Errorf("transport: pull-request from %d to %d: %w", v, n.peers[i], err)
+				}
 			}
-			c.sent.Add(1)
 		}
 	}
 	return nil
+}
+
+// Newly appends to dst the nodes that first heard the rumour since the
+// previous call, in ascending order, and returns it.
+func (c *Cluster) Newly(dst []int) []int {
+	c.mu.Lock()
+	from := len(dst)
+	dst = append(dst, c.fresh...)
+	c.fresh = c.fresh[:0]
+	c.mu.Unlock()
+	slices.Sort(dst[from:])
+	return dst
+}
+
+// HeardAt returns the tick in which node v first held the rumour, or
+// phonecall.Uninformed.
+func (c *Cluster) HeardAt(v int) int {
+	n := c.nodes[v]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.heardAt
 }
 
 // Settle waits until the cluster is silent — the transport's ledger has
@@ -211,17 +217,6 @@ func (c *Cluster) settled() bool {
 	handled := c.handled.Load()
 	h := c.tr.Health()
 	return h.InFlight() == 0 && handled == h.Delivered
-}
-
-// CountKnowing returns how many nodes have heard rumour id.
-func (c *Cluster) CountKnowing(id string) int {
-	count := 0
-	for _, n := range c.nodes {
-		if n.Knows(id) {
-			count++
-		}
-	}
-	return count
 }
 
 // Close shuts down the transport and waits for all node loops to finish.

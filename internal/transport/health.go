@@ -31,7 +31,7 @@ type Metrics struct {
 	WriteDrops      atomic.Int64 // dial/write failed after retries
 	ShutdownDrops   atomic.Int64 // queued packets discarded at Close
 	MailboxDrops    atomic.Int64 // destination mailbox full
-	OversizeDrops   atomic.Int64 // frames over MaxPacket, connection dropped
+	OversizeDrops   atomic.Int64 // frames over maxPacket, connection dropped
 	DecodeDrops     atomic.Int64 // malformed frames
 
 	// Written counts frames fully written to a peer connection. The writer

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// TestChaosSoak is the tentpole's acceptance test: anti-entropy gossip
-// over the resilient daemon with deterministic fault injection. For every
+// TestChaosSoak is the daemon's resilience test: always-push-and-pull
+// gossip over the resilient daemon with deterministic fault injection. For every
 // fault regime the rumour must still reach all nodes, and the combined
 // plan+daemon ledger must balance exactly — every packet handed to Send
 // ends in delivered, deduped, or an accounted drop bucket.
@@ -64,7 +64,7 @@ func TestChaosSoak(t *testing.T) {
 			g := gossipGraph(t, n, deg)
 			d, err := NewDaemon(DaemonConfig{
 				Nodes: n, Mailbox: 8192, Seed: 5,
-				BackoffBase: 5 * time.Millisecond, BackoffMax: 25 * time.Millisecond,
+				backoffBase: 5 * time.Millisecond, backoffMax: 25 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -73,7 +73,7 @@ func TestChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := NewCluster(g, plan, k, 46)
+			c, err := NewCluster(g, plan, antiEntropy(k), 46)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			// One tick = one fault epoch; each tick settles before the next
 			// epoch severs anything, so no frame is on a severed wire.
-			ticks := tickUntilAllKnow(t, c, rumorID, maxTicks, plan.AdvanceEpoch)
+			ticks := tickUntilAllHeard(t, c, maxTicks, plan.AdvanceEpoch)
 			if err := c.Close(); err != nil { // closes plan, then daemon
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	g := gossipGraph(t, 8, 4)
 	d, err := NewDaemon(DaemonConfig{
 		Nodes: 8, Mailbox: 4096, Seed: 5,
-		BackoffBase: 5 * time.Millisecond, BackoffMax: 25 * time.Millisecond,
+		backoffBase: 5 * time.Millisecond, backoffMax: 25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(g, plan, 2, 47)
+	c, err := NewCluster(g, plan, antiEntropy(2), 47)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 		plan.AdvanceEpoch()
 		tick(t, c)
 	}
-	tickUntilAllKnow(t, c, "redial-rumor", 36, plan.AdvanceEpoch)
+	tickUntilAllHeard(t, c, 36, plan.AdvanceEpoch)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

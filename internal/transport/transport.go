@@ -1,6 +1,7 @@
-// Package transport provides message transports and a small anti-entropy
-// gossip node for running push/pull rumour spreading over real channels —
-// the deployment-shaped counterpart of the round-based simulator. The
+// Package transport provides message transports and a gossip cluster that
+// runs a phone call protocol's rounds as ticks over real channels — the
+// deployment-shaped counterpart of the round-based simulator, deciding by
+// the same Protocol calls. The
 // transport is the Daemon (newline-delimited JSON frames over persistent
 // loopback TCP connections); FaultPlan wraps any Transport with seeded
 // chaos, and the package tests run the cluster over an in-memory fake.

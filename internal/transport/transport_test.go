@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,16 @@ import (
 	"regcast/internal/graph"
 	"regcast/internal/xrand"
 )
+
+// antiEntropy is the tests' schedule: every informed node pushes and
+// answers pulls in every tick, dialling k peers.
+type antiEntropy int
+
+func (antiEntropy) Name() string           { return "anti-entropy" }
+func (k antiEntropy) Choices() int         { return int(k) }
+func (antiEntropy) Horizon() int           { return math.MaxInt32 }
+func (antiEntropy) SendPush(_, _ int) bool { return true }
+func (antiEntropy) SendPull(_, _ int) bool { return true }
 
 // stepWait returns the budget for one blocking wait, honouring the test
 // binary's -timeout through t.Deadline: the default is clamped so a stuck
@@ -136,22 +147,26 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
-	if _, err := NewCluster(nil, tr, 2, 1); err == nil {
+	if _, err := NewCluster(nil, tr, antiEntropy(2), 1); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := NewCluster(g, nil, 2, 1); err == nil {
+	if _, err := NewCluster(g, nil, antiEntropy(2), 1); err == nil {
 		t.Error("nil transport accepted")
 	}
-	if _, err := NewCluster(g, tr, 0, 1); err == nil {
+	if _, err := NewCluster(g, tr, nil, 1); err == nil {
+		t.Error("nil protocol accepted")
+	}
+	if _, err := NewCluster(g, tr, antiEntropy(0), 1); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
-// tick runs one gossip tick and waits for it to fall silent; a tick that
-// does not settle fails the test, since every transport here settles.
+// tick runs the cluster's next tick and waits for it to fall silent; a
+// tick that does not settle fails the test, since every transport here
+// settles.
 func tick(t *testing.T, c *Cluster) {
 	t.Helper()
-	if err := c.Tick(); err != nil {
+	if err := c.Tick(int(c.now.Load()) + 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Settle(stepWait(t, 5*time.Second)) {
@@ -159,21 +174,32 @@ func tick(t *testing.T, c *Cluster) {
 	}
 }
 
-// tickUntilAllKnow ticks the cluster until every node knows the rumour,
+// heardCount returns how many nodes hold the rumour.
+func heardCount(c *Cluster) int {
+	count := 0
+	for v := range c.nodes {
+		if c.HeardAt(v) != unheard {
+			count++
+		}
+	}
+	return count
+}
+
+// tickUntilAllHeard ticks the cluster until every node holds the rumour,
 // running advance (when non-nil) before each tick, and returns the number
 // of ticks used.
-func tickUntilAllKnow(t *testing.T, c *Cluster, id string, maxTicks int, advance func()) int {
+func tickUntilAllHeard(t *testing.T, c *Cluster, maxTicks int, advance func()) int {
 	t.Helper()
 	for n := 1; n <= maxTicks; n++ {
 		if advance != nil {
 			advance()
 		}
 		tick(t, c)
-		if c.CountKnowing(id) == c.Size() {
+		if heardCount(c) == len(c.nodes) {
 			return n
 		}
 	}
-	t.Fatalf("rumour %q reached %d/%d nodes after %d ticks", id, c.CountKnowing(id), c.Size(), maxTicks)
+	t.Fatalf("rumour reached %d/%d nodes after %d ticks", heardCount(c), len(c.nodes), maxTicks)
 	return 0
 }
 
@@ -183,7 +209,7 @@ func TestGossipOverInMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(g, tr, 2, 42)
+	c, err := NewCluster(g, tr, antiEntropy(2), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +217,13 @@ func TestGossipOverInMem(t *testing.T) {
 	if err := c.Insert(0, Rumor{ID: "update-1", Payload: "hello"}); err != nil {
 		t.Fatal(err)
 	}
-	ticks := tickUntilAllKnow(t, c, "update-1", 40, nil)
-	t.Logf("rumour reached all 32 nodes in %d ticks, %d packets", ticks, c.PacketsSent())
-	if c.PacketsSent() == 0 {
-		t.Error("no packets counted")
+	ticks := tickUntilAllHeard(t, c, 40, nil)
+	t.Logf("rumour reached all 32 nodes in %d ticks, %d transmissions", ticks, c.Transmissions())
+	if c.Transmissions() == 0 {
+		t.Error("no transmissions counted")
 	}
-	if !c.Node(31).Knows("update-1") {
-		t.Error("node 31 missing rumour despite count")
+	if at := c.HeardAt(31); at < 1 || at > ticks {
+		t.Errorf("node 31 heard the rumour in tick %d, want one of 1..%d", at, ticks)
 	}
 }
 
@@ -207,7 +233,7 @@ func TestInsertValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(g, tr, 1, 2)
+	c, err := NewCluster(g, tr, antiEntropy(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,32 +244,11 @@ func TestInsertValidation(t *testing.T) {
 	if err := c.Insert(99, Rumor{ID: "x"}); err == nil {
 		t.Error("out-of-range node accepted")
 	}
-}
-
-func TestMultipleRumorsConverge(t *testing.T) {
-	g := gossipGraph(t, 16, 4)
-	tr, err := NewInMem(16, 8192)
-	if err != nil {
+	if err := c.Insert(0, Rumor{ID: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(g, tr, 2, 44)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	ids := []string{"a", "b", "c"}
-	for i, id := range ids {
-		if err := c.Insert(i*5, Rumor{ID: id, Payload: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range ids {
-		tickUntilAllKnow(t, c, id, 60, nil)
-	}
-	for _, n := range []int{0, 7, 15} {
-		if got := len(c.Node(n).Known()); got != len(ids) {
-			t.Errorf("node %d knows %d rumours, want %d", n, got, len(ids))
-		}
+	if err := c.Insert(1, Rumor{ID: "y"}); err == nil {
+		t.Error("a second rumour accepted")
 	}
 }
 
@@ -290,7 +295,7 @@ func TestSettleMatchesClosedLedger(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr(t)
-			c, err := NewCluster(gossipGraph(t, 16, 4), tr, 2, 48)
+			c, err := NewCluster(gossipGraph(t, 16, 4), tr, antiEntropy(2), 48)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +303,7 @@ func TestSettleMatchesClosedLedger(t *testing.T) {
 			if err := c.Insert(0, Rumor{ID: "exact"}); err != nil {
 				t.Fatal(err)
 			}
-			tickUntilAllKnow(t, c, "exact", 40, nil)
+			tickUntilAllHeard(t, c, 40, nil)
 			settled := tr.Health()
 			if settled.InFlight() != 0 || settled.LedgerGap() != 0 {
 				t.Errorf("settled ledger: InFlight %d, LedgerGap %d, want 0/0", settled.InFlight(), settled.LedgerGap())
@@ -324,12 +329,15 @@ func TestSettleReportsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(gossipGraph(t, 8, 4), plan, 1, 5)
+	c, err := NewCluster(gossipGraph(t, 8, 4), plan, antiEntropy(1), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Tick(); err != nil {
+	if err := c.Insert(0, Rumor{ID: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tick(1); err != nil {
 		t.Fatal(err)
 	}
 	if in := plan.Health().InFlight(); in == 0 {

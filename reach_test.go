@@ -19,15 +19,14 @@ import (
 // HalfWidth). An entry that a program starts to reach, or whose function is
 // deleted, fails the test, so the list cannot go stale.
 var callerAllowlist = map[string]string{
-	"regcast/internal/graph.Ring":                        "fixture of the graph, phonecall, core, baseline, spectral and overlay tests",
-	"(*regcast/internal/graph.Graph).DiameterExact":      "TestDiameterLowerBound's oracle",
-	"(*regcast/internal/graph.Graph).EdgesWithin":        "the oracle in internal/graph/structure_test.go",
-	"regcast/internal/stats.Summarize":                   "TestAccumulatorMatchesSummarize's oracle",
-	"(*regcast/internal/stats.Accumulator).HalfWidth":    "stats tests; ROADMAP 2(a) sizes replication counts with it",
-	"(*regcast/internal/core.FourChoice).Variant":        "core tests observe the chosen algorithm through it",
-	"(*regcast/internal/p2p/replica.Store).Entries":      "replica tests observe the store through it",
-	"(*regcast/internal/transport.Cluster).CountKnowing": "transport tests observe delivery through it",
-	"(*regcast/internal/transport.FaultPlan).Trace":      "TestFaultPlanDeterministicSchedule observes the fault decisions through it",
+	"regcast/internal/graph.Ring":                     "fixture of the graph, phonecall, core, baseline, spectral and overlay tests",
+	"(*regcast/internal/graph.Graph).DiameterExact":   "TestDiameterLowerBound's oracle",
+	"(*regcast/internal/graph.Graph).EdgesWithin":     "the oracle in internal/graph/structure_test.go",
+	"regcast/internal/stats.Summarize":                "TestAccumulatorMatchesSummarize's oracle",
+	"(*regcast/internal/stats.Accumulator).HalfWidth": "stats tests; ROADMAP 2(a) sizes replication counts with it",
+	"(*regcast/internal/core.FourChoice).Variant":     "core tests observe the chosen algorithm through it",
+	"(*regcast/internal/p2p/replica.Store).Entries":   "replica tests observe the store through it",
+	"(*regcast/internal/transport.FaultPlan).Trace":   "TestFaultPlanDeterministicSchedule observes the fault decisions through it",
 }
 
 // TestEveryFunctionHasACaller type-checks the non-test files of both modules

@@ -22,15 +22,13 @@ const (
 	// run inline or on a pool (WithWorkers) — bit-identical results,
 	// whatever the worker count.
 	EngineSimulator Engine = iota
-	// EngineDaemonTransport executes the scenario as anti-entropy gossip
-	// on the resilient gossip daemon (internal/transport): each tick, every
-	// node contacts Choices() random neighbours with push packets and pull
-	// requests over persistent per-peer TCP connections, each link
-	// redialling with backoff, bounded per-peer send queues with drop
-	// accounting, and expiring-bucket rumour dedup. Deployment-shaped, so
-	// per-tick metrics are measured (not simulated) and wall-clock
-	// dependent. WithTransportFaults injects reproducible chaos in front
-	// of it.
+	// EngineDaemonTransport runs the scenario's protocol on the resilient
+	// gossip daemon (internal/transport), one tick per round: nodes push
+	// and answer pulls exactly when SendPush/SendPull say so, over
+	// persistent per-peer TCP connections with redial backoff, bounded
+	// send queues and rumour dedup. A run without faults whose ticks all
+	// settle (TickTimeouts == 0) is reproducible from the seed.
+	// WithTransportFaults injects reproducible chaos in front of it.
 	EngineDaemonTransport
 )
 
@@ -90,7 +88,8 @@ func NewRunner(opts ...RunnerOption) Runner {
 type Result struct {
 	// Engine records which engine executed the run.
 	Engine Engine
-	// Rounds is the number of rounds (daemon engine: ticks) executed.
+	// Rounds is the number of rounds (daemon engine: ticks) executed: the
+	// protocol's horizon, or FirstAllInformed under WithStopEarly.
 	Rounds int
 	// CountedRounds is how many of them, the last ones, the simulator
 	// counted instead of simulating: once every node is informed on a static,
@@ -106,8 +105,9 @@ type Result struct {
 	// FirstAllInformed is the earliest round after which every alive node
 	// was informed, or -1 if that never happened.
 	FirstAllInformed int
-	// Transmissions counts message transmissions (daemon engine: packets
-	// handed to the transport).
+	// Transmissions counts the pushes and pull replies that carry the
+	// message (daemon engine: handed to the transport); ChannelsDialed
+	// charges the pull requests.
 	Transmissions int64
 	// ChannelsDialed counts the channel dials the model mandates.
 	ChannelsDialed int64
@@ -316,11 +316,10 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 	}, ctxErr(ctx)
 }
 
-// runTransport executes the scenario as anti-entropy gossip on the daemon.
-// The protocol contributes its fan-out (Choices) and tick budget
-// (Horizon); the push/pull schedule itself is the transport cluster's
-// continuous anti-entropy, so traces are wall-clock dependent and not
-// reproducible from the seed alone.
+// runTransport executes the scenario on the daemon, one tick per round of
+// its protocol (transport.Cluster). The daemon's jitter and the nodes' peer
+// picks draw from two seeds off the run's stream, so a run without faults
+// whose ticks all settle is reproducible from the seed.
 func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	st, ok := s.topo.(phonecall.Static)
 	if !ok {
@@ -339,11 +338,13 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 			return Result{}, err
 		}
 	}
+	rng := s.runRNG()
+	daemonSeed, clusterSeed := rng.Uint64(), rng.Uint64()
 	var tr transport.Transport
 	tr, err := transport.NewDaemon(transport.DaemonConfig{
 		Nodes:   n,
 		Mailbox: r.mailbox,
-		Seed:    s.runSeed(),
+		Seed:    daemonSeed,
 	})
 	if err != nil {
 		return Result{}, err
@@ -357,15 +358,14 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		}
 		tr = plan
 	}
-	cluster, err := transport.NewCluster(g, tr, s.proto.Choices(), s.runSeed())
+	cluster, err := transport.NewCluster(g, tr, s.proto, clusterSeed)
 	if err != nil {
 		tr.Close()
 		return Result{}, err
 	}
 	defer cluster.Close()
 
-	const rumorID = "regcast/scenario"
-	if err := cluster.Insert(s.source, transport.Rumor{ID: rumorID, Payload: "scenario broadcast"}); err != nil {
+	if err := cluster.Insert(s.source, transport.Rumor{ID: "regcast/scenario", Payload: "scenario broadcast"}); err != nil {
 		return Result{}, err
 	}
 
@@ -384,6 +384,7 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	res := Result{Engine: r.engine, FirstAllInformed: -1, AliveNodes: n}
 	informed := 1
 	var lastSent int64
+	var newly []int
 	halt := haltFor(ctx)
 	for t := 1; t <= s.proto.Horizon(); t++ {
 		if halt != nil && halt() {
@@ -394,29 +395,27 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 			// the plan are tick ranges.
 			plan.AdvanceEpoch()
 		}
-		if err := cluster.Tick(); err != nil {
+		if err := cluster.Tick(t); err != nil {
 			return Result{}, err
 		}
 		if cluster.Settle(tickDeadline) {
 			res.TickTimeouts++
 		}
 
-		newly := 0
-		for v := 0; v < n; v++ {
-			if informedAt[v] == Uninformed && cluster.Node(v).Knows(rumorID) {
-				informedAt[v] = int32(t)
-				if obs != nil {
-					obs.OnInformed(v, t)
-				}
-				newly++
+		newly = cluster.Newly(newly[:0])
+		for _, v := range newly {
+			at := cluster.HeardAt(v)
+			informedAt[v] = int32(at)
+			if obs != nil {
+				obs.OnInformed(v, at)
 			}
 		}
-		informed += newly
-		sent := cluster.PacketsSent()
+		informed += len(newly)
+		sent := cluster.Transmissions()
 		if obs != nil {
 			obs.OnRound(RoundStats{
 				Round:         t,
-				NewlyInformed: newly,
+				NewlyInformed: len(newly),
 				Informed:      informed,
 				Transmissions: sent - lastSent,
 				ChannelsDial:  budget,
@@ -425,14 +424,16 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		lastSent = sent
 		res.Rounds = t
 		res.ChannelsDialed += budget
-		if informed == n {
+		if informed == n && res.FirstAllInformed < 0 {
 			res.FirstAllInformed = t
-			break // ticks cost wall-clock time; never run an empty tail
+			if s.stopEarly {
+				break
+			}
 		}
 	}
 	res.Informed = informed
 	res.AllInformed = informed == n
-	res.Transmissions = cluster.PacketsSent()
+	res.Transmissions = cluster.Transmissions()
 	res.InformedAt = informedAt
 	// Close first (idempotent) so the snapshot is a fully-accounted ledger.
 	_ = cluster.Close()

@@ -256,15 +256,6 @@ func (s *Scenario) runRNG() *Rand {
 	return NewRand(s.seed)
 }
 
-// runSeed returns a uint64 seed for engines that derive their own streams
-// (the daemon engine).
-func (s *Scenario) runSeed() uint64 {
-	if s.rng != nil {
-		return s.rng.Uint64()
-	}
-	return s.seed
-}
-
 // observer returns the fan-out observer for the run (nil when none are
 // registered, which keeps the engines' nil-observer fast path).
 func (s *Scenario) observer() Observer {

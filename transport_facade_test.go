@@ -2,10 +2,12 @@ package regcast_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"regcast"
 	"regcast/internal/baseline"
+	"regcast/internal/core"
 )
 
 // transportSmoke runs one rumour through the daemon engine via the public
@@ -74,4 +76,71 @@ func TestEngineSelectionIgnoresOptionOrder(t *testing.T) {
 	daemon, workers := regcast.WithEngine(regcast.EngineDaemonTransport), regcast.WithWorkers(2)
 	transportSmoke(t, daemon, workers)
 	transportSmoke(t, workers, daemon)
+}
+
+// daemonRun runs proto on g over the daemon engine from seed, failing the
+// test on an error or a tick that did not settle.
+func daemonRun(t *testing.T, g *regcast.Graph, proto regcast.Protocol, seed uint64, opts ...regcast.ScenarioOption) regcast.Result {
+	t.Helper()
+	sc, err := regcast.NewScenario(regcast.Static(g), proto, append([]regcast.ScenarioOption{regcast.WithSeed(seed)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := regcast.Run(context.Background(), sc, regcast.WithEngine(regcast.EngineDaemonTransport))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TickTimeouts != 0 {
+		t.Fatalf("%d tick timeouts on a chaos-free run", res.TickTimeouts)
+	}
+	return res
+}
+
+// TestDaemonStopEarly pins that the daemon ticks the protocol's whole
+// horizon, as the simulator charges it, and ends at the first all-informed
+// tick only under WithStopEarly.
+func TestDaemonStopEarly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping daemon runs")
+	}
+	const n = 12
+	g, err := regcast.NewRegularGraph(n, 4, regcast.NewRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := baseline.NewPushPull(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := daemonRun(t, g, proto, 8)
+	if !full.AllInformed || full.Rounds != proto.Horizon() {
+		t.Errorf("without stop-early: all informed %v after %d of %d ticks, want the whole horizon", full.AllInformed, full.Rounds, proto.Horizon())
+	}
+	early := daemonRun(t, g, proto, 8, regcast.WithStopEarly())
+	if !early.AllInformed || early.Rounds != early.FirstAllInformed {
+		t.Errorf("with stop-early: %d ticks, all informed after %d", early.Rounds, early.FirstAllInformed)
+	}
+}
+
+// TestDaemonReproducibleFromSeed pins that a chaos-free daemon run whose
+// every tick settles is a function of its seed: the decisions read each
+// node's receipt tick, never the arrival order within a tick.
+func TestDaemonReproducibleFromSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping daemon runs")
+	}
+	const n = 64
+	g, err := regcast.NewRegularGraph(n, 6, regcast.NewRand(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := core.New(n, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := daemonRun(t, g, proto, 5), daemonRun(t, g, proto, 5)
+	if a.Rounds != b.Rounds || a.Transmissions != b.Transmissions || !slices.Equal(a.InformedAt, b.InformedAt) {
+		t.Errorf("same seed, different runs: rounds %d/%d, transmissions %d/%d, InformedAt\n %v\n %v",
+			a.Rounds, b.Rounds, a.Transmissions, b.Transmissions, a.InformedAt, b.InformedAt)
+	}
 }
