@@ -9,6 +9,7 @@ import (
 
 	"regcast"
 	"regcast/internal/baseline"
+	"regcast/internal/graph"
 )
 
 // steadyPush is a push-only protocol with a configurable horizon, used to
@@ -28,7 +29,8 @@ func (p steadyPush) SendPull(t, ia int) bool { return false }
 // and neither does the engine's side of a registered observer: a plain
 // Observer (for which no clock is read) and a PhaseObserver (three stamps
 // and one callback per round; the -phases PhaseTotals is one) that do not
-// allocate themselves see none.
+// allocate themselves see none, and neither does a sparse-frontier round's
+// marking walk (a run held unsettled by isolated ids).
 // Two runs that differ only in horizon must show identical allocation
 // counts — any per-round allocation would surface ~hundreds of times over
 // the horizon gap. The collector is off while counting (a GC cycle's own
@@ -41,16 +43,22 @@ func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	phases := &phaseCounter{}
+	sparse := withIsolated(t, g, 4)
 	for _, tc := range []struct {
 		name     string
 		workers  int
 		observer regcast.Observer
+		g        *regcast.Graph // nil: g
 	}{
-		{"sequential", 0, nil},
-		{"sharded-inline", 1, nil},
-		{"plain-observer", 0, &countingObserver{}},
-		{"phase-observer", 0, phases},
-		{"phases-flag", 0, &regcast.PhaseTotals{}},
+		{"sequential", 0, nil, nil},
+		{"sharded-inline", 1, nil, nil},
+		{"plain-observer", 0, &countingObserver{}, nil},
+		{"phase-observer", 0, phases, nil},
+		{"phases-flag", 0, &regcast.PhaseTotals{}, nil},
+		// Four isolated ids stay uninformed, so the run never settles and
+		// every round after the spread is a sparse-frontier round (the
+		// engine's marking walk), simulated, not counted.
+		{"sparse-frontier", 0, nil, sparse},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(horizon int) float64 {
@@ -58,7 +66,11 @@ func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 				if tc.observer != nil {
 					opts = append(opts, regcast.WithObserver(tc.observer))
 				}
-				scenario, err := regcast.NewScenario(regcast.Static(g), steadyPush{horizon}, opts...)
+				topo := g
+				if tc.g != nil {
+					topo = tc.g
+				}
+				scenario, err := regcast.NewScenario(regcast.Static(topo), steadyPush{horizon}, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,6 +91,24 @@ func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 	if phases.rounds.Load() == 0 || phases.phases.Load() != phases.rounds.Load() {
 		t.Errorf("PhaseObserver saw %d OnRoundPhases for %d OnRound", phases.phases.Load(), phases.rounds.Load())
 	}
+}
+
+// withIsolated is g with extra isolated ids appended.
+func withIsolated(t *testing.T, g *regcast.Graph, extra int) *regcast.Graph {
+	t.Helper()
+	var edges [][2]int32
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if int(w) > v {
+				edges = append(edges, [2]int32{int32(v), w})
+			}
+		}
+	}
+	out, err := graph.NewFromEdges(g.NumNodes()+extra, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // countingObserver is the cheapest useful observer: two counters.

@@ -3,6 +3,7 @@ package regcast_test
 import (
 	"context"
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,46 @@ func TestChaosRunLedger(t *testing.T) {
 	}
 	if len(h.Peers) != n {
 		t.Errorf("health snapshot has %d peer rows, want %d", len(h.Peers), n)
+	}
+}
+
+// TestChaosRunReproducibleFromSeed is the facade side of the transport
+// test of the same name: two daemon runs of one scenario seed under one
+// fault plan (drops, duplicates, reorder holds; no wall-clock delay) return
+// the same Result and the same fault ledger.
+func TestChaosRunReproducibleFromSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping chaos runs")
+	}
+	const n = 32
+	g, err := regcast.NewRegularGraph(n, 6, regcast.NewRand(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := baseline.NewPushPull(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() regcast.Result {
+		scenario, err := regcast.NewScenario(regcast.Static(g), proto, regcast.WithSeed(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := regcast.Run(context.Background(), scenario, regcast.WithEngine(regcast.EngineDaemonTransport),
+			regcast.WithTransportFaults(regcast.FaultConfig{Seed: 12, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TickTimeouts != 0 {
+			t.Fatalf("%d tick timeouts", res.TickTimeouts)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.Rounds != b.Rounds || a.Transmissions != b.Transmissions || !slices.Equal(a.InformedAt, b.InformedAt) ||
+		*a.Transport.Faults != *b.Transport.Faults {
+		t.Errorf("same seed, different chaos runs: rounds %d/%d, transmissions %d/%d, InformedAt\n %v\n %v\nfaults\n %+v\n %+v",
+			a.Rounds, b.Rounds, a.Transmissions, b.Transmissions, a.InformedAt, b.InformedAt, *a.Transport.Faults, *b.Transport.Faults)
 	}
 }
 

@@ -8,13 +8,19 @@ package graph
 
 import "fmt"
 
-// Graph is an immutable undirected (multi)graph in compressed sparse row
-// form. Self-loops and parallel edges are representable: a self-loop (v,v)
+// Graph is an immutable (multi)graph in compressed sparse row form.
+// Self-loops and parallel edges are representable: a self-loop (v,v)
 // contributes two entries to v's adjacency list (both endpoints of the
-// edge), matching the stub semantics of the configuration model.
+// edge), matching the stub semantics of the configuration model. Every
+// constructor builds symmetric rows (an undirected graph) except
+// Materialize, which copies its family's rows: those of a directed family
+// (GnpStream) are arc lists. Symmetric tells the two apart.
 type Graph struct {
 	offsets []int32 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []int32
+	// asymmetric is set by Materialize of a family that does not declare
+	// Symmetric: a row need not list its node's in-neighbours.
+	asymmetric bool
 }
 
 // NewFromAdjacency builds a Graph from adjacency lists. The lists must be
@@ -136,6 +142,10 @@ func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
 func (g *Graph) Degree(v int) int {
 	return int(g.offsets[v+1] - g.offsets[v])
 }
+
+// Symmetric implements the Symmetric refinement: false only for the
+// materialisation of a family that does not declare it.
+func (g *Graph) Symmetric() bool { return !g.asymmetric }
 
 // Neighbor returns the i-th neighbour of v (0 <= i < Degree(v)).
 func (g *Graph) Neighbor(v, i int) int {

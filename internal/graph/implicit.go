@@ -37,11 +37,20 @@ type DegreeArray interface {
 	Degrees() []int32
 }
 
+// Symmetric is an optional refinement of an Implicit family (and of
+// *Graph): true declares that w appears in row v exactly as often as v in
+// row w, so a node's row is also its in-neighbourhood. A family that does
+// not declare it may be directed (GnpStream).
+type Symmetric interface {
+	Symmetric() bool
+}
+
 // Materialize builds the CSR graph whose row v is exactly
 // NeighborAt(v, 0..Degree(v)) in order. It is the bridge that pins
 // implicit families bit-identical to the dense path: the dense
 // generators for hypercube and torus are defined as Materialize over
-// the implicit family, so the two can never disagree.
+// the implicit family, so the two can never disagree. The graph is
+// Symmetric iff the family declares it.
 func Materialize(im Implicit) (*Graph, error) {
 	n := im.NumNodes()
 	var stubs int64
@@ -51,9 +60,11 @@ func Materialize(im Implicit) (*Graph, error) {
 	if stubs > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: materialising %d nodes needs %d adjacency slots, exceeding int32 CSR offsets — use the implicit family directly", n, stubs)
 	}
+	sym, ok := im.(Symmetric)
 	g := &Graph{
-		offsets: make([]int32, n+1),
-		adj:     make([]int32, stubs),
+		offsets:    make([]int32, n+1),
+		adj:        make([]int32, stubs),
+		asymmetric: !ok || !sym.Symmetric(),
 	}
 	var off int32
 	for v := 0; v < n; v++ {
@@ -86,6 +97,7 @@ func NewImplicitHypercube(dim int) (*ImplicitHypercube, error) {
 func (h *ImplicitHypercube) NumNodes() int      { return 1 << h.dim }
 func (h *ImplicitHypercube) Degree(int) int     { return h.dim }
 func (h *ImplicitHypercube) UniformDegree() int { return h.dim }
+func (h *ImplicitHypercube) Symmetric() bool    { return true }
 func (h *ImplicitHypercube) NeighborAt(v, i int) int32 {
 	return int32(v ^ (1 << i))
 }
@@ -111,6 +123,7 @@ func NewImplicitTorus(rows, cols int) (*ImplicitTorus, error) {
 func (t *ImplicitTorus) NumNodes() int      { return t.rows * t.cols }
 func (t *ImplicitTorus) Degree(int) int     { return 4 }
 func (t *ImplicitTorus) UniformDegree() int { return 4 }
+func (t *ImplicitTorus) Symmetric() bool    { return true }
 
 func (t *ImplicitTorus) NeighborAt(v, i int) int32 {
 	r, c := v/t.cols, v%t.cols
@@ -148,7 +161,8 @@ func (t *ImplicitTorus) NeighborAt(v, i int) int32 {
 // dial, which for p = Θ(polylog n / n) is O(log n) work per draw.
 //
 // The digraph view matches the phone-call model (each caller dials from
-// its own arc list); Materialize yields the row-for-row identical CSR.
+// its own arc list); Materialize yields the row-for-row identical CSR,
+// which is not Symmetric: the family does not declare it.
 // Degrees are precomputed at construction (4 B/node) — that is the only
 // per-node storage.
 type GnpStream struct {
@@ -307,6 +321,7 @@ func NewRegularStream(n, d int, seed uint64) (*RegularStream, error) {
 func (g *RegularStream) NumNodes() int      { return g.n }
 func (g *RegularStream) Degree(int) int     { return g.d }
 func (g *RegularStream) UniformDegree() int { return g.d }
+func (g *RegularStream) Symmetric() bool    { return true }
 
 // feistelF is the round function: one multiply spreads the keyed half
 // upwards and the fold brings the well-mixed high word back down; the

@@ -189,10 +189,11 @@ type Engine struct {
 	// once per round call instead of inside node loops. pullAll is "every
 	// occupied cohort pulls": the pull scan then probes the informed bit and
 	// never loads informedAt[w].
-	pushDec []bool
-	pullDec []bool
-	pullAll bool
-	phases  PhaseObserver // Config.Observer, when it times round's steps
+	pushDec  []bool
+	pullDec  []bool
+	pullAll  bool
+	frontier int32         // the latest sparse-frontier round (markFrontier)
+	phases   PhaseObserver // Config.Observer, when it times round's steps
 
 	// memory for the sequentialised model (AvoidRecent > 0)
 	recent    []int32 // flat n×AvoidRecent ring of recent partners

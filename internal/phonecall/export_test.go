@@ -153,3 +153,45 @@ func RunRounds(cfg Config) (Result, RoundLog, error) {
 	res, err := Run(cfg)
 	return res, log, err
 }
+
+// FrontierRound returns the latest round the engine made a sparse-frontier
+// round (markFrontier), 0 before the first: an Observer's OnRound(t) reads
+// t back iff round t was one.
+func (e *Engine) FrontierRound() int { return int(e.frontier) }
+
+// frontierCount forwards every callback to the run's own Observer, if any,
+// and counts the rounds its engine made sparse-frontier rounds.
+type frontierCount struct {
+	inner  Observer
+	eng    *Engine
+	rounds int
+}
+
+func (f *frontierCount) OnRound(rm RoundMetrics) {
+	if f.eng.FrontierRound() == rm.Round {
+		f.rounds++
+	}
+	if f.inner != nil {
+		f.inner.OnRound(rm)
+	}
+}
+
+func (f *frontierCount) OnInformed(v, t int) {
+	if f.inner != nil {
+		f.inner.OnInformed(v, t)
+	}
+}
+
+// RunFrontier runs cfg and returns its result with the number of its
+// sparse-frontier rounds. cfg's Observer, if any, still sees every
+// OnRound and OnInformed.
+func RunFrontier(cfg Config) (Result, int, error) {
+	fc := &frontierCount{inner: cfg.Observer}
+	cfg.Observer = fc
+	e, err := NewEngine(cfg)
+	if err != nil {
+		return Result{}, 0, err
+	}
+	fc.eng = e
+	return e.Run(), fc.rounds, nil
+}

@@ -243,10 +243,11 @@ func (e *Engine) wordRound(dial dialMode) bool {
 // Distinct2/3/4), so the stream is the general pass's. Resolve and deliver
 // (deliverSlots) whenever fewer than k slots remain, so transmissions and
 // receipts are the general pass's too. No branch sits between two neighbour
-// resolutions, so consecutive Feistel networks or CSR loads overlap.
+// resolutions, so consecutive Feistel networks or CSR loads overlap. In a
+// sparse-frontier round an unmarked sender's dials are counted, not sent.
 func (e *Engine) dialWords(sh *parShard, t int) {
 	var from, slot [64]int32 // each slot's sender; its slot
-	rng := sh.ds.rng
+	rng, next, frontier := sh.ds.rng, sh.ds.next, int(e.frontier) == t
 	k, c := e.k, 0
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
@@ -275,6 +276,10 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 			default:
 				p0, p1, p2, p3 := rng.Distinct4(deg)
 				slot[c], slot[c+1], slot[c+2], slot[c+3] = int32(off+p0), int32(off+p1), int32(off+p2), int32(off+p3)
+			}
+			if frontier && next[uint(v)>>6]&(1<<(uint(v)&63)) == 0 {
+				sh.tx += int64(kk)
+				continue
 			}
 			for j := c; j < c+kk; j++ {
 				from[j] = int32(v)

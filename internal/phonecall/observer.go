@@ -27,10 +27,10 @@ type Observer interface {
 
 // PhaseObserver is an optional extension of Config.Observer: an observer
 // that implements it is also told, at the end of every round and before
-// that round's OnRound, how long the coordinator spent in each of round's
-// three steps — decision tables, shard passes, merge-and-apply — by the
-// monotonic clock; a counted round (Result.CountedRounds) reports
-// (count, 0, 0). No clock is read for an observer that does not.
+// its OnRound, how long the coordinator spent in each of round's three
+// steps by the monotonic clock — decision tables, shard passes (a
+// sparse-frontier round's marking walk included), merge-and-apply; a
+// counted round reports (count, 0, 0). No clock is read for others.
 type PhaseObserver interface {
 	Observer
 	OnRoundPhases(t int, tables, passes, merge time.Duration)

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"time"
 
+	"regcast/internal/graph"
 	"regcast/internal/sched"
 )
 
@@ -236,6 +237,7 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 		e.pullDec[ia] = e.proto.SendPull(t, ia)
 	}
 	anyPull, pullAll := false, true
+	informed, senders := 0, 0
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.sends, sh.pushAll = false, true
@@ -245,6 +247,10 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 				sh.pushAll = sh.pushAll && e.pushDec[ia]
 				anyPull = anyPull || e.pullDec[ia]
 				pullAll = pullAll && e.pullDec[ia]
+				informed += int(c)
+				if e.pushDec[ia] {
+					senders += int(c)
+				}
 			}
 		}
 	}
@@ -253,6 +259,9 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 
 	// Step 2: shard passes (the parallel section).
 	t1 := e.stamp()
+	if e.sparseFrontier(dial, e.n-informed, senders) {
+		e.markFrontier(t)
+	}
 	e.runShardPasses(t, anyPull, dial)
 	t2 := e.stamp()
 
@@ -305,6 +314,48 @@ func (e *Engine) applyReceipts(t int) (newly int) {
 	}
 	e.nexts = nexts
 	return newly
+}
+
+// sparseFrontier reports whether round's word-kernel round is a
+// sparse-frontier round: the view is fully alive and declares symmetric
+// rows, and marking U uninformed ids' neighbourhoods (U·d̄ resolutions,
+// then k per marked sender) costs less than resolving S senders' S·k dials.
+func (e *Engine) sparseFrontier(dial dialMode, uninformed, senders int) bool {
+	view, deg := any(e.impNbrs), e.uniDeg
+	if e.impNbrs == nil {
+		view, deg = e.fastView, len(e.csrAdj)/e.n
+	}
+	sym, ok := view.(graph.Symmetric)
+	return e.wordRound(dial) && e.aliveBits == nil && ok && sym.Symmetric() &&
+		float64(uninformed)*float64(deg)*float64(1+e.k) < float64(senders)*float64(e.k)
+}
+
+// markFrontier makes round t a sparse-frontier round: it marks every
+// informed neighbour of an uninformed id in a receipt bitset and copies the
+// marks into every other one a pass can borrow (Workers pooled): a pass on
+// a fresh one would drop receipts. On symmetric rows an unmarked sender's
+// targets are all informed, so dialWords resolves none of its dials, and
+// the merge's &^ informed erases the marks (applyReceipts).
+func (e *Engine) markFrontier(t int) {
+	mark := borrow(e.nextFree, len(e.informedBits))
+	for wi, inf := range e.informedBits {
+		for m := e.shardWord(wi, 0, e.n, false) &^ inf; m != 0; m &= m - 1 {
+			u := wi<<6 + bits.TrailingZeros64(m)
+			off, deg := e.row(u)
+			for i := 0; i < deg; i++ {
+				w := uint(e.nbrAt(u, off, i))
+				mark[w>>6] |= e.informedBits[w>>6] & (1 << (w & 63))
+			}
+		}
+	}
+	e.nexts = append(e.nexts[:0], mark)
+	for len(e.nexts) < max(1, e.workers) {
+		e.nexts = append(e.nexts, append(borrow(e.nextFree, len(mark))[:0], mark...))
+	}
+	for _, next := range e.nexts {
+		e.nextFree <- next
+	}
+	e.frontier = int32(t)
 }
 
 // roundDial is the mode round runs when its driver asks for dial (dialSenders).

@@ -94,10 +94,12 @@ func TestRowBuffersBoundedByWorkers(t *testing.T) {
 }
 
 // bitsetCheck is a PhaseObserver that, after every round's merge, counts
-// the rounds that left a receipt bitset word set.
+// the rounds that left a receipt bitset word set, and the sparse-frontier
+// rounds, whose marks the merge must have erased too.
 type bitsetCheck struct {
-	eng   *Engine
-	dirty []int
+	eng      *Engine
+	dirty    []int
+	frontier int
 }
 
 func (c *bitsetCheck) OnRound(RoundMetrics) {}
@@ -106,6 +108,9 @@ func (c *bitsetCheck) OnRoundPhases(t int, _, _, _ time.Duration) {
 	if _, dirty := c.eng.ReceiptBitsets(); dirty != 0 {
 		c.dirty = append(c.dirty, t)
 	}
+	if c.eng.FrontierRound() == t {
+		c.frontier++
+	}
 }
 
 // TestReceiptBitsetsBoundedByWorkers: a shard pass ORs its deliveries into a
@@ -113,18 +118,22 @@ func (c *bitsetCheck) OnRoundPhases(t int, _, _, _ time.Duration) {
 // one per pass in flight — one inline, Workers under the pool, never one per
 // shard — and the merge leaves every one of them clear for the next round,
 // on an Engine and on the MultiEngine that shares them among its messages.
+// A sparse-frontier round marks every bitset a pass can borrow
+// (markFrontier) and makes none beyond that bound.
 func TestReceiptBitsetsBoundedByWorkers(t *testing.T) {
 	g := testGraph(t, 1024, 8, 5)
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		multi bool
+		name     string
+		cfg      Config
+		multi    bool
+		frontier bool // some round is a sparse-frontier round
 	}{
-		{"push-pull", Config{Protocol: pushPullProto{4, 30}}, false},
-		{"pull-lossy", Config{Protocol: pullProto{2, 40}, MessageLossProb: 0.1}, false},
-		{"push-word-kernel", Config{Protocol: pushProto{4, 30}}, false},
-		{"push-dead-ids", Config{Topology: newViewTopo(g, 3, 64, 65, 700), Protocol: pushProto{2, 40}}, false},
-		{"multi-push-pull", Config{Protocol: pushPullProto{3, 12}}, true},
+		{"push-pull", Config{Protocol: pushPullProto{4, 30}}, false, false},
+		{"pull-lossy", Config{Protocol: pullProto{2, 40}, MessageLossProb: 0.1}, false, false},
+		{"push-word-kernel", Config{Protocol: pushProto{4, 30}}, false, true},
+		{"push-sparse-frontier", Config{Protocol: pushProto{1, 40}}, false, true},
+		{"push-dead-ids", Config{Topology: newViewTopo(g, 3, 64, 65, 700), Protocol: pushProto{2, 40}}, false, false},
+		{"multi-push-pull", Config{Protocol: pushPullProto{3, 12}}, true, false},
 	} {
 		for _, workers := range []int{0, 1, 2, 4} {
 			cfg := tc.cfg
@@ -163,6 +172,9 @@ func TestReceiptBitsetsBoundedByWorkers(t *testing.T) {
 			}
 			if len(check.dirty) > 0 {
 				t.Errorf("%s: rounds %v left a receipt bitset word set", label, check.dirty)
+			}
+			if (check.frontier > 0) != tc.frontier {
+				t.Errorf("%s: %d sparse-frontier rounds, want some: %v", label, check.frontier, tc.frontier)
 			}
 		}
 	}

@@ -203,6 +203,9 @@ func (s Static) Neighbor(v, i int) int { return s.G.Neighbor(v, i) }
 // Alive implements Topology; every node of a static graph is alive.
 func (s Static) Alive(int) bool { return true }
 
+// Symmetric implements graph.Symmetric: the graph's own answer.
+func (s Static) Symmetric() bool { return s.G.Symmetric() }
+
 // CSRView implements CSRViewer: the graph's own CSR arrays, a nil alive
 // bitset (every node is alive) and a constant epoch (the graph never
 // changes).

@@ -111,16 +111,31 @@ func churnInterface(topo phonecall.Topology) phonecall.Topology {
 
 // matchesGeneralPass fails unless a run of cfg on topo equals the same run
 // through the general pass — Result, per-round metrics and the whole
-// Observer sequence. fresh builds each run's topology (a churning one is
-// mutated by its run).
-func matchesGeneralPass(t *testing.T, label string, cfg phonecall.Config, fresh func() phonecall.Topology, seed uint64) {
+// Observer sequence — and returns how many sparse-frontier rounds the run
+// took. fresh builds each run's topology (a churning one is mutated by its
+// run).
+func matchesGeneralPass(t *testing.T, label string, cfg phonecall.Config, fresh func() phonecall.Topology, seed uint64) (frontier int) {
 	t.Helper()
-	got, gotLog := runSeeded(t, cfg, fresh(), seed)
+	got, gotLog, frontier := frontierRun(t, cfg, fresh(), seed)
 	want, wantLog := generalPass(t, cfg, fresh(), seed)
 	sameResult(t, label, want, got)
 	if !reflect.DeepEqual(gotLog, wantLog) {
 		t.Fatalf("%s: observer sequences differ", label)
 	}
+	return frontier
+}
+
+// frontierRun is runSeeded through phonecall.RunFrontier: it also returns
+// the run's sparse-frontier round count.
+func frontierRun(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog, int) {
+	t.Helper()
+	log := &eventLog{}
+	cfg.Topology, cfg.RNG, cfg.Observer = topo, xrand.New(seed), log
+	res, frontier, err := phonecall.RunFrontier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, log, frontier
 }
 
 // sparseGraph is a CSR graph whose rows stop the word kernel short: a
@@ -246,12 +261,15 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 
 // TestWordKernelEngages pins where the kernel runs: every sending shard
 // takes dialWords in every simulated senders round of stream-push's
-// configuration (regular-stream, one-dial push, Workers 1), of
-// dense-fourchoice's (a Static random regular graph, core.New's Algorithm
-// 2, Workers 0) and of churn-ensemble's (four-choice on a churning overlay,
-// whose alive bitset is partial), and none does in a census run (the
-// generalPass oracle) or on a view without a uniform degree (the same graph
-// or overlay through interfaceView), whose rows row cannot read.
+// configuration (regular-stream, one-dial push, Workers 1), of four-choice
+// on the same stream, of dense-fourchoice's (a Static random regular graph,
+// core.New's Algorithm 2, Workers 0) and of churn-ensemble's (four-choice
+// on a churning overlay, whose alive bitset is partial), and none does in a
+// census run (the generalPass oracle) or on a view without a uniform degree
+// (the same graph or overlay through interfaceView), whose rows row cannot
+// read. Sparse-frontier rounds (markFrontier) engage in the stream and
+// dense cells' tails, and never on the partially-alive churn view, in a
+// census run or through interfaceView.
 func TestWordKernelEngages(t *testing.T) {
 	const n = 1 << 14
 	stream, err := graph.NewRegularStream(n, 8, 3)
@@ -270,7 +288,7 @@ func TestWordKernelEngages(t *testing.T) {
 	if fourChoice.Variant() != core.Algorithm2 {
 		t.Fatalf("core.New(%d, 16) chose %v, want Algorithm 2", n, fourChoice.Variant())
 	}
-	churnFourChoice, err := core.New(n, 8)
+	fourChoiceD8, err := core.New(n, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,19 +301,26 @@ func TestWordKernelEngages(t *testing.T) {
 		census     bool
 		kernel     bool // every sending shard takes dialWords in a senders round
 		everyRound bool // every simulated round has a sending shard
+		frontier   bool // some round is a sparse-frontier round (else none is)
 	}{
-		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true},
-		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true},
-		{"dense-fourchoice", dense, fourChoice, 0, false, true, false},
-		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false},
-		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false},
-		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), churnFourChoice, 0, false, true, false},
-		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), churnFourChoice, 0, false, false, false},
+		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true, true},
+		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true, false},
+		{"stream-push interface", struct{ phonecall.Topology }{phonecall.NewImplicit(stream)}, push, 1, false, false, true, false},
+		{"stream-fourchoice", phonecall.NewImplicit(stream), fourChoiceD8, 1, false, true, false, true},
+		{"dense-fourchoice", dense, fourChoice, 0, false, true, false, true},
+		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false, false},
+		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false, false},
+		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), fourChoiceD8, 0, false, true, false, false},
+		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), fourChoiceD8, 0, false, false, false, false},
 	} {
 		var eng *phonecall.Engine
 		var kernel, sending []int
 		var senders []bool
+		frontier := 0
 		obs := roundHooks{onRound: func(rm phonecall.RoundMetrics) {
+			if eng.FrontierRound() == rm.Round {
+				frontier++
+			}
 			s := 0
 			for _, st := range eng.ShardStates() {
 				if st.Sends {
@@ -330,6 +355,9 @@ func TestWordKernelEngages(t *testing.T) {
 		if engaged < 10 {
 			t.Fatalf("%s: only %d of %d simulated rounds were senders rounds with a sending shard", tc.name, engaged, simulated)
 		}
+		if (frontier > 0) != tc.frontier {
+			t.Fatalf("%s: %d sparse-frontier rounds, want some: %v", tc.name, frontier, tc.frontier)
+		}
 	}
 }
 
@@ -338,8 +366,10 @@ func TestWordKernelEngages(t *testing.T) {
 // view and materialised as a CSR one, under push, pull-push or Algorithm 1
 // or 2 at k = 1…4 dials, over any shard count, inline or on four workers,
 // from any seed. Every run must equal its generalPass oracle (a census
-// run) — Result, per-round metrics and the Observer sequence. Seed corpus:
-// testdata/fuzz/FuzzWordKernel.
+// run) — Result, per-round metrics and the Observer sequence. The directed
+// arm runs the same shape on a GnpStream of mean out-degree d, implicit and
+// materialised: each must equal its interface view and take no
+// sparse-frontier round. Seed corpus: testdata/fuzz/FuzzWordKernel.
 func FuzzWordKernel(f *testing.F) {
 	f.Add(uint16(1000), uint8(3), uint8(3), uint8(3), uint8(7), true, uint64(1))
 	f.Fuzz(func(t *testing.T, n16 uint16, d8, k8, proto8, shards8 uint8, pooled bool, seed uint64) {
@@ -375,6 +405,17 @@ func FuzzWordKernel(f *testing.F) {
 		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(stream), phonecall.NewStatic(g)} {
 			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, cfg.Shards, cfg.Workers, seed)
 			matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return topo }, seed)
+		}
+		gnp := gnpStream(t, n, d, seed)
+		twin, err := graph.Materialize(gnp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(gnp), phonecall.NewStatic(twin)} {
+			label := fmt.Sprintf("gnp-stream n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, cfg.Shards, cfg.Workers, seed)
+			if frontier := matchesInterfaceView(t, label, cfg, topo, seed); frontier != 0 {
+				t.Fatalf("%s: %d sparse-frontier rounds on a digraph", label, frontier)
+			}
 		}
 	})
 }

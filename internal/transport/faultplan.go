@@ -29,11 +29,13 @@ type CrashWindow struct {
 }
 
 // FaultConfig is a seeded, reproducible chaos schedule. Each probabilistic
-// fault is decided by a pure function of (Seed, from, to, per-pair
-// sequence number), never by shared mutable randomness — so two plans
-// with the same seed fed the same per-pair packet sequences make
-// identical decisions regardless of goroutine interleaving, and a chaos
-// run is as replayable as every simulator in this repo.
+// fault is decided by a pure function of (Seed, from, to, packet kind,
+// sequence number within that kind on the pair), never by shared mutable
+// randomness — so two plans with the same seed fed the same per-kind packet
+// sequences make identical decisions regardless of goroutine interleaving,
+// and a chaos run is as replayable as every simulator in this repo. Each
+// kind counts apart because a node's pushes (sent by Cluster.Tick) and its
+// pull replies (sent by its own loop) to one peer race each other.
 type FaultConfig struct {
 	// Seed drives every probabilistic decision.
 	Seed uint64
@@ -42,7 +44,8 @@ type FaultConfig struct {
 	// Duplicate is the probability a packet is forwarded twice.
 	Duplicate float64
 	// Reorder is the probability a packet is held and released after the
-	// next packet on its (from,to) pair — a pairwise swap.
+	// next packet of its kind on its (from,to) pair — a swap within one
+	// kind's stream — or at the next epoch, whichever comes first.
 	Reorder float64
 	// DelayProb and Delay inject latency: with probability DelayProb a
 	// packet is forwarded Delay later from a separate goroutine.
@@ -85,6 +88,7 @@ func (c FaultConfig) validate() error {
 // FaultDecision is one recorded fault-injection outcome.
 type FaultDecision struct {
 	From, To int
+	Kind     Kind
 	Seq      uint64
 	Epoch    int
 	Action   string // pass|drop|dup|reorder-hold|delay|partition-drop|crash-drop
@@ -107,7 +111,7 @@ type FaultPlan struct {
 	epoch atomic.Int64
 
 	pmu   sync.Mutex
-	pairs map[[2]int]*pairState
+	pairs map[pairKey]*pairState
 
 	// partition membership precomputed per window
 	partA []map[int]bool
@@ -123,7 +127,13 @@ type FaultPlan struct {
 	wg     sync.WaitGroup // pending delayed forwards
 }
 
-// pairState carries one directed pair's sequence counter and held packet.
+// pairKey names one kind's packet stream on a directed pair.
+type pairKey struct {
+	from, to int
+	kind     Kind
+}
+
+// pairState carries one stream's sequence counter and held packet.
 type pairState struct {
 	seq  uint64
 	held *Packet
@@ -142,7 +152,7 @@ func NewFaultPlan(inner Transport, cfg FaultConfig) (*FaultPlan, error) {
 	f := &FaultPlan{
 		inner: inner,
 		cfg:   cfg,
-		pairs: make(map[[2]int]*pairState),
+		pairs: make(map[pairKey]*pairState),
 		partA: make([]map[int]bool, len(cfg.Partitions)),
 	}
 	for i, w := range cfg.Partitions {
@@ -223,14 +233,14 @@ const (
 )
 
 // coin derives a uniform [0,1) draw as a pure function of the plan seed,
-// the directed pair, the pair-local sequence number, and the fault salt.
-// splitmix64-style finalisation: no shared state, no lock, no
+// the stream (directed pair and kind), its sequence number, and the fault
+// salt. splitmix64-style finalisation: no shared state, no lock, no
 // interleaving sensitivity.
-func (f *FaultPlan) coin(from, to int, seq uint64, salt uint64) float64 {
+func (f *FaultPlan) coin(k pairKey, seq uint64, salt uint64) float64 {
 	x := f.cfg.Seed
-	x ^= 0x9e3779b97f4a7c15 * (uint64(from)*0x100000001b3 + uint64(to) + 1)
+	x ^= 0x9e3779b97f4a7c15 * (uint64(k.from)*0x100000001b3 + uint64(k.to) + 1)
 	x ^= seq * 0xbf58476d1ce4e5b9
-	x ^= salt * 0x94d049bb133111eb
+	x ^= (salt + uint64(k.kind)<<8) * 0x94d049bb133111eb
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -240,12 +250,12 @@ func (f *FaultPlan) coin(from, to int, seq uint64, salt uint64) float64 {
 }
 
 // record appends a decision to the trace when recording is on.
-func (f *FaultPlan) record(from, to int, seq uint64, epoch int, action string) {
+func (f *FaultPlan) record(k pairKey, seq uint64, epoch int, action string) {
 	if !f.cfg.RecordTrace {
 		return
 	}
 	f.tmu.Lock()
-	f.trace = append(f.trace, FaultDecision{From: from, To: to, Seq: seq, Epoch: epoch, Action: action})
+	f.trace = append(f.trace, FaultDecision{From: k.from, To: k.to, Kind: k.kind, Seq: seq, Epoch: epoch, Action: action})
 	f.tmu.Unlock()
 }
 
@@ -270,19 +280,19 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 	f.in.Add(1)
 	p.To = to
 	e := int(f.epoch.Load())
+	key := pairKey{p.From, to, p.Kind}
 
 	if f.crashed(p.From, e) || f.crashed(to, e) {
 		f.crashDrops.Add(1)
-		f.record(p.From, to, 0, e, "crash-drop")
+		f.record(key, 0, e, "crash-drop")
 		return nil
 	}
 	if f.partitioned(p.From, to, e) {
 		f.partDrops.Add(1)
-		f.record(p.From, to, 0, e, "partition-drop")
+		f.record(key, 0, e, "partition-drop")
 		return nil
 	}
 
-	key := [2]int{p.From, to}
 	f.pmu.Lock()
 	ps := f.pairs[key]
 	if ps == nil {
@@ -293,23 +303,23 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 	ps.seq++
 	f.pmu.Unlock()
 
-	if f.cfg.Drop > 0 && f.coin(p.From, to, seq, saltDrop) < f.cfg.Drop {
+	if f.cfg.Drop > 0 && f.coin(key, seq, saltDrop) < f.cfg.Drop {
 		f.dropped.Add(1)
-		f.record(p.From, to, seq, e, "drop")
+		f.record(key, seq, e, "drop")
 		return nil
 	}
-	if f.cfg.Duplicate > 0 && f.coin(p.From, to, seq, saltDup) < f.cfg.Duplicate {
+	if f.cfg.Duplicate > 0 && f.coin(key, seq, saltDup) < f.cfg.Duplicate {
 		f.duplicated.Add(1)
-		f.record(p.From, to, seq, e, "dup")
+		f.record(key, seq, e, "dup")
 		f.forward(to, p)
 	}
-	if f.cfg.Reorder > 0 && f.coin(p.From, to, seq, saltReorder) < f.cfg.Reorder {
-		// Hold this packet; it is released right after the next packet on
-		// this pair (a pairwise swap). A previous holdover is released
-		// now so at most one packet per pair is ever in limbo.
+	if f.cfg.Reorder > 0 && f.coin(key, seq, saltReorder) < f.cfg.Reorder {
+		// Hold this packet; it is released right after the next packet of
+		// its stream (a pairwise swap). A previous holdover is released
+		// now so at most one packet per stream is ever in limbo.
 		f.reordered.Add(1)
 		f.held.Add(1)
-		f.record(p.From, to, seq, e, "reorder-hold")
+		f.record(key, seq, e, "reorder-hold")
 		held := p
 		f.pmu.Lock()
 		prev := ps.held
@@ -320,22 +330,22 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 		}
 		return nil
 	}
-	// A normal packet releases any holdover on its pair after itself.
+	// A normal packet releases any holdover on its stream after itself.
 	f.pmu.Lock()
 	prev := ps.held
 	ps.held = nil
 	f.pmu.Unlock()
 
-	if f.cfg.DelayProb > 0 && f.coin(p.From, to, seq, saltDelay) < f.cfg.DelayProb {
+	if f.cfg.DelayProb > 0 && f.coin(key, seq, saltDelay) < f.cfg.DelayProb {
 		f.delayed.Add(1)
-		f.record(p.From, to, seq, e, "delay")
+		f.record(key, seq, e, "delay")
 		f.wg.Add(1)
 		time.AfterFunc(f.cfg.Delay, func() {
 			defer f.wg.Done()
 			f.forward(to, p)
 		})
 	} else {
-		f.record(p.From, to, seq, e, "pass")
+		f.record(key, seq, e, "pass")
 		f.forward(to, p)
 	}
 	if prev != nil {
@@ -357,7 +367,9 @@ func (f *FaultPlan) forward(to int, p Packet) {
 func (f *FaultPlan) Inbox(node int) <-chan Packet { return f.inner.Inbox(node) }
 
 // Close implements Transport: refuse new sends, wait out delayed
-// forwards, flush reorder holds, then close the inner transport.
+// forwards, flush reorder holds and give them up to a second to land —
+// a frame the inner transport is closed under is stranded on its wire —
+// then close the inner transport.
 func (f *FaultPlan) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -368,6 +380,7 @@ func (f *FaultPlan) Close() error {
 	f.mu.Unlock()
 	f.wg.Wait()
 	f.flushHeld()
+	waitFor(time.Second, func() bool { return f.inner.Health().InFlight() == 0 })
 	return f.inner.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -293,5 +294,76 @@ func TestFaultPlanSendAfterClose(t *testing.T) {
 	}
 	if err := plan.Close(); err != nil {
 		t.Error("double close errored")
+	}
+}
+
+// TestChaosRunReproducibleFromSeed: two chaos runs of one seed over real
+// sockets, with drops, duplicates and reorder holds, make the same fault
+// decisions and end in the same state. A node's push (sent from Tick) and
+// its pull reply (sent from its process loop) to one peer race; each kind
+// has its own sequence per pair, so which wins takes no coin from the
+// other; and the holds an epoch releases land before the next tick moves
+// the clock. Delay is left out: when a delayed packet lands is wall-clock.
+func TestChaosRunReproducibleFromSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos runs in -short mode")
+	}
+	const n, deg, k, ticks = 32, 6, 3, 10
+	type outcome struct {
+		trace []string
+		heard []int
+		tx    int64
+		stats FaultStats
+	}
+	run := func() outcome {
+		d, err := NewDaemon(DaemonConfig{Nodes: n, Mailbox: 8192, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewFaultPlan(d, FaultConfig{Seed: 77, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, RecordTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(gossipGraph(t, n, deg), plan, antiEntropy(k), 46)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		if err := c.Insert(0, Rumor{ID: "repro", Payload: "same seed, same run"}); err != nil {
+			t.Fatal(err)
+		}
+		for range ticks {
+			// As the facade's daemon runner does: the released reorder
+			// holds land before the next tick moves the clock.
+			plan.AdvanceEpoch()
+			if c.Settle(stepWait(t, 5*time.Second)) {
+				t.Fatalf("released holds did not settle: %+v", c.tr.Health())
+			}
+			tick(t, c)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		// Decisions are recorded in goroutine order; the schedule is the set.
+		for _, d := range plan.Trace() {
+			out.trace = append(out.trace, fmt.Sprintf("%+v", d))
+		}
+		slices.Sort(out.trace)
+		for v := range n {
+			out.heard = append(out.heard, c.HeardAt(v))
+		}
+		out.tx, out.stats = c.Transmissions(), plan.Stats()
+		return out
+	}
+	a, b := run(), run()
+	if !slices.Equal(a.trace, b.trace) {
+		t.Errorf("same-seed fault schedules differ: %d vs %d decisions", len(a.trace), len(b.trace))
+	}
+	if !slices.Equal(a.heard, b.heard) || a.tx != b.tx || a.stats != b.stats {
+		t.Errorf("same-seed runs differ: heardAt\n %v\n %v\ntransmissions %d/%d, faults\n %+v\n %+v", a.heard, b.heard, a.tx, b.tx, a.stats, b.stats)
+	}
+	if a.stats.Dropped == 0 || a.stats.Duplicated == 0 || a.stats.Reordered == 0 {
+		t.Errorf("a fault regime never fired: %+v", a.stats)
 	}
 }

@@ -198,16 +198,22 @@ func (c *Cluster) HeardAt(v int) int {
 // merely stopped changing. A frame lost on a severed connection, or a
 // fault plan's delay longer than the deadline, makes it time out.
 func (c *Cluster) Settle(deadline time.Duration) (timedOut bool) {
+	return !waitFor(deadline, c.settled)
+}
+
+// waitFor polls done with a backoff capped at a millisecond until it holds
+// or deadline passes, and reports whether it held.
+func waitFor(deadline time.Duration, done func() bool) bool {
 	giveUp := time.NewTimer(deadline)
 	defer giveUp.Stop()
-	for wait := time.Microsecond; !c.settled(); wait = min(2*wait, time.Millisecond) {
+	for wait := time.Microsecond; !done(); wait = min(2*wait, time.Millisecond) {
 		select {
 		case <-giveUp.C:
-			return !c.settled()
+			return done()
 		case <-time.After(wait):
 		}
 	}
-	return false
+	return true
 }
 
 // settled reads handled before the ledger: a packet's reply is sent before

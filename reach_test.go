@@ -26,7 +26,7 @@ var callerAllowlist = map[string]string{
 	"(*regcast/internal/stats.Accumulator).HalfWidth": "stats tests; ROADMAP 2(a) sizes replication counts with it",
 	"(*regcast/internal/core.FourChoice).Variant":     "core tests observe the chosen algorithm through it",
 	"(*regcast/internal/p2p/replica.Store).Entries":   "replica tests observe the store through it",
-	"(*regcast/internal/transport.FaultPlan).Trace":   "TestFaultPlanDeterministicSchedule observes the fault decisions through it",
+	"(*regcast/internal/transport.FaultPlan).Trace":   "TestFaultPlanDeterministicSchedule and TestChaosRunReproducibleFromSeed observe the fault decisions through it",
 }
 
 // TestEveryFunctionHasACaller type-checks the non-test files of both modules

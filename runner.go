@@ -392,8 +392,13 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		}
 		if plan != nil {
 			// One tick = one fault epoch: partition and crash windows in
-			// the plan are tick ranges.
+			// the plan are tick ranges. Advancing releases the last tick's
+			// reorder holds; they land before this tick starts, so a hold
+			// never outlives its tick or races Tick's clock.
 			plan.AdvanceEpoch()
+			if cluster.Settle(tickDeadline) {
+				res.TickTimeouts++
+			}
 		}
 		if err := cluster.Tick(t); err != nil {
 			return Result{}, err

@@ -51,8 +51,9 @@ type (
 	// round that was counted, not simulated (Result.CountedRounds), reports
 	// (count, 0, 0). The daemon engine has no such steps and never calls it.
 	PhaseObserver = phonecall.PhaseObserver
-	// Graph is an immutable undirected multigraph (see internal/graph for
-	// generators beyond RandomRegular).
+	// Graph is an immutable multigraph, undirected unless it materialises a
+	// directed family (see internal/graph for generators beyond
+	// RandomRegular, and Graph.Symmetric).
 	Graph = graph.Graph
 	// Rand is the deterministic splittable PRNG that drives every engine.
 	Rand = xrand.Rand
