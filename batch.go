@@ -234,13 +234,13 @@ func (b Batch) validate() (scenarioKind, error) {
 	if err := sc.validate(); err != nil {
 		return scenarioKind{}, err
 	}
-	if sc.rng != nil {
+	if sc.cfg.RNG != nil {
 		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios must use WithSeed, not WithRNG: replications re-derive their streams from the master seed")
 	}
-	if len(sc.observers) > 0 {
+	if sc.cfg.Observer != nil {
 		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications); run per-replication observers through Replicate")
 	}
-	if sc.topo != nil && sc.dynamic() {
+	if sc.cfg.Topology != nil && sc.dynamic() {
 		return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot share a dynamic (Stepper) topology instance across replications (churn state would leak between runs and race under a concurrent pool); describe the topology with NewScenarioSpec — e.g. OverlaySpec — so each replication builds its own")
 	}
 	return k, nil
@@ -279,8 +279,8 @@ func (b Batch) plan(k scenarioKind) ([]repPlan, error) {
 		// split (the classic derivation, preserved bit-for-bit); spec
 		// scenarios have no topology yet — their source is drawn from the
 		// replication stream after the per-replication build (runRep).
-		if b.RandomizeSource && k.broadcast.topo != nil {
-			src, err := drawAliveSource(master, k.broadcast.topo)
+		if b.RandomizeSource && k.broadcast.cfg.Topology != nil {
+			src, err := drawAliveSource(master, k.broadcast.cfg.Topology)
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +310,7 @@ func (b Batch) runRep(ctx context.Context, rep int, p repPlan, k scenarioKind) (
 // scenario materialised on the replication stream, or the shared instance
 // re-seeded.
 func (b Batch) buildRep(rep int, p repPlan, sc Scenario) (Scenario, error) {
-	if sc.topo == nil {
+	if sc.cfg.Topology == nil {
 		// Spec scenario: build this replication's topology from the
 		// replication stream (materialize carries the stream forward for
 		// the run itself).
@@ -319,9 +319,9 @@ func (b Batch) buildRep(rep int, p repPlan, sc Scenario) (Scenario, error) {
 			return Scenario{}, err
 		}
 	} else {
-		sc.rng = p.rng
+		sc.cfg.RNG = p.rng
 		if p.source >= 0 {
-			sc.source = p.source
+			sc.cfg.Source = p.source
 		}
 	}
 	// For spec scenarios the randomized source is drawn from the
@@ -329,11 +329,11 @@ func (b Batch) buildRep(rep int, p repPlan, sc Scenario) (Scenario, error) {
 	// exists this replication; instance scenarios received their
 	// master-drawn source through the plan.
 	if b.RandomizeSource && p.source < 0 {
-		src, err := drawAliveSource(p.rng, sc.topo)
+		src, err := drawAliveSource(p.rng, sc.cfg.Topology)
 		if err != nil {
 			return Scenario{}, err
 		}
-		sc.source = src
+		sc.cfg.Source = src
 	}
 	return sc, nil
 }

@@ -116,7 +116,6 @@ func run() error {
 	built := time.Now()
 
 	var proto regcast.Protocol
-	avoidRecent := 0
 	opts := []core.Option{core.WithAlpha(*alpha), core.WithChoices(*choices)}
 	switch *protoSel {
 	case "fourchoice":
@@ -127,11 +126,8 @@ func run() error {
 		proto, err = core.NewAlgorithm2(*n, opts...)
 	case "seq":
 		var base *core.FourChoice
-		base, err = core.NewAlgorithm1(*n, opts...)
-		if err == nil {
-			seq := core.NewSequentialised(base)
-			proto = seq
-			avoidRecent = seq.Memory()
+		if base, err = core.NewAlgorithm1(*n, opts...); err == nil {
+			proto = core.NewSequentialised(base)
 		}
 	case "push":
 		proto, err = baseline.NewPush(*n, 1)
@@ -166,7 +162,6 @@ func run() error {
 		regcast.WithRNG(master.Split()),
 		regcast.WithChannelFailure(*failure),
 		regcast.WithMessageLoss(*loss),
-		regcast.WithAvoidRecent(avoidRecent),
 	}
 	if *stopEarly {
 		sopts = append(sopts, regcast.WithStopEarly())

@@ -228,6 +228,12 @@ func TestObserverStreamsResult(t *testing.T) {
 	}
 }
 
+// remembering is a protocol with dial memory 3: the sequentialised model's
+// DialMemory extension on any schedule.
+type remembering struct{ regcast.Protocol }
+
+func (remembering) Memory() int { return 3 }
+
 // TestScenarioValidation exercises the fail-fast construction errors,
 // including the quasirandom/pull incompatibility that used to live only
 // in comments.
@@ -283,11 +289,8 @@ func TestScenarioValidation(t *testing.T) {
 			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "push-only"},
 		{"quasirandom with a pull in the last round only", regcast.Static(g), lastPull,
 			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "push-only"},
-		{"quasirandom with dial memory", regcast.Static(g), push,
-			[]regcast.ScenarioOption{
-				regcast.WithDialStrategy(regcast.DialQuasirandom),
-				regcast.WithAvoidRecent(3),
-			}, "incompatible"},
+		{"quasirandom with dial memory", regcast.Static(g), remembering{push},
+			[]regcast.ScenarioOption{regcast.WithDialStrategy(regcast.DialQuasirandom)}, "incompatible"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -367,7 +370,7 @@ func TestRunnerRejectsInvalidCombos(t *testing.T) {
 		regcast.WithEngine(regcast.EngineDaemonTransport)); err == nil {
 		t.Error("transport engine accepted simulated message loss")
 	}
-	memory, err := regcast.NewScenario(regcast.Static(g), push, regcast.WithAvoidRecent(2))
+	memory, err := regcast.NewScenario(regcast.Static(g), remembering{push})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,23 +263,23 @@ func (p *FourChoice) SendPull(t, informedAt int) bool {
 
 // Sequentialised wraps a FourChoice schedule in the one-dial-per-round
 // model of footnote 2: each node dials a single neighbour per round,
-// avoiding the partners of the last three rounds (run the engine with
-// Config.AvoidRecent = 3). Four consecutive rounds of this model
-// correspond to one round of the four-choice model, so the horizon
+// avoiding the partners of the last three rounds (Memory, which the engine
+// reads through phonecall.DialMemory). Four consecutive rounds of this
+// model correspond to one round of the four-choice model, so the horizon
 // stretches by a factor of four.
 type Sequentialised struct {
 	base *FourChoice
 }
 
-var _ phonecall.Protocol = (*Sequentialised)(nil)
+var _ phonecall.DialMemory = (*Sequentialised)(nil)
 
 // NewSequentialised wraps base in the sequentialised model.
 func NewSequentialised(base *FourChoice) *Sequentialised {
 	return &Sequentialised{base: base}
 }
 
-// Memory returns the number of recent partners a node must avoid (the
-// engine's Config.AvoidRecent value for this protocol).
+// Memory implements phonecall.DialMemory: the number of recent partners a
+// node must avoid, k-1 for the base's k choices.
 func (s *Sequentialised) Memory() int { return s.base.choices - 1 }
 
 // Name implements phonecall.Protocol.

@@ -354,10 +354,9 @@ func TestSequentialisedBroadcastCompletes(t *testing.T) {
 	}
 	seq := NewSequentialised(base)
 	res, err := phonecall.Run(phonecall.Config{
-		Topology:    phonecall.NewStatic(g),
-		Protocol:    seq,
-		RNG:         xrand.New(9),
-		AvoidRecent: seq.Memory(),
+		Topology: phonecall.NewStatic(g),
+		Protocol: seq,
+		RNG:      xrand.New(9),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,10 +72,9 @@ func ExampleNewSequentialised() {
 	}
 	seq := core.NewSequentialised(base)
 	res, err := phonecall.Run(phonecall.Config{
-		Topology:    phonecall.NewStatic(g),
-		Protocol:    seq,
-		RNG:         xrand.New(4),
-		AvoidRecent: seq.Memory(),
+		Topology: phonecall.NewStatic(g),
+		Protocol: seq,
+		RNG:      xrand.New(4),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -31,22 +31,20 @@ func TestFourChoiceParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name  string
 		proto phonecall.Protocol
-		avoid int
 	}{
-		{"algorithm1", alg1, 0},
-		{"algorithm2", alg2, 0},
-		{"sequentialised", seq, seq.Memory()},
+		{"algorithm1", alg1},
+		{"algorithm2", alg2},
+		{"sequentialised", seq},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(workers int) phonecall.Result {
 				res, err := phonecall.Run(phonecall.Config{
-					Topology:    phonecall.NewStatic(g),
-					Protocol:    tc.proto,
-					Source:      3,
-					RNG:         xrand.New(4242),
-					AvoidRecent: tc.avoid,
-					Workers:     workers,
+					Topology: phonecall.NewStatic(g),
+					Protocol: tc.proto,
+					Source:   3,
+					RNG:      xrand.New(4242),
+					Workers:  workers,
 				})
 				if err != nil {
 					t.Fatal(err)

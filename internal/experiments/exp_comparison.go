@@ -170,7 +170,7 @@ func runE11(o Options) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stSeq, err := measure(o, g, seq, master.Uint64(), reps, regcast.WithAvoidRecent(seq.Memory()))
+		stSeq, err := measure(o, g, seq, master.Uint64(), reps)
 		if err != nil {
 			return nil, err
 		}

@@ -277,14 +277,15 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 	sameRounds(t, "churn recount CSR vs interface view", rounds[0], rounds[1])
 }
 
-// TestAvoidRecentBudgetIsOneDial: under AvoidRecent a node dials one channel
-// per round whatever Choices says (the samplers fill slot 0 only), so that
-// is what ChannelsDialed charges — it used to charge min(k, degree), up to
-// k times what any round could transmit. Both budget sites: NewEngine's on
-// a frozen graph, refreshBudget's on the E13b churn overlay.
+// TestAvoidRecentBudgetIsOneDial: a node with dial memory dials one channel
+// per round (a memory protocol dials one: Config.Validate), so that is what
+// ChannelsDialed charges, every alive node every round, sender or not. Both
+// budget sites: NewEngine's on a frozen graph, refreshBudget's on the E13b
+// churn overlay. A memory protocol that dials more is a rejection row of
+// TestModelRules.
 func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
-	const n, d, k = 512, 6, 3
-	push, err := baseline.NewPush(n, k)
+	const n, d = 512, 6
+	push, err := baseline.NewPush(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +303,8 @@ func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
 		for _, topo := range []phonecall.Topology{phonecall.NewStatic(mustRegular(t, n, d, 61)), churn} {
 			alive := phonecall.DialBudget(topo, 1) // every degree is d >= 1
 			res, rounds, err := phonecall.RunRounds(phonecall.Config{
-				Topology: topo, Protocol: push, RNG: master.Split(),
-				AvoidRecent: 2, DisableFastPath: reference,
+				Topology: topo, Protocol: phonecall.WithMemory(push, 2), RNG: master.Split(),
+				DisableFastPath: reference,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -21,8 +21,8 @@ const (
 	// DialQuasirandom is the quasirandom rumor-spreading model of Doerr,
 	// Friedrich & Sauerwald (cited as [9] in the paper): each node starts
 	// at a uniformly random position of its (fixed) neighbour list and
-	// from then on dials successive list entries, k per round. Intended
-	// for push-only schedules (a pull round would advance the cursors of
+	// from then on dials successive list entries, k per round. It requires
+	// a push-only schedule (a pull round would advance the cursors of
 	// uninformed nodes too, which the quasirandom model does not define).
 	DialQuasirandom
 )
@@ -55,40 +55,34 @@ type Config struct {
 	// MessageLossProb is the probability that an individual transmission is
 	// lost in transit. Lost transmissions still count as transmissions.
 	MessageLossProb float64
-	// DisableFastPath reads the topology through its Degree/Neighbor/Alive
-	// methods (interfaceView) even when it exposes a CSR or implicit view. It
-	// never changes a result; bench/'s reference probe reads it.
-	DisableFastPath bool
 	// DialStrategy selects the neighbour-selection discipline (default
-	// DialUniform). DialQuasirandom is incompatible with AvoidRecent.
+	// DialUniform). DialQuasirandom requires a push-only protocol without
+	// dial memory (DialMemory).
 	DialStrategy DialStrategy
-	// AvoidRecent, when > 0, enables the sequentialised model of footnote 2:
-	// each node remembers the partners it dialled in the last AvoidRecent
-	// rounds and excludes them from the current choice. It disables the
-	// sender-only dial-sampling optimisation because memory must advance
-	// every round for every node, and a node dials one channel per round
-	// whatever Protocol.Choices says: ChannelsDialed charges one.
-	AvoidRecent int
 	// TrackEdgeUse enables the unused-edge census of Lemma 4: an edge
 	// counts as used once a transmission crossed it in either direction,
 	// and RoundMetrics.UnusedEdgeNodes records |U(t)|, the number of nodes
 	// still incident to at least one unused edge. Requires an Observer
-	// (the only reader of RoundMetrics) and a simple static topology with
-	// symmetric adjacency (parallel edges would be conflated; an edge is
-	// looked up in its lower endpoint's row).
+	// (the only reader of RoundMetrics) and a simple static topology that
+	// declares symmetric adjacency, graph.Symmetric (parallel edges would
+	// be conflated; an edge is looked up in its lower endpoint's row).
 	TrackEdgeUse bool
 	// StopEarly stops the run as soon as every alive node is informed: fewer
 	// rounds charged, not a faster run (a settled tail is counted). Leave it
 	// false to measure the full schedule, as EXPERIMENTS.md does.
 	StopEarly bool
+	// DisableFastPath reads the topology through its Degree/Neighbor/Alive
+	// methods (interfaceView) even when it exposes a CSR or implicit view. It
+	// never changes a result; bench/'s reference probe reads it.
+	DisableFastPath bool
 	// Workers selects where the shard passes execute: 0 (the default) and 1
-	// inline on the calling goroutine, more on min(Workers, Shards) pooled
+	// inline on the calling goroutine, more on min(Workers, shards) pooled
 	// goroutines, WorkersAuto (-1) on GOMAXPROCS. It never changes a result.
 	Workers int
-	// Shards is the number of node partitions (and independent PRNG
-	// streams); 0 means DefaultShards. The shard count — not the worker
-	// count — determines the trace, so keep it fixed when comparing runs.
-	Shards int
+	// shards is the number of node partitions (and independent PRNG
+	// streams), which determines the trace; 0 means DefaultShards, what
+	// every program runs. Only the package's tests vary it.
+	shards int
 	// Observer, when non-nil, receives streaming per-round callbacks (see
 	// Observer). It never changes the trace: observers are called after all
 	// of a round's randomness has been drawn.
@@ -129,7 +123,7 @@ type Result struct {
 	// transmissions included, as in the paper's accounting).
 	Transmissions int64
 	// ChannelsDialed is the total number of channel dials the model mandates
-	// (min(k, degree) per alive node and round; one under Config.AvoidRecent).
+	// (min(k, degree) per alive node and round).
 	ChannelsDialed int64
 	// InformedAt[v] is the round in which v first received the message
 	// (Uninformed if never). Run hands over the engine's own array: the
@@ -146,7 +140,6 @@ type Engine struct {
 
 	n          int
 	k          int
-	dials      int // channels a node dials per round: k, or 1 under AvoidRecent
 	informedAt []int32
 	// informedBits mirrors informedAt != Uninformed in n/8 bytes: the walk,
 	// the pull scan (informedFast), the merge's mask and the recount under
@@ -170,13 +163,15 @@ type Engine struct {
 	// = every id alive) and aliveN its population count, csrEpoch the epoch
 	// they were fetched at (refreshCSR re-fetches when a Step advanced it).
 	// uniDeg is impNbrs' graph.UniformDegree, or 0: row reads it instead of
-	// calling Degree.
+	// calling Degree. symmetric licenses both the edge census and
+	// sparse-frontier rounds.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
 	impView   ImplicitViewer
 	impNbrs   ImplicitNeighbors
 	uniDeg    int
+	symmetric bool // the topology declares graph.Symmetric
 	aliveBits []uint64
 	aliveN    int
 	csrEpoch  uint64
@@ -195,8 +190,10 @@ type Engine struct {
 	frontier int32         // the latest sparse-frontier round (markFrontier)
 	phases   PhaseObserver // Config.Observer, when it times round's steps
 
-	// memory for the sequentialised model (AvoidRecent > 0)
-	recent    []int32 // flat n×AvoidRecent ring of recent partners
+	// the sequentialised model's state: the protocol's DialMemory, and a
+	// flat n×memory ring of recent partners
+	memory    int
+	recent    []int32
 	recentPos []int
 
 	// listCursor holds each node's position in its neighbour list for the
@@ -229,16 +226,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkOrigin(cfg.Topology, "source", cfg.Source); err != nil {
+	if err := CheckOrigin(cfg.Topology, "source", cfg.Source); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// checkOrigin rejects a message origin (Config.Source, Message.Origin)
-// that is outside the id space or not alive: such a message would silently
-// never be disseminated.
-func checkOrigin(topo Topology, what string, v int) error {
+// CheckOrigin rejects a message origin (Config.Source, Message.Origin)
+// that is outside topo's id space or not alive: such a message would
+// silently never be disseminated.
+func CheckOrigin(topo Topology, what string, v int) error {
 	if n := topo.NumNodes(); v < 0 || v >= n {
 		return fmt.Errorf("phonecall: %s %d out of range [0,%d)", what, v, n)
 	}
@@ -248,17 +245,78 @@ func checkOrigin(topo Topology, what string, v int) error {
 	return nil
 }
 
+// Validate checks every rule of the model that needs no topology. NewEngine
+// runs it; the facade's Scenario, which holds a Config before it has a
+// topology, runs it at construction.
+func (c Config) Validate() error {
+	p := c.Protocol
+	if p == nil {
+		return fmt.Errorf("phonecall: Config requires a Protocol")
+	}
+	if p.Choices() < 1 {
+		return fmt.Errorf("phonecall: protocol %q dials %d < 1 neighbours", p.Name(), p.Choices())
+	}
+	if p.Horizon() < 1 {
+		return fmt.Errorf("phonecall: protocol %q has horizon %d < 1", p.Name(), p.Horizon())
+	}
+	mem := memoryOf(p)
+	if mem < 0 {
+		return fmt.Errorf("phonecall: protocol %q has dial memory %d < 0", p.Name(), mem)
+	}
+	if mem > 0 && p.Choices() != 1 {
+		return fmt.Errorf("phonecall: protocol %q keeps dial memory but dials %d neighbours per round; the sequentialised model dials one", p.Name(), p.Choices())
+	}
+	if !(c.ChannelFailureProb >= 0 && c.ChannelFailureProb <= 1) { // NaN fails too
+		return fmt.Errorf("phonecall: ChannelFailureProb %v out of [0,1]", c.ChannelFailureProb)
+	}
+	if !(c.MessageLossProb >= 0 && c.MessageLossProb <= 1) {
+		return fmt.Errorf("phonecall: MessageLossProb %v out of [0,1]", c.MessageLossProb)
+	}
+	switch c.DialStrategy {
+	case DialUniform:
+	case DialQuasirandom:
+		if mem > 0 {
+			return fmt.Errorf("phonecall: DialQuasirandom is incompatible with dial memory: the quasirandom cursor replaces it")
+		}
+		if pulls(p) {
+			return fmt.Errorf("phonecall: DialQuasirandom requires a push-only protocol; %q pulls, and pull rounds are undefined in the quasirandom model", p.Name())
+		}
+	default:
+		return fmt.Errorf("phonecall: unknown dial strategy %d", c.DialStrategy)
+	}
+	if err := sched.CheckWorkers("phonecall: Workers", c.Workers); err != nil {
+		return err
+	}
+	if c.shards < 0 {
+		return fmt.Errorf("phonecall: shards %d < 0", c.shards)
+	}
+	return nil
+}
+
+// pulls reports whether p pulls in any round the engine asks about: some
+// receipt round r < t in some round 1 <= t <= Horizon.
+func pulls(p Protocol) bool {
+	for t := 1; t <= p.Horizon(); t++ {
+		for r := 0; r < t; r++ {
+			if p.SendPull(t, r) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // newEngine is NewEngine without the Source checks — everything a
 // MultiEngine, whose origins are per message, shares with it.
 func newEngine(cfg Config) (*Engine, error) {
 	if cfg.Topology == nil {
-		return nil, fmt.Errorf("phonecall: Config.Topology is required")
-	}
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("phonecall: Config.Protocol is required")
+		return nil, fmt.Errorf("phonecall: Config requires a Topology")
 	}
 	if cfg.RNG == nil {
-		return nil, fmt.Errorf("phonecall: Config.RNG is required")
+		return nil, fmt.Errorf("phonecall: Config requires an RNG")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	n := cfg.Topology.NumNodes()
 	if int64(n) > math.MaxInt32 {
@@ -267,40 +325,12 @@ func newEngine(cfg Config) (*Engine, error) {
 		// space would wrap silently.
 		return nil, fmt.Errorf("phonecall: %d nodes exceed the int32 node ids", n)
 	}
-	if cfg.Protocol.Choices() < 1 {
-		return nil, fmt.Errorf("phonecall: protocol %q dials %d < 1 neighbours", cfg.Protocol.Name(), cfg.Protocol.Choices())
-	}
-	if cfg.Protocol.Horizon() < 1 {
-		return nil, fmt.Errorf("phonecall: protocol %q has horizon %d < 1", cfg.Protocol.Name(), cfg.Protocol.Horizon())
-	}
-	if !(cfg.ChannelFailureProb >= 0 && cfg.ChannelFailureProb <= 1) { // NaN fails too
-		return nil, fmt.Errorf("phonecall: ChannelFailureProb %v out of [0,1]", cfg.ChannelFailureProb)
-	}
-	if !(cfg.MessageLossProb >= 0 && cfg.MessageLossProb <= 1) {
-		return nil, fmt.Errorf("phonecall: MessageLossProb %v out of [0,1]", cfg.MessageLossProb)
-	}
-	if cfg.AvoidRecent < 0 {
-		return nil, fmt.Errorf("phonecall: AvoidRecent %d < 0", cfg.AvoidRecent)
-	}
-	if cfg.DialStrategy != DialUniform && cfg.DialStrategy != DialQuasirandom {
-		return nil, fmt.Errorf("phonecall: unknown dial strategy %d", cfg.DialStrategy)
-	}
-	if cfg.DialStrategy == DialQuasirandom && cfg.AvoidRecent > 0 {
-		return nil, fmt.Errorf("phonecall: DialQuasirandom is incompatible with AvoidRecent")
-	}
-	if err := sched.CheckWorkers("phonecall: Workers", cfg.Workers); err != nil {
-		return nil, err
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("phonecall: Shards %d < 0", cfg.Shards)
-	}
 	e := &Engine{
 		cfg:   cfg,
 		topo:  cfg.Topology,
 		proto: cfg.Protocol,
 		n:     n,
 		k:     cfg.Protocol.Choices(),
-		dials: cfg.Protocol.Choices(),
 	}
 	// Every topology is read through a view, fetched here once and again
 	// only when its epoch advances after a churn Step (fastpath.go): its
@@ -324,9 +354,8 @@ func newEngine(cfg Config) (*Engine, error) {
 	e.pushDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.pullDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.phases, _ = cfg.Observer.(PhaseObserver)
-	if cfg.AvoidRecent > 0 {
-		e.dials = 1 // sampleWithMemory fills slot 0 only
-		e.recent = make([]int32, n*cfg.AvoidRecent)
+	if e.memory = memoryOf(cfg.Protocol); e.memory > 0 {
+		e.recent = make([]int32, n*e.memory)
 		for i := range e.recent {
 			e.recent[i] = -1
 		}
@@ -345,6 +374,9 @@ func newEngine(cfg Config) (*Engine, error) {
 		if _, dynamic := cfg.Topology.(Stepper); dynamic {
 			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires a static topology")
 		}
+		if !e.symmetric { // markUsed looks an edge up in its lower endpoint's row
+			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires a topology that declares symmetric adjacency (graph.Symmetric)")
+		}
 		e.unusedDeg = make([]int32, n)
 		e.slotOff = make([]int32, n)
 		var slots int64
@@ -360,7 +392,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 		e.usedBits = make([]uint64, (slots+63)/64)
 	}
-	e.budget = DialBudget(cfg.Topology, e.dials)
+	e.budget = DialBudget(cfg.Topology, e.k)
 	e.budgetAlive = e.aliveCount()
 	e.initShards()
 	return e, nil
@@ -485,7 +517,7 @@ func (e *Engine) refreshBudget(joined []int) {
 		return
 	}
 	e.budgetAlive = alive
-	e.budget = DialBudget(e.topo, e.dials)
+	e.budget = DialBudget(e.topo, e.k)
 }
 
 // aliveCount returns the number of alive nodes, as of the last view fetch.
@@ -538,6 +570,8 @@ func (e *Engine) refreshCSR() {
 		}
 		e.csrOff, e.csrAdj = off, adj
 	}
+	sym, ok := e.topo.(graph.Symmetric)
+	e.symmetric = ok && sym.Symmetric()
 	e.aliveBits, e.csrEpoch = alive, epoch
 	e.aliveN = e.n
 	if alive != nil {

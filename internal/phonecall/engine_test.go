@@ -2,6 +2,7 @@ package phonecall
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"regcast/internal/graph"
@@ -75,7 +76,6 @@ func TestConfigValidation(t *testing.T) {
 		{"bad loss prob", func(c *Config) { c.MessageLossProb = -0.1 }},
 		{"NaN failure prob", func(c *Config) { c.ChannelFailureProb = math.NaN() }},
 		{"NaN loss prob", func(c *Config) { c.MessageLossProb = math.NaN() }},
-		{"negative memory", func(c *Config) { c.AvoidRecent = -1 }},
 		{"zero choices", func(c *Config) { c.Protocol = pushProto{0, 10} }},
 		{"zero horizon", func(c *Config) { c.Protocol = pushProto{1, 0} }},
 		{"id space past int32", func(c *Config) { c.Topology = hugeTopo{} }},
@@ -92,6 +92,56 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewMultiEngine(MultiConfig{Topology: hugeTopo{}, Protocol: pushProto{1, 10}, Rounds: 10, RNG: xrand.New(1)}); err == nil {
 		t.Error("MultiEngine accepted an id space past int32")
+	}
+}
+
+// TestModelRules has a row per rule of the model that phonecall owns
+// beyond the field checks: each configuration is outside the model, and
+// NewEngine rejects it at every Workers value with an error naming the
+// rule. The rows without a topology rule fail Config.Validate too, which
+// the facade runs when a scenario is assembled.
+func TestModelRules(t *testing.T) {
+	g := testGraph(t, 64, 6, 3)
+	gnp, err := graph.NewGnpStream(400, 8.0/399, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := graph.Materialize(gnp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := func(topo Topology) func(*Config) {
+		return func(c *Config) { c.Topology, c.TrackEdgeUse, c.Observer = topo, true, new(RoundLog) }
+	}
+	for _, tc := range []struct {
+		name     string
+		mutate   func(*Config)
+		topology bool // a rule about the topology: Validate cannot see it
+		want     string
+	}{
+		{"quasirandom with a pulling protocol", func(c *Config) {
+			c.Protocol, c.DialStrategy = pushPullProto{1, 10}, DialQuasirandom
+		}, false, "push-only"},
+		{"memory with two dials", func(c *Config) { c.Protocol = WithMemory(pushProto{2, 10}, 1) }, false, "dials one"},
+		{"memory with four dials", func(c *Config) { c.Protocol = WithMemory(pushProto{4, 10}, 3) }, false, "dials one"},
+		{"negative memory", func(c *Config) { c.Protocol = WithMemory(pushProto{1, 10}, -1) }, false, "< 0"},
+		{"memory with quasirandom", func(c *Config) {
+			c.Protocol, c.DialStrategy = WithMemory(pushProto{1, 10}, 3), DialQuasirandom
+		}, false, "incompatible"},
+		{"census on an implicit digraph", census(NewImplicit(gnp)), true, "symmetric"},
+		{"census on a materialised digraph", census(NewStatic(twin)), true, "symmetric"},
+	} {
+		for _, workers := range []int{0, 4} {
+			cfg := Config{Topology: NewStatic(g), Protocol: pushProto{1, 10}, RNG: xrand.New(1), Workers: workers}
+			tc.mutate(&cfg)
+			_, err := NewEngine(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s workers=%d: NewEngine error %v, want one naming %q", tc.name, workers, err, tc.want)
+			}
+			if verr := cfg.Validate(); (verr == nil) != tc.topology {
+				t.Errorf("%s workers=%d: Validate error %v", tc.name, workers, verr)
+			}
+		}
 	}
 }
 
@@ -352,19 +402,18 @@ func TestFourChoicesAreDistinct(t *testing.T) {
 }
 
 func TestSequentialisedMemoryAvoidsRepeats(t *testing.T) {
-	// With AvoidRecent=3 on a degree-4 graph, four consecutive dials from a
-	// node are distinct, so a star hub informs all 4 leaves in 4 rounds.
+	// With memory 3 on a degree-4 graph, four consecutive dials from a node
+	// are distinct, so a star hub informs all 4 leaves in 4 rounds.
 	edges := [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
 	g, err := graph.NewFromEdges(5, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Topology:    NewStatic(g),
-		Protocol:    pushProto{1, 4},
-		Source:      0,
-		RNG:         xrand.New(7),
-		AvoidRecent: 3,
+		Topology: NewStatic(g),
+		Protocol: WithMemory(pushProto{1, 4}, 3),
+		Source:   0,
+		RNG:      xrand.New(7),
 	})
 	if err != nil {
 		t.Fatal(err)

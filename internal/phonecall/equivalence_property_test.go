@@ -73,13 +73,21 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			Protocol:           proto,
 			ChannelFailureProb: float64(raw[3]%3) * 0.2,
 			MessageLossProb:    float64(raw[4]%3) * 0.15,
-			Shards:             []int{1, 7, 64}[raw[5]%3],
 		}
+		base.SetShards([]int{1, 7, 64}[raw[5]%3])
+		// A quasirandom run of a schedule that pulls, and dial memory beside
+		// more than one dial per round, are outside the model: NewEngine
+		// must reject them.
+		outside := false
 		switch raw[6] % 4 {
 		case 1:
 			base.DialStrategy = phonecall.DialQuasirandom
+			for t := 1; t <= proto.horizon; t++ {
+				outside = outside || proto.SendPull(t, t-1)
+			}
 		case 2:
-			base.AvoidRecent = 2
+			base.Protocol = phonecall.WithMemory(proto, 2)
+			outside = proto.k != 1
 		}
 		// Fresh topology per run: the overlay mutates under churn, and its
 		// churner draws only from its own streams, so every run sees the
@@ -106,6 +114,14 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			topo = func() phonecall.Topology { return phonecall.NewImplicit(stream) }
 		}
 		label := fmt.Sprintf("seed=%d push=%#x pull=%#x raw=%v (%s)", seed, push, pull, raw, kind)
+		if outside {
+			cfg := base
+			cfg.Topology, cfg.Source, cfg.RNG = topo(), int(seed%64), xrand.New(seed)
+			if _, err := phonecall.NewEngine(cfg); err == nil {
+				t.Fatalf("%s: NewEngine accepted a configuration outside the model", label)
+			}
+			return true
+		}
 
 		var first phonecall.Result
 		var firstRounds phonecall.RoundLog

@@ -27,6 +27,22 @@ func (e *Engine) ShardStates() []ShardState {
 	return out
 }
 
+// SetShards sets the shard count, which no program varies (0 means
+// DefaultShards): the geometry and property tests do.
+func (c *Config) SetShards(n int) { c.shards = n }
+
+// memoryProto is a protocol with dial memory m (DialMemory).
+type memoryProto struct {
+	Protocol
+	m int
+}
+
+func (p memoryProto) Memory() int { return p.m }
+
+// WithMemory returns p dialling under footnote 2's sequentialised model
+// with memory m, as core.Sequentialised does its schedule.
+func WithMemory(p Protocol, m int) Protocol { return memoryProto{p, m} }
+
 // LiveInformedAt returns the engine's receipt-round array itself, not the
 // copy a Result carries.
 func (e *Engine) LiveInformedAt() []int32 { return e.informedAt }

@@ -70,7 +70,7 @@ func (e *Engine) sampleDials(v, base int, ds *dialState) {
 	if deg == 0 {
 		return
 	}
-	if e.cfg.AvoidRecent > 0 {
+	if e.memory > 0 {
 		e.sampleWithMemory(v, base, off, deg, ds)
 		return
 	}
@@ -158,10 +158,10 @@ func (e *Engine) sampleQuasirandom(v, base, off, deg int, ds *dialState) {
 
 // sampleWithMemory implements footnote 2's sequentialised model: one dial
 // per round, chosen uniformly among neighbours not contacted in the last
-// AvoidRecent rounds. If every neighbour is recent (possible only when
-// degree <= AvoidRecent), the choice falls back to uniform.
+// memory rounds. If every neighbour is recent (possible only when
+// degree <= memory), the choice falls back to uniform.
 func (e *Engine) sampleWithMemory(v, base, off, deg int, ds *dialState) {
-	r := e.cfg.AvoidRecent
+	r := e.memory
 	memBase := v * r
 	choice := int32(-1)
 	for attempt := 0; attempt < 4*deg+16; attempt++ {
@@ -234,7 +234,7 @@ func (e *Engine) wordRound(dial dialMode) bool {
 	return dial == dialSenders && e.k <= 4 &&
 		(e.impNbrs == nil || e.uniDeg > 0) &&
 		c.ChannelFailureProb == 0 && c.MessageLossProb == 0 && !c.TrackEdgeUse &&
-		c.AvoidRecent == 0 && c.DialStrategy == DialUniform
+		e.memory == 0 && c.DialStrategy == DialUniform
 }
 
 // dialWords is shardPass for a wordRound: any cohort mix, one to four dials

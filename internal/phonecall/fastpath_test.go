@@ -225,10 +225,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return core.NewSequentialised(base)
-			},
-			mutate: func(cfg *phonecall.Config) {
-				cfg.AvoidRecent = cfg.Protocol.(*core.Sequentialised).Memory()
+				return core.NewSequentialised(base) // memory 3 (DialMemory)
 			},
 			want: digest{152, 8184, 77824, 73, 0xba6fa87dcbb9b329},
 		},

@@ -120,6 +120,7 @@ func (v *viewTopo) NumNodes() int         { return v.g.NumNodes() }
 func (v *viewTopo) Degree(n int) int      { return v.g.Degree(n) }
 func (v *viewTopo) Neighbor(n, i int) int { return v.g.Neighbor(n, i) }
 func (v *viewTopo) Alive(n int) bool      { return v.alive[uint(n)>>6]&(1<<(uint(n)&63)) != 0 }
+func (v *viewTopo) Symmetric() bool       { return v.g.Symmetric() }
 func (v *viewTopo) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 	offsets, adj = v.g.CSR()
 	return offsets, adj, v.alive, 0
@@ -190,6 +191,7 @@ func (hugeDegreeTopo) NumNodes() int         { return 4 }
 func (hugeDegreeTopo) Degree(int) int        { return 1 << 30 }
 func (hugeDegreeTopo) Neighbor(v, _ int) int { return (v + 1) % 4 }
 func (hugeDegreeTopo) Alive(int) bool        { return true }
+func (hugeDegreeTopo) Symmetric() bool       { return true } // what the census asks first
 
 // TestEdgeCensusRejectsSlotOverflow pins the census bound: slot offsets are
 // int32, so a degree sum past math.MaxInt32 must fail in NewEngine — before

@@ -84,7 +84,7 @@ func TestSparseFrontierDirectedNeverEngages(t *testing.T) {
 		{"gnp-stream implicit", phonecall.NewImplicit(gnp), "interface", false},
 		{"gnp-stream materialised", phonecall.NewStatic(twin), "interface", false},
 		{"gnp-stream materialised interface", struct{ phonecall.Topology }{phonecall.NewStatic(twin)}, "interface", false},
-		{"regular-stream interface", struct{ phonecall.Topology }{phonecall.NewImplicit(stream)}, "census", false},
+		{"regular-stream interface", interfaceOnly{phonecall.NewImplicit(stream)}, "census", false},
 		{"regular-stream", phonecall.NewImplicit(stream), "census", true},
 		{"gnp-stream materialised, declared symmetric", claimsSymmetric{phonecall.NewStatic(twin)}, "", true},
 	} {
@@ -178,7 +178,8 @@ func TestSparseFrontierPooledMatchesCensus(t *testing.T) {
 		for _, shards := range []int{1, 7, 64} {
 			for _, workers := range []int{0, 1, 4} {
 				label := fmt.Sprintf("%s shards=%d workers=%d", tc.name, shards, workers)
-				cfg := phonecall.Config{Protocol: tc.proto, Shards: shards, Workers: workers}
+				cfg := phonecall.Config{Protocol: tc.proto, Workers: workers}
+				cfg.SetShards(shards)
 				if frontier := matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return tc.topo }, 11); frontier < tc.frontier {
 					t.Errorf("%s: %d sparse-frontier rounds, want at least %d", label, frontier, tc.frontier)
 				}

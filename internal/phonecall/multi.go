@@ -84,7 +84,7 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 		return nil, err
 	}
 	for _, m := range cfg.Messages {
-		if err := checkOrigin(cfg.Topology, fmt.Sprintf("message %d origin", m.ID), m.Origin); err != nil {
+		if err := CheckOrigin(cfg.Topology, fmt.Sprintf("message %d origin", m.ID), m.Origin); err != nil {
 			return nil, err
 		}
 		if m.CreatedAt < 0 {

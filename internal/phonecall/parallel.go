@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"time"
 
-	"regcast/internal/graph"
 	"regcast/internal/sched"
 )
 
@@ -12,7 +11,7 @@ import (
 // goroutines for the shard passes.
 const WorkersAuto = sched.WorkersAuto
 
-// DefaultShards is the shard count used when Config.Shards is 0: a fixed
+// DefaultShards is the shard count of every program's runs: a fixed
 // constant of internal/sched, deliberately not tied to GOMAXPROCS, so that
 // a run's trace depends only on (seed, topology, protocol, shard count).
 // Config.Workers only chooses where the one round driver's shard passes
@@ -50,7 +49,7 @@ type parShard struct {
 // cfg.RNG, so the whole run remains reproducible from the master seed).
 // Workers 0 and 1 both resolve to the inline loop of runShardPasses.
 func (e *Engine) initShards() {
-	nShards := e.cfg.Shards
+	nShards := e.cfg.shards
 	if nShards == 0 {
 		nShards = DefaultShards
 	}
@@ -167,7 +166,7 @@ func (e *Engine) settle(t int) {
 		e.cohortDials[r] = -1
 	}
 	for v, ia := range e.informedAt {
-		e.cohortDials[ia] = max(e.cohortDials[ia], 0) + int64(min(e.dials, e.topo.Degree(v)))
+		e.cohortDials[ia] = max(e.cohortDials[ia], 0) + int64(min(e.k, e.topo.Degree(v)))
 	}
 	e.countFrom = t + 1
 	for u := t + 1; u < len(e.cohortDials); u++ {
@@ -317,16 +316,16 @@ func (e *Engine) applyReceipts(t int) (newly int) {
 }
 
 // sparseFrontier reports whether round's word-kernel round is a
-// sparse-frontier round: the view is fully alive and declares symmetric
-// rows, and marking U uninformed ids' neighbourhoods (U·d̄ resolutions,
-// then k per marked sender) costs less than resolving S senders' S·k dials.
+// sparse-frontier round: the view is fully alive, the topology declares
+// symmetric rows, and marking U uninformed ids' neighbourhoods (U·d̄
+// resolutions, then k per marked sender) costs less than resolving S
+// senders' S·k dials.
 func (e *Engine) sparseFrontier(dial dialMode, uninformed, senders int) bool {
-	view, deg := any(e.impNbrs), e.uniDeg
+	deg := e.uniDeg
 	if e.impNbrs == nil {
-		view, deg = e.fastView, len(e.csrAdj)/e.n
+		deg = len(e.csrAdj) / e.n
 	}
-	sym, ok := view.(graph.Symmetric)
-	return e.wordRound(dial) && e.aliveBits == nil && ok && sym.Symmetric() &&
+	return e.wordRound(dial) && e.aliveBits == nil && e.symmetric &&
 		float64(uninformed)*float64(deg)*float64(1+e.k) < float64(senders)*float64(e.k)
 }
 
@@ -360,7 +359,7 @@ func (e *Engine) markFrontier(t int) {
 
 // roundDial is the mode round runs when its driver asks for dial (dialSenders).
 func (e *Engine) roundDial(dial dialMode, anyPull bool) dialMode {
-	if dial == dialSenders && (anyPull || e.cfg.AvoidRecent > 0) {
+	if dial == dialSenders && (anyPull || e.memory > 0) {
 		return dialEveryone
 	}
 	return dial

@@ -77,7 +77,7 @@ func TestShardedTraceIndependentOfWorkers(t *testing.T) {
 		{"push-pull", Config{Protocol: pushPullProto{2, 40}}},
 		{"lossy", Config{Protocol: pushPullProto{2, 60}, MessageLossProb: 0.3, ChannelFailureProb: 0.2}},
 		{"quasirandom", Config{Protocol: pushProto{2, 60}, DialStrategy: DialQuasirandom}},
-		{"avoid-recent", Config{Protocol: pushProto{1, 120}, AvoidRecent: 3}},
+		{"avoid-recent", Config{Protocol: WithMemory(pushProto{1, 120}, 3)}},
 		{"edge-use", Config{Protocol: pushPullProto{2, 40}, TrackEdgeUse: true}},
 		{"stop-early", Config{Protocol: pushProto{4, 100}, StopEarly: true}},
 	}
@@ -147,7 +147,7 @@ func TestParShardLayout(t *testing.T) {
 }
 
 // TestShardedEquivalentStatistics checks that sharding does not bias the
-// process: one stream for all nodes (Shards = 1) against the default 64
+// process: one stream for all nodes (shards = 1) against the default 64
 // per-shard streams, same graph, same protocol, many seeds. The two
 // consume randomness in different orders, so traces differ bit-wise by
 // design (worker counts are the bit-identical comparison; see
@@ -166,7 +166,7 @@ func TestShardedEquivalentStatistics(t *testing.T) {
 				Protocol:  pushProto{1, 200},
 				RNG:       xrand.New(1000 + seed),
 				StopEarly: true,
-				Shards:    shards,
+				shards:    shards,
 			}
 			res, err := Run(cfg)
 			if err != nil {
@@ -201,7 +201,7 @@ func TestShardedEdgeUse(t *testing.T) {
 			Topology:     NewStatic(g),
 			Protocol:     pushPullProto{2, 30},
 			TrackEdgeUse: true,
-			Shards:       shards,
+			shards:       shards,
 		}
 		cfg.RNG = xrand.New(9)
 		res := runWorkers(t, cfg, 8)
@@ -235,9 +235,9 @@ func TestWorkersAutoAndValidation(t *testing.T) {
 		t.Error("Workers=-2 accepted")
 	}
 	cfg.Workers = 1
-	cfg.Shards = -1
+	cfg.shards = -1
 	if _, err := NewEngine(cfg); err == nil {
-		t.Error("Shards=-1 accepted")
+		t.Error("shards=-1 accepted")
 	}
 }
 

@@ -13,7 +13,8 @@ const Uninformed = -1
 //
 // Rounds are numbered from 1; the message is created at the source in
 // round 0 (so the source has informedAt == 0 and the message's age in
-// round t is t).
+// round t is t). A protocol that also implements DialMemory dials under
+// footnote 2's sequentialised model.
 type Protocol interface {
 	// Name identifies the protocol in traces and result tables.
 	Name() string
@@ -34,4 +35,22 @@ type Protocol interface {
 	// transmits the message over its incoming channels in round t (i.e.
 	// answers the nodes that dialled it).
 	SendPull(t, informedAt int) bool
+}
+
+// DialMemory is the optional Protocol extension of footnote 2's
+// sequentialised model: each node excludes the partners of its last
+// Memory() rounds from its one dial per round, so Memory() > 0 requires
+// Choices() == 1 and DialUniform (Config.Validate). Memory advances every
+// round, so every alive node dials, sender or not.
+type DialMemory interface {
+	Protocol
+	Memory() int
+}
+
+// memoryOf is p's dial memory: DialMemory's answer, or 0.
+func memoryOf(p Protocol) int {
+	if m, ok := p.(DialMemory); ok {
+		return m.Memory()
+	}
+	return 0
 }

@@ -25,12 +25,6 @@ func TestDialStrategyValidation(t *testing.T) {
 	if _, err := NewEngine(bad); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	conflict := base
-	conflict.DialStrategy = DialQuasirandom
-	conflict.AvoidRecent = 3
-	if _, err := NewEngine(conflict); err == nil {
-		t.Error("quasirandom + AvoidRecent accepted")
-	}
 	ok := base
 	ok.DialStrategy = DialQuasirandom
 	if _, err := NewEngine(ok); err != nil {

@@ -64,7 +64,7 @@ func TestRowBuffersBoundedByWorkers(t *testing.T) {
 		{"push-pull", Config{Protocol: pushPullProto{4, 30}}, true},
 		{"pull", Config{Protocol: pullProto{2, 40}, MessageLossProb: 0.1}, true},
 		{"push-only", Config{Protocol: pushProto{4, 30}}, false},
-		{"push-only-avoid-recent", Config{Protocol: pushProto{1, 60}, AvoidRecent: 2}, false},
+		{"push-only-avoid-recent", Config{Protocol: WithMemory(pushProto{1, 60}, 2)}, false},
 	} {
 		for _, reference := range []bool{false, true} {
 			for _, workers := range []int{0, 1, 4} {

@@ -107,7 +107,6 @@ func settleSchedules(t *testing.T, n, d int) []phonecall.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := core.NewSequentialised(alg1)
 	return []phonecall.Config{
 		{Protocol: must(baseline.NewPush(n, 1))},
 		{Protocol: must(baseline.NewPush(n, 2))},
@@ -116,9 +115,9 @@ func settleSchedules(t *testing.T, n, d int) []phonecall.Config {
 		{Protocol: must(core.New(n, max(d, 5)))}, // four-choice wants d >= 5; on G(n,4) it dials every neighbour
 		{Protocol: alg1},
 		{Protocol: must(core.NewAlgorithm2(n))},
-		{Protocol: seq, AvoidRecent: seq.Memory()},
+		{Protocol: core.NewSequentialised(alg1)},
 		{Protocol: must(baseline.NewPush(n, 1)), DialStrategy: phonecall.DialQuasirandom},
-		{Protocol: must(baseline.NewPush(n, 2)), AvoidRecent: 2},
+		{Protocol: phonecall.WithMemory(must(baseline.NewPush(n, 1)), 2)},
 	}
 }
 
@@ -133,8 +132,8 @@ func TestCountedRoundsMatchSimulation(t *testing.T) {
 		for _, loss := range []float64{0, 0.2} {
 			for _, workers := range []int{0, 4} {
 				cfg.MessageLossProb, cfg.Workers = loss, workers
-				l := fmt.Sprintf("%s %s avoid=%d dial=%v loss=%v workers=%d reference=%v",
-					label, cfg.Protocol.Name(), cfg.AvoidRecent, cfg.DialStrategy, loss, workers, cfg.DisableFastPath)
+				l := fmt.Sprintf("%s %s dial=%v loss=%v workers=%d reference=%v",
+					label, cfg.Protocol.Name(), cfg.DialStrategy, loss, workers, cfg.DisableFastPath)
 				if res, _ := sameAsOracle(t, l, cfg, topo); res.CountedRounds > 0 {
 					engaged[schedule]++
 				}

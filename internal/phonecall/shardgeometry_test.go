@@ -92,14 +92,15 @@ func TestShardedShardGeometry(t *testing.T) {
 				key := fmt.Sprintf("%s/%s/%d", topo.name, p.name, shards)
 				want, ok := geometryGoldens[key]
 				for _, workers := range []int{0, 4} {
-					res, rounds, err := phonecall.RunRounds(phonecall.Config{
+					cfg := phonecall.Config{
 						Topology: topo.build(),
 						Protocol: p.proto,
 						Source:   5,
 						RNG:      xrand.New(20261016),
 						Workers:  workers,
-						Shards:   shards,
-					})
+					}
+					cfg.SetShards(shards)
+					res, rounds, err := phonecall.RunRounds(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

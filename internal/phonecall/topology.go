@@ -243,6 +243,12 @@ func (t Implicit) Neighbor(v, i int) int { return int(t.F.NeighborAt(v, i)) }
 // Alive implements Topology; every node of an implicit family is alive.
 func (t Implicit) Alive(int) bool { return true }
 
+// Symmetric implements graph.Symmetric: the family's own declaration.
+func (t Implicit) Symmetric() bool {
+	s, ok := t.F.(graph.Symmetric)
+	return ok && s.Symmetric()
+}
+
 // ImplicitView implements ImplicitViewer: the family's own arithmetic,
 // a nil alive bitset and a constant epoch.
 func (t Implicit) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, epoch uint64) {

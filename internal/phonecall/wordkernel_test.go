@@ -18,14 +18,30 @@ type methodNbrs struct{ phonecall.Topology }
 
 func (m methodNbrs) NeighborAt(v, i int) int32 { return int32(m.Neighbor(v, i)) }
 
+// declaresSymmetric reports whether topo declares symmetric adjacency
+// (graph.Symmetric), which the census requires.
+func declaresSymmetric(topo phonecall.Topology) bool {
+	s, ok := topo.(graph.Symmetric)
+	return ok && s.Symmetric()
+}
+
+// interfaceOnly hides every view of a topology, so the engine reads it
+// through interfaceView, but forwards its graph.Symmetric declaration, so
+// a census oracle can still run on it.
+type interfaceOnly struct{ phonecall.Topology }
+
+func (t interfaceOnly) Symmetric() bool { return declaresSymmetric(t.Topology) }
+
 // csrWithAlive and implicitWithAlive are a view with a non-nil alive
-// bitset, which Alive reads too.
+// bitset, which Alive reads too; both forward the wrapped topology's
+// graph.Symmetric declaration.
 type csrWithAlive struct {
 	phonecall.CSRViewer
 	alive []uint64
 }
 
 func (t csrWithAlive) Alive(v int) bool { return t.alive[v>>6]&(1<<(uint(v)&63)) != 0 }
+func (t csrWithAlive) Symmetric() bool  { return declaresSymmetric(t.CSRViewer) }
 
 func (t csrWithAlive) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 	offsets, adj, _, epoch = t.CSRViewer.CSRView()
@@ -39,6 +55,7 @@ type implicitWithAlive struct {
 }
 
 func (t implicitWithAlive) Alive(v int) bool { return t.alive[v>>6]&(1<<(uint(v)&63)) != 0 }
+func (t implicitWithAlive) Symmetric() bool  { return declaresSymmetric(t.Topology) }
 
 func (t implicitWithAlive) ImplicitView() (phonecall.ImplicitNeighbors, []uint64, uint64) {
 	return t.nbrs, t.alive, 0
@@ -233,9 +250,9 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 		{"csr", fixed(static), 0},
 		{"regular-stream", fixed(phonecall.NewImplicit(stream)), 0},
 		{"hypercube", fixed(phonecall.NewImplicit(cube)), 0},
-		{"interface", fixed(struct{ phonecall.Topology }{static}), 0}, // hides CSRView
+		{"interface", fixed(interfaceOnly{static}), 0}, // hides CSRView
 		{"sparse-csr", fixed(sparse), 0},
-		{"sparse-interface", fixed(struct{ phonecall.Topology }{sparse}), 0},
+		{"sparse-interface", fixed(interfaceOnly{sparse}), 0},
 		{"sparse-csr isolated source", fixed(sparse), 2000}, // an isolated sender
 		{"csr all-ones alive", fixed(withDead(static)), 0},
 		{"csr dead ids", fixed(withDead(static, everyThird(2000)...)), 0},
@@ -251,7 +268,8 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 			for _, shards := range []int{1, 7, 64} {
 				for _, workers := range []int{0, 4} {
 					label := fmt.Sprintf("%s %s k=%d shards=%d workers=%d", view.name, proto.Name(), proto.Choices(), shards, workers)
-					cfg := phonecall.Config{Protocol: proto, Source: view.source, Shards: shards, Workers: workers}
+					cfg := phonecall.Config{Protocol: proto, Source: view.source, Workers: workers}
+					cfg.SetShards(shards)
 					matchesGeneralPass(t, label, cfg, view.topo, 9)
 				}
 			}
@@ -398,12 +416,14 @@ func FuzzWordKernel(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := phonecall.Config{Protocol: proto, Shards: 1 + int(shards8%64)}
+		shards := 1 + int(shards8%64)
+		cfg := phonecall.Config{Protocol: proto}
+		cfg.SetShards(shards)
 		if pooled {
 			cfg.Workers = 4
 		}
 		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(stream), phonecall.NewStatic(g)} {
-			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, cfg.Shards, cfg.Workers, seed)
+			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, shards, cfg.Workers, seed)
 			matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return topo }, seed)
 		}
 		gnp := gnpStream(t, n, d, seed)
@@ -412,7 +432,7 @@ func FuzzWordKernel(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(gnp), phonecall.NewStatic(twin)} {
-			label := fmt.Sprintf("gnp-stream n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, cfg.Shards, cfg.Workers, seed)
+			label := fmt.Sprintf("gnp-stream n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, shards, cfg.Workers, seed)
 			if frontier := matchesInterfaceView(t, label, cfg, topo, seed); frontier != 0 {
 				t.Fatalf("%s: %d sparse-frontier rounds on a digraph", label, frontier)
 			}

@@ -7,7 +7,7 @@
 // runs ringShard over each agent range. compile picks the arm once, at
 // construction, by protocol capability, and every arm is bit-identical to
 // the uncompiled one — same streams, same trace, same observer events —
-// for every Workers × Shards combination (the fastpath tests pin committed
+// for every Workers × shard-count combination (the fastpath tests pin committed
 // digests for both):
 //
 //   - Table (TableProtocol): when the declared state space fits

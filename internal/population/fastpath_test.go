@@ -103,7 +103,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 			for _, workers := range []int{0, 1, 4} {
 				for _, wrapped := range []bool{false, true} {
 					cfg := tc.cfg
-					cfg.Workers, cfg.Shards = workers, shards
+					cfg.Workers, cfg.shards = workers, shards
 					want := tc.arm
 					if wrapped {
 						cfg = plain(cfg)
@@ -362,7 +362,7 @@ func FuzzTableCompile(f *testing.F) {
 		}
 		agents := 2 + int(n)%190
 		escAgent := r.IntN(agents)
-		cfg := Config{N: agents, Pair: p, MaxSteps: 8, Shards: 3,
+		cfg := Config{N: agents, Pair: p, MaxSteps: 8, shards: 3,
 			Init: func(i, n int, coin uint64) State {
 				if escape == 2 && i == escAgent {
 					return State(p.s)

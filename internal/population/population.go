@@ -8,8 +8,8 @@
 // sharded super-step contract (internal/sched; the first is the
 // phone-call round engine in internal/phonecall). Interactions are
 // batched into super-steps of Config.N pairs; each super-step
-// partitions its interaction quota over Config.Shards shards, each shard
-// draws its pairs and coin words from its own split PRNG stream
+// partitions its interaction quota over sched.DefaultShards shards, each
+// shard drawing its pairs and coin words from its own split PRNG stream
 // concurrently, and the drawn interactions are then applied to the
 // configuration sequentially in shard order by the coordinating
 // goroutine. Pair draws are state-independent, so the parallel drawing
@@ -115,7 +115,7 @@ type Config struct {
 	MaxSteps int // super-step budget; 0 selects a per-scheduler default
 
 	Workers int // sched worker goroutines; 0 or 1 inline, WorkersAuto = GOMAXPROCS
-	Shards  int // shard count (fixes the trace); 0 means sched.DefaultShards
+	shards  int // shard count (fixes the trace); 0, what every program runs, is sched.DefaultShards
 
 	// DisableFastPath compiles nothing: the run takes the uncompiled
 	// arms — one interface call per interaction and the O(n) Measure
@@ -218,11 +218,11 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.RNG == nil {
 		cfg.RNG = xrand.New(0)
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = sched.DefaultShards
+	if cfg.shards == 0 {
+		cfg.shards = sched.DefaultShards
 	}
-	if cfg.Shards < 1 {
-		return nil, errors.New("population: Config.Shards must be positive")
+	if cfg.shards < 1 {
+		return nil, errors.New("population: the shard count must be positive")
 	}
 	if err := sched.CheckWorkers("population: Config.Workers", cfg.Workers); err != nil {
 		return nil, err
@@ -257,11 +257,11 @@ func newEngine(cfg Config) (*engine, error) {
 			e.states[i] = cfg.Init(i, e.n, initStream.Uint64())
 		}
 	}
-	e.shards = make([]popShard, cfg.Shards)
+	e.shards = make([]popShard, cfg.shards)
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.stream = cfg.RNG.Split()
-		sh.lo, sh.hi = sched.Bounds(i, e.n, cfg.Shards)
+		sh.lo, sh.hi = sched.Bounds(i, e.n, cfg.shards)
 		if cfg.Pair != nil {
 			// Preallocate the interaction quota once, here, so no super-step
 			// — first included — grows the buffer via append: the engine's
@@ -269,7 +269,7 @@ func newEngine(cfg Config) (*engine, error) {
 			sh.pairs = make([]PairDraw, 0, sh.hi-sh.lo)
 		}
 	}
-	e.workers = sched.Resolve(cfg.Workers, cfg.Shards)
+	e.workers = sched.Resolve(cfg.Workers, cfg.shards)
 	e.compile()
 	return e, nil
 }

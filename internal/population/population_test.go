@@ -259,7 +259,7 @@ func TestConfigValidation(t *testing.T) {
 		"no-protocol":   {N: 8},
 		"two-protocols": {N: 9, Pair: le, Ring: hm},
 		"pair-n-1":      {N: 1, Pair: le},
-		"neg-shards":    {N: 8, Pair: le, Shards: -1},
+		"neg-shards":    {N: 8, Pair: le, shards: -1},
 		"neg-max-steps": {N: 8, Pair: le, MaxSteps: -5},
 		// Below WorkersAuto: the one rule (sched.CheckWorkers) the
 		// phone-call engine and the facade apply too, not an inline run.

@@ -54,8 +54,8 @@ type FaultConfig struct {
 	// Partitions and Crashes are epoch-scheduled structural faults.
 	Partitions []PartitionWindow
 	Crashes    []CrashWindow
-	// RecordTrace retains every decision for equality checks in tests.
-	RecordTrace bool
+	// recordTrace retains every decision (Trace); only the package's tests set it.
+	recordTrace bool
 }
 
 // validate rejects probabilities outside [0,1] and malformed windows,
@@ -251,7 +251,7 @@ func (f *FaultPlan) coin(k pairKey, seq uint64, salt uint64) float64 {
 
 // record appends a decision to the trace when recording is on.
 func (f *FaultPlan) record(k pairKey, seq uint64, epoch int, action string) {
-	if !f.cfg.RecordTrace {
+	if !f.cfg.recordTrace {
 		return
 	}
 	f.tmu.Lock()

@@ -66,7 +66,7 @@ func TestFaultPlanDeterministicSchedule(t *testing.T) {
 		Delay:       time.Millisecond,
 		Partitions:  []PartitionWindow{{From: 2, Until: 4, A: []int{0, 1}}},
 		Crashes:     []CrashWindow{{Node: 3, From: 1, Until: 3}},
-		RecordTrace: true,
+		recordTrace: true,
 	}
 	feed := func(p *FaultPlan) {
 		for epoch := 0; epoch < 6; epoch++ {
@@ -320,7 +320,7 @@ func TestChaosRunReproducibleFromSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := NewFaultPlan(d, FaultConfig{Seed: 77, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, RecordTrace: true})
+		plan, err := NewFaultPlan(d, FaultConfig{Seed: 77, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, recordTrace: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,6 +47,31 @@ func (m multiObserver) OnInformed(node, round int) {
 	}
 }
 
+// addObserver returns the observer that calls prev's callbacks, then obs's:
+// obs alone when prev is nil (no observer keeps the engines' nil-observer
+// fast path), else a multiObserver, or a phaseFanout when some observer in
+// it is a PhaseObserver.
+func addObserver(prev, obs Observer) Observer {
+	var m multiObserver
+	switch p := prev.(type) {
+	case nil:
+		return obs
+	case multiObserver:
+		m = p
+	case phaseFanout:
+		m = p.multiObserver
+	default:
+		m = multiObserver{p}
+	}
+	m = append(m, obs)
+	for _, o := range m {
+		if _, ok := o.(PhaseObserver); ok {
+			return phaseFanout{m}
+		}
+	}
+	return m
+}
+
 // phaseFanout is the multiObserver of a run in which some observer is a
 // PhaseObserver; without one the simulator must not read its clock.
 type phaseFanout struct{ multiObserver }

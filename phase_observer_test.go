@@ -49,7 +49,7 @@ func TestPhaseObserverFanOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, timed := sc.observer().(PhaseObserver); timed != tc.timed {
+		if _, timed := sc.cfg.Observer.(PhaseObserver); timed != tc.timed {
 			t.Errorf("%s: the run's observer is a PhaseObserver = %v, want %v", tc.name, timed, tc.timed)
 		}
 		tap.phases = 0

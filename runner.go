@@ -242,7 +242,7 @@ func (r Runner) runScenario(ctx context.Context, s Scenario) (Result, error) {
 	// that same stream — the master.Split() idiom with the splits done by
 	// the spec. Batch replications bypass this by materialising per
 	// replication themselves.
-	if s.topo == nil {
+	if s.cfg.Topology == nil {
 		var err error
 		if s, err = s.materialize(0, s.runRNG()); err != nil {
 			return Result{}, err
@@ -281,23 +281,11 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runSimulation drives the phone-call engine.
+// runSimulation drives the phone-call engine on the scenario's model and
+// the run's own fields.
 func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
-	cfg := phonecall.Config{
-		Topology:           s.topo,
-		Protocol:           s.proto,
-		Source:             s.source,
-		RNG:                s.runRNG(),
-		ChannelFailureProb: s.channelFailure,
-		MessageLossProb:    s.messageLoss,
-		DialStrategy:       s.dial,
-		AvoidRecent:        s.avoidRecent,
-		TrackEdgeUse:       s.trackEdgeUse,
-		StopEarly:          s.stopEarly,
-		Workers:            r.workers,
-		Observer:           s.observer(),
-		Halt:               haltFor(ctx),
-	}
+	cfg := s.cfg
+	cfg.RNG, cfg.Workers, cfg.Halt = s.runRNG(), r.workers, haltFor(ctx)
 	res, err := phonecall.Run(cfg)
 	if err != nil {
 		return Result{}, err
@@ -321,14 +309,15 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 // picks draw from two seeds off the run's stream, so a run without faults
 // whose ticks all settle is reproducible from the seed.
 func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
-	st, ok := s.topo.(phonecall.Static)
+	st, ok := s.cfg.Topology.(phonecall.Static)
 	if !ok {
 		return Result{}, fmt.Errorf("regcast: the %v engine requires a Static topology", r.engine)
 	}
-	if s.dial != DialUniform || s.avoidRecent > 0 || s.trackEdgeUse {
+	memory, _ := s.cfg.Protocol.(phonecall.DialMemory)
+	if memory != nil && memory.Memory() > 0 || s.cfg.DialStrategy != DialUniform || s.cfg.TrackEdgeUse {
 		return Result{}, fmt.Errorf("regcast: the %v engine supports only DialUniform without dial memory or edge tracking", r.engine)
 	}
-	if s.channelFailure != 0 || s.messageLoss != 0 {
+	if s.cfg.ChannelFailureProb != 0 || s.cfg.MessageLossProb != 0 {
 		return Result{}, fmt.Errorf("regcast: the %v engine does not simulate channel failure or message loss", r.engine)
 	}
 	g := st.G
@@ -358,35 +347,35 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		}
 		tr = plan
 	}
-	cluster, err := transport.NewCluster(g, tr, s.proto, clusterSeed)
+	cluster, err := transport.NewCluster(g, tr, s.cfg.Protocol, clusterSeed)
 	if err != nil {
 		tr.Close()
 		return Result{}, err
 	}
 	defer cluster.Close()
 
-	if err := cluster.Insert(s.source, transport.Rumor{ID: "regcast/scenario", Payload: "scenario broadcast"}); err != nil {
+	if err := cluster.Insert(s.cfg.Source, transport.Rumor{ID: "regcast/scenario", Payload: "scenario broadcast"}); err != nil {
 		return Result{}, err
 	}
 
-	obs := s.observer()
+	obs := s.cfg.Observer
 	informedAt := make([]int32, n)
 	for v := range informedAt {
 		informedAt[v] = Uninformed
 	}
-	informedAt[s.source] = 0
+	informedAt[s.cfg.Source] = 0
 	if obs != nil {
-		obs.OnInformed(s.source, 0)
+		obs.OnInformed(s.cfg.Source, 0)
 	}
 
-	budget := phonecall.DialBudget(s.topo, s.proto.Choices())
+	budget := phonecall.DialBudget(st, s.cfg.Protocol.Choices())
 
 	res := Result{Engine: r.engine, FirstAllInformed: -1, AliveNodes: n}
 	informed := 1
 	var lastSent int64
 	var newly []int
 	halt := haltFor(ctx)
-	for t := 1; t <= s.proto.Horizon(); t++ {
+	for t := 1; t <= s.cfg.Protocol.Horizon(); t++ {
 		if halt != nil && halt() {
 			break
 		}
@@ -431,7 +420,7 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		res.ChannelsDialed += budget
 		if informed == n && res.FirstAllInformed < 0 {
 			res.FirstAllInformed = t
-			if s.stopEarly {
+			if s.cfg.StopEarly {
 				break
 			}
 		}

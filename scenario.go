@@ -2,6 +2,8 @@ package regcast
 
 import (
 	"fmt"
+
+	"regcast/internal/phonecall"
 )
 
 // Scenario is one fully described broadcast: a topology, a protocol
@@ -18,23 +20,14 @@ import (
 // graphs need no builder callback), while a constant-spec scenario
 // shares its one instance across replications.
 type Scenario struct {
-	spec  TopologySpec
-	topo  Topology // the instance: set for constant specs, else materialised per run
-	proto Protocol
-
-	source      int
-	seed        uint64
-	rng         *Rand
-	dial        DialStrategy
-	avoidRecent int
-
-	channelFailure float64
-	messageLoss    float64
-
-	stopEarly    bool
-	trackEdgeUse bool
-
-	observers []Observer
+	spec TopologySpec
+	// cfg is the broadcast: the model (Protocol, Source, the fault
+	// probabilities, DialStrategy, TrackEdgeUse, StopEarly), the Topology
+	// instance (set for constant specs, else materialised per run), the
+	// WithRNG stream and the observers' fan-out. A run copies it and adds
+	// its own fields (runSimulation).
+	cfg  phonecall.Config
+	seed uint64
 }
 
 // anyScenario marks Scenario as a member of the sealed AnyScenario
@@ -45,7 +38,7 @@ func (Scenario) anyScenario() {}
 type ScenarioOption func(*Scenario)
 
 // WithSource sets the node that creates the message in round 0 (default 0).
-func WithSource(v int) ScenarioOption { return func(s *Scenario) { s.source = v } }
+func WithSource(v int) ScenarioOption { return func(s *Scenario) { s.cfg.Source = v } }
 
 // WithSeed seeds the run's randomness (default 1). Every Run of the same
 // Scenario and engine reproduces the same trace.
@@ -59,45 +52,48 @@ func WithSeed(seed uint64) ScenarioOption {
 // synchronised, so a WithRNG scenario must not be Run concurrently with
 // itself and repeated Runs differ; use WithSeed for repeatable traces and
 // for scenarios shared between goroutines.
-func WithRNG(rng *Rand) ScenarioOption { return func(s *Scenario) { s.rng = rng } }
+func WithRNG(rng *Rand) ScenarioOption { return func(s *Scenario) { s.cfg.RNG = rng } }
 
 // WithDialStrategy selects the neighbour-selection discipline (default
 // DialUniform). DialQuasirandom requires a push-only protocol (SendPull
-// false in every round of the horizon) and is incompatible with
-// WithAvoidRecent; NewScenario rejects both combinations.
-func WithDialStrategy(d DialStrategy) ScenarioOption { return func(s *Scenario) { s.dial = d } }
-
-// WithAvoidRecent enables the sequentialised model of the paper's footnote
-// 2: one dial per round, excluding the partners dialled in the last r
-// rounds.
-func WithAvoidRecent(r int) ScenarioOption { return func(s *Scenario) { s.avoidRecent = r } }
+// false in every round of the horizon) without dial memory (a protocol
+// with a Memory method, phonecall.DialMemory); NewScenario rejects both
+// combinations.
+func WithDialStrategy(d DialStrategy) ScenarioOption {
+	return func(s *Scenario) { s.cfg.DialStrategy = d }
+}
 
 // WithChannelFailure sets the probability that a dialled channel fails to
 // establish.
-func WithChannelFailure(p float64) ScenarioOption { return func(s *Scenario) { s.channelFailure = p } }
+func WithChannelFailure(p float64) ScenarioOption {
+	return func(s *Scenario) { s.cfg.ChannelFailureProb = p }
+}
 
 // WithMessageLoss sets the probability that an individual transmission is
 // lost in transit (lost transmissions still count as transmissions).
-func WithMessageLoss(p float64) ScenarioOption { return func(s *Scenario) { s.messageLoss = p } }
+func WithMessageLoss(p float64) ScenarioOption {
+	return func(s *Scenario) { s.cfg.MessageLossProb = p }
+}
 
 // WithStopEarly stops the run as soon as every alive node is informed,
 // instead of measuring the full schedule's transmission cost: a different
 // result (fewer rounds charged), not a faster way to the same one — on a
 // static, fault-free topology the simulator counts the rounds after the last
 // receipt instead of simulating them (Result.CountedRounds).
-func WithStopEarly() ScenarioOption { return func(s *Scenario) { s.stopEarly = true } }
+func WithStopEarly() ScenarioOption { return func(s *Scenario) { s.cfg.StopEarly = true } }
 
 // WithTrackEdgeUse enables the unused-edge census of the paper's Lemma 4
 // (RoundStats.UnusedEdgeNodes), read through WithObserver: the run needs
-// an observer, EngineSimulator and a static topology.
-func WithTrackEdgeUse() ScenarioOption { return func(s *Scenario) { s.trackEdgeUse = true } }
+// an observer, EngineSimulator and a static topology that declares
+// symmetric adjacency (Graph.Symmetric).
+func WithTrackEdgeUse() ScenarioOption { return func(s *Scenario) { s.cfg.TrackEdgeUse = true } }
 
 // WithObserver streams per-round metrics to obs during the run — the one
 // way a caller sees RoundStats; Result keeps totals only. Repeating
 // the option registers several observers; they are invoked in registration
 // order, from the engine's coordinating goroutine only.
 func WithObserver(obs Observer) ScenarioOption {
-	return func(s *Scenario) { s.observers = append(s.observers, obs) }
+	return func(s *Scenario) { s.cfg.Observer = addObserver(s.cfg.Observer, obs) }
 }
 
 // NewScenario validates and assembles a broadcast scenario on the given
@@ -108,7 +104,7 @@ func NewScenario(topo Topology, proto Protocol, opts ...ScenarioOption) (Scenari
 	if topo == nil {
 		return Scenario{}, fmt.Errorf("regcast: scenario requires a Topology")
 	}
-	return assemble(Scenario{spec: FixedTopology(topo), topo: topo, proto: proto, seed: 1}, opts)
+	return assemble(Scenario{spec: FixedTopology(topo), cfg: phonecall.Config{Topology: topo, Protocol: proto}, seed: 1}, opts)
 }
 
 // NewScenarioSpec validates and assembles a broadcast scenario on a
@@ -123,15 +119,15 @@ func NewScenarioSpec(spec TopologySpec, proto Protocol, opts ...ScenarioOption) 
 	if spec == nil {
 		return Scenario{}, fmt.Errorf("regcast: scenario requires a TopologySpec")
 	}
-	s := Scenario{spec: spec, proto: proto, seed: 1}
+	s := Scenario{spec: spec, cfg: phonecall.Config{Protocol: proto}, seed: 1}
 	// A constant spec is unwrapped eagerly, making
 	// NewScenarioSpec(FixedTopology(t), ...) exactly equivalent to
 	// NewScenario(t, ...): instance-dependent validation runs at
 	// construction, and the batch layer's shared-instance rules (e.g. the
 	// dynamic-Stepper rejection) see the instance.
 	if fs, ok := spec.(fixedSpec); ok {
-		s.topo = fs.topo
-		if s.topo == nil {
+		s.cfg.Topology = fs.topo
+		if s.cfg.Topology == nil {
 			return Scenario{}, fmt.Errorf("regcast: scenario requires a Topology")
 		}
 	}
@@ -150,77 +146,31 @@ func assemble(s Scenario, opts []ScenarioOption) (Scenario, error) {
 }
 
 // validate checks every constraint that does not need a topology
-// instance, plus the instance-dependent ones (validateTopo) when the
-// instance is already known — so misconfiguration fails at construction
-// time with a descriptive error rather than deep in an engine. Spec
-// scenarios re-run validateTopo after each materialisation.
+// instance — phonecall's rules of the model (Config.Validate) — plus the
+// instance-dependent ones (validateTopo) when the instance is already
+// known, so misconfiguration fails at construction time with a
+// descriptive error rather than deep in an engine. Spec scenarios re-run
+// validateTopo after each materialisation.
 func (s *Scenario) validate() error {
 	if s.spec == nil {
 		return fmt.Errorf("regcast: scenario requires a Topology")
 	}
-	if s.proto == nil {
-		return fmt.Errorf("regcast: scenario requires a Protocol")
+	if err := s.cfg.Validate(); err != nil {
+		return err
 	}
-	if s.topo != nil {
-		if err := s.validateTopo(); err != nil {
-			return err
-		}
-	} else if s.source < 0 {
-		return fmt.Errorf("regcast: source %d < 0", s.source)
+	if s.cfg.Topology != nil {
+		return s.validateTopo()
 	}
-	if !(s.channelFailure >= 0 && s.channelFailure <= 1) { // NaN fails too
-		return fmt.Errorf("regcast: channel failure probability %v out of [0,1]", s.channelFailure)
-	}
-	if !(s.messageLoss >= 0 && s.messageLoss <= 1) {
-		return fmt.Errorf("regcast: message loss probability %v out of [0,1]", s.messageLoss)
-	}
-	if s.avoidRecent < 0 {
-		return fmt.Errorf("regcast: avoid-recent memory %d < 0", s.avoidRecent)
-	}
-	if s.dial != DialUniform && s.dial != DialQuasirandom {
-		return fmt.Errorf("regcast: unknown dial strategy %d", int(s.dial))
-	}
-	if s.dial == DialQuasirandom {
-		// The quasirandom model defines cursor advancement for dialling
-		// (pushing) nodes only; a pull round would advance the cursors of
-		// uninformed nodes too, which the model leaves undefined. Fail fast
-		// instead of simulating something the model does not describe.
-		if s.avoidRecent > 0 {
-			return fmt.Errorf("regcast: DialQuasirandom is incompatible with WithAvoidRecent: " +
-				"the quasirandom cursor replaces dial memory")
-		}
-		if pulls(s.proto) {
-			return fmt.Errorf("regcast: DialQuasirandom requires a push-only protocol "+
-				"(SendPull false in every round of the horizon); %q pulls, and pull rounds "+
-				"are undefined in the quasirandom model", s.proto.Name())
-		}
+	if s.cfg.Source < 0 {
+		return fmt.Errorf("regcast: source %d < 0", s.cfg.Source)
 	}
 	return nil
 }
 
-// pulls reports whether p pulls in any round the engine asks about: some
-// receipt round r < t in some round 1 <= t <= Horizon.
-func pulls(p Protocol) bool {
-	for t := 1; t <= p.Horizon(); t++ {
-		for r := 0; r < t; r++ {
-			if p.SendPull(t, r) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// validateTopo checks the constraints that need a topology instance.
+// validateTopo checks the constraints that need a topology instance: the
+// source is one of its alive ids.
 func (s *Scenario) validateTopo() error {
-	n := s.topo.NumNodes()
-	if s.source < 0 || s.source >= n {
-		return fmt.Errorf("regcast: source %d out of range [0,%d)", s.source, n)
-	}
-	if !s.topo.Alive(s.source) {
-		return fmt.Errorf("regcast: source %d is not alive", s.source)
-	}
-	return nil
+	return phonecall.CheckOrigin(s.cfg.Topology, "source", s.cfg.Source)
 }
 
 // materialize builds a spec scenario's topology for replication rep from
@@ -229,7 +179,7 @@ func (s *Scenario) validateTopo() error {
 // dependent validation re-run. Constant-spec scenarios (topo already
 // set) are returned unchanged.
 func (s Scenario) materialize(rep int, rng *Rand) (Scenario, error) {
-	if s.topo != nil {
+	if s.cfg.Topology != nil {
 		return s, nil
 	}
 	topo, err := s.spec.Build(rep, rng)
@@ -239,8 +189,7 @@ func (s Scenario) materialize(rep int, rng *Rand) (Scenario, error) {
 	if topo == nil {
 		return Scenario{}, fmt.Errorf("regcast: TopologySpec built a nil topology")
 	}
-	s.topo = topo
-	s.rng = rng
+	s.cfg.Topology, s.cfg.RNG = topo, rng
 	if err := s.validateTopo(); err != nil {
 		return Scenario{}, err
 	}
@@ -250,33 +199,14 @@ func (s Scenario) materialize(rep int, rng *Rand) (Scenario, error) {
 // runRNG returns the stream the run draws from: the explicit WithRNG
 // stream, or a fresh seed-derived one.
 func (s *Scenario) runRNG() *Rand {
-	if s.rng != nil {
-		return s.rng
+	if s.cfg.RNG != nil {
+		return s.cfg.RNG
 	}
 	return NewRand(s.seed)
 }
 
-// observer returns the fan-out observer for the run (nil when none are
-// registered, which keeps the engines' nil-observer fast path).
-func (s *Scenario) observer() Observer {
-	switch len(s.observers) {
-	case 0:
-		return nil
-	case 1:
-		return s.observers[0]
-	default:
-		m := multiObserver(s.observers)
-		for _, o := range m {
-			if _, ok := o.(PhaseObserver); ok {
-				return phaseFanout{m}
-			}
-		}
-		return m
-	}
-}
-
 // dynamic reports whether the topology churns between rounds.
 func (s *Scenario) dynamic() bool {
-	_, ok := s.topo.(Stepper)
+	_, ok := s.cfg.Topology.(Stepper)
 	return ok
 }
