@@ -242,11 +242,12 @@ func TestTransportFlagsValidation(t *testing.T) {
 			t.Errorf("flags %v validated", args)
 		}
 	}
-	// With two bad probabilities the error names the first flag, every time.
+	// With two bad probabilities the error names the first (-chaos-drop's
+	// field, the fault plan's check words it), every time.
 	for i := 0; i < 20; i++ {
 		_, err := parseTransportFlags(t, "-chaos", "-chaos-drop", "2", "-chaos-reorder", "NaN")
-		if err == nil || !strings.HasPrefix(err.Error(), "-chaos-drop ") {
-			t.Fatalf("run %d: error %v, want it to name -chaos-drop", i, err)
+		if err == nil || !strings.HasPrefix(err.Error(), "transport: FaultConfig.Drop ") {
+			t.Fatalf("run %d: error %v, want it to name FaultConfig.Drop", i, err)
 		}
 	}
 }

@@ -55,6 +55,9 @@ func run(args []string, w io.Writer) error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	if common.Phases {
+		return errors.New("-phases: the tables report no phase times (broadcast-sim, graphgen and overlay-sim print them)")
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +51,14 @@ func TestQuickProfileGolden(t *testing.T) {
 func TestRejectsTopologyFlag(t *testing.T) {
 	if err := run([]string{"-quick", "-run", "E1", "-topology", "hypercube:dim=10"}, io.Discard); err == nil {
 		t.Fatal("-topology was accepted")
+	}
+}
+
+// TestRejectsPhasesFlag: no experiment prints phase times, so -phases is
+// refused rather than ignored.
+func TestRejectsPhasesFlag(t *testing.T) {
+	err := run([]string{"-quick", "-run", "E1", "-phases"}, io.Discard)
+	if err == nil || !strings.HasPrefix(err.Error(), "-phases") {
+		t.Fatalf("-phases: err = %v, want it named", err)
 	}
 }

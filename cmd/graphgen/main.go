@@ -40,6 +40,9 @@ func run() error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	if common.Scheduler() != regcast.SchedulerRounds {
+		return fmt.Errorf("-scheduler %s: the push-broadcast probe runs on the rounds scheduler only", common.SchedulerName)
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		return err

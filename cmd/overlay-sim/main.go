@@ -44,6 +44,9 @@ func run() error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
+	if common.Scheduler() != regcast.SchedulerRounds {
+		return fmt.Errorf("-scheduler %s: the four-choice broadcast check runs on the rounds scheduler only", common.SchedulerName)
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		return err

@@ -48,7 +48,7 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	fs.IntVar(&f.Workers, "workers", 0,
 		"engine workers: 0 = shard passes inline, -1 = pool of GOMAXPROCS, n = pool of n; results are identical for every value")
 	fs.StringVar(&f.SchedulerName, "scheduler", SchedulerRounds.String(),
-		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
+		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions (broadcast-sim, experiments)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
 	fs.BoolVar(&f.Phases, "phases", false,
@@ -146,15 +146,6 @@ type TransportFlags struct {
 	Daemon bool
 	// Chaos enables the seeded fault plan; implies Daemon.
 	Chaos bool
-	// ChaosSeed seeds every fault decision (0 = derive from -seed).
-	ChaosSeed uint64
-	// Drop / Duplicate / Reorder are per-packet fault probabilities.
-	Drop      float64
-	Duplicate float64
-	Reorder   float64
-	// DelayProb delays a packet by Delay with the given probability.
-	DelayProb float64
-	Delay     time.Duration
 	// Partition is an optional "from:until" tick window during which the
 	// node set is split into two halves (low ids vs high ids).
 	Partition string
@@ -164,6 +155,7 @@ type TransportFlags struct {
 	// Mailbox is the per-node inbox capacity of the daemon engine.
 	Mailbox int
 
+	faults    FaultConfig      // the -chaos-* seed, probabilities and delay
 	partition *PartitionWindow // parsed by Validate (nil when unset)
 	crash     *CrashWindow
 }
@@ -175,12 +167,12 @@ func AddTransportFlags(fs *flag.FlagSet) *TransportFlags {
 		"run over the resilient gossip daemon (persistent peers redialled with backoff, dedup, health metrics)")
 	fs.BoolVar(&f.Chaos, "chaos", false,
 		"inject seeded, reproducible faults in front of the daemon (implies -daemon)")
-	fs.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "fault-plan seed (0 = derive from -seed)")
-	fs.Float64Var(&f.Drop, "chaos-drop", 0.2, "per-packet drop probability under -chaos")
-	fs.Float64Var(&f.Duplicate, "chaos-dup", 0, "per-packet duplication probability under -chaos")
-	fs.Float64Var(&f.Reorder, "chaos-reorder", 0, "per-packet pairwise-reorder probability under -chaos")
-	fs.Float64Var(&f.DelayProb, "chaos-delay-prob", 0, "per-packet delay probability under -chaos")
-	fs.DurationVar(&f.Delay, "chaos-delay", 5*time.Millisecond, "delay applied to delayed packets")
+	fs.Uint64Var(&f.faults.Seed, "chaos-seed", 0, "fault-plan seed (0 = derive from -seed)")
+	fs.Float64Var(&f.faults.Drop, "chaos-drop", 0.2, "per-packet drop probability under -chaos")
+	fs.Float64Var(&f.faults.Duplicate, "chaos-dup", 0, "per-packet duplication probability under -chaos")
+	fs.Float64Var(&f.faults.Reorder, "chaos-reorder", 0, "per-packet pairwise-reorder probability under -chaos")
+	fs.Float64Var(&f.faults.DelayProb, "chaos-delay-prob", 0, "per-packet delay probability under -chaos")
+	fs.DurationVar(&f.faults.Delay, "chaos-delay", 5*time.Millisecond, "delay applied to delayed packets")
 	fs.StringVar(&f.Partition, "chaos-partition", "",
 		"partition window from:until (ticks, half-open); splits nodes into low/high halves")
 	fs.StringVar(&f.Crash, "chaos-crash", "",
@@ -189,21 +181,15 @@ func AddTransportFlags(fs *flag.FlagSet) *TransportFlags {
 	return f
 }
 
-// Validate parses the window flags and rejects out-of-range values.
+// Validate parses the window flags and rejects out-of-range values; the
+// fault plan's own check (FaultConfig.Validate) judges the probabilities
+// and the delay.
 func (f *TransportFlags) Validate() error {
 	if f.Chaos {
 		f.Daemon = true
 	}
-	for _, fl := range []struct {
-		name string
-		p    float64
-	}{{"-chaos-drop", f.Drop}, {"-chaos-dup", f.Duplicate}, {"-chaos-reorder", f.Reorder}, {"-chaos-delay-prob", f.DelayProb}} {
-		if !(fl.p >= 0 && fl.p <= 1) { // NaN fails too; the first bad flag is named
-			return fmt.Errorf("%s %v out of [0,1]", fl.name, fl.p)
-		}
-	}
-	if f.Delay < 0 {
-		return fmt.Errorf("-chaos-delay %v negative", f.Delay)
+	if err := f.faults.Validate(); err != nil {
+		return err
 	}
 	if f.Mailbox < 0 {
 		return fmt.Errorf("-mailbox %d negative", f.Mailbox)
@@ -251,14 +237,7 @@ func (f *TransportFlags) FaultConfig(n int, seed uint64) *FaultConfig {
 	if !f.Chaos {
 		return nil
 	}
-	cfg := &FaultConfig{
-		Seed:      f.ChaosSeed,
-		Drop:      f.Drop,
-		Duplicate: f.Duplicate,
-		Reorder:   f.Reorder,
-		DelayProb: f.DelayProb,
-		Delay:     f.Delay,
-	}
+	cfg := f.faults
 	if cfg.Seed == 0 {
 		cfg.Seed = seed
 	}
@@ -272,7 +251,7 @@ func (f *TransportFlags) FaultConfig(n int, seed uint64) *FaultConfig {
 	if f.crash != nil {
 		cfg.Crashes = []CrashWindow{*f.crash}
 	}
-	return cfg
+	return &cfg
 }
 
 // RunnerOptions translates the flags into Runner options for an n-node

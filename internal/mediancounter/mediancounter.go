@@ -18,6 +18,10 @@
 // A B-node increments its counter each round in which it communicated the
 // rumour only to partners that already knew it; reaching the threshold
 // moves it to C. Uninformed nodes keep dialling, so late pulls still work.
+//
+// Both bounds are constants of n: the threshold is ⌈log₂ log₂ n⌉ + 2, the
+// Θ(log log n) of Karp et al., and a run stops after at most 8·⌈log₂ n⌉
+// rounds, a safety net the protocol goes quiet well before.
 package mediancounter
 
 import (
@@ -62,17 +66,11 @@ type Config struct {
 	Source int
 	// RNG drives the run.
 	RNG *xrand.Rand
-	// Threshold is the counter value at which a B-node retires to C.
-	// Zero selects the default ⌈2·log₂ log₂ n⌉ + 2.
-	Threshold int
-	// MaxRounds bounds the run as a safety net. Zero selects 8·⌈log₂ n⌉.
-	// The protocol is expected to go quiet (no B-nodes) well before.
-	MaxRounds int
 }
 
 // Result summarises a run.
 type Result struct {
-	// Rounds executed until the protocol went quiet (or MaxRounds).
+	// Rounds executed until the protocol went quiet (or 8·⌈log₂ n⌉).
 	Rounds int
 	// QuietAt is the first round after which no B-nodes remained, or -1.
 	QuietAt int
@@ -87,7 +85,8 @@ type Result struct {
 	MaxCounter int
 }
 
-// Run executes the protocol until no B-nodes remain or MaxRounds elapse.
+// Run executes the protocol until no B-nodes remain or 8·⌈log₂ n⌉ rounds
+// elapse.
 func Run(cfg Config) (Result, error) {
 	if cfg.Graph == nil || cfg.RNG == nil {
 		return Result{}, fmt.Errorf("mediancounter: Config requires Graph and RNG")
@@ -99,24 +98,12 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return Result{}, fmt.Errorf("mediancounter: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		// Θ(log log n) as in Karp et al.; the constant matters because a
-		// retired node has paid ~2·threshold transmissions in its quiet
-		// period, so the default keeps it at ⌈log log n⌉ + 2.
-		logN := math.Log2(float64(n))
-		threshold = int(math.Ceil(math.Log2(logN))) + 2
-	}
-	if threshold < 1 {
-		return Result{}, fmt.Errorf("mediancounter: threshold %d < 1", threshold)
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 8 * int(math.Ceil(math.Log2(float64(n))))
-	}
-	if maxRounds < 1 {
-		return Result{}, fmt.Errorf("mediancounter: MaxRounds %d < 1", maxRounds)
-	}
+	// Θ(log log n) as in Karp et al.; the constant matters because a
+	// retired node has paid ~2·threshold transmissions in its quiet period,
+	// so it stays at ⌈log log n⌉ + 2.
+	logN := math.Log2(float64(n))
+	threshold := int(math.Ceil(math.Log2(logN))) + 2
+	maxRounds := 8 * int(math.Ceil(logN))
 
 	state := make([]State, n)
 	ctr := make([]int, n)

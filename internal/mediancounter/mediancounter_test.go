@@ -38,12 +38,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Graph: g, RNG: rng, Source: -1}); err == nil {
 		t.Error("bad source accepted")
 	}
-	if _, err := Run(Config{Graph: g, RNG: rng, Threshold: -3}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := Run(Config{Graph: g, RNG: rng, MaxRounds: -1}); err == nil {
-		t.Error("negative MaxRounds accepted")
-	}
 }
 
 func TestCompletesAndSelfTerminates(t *testing.T) {
@@ -129,26 +123,6 @@ func TestTransmissionsPerNodeModest(t *testing.T) {
 	}
 }
 
-func TestThresholdOneQuenchesTooEarly(t *testing.T) {
-	// With threshold 1 every wasted round retires a node; dissemination
-	// should usually stall below full coverage on a sizeable graph.
-	const n = 1 << 12
-	g := testGraph(t, n, 8, 7)
-	res, err := Run(Config{Graph: g, RNG: xrand.New(8), Threshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QuietAt < 0 {
-		t.Error("threshold 1 should terminate quickly")
-	}
-	if res.Informed == n {
-		t.Skip("lucky run informed everyone despite threshold 1")
-	}
-	if res.Informed <= 1 {
-		t.Error("nothing spread at all")
-	}
-}
-
 func TestMaxCounterBounded(t *testing.T) {
 	g := testGraph(t, 1024, 8, 9)
 	res, err := Run(Config{Graph: g, RNG: xrand.New(10)})
@@ -176,16 +150,5 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 	if a.Transmissions != b.Transmissions || a.QuietAt != b.QuietAt || a.Informed != b.Informed {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestMaxRoundsSafetyNet(t *testing.T) {
-	g := testGraph(t, 256, 6, 13)
-	res, err := Run(Config{Graph: g, RNG: xrand.New(14), MaxRounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds > 3 {
-		t.Errorf("ran %d rounds past MaxRounds", res.Rounds)
 	}
 }

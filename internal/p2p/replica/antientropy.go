@@ -16,7 +16,7 @@ func (s *Store) Entries() map[string]Entry {
 	return out
 }
 
-// Merge applies every entry of other into s (tombstones included) and
+// Merge applies every entry of other into s and
 // reports how many keys changed. Merge is idempotent, commutative and
 // associative (LWW semantics), so repeated pairwise merges converge.
 func (s *Store) Merge(other *Store) int {

@@ -2,7 +2,8 @@
 // replicated database whose updates are disseminated by randomised
 // broadcasting (Demers et al.'s anti-entropy setting, §1 of the paper).
 //
-// Every replica holds a last-writer-wins key-value store. A write issued
+// Every replica holds a last-writer-wins key-value store. A write is an
+// upsert: it sets its key's value, and there is no deletion. A write issued
 // at some replica becomes a rumour; all concurrent rumours spread through
 // the shared per-round channels of the multi-message phone call engine
 // under the four-choice schedule (or any other phonecall.Protocol). Once
@@ -34,12 +35,10 @@ func (v Version) Less(w Version) bool {
 	return v.Origin < w.Origin
 }
 
-// Entry is one stored value with its winning version. Deleted keys keep a
-// tombstone entry so the deletion wins LWW merges against older writes.
+// Entry is one stored value with its winning version.
 type Entry struct {
-	Value     string
-	Version   Version
-	Tombstone bool
+	Value   string
+	Version Version
 }
 
 // Store is a last-writer-wins key-value store. The zero value is ready to
@@ -48,25 +47,16 @@ type Store struct {
 	entries map[string]Entry
 }
 
-// Get returns the current value and whether the key exists (tombstoned
-// keys report absent).
+// Get returns the current value and whether the key exists.
 func (s *Store) Get(key string) (string, bool) {
 	e, ok := s.entries[key]
-	if !ok || e.Tombstone {
-		return "", false
-	}
-	return e.Value, true
+	return e.Value, ok
 }
 
 // Apply merges one write into the store; later versions win, equal and
 // older versions are ignored. It reports whether the store changed.
 func (s *Store) Apply(key, value string, v Version) bool {
 	return s.applyEntry(key, Entry{Value: value, Version: v})
-}
-
-// Delete merges a deletion (a tombstone) at the given version.
-func (s *Store) Delete(key string, v Version) bool {
-	return s.applyEntry(key, Entry{Version: v, Tombstone: true})
 }
 
 func (s *Store) applyEntry(key string, e Entry) bool {
@@ -81,15 +71,9 @@ func (s *Store) applyEntry(key string, e Entry) bool {
 	return true
 }
 
-// Len returns the number of live (non-tombstoned) keys.
+// Len returns the number of keys.
 func (s *Store) Len() int {
-	n := 0
-	for _, e := range s.entries {
-		if !e.Tombstone {
-			n++
-		}
-	}
-	return n
+	return len(s.entries)
 }
 
 // Fingerprint returns a canonical representation of the full contents,
@@ -103,10 +87,6 @@ func (s *Store) Fingerprint() string {
 	out := ""
 	for _, k := range keys {
 		e := s.entries[k]
-		if e.Tombstone {
-			out += fmt.Sprintf("%s=⊥@%d.%d;", k, e.Version.Seq, e.Version.Origin)
-			continue
-		}
 		out += fmt.Sprintf("%s=%s@%d.%d;", k, e.Value, e.Version.Seq, e.Version.Origin)
 	}
 	return out
@@ -118,9 +98,6 @@ type Write struct {
 	Value  string
 	Origin int // replica issuing the write
 	Round  int // round at which the write is issued (>= 0)
-	// Delete marks the write as a deletion; Value is ignored and replicas
-	// store a tombstone.
-	Delete bool
 }
 
 // Config configures a cluster simulation.
@@ -131,11 +108,8 @@ type Config struct {
 	Protocol phonecall.Protocol
 	// RNG drives the simulation.
 	RNG *xrand.Rand
-	// ExtraRounds extends the simulation beyond the last write's horizon,
-	// e.g. to observe late convergence under failures. Default 0.
-	ExtraRounds        int
-	ChannelFailureProb float64
-	MessageLossProb    float64
+	// MessageLossProb is the probability that a transmission is lost.
+	MessageLossProb float64
 }
 
 // Report summarises a cluster run.
@@ -146,7 +120,8 @@ type Report struct {
 	// ConvergedAtRound is the earliest round by which the last-finishing
 	// update had reached everyone (-1 if never).
 	ConvergedAtRound int
-	// Rounds is the number of rounds simulated.
+	// Rounds is the number of rounds simulated: the last write's round
+	// plus the protocol's horizon.
 	Rounds int
 	// TransmissionsPerUpdate is the mean number of per-message
 	// transmissions across updates.
@@ -176,9 +151,6 @@ func Run(cfg Config, writes []Write) (Report, error) {
 	if cfg.Topology == nil || cfg.Protocol == nil || cfg.RNG == nil {
 		return Report{}, fmt.Errorf("replica: Config requires Topology, Protocol and RNG")
 	}
-	if cfg.ExtraRounds < 0 {
-		return Report{}, fmt.Errorf("replica: negative ExtraRounds %d", cfg.ExtraRounds)
-	}
 	if len(writes) > maxWrites {
 		return Report{}, fmt.Errorf("replica: %d writes exceed the %d a version's index bits can order", len(writes), maxWrites)
 	}
@@ -194,13 +166,12 @@ func Run(cfg Config, writes []Write) (Report, error) {
 		}
 	}
 	eng, err := phonecall.NewMultiEngine(phonecall.MultiConfig{
-		Topology:           cfg.Topology,
-		Protocol:           cfg.Protocol,
-		Messages:           msgs,
-		Rounds:             lastRound + cfg.ExtraRounds,
-		RNG:                cfg.RNG,
-		ChannelFailureProb: cfg.ChannelFailureProb,
-		MessageLossProb:    cfg.MessageLossProb,
+		Topology:        cfg.Topology,
+		Protocol:        cfg.Protocol,
+		Messages:        msgs,
+		Rounds:          lastRound,
+		RNG:             cfg.RNG,
+		MessageLossProb: cfg.MessageLossProb,
 	})
 	if err != nil {
 		return Report{}, fmt.Errorf("replica: %w", err)
@@ -222,11 +193,7 @@ func Run(cfg Config, writes []Write) (Report, error) {
 			if recv[node] == phonecall.Uninformed || !cfg.Topology.Alive(node) {
 				continue
 			}
-			if w.Delete {
-				rep.Stores[node].Delete(w.Key, v)
-			} else {
-				rep.Stores[node].Apply(w.Key, w.Value, v)
-			}
+			rep.Stores[node].Apply(w.Key, w.Value, v)
 		}
 		mr := mres.PerMessage[mi]
 		rep.TotalTransmissions += mr.Transmissions

@@ -126,20 +126,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Protocol: proto, RNG: rng}, []Write{{Key: "k"}}); err == nil {
 		t.Error("nil topology accepted")
 	}
-	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng, ExtraRounds: -1}, []Write{{Key: "k"}}); err == nil {
-		t.Error("negative ExtraRounds accepted")
-	}
 	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng}, []Write{{Key: "k", Round: -1}}); err == nil {
 		t.Error("negative write round accepted")
 	}
 	if _, err := Run(Config{Topology: topo, Protocol: proto}, []Write{{Key: "k"}}); err == nil {
 		t.Error("nil RNG accepted")
 	}
-	// The multi-message engine now applies the single-message engine's
-	// checks; each of these was accepted before.
-	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng, ChannelFailureProb: 1.5}, []Write{{Key: "k"}}); err == nil {
-		t.Error("ChannelFailureProb 1.5 accepted")
-	}
+	// The multi-message engine applies the single-message engine's checks.
 	if _, err := Run(Config{Topology: topo, Protocol: proto, RNG: rng, MessageLossProb: -0.1}, []Write{{Key: "k"}}); err == nil {
 		t.Error("MessageLossProb -0.1 accepted")
 	}
@@ -182,12 +175,12 @@ func TestRunIsDeterministic(t *testing.T) {
 	writes := []Write{
 		{Key: "x", Value: "1", Origin: 3},
 		{Key: "y", Value: "2", Origin: 90, Round: 2},
-		{Key: "x", Origin: 41, Round: 5, Delete: true},
+		{Key: "x", Value: "3", Origin: 41, Round: 5},
 	}
 	run := func() Report {
 		rep, err := Run(Config{
 			Topology: topo, Protocol: proto, RNG: xrand.New(13),
-			ChannelFailureProb: 0.1, MessageLossProb: 0.2,
+			MessageLossProb: 0.2,
 		}, writes)
 		if err != nil {
 			t.Fatal(err)
@@ -299,13 +292,13 @@ func TestMessageLossDelaysButExtraRoundsAreSimulated(t *testing.T) {
 	}
 	rep, err := Run(Config{
 		Topology: topo, Protocol: proto, RNG: xrand.New(10),
-		MessageLossProb: 0.2, ExtraRounds: 10,
+		MessageLossProb: 0.2,
 	}, []Write{{Key: "x", Value: "1", Origin: 0, Round: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds != proto.Horizon()+10 {
-		t.Errorf("Rounds = %d, want %d", rep.Rounds, proto.Horizon()+10)
+	if rep.Rounds != proto.Horizon() {
+		t.Errorf("Rounds = %d, want %d", rep.Rounds, proto.Horizon())
 	}
 	// 20% loss should still converge with the four-choice schedule's slack.
 	if !rep.Converged {

@@ -104,7 +104,6 @@ func TestMultiEngineValidation(t *testing.T) {
 		{"negative creation round", func(c *MultiConfig) { c.Messages = []Message{{ID: 0, CreatedAt: -1}} }},
 		// The rows below were accepted before the inner engine went through
 		// NewEngine's checks.
-		{"bad failure prob", func(c *MultiConfig) { c.ChannelFailureProb = 1.5 }},
 		{"bad loss prob", func(c *MultiConfig) { c.MessageLossProb = -0.1 }},
 		{"zero choices", func(c *MultiConfig) { c.Protocol = pushProto{0, 10} }},
 		{"zero horizon", func(c *MultiConfig) { c.Protocol = pushProto{1, 0} }},
@@ -223,13 +222,12 @@ func TestMultiEngineMessageInactiveAfterHorizon(t *testing.T) {
 func TestMultiEngineWithLossAndFailures(t *testing.T) {
 	g := testGraph(t, 128, 6, 27)
 	eng, err := NewMultiEngine(MultiConfig{
-		Topology:           NewStatic(g),
-		Protocol:           pushProto{2, 40},
-		Messages:           []Message{{ID: 0, Origin: 0, CreatedAt: 0}, {ID: 1, Origin: 5, CreatedAt: 2}},
-		Rounds:             45,
-		RNG:                xrand.New(8),
-		ChannelFailureProb: 0.2,
-		MessageLossProb:    0.2,
+		Topology:        NewStatic(g),
+		Protocol:        pushProto{2, 40},
+		Messages:        []Message{{ID: 0, Origin: 0, CreatedAt: 0}, {ID: 1, Origin: 5, CreatedAt: 2}},
+		Rounds:          45,
+		RNG:             xrand.New(8),
+		MessageLossProb: 0.2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +235,7 @@ func TestMultiEngineWithLossAndFailures(t *testing.T) {
 	res := eng.Run()
 	for _, mr := range res.PerMessage {
 		if !mr.AllInformed {
-			t.Errorf("message %d informed %d/128 under moderate failures", mr.Message.ID, mr.Informed)
+			t.Errorf("message %d informed %d/128 under moderate loss", mr.Message.ID, mr.Informed)
 		}
 	}
 	if res.Transmissions != res.PerMessage[0].Transmissions+res.PerMessage[1].Transmissions {

@@ -26,10 +26,9 @@ type MultiConfig struct {
 	Messages []Message
 	// Rounds is the total number of rounds to simulate. Messages whose
 	// schedule extends past this horizon simply stop early.
-	Rounds             int
-	RNG                *xrand.Rand
-	ChannelFailureProb float64
-	MessageLossProb    float64
+	Rounds          int
+	RNG             *xrand.Rand
+	MessageLossProb float64
 }
 
 // MessageResult summarises the dissemination of one message.
@@ -74,11 +73,10 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 		return nil, fmt.Errorf("phonecall: MultiConfig.Rounds = %d < 1", cfg.Rounds)
 	}
 	eng, err := newEngine(Config{
-		Topology:           cfg.Topology,
-		Protocol:           cfg.Protocol,
-		RNG:                cfg.RNG,
-		ChannelFailureProb: cfg.ChannelFailureProb,
-		MessageLossProb:    cfg.MessageLossProb,
+		Topology:        cfg.Topology,
+		Protocol:        cfg.Protocol,
+		RNG:             cfg.RNG,
+		MessageLossProb: cfg.MessageLossProb,
 	})
 	if err != nil {
 		return nil, err

@@ -15,8 +15,8 @@ type plainTopo struct{ Topology }
 // TestMultiEngineOneMessageBitIdenticalToEngine pins the shared round: a
 // single message created at round 0 is the single-message engine's run,
 // draw for draw, whenever that run also samples everyone's dials in every
-// round (a protocol that always pulls) — on every view, with both fault
-// kinds drawing from the streams.
+// round (a protocol that always pulls) — on every view, with message loss
+// drawing from the streams.
 func TestMultiEngineOneMessageBitIdenticalToEngine(t *testing.T) {
 	g := testGraph(t, 256, 6, 31)
 	stream, err := graph.NewRegularStream(256, 6, 32)
@@ -31,15 +31,15 @@ func TestMultiEngineOneMessageBitIdenticalToEngine(t *testing.T) {
 	} {
 		single, err := Run(Config{
 			Topology: topo, Protocol: proto, Source: 5, RNG: xrand.New(33),
-			ChannelFailureProb: 0.2, MessageLossProb: 0.3,
+			MessageLossProb: 0.3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		multi, err := NewMultiEngine(MultiConfig{
 			Topology: topo, Protocol: proto, Rounds: proto.Horizon(), RNG: xrand.New(33),
-			Messages:           []Message{{ID: 0, Origin: 5}},
-			ChannelFailureProb: 0.2, MessageLossProb: 0.3,
+			Messages:        []Message{{ID: 0, Origin: 5}},
+			MessageLossProb: 0.3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestMultiEngineMessagesDoNotInterfere(t *testing.T) {
 	run := func(msgs []Message) (*MultiEngine, MultiResult) {
 		eng, err := NewMultiEngine(MultiConfig{
 			Topology: NewStatic(g), Protocol: pushPullProto{2, 10}, Rounds: 20, RNG: xrand.New(35),
-			Messages: msgs, ChannelFailureProb: 0.3,
+			Messages: msgs,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -58,9 +58,9 @@ type FaultConfig struct {
 	recordTrace bool
 }
 
-// validate rejects probabilities outside [0,1] and malformed windows,
+// Validate rejects probabilities outside [0,1] and malformed windows,
 // naming the first bad field in declaration order.
-func (c FaultConfig) validate() error {
+func (c FaultConfig) Validate() error {
 	for _, f := range []struct {
 		name string
 		p    float64
@@ -146,7 +146,7 @@ func NewFaultPlan(inner Transport, cfg FaultConfig) (*FaultPlan, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("transport: NewFaultPlan requires an inner transport")
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	f := &FaultPlan{

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// ObserverFuncs adapts plain functions to the Observer interface; nil
-// fields are skipped. It is the quickest way to stream metrics from a run:
+// ObserverFuncs adapts a plain function to the Observer interface; a nil
+// Round is skipped. It is the quickest way to stream metrics from a run:
 //
 //	regcast.WithObserver(regcast.ObserverFuncs{
 //		Round: func(rs regcast.RoundStats) { fmt.Println(rs.Round, rs.Informed) },
@@ -14,8 +14,6 @@ import (
 type ObserverFuncs struct {
 	// Round is invoked as Observer.OnRound.
 	Round func(RoundStats)
-	// Informed is invoked as Observer.OnInformed.
-	Informed func(node, round int)
 }
 
 // OnRound implements Observer.
@@ -25,12 +23,8 @@ func (o ObserverFuncs) OnRound(rs RoundStats) {
 	}
 }
 
-// OnInformed implements Observer.
-func (o ObserverFuncs) OnInformed(node, round int) {
-	if o.Informed != nil {
-		o.Informed(node, round)
-	}
-}
+// OnInformed implements Observer; it does nothing.
+func (o ObserverFuncs) OnInformed(node, round int) {}
 
 // multiObserver fans callbacks out to several observers in order.
 type multiObserver []Observer
