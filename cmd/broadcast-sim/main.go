@@ -27,10 +27,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"regcast"
@@ -40,33 +42,55 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "broadcast-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// populationFlags are the flags the -scheduler interactions path reads.
+var populationFlags = map[string]bool{
+	"n": true, "trace": true, "seed": true, "workers": true, "scheduler": true, "cpuprofile": true, "memprofile": true,
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("broadcast-sim", flag.ContinueOnError)
 	var (
-		n         = flag.Int("n", 4096, "number of nodes")
-		d         = flag.Int("d", 8, "degree of the random regular graph")
-		protoSel  = flag.String("protocol", "fourchoice", "protocol: fourchoice|algorithm1|algorithm2|seq|push|pull|pushpull")
-		alpha     = flag.Float64("alpha", core.DefaultAlpha, "phase-length constant α for the four-choice schedules")
-		choices   = flag.Int("choices", core.Choices, "dials per round for the four-choice schedules (ablation)")
-		failure   = flag.Float64("failure", 0, "channel establishment failure probability")
-		loss      = flag.Float64("loss", 0, "per-transmission message loss probability")
-		source    = flag.Int("source", 0, "source node id")
-		trace     = flag.Bool("trace", false, "print a per-round trace")
-		stopEarly = flag.Bool("stop-early", false, "stop as soon as every node is informed (skip the schedule's tail)")
-		mem       = flag.Bool("mem", false, "report allocation totals (runtime.MemStats) for the run")
-		topology  = flag.String("topology", "",
+		n         = fs.Int("n", 4096, "number of nodes")
+		d         = fs.Int("d", 8, "degree of the random regular graph")
+		protoSel  = fs.String("protocol", "fourchoice", "protocol: fourchoice|algorithm1|algorithm2|seq|push|pull|pushpull")
+		alpha     = fs.Float64("alpha", core.DefaultAlpha, "phase-length constant α for the four-choice schedules")
+		choices   = fs.Int("choices", core.Choices, "dials per round for the four-choice schedules (ablation)")
+		failure   = fs.Float64("failure", 0, "channel establishment failure probability")
+		loss      = fs.Float64("loss", 0, "per-transmission message loss probability")
+		source    = fs.Int("source", 0, "source node id")
+		trace     = fs.Bool("trace", false, "print a per-round trace")
+		stopEarly = fs.Bool("stop-early", false, "stop as soon as every node is informed (skip the schedule's tail)")
+		mem       = fs.Bool("mem", false, "report allocation totals (runtime.MemStats) for the run")
+		topology  = fs.String("topology", "",
 			"topology spec overriding -n/-d, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
-		common = regcast.AddCommonFlags(flag.CommandLine)
-		tflags = regcast.AddTransportFlags(flag.CommandLine)
+		common = regcast.AddCommonFlags(fs)
+		tflags = regcast.AddTransportFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if err := common.Validate(); err != nil {
 		return err
+	}
+	if common.Scheduler() == regcast.SchedulerInteractions {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if !populationFlags[f.Name] {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s: ignored by -scheduler interactions, which reads only -n, -trace, -seed, -workers and the profile flags", strings.Join(ignored, ", "))
+		}
 	}
 	var spec regcast.TopologySpec
 	if *topology != "" {

@@ -162,9 +162,11 @@ type Engine struct {
 	// impNbrs resolves (nbrAt). aliveBits is the view's liveness bitset (nil
 	// = every id alive) and aliveN its population count, csrEpoch the epoch
 	// they were fetched at (refreshCSR re-fetches when a Step advanced it).
-	// uniDeg is impNbrs' graph.UniformDegree, or 0: row reads it instead of
-	// calling Degree. symmetric licenses both the edge census and
-	// sparse-frontier rounds.
+	// uniDeg is the view's one degree, or 0: impNbrs' graph.UniformDegree,
+	// which row reads instead of calling Degree, or the common row length of
+	// a fully-alive symmetric CSR view, which only frontierWords' word walk
+	// reads. symmetric licenses both the edge census and sparse-frontier
+	// rounds.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
@@ -572,6 +574,12 @@ func (e *Engine) refreshCSR() {
 	}
 	sym, ok := e.topo.(graph.Symmetric)
 	e.symmetric = ok && sym.Symmetric()
+	if e.impNbrs == nil {
+		e.uniDeg = 0
+		if alive == nil && e.symmetric { // the only views sparseFrontier admits
+			e.uniDeg = uniformRows(e.csrOff)
+		}
+	}
 	e.aliveBits, e.csrEpoch = alive, epoch
 	e.aliveN = e.n
 	if alive != nil {
@@ -580,6 +588,21 @@ func (e *Engine) refreshCSR() {
 			e.aliveN += bits.OnesCount64(w)
 		}
 	}
+}
+
+// uniformRows is the common length of the CSR rows off delimits, or 0 if
+// two differ.
+func uniformRows(off []int32) int {
+	if len(off) < 2 {
+		return 0
+	}
+	d := off[1] - off[0]
+	for v := 2; v < len(off); v++ {
+		if off[v]-off[v-1] != d {
+			return 0
+		}
+	}
+	return int(d)
 }
 
 // recount recomputes the informed-alive count after churn invalidated the

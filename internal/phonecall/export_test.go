@@ -96,6 +96,21 @@ func (e *Engine) WordKernelShards(t int) (kernel int, sendersRound bool) {
 	return kernel, dial == dialSenders
 }
 
+// WordWalkShards counts the sending shards whose frontierWords pass in the
+// latest round, round t, walked only the marked senders of each word
+// (wordWalk) instead of every sender.
+func (e *Engine) WordWalkShards(t int) (walked int) {
+	if kernel, _ := e.WordKernelShards(t); kernel == 0 {
+		return 0
+	}
+	for i := range e.shards {
+		if e.shards[i].sends && e.wordWalk(&e.shards[i], t) {
+			walked++
+		}
+	}
+	return walked
+}
+
 // LiveInformedBits returns the engine's informed bitset itself.
 func (e *Engine) LiveInformedBits() []uint64 { return e.informedBits }
 

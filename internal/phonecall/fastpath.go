@@ -243,14 +243,59 @@ func (e *Engine) wordRound(dial dialMode) bool {
 // Distinct2/3/4), so the stream is the general pass's. Resolve and deliver
 // (deliverSlots) whenever fewer than k slots remain, so transmissions and
 // receipts are the general pass's too. No branch sits between two neighbour
-// resolutions, so consecutive Feistel networks or CSR loads overlap. In a
-// sparse-frontier round an unmarked sender's dials are counted, not sent.
+// resolutions, so consecutive Feistel networks or CSR loads overlap. A
+// sparse-frontier round is frontierWords'.
 func (e *Engine) dialWords(sh *parShard, t int) {
+	if int(e.frontier) == t {
+		e.frontierWords(sh, t)
+		return
+	}
 	var from, slot [64]int32 // each slot's sender; its slot
-	rng, next, frontier := sh.ds.rng, sh.ds.next, int(e.frontier) == t
-	k, c := e.k, 0
+	c := 0
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
+			v := wi<<6 + bits.TrailingZeros64(m)
+			if !e.pushes(sh, v, t, true) { // always true under pushAll
+				continue
+			}
+			if off, deg := e.row(v); deg > 0 {
+				c = e.queueDials(sh, v, off, deg, &from, &slot, c)
+			}
+		}
+	}
+	e.deliverSlots(sh, from[:c], slot[:c])
+}
+
+// frontierWords is dialWords for a sparse-frontier round. An unmarked
+// sender's dials are counted, not sent, and its picks are skipped over in
+// the stream (xrand.SkipRows), not drawn. The pass owes the stream those
+// rows and pays them in one SkipRows call before the next sender that
+// draws, when the owed rows' degree changes, and at the end of the pass, so
+// every draw lands where the general pass makes it. Under wordWalk every
+// sender pushes and dials min(k, uniDeg), so the walk visits only a word's
+// marked senders and owes the rest by popcount. It is a loop of its own:
+// folded into dialWords' loop, its state slowed the rounds that mark
+// nothing (churn-ensemble's) by 4–8 %.
+func (e *Engine) frontierWords(sh *parShard, t int) {
+	var from, slot [64]int32 // each slot's sender; its slot
+	rng, next := sh.ds.rng, sh.ds.next
+	k, c := e.k, 0
+	words := e.wordWalk(sh, t)
+	owed, owedDeg := 0, e.uniDeg // unmarked senders' rows the stream owes, of degree owedDeg
+	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
+		m := e.shardWord(wi, sh.lo, sh.hi, true)
+		var u uint64 // under wordWalk, the word's unmarked senders not yet owed
+		if words {
+			u = m &^ next[wi]
+			m ^= u
+			sh.tx += int64(bits.OnesCount64(u) * min(k, owedDeg))
+		}
+		for ; m != 0; m &= m - 1 {
+			if u != 0 { // the unmarked senders below v
+				below := u & (m&-m - 1)
+				owed += bits.OnesCount64(below)
+				u ^= below
+			}
 			v := wi<<6 + bits.TrailingZeros64(m)
 			if !e.pushes(sh, v, t, true) { // always true under pushAll
 				continue
@@ -259,35 +304,61 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 			if deg == 0 {
 				continue
 			}
-			if c > len(slot)-k {
-				e.deliverSlots(sh, from[:c], slot[:c])
-				c = 0
-			}
-			kk := min(k, deg)
-			switch kk {
-			case 1:
-				slot[c] = int32(off + rng.IntN(deg))
-			case 2:
-				p0, p1 := rng.Distinct2(deg)
-				slot[c], slot[c+1] = int32(off+p0), int32(off+p1)
-			case 3:
-				p0, p1, p2 := rng.Distinct3(deg)
-				slot[c], slot[c+1], slot[c+2] = int32(off+p0), int32(off+p1), int32(off+p2)
-			default:
-				p0, p1, p2, p3 := rng.Distinct4(deg)
-				slot[c], slot[c+1], slot[c+2], slot[c+3] = int32(off+p0), int32(off+p1), int32(off+p2), int32(off+p3)
-			}
-			if frontier && next[uint(v)>>6]&(1<<(uint(v)&63)) == 0 {
-				sh.tx += int64(kk)
+			if next[uint(v)>>6]&(1<<(uint(v)&63)) == 0 {
+				if deg != owedDeg {
+					rng.SkipRows(min(k, owedDeg), owedDeg, owed)
+					owed, owedDeg = 0, deg
+				}
+				owed++
+				sh.tx += int64(min(k, deg))
 				continue
 			}
-			for j := c; j < c+kk; j++ {
-				from[j] = int32(v)
+			if owed > 0 {
+				rng.SkipRows(min(k, owedDeg), owedDeg, owed)
+				owed = 0
 			}
-			c += kk
+			c = e.queueDials(sh, v, off, deg, &from, &slot, c)
 		}
+		owed += bits.OnesCount64(u)
 	}
+	rng.SkipRows(min(k, owedDeg), owedDeg, owed)
 	e.deliverSlots(sh, from[:c], slot[:c])
+}
+
+// queueDials draws sender v's min(k, deg) picks (its row's first CSR slot
+// is off) and queues them at slot[c:] with v as their sender in from,
+// delivering the queue first when fewer than k slots remain. It returns the
+// queue's new length.
+func (e *Engine) queueDials(sh *parShard, v, off, deg int, from, slot *[64]int32, c int) int {
+	if c > len(slot)-e.k {
+		e.deliverSlots(sh, from[:c], slot[:c])
+		c = 0
+	}
+	rng, kk := sh.ds.rng, min(e.k, deg)
+	switch kk {
+	case 1:
+		slot[c] = int32(off + rng.IntN(deg))
+	case 2:
+		p0, p1 := rng.Distinct2(deg)
+		slot[c], slot[c+1] = int32(off+p0), int32(off+p1)
+	case 3:
+		p0, p1, p2 := rng.Distinct3(deg)
+		slot[c], slot[c+1], slot[c+2] = int32(off+p0), int32(off+p1), int32(off+p2)
+	default:
+		p0, p1, p2, p3 := rng.Distinct4(deg)
+		slot[c], slot[c+1], slot[c+2], slot[c+3] = int32(off+p0), int32(off+p1), int32(off+p2), int32(off+p3)
+	}
+	for j := c; j < c+kk; j++ {
+		from[j] = int32(v)
+	}
+	return c + kk
+}
+
+// wordWalk reports whether sh's frontierWords pass of round t walks only the
+// marked senders of each word: a sparse-frontier round in which every
+// cohort counted in the shard pushes, over a view of one degree.
+func (e *Engine) wordWalk(sh *parShard, t int) bool {
+	return int(e.frontier) == t && sh.pushAll && e.uniDeg > 0
 }
 
 // deliverSlots is the word kernel's last two stages: resolve every slot to

@@ -287,7 +287,11 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 // (the same graph or overlay through interfaceView), whose rows row cannot
 // read. Sparse-frontier rounds (markFrontier) engage in the stream and
 // dense cells' tails, and never on the partially-alive churn view, in a
-// census run or through interfaceView.
+// census run or through interfaceView. Some of them walk only the marked
+// senders of each word (wordWalk) in the stream and dense cells; none does
+// on a view of varying degree (sparseGraph's CSR rows), whose
+// sparse-frontier rounds skip sender by sender and must still equal its
+// oracle.
 func TestWordKernelEngages(t *testing.T) {
 	const n = 1 << 14
 	stream, err := graph.NewRegularStream(n, 8, 3)
@@ -311,6 +315,11 @@ func TestWordKernelEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	churnCell := churnGolden{joinProb: 0.01, leaveProb: 0.01, mixSteps: 5}
+	varying := phonecall.NewStatic(sparseGraph(t))
+	varyingPush, err := baseline.NewPush(varying.NumNodes(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name       string
 		topo       phonecall.Topology
@@ -320,24 +329,29 @@ func TestWordKernelEngages(t *testing.T) {
 		kernel     bool // every sending shard takes dialWords in a senders round
 		everyRound bool // every simulated round has a sending shard
 		frontier   bool // some round is a sparse-frontier round (else none is)
+		words      bool // some round walks a word's marked senders only (else none does)
 	}{
-		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true, true},
-		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true, false},
-		{"stream-push interface", struct{ phonecall.Topology }{phonecall.NewImplicit(stream)}, push, 1, false, false, true, false},
-		{"stream-fourchoice", phonecall.NewImplicit(stream), fourChoiceD8, 1, false, true, false, true},
-		{"dense-fourchoice", dense, fourChoice, 0, false, true, false, true},
-		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false, false},
-		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false, false},
-		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), fourChoiceD8, 0, false, true, false, false},
-		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), fourChoiceD8, 0, false, false, false, false},
+		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true, true, true},
+		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true, false, false},
+		{"stream-push interface", struct{ phonecall.Topology }{phonecall.NewImplicit(stream)}, push, 1, false, false, true, false, false},
+		{"stream-fourchoice", phonecall.NewImplicit(stream), fourChoiceD8, 1, false, true, false, true, true},
+		{"dense-fourchoice", dense, fourChoice, 0, false, true, false, true, true},
+		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false, false, false},
+		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false, false, false},
+		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), fourChoiceD8, 0, false, true, false, false, false},
+		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), fourChoiceD8, 0, false, false, false, false, false},
+		{"varying-degree push", varying, varyingPush, 0, false, true, true, true, false},
 	} {
 		var eng *phonecall.Engine
 		var kernel, sending []int
 		var senders []bool
-		frontier := 0
+		frontier, words := 0, 0
 		obs := roundHooks{onRound: func(rm phonecall.RoundMetrics) {
 			if eng.FrontierRound() == rm.Round {
 				frontier++
+			}
+			if eng.WordWalkShards(rm.Round) > 0 {
+				words++
 			}
 			s := 0
 			for _, st := range eng.ShardStates() {
@@ -375,6 +389,13 @@ func TestWordKernelEngages(t *testing.T) {
 		}
 		if (frontier > 0) != tc.frontier {
 			t.Fatalf("%s: %d sparse-frontier rounds, want some: %v", tc.name, frontier, tc.frontier)
+		}
+		if (words > 0) != tc.words {
+			t.Fatalf("%s: %d rounds walked marked senders only, want some: %v", tc.name, words, tc.words)
+		}
+		if tc.frontier && !tc.words { // every sparse-frontier round skipped sender by sender
+			cfg := phonecall.Config{Protocol: tc.proto, Workers: tc.workers}
+			matchesGeneralPass(t, tc.name, cfg, func() phonecall.Topology { return tc.topo }, 9)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // degree, Fisher–Yates branch) and deg = 4095 (a complete-graph-like
 // degree, rejection branch). "generic" is the DistinctK path the
 // reference engine uses; "small" is the Distinct2/3/4 fast path (IntN for
-// k = 1).
+// k = 1); "skip" passes one such row without its values (SkipRows).
 func BenchmarkDistinctK(b *testing.B) {
 	for _, k := range []int{1, 2, 4} {
 		for _, n := range []int{16, 4095} {
@@ -45,6 +45,11 @@ func BenchmarkDistinctK(b *testing.B) {
 					}
 				}
 				_ = sink
+			})
+			b.Run(fmt.Sprintf("skip/k=%d/deg=%d", k, n), func(b *testing.B) {
+				r := New(1)
+				b.ReportAllocs()
+				r.SkipRows(k, n, b.N)
 			})
 		}
 	}

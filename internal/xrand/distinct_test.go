@@ -156,3 +156,81 @@ func TestDistinctSmallPanics(t *testing.T) {
 	}()
 	New(1).Distinct4(3)
 }
+
+// skipSizes are the degrees the SkipRows tests cover: every n of the
+// virtual shuffle (n < 64), powers of two past it (an empty rejection set)
+// and other sizes of the rejection regime.
+var skipSizes = func() []int {
+	var sizes []int
+	for n := 1; n < 64; n++ {
+		sizes = append(sizes, n)
+	}
+	return append(sizes, 64, 65, 100, 128, 1000, 1024, 4095)
+}()
+
+// checkSkipRows fails unless r.SkipRows(k, n, count) leaves r's state
+// exactly where count sampler calls (distinctSmallVia) leave a copy of it.
+func checkSkipRows(t *testing.T, r Rand, k, n, count int) {
+	t.Helper()
+	want, got := r, r
+	for range count {
+		distinctSmallVia(&want, k, n)
+	}
+	got.SkipRows(k, n, count)
+	if got != want {
+		t.Fatalf("k=%d n=%d count=%d: SkipRows left %+v, the samplers %+v", k, n, count, got, want)
+	}
+}
+
+// TestSkipRowsMatchesSamplers is SkipRows' contract: for every k in
+// {1,…,4} and every skipSizes n >= k, passing count rows leaves the
+// generator where count calls of the sampler the phone-call word kernel
+// makes (IntN, Distinct2/3/4) leave it.
+func TestSkipRowsMatchesSamplers(t *testing.T) {
+	for k := 1; k <= 4; k++ {
+		for _, n := range skipSizes {
+			if n < k {
+				continue
+			}
+			for seed := uint64(1); seed <= 20; seed++ {
+				for _, count := range []int{0, 1, 2, 7, 33} {
+					checkSkipRows(t, *New(seed), k, n, count)
+				}
+			}
+		}
+	}
+}
+
+// zeroAt is a state whose draw number i (from 0) is the word 0, which lands
+// in the Lemire window of every n (lo = 0 < n): a state with s1 = 0
+// outputs 0, unstepped i times (TestDistinctSmallLemireRejection's trick).
+// s0 keeps the state off all-zero.
+func zeroAt(i int, s0 uint64) Rand {
+	r := Rand{s0 | 1, 0, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}
+	for range i {
+		r = unstep(r)
+	}
+	return r
+}
+
+// TestSkipRowsLemireWindow puts a window draw at every draw position of the
+// first four rows, so each stage of a row hands it to the scalar sampler:
+// a power-of-two n enters the window without a redraw, the others redraw,
+// and at n >= 64 the rejection regime (k > 1) draws every row's values.
+func TestSkipRowsLemireWindow(t *testing.T) {
+	for pos := 0; pos < 16; pos++ {
+		start := zeroAt(pos, 0x9e3779b97f4a7c15)
+		probe := start
+		for range pos {
+			probe.Uint64()
+		}
+		if probe.Uint64() != 0 {
+			t.Fatalf("draw %d of the start state is not 0", pos)
+		}
+		for k := 1; k <= 4; k++ {
+			for _, n := range []int{4, 5, 13, 16, 63, 64, 100, 1024} {
+				checkSkipRows(t, start, k, n, 4)
+			}
+		}
+	}
+}

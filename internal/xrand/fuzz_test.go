@@ -39,6 +39,25 @@ func FuzzDistinctK(f *testing.F) {
 	})
 }
 
+// FuzzSkipRows holds SkipRows to the samplers it stands in for (IntN,
+// Distinct2/3/4) at any k = 1…4, degree, row count and seed; a non-zero
+// window byte starts from a state whose draw number window-1 lands in the
+// Lemire window (zeroAt).
+func FuzzSkipRows(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(16), uint8(9), uint8(0))
+	f.Add(uint64(2), uint8(3), uint16(13), uint8(4), uint8(6))
+	f.Add(uint64(3), uint8(1), uint16(100), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw uint8, nRaw uint16, countRaw, window uint8) {
+		k := 1 + int(kRaw)%4
+		n := k + int(nRaw)%5000
+		r := *New(seed)
+		if window > 0 {
+			r = zeroAt(int(window)-1, seed)
+		}
+		checkSkipRows(t, r, k, n, int(countRaw)%64)
+	})
+}
+
 // FuzzUint64N verifies range correctness of the Lemire reduction.
 func FuzzUint64N(f *testing.F) {
 	f.Add(uint64(1), uint64(1))

@@ -455,6 +455,54 @@ func (r *Rand) Distinct4(n int) (a, b, c, d int) {
 	return r.distinctSmall(4, n)
 }
 
+// SkipRows advances the stream past count rows of k <= 4 values from
+// [0, n), leaving it EXACTLY where count calls of IntN(n) (k == 1) or
+// Distinct2/3/4(n) (k = 2..4) would, without computing a value. A row is
+// k draws whose only effect on the stream is whether one lands in its
+// Lemire window, so the generator state stays in registers (step256) and
+// only a row with a window draw goes back to the scalar sampler
+// (distinctSmall, which is IntN at k == 1), from the row's first state. A
+// power-of-two n has an empty rejection set, so its one-draw rows are one
+// step each. The rejection regime (k > 1, n >= 64) redraws a duplicate,
+// which needs the values: there every row is a distinctSmall call. It
+// panics unless 1 <= k <= min(4, n) or count <= 0.
+func (r *Rand) SkipRows(k, n, count int) {
+	if count <= 0 {
+		return
+	}
+	if k < 1 || k > 4 || k > n {
+		panic(fmt.Sprintf("xrand: SkipRows k=%d n=%d", k, n))
+	}
+	if k > 1 && rejectionRegime(k, n) {
+		for ; count > 0; count-- {
+			r.distinctSmall(k, n)
+		}
+		return
+	}
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	if k == 1 && n&(n-1) == 0 {
+		for ; count > 0; count-- {
+			_, s0, s1, s2, s3 = step256(s0, s1, s2, s3)
+		}
+	}
+	un := uint64(n)
+	for ; count > 0; count-- {
+		t0, t1, t2, t3 := s0, s1, s2, s3
+		for i := uint64(0); i < uint64(k); i++ {
+			var x uint64
+			x, t0, t1, t2, t3 = step256(t0, t1, t2, t3)
+			if _, lo := lemire(x, un-i); lo < un-i {
+				r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+				r.distinctSmall(k, n)
+				t0, t1, t2, t3 = r.s0, r.s1, r.s2, r.s3
+				break
+			}
+		}
+		s0, s1, s2, s3 = t0, t1, t2, t3
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
 // Binomial returns a Binomial(n, p) variate. For small n it sums Bernoulli
 // trials; for large n it uses a normal approximation with continuity
 // correction, clamped to [0, n]. The approximation is adequate for the

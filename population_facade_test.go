@@ -223,3 +223,44 @@ func TestSchedulerFlag(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
+
+// TestBatchPopulationRoundsAreConvergenceSteps pins what E22's "steps"
+// columns read: a population batch folds Rounds from each converged run's
+// FirstAllInformed, which is its ConvergedAt (the super-step the measure
+// first reached 1), not the run's Steps, which go on through the
+// confirmation window. On Herman's ring from three tokens Rounds.Mean is
+// the mean ConvergedAt of the kept runs and differs from their mean Steps.
+func TestBatchPopulationRoundsAreConvergenceSteps(t *testing.T) {
+	const n, reps = 15, 40
+	hm, err := NewHermanRing(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init, err := HermanInitTokens(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Batch{
+		Scenario:     PopulationScenario{N: n, Ring: hm, Init: init},
+		Replications: reps,
+		KeepResults:  true,
+		Seed:         5,
+	}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != reps {
+		t.Fatalf("%d of %d runs converged", res.Completed, reps)
+	}
+	converged, steps := newMetricAgg(), newMetricAgg()
+	for _, r := range res.Results {
+		converged.add(float64(r.Population.ConvergedAt))
+		steps.add(float64(r.Population.Steps))
+	}
+	if got, want := res.Rounds.Mean, converged.aggregate().Mean; got != want {
+		t.Fatalf("Rounds.Mean = %v, want the mean ConvergedAt %v", got, want)
+	}
+	if res.Rounds.Mean == steps.aggregate().Mean {
+		t.Fatalf("Rounds.Mean equals the mean Steps %v: the case no longer tells them apart", res.Rounds.Mean)
+	}
+}
