@@ -12,9 +12,9 @@ import (
 // list (and, for the erasure, a global edge map) first — measured at
 // n = 1M: 113→76 MB/op, 583→122 MB/op and 247→42 MB/op respectively.
 // RandomRegular does the same and keeps no edge map beside the rows —
-// at n = 1M, d = 16: 517→143 MB/op, 32 776→5 allocs (see EXPERIMENTS.md
-// for the full before/after tables). They run at full scale, so they
-// skip themselves under -short (the CI bench smoke).
+// at n = 1M, d = 16: 517→143 MB/op, 32 776→5 allocs (CHANGES.md's PR 5
+// and PR 14 lines). They run at full scale, so they skip themselves under
+// -short (the CI bench smoke).
 
 func benchGen(b *testing.B, gen func(rng *xrand.Rand) (*Graph, error)) {
 	b.Helper()

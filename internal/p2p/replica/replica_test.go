@@ -284,7 +284,7 @@ func TestStaggeredWorkloadConverges(t *testing.T) {
 	}
 }
 
-func TestMessageLossDelaysButExtraRoundsAreSimulated(t *testing.T) {
+func TestMessageLossStillConvergesWithinHorizon(t *testing.T) {
 	topo := clusterTopology(t, 64, 6, 9)
 	proto, err := core.NewAlgorithm1(64)
 	if err != nil {

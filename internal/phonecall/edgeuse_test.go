@@ -108,6 +108,8 @@ func TestMultiEngineValidation(t *testing.T) {
 		{"zero choices", func(c *MultiConfig) { c.Protocol = pushProto{0, 10} }},
 		{"zero horizon", func(c *MultiConfig) { c.Protocol = pushProto{1, 0} }},
 		{"dead origin", func(c *MultiConfig) { c.Topology = newViewTopo(g, 0) }},
+		// Run never steps the topology, so churn would be silently frozen.
+		{"churning topology", func(c *MultiConfig) { c.Topology = &churnTopo{g: g} }},
 	}
 	for _, tc := range cases {
 		cfg := valid

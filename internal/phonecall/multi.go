@@ -72,6 +72,9 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("phonecall: MultiConfig.Rounds = %d < 1", cfg.Rounds)
 	}
+	if _, dynamic := cfg.Topology.(Stepper); dynamic { // Run never steps it
+		return nil, fmt.Errorf("phonecall: a MultiEngine requires a static topology")
+	}
 	eng, err := newEngine(Config{
 		Topology:        cfg.Topology,
 		Protocol:        cfg.Protocol,

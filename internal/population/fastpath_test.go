@@ -74,7 +74,7 @@ func fastpathCases(t *testing.T) []struct {
 	}{
 		{"leader/all-leaders", Config{N: 3000, Pair: le, Init: InitAllLeaders, MaxSteps: 40},
 			"batch", [2]uint64{0xc5a954be12dd7edf, 0xe3a95ce3f799c60e}},
-		{"leader/poisoned", Config{N: 3000, Pair: le, Init: InitPoisoned, MaxSteps: 40},
+		{"leader/poisoned", Config{N: 3000, Pair: le, Init: initPoisoned, MaxSteps: 40},
 			"batch", [2]uint64{0x6387dc7178d6024f, 0x2c5d98a2d4f2b26e}},
 		{"herman/3-tokens", Config{N: 301, Ring: hm, Init: hmInit, MaxSteps: 60},
 			"ring-table", [2]uint64{0x4b1d9c89ce91fab1, 0xfd68f2acf09ec0f1}},
@@ -90,6 +90,14 @@ func fastpathCases(t *testing.T) []struct {
 			return MajBlank
 		}, MaxSteps: 40}, "table", [2]uint64{0xd1d561f996c4706e, 0x98b1e20d61fa771c}},
 	}
+}
+
+// initPoisoned is the worst-case start documented on LeaderElection: no
+// leaders, expired timers, and every agent's max-seen value poisoned to
+// the top of the rank space, so recovery must wait for a promotion to
+// draw the maximum rank.
+func initPoisoned(i, n int, coin uint64) State {
+	return leState(false, leValMask, leTimMask)
 }
 
 // TestFastPathMatchesReference pins every arm to the committed digests:

@@ -150,14 +150,6 @@ func InitLeaderless(i, n int, coin uint64) State {
 	return leState(false, State(i)&leValMask, leTimMask)
 }
 
-// InitPoisoned is the worst-case start documented on LeaderElection: no
-// leaders, expired timers, and every agent's max-seen value poisoned to
-// the top of the rank space, so recovery must wait for a promotion to
-// draw the maximum rank.
-func InitPoisoned(i, n int, coin uint64) State {
-	return leState(false, leValMask, leTimMask)
-}
-
 // ApplyPairs implements BatchProtocol: the Transition logic inlined over
 // a pre-drawn block, so the engine's fast path pays no interface call
 // per interaction. Two reshapings keep the loop lean: the rank epidemic

@@ -102,12 +102,6 @@ func InitLeaderless(i, n int, coin uint64) PopulationState {
 	return population.InitLeaderless(i, n, coin)
 }
 
-// InitPoisoned is the worst-case leader-election start: leaderless with
-// every max-seen value poisoned to the top of the rank space.
-func InitPoisoned(i, n int, coin uint64) PopulationState {
-	return population.InitPoisoned(i, n, coin)
-}
-
 // HermanInitTokens builds an adversarial Herman start with exactly k
 // equally spaced tokens on an n-ring (k odd; k = 3 is the conjectured
 // worst case).

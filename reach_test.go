@@ -39,14 +39,14 @@ var setterAllowlist = map[string]string{}
 
 // TestEveryFunctionHasACaller walks the call graph of both modules (the root
 // module and bench/) from the roots a program can enter by: main and init,
-// package-level var and const initialisers, the exported API of package
-// regcast, and every method whose name some interface declares (named or
-// literal, the standard library's included). A function outside that closure
-// and off callerAllowlist is code only its own tests reach, and fails the
-// test.
+// package-level var and const initialisers, and every method whose name some
+// interface declares (named or literal, the standard library's included). The
+// facade's exported API is no root: a name of package regcast needs a
+// program too. A function outside that closure and off callerAllowlist is
+// code only its own tests reach, and fails the test.
 func TestEveryFunctionHasACaller(t *testing.T) {
 	w := loadReach(t)
-	reached := w.reach(w.roots)
+	reached := w.reach(w.progRoots)
 	var allow []*types.Func
 	for name := range callerAllowlist {
 		fn := w.byName[name]
@@ -59,7 +59,7 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 			allow = append(allow, fn)
 		}
 	}
-	kept := w.reach(append(append([]*types.Func(nil), w.roots...), allow...))
+	kept := w.reach(append(append([]*types.Func(nil), w.progRoots...), allow...))
 
 	var dead []string
 	for _, fn := range w.decls {
@@ -71,7 +71,7 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("no caller outside tests: %s", d)
 	}
-	t.Logf("%d functions, %d roots, %d reached, %d allowlisted", len(w.decls), len(w.roots), len(reached), len(allow))
+	t.Logf("%d functions, %d roots, %d reached, %d allowlisted", len(w.decls), len(w.progRoots), len(reached), len(allow))
 }
 
 // TestEveryFieldHasASetter holds the second half of the caller rule: a
@@ -79,8 +79,7 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 // an exported struct type in the root module's non-test code must be written
 // by a function that main, init or a var initialiser of either module reaches
 // (callerAllowlist entries count, so stats.Summarize sets Summary's fields).
-// The facade's exported API is no root here, or every With* option would
-// count as a setter. A write is a keyed (or positional) composite-literal
+// A write is a keyed (or positional) composite-literal
 // field, an assignment, ++ or --, taking the field's address (a flag
 // binding), or a method call on the field (an atomic counter's Add).
 func TestEveryFieldHasASetter(t *testing.T) {
@@ -174,7 +173,6 @@ func newReachWalk() (*reachWalk, error) {
 			}
 		}
 	}
-	w.roots = append(w.roots, w.progRoots...)
 	return w, nil
 }
 
@@ -209,7 +207,6 @@ type reachWalk struct {
 	ifaces  map[string]bool // every interface method name seen
 	decls   []*types.Func   // every declared function, methods included
 	byName  map[string]*types.Func
-	roots   []*types.Func // progRoots and the facade's exported API
 	callees map[*types.Func][]*types.Func
 
 	progRoots []*types.Func                // main, init and var initialisers
@@ -341,9 +338,6 @@ func (w *reachWalk) check(p listedPkg) error {
 	if p.module == "regcast" {
 		w.exportedFields(pkg)
 	}
-	if p.path == "regcast" {
-		w.exportedRoots(pkg)
-	}
 	return nil
 }
 
@@ -385,30 +379,6 @@ func (w *reachWalk) exportedFields(pkg *types.Package) {
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !f.Embedded() {
 					w.fields[pkg.Path()+"."+name+"."+f.Name()] = f
-				}
-			}
-		}
-	}
-}
-
-// exportedRoots makes the facade's exported functions, and the exported
-// methods of the types it declares, roots.
-func (w *reachWalk) exportedRoots(pkg *types.Package) {
-	s := pkg.Scope()
-	for _, name := range s.Names() {
-		switch obj := s.Lookup(name).(type) {
-		case *types.Func:
-			if obj.Exported() {
-				w.roots = append(w.roots, obj)
-			}
-		case *types.TypeName:
-			if !obj.Exported() || obj.IsAlias() {
-				continue
-			}
-			ms := types.NewMethodSet(types.NewPointer(obj.Type()))
-			for i := 0; i < ms.Len(); i++ {
-				if m := ms.At(i).Obj().(*types.Func); m.Exported() {
-					w.roots = append(w.roots, m.Origin())
 				}
 			}
 		}

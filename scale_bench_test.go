@@ -17,8 +17,7 @@ import (
 // (internal/phonecall/parallel.go). Worker count never changes the
 // simulated trace — only the wall-clock time — so the workers=1 entry
 // (shard passes inline, the same code Workers == 0 runs) is the exact
-// sequential baseline for the speedup ratios recorded in EXPERIMENTS.md.
-// Run with:
+// sequential baseline for a speedup ratio. Run with:
 //
 //	go test -bench BenchmarkSharded -benchtime 3x .
 //
@@ -61,7 +60,7 @@ func benchSizes(b *testing.B) []int {
 
 // BenchmarkShardedPush sweeps worker counts on the classic push schedule
 // — the heaviest steady-state workload (every informed node transmits
-// every round) and the one used for the EXPERIMENTS.md speedup table.
+// every round).
 func BenchmarkShardedPush(b *testing.B) {
 	const d = 16
 	for _, n := range benchSizes(b) {
