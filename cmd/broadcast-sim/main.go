@@ -9,20 +9,17 @@
 //	broadcast-sim -n 1000000 -d 16 -protocol push -workers -1   # pooled shard passes
 //	broadcast-sim -topology hypercube:dim=27 -protocol push -stop-early -mem
 //	broadcast-sim -topology regular-stream:n=1000000,d=8 -protocol push -phases
-//	broadcast-sim -scheduler interactions -n 1024 -trace        # population demo
 //	broadcast-sim -n 32 -d 6 -daemon                            # gossip daemon over sockets
 //	broadcast-sim -n 32 -d 6 -chaos -chaos-drop 0.2             # + seeded fault injection
 //
 // Protocols: fourchoice (auto variant), algorithm1, algorithm2, seq
-// (sequentialised four-choice), push, pull, pushpull. With
-// -scheduler interactions the command instead runs the self-stabilizing
-// leader-election population protocol on an -n agent clique from the
-// all-leaders adversarial start, tracing super-steps.
+// (sequentialised four-choice), push, pull, pushpull.
 //
-// The -topology flag overrides -n/-d with any parseable topology
-// spec (regcast.ParseTopologySpec); implicit families (hypercube, torus,
-// gnp-stream, regular-stream) never materialise adjacency, which is what
-// makes 100M+-node runs fit one box.
+// The -topology flag replaces -n/-d with any parseable topology spec
+// (regcast.ParseTopologySpec); the spec sets the node count, and the
+// source's degree picks the four-choice variant. Implicit families
+// (hypercube, torus, gnp-stream, regular-stream) never materialise
+// adjacency, which is what makes 100M+-node runs fit one box.
 package main
 
 import (
@@ -51,11 +48,6 @@ func main() {
 	}
 }
 
-// populationFlags are the flags the -scheduler interactions path reads.
-var populationFlags = map[string]bool{
-	"n": true, "trace": true, "seed": true, "workers": true, "scheduler": true, "cpuprofile": true, "memprofile": true,
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("broadcast-sim", flag.ContinueOnError)
 	var (
@@ -71,7 +63,7 @@ func run(args []string) error {
 		stopEarly = fs.Bool("stop-early", false, "stop as soon as every node is informed (skip the schedule's tail)")
 		mem       = fs.Bool("mem", false, "report allocation totals (runtime.MemStats) for the run")
 		topology  = fs.String("topology", "",
-			"topology spec overriding -n/-d, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
+			"topology spec in place of -n/-d, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
 		common = regcast.AddCommonFlags(fs)
 		tflags = regcast.AddTransportFlags(fs)
 	)
@@ -81,22 +73,20 @@ func run(args []string) error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
-	if common.Scheduler() == regcast.SchedulerInteractions {
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if !populationFlags[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("%s: ignored by -scheduler interactions, which reads only -n, -trace, -seed, -workers and the profile flags", strings.Join(ignored, ", "))
-		}
-	}
 	var spec regcast.TopologySpec
 	if *topology != "" {
 		var err error
 		if spec, err = regcast.ParseTopologySpec(*topology); err != nil {
 			return fmt.Errorf("-topology: %w", err)
+		}
+		var explicit []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "n" || f.Name == "d" {
+				explicit = append(explicit, "-"+f.Name)
+			}
+		})
+		if len(explicit) > 0 {
+			return fmt.Errorf("%s: -topology sets the node count and degree", strings.Join(explicit, ", "))
 		}
 	}
 	stopProfiles, err := common.StartProfiles()
@@ -107,9 +97,6 @@ func run(args []string) error {
 	if err := tflags.Validate(); err != nil {
 		return err
 	}
-	if common.Scheduler() == regcast.SchedulerInteractions {
-		return runPopulation(*n, *trace, common)
-	}
 
 	var memBefore runtime.MemStats
 	if *mem {
@@ -117,33 +104,35 @@ func run(args []string) error {
 		runtime.ReadMemStats(&memBefore)
 	}
 
-	master := common.Rand()
-	if tflags.Daemon && spec != nil {
-		return fmt.Errorf("-daemon/-chaos need the dense -n/-d graph (the daemon engine requires a Static topology)")
-	}
-	if spec != nil {
-		if nn := regcast.SpecNodeCount(spec); nn > 0 {
-			*n = nn // protocol horizons are functions of n
-		}
-	}
 	// The wall a user waits for has three parts: building the topology, the
-	// structural report on it, the run. A -topology spec is built inside the
-	// run, from the run's own stream; its build and report read ~0.
+	// structural report on it, the run. A -topology spec is built from the
+	// run's own stream, as a spec scenario would build it inside the run.
+	master := common.Rand()
 	start := time.Now()
-	var g *regcast.Graph
+	var (
+		g    *regcast.Graph
+		topo regcast.Topology
+		rng  = master.Split()
+	)
 	if spec == nil {
-		g, err = regcast.NewRegularGraph(*n, *d, master.Split())
-		if err != nil {
+		if g, err = regcast.NewRegularGraph(*n, *d, rng); err != nil {
 			return err
 		}
+		topo, rng = regcast.Static(g), master.Split()
+	} else if topo, err = spec.Build(0, rng); err != nil {
+		return err
 	}
 	built := time.Now()
+	*n = topo.NumNodes() // protocol horizons are functions of n
+	if *source < 0 || *source >= *n {
+		return fmt.Errorf("-source %d out of range [0,%d)", *source, *n)
+	}
 
 	var proto regcast.Protocol
 	opts := []core.Option{core.WithAlpha(*alpha), core.WithChoices(*choices)}
 	switch *protoSel {
 	case "fourchoice":
-		proto, err = core.New(*n, *d, opts...)
+		proto, err = core.New(*n, topo.Degree(*source), opts...)
 	case "algorithm1":
 		proto, err = core.NewAlgorithm1(*n, opts...)
 	case "algorithm2":
@@ -183,7 +172,7 @@ func run(args []string) error {
 
 	sopts := []regcast.ScenarioOption{
 		regcast.WithSource(*source),
-		regcast.WithRNG(master.Split()),
+		regcast.WithRNG(rng),
 		regcast.WithChannelFailure(*failure),
 		regcast.WithMessageLoss(*loss),
 	}
@@ -204,12 +193,7 @@ func run(args []string) error {
 	if phases != nil {
 		sopts = append(sopts, regcast.WithObserver(phases))
 	}
-	var scenario regcast.Scenario
-	if spec == nil {
-		scenario, err = regcast.NewScenario(regcast.Static(g), proto, sopts...)
-	} else {
-		scenario, err = regcast.NewScenarioSpec(spec, proto, sopts...)
-	}
+	scenario, err := regcast.NewScenario(topo, proto, sopts...)
 	if err != nil {
 		return err
 	}
@@ -273,54 +257,4 @@ func printTransportHealth(h *regcast.TransportHealth) {
 		fmt.Printf("chaos: in=%d forwarded=%d dropped=%d partition-drops=%d crash-drops=%d dup=%d delayed=%d reordered=%d\n",
 			f.In, f.Forwarded, f.Dropped, f.PartitionDrops, f.CrashDrops, f.Duplicated, f.Delayed, f.Reordered)
 	}
-}
-
-// runPopulation is the -scheduler interactions path: one leader-election
-// run on an n-agent clique from the all-leaders adversarial start,
-// honouring -seed, -workers and -trace.
-func runPopulation(n int, trace bool, common *regcast.CommonFlags) error {
-	le, err := regcast.NewLeaderElection(n)
-	if err != nil {
-		return err
-	}
-	sc := regcast.PopulationScenario{
-		N:    n,
-		Pair: le,
-		Init: regcast.InitAllLeaders,
-		Seed: common.Seed,
-	}
-	fmt.Printf("population: %s on an n=%d clique, all-leaders start\n", le.Name(), n)
-	var fractions []float64
-	if trace {
-		fmt.Println(" step  interactions  changed  leaders")
-		sc.Observer = superStepPrinter{n: n, fractions: &fractions}
-	}
-	run, err := regcast.Run(context.Background(), sc, common.RunnerOptions()...)
-	if err != nil {
-		return err
-	}
-	res := run.Population
-	if trace && len(fractions) > 1 {
-		if chart, err := viz.Chart(64, 12, viz.Series{Name: "leader fraction", Values: fractions}); err == nil {
-			fmt.Println()
-			fmt.Print(chart)
-		}
-	}
-	fmt.Printf("converged: %v (final leaders %d)\n", res.Converged, res.Measure)
-	if res.Converged {
-		fmt.Printf("convergence: super-step %d after %d interactions\n", res.ConvergedAt, res.ConvergedInteractions)
-	}
-	fmt.Printf("total: %d super-steps, %d interactions\n", res.Steps, res.Interactions)
-	return nil
-}
-
-// superStepPrinter streams the population trace as the engine produces it.
-type superStepPrinter struct {
-	n         int
-	fractions *[]float64
-}
-
-func (p superStepPrinter) OnSuperStep(s regcast.SuperStepStats) {
-	fmt.Printf("%5d  %12d  %7d  %7d\n", s.Step, s.Interactions, s.Changed, s.Measure)
-	*p.fractions = append(*p.fractions, float64(s.Measure)/float64(p.n))
 }

@@ -47,12 +47,18 @@ func run(args []string, w io.Writer) error {
 		markdown = fs.Bool("markdown", false, "emit Markdown instead of plain text")
 		repWork  = fs.Int("rep-workers", 0,
 			"replication-pool workers over whole runs: 0/1 = serial, -1 = GOMAXPROCS, n = n workers (never changes results)")
+		scheduler = fs.String("scheduler", "rounds",
+			"default selection: rounds = the phone-call experiments (E1–E20), interactions = the population-protocol experiments (E21+)")
 		common = regcast.AddCommonFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := common.Validate(); err != nil {
+		return err
+	}
+	selected, err := selection(*runIDs, *scheduler)
+	if err != nil {
 		return err
 	}
 	if common.Phases {
@@ -65,28 +71,6 @@ func run(args []string, w io.Writer) error {
 	defer stopProfiles()
 	if *repWork < regcast.WorkersAuto {
 		return fmt.Errorf("-rep-workers %d invalid (use -1, 0 or a positive count)", *repWork)
-	}
-
-	var selected []experiments.Experiment
-	if *runIDs == "" {
-		// The default selection follows the -scheduler flag: the rounds
-		// family is E1–E20 (the paper's theorems), the interactions family
-		// E21+ (the population-protocol experiments). An explicit -run
-		// bypasses the filter.
-		for _, e := range experiments.All() {
-			if e.Scheduler == common.Scheduler() {
-				selected = append(selected, e)
-			}
-		}
-	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := experiments.ByID(id)
-			if !ok {
-				return fmt.Errorf("unknown experiment %q", id)
-			}
-			selected = append(selected, e)
-		}
 	}
 
 	opts := experiments.FromFlags(common, *quick, *repWork)
@@ -111,4 +95,31 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// selection returns the experiments -run names, in its order, or without
+// -run the family -scheduler names: rounds is E1–E20 (the paper's
+// theorems), interactions E21+ (the population-protocol experiments).
+func selection(runIDs, scheduler string) ([]experiments.Experiment, error) {
+	if scheduler != "rounds" && scheduler != "interactions" {
+		return nil, fmt.Errorf("-scheduler %q invalid (use rounds or interactions)", scheduler)
+	}
+	var selected []experiments.Experiment
+	if runIDs == "" {
+		for _, e := range experiments.All() {
+			if e.Population == (scheduler == "interactions") {
+				selected = append(selected, e)
+			}
+		}
+		return selected, nil
+	}
+	for _, id := range strings.Split(runIDs, ",") {
+		id = strings.TrimSpace(id)
+		e, ok := experiments.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		selected = append(selected, e)
+	}
+	return selected, nil
 }

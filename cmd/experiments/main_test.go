@@ -62,3 +62,43 @@ func TestRejectsPhasesFlag(t *testing.T) {
 		t.Fatalf("-phases: err = %v, want it named", err)
 	}
 }
+
+// TestRejectsUnknownScheduler: -scheduler names a family, rounds or
+// interactions; anything else is refused by name.
+func TestRejectsUnknownScheduler(t *testing.T) {
+	err := run([]string{"-quick", "-scheduler", "nope"}, io.Discard)
+	if err == nil || !strings.HasPrefix(err.Error(), "-scheduler") {
+		t.Fatalf("-scheduler nope: err = %v, want it named", err)
+	}
+}
+
+// TestSchedulerSelectsFamily: without -run, -scheduler rounds (the
+// default) selects the paper's experiments E1–E20 and -scheduler
+// interactions the population experiments E21, E22 and E24; -run
+// bypasses the filter.
+func TestSchedulerSelectsFamily(t *testing.T) {
+	var rounds []string
+	for i := 1; i <= 20; i++ {
+		rounds = append(rounds, "E"+strconv.Itoa(i))
+	}
+	for _, tc := range []struct {
+		runIDs, scheduler string
+		want              []string
+	}{
+		{"", "rounds", rounds},
+		{"", "interactions", []string{"E21", "E22", "E24"}},
+		{"E21, E1", "rounds", []string{"E21", "E1"}},
+	} {
+		selected, err := selection(tc.runIDs, tc.scheduler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range selected {
+			got = append(got, e.ID)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("-run %q -scheduler %s: selected %v, want %v", tc.runIDs, tc.scheduler, got, tc.want)
+		}
+	}
+}

@@ -45,16 +45,16 @@
 // replication-level parallelism composes with WithWorkers' per-run
 // workers.
 //
-// The phone-call rounds above are one Scheduler (SchedulerRounds); the
-// facade also ships SchedulerInteractions, the population-protocol
-// model, where time advances one uniformly random pairwise interaction
-// at a time (internal/population): describe an ensemble of agents as a
-// PopulationScenario (a PairProtocol such as NewLeaderElection, or a
-// RingProtocol such as NewHermanRing) and execute it with the same Run
-// (Result.Population carries the population-specific fields); Batch
-// folds convergence ensembles into the same BatchResult the broadcast
-// batches produce.
-// Both scheduler families run on the shared deterministic sharded
+// Besides the phone-call rounds above, the facade ships the
+// population-protocol model, where time advances one uniformly random
+// pairwise interaction at a time (internal/population): describe an
+// ensemble of agents as a PopulationScenario (a PairProtocol such as
+// NewLeaderElection, or a RingProtocol such as NewHermanRing) and execute
+// it with the same Run (Result.Population carries the population-specific
+// fields); Batch folds convergence ensembles into the same BatchResult the
+// broadcast batches produce. The scenario's type tells the two families
+// apart: a Scenario runs in rounds, a PopulationScenario in interactions.
+// Both families run on the shared deterministic sharded
 // super-step contract (internal/sched) — fixed shard count, per-shard
 // split PRNG streams, shard-order merge — so traces are bit-identical
 // for every worker count.

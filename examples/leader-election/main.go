@@ -2,8 +2,10 @@
 // n-agent clique from both canonical adversarial starts — everyone a
 // leader, and nobody a leader — and watch the interaction scheduler
 // converge to exactly one leader in Θ(n·log n) interactions. Programmed
-// entirely against the public regcast facade (the SchedulerInteractions
-// side: PopulationScenario through Run).
+// entirely against the public regcast facade (PopulationScenario through
+// Run); it takes the common -seed, -workers and profile flags.
+//
+//	leader-election -n 4096 -seed 9 -workers -1
 package main
 
 import (
@@ -18,8 +20,20 @@ import (
 
 func main() {
 	nFlag := flag.Int("n", 1<<10, "number of agents")
+	common := regcast.AddCommonFlags(flag.CommandLine)
 	flag.Parse()
 	n := *nFlag
+	if err := common.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if common.Phases {
+		log.Fatal("-phases: population runs report no round-phase times")
+	}
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	starts := []struct {
 		name string
@@ -40,13 +54,12 @@ func main() {
 			N:        n,
 			Pair:     le,
 			Init:     start.init,
-			Seed:     42,
+			Seed:     common.Seed,
 			Observer: stepPrinter{},
 		}
 		// Pooled shard passes execute the same trace as inline ones —
-		// worker count never changes a result, only wall-clock.
-		res, err := regcast.Run(context.Background(), sc,
-			regcast.WithWorkers(regcast.WorkersAuto))
+		// -workers never changes a result, only wall-clock.
+		res, err := regcast.Run(context.Background(), sc, common.RunnerOptions()...)
 		if err != nil {
 			log.Fatal(err)
 		}

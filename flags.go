@@ -24,10 +24,6 @@ type CommonFlags struct {
 	// the calling goroutine, -1 = a pool of GOMAXPROCS workers, n >= 1 = a
 	// pool of n workers. It never changes a result, only wall-clock time.
 	Workers int
-	// SchedulerName is the raw -scheduler value ("rounds" or
-	// "interactions"); Validate parses it and Scheduler returns the
-	// typed selection.
-	SchedulerName string
 	// CPUProfile and MemProfile name the files StartProfiles writes a CPU
 	// and a heap profile to (`go tool pprof <binary> <file>`); empty means
 	// no profile.
@@ -36,19 +32,16 @@ type CommonFlags struct {
 	// Phases asks for the run's summed round-phase times (PhaseTotals),
 	// printed in one line after the run.
 	Phases bool
-
-	scheduler Scheduler
 }
 
-// AddCommonFlags registers the canonical -seed/-workers/-scheduler flags
-// on fs and returns the struct their parsed values land in.
+// AddCommonFlags registers the canonical -seed/-workers flags, the profile
+// flags and -phases on fs and returns the struct their parsed values land
+// in.
 func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	f := &CommonFlags{}
 	fs.Uint64Var(&f.Seed, "seed", 1, "master random seed (topology and runs derive from it)")
 	fs.IntVar(&f.Workers, "workers", 0,
 		"engine workers: 0 = shard passes inline, -1 = pool of GOMAXPROCS, n = pool of n; results are identical for every value")
-	fs.StringVar(&f.SchedulerName, "scheduler", SchedulerRounds.String(),
-		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions (broadcast-sim, experiments)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
 	fs.BoolVar(&f.Phases, "phases", false,
@@ -115,17 +108,8 @@ func (f *CommonFlags) Validate() error {
 	if f.Workers < WorkersAuto {
 		return fmt.Errorf("-workers %d invalid (use -1, 0 or a positive count)", f.Workers)
 	}
-	s, err := ParseScheduler(f.SchedulerName)
-	if err != nil {
-		return fmt.Errorf("-scheduler %q invalid (use rounds or interactions)", f.SchedulerName)
-	}
-	f.scheduler = s
 	return nil
 }
-
-// Scheduler returns the engine family the -scheduler flag selected;
-// call Validate first.
-func (f *CommonFlags) Scheduler() Scheduler { return f.scheduler }
 
 // Rand returns the master RNG derived from -seed; Split it per consumer.
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }

@@ -10,7 +10,7 @@ import (
 )
 
 // E21/E22 exercise the population-protocol engine family (the
-// SchedulerInteractions side of the facade) on the two exemplar
+// facade's PopulationScenario) on the two exemplar
 // workloads from PAPERS.md: self-stabilizing leader election under
 // uniform random pairs (arXiv:2505.01210) and Herman's self-stabilizing
 // token ring in its synchronous coin-flip variant (arXiv:1504.01130).
@@ -25,8 +25,8 @@ func init() {
 		PaperClaim: "Ranked-timeout leader election (cf. arXiv:2505.01210) converges from " +
 			"canonical adversarial starts (all leaders / no leaders) to exactly one leader " +
 			"in Θ(n·log n) interactions; interactions/(n·ln n) should stay bounded as n grows.",
-		Scheduler: regcast.SchedulerInteractions,
-		Run:       runE21,
+		Population: true,
+		Run:        runE21,
 	})
 	register(Experiment{
 		ID:    "E24",
@@ -35,8 +35,8 @@ func init() {
 			"Eisenstat DISC 2007) reaches consensus in O(n·log n) interactions w.h.p., and picks the " +
 			"initial majority w.h.p. once the margin exceeds ω(√n·log n); interactions/(n·ln n) should " +
 			"stay bounded across the sweep and the picked-majority fraction should rise with the margin.",
-		Scheduler: regcast.SchedulerInteractions,
-		Run:       runE24,
+		Population: true,
+		Run:        runE24,
 	})
 	register(Experiment{
 		ID:    "E22",
@@ -44,8 +44,8 @@ func init() {
 		PaperClaim: "Herman's synchronous coin-flip ring (arXiv:1504.01130) converges from any " +
 			"odd-token start to one token in O(N²) expected steps; the conjectured worst case " +
 			"(3 equally spaced tokens) takes 4N²/27 ≈ 0.148·N² — mean steps/N² should hover at or below that constant.",
-		Scheduler: regcast.SchedulerInteractions,
-		Run:       runE22,
+		Population: true,
+		Run:        runE22,
 	})
 }
 

@@ -73,11 +73,10 @@ type Experiment struct {
 	Title string
 	// PaperClaim states what the paper predicts, for the report header.
 	PaperClaim string
-	// Scheduler is the engine family the experiment exercises: the
-	// phone-call round model (the zero value, every paper theorem) or the
-	// population-protocol interaction model (E21+). cmd/experiments uses
-	// it to filter the default selection by the -scheduler flag.
-	Scheduler regcast.Scheduler
+	// Population marks the experiments that run population-protocol
+	// scenarios (E21+) rather than the paper's phone-call rounds (E1–E20).
+	// cmd/experiments filters its default selection by it.
+	Population bool
 	// Run executes the experiment and returns its result tables.
 	Run func(o Options) ([]*table.Table, error)
 }

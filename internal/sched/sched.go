@@ -3,7 +3,7 @@
 // deterministic sharded super-step engine in this repository shares. The
 // phone-call round engine (internal/phonecall) and the
 // pairwise-interaction population engine (internal/population) are two
-// instances of the same Scheduler shape, and this package is the part
+// instances of the same scheduler shape, and this package is the part
 // they have in common.
 //
 // # The deterministic sharded super-step contract

@@ -3,7 +3,6 @@ package regcast
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"reflect"
 	"testing"
 )
@@ -191,38 +190,6 @@ func TestBatchPopulationValidation(t *testing.T) {
 type observerStub struct{}
 
 func (observerStub) OnSuperStep(SuperStepStats) {}
-
-func TestSchedulerFlag(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want Scheduler
-		ok   bool
-	}{
-		{nil, SchedulerRounds, true},
-		{[]string{"-scheduler", "rounds"}, SchedulerRounds, true},
-		{[]string{"-scheduler", "interactions"}, SchedulerInteractions, true},
-		{[]string{"-scheduler", "nope"}, 0, false},
-	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := AddCommonFlags(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		err := f.Validate()
-		if tc.ok != (err == nil) {
-			t.Fatalf("args %v: Validate error %v, want ok=%v", tc.args, err, tc.ok)
-		}
-		if tc.ok && f.Scheduler() != tc.want {
-			t.Fatalf("args %v: scheduler %v, want %v", tc.args, f.Scheduler(), tc.want)
-		}
-	}
-	if s, err := ParseScheduler("interactions"); err != nil || s != SchedulerInteractions {
-		t.Fatalf("ParseScheduler(interactions) = %v, %v", s, err)
-	}
-	if got := SchedulerInteractions.String(); got != "interactions" {
-		t.Fatalf("String() = %q", got)
-	}
-}
 
 // TestBatchPopulationRoundsAreConvergenceSteps pins what E22's "steps"
 // columns read: a population batch folds Rounds from each converged run's

@@ -7,7 +7,7 @@ import (
 	"regcast/internal/population"
 )
 
-// Population-protocol facade: the SchedulerInteractions counterpart of
+// Population-protocol facade: the interaction-model counterpart of
 // Scenario/Run. A PopulationScenario describes one run of an
 // agent-state machine under the uniform random-pair scheduler (or the
 // synchronous ring scheduler), and Runner.Run executes it on
@@ -139,13 +139,12 @@ type PopulationScenario struct {
 // AnyScenario union, so Runner.Run accepts it directly.
 func (PopulationScenario) anyScenario() {}
 
-// runPopulation executes one population scenario on the simulator and
-// folds its result into the shared Result shape (the mapping documented on
-// Runner.Run); the trace is bit-identical for every worker count. Other
-// engines reject the scenario. Cancelling ctx stops the run
-// at the next super-step boundary and returns ctx.Err() alongside the
-// partial result.
-func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Result, error) {
+// runPopulationScenario executes one population scenario on the simulator
+// and folds its result into the shared Result shape (the mapping documented
+// on Runner.Run); the trace is bit-identical for every worker count. Other
+// engines reject the scenario. Cancelling ctx stops the run at the next
+// super-step boundary and returns ctx.Err() alongside the partial result.
+func (r Runner) runPopulationScenario(ctx context.Context, s PopulationScenario) (Result, error) {
 	if r.engine != EngineSimulator {
 		return Result{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSimulator)", r.engine)
 	}

@@ -210,7 +210,7 @@ func (r Runner) run(ctx context.Context, k scenarioKind) (Result, error) {
 		return Result{}, err
 	}
 	if k.isPopulation {
-		return r.runPopulation(ctx, k.population)
+		return r.runPopulationScenario(ctx, k.population)
 	}
 	return r.runScenario(ctx, k.broadcast)
 }
