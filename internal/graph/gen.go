@@ -81,11 +81,13 @@ func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 		return nil, err
 	}
 	g := &Graph{offsets: make([]int32, n+1), adj: make([]int32, n*d)}
+	// The pairing's row cursors borrow the offsets array, which is then
+	// overwritten with the fixed stride.
+	if err := StegerWormald(d, rng, make([]int32, n*d), g.offsets[:n], g.adj); err != nil {
+		return nil, err
+	}
 	for v := 0; v <= n; v++ {
 		g.offsets[v] = int32(v * d)
-	}
-	if err := StegerWormald(d, rng, make([]int32, n*d), make([]int32, n), g.adj); err != nil {
-		return nil, err
 	}
 	return g, nil
 }
@@ -160,10 +162,7 @@ func tryStegerWormald(d int, rng *xrand.Rand, unmatched, fill, adj []int32) bool
 		m := len(unmatched)
 		start := *rng
 		nb := min(swBatch, m/2)
-		for p := 0; p < nb; p++ {
-			bi[p] = rng.IntN(m - 2*p)
-			bj[p] = rng.IntN(m - 2*p)
-		}
+		rng.FillShrinkingPairs(bi[:nb], bj[:nb], m)
 		for p := 0; p < nb; p++ {
 			bu[p], bv[p] = unmatched[bi[p]], unmatched[bj[p]]
 		}

@@ -30,21 +30,28 @@ import (
 // each local edge operation is index arithmetic on two flat arrays and
 // updates the CSR view in place. That is what makes the overlay a
 // phonecall.CSRViewer — the broadcast engine's shard pass and word kernel
-// run directly on these arrays, with the alive bitset (the overlay's only
+// run directly on these arrays (a fixed-stride view: row v starts at v·d,
+// so no offsets array is kept), with the alive bitset (the overlay's only
 // liveness record) and an epoch counter that tells the engine when
 // anything changed (see CSRView). Exact d-regularity of the alive peers
 // (CheckInvariants) is also what lets DialBudget answer in O(1).
+//
+// The ids Join may take are a list threaded through the dead rows, which
+// nothing else reads: freeHead is the last departed id, slot 0 of each
+// departed id's row links to the one that left before it, and fresh is the
+// next id never used. Join pops departed ids last-in first-out, then
+// fresh, fresh+1, …, so the list costs no array of its own.
 type Overlay struct {
 	d         int
 	stubs     []int32  // flat (cap × d) backing; row v is stubs[v*d : v*d+deg[v]]
 	deg       []int32  // slots of row v in use
-	offsets   []int32  // fixed stride: offsets[v] = v*d (the CSR view's offsets)
 	dangling  []int32  // Leave's stub scratch (capacity d), reused across calls
 	aliveBits []uint64 // bit v set iff v is alive: the one liveness record
 	aliveCnt  int
 	epoch     uint64 // bumped by every mutating operation
 	rng       *xrand.Rand
-	freeIDs   []int32 // dead ids, a stack Join pops; allocated once at capacity
+	freeHead  int32 // the last departed id not yet rejoined, or -1
+	fresh     int32 // the next id never used; ids from here on are free
 	watchers  []MembershipFunc
 }
 
@@ -85,11 +92,11 @@ func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 		d:         d,
 		stubs:     make([]int32, capacity*d),
 		deg:       make([]int32, capacity),
-		offsets:   make([]int32, capacity+1),
 		dangling:  make([]int32, 0, d),
 		aliveBits: make([]uint64, (capacity+63)/64),
 		rng:       rng,
-		freeIDs:   make([]int32, headroom, capacity),
+		freeHead:  -1,
+		fresh:     int32(n),
 	}
 	unmatched := o.stubs[n*d:]
 	if headroom < n {
@@ -98,14 +105,8 @@ func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 	if err := graph.StegerWormald(d, rng, unmatched[:n*d], o.deg[:n], o.stubs[:n*d]); err != nil {
 		return nil, fmt.Errorf("overlay: seeding topology: %w", err)
 	}
-	for v := 0; v <= capacity; v++ {
-		o.offsets[v] = int32(v * d)
-	}
 	for v := 0; v < n; v++ {
 		o.setAlive(v, true)
-	}
-	for i := range o.freeIDs {
-		o.freeIDs[i] = int32(capacity - 1 - i)
 	}
 	o.epoch++
 	return o, nil
@@ -125,14 +126,15 @@ func (o *Overlay) setAlive(v int, alive bool) {
 	}
 }
 
-// CSRView implements phonecall.CSRViewer. The returned slices are the
+// CSRView implements phonecall.CSRViewer with nil offsets: a fixed-stride
+// view, row v being stubs[v·d : (v+1)·d]. The returned slices are the
 // overlay's live storage: every Join/Leave/Mix updates them in place and
 // bumps the epoch, so a consumer that re-fetches on epoch change always
-// reads the current topology. Rows of dead ids hold stale stubs and must
-// not be read (their alive bit is clear); rows of alive ids are exactly
-// d slots, matching Degree.
-func (o *Overlay) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
-	return o.offsets, o.stubs, o.aliveBits, o.epoch
+// reads the current topology. Rows of dead ids hold stale stubs and the
+// free-id links and must not be read (their alive bit is clear); rows of
+// alive ids are exactly d slots, matching Degree.
+func (o *Overlay) CSRView() ([]int32, []int32, []uint64, uint64) {
+	return nil, o.stubs, o.aliveBits, o.epoch
 }
 
 // NumNodes implements phonecall.Topology (id-space size incl. dead slots).
@@ -176,14 +178,20 @@ func (o *Overlay) notify(id int, joined bool) {
 // peer takes over d/2 randomly chosen existing edges (u,w), replacing each
 // with the pair (u,new),(w,new); all degrees stay exactly d.
 func (o *Overlay) Join() (int, error) {
-	if len(o.freeIDs) == 0 {
+	if o.freeHead < 0 && int(o.fresh) == len(o.deg) {
 		return -1, fmt.Errorf("overlay: no free slots (capacity %d)", len(o.deg))
 	}
 	if o.aliveCnt <= o.d {
 		return -1, fmt.Errorf("overlay: too few peers (%d) to splice a join", o.aliveCnt)
 	}
-	id := int(o.freeIDs[len(o.freeIDs)-1])
-	o.freeIDs = o.freeIDs[:len(o.freeIDs)-1]
+	var id int
+	if o.freeHead >= 0 {
+		id = int(o.freeHead)
+		o.freeHead = o.stubs[id*o.d]
+	} else {
+		id = int(o.fresh)
+		o.fresh++
+	}
 	o.epoch++
 
 	for i := 0; i < o.d/2; i++ {
@@ -228,10 +236,15 @@ func (o *Overlay) Leave(v int) error {
 	}
 	o.deg[v] = 0
 	o.setAlive(v, false)
-	o.freeIDs = append(o.freeIDs, int32(v))
+	o.stubs[v*o.d] = o.freeHead // v's dead row links the free list
+	o.freeHead = int32(v)
 
-	// Re-pair the dangling stubs uniformly at random.
-	o.rng.Shuffle(len(dangling), func(i, j int) { dangling[i], dangling[j] = dangling[j], dangling[i] })
+	// Re-pair the dangling stubs uniformly at random: Fisher–Yates, the
+	// IntN(i+1) calls of rng.Shuffle without its closure.
+	for i := len(dangling) - 1; i > 0; i-- {
+		j := o.rng.IntN(i + 1)
+		dangling[i], dangling[j] = dangling[j], dangling[i]
+	}
 	for i := 0; i+1 < len(dangling); i += 2 {
 		o.addEdge(int(dangling[i]), dangling[i+1])
 	}
@@ -360,17 +373,22 @@ func (o *Overlay) removeEdge(u int, w int32) {
 	o.removeDirected(int(w), int32(u))
 }
 
-// removeDirected deletes one occurrence of w from u's list.
+// removeDirected deletes one occurrence of w from u's list: the first,
+// found by a scan of the whole row with no early exit, so the compiler
+// keeps the match in a conditional move rather than a mispredicted branch.
 func (o *Overlay) removeDirected(u int, w int32) {
 	row := o.row(u)
-	for i, x := range row {
-		if x == w {
-			row[i] = row[len(row)-1]
-			o.deg[u]--
-			return
+	at := len(row)
+	for i := len(row) - 1; i >= 0; i-- {
+		if row[i] == w {
+			at = i
 		}
 	}
-	panic(fmt.Sprintf("overlay: removeDirected(%d,%d): stub not found", u, w))
+	if at == len(row) {
+		panic(fmt.Sprintf("overlay: removeDirected(%d,%d): stub not found", u, w))
+	}
+	row[at] = row[len(row)-1]
+	o.deg[u]--
 }
 
 // Churner drives continuous membership change: every round it performs a

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"regcast/internal/core"
@@ -140,6 +141,63 @@ func TestLeaveThenJoinRecyclesIDs(t *testing.T) {
 	}
 	if id != victim {
 		t.Errorf("join got id %d, want recycled %d", id, victim)
+	}
+	if err := o.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreeListPopsInStackOrder: the free ids threaded through the dead
+// rows are popped in the order of the free-id stack the overlay kept
+// before (departed ids last-in first-out, then the never-used ids
+// ascending), which is what keeps every churn draw where it was. A scripted
+// run of leaves and joins, capacity exhaustion included, is checked
+// against that stack after every operation.
+func TestFreeListPopsInStackOrder(t *testing.T) {
+	const n, d, headroom = 40, 4, 6
+	o := newTestOverlay(t, n, d, headroom, 12)
+	var stack []int32 // the old stack, bottom first
+	for id := n + headroom - 1; id >= n; id-- {
+		stack = append(stack, int32(id))
+	}
+	script := xrand.New(13)
+	recycled, refused := 0, 0
+	for op := 0; op < 400; op++ {
+		if script.Bool(0.5) {
+			v := script.IntN(o.NumNodes())
+			if !o.Alive(v) {
+				continue
+			}
+			if err := o.Leave(v); err != nil {
+				t.Fatal(err)
+			}
+			stack = append(stack, int32(v))
+		} else {
+			id, err := o.Join()
+			if len(stack) == 0 {
+				if err == nil {
+					t.Fatalf("op %d: Join took id %d from an empty free list", op, id)
+				}
+				refused++
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := stack[len(stack)-1]; id != int(want) {
+				t.Fatalf("op %d: Join took id %d, the stack would pop %d", op, id, want)
+			}
+			stack = stack[:len(stack)-1]
+			if id < n {
+				recycled++
+			}
+		}
+		if got := freeList(o); !reflect.DeepEqual(got, stack) && len(got)+len(stack) > 0 {
+			t.Fatalf("op %d: free list %v, stack %v", op, got, stack)
+		}
+	}
+	if recycled == 0 || refused == 0 {
+		t.Fatalf("%d departed ids rejoined, %d joins refused: the script missed a case", recycled, refused)
 	}
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -43,18 +43,37 @@ func TestNewMatchesRandomRegular(t *testing.T) {
 				if err := o.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if o.AliveCount() != tc.n || o.NumNodes() != tc.n+headroom || len(o.freeIDs) != headroom {
-					t.Fatalf("%s: alive %d, ids %d, free %d", label, o.AliveCount(), o.NumNodes(), len(o.freeIDs))
+				if free := freeList(o); o.AliveCount() != tc.n || o.NumNodes() != tc.n+headroom || len(free) != headroom {
+					t.Fatalf("%s: alive %d, ids %d, free %d", label, o.AliveCount(), o.NumNodes(), len(free))
 				}
 			}
 		}
 	}
 }
 
+// freeList is the ids Join may take in the order of the free-id stack the
+// overlay kept before the list moved into its dead rows, bottom first: the
+// never-used ids descending, then the departed ids oldest first. Join
+// takes the last.
+func freeList(o *Overlay) []int32 {
+	var departed []int32 // newest first
+	for id := o.freeHead; id >= 0; id = o.stubs[int(id)*o.d] {
+		departed = append(departed, id)
+	}
+	var ids []int32
+	for id := len(o.deg) - 1; id >= int(o.fresh); id-- {
+		ids = append(ids, int32(id))
+	}
+	for i := len(departed) - 1; i >= 0; i-- {
+		ids = append(ids, departed[i])
+	}
+	return ids
+}
+
 // stateDigest hashes everything of an overlay a later operation can read:
-// every id's degree and liveness, the rows in use, the free-id stack in
-// order, the counters and the generator's position. Dead rows' stale
-// stubs are unspecified and left out.
+// every id's degree and liveness, the rows in use, the free ids in the old
+// stack's order (freeList), the counters and the generator's position.
+// Dead rows' stale stubs are unspecified and left out.
 func stateDigest(ch *Churner) uint64 {
 	o := ch.Overlay
 	h := fnv.New64a()
@@ -74,7 +93,7 @@ func stateDigest(ch *Churner) uint64 {
 			put(uint64(w))
 		}
 	}
-	for _, id := range o.freeIDs {
+	for _, id := range freeList(o) {
 		put(uint64(id))
 	}
 	put(uint64(o.aliveCnt))
@@ -126,15 +145,15 @@ func TestChurnStateGolden(t *testing.T) {
 
 // TestOverlayNewAllocBudget guards New's footprint at the churn benchmark's
 // size (n = 16384, d = 8, headroom n): it allocates the overlay's own
-// arrays — stubs, deg, offsets, aliveBits and freeIDs, each once — and
-// nothing more but a small slack (Leave's d-stub scratch, the struct,
-// size-class rounding). A seeding Graph, a separately allocated pairing
-// scratch (headroom >= n lends its rows) or a growing free-id stack would
-// each break it.
+// arrays — stubs, deg and aliveBits, each once — and nothing more but a
+// small slack (Leave's d-stub scratch, the struct, size-class rounding).
+// A seeding Graph, a separately allocated pairing scratch (headroom >= n
+// lends its rows), an offsets array (the CSR view has a fixed stride) or a
+// free-id array (the free list lives in the dead rows) would each break it.
 func TestOverlayNewAllocBudget(t *testing.T) {
 	const n, d, headroom = 16384, 8, 16384
 	const capacity = n + headroom
-	const budget = 4*capacity*d + 4*capacity + 4*(capacity+1) + 8*((capacity+63)/64) + 4*capacity
+	const budget = 4*capacity*d + 4*capacity + 8*((capacity+63)/64)
 	const slack = 64 << 10
 	var before, after runtime.MemStats
 	const runs = 4

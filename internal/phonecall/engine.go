@@ -162,14 +162,16 @@ type Engine struct {
 	// impNbrs resolves (nbrAt). aliveBits is the view's liveness bitset (nil
 	// = every id alive) and aliveN its population count, csrEpoch the epoch
 	// they were fetched at (refreshCSR re-fetches when a Step advanced it).
-	// uniDeg is the view's one degree, or 0: impNbrs' graph.UniformDegree,
-	// which row reads instead of calling Degree, or the common row length of
-	// a fully-alive symmetric CSR view, which only frontierWords' word walk
-	// reads. symmetric licenses both the edge census and sparse-frontier
-	// rounds.
+	// csrStride is a fixed-stride CSR view's row length (nil csrOff; see
+	// CSRViewer). uniDeg is the view's one degree, or 0: impNbrs'
+	// graph.UniformDegree, which row reads instead of calling Degree, or the
+	// common row length of a fully-alive symmetric CSR view, which only
+	// frontierWords' word walk reads. symmetric licenses both the edge
+	// census and sparse-frontier rounds.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
+	csrStride int
 	impView   ImplicitViewer
 	impNbrs   ImplicitNeighbors
 	uniDeg    int
@@ -347,7 +349,9 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 		e.impView = iv
 	}
-	e.refreshCSR()
+	if err := e.refreshCSR(); err != nil {
+		return nil, err
+	}
 	e.informedAt = make([]int32, n)
 	for i := range e.informedAt {
 		e.informedAt[i] = Uninformed
@@ -548,16 +552,17 @@ func setBit(bs []uint64, v int) {
 // refreshCSR re-fetches the topology's view (CSR or implicit) after a
 // churn Step, but only when the epoch advanced — one epoch compare per
 // round between churn events — and counts the fetched alive bitset.
-// newEngine makes the first fetch through it too (impNbrs and csrOff are
-// still nil then).
-func (e *Engine) refreshCSR() {
+// newEngine makes the first fetch through it too (impNbrs and csrAdj are
+// still nil then) and returns its error; a fixed-stride CSR view whose
+// adjacency does not split into NumNodes equal rows is one.
+func (e *Engine) refreshCSR() error {
 	var alive []uint64
 	var epoch uint64
 	if e.impView != nil {
 		var nbrs ImplicitNeighbors
 		nbrs, alive, epoch = e.impView.ImplicitView()
 		if epoch == e.csrEpoch && e.impNbrs != nil {
-			return
+			return nil
 		}
 		e.impNbrs = nbrs
 		e.uniDeg = 0
@@ -567,17 +572,26 @@ func (e *Engine) refreshCSR() {
 	} else {
 		var off, adj []int32
 		off, adj, alive, epoch = e.fastView.CSRView()
-		if epoch == e.csrEpoch && e.csrOff != nil {
-			return
+		if epoch == e.csrEpoch && e.csrAdj != nil {
+			return nil
 		}
-		e.csrOff, e.csrAdj = off, adj
+		e.csrOff, e.csrAdj, e.csrStride = off, adj, 0
+		if off == nil && e.n > 0 {
+			if len(adj)%e.n != 0 {
+				return fmt.Errorf("phonecall: a CSR view with nil offsets has fixed-stride rows, so len(adj) must be a multiple of NumNodes: %d entries over %d nodes", len(adj), e.n)
+			}
+			e.csrStride = len(adj) / e.n
+		}
 	}
 	sym, ok := e.topo.(graph.Symmetric)
 	e.symmetric = ok && sym.Symmetric()
 	if e.impNbrs == nil {
 		e.uniDeg = 0
 		if alive == nil && e.symmetric { // the only views sparseFrontier admits
-			e.uniDeg = uniformRows(e.csrOff)
+			e.uniDeg = e.csrStride
+			if e.csrOff != nil {
+				e.uniDeg = uniformRows(e.csrOff)
+			}
 		}
 	}
 	e.aliveBits, e.csrEpoch = alive, epoch
@@ -588,6 +602,7 @@ func (e *Engine) refreshCSR() {
 			e.aliveN += bits.OnesCount64(w)
 		}
 	}
+	return nil
 }
 
 // uniformRows is the common length of the CSR rows off delimits, or 0 if

@@ -31,13 +31,17 @@ package phonecall
 
 import "math/bits"
 
-// row is v's first CSR slot and degree; on an implicit view 0 and uniDeg,
-// which is 0 without a uniform degree: a Degree call would not inline, so
-// sampleDials makes it and wordRound leaves such views to it. Keep inlinable.
+// row is v's first CSR slot and degree: (v·s, s) on a fixed-stride CSR
+// view of stride s; on an implicit view 0 and uniDeg, which is 0 without a
+// uniform degree: a Degree call would not inline, so sampleDials makes it
+// and wordRound leaves such views to it. Keep inlinable.
 func (e *Engine) row(v int) (off, deg int) {
-	if e.impNbrs == nil {
+	switch {
+	case e.csrOff != nil:
 		off = int(e.csrOff[v])
 		return off, int(e.csrOff[v+1]) - off
+	case e.impNbrs == nil:
+		return v * e.csrStride, e.csrStride
 	}
 	return 0, e.uniDeg
 }

@@ -131,7 +131,9 @@ func (e *Engine) Run() Result {
 					e.informedBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 				}
 			}
-			e.refreshCSR()
+			if err := e.refreshCSR(); err != nil {
+				panic(err) // a fixed-stride view broke its rule mid-run
+			}
 			informedCount = e.recount()
 			e.refreshBudget(joined)
 		}

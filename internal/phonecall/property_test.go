@@ -181,8 +181,10 @@ func TestPullCountsOnePerIncomingChannel(t *testing.T) {
 }
 
 // TestDeadSourceRejected ensures a dead source fails construction on a
-// dynamic topology.
-type deadTopology struct{ Static }
+// dynamic topology. deadTopology embeds the Topology interface, not
+// Static, so Static's CSR view and dial budget, which count every id
+// alive, are not promoted past its Alive.
+type deadTopology struct{ Topology }
 
 func (d deadTopology) Alive(v int) bool { return v != 0 }
 

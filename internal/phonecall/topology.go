@@ -61,6 +61,10 @@ type Stepper interface {
 //
 //   - The adjacency of an alive node v is adj[offsets[v]:offsets[v+1]],
 //     and offsets[v+1]-offsets[v] == Degree(v) for every alive v.
+//   - nil offsets means fixed-stride rows: row v is adj[v·s : (v+1)·s]
+//     with s = len(adj)/NumNodes(), and s == Degree(v) for every alive v.
+//     len(adj) must be a multiple of NumNodes(); NewEngine refuses a view
+//     that is not.
 //   - alive is a bitset over node ids (bit v of alive[v/64]); nil means
 //     every id is alive. The bits must agree with Alive(v), and no bit
 //     past NumNodes() may be set: the engine takes its alive count from
@@ -151,10 +155,11 @@ func (t *interfaceView) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, 
 }
 
 // DialBudgeter is an optional interface for topologies that can compute
-// the per-round dial budget without an O(n) interface scan — uniform-
-// degree implicit families and the exactly d-regular churn overlay answer
-// in O(1). The result must equal what the generic DialBudget scan would
-// return.
+// the per-round dial budget cheaper than the generic scan (n Alive and
+// Degree interface calls): uniform-degree implicit families and the
+// exactly d-regular churn overlay in O(1), Static graphs in one loop over
+// their CSR offsets. The result must equal what the generic DialBudget
+// scan would return.
 type DialBudgeter interface {
 	DialBudget(k int) int64
 }
@@ -186,7 +191,10 @@ type Static struct {
 	G *graph.Graph
 }
 
-var _ Topology = Static{}
+var (
+	_ CSRViewer    = Static{}
+	_ DialBudgeter = Static{}
+)
 
 // NewStatic wraps g as a Topology.
 func NewStatic(g *graph.Graph) Static { return Static{G: g} }
@@ -212,6 +220,18 @@ func (s Static) Symmetric() bool { return s.G.Symmetric() }
 func (s Static) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 	offsets, adj = s.G.CSR()
 	return offsets, adj, nil, 0
+}
+
+// DialBudget implements DialBudgeter: every node of a static graph is
+// alive, so the budget is Σ min(k, deg) over the CSR row lengths, one loop
+// with no interface call.
+func (s Static) DialBudget(k int) int64 {
+	off, _ := s.G.CSR()
+	var total int64
+	for v := 1; v < len(off); v++ {
+		total += int64(min(int(off[v]-off[v-1]), k))
+	}
+	return total
 }
 
 // Implicit adapts an immutable graph.Implicit family to the Topology

@@ -234,3 +234,47 @@ func TestSkipRowsLemireWindow(t *testing.T) {
 		}
 	}
 }
+
+// checkShrinkingPairs fails unless FillShrinkingPairs from start fills
+// pairs pairs from m with the values of the IntN(m−2p) loop and leaves the
+// generator where that loop leaves it.
+func checkShrinkingPairs(t *testing.T, start Rand, pairs, m int) {
+	t.Helper()
+	batched, scalar := start, start
+	bi, bj := make([]int, pairs), make([]int, pairs)
+	batched.FillShrinkingPairs(bi, bj, m)
+	for p := 0; p < pairs; p++ {
+		wi, wj := scalar.IntN(m-2*p), scalar.IntN(m-2*p)
+		if bi[p] != wi || bj[p] != wj {
+			t.Fatalf("m=%d pair %d: batched (%d,%d), IntN (%d,%d)", m, p, bi[p], bj[p], wi, wj)
+		}
+	}
+	if batched != scalar {
+		t.Fatalf("m=%d pairs=%d: FillShrinkingPairs left %+v, the IntN loop %+v", m, pairs, batched, scalar)
+	}
+}
+
+// TestFillShrinkingPairsMatchesIntN is the Steger–Wormald batch draw's
+// contract: the values and the final stream position of the IntN(m−2p)
+// loop, at any batch length and modulus (powers of two, whose window holds
+// no rejection, included), and with a Lemire-window draw at every draw
+// position of a 16-pair batch (zeroAt), where the scalar re-draw takes
+// over.
+func TestFillShrinkingPairsMatchesIntN(t *testing.T) {
+	for _, m := range []int{2, 3, 32, 33, 64, 1000, 1 << 20, 1<<20 + 7} {
+		for _, pairs := range []int{0, 1, 7, 16} {
+			if m-2*(pairs-1) < 1 {
+				continue
+			}
+			for seed := uint64(1); seed <= 10; seed++ {
+				checkShrinkingPairs(t, *New(seed), pairs, m)
+			}
+		}
+	}
+	for pos := 0; pos < 32; pos++ {
+		start := zeroAt(pos, 0x9e3779b97f4a7c15)
+		for _, m := range []int{33, 64, 1000, 1 << 20} {
+			checkShrinkingPairs(t, start, 16, m)
+		}
+	}
+}

@@ -174,6 +174,47 @@ func (r *Rand) FillPairDraws(dst []PairDraw, n int) {
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
+// FillShrinkingPairs fills i[p] and j[p], for every p < len(i), with two
+// values in [0, m−2p), consuming the stream EXACTLY as
+//
+//	for p := range i { i[p] = r.IntN(m - 2*p); j[p] = r.IntN(m - 2*p) }
+//
+// would, Lemire rejection re-draws included: a batch of the Steger–Wormald
+// pairing, each pair taking two of m unmatched stubs out of the draw. As in
+// FillPairDraws the generator state stays in registers (step256) for the
+// whole batch. It panics unless len(j) >= len(i) and every modulus is at
+// least 1.
+func (r *Rand) FillShrinkingPairs(i, j []int, m int) {
+	if len(i) == 0 {
+		return
+	}
+	if len(j) < len(i) || m-2*(len(i)-1) < 1 {
+		panic(fmt.Sprintf("xrand: FillShrinkingPairs of %d pairs (%d slots) from m=%d", len(i), len(j), m))
+	}
+	j = j[:len(i)]
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for p := range i {
+		un := uint64(m - 2*p)
+		var x uint64
+		x, s0, s1, s2, s3 = step256(s0, s1, s2, s3)
+		a, lo := lemire(x, un)
+		if lo < un {
+			r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+			a = r.lemireReject(a, lo, un)
+			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+		}
+		x, s0, s1, s2, s3 = step256(s0, s1, s2, s3)
+		b, lo := lemire(x, un)
+		if lo < un {
+			r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+			b = r.lemireReject(b, lo, un)
+			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+		}
+		i[p], j[p] = int(a), int(b)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
 // lemireReject resolves a Lemire draw that landed in the rejection
 // window, exactly as the tail of Uint64N does.
 func (r *Rand) lemireReject(hi, lo, n uint64) uint64 {

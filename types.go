@@ -25,7 +25,9 @@ type (
 	// the cheapest of the simulator's views. Static
 	// graphs and OverlaySpec topologies implement it; custom topologies
 	// can too (see the documentation on phonecall.CSRViewer for the
-	// epoch and liveness-bitset rules).
+	// epoch and liveness-bitset rules). Nil offsets mean fixed-stride
+	// rows, adj[v·s : (v+1)·s] with s = len(adj)/NumNodes(), as the
+	// overlay's view has.
 	CSRViewer = phonecall.CSRViewer
 	// ImplicitViewer marks topologies with computed adjacency — the second
 	// viewer contract, for families whose neighbours
