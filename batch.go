@@ -34,9 +34,8 @@ type Batch struct {
 	// converged runs, Transmissions/TxPerNode = interactions to
 	// convergence, or the budget-censored total when a run did not
 	// converge, ChannelsDialed = total interactions, InformedFrac = the
-	// convergence rate). It must use Seed, not RNG, and carry no Observer
-	// (per-run state shared across concurrent replications);
-	// RandomizeSource is broadcast-only.
+	// convergence rate). It must carry no Observer (per-run state shared
+	// across concurrent replications); RandomizeSource is broadcast-only.
 	//
 	// A spec scenario (NewScenarioSpec) builds a fresh topology per
 	// replication from the replication's stream, so dynamic topologies —
@@ -225,9 +224,6 @@ func (b Batch) validate() (scenarioKind, error) {
 		if k.population.Observer != nil {
 			return scenarioKind{}, fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications)")
 		}
-		if k.population.RNG != nil {
-			return scenarioKind{}, fmt.Errorf("regcast: batch scenarios must use Seed, not RNG: replications re-derive their streams from the master seed")
-		}
 		return k, nil
 	}
 	sc := &k.broadcast
@@ -295,7 +291,7 @@ func (b Batch) plan(k scenarioKind) ([]repPlan, error) {
 func (b Batch) runRep(ctx context.Context, rep int, p repPlan, k scenarioKind) (Result, error) {
 	var err error
 	if k.isPopulation {
-		k.population.RNG = p.rng
+		k.population.rng = p.rng
 	} else if k.broadcast, err = b.buildRep(rep, p, k.broadcast); err != nil {
 		return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
 	}

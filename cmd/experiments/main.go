@@ -25,7 +25,7 @@ import (
 	"strings"
 
 	"regcast"
-	"regcast/experiments"
+	"regcast/internal/experiments"
 )
 
 func main() {
@@ -73,7 +73,12 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-rep-workers %d invalid (use -1, 0 or a positive count)", *repWork)
 	}
 
-	opts := experiments.FromFlags(common, *quick, *repWork)
+	opts := experiments.Options{
+		Seed:               common.Seed,
+		Quick:              *quick,
+		Workers:            common.Workers,
+		ReplicationWorkers: *repWork,
+	}
 	for _, e := range selected {
 		if *markdown {
 			fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)

@@ -78,10 +78,9 @@
 // lower-bound shapes alike (internal/baseline), a churning P2P overlay and a
 // replicated database built on broadcast (internal/p2p), and the
 // per-theorem experiment harness (internal/experiments) — every one of
-// its replication ensembles routes through the batch layer, and its
-// registry is re-exported by the public regcast/experiments package
-// (the harness consumes this facade, so the root package cannot
-// re-export it without a cycle).
+// its replication ensembles routes through the batch layer, and
+// cmd/experiments, its one importer, runs it (the harness consumes this
+// facade, so the root package cannot re-export it without a cycle).
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results. The

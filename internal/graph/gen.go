@@ -33,17 +33,21 @@ func ConfigurationModel(n, d int, rng *xrand.Rand) (*Graph, error) {
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	g := &Graph{offsets: make([]int32, n+1), adj: make([]int32, n*d)}
+	// The fill cursors borrow the offsets array, as in RandomRegular: cursor
+	// v runs from v·d to (v+1)·d, so taking d off each restores the offsets.
 	for v := 0; v <= n; v++ {
 		g.offsets[v] = int32(v * d)
 	}
-	cursor := make([]int32, n)
-	copy(cursor, g.offsets[:n])
+	cursor := g.offsets[:n]
 	for i := 0; i < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
 		g.adj[cursor[a]] = b
 		cursor[a]++
 		g.adj[cursor[b]] = a
 		cursor[b]++
+	}
+	for v := range cursor {
+		cursor[v] -= int32(d)
 	}
 	return g, nil
 }
@@ -283,7 +287,7 @@ func ErasedConfigurationModel(n, d int, rng *xrand.Rand) (*Graph, error) {
 		out.offsets[v+1] = out.offsets[v] + deg[v]
 	}
 	out.adj = make([]int32, out.offsets[n])
-	cursor := make([]int32, n)
+	cursor := deg // reuse: overwritten with the fill cursors
 	copy(cursor, out.offsets[:n])
 	for v := 0; v < n; v++ {
 		forEachKept(v, func(w int32) {

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"regcast/internal/xrand"
@@ -326,6 +327,31 @@ func TestConfigurationModelMatchesEdgeListBuild(t *testing.T) {
 			sameGraph(t, label, got, want)
 			sameStream(t, label, ra, rb)
 		}
+	}
+}
+
+// TestConfigurationModelAllocBudget guards the build's footprint: the
+// stubs, the adjacency and the offsets, each allocated once, and nothing
+// more but a small slack (the Graph, the shuffle's closure, size-class
+// rounding). An n-entry cursor array beside the offsets, which the fill
+// borrows, would break it.
+func TestConfigurationModelAllocBudget(t *testing.T) {
+	const n, d = 131072, 16
+	const budget = 4*n*d + 4*n*d + 4*(n+1)
+	const slack = 64 << 10
+	var before, after runtime.MemStats
+	const runs = 4
+	runtime.ReadMemStats(&before)
+	for seed := uint64(1); seed <= runs; seed++ {
+		if _, err := ConfigurationModel(n, d, xrand.New(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("ConfigurationModel(%d, %d) allocates %d B; arrays %d B, slack %d B", n, d, perBuild, budget, slack)
+	if perBuild > budget+slack {
+		t.Fatalf("ConfigurationModel(%d, %d) allocates %d B, want <= %d (arrays) + %d (slack)", n, d, perBuild, budget, slack)
 	}
 }
 

@@ -25,16 +25,10 @@ type Implicit interface {
 }
 
 // UniformDegree is an optional Implicit refinement for regular families:
-// every node has the same degree. Consumers use it for O(1) dial-budget
-// computation instead of an O(n) degree scan.
+// every node has the same degree. The broadcast engine reads it in place
+// of a Degree call per row and charges the dial budget in O(1) with it.
 type UniformDegree interface {
 	UniformDegree() int
-}
-
-// DegreeArray is an optional Implicit refinement exposing the full
-// degree slice (shared, read-only) for families that precompute it.
-type DegreeArray interface {
-	Degrees() []int32
 }
 
 // Symmetric is an optional refinement of an Implicit family (and of
@@ -228,7 +222,6 @@ func (g *GnpStream) rowWalk(r *xrand.Rand, v int, emit func(int32)) {
 
 func (g *GnpStream) NumNodes() int    { return g.n }
 func (g *GnpStream) Degree(v int) int { return int(g.deg[v]) }
-func (g *GnpStream) Degrees() []int32 { return g.deg }
 
 func (g *GnpStream) NeighborAt(v, i int) int32 {
 	var r xrand.Rand

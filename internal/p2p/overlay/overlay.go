@@ -34,7 +34,8 @@ import (
 // so no offsets array is kept), with the alive bitset (the overlay's only
 // liveness record) and an epoch counter that tells the engine when
 // anything changed (see CSRView). Exact d-regularity of the alive peers
-// (CheckInvariants) is also what lets DialBudget answer in O(1).
+// (CheckInvariants) is what the fixed stride promises, and it lets the
+// engine charge the dial budget from the view in O(1).
 //
 // The ids Join may take are a list threaded through the dead rows, which
 // nothing else reads: freeHead is the last departed id, slot 0 of each
@@ -62,7 +63,6 @@ type MembershipFunc func(id int, joined bool)
 
 var _ phonecall.Topology = (*Overlay)(nil)
 var _ phonecall.CSRViewer = (*Overlay)(nil)
-var _ phonecall.DialBudgeter = (*Overlay)(nil)
 
 // New builds an overlay of n alive peers of even degree d, with headroom
 // spare slots for future joins, seeded from an exact random d-regular
@@ -154,11 +154,6 @@ func (o *Overlay) Neighbor(v, i int) int { return int(o.row(v)[i]) }
 
 // Alive implements phonecall.Topology.
 func (o *Overlay) Alive(v int) bool { return o.aliveBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0 }
-
-// DialBudget implements phonecall.DialBudgeter in O(1): every alive peer
-// has degree exactly d between operations (the invariant CheckInvariants
-// asserts), so the per-round budget is AliveCount × min(k, d).
-func (o *Overlay) DialBudget(k int) int64 { return int64(o.aliveCnt) * int64(min(k, o.d)) }
 
 // OnMembership subscribes fn to join/leave events. Callbacks fire
 // synchronously inside Join and Leave, after the topology mutation is

@@ -414,48 +414,6 @@ func TestMembershipEvents(t *testing.T) {
 	}
 }
 
-// scanBudget is the model's definition of the dial budget, written out:
-// every alive peer dials min(k, degree) neighbours. It deliberately does
-// not go through phonecall.DialBudget, which routes to the O(1) method
-// under test.
-func scanBudget(o *Overlay, k int) int64 {
-	var total int64
-	for v := 0; v < o.NumNodes(); v++ {
-		if o.Alive(v) {
-			total += int64(min(k, o.Degree(v)))
-		}
-	}
-	return total
-}
-
-// TestOverlayDialBudgetMatchesScan pins the O(1) budget against the
-// explicit scan after every step of a join/leave/mix run, including a k
-// above d (the clamp) and a growing and a shrinking overlay.
-func TestOverlayDialBudgetMatchesScan(t *testing.T) {
-	const n, d = 200, 6
-	for _, tc := range []struct{ join, leave float64 }{{0.05, 0.05}, {0.08, 0.01}, {0.01, 0.08}} {
-		o := newTestOverlay(t, n, d, n, 31)
-		ch, err := NewChurner(o, tc.join, tc.leave, 7, xrand.New(32))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round <= 40; round++ {
-			if round > 0 {
-				ch.Step(round)
-			}
-			for _, k := range []int{1, 4, d, d + 3} {
-				if got, want := o.DialBudget(k), scanBudget(o, k); got != want {
-					t.Fatalf("join=%v leave=%v round %d: DialBudget(%d) = %d, scan says %d",
-						tc.join, tc.leave, round, k, got, want)
-				}
-			}
-		}
-		if ch.Joins == 0 || ch.Leaves == 0 {
-			t.Fatalf("join=%v leave=%v: %d joins, %d leaves — the run did not churn", tc.join, tc.leave, ch.Joins, ch.Leaves)
-		}
-	}
-}
-
 // TestAddEdgeBeyondDegreePanics: rows are fixed-stride slots of one flat
 // array, so a (d+1)-th stub would land in the next peer's row. The guard
 // must fire for a full row at either endpoint and for a self-loop that

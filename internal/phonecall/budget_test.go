@@ -1,6 +1,8 @@
 package phonecall_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"regcast/internal/baseline"
@@ -30,7 +32,6 @@ type churningTopo struct {
 }
 
 var _ phonecall.Stepper = (*churningTopo)(nil)
-var _ phonecall.DialBudgeter = (*churningTopo)(nil)
 
 func (c *churningTopo) Step(round int) []int {
 	joined := c.ch.Step(round)
@@ -326,5 +327,116 @@ func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
 		if ch.Joins == 0 || ch.Leaves == 0 {
 			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", ch.Joins, ch.Leaves)
 		}
+	}
+}
+
+// budgetScan is an Observer that holds every round's ChannelsDial to
+// phonecall.DialBudget's Alive/Degree scan of the topology as the round
+// found it: OnRound comes before the round's churn Step.
+type budgetScan struct {
+	topo   phonecall.Topology
+	k      int
+	rounds int
+	bad    []string
+}
+
+func (b *budgetScan) OnInformed(node, round int) {}
+
+func (b *budgetScan) OnRound(rm phonecall.RoundMetrics) {
+	b.rounds++
+	if want := phonecall.DialBudget(b.topo, b.k); rm.ChannelsDial != want {
+		b.bad = append(b.bad, fmt.Sprintf("round %d: ChannelsDial = %d, the scan says %d", rm.Round, rm.ChannelsDial, want))
+	}
+}
+
+// TestDialBudgetFromEveryView: the engine computes the dial budget from its
+// view (O(1) on a fixed-stride or one-degree view, a degree sum over the
+// alive ids otherwise), and every round's ChannelsDial must be what
+// DialBudget's scan of the topology says, on every kind of view: CSR with
+// uniform and ragged rows, fixed stride, dead ids, both implicit stream
+// families, the interface view and the churning overlay, re-budgeted
+// after the Steps that move membership. Gnp's isolated and low-degree ids
+// put k above some degrees.
+func TestDialBudgetFromEveryView(t *testing.T) {
+	const n = 400
+	regular := phonecall.NewStatic(mustRegular(t, n, 6, 5))
+	gnp, err := graph.Gnp(n, 3.0/(n-1), xrand.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := graph.NewRegularStream(n, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gnpStream, err := graph.NewGnpStream(n, 3.0/(n-1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := churnGolden{joinProb: 0.03, leaveProb: 0.03, mixSteps: 4}
+	for _, tc := range []struct {
+		name string
+		topo func() phonecall.Topology
+	}{
+		{"regular static", func() phonecall.Topology { return regular }},
+		{"gnp static", func() phonecall.Topology { return phonecall.NewStatic(gnp) }},
+		{"stride", func() phonecall.Topology { return strideOf{regular} }},
+		{"gnp with dead ids", func() phonecall.Topology { return withDead(phonecall.NewStatic(gnp), everyThird(n)...) }},
+		{"regular-stream", func() phonecall.Topology { return phonecall.NewImplicit(stream) }},
+		{"gnp-stream", func() phonecall.Topology { return phonecall.NewImplicit(gnpStream) }},
+		{"interface view", func() phonecall.Topology { return interfaceOnly{phonecall.NewStatic(gnp)} }},
+		{"churning overlay", func() phonecall.Topology { return buildChurnTopo(t, 256, 8, churn, 99) }},
+	} {
+		for _, k := range []int{1, 4} {
+			topo := tc.topo()
+			push, err := baseline.NewPush(topo.NumNodes(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := &budgetScan{topo: topo, k: k}
+			res, err := phonecall.Run(phonecall.Config{Topology: topo, Protocol: push, RNG: xrand.New(9), Observer: scan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scan.rounds == 0 || scan.rounds != res.Rounds {
+				t.Fatalf("%s k=%d: %d OnRound calls over %d rounds", tc.name, k, scan.rounds, res.Rounds)
+			}
+			if len(scan.bad) > 0 {
+				t.Errorf("%s k=%d: %d rounds off the scan, first %s", tc.name, k, len(scan.bad), scan.bad[0])
+			}
+			if c, ok := topo.(churnTopo); ok && (c.ch.Joins == 0 || c.ch.Leaves == 0) {
+				t.Fatalf("%s k=%d: %d joins, %d leaves: the run did not churn", tc.name, k, c.ch.Joins, c.ch.Leaves)
+			}
+		}
+	}
+}
+
+// TestCensusFromImplicitView: the edge census reads degrees and rows
+// through the engine's view, so a census run on an implicit hypercube and
+// on its Materialize twin stream the same |U(t)|, round for round.
+func TestCensusFromImplicitView(t *testing.T) {
+	h, err := graph.NewImplicitHypercube(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := graph.Materialize(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push, err := baseline.NewPush(h.NumNodes(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs [2]phonecall.RoundLog
+	for i, topo := range []phonecall.Topology{phonecall.NewImplicit(h), phonecall.NewStatic(twin)} {
+		_, logs[i], err = phonecall.RunRounds(phonecall.Config{Topology: topo, Protocol: push, RNG: xrand.New(4), TrackEdgeUse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(logs[0]) == 0 || logs[0][0].UnusedEdgeNodes == 0 {
+		t.Fatalf("census run reports no unused-edge nodes in round 1: %+v", logs[0])
+	}
+	if !reflect.DeepEqual(logs[0], logs[1]) {
+		t.Errorf("census on the implicit hypercube and its materialised twin differ:\n implicit %+v\n  twin    %+v", logs[0], logs[1])
 	}
 }

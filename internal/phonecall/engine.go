@@ -73,7 +73,8 @@ type Config struct {
 	StopEarly bool
 	// DisableFastPath reads the topology through its Degree/Neighbor/Alive
 	// methods (interfaceView) even when it exposes a CSR or implicit view. It
-	// never changes a result; bench/'s reference probe reads it.
+	// never changes a result; bench/'s reference probe reads it. ROADMAP
+	// item 19 deletes it, in a [benchmark] change that drops that probe.
 	DisableFastPath bool
 	// Workers selects where the shard passes execute: 0 (the default) and 1
 	// inline on the calling goroutine, more on min(Workers, shards) pooled
@@ -166,8 +167,8 @@ type Engine struct {
 	// CSRViewer). uniDeg is the view's one degree, or 0: impNbrs'
 	// graph.UniformDegree, which row reads instead of calling Degree, or the
 	// common row length of a fully-alive symmetric CSR view, which only
-	// frontierWords' word walk reads. symmetric licenses both the edge
-	// census and sparse-frontier rounds.
+	// frontierWords' word walk and dialBudget read. symmetric licenses both
+	// the edge census and sparse-frontier rounds.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
@@ -387,7 +388,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		e.slotOff = make([]int32, n)
 		var slots int64
 		for v := 0; v < n; v++ {
-			deg := cfg.Topology.Degree(v)
+			deg := e.degree(v)
 			e.unusedDeg[v], e.slotOff[v] = int32(deg), int32(slots)
 			if deg > 0 {
 				e.unusedNodes++
@@ -398,7 +399,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 		e.usedBits = make([]uint64, (slots+63)/64)
 	}
-	e.budget = DialBudget(cfg.Topology, e.k)
+	e.budget = e.dialBudget()
 	e.budgetAlive = e.aliveCount()
 	e.initShards()
 	return e, nil
@@ -469,9 +470,10 @@ var errCensusTooLarge = errors.New("phonecall: TrackEdgeUse requires a degree su
 // conflated. The first use decrements both endpoints' unused-edge counters
 // (twice at v for a self-loop).
 func (e *Engine) markUsed(key int64) {
-	v, w := int(key>>32), int(key&0xffffffff)
+	v, w := int(key>>32), int32(key&0xffffffff)
+	off, _ := e.row(v)
 	i := 0
-	for e.topo.Neighbor(v, i) != w {
+	for e.nbrAt(v, off, i) != w {
 		i++
 	}
 	slot := uint(e.slotOff[v]) + uint(i)
@@ -479,7 +481,7 @@ func (e *Engine) markUsed(key int64) {
 		return
 	}
 	e.usedBits[slot>>6] |= 1 << (slot & 63)
-	for _, u := range [2]int{v, w} {
+	for _, u := range [2]int{v, int(w)} {
 		if e.unusedDeg[u]--; e.unusedDeg[u] == 0 {
 			e.unusedNodes--
 		}
@@ -523,7 +525,31 @@ func (e *Engine) refreshBudget(joined []int) {
 		return
 	}
 	e.budgetAlive = alive
-	e.budget = DialBudget(e.topo, e.k)
+	e.budget = e.dialBudget()
+}
+
+// dialBudget is the per-round dial budget the model mandates, read from
+// the view: every alive id dials min(k, degree) neighbours. A fixed-stride
+// CSR view (every alive row is csrStride long) and a view of one degree
+// (uniDeg) answer in O(1); any other view sums its alive ids' degrees
+// (degree), with no Topology call on a CSR view. It equals DialBudget's
+// Alive/Degree scan of the topology.
+func (e *Engine) dialBudget() int64 {
+	stride := e.csrOff == nil && e.impNbrs == nil
+	if stride || e.uniDeg > 0 {
+		d := e.uniDeg
+		if stride {
+			d = e.csrStride
+		}
+		return int64(e.aliveN) * int64(min(e.k, d))
+	}
+	var total int64
+	for wi := 0; wi<<6 < e.n; wi++ {
+		for m := e.shardWord(wi, 0, e.n, false); m != 0; m &= m - 1 {
+			total += int64(min(e.k, e.degree(wi<<6+bits.TrailingZeros64(m))))
+		}
+	}
+	return total
 }
 
 // aliveCount returns the number of alive nodes, as of the last view fetch.

@@ -33,8 +33,8 @@ import "math/bits"
 
 // row is v's first CSR slot and degree: (v·s, s) on a fixed-stride CSR
 // view of stride s; on an implicit view 0 and uniDeg, which is 0 without a
-// uniform degree: a Degree call would not inline, so sampleDials makes it
-// and wordRound leaves such views to it. Keep inlinable.
+// uniform degree: a Degree call would not inline, so degree makes it and
+// wordRound leaves such views to sampleDials. Keep inlinable.
 func (e *Engine) row(v int) (off, deg int) {
 	switch {
 	case e.csrOff != nil:
@@ -44,6 +44,17 @@ func (e *Engine) row(v int) (off, deg int) {
 		return v * e.csrStride, e.csrStride
 	}
 	return 0, e.uniDeg
+}
+
+// degree is v's degree on the view: row's, or the implicit view's Degree
+// call when it has no uniform degree for row to read. It is the engine's
+// one degree source: the dial samplers, the dial budget (dialBudget), a
+// settled run's cohort dials and the edge census all read it.
+func (e *Engine) degree(v int) int {
+	if _, deg := e.row(v); deg > 0 || e.impNbrs == nil {
+		return deg
+	}
+	return e.impNbrs.Degree(v)
 }
 
 // nbrAt is the one neighbour resolver: the idx-th entry of v's row (off is
@@ -68,8 +79,8 @@ func (e *Engine) sampleDials(v, base int, ds *dialState) {
 		ds.rows[base+j] = Uninformed
 	}
 	off, deg := e.row(v)
-	if deg == 0 && e.impNbrs != nil { // no uniform degree for row to read
-		deg = e.impNbrs.Degree(v)
+	if deg == 0 { // an implicit view without a uniform degree, or no neighbour
+		deg = e.degree(v)
 	}
 	if deg == 0 {
 		return

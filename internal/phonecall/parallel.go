@@ -168,7 +168,7 @@ func (e *Engine) settle(t int) {
 		e.cohortDials[r] = -1
 	}
 	for v, ia := range e.informedAt {
-		e.cohortDials[ia] = max(e.cohortDials[ia], 0) + int64(min(e.k, e.topo.Degree(v)))
+		e.cohortDials[ia] = max(e.cohortDials[ia], 0) + int64(min(e.k, e.degree(v)))
 	}
 	e.countFrom = t + 1
 	for u := t + 1; u < len(e.cohortDials); u++ {

@@ -141,25 +141,3 @@ func (r raggedStride) CSRView() (offsets, adj []int32, alive []uint64, epoch uin
 	offsets, adj, alive, epoch = r.strideOf.CSRView()
 	return offsets, adj[:len(adj)-1], alive, epoch
 }
-
-// TestStaticDialBudgetMatchesScan pins Static's budget from its CSR
-// offsets against the generic Alive/Degree scan, on regular and irregular
-// graphs (isolated and low-degree ids) and for k below, at and above the
-// degrees.
-func TestStaticDialBudgetMatchesScan(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    phonecall.Static
-	}{
-		{"regular", phonecall.NewStatic(mustRegular(t, 300, 6, 5))},
-		{"irregular", phonecall.NewStatic(sparseGraph(t))},
-		{"isolated", phonecall.NewStatic(withIsolated(t, mustRegular(t, 64, 4, 6), 5))},
-	} {
-		for _, k := range []int{1, 2, 4, 6, 9} {
-			scan := phonecall.DialBudget(struct{ phonecall.Topology }{tc.g}, k)
-			if got := tc.g.DialBudget(k); got != scan {
-				t.Errorf("%s: DialBudget(%d) = %d, the scan says %d", tc.name, k, got, scan)
-			}
-		}
-	}
-}

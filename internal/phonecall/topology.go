@@ -33,9 +33,10 @@ type Topology interface {
 // Stepper is an optional interface for topologies that evolve over time
 // (churn). The engine invokes Step after every completed round.
 //
-// Budget contract: the engine caches the per-round dial budget
-// (DialBudget) and recomputes it only after a Step that changed
-// membership — one that reported joined nodes or moved the alive count.
+// Budget contract: the engine computes the per-round dial budget from its
+// view of the topology (what DialBudget's scan would say), caches it and
+// recomputes it only after a Step that changed membership — one that
+// reported joined nodes or moved the alive count.
 // A Step that changes node degrees while keeping membership fixed must
 // therefore be paired with a membership change to be re-budgeted;
 // degree-preserving rewiring (the overlay's mix and leave re-pairing)
@@ -77,6 +78,11 @@ type Stepper interface {
 //     change. The slices may be reallocated between epochs, so consumers
 //     must re-fetch all four values when the epoch moves; while the
 //     epoch is unchanged the slices are stable and read-only.
+//
+// The engine takes every per-topology count from the view: the dial
+// budget (alive count × min(k, stride) on a fixed-stride view, a sum over
+// the alive rows otherwise), a settled run's cohort dials and the edge
+// census' rows, so a CSRViewer is never asked for Degree or Neighbor.
 type CSRViewer interface {
 	Topology
 	CSRView() (offsets, adj []int32, alive []uint64, epoch uint64)
@@ -107,6 +113,10 @@ type ImplicitNeighbors interface {
 //     liveness against the bitset before it opens a channel.
 //   - epoch changes whenever nbrs or alive change; consumers re-fetch
 //     all three values when it moves.
+//
+// As with CSRViewer, the engine takes the dial budget, degrees and census
+// rows from nbrs: a graph.UniformDegree nbrs is budgeted in O(1), any
+// other with one Degree call per alive id.
 //
 // When a topology implements both viewer interfaces the engine prefers
 // CSRView (indexing a slice beats recomputing arithmetic only when the
@@ -154,23 +164,12 @@ func (t *interfaceView) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, 
 	return t, t.alive, t.epoch
 }
 
-// DialBudgeter is an optional interface for topologies that can compute
-// the per-round dial budget cheaper than the generic scan (n Alive and
-// Degree interface calls): uniform-degree implicit families and the
-// exactly d-regular churn overlay in O(1), Static graphs in one loop over
-// their CSR offsets. The result must equal what the generic DialBudget
-// scan would return.
-type DialBudgeter interface {
-	DialBudget(k int) int64
-}
-
 // DialBudget returns the per-round dial budget the model mandates on
-// topo: every alive node dials min(k, degree) neighbours. All engines and
-// the facade charge ChannelsDialed with this one formula.
+// topo: every alive node dials min(k, degree) neighbours, scanned through
+// Alive and Degree. The simulator computes the same number from its view
+// (Engine.dialBudget); the daemon engine charges this scan, and tests
+// hold the simulator to it.
 func DialBudget(topo Topology, k int) int64 {
-	if b, ok := topo.(DialBudgeter); ok {
-		return b.DialBudget(k)
-	}
 	var total int64
 	n := topo.NumNodes()
 	for v := 0; v < n; v++ {
@@ -186,15 +185,14 @@ func DialBudget(topo Topology, k int) int64 {
 	return total
 }
 
-// Static adapts an immutable graph.Graph to the Topology interface.
+// Static adapts an immutable graph.Graph to the Topology interface. The
+// engine reads it through its CSR arrays (CSRView) and computes the dial
+// budget from their row lengths.
 type Static struct {
 	G *graph.Graph
 }
 
-var (
-	_ CSRViewer    = Static{}
-	_ DialBudgeter = Static{}
-)
+var _ CSRViewer = Static{}
 
 // NewStatic wraps g as a Topology.
 func NewStatic(g *graph.Graph) Static { return Static{G: g} }
@@ -222,22 +220,11 @@ func (s Static) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 	return offsets, adj, nil, 0
 }
 
-// DialBudget implements DialBudgeter: every node of a static graph is
-// alive, so the budget is Σ min(k, deg) over the CSR row lengths, one loop
-// with no interface call.
-func (s Static) DialBudget(k int) int64 {
-	off, _ := s.G.CSR()
-	var total int64
-	for v := 1; v < len(off); v++ {
-		total += int64(min(int(off[v]-off[v-1]), k))
-	}
-	return total
-}
-
 // Implicit adapts an immutable graph.Implicit family to the Topology
 // interface, exposing it to the engine through ImplicitViewer. It is
 // the algebraic twin of Static: every node alive, constant epoch, no
-// stored adjacency.
+// stored adjacency. The engine computes the dial budget from the family:
+// in O(1) under graph.UniformDegree, else one Degree call per id.
 type Implicit struct {
 	F graph.Implicit
 }
@@ -245,7 +232,6 @@ type Implicit struct {
 var (
 	_ Topology       = Implicit{}
 	_ ImplicitViewer = Implicit{}
-	_ DialBudgeter   = Implicit{}
 )
 
 // NewImplicit wraps an implicit graph family as a Topology.
@@ -273,39 +259,4 @@ func (t Implicit) Symmetric() bool {
 // a nil alive bitset and a constant epoch.
 func (t Implicit) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, epoch uint64) {
 	return t.F, nil, 0
-}
-
-// DialBudget implements DialBudgeter: uniform-degree families answer in
-// O(1), degree-array families with one slice scan, and anything else
-// falls back to the arithmetic degree scan (no interface dispatch).
-func (t Implicit) DialBudget(k int) int64 {
-	n := t.F.NumNodes()
-	switch f := t.F.(type) {
-	case graph.UniformDegree:
-		d := f.UniformDegree()
-		if d > k {
-			d = k
-		}
-		return int64(n) * int64(d)
-	case graph.DegreeArray:
-		var total int64
-		for _, d := range f.Degrees() {
-			if int(d) > k {
-				total += int64(k)
-			} else {
-				total += int64(d)
-			}
-		}
-		return total
-	default:
-		var total int64
-		for v := 0; v < n; v++ {
-			d := t.F.Degree(v)
-			if d > k {
-				d = k
-			}
-			total += int64(d)
-		}
-		return total
-	}
 }

@@ -121,7 +121,8 @@ type Config struct {
 	// arms — one interface call per interaction and the O(n) Measure
 	// scan — through the same super-step. Every arm is bit-identical (the
 	// fastpath tests pin the digests); the field survives only for
-	// bench/'s reference probe (ROADMAP 1), and the facade never sets it.
+	// bench/'s reference probe, and the facade never sets it. ROADMAP
+	// item 19 deletes it, in a [benchmark] change that drops that probe.
 	DisableFastPath bool
 
 	Observer Observer    // optional per-super-step hook

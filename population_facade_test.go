@@ -142,7 +142,7 @@ func TestBatchPopulationMatchesManualFold(t *testing.T) {
 			rounds, tx, txPerNode, work, rate := newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg()
 			for _, rng := range NewRand(seed).SplitN(reps) {
 				sc := tc.sc
-				sc.RNG = rng
+				sc.rng = rng
 				res, err := Run(context.Background(), sc)
 				if err != nil {
 					t.Fatal(err)
@@ -174,7 +174,6 @@ func TestBatchPopulationValidation(t *testing.T) {
 	for name, b := range map[string]Batch{
 		"no-reps":          {Scenario: sc},
 		"observer":         {Scenario: PopulationScenario{N: 16, Pair: le, Observer: observerStub{}}, Replications: 1},
-		"rng":              {Scenario: PopulationScenario{N: 16, Pair: le, RNG: NewRand(1)}, Replications: 1},
 		"randomize-source": {Scenario: sc, Replications: 1, RandomizeSource: true},
 		"typed-nil":        {Scenario: (*PopulationScenario)(nil), Replications: 1},
 	} {

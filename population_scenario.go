@@ -124,10 +124,9 @@ type PopulationScenario struct {
 	Init func(i, n int, coin uint64) PopulationState
 	// Seed is the run's master seed.
 	Seed uint64
-	// RNG, when non-nil, overrides Seed with an explicit master stream —
-	// the hook Batch uses to inject per-replication streams. Runs sharing
-	// an RNG value are not independent; prefer Seed.
-	RNG *Rand
+	// rng, when non-nil, overrides Seed with the replication's stream that
+	// Batch hands each run.
+	rng *Rand
 	// MaxSteps bounds the run in super-steps of N interactions; zero
 	// selects the default documented on population.Config.
 	MaxSteps int
@@ -148,7 +147,7 @@ func (r Runner) runPopulationScenario(ctx context.Context, s PopulationScenario)
 	if r.engine != EngineSimulator {
 		return Result{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSimulator)", r.engine)
 	}
-	rng := s.RNG
+	rng := s.rng
 	if rng == nil {
 		rng = NewRand(s.Seed)
 	}

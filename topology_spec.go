@@ -314,8 +314,7 @@ func (s OverlaySpec) churns() bool {
 
 // overlayTopology is a built OverlaySpec: the overlay plus its churner.
 // It exposes the overlay's whole API (CheckInvariants, Snapshot, ...)
-// through the embedded pointer, and phonecall's CSRViewer and
-// DialBudgeter with it.
+// through the embedded pointer, and phonecall's CSRViewer with it.
 type overlayTopology struct {
 	*overlay.Overlay
 	ch *overlay.Churner
