@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -411,6 +412,85 @@ func TestMembershipEvents(t *testing.T) {
 	}
 	if !o.Alive(wid) {
 		t.Error("second joined peer not alive")
+	}
+}
+
+// scanBudget is the model's definition of the dial budget, written out:
+// every alive peer dials min(k, degree) neighbours.
+func scanBudget(o *Overlay, k int) int64 {
+	var total int64
+	for v := 0; v < o.NumNodes(); v++ {
+		if o.Alive(v) {
+			total += int64(min(k, o.Degree(v)))
+		}
+	}
+	return total
+}
+
+// churning is the overlay with its churner's Step, as the engine runs it.
+type churning struct {
+	*Overlay
+	ch *Churner
+}
+
+func (c churning) Step(round int) []int { return c.ch.Step(round) }
+
+// silent dials k neighbours per alive peer for a fixed horizon and never
+// transmits, so the run lasts every round of the horizon.
+type silent struct{ k, horizon int }
+
+func (silent) Name() string            { return "silent" }
+func (s silent) Choices() int          { return s.k }
+func (s silent) Horizon() int          { return s.horizon }
+func (silent) SendPush(t, ia int) bool { return false }
+func (silent) SendPull(t, ia int) bool { return false }
+
+// budgetCheck holds every round's ChannelsDial to scanBudget of the overlay
+// as the round found it: OnRound comes before the round's churn Step.
+type budgetCheck struct {
+	o      *Overlay
+	k      int
+	rounds int
+	bad    []string
+}
+
+func (b *budgetCheck) OnInformed(node, round int) {}
+
+func (b *budgetCheck) OnRound(rm phonecall.RoundMetrics) {
+	b.rounds++
+	if want := scanBudget(b.o, b.k); rm.ChannelsDial != want {
+		b.bad = append(b.bad, fmt.Sprintf("round %d: ChannelsDial = %d, scan says %d", rm.Round, rm.ChannelsDial, want))
+	}
+}
+
+// TestOverlayDialBudgetMatchesScan pins the engine's budget on the overlay,
+// computed in O(1) from its fixed-stride view, against the explicit scan
+// in every round of a join/leave/mix run, including a k above d (the
+// clamp) and a growing and a shrinking overlay.
+func TestOverlayDialBudgetMatchesScan(t *testing.T) {
+	const n, d, rounds = 200, 6, 41
+	for _, tc := range []struct{ join, leave float64 }{{0.05, 0.05}, {0.08, 0.01}, {0.01, 0.08}} {
+		for _, k := range []int{1, 4, d, d + 3} {
+			o := newTestOverlay(t, n, d, n, 31)
+			ch, err := NewChurner(o, tc.join, tc.leave, 7, xrand.New(32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := &budgetCheck{o: o, k: k}
+			res, err := phonecall.Run(phonecall.Config{Topology: churning{o, ch}, Protocol: silent{k, rounds}, RNG: xrand.New(33), Observer: check})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if check.rounds != rounds || res.Rounds != rounds {
+				t.Fatalf("join=%v leave=%v k=%d: %d OnRound calls over %d rounds, want %d", tc.join, tc.leave, k, check.rounds, res.Rounds, rounds)
+			}
+			if len(check.bad) > 0 {
+				t.Errorf("join=%v leave=%v k=%d: %d rounds off the scan, first %s", tc.join, tc.leave, k, len(check.bad), check.bad[0])
+			}
+			if ch.Joins == 0 || ch.Leaves == 0 {
+				t.Fatalf("join=%v leave=%v: %d joins, %d leaves — the run did not churn", tc.join, tc.leave, ch.Joins, ch.Leaves)
+			}
+		}
 	}
 }
 

@@ -141,3 +141,37 @@ func (r raggedStride) CSRView() (offsets, adj []int32, alive []uint64, epoch uin
 	offsets, adj, alive, epoch = r.strideOf.CSRView()
 	return offsets, adj[:len(adj)-1], alive, epoch
 }
+
+// TestStaticDialBudgetMatchesScan pins the engine's budget on a Static,
+// computed from its CSR view, against the generic Alive/Degree scan, on
+// regular and irregular graphs (isolated and low-degree ids) and for k
+// below, at and above the degrees: every round's ChannelsDial must be what
+// DialBudget says.
+func TestStaticDialBudgetMatchesScan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    phonecall.Static
+	}{
+		{"regular", phonecall.NewStatic(mustRegular(t, 300, 6, 5))},
+		{"irregular", phonecall.NewStatic(sparseGraph(t))},
+		{"isolated", phonecall.NewStatic(withIsolated(t, mustRegular(t, 64, 4, 6), 5))},
+	} {
+		for _, k := range []int{1, 2, 4, 6, 9} {
+			push, err := baseline.NewPush(tc.g.NumNodes(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := &budgetScan{topo: tc.g, k: k}
+			res, err := phonecall.Run(phonecall.Config{Topology: tc.g, Protocol: push, RNG: xrand.New(3), Observer: scan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scan.rounds == 0 || scan.rounds != res.Rounds {
+				t.Fatalf("%s k=%d: %d OnRound calls over %d rounds", tc.name, k, scan.rounds, res.Rounds)
+			}
+			if len(scan.bad) > 0 {
+				t.Errorf("%s k=%d: %d rounds off the scan, first %s", tc.name, k, len(scan.bad), scan.bad[0])
+			}
+		}
+	}
+}
