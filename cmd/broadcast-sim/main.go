@@ -20,6 +20,11 @@
 // source's degree picks the four-choice variant. Implicit families
 // (hypercube, torus, gnp-stream, regular-stream) never materialise
 // adjacency, which is what makes 100M+-node runs fit one box.
+//
+// A flag the chosen run would not read is refused by name: -n/-d beside
+// -topology, a -chaos-* flag without -chaos, -mailbox without -daemon or
+// -chaos, -phases with either, and -alpha/-choices with push, pull or
+// pushpull.
 package main
 
 import (
@@ -47,6 +52,9 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// baselines are the protocols whose schedules take no -alpha or -choices.
+var baselines = map[string]bool{"push": true, "pull": true, "pushpull": true}
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("broadcast-sim", flag.ContinueOnError)
@@ -79,15 +87,32 @@ func run(args []string) error {
 		if spec, err = regcast.ParseTopologySpec(*topology); err != nil {
 			return fmt.Errorf("-topology: %w", err)
 		}
-		var explicit []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "n" || f.Name == "d" {
-				explicit = append(explicit, "-"+f.Name)
-			}
-		})
-		if len(explicit) > 0 {
-			return fmt.Errorf("%s: -topology sets the node count and degree", strings.Join(explicit, ", "))
+	}
+	// A flag the run would ignore is refused by name.
+	daemon := tflags.Daemon || tflags.Chaos
+	ignored := func(name string) string {
+		switch {
+		case (name == "n" || name == "d") && spec != nil:
+			return "-topology sets the node count and degree"
+		case strings.HasPrefix(name, "chaos-") && !tflags.Chaos:
+			return "a fault-plan flag needs -chaos"
+		case name == "mailbox" && !daemon:
+			return "the mailbox is the daemon's; it needs -daemon or -chaos"
+		case name == "phases" && daemon:
+			return "the daemon times no round phases"
+		case (name == "alpha" || name == "choices") && baselines[*protoSel]:
+			return "sets the four-choice schedules, not -protocol " + *protoSel
 		}
+		return ""
+	}
+	var refused []string
+	fs.Visit(func(f *flag.Flag) {
+		if why := ignored(f.Name); why != "" {
+			refused = append(refused, "-"+f.Name+": "+why)
+		}
+	})
+	if len(refused) > 0 {
+		return errors.New(strings.Join(refused, "; "))
 	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
@@ -159,7 +184,7 @@ func run(args []string) error {
 		fmt.Printf("graph: G(%d,%d) simple=%v connected=%v\n", *n, *d, g.IsSimple(), g.IsConnected())
 	} else {
 		kind := "dense"
-		if regcast.SpecImplicit(spec) {
+		if _, ok := topo.(regcast.ImplicitViewer); ok {
 			kind = "implicit"
 		}
 		fmt.Printf("topology: %s (%s, n=%d)\n", *topology, kind, *n)

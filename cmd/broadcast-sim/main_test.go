@@ -61,3 +61,49 @@ func TestRejectsSchedulerFlag(t *testing.T) {
 		t.Fatalf("-scheduler: err = %v, want it named", err)
 	}
 }
+
+// TestRejectsIgnoredFlags: a flag the chosen run would not read is refused
+// by name — fault-plan flags without -chaos, -mailbox without the daemon,
+// -phases on the daemon (it times no round phases), -alpha and -choices
+// with a baseline protocol — while the same flags run where they are read.
+func TestRejectsIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		refused []string // empty: the run must succeed
+	}{
+		{[]string{"-chaos-drop", "0.5"}, []string{"-chaos-drop"}},
+		{[]string{"-daemon", "-chaos-partition", "1:3"}, []string{"-chaos-partition"}},
+		{[]string{"-chaos-drop", "0.9", "-chaos-partition", "1:3", "-mailbox", "5"}, []string{"-chaos-drop", "-chaos-partition", "-mailbox"}},
+		{[]string{"-chaos-seed", "3", "-chaos-dup", "0.1", "-chaos-reorder", "0.1", "-chaos-delay-prob", "0.1", "-chaos-delay", "1ms", "-chaos-crash", "5:1:3"},
+			[]string{"-chaos-seed", "-chaos-dup", "-chaos-reorder", "-chaos-delay-prob", "-chaos-delay", "-chaos-crash"}},
+		{[]string{"-mailbox", "5"}, []string{"-mailbox"}},
+		{[]string{"-daemon", "-phases"}, []string{"-phases"}},
+		{[]string{"-chaos", "-phases"}, []string{"-phases"}},
+		{[]string{"-protocol", "push", "-choices", "3", "-alpha", "9"}, []string{"-alpha", "-choices"}},
+		{[]string{"-protocol", "pull", "-alpha", "3"}, []string{"-alpha"}},
+		{[]string{"-protocol", "pushpull", "-choices", "2"}, []string{"-choices"}},
+		{[]string{"-chaos", "-chaos-drop", "0.2", "-chaos-partition", "1:3", "-chaos-crash", "5:1:3", "-protocol", "pushpull"}, nil},
+		{[]string{"-daemon", "-mailbox", "5"}, nil},
+		{[]string{"-chaos", "-mailbox", "5"}, nil},
+		{[]string{"-phases"}, nil},
+		{[]string{"-protocol", "algorithm1", "-choices", "3", "-alpha", "3"}, nil},
+	} {
+		args := append([]string{"-n", "32", "-d", "6"}, tc.args...)
+		_, err := output(t, args...)
+		if len(tc.refused) == 0 {
+			if err != nil {
+				t.Errorf("%v: %v", tc.args, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%v: accepted, want %v refused", tc.args, tc.refused)
+			continue
+		}
+		for _, name := range tc.refused {
+			if !strings.Contains(err.Error(), name+":") {
+				t.Errorf("%v: err = %v, want %s named", tc.args, err, name)
+			}
+		}
+	}
+}

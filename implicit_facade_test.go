@@ -12,10 +12,12 @@ import (
 	"regcast"
 	"regcast/internal/baseline"
 	"regcast/internal/core"
+	"regcast/internal/graph"
+	"regcast/internal/phonecall"
 )
 
 // implicitPair is one algebraic-adjacency family in both materialisations:
-// the implicit spec and its Dense twin. Both Build paths consume the
+// the implicit spec and its dense twin. Both Build paths consume the
 // scenario stream identically, so with equal seeds the two must replay
 // bit-identical traces — the tentpole contract of the implicit fast path.
 type implicitPair struct {
@@ -23,13 +25,34 @@ type implicitPair struct {
 	implicit, dense regcast.TopologySpec
 }
 
-func implicitPairs() []implicitPair {
-	return []implicitPair{
-		{"hypercube", regcast.HypercubeSpec{Dim: 8}, regcast.HypercubeSpec{Dim: 8, Dense: true}},
-		{"torus", regcast.TorusSpec{Rows: 16, Cols: 16}, regcast.TorusSpec{Rows: 16, Cols: 16, Dense: true}},
-		{"gnp-stream", regcast.GnpStreamSpec{N: 400, P: 16.0 / 400}, regcast.GnpStreamSpec{N: 400, P: 16.0 / 400, Dense: true}},
-		{"regular-stream", regcast.RegularStreamSpec{N: 300, D: 6}, regcast.RegularStreamSpec{N: 300, D: 6, Dense: true}},
+// denseTwin builds its implicit spec's topology from the same stream and
+// runs on graph.Materialize of the family: the CSR view of the same
+// adjacency.
+type denseTwin struct{ implicit regcast.TopologySpec }
+
+func (s denseTwin) Build(rep int, rng *regcast.Rand) (regcast.Topology, error) {
+	topo, err := s.implicit.Build(rep, rng)
+	if err != nil {
+		return nil, err
 	}
+	g, err := graph.Materialize(topo.(phonecall.Implicit).F)
+	if err != nil {
+		return nil, err
+	}
+	return regcast.Static(g), nil
+}
+
+func implicitPairs() []implicitPair {
+	pairs := []implicitPair{
+		{name: "hypercube", implicit: regcast.HypercubeSpec{Dim: 8}},
+		{name: "torus", implicit: regcast.TorusSpec{Rows: 16, Cols: 16}},
+		{name: "gnp-stream", implicit: regcast.GnpStreamSpec{N: 400, P: 16.0 / 400}},
+		{name: "regular-stream", implicit: regcast.RegularStreamSpec{N: 300, D: 6}},
+	}
+	for i := range pairs {
+		pairs[i].dense = denseTwin{pairs[i].implicit}
+	}
+	return pairs
 }
 
 // fingerprint reduces a Result to the fields the bit-identity contract
@@ -65,9 +88,6 @@ func TestImplicitMatchesDenseTraces(t *testing.T) {
 		n := regcast.SpecNodeCount(pair.implicit)
 		if n <= 0 {
 			t.Fatalf("%s: SpecNodeCount = %d", pair.name, n)
-		}
-		if !regcast.SpecImplicit(pair.implicit) || regcast.SpecImplicit(pair.dense) {
-			t.Fatalf("%s: Implicit() flags inverted", pair.name)
 		}
 		for _, pr := range protos {
 			proto, err := pr.mk(n)
@@ -234,31 +254,31 @@ var (
 		{"config:n=256,d=6,erased", 256, false},
 		{"gnp:n=300,p=0.05", 300, false},
 		{"hypercube:dim=9", 512, true},
-		{"hypercube:dim=9,dense", 512, false},
 		{"torus:rows=8,cols=16", 128, true},
-		{"torus:rows=8,cols=16,dense=true", 128, false},
 		{"gnp-stream:n=200,p=0.1", 200, true},
 		{"regular-stream:n=200,d=4", 200, true},
 		{"overlay:n=128,d=8,join=0.01,leave=0.01,mix=4", 256, false},
 	}
 	badSpecs = []string{
-		"",                              // no family
-		"mesh:n=100",                    // unknown family
-		"hypercube:dim=9,n=512",         // unknown key for the family
-		"hypercube:dim=abc",             // malformed int
-		"gnp:n=100,p=lots",              // malformed float
-		"torus:rows=8,rows=9",           // duplicate key
-		"hypercube:dim=9,dense=perhaps", // malformed bool
-		"regular:=8",                    // empty key
-		"gnp:n=64,p=NaN",                // NaN probability
-		"gnp-stream:n=64,p=NaN",         // NaN probability
-		"gnp:n=64,p=1.5",                // probability above 1
-		"overlay:n=64,d=8,leave=-0.1",   // negative probability
-		"regular:n=-512,d=8",            // negative count
-		"hypercube:dim=-1",              // negative dimension
-		"hypercube:dim=64",              // 2^64 ids
-		"torus:rows=65536,cols=65536",   // 2^32 ids
-		"overlay:n=2000000000,d=8",      // 4e9 ids with the default headroom
+		"",                                // no family
+		"mesh:n=100",                      // unknown family
+		"hypercube:dim=9,n=512",           // unknown key for the family
+		"hypercube:dim=abc",               // malformed int
+		"gnp:n=100,p=lots",                // malformed float
+		"torus:rows=8,rows=9",             // duplicate key
+		"config:n=64,d=4,erased=perhaps",  // malformed bool
+		"hypercube:dim=9,dense",           // one representation per family
+		"torus:rows=8,cols=16,dense=true", // likewise, spelt out
+		"regular:=8",                      // empty key
+		"gnp:n=64,p=NaN",                  // NaN probability
+		"gnp-stream:n=64,p=NaN",           // NaN probability
+		"gnp:n=64,p=1.5",                  // probability above 1
+		"overlay:n=64,d=8,leave=-0.1",     // negative probability
+		"regular:n=-512,d=8",              // negative count
+		"hypercube:dim=-1",                // negative dimension
+		"hypercube:dim=64",                // 2^64 ids
+		"torus:rows=65536,cols=65536",     // 2^32 ids
+		"overlay:n=2000000000,d=8",        // 4e9 ids with the default headroom
 	}
 )
 
@@ -275,13 +295,13 @@ func TestParseTopologySpecRoundTrips(t *testing.T) {
 		if got := regcast.SpecNodeCount(spec); got != tc.n {
 			t.Errorf("%q: SpecNodeCount = %d, want %d", tc.in, got, tc.n)
 		}
-		if got := regcast.SpecImplicit(spec); got != tc.implicit {
-			t.Errorf("%q: SpecImplicit = %v, want %v", tc.in, got, tc.implicit)
-		}
 		topo, err := spec.Build(0, regcast.NewRand(1))
 		if err != nil {
 			t.Errorf("%q: Build: %v", tc.in, err)
 			continue
+		}
+		if _, got := topo.(regcast.ImplicitViewer); got != tc.implicit {
+			t.Errorf("%q: built an implicit topology: %v, want %v", tc.in, got, tc.implicit)
 		}
 		if topo.NumNodes() != tc.n {
 			t.Errorf("%q: built %d nodes, want %d", tc.in, topo.NumNodes(), tc.n)

@@ -422,31 +422,6 @@ func Complete(n int) (*Graph, error) {
 	return NewFromEdges(n, edges)
 }
 
-// Hypercube returns the dim-dimensional hypercube on 2^dim nodes.
-// It is defined as Materialize over the implicit family, so row order
-// (ascending bit index) is identical between the two paths by
-// construction. Dense materialisation needs 2^dim × dim adjacency
-// slots to fit int32 offsets, capping dim at 26 here; the implicit
-// family goes to dim 30.
-func Hypercube(dim int) (*Graph, error) {
-	h, err := NewImplicitHypercube(dim)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(h)
-}
-
-// Torus returns the rows×cols 2D torus (4-regular when rows, cols >= 3),
-// materialised from the implicit family (row order: up, down, left,
-// right per cell) so the two paths agree element-for-element.
-func Torus(rows, cols int) (*Graph, error) {
-	t, err := NewImplicitTorus(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(t)
-}
-
 // CartesianProduct returns the Cartesian product g □ h: nodes are pairs
 // (u, x); (u,x)~(v,x) when u~v in g, and (u,x)~(u,y) when x~y in h. The
 // paper's §5 counterexample is the product of a random regular graph with

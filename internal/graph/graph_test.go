@@ -139,7 +139,7 @@ func TestCompleteProperties(t *testing.T) {
 }
 
 func TestHypercube(t *testing.T) {
-	g, err := Hypercube(4)
+	g, err := materialized(NewImplicitHypercube(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,13 @@ func TestHypercube(t *testing.T) {
 	if d != 4 {
 		t.Errorf("Q4 diameter = %d, want 4", d)
 	}
-	if _, err := Hypercube(0); err == nil {
+	if _, err := materialized(NewImplicitHypercube(0)); err == nil {
 		t.Error("dim 0 accepted")
 	}
 }
 
 func TestTorus(t *testing.T) {
-	g, err := Torus(4, 5)
+	g, err := materialized(NewImplicitTorus(4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestTorus(t *testing.T) {
 	if !g.IsConnected() {
 		t.Error("torus disconnected")
 	}
-	if _, err := Torus(2, 5); err == nil {
+	if _, err := materialized(NewImplicitTorus(2, 5)); err == nil {
 		t.Error("degenerate torus accepted")
 	}
 }

@@ -40,10 +40,8 @@ type Symmetric interface {
 }
 
 // Materialize builds the CSR graph whose row v is exactly
-// NeighborAt(v, 0..Degree(v)) in order. It is the bridge that pins
-// implicit families bit-identical to the dense path: the dense
-// generators for hypercube and torus are defined as Materialize over
-// the implicit family, so the two can never disagree. The graph is
+// NeighborAt(v, 0..Degree(v)) in order: the dense oracle that the
+// implicit-view tests compare every family against. The graph is
 // Symmetric iff the family declares it.
 func Materialize(im Implicit) (*Graph, error) {
 	n := im.NumNodes()
@@ -108,7 +106,7 @@ func NewImplicitTorus(rows, cols int) (*ImplicitTorus, error) {
 	if rows < 3 || cols < 3 {
 		return nil, fmt.Errorf("graph: torus sides must be >= 3, got %dx%d", rows, cols)
 	}
-	if int64(rows)*int64(cols) > math.MaxInt32 {
+	if cols > math.MaxInt32/rows { // rows*cols itself could wrap
 		return nil, fmt.Errorf("graph: torus %dx%d exceeds int32 node ids", rows, cols)
 	}
 	return &ImplicitTorus{rows: rows, cols: cols}, nil

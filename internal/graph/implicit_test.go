@@ -9,6 +9,16 @@ import (
 	"regcast/internal/xrand"
 )
 
+// materialized is Materialize over a family constructor's results, so a
+// test reads the dense hypercube or torus as
+// materialized(NewImplicitHypercube(dim)).
+func materialized(im Implicit, err error) (*Graph, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(im)
+}
+
 // materializedEqual asserts g's CSR rows are element-for-element
 // NeighborAt(v, 0..Degree(v)) — the Implicit contract.
 func materializedEqual(t *testing.T, im Implicit, g *Graph) {
@@ -37,7 +47,7 @@ func TestImplicitHypercubeMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dim %d: %v", dim, err)
 		}
-		dense, err := Hypercube(dim)
+		dense, err := materialized(NewImplicitHypercube(dim))
 		if err != nil {
 			t.Fatalf("dense dim %d: %v", dim, err)
 		}
@@ -60,7 +70,7 @@ func TestImplicitTorusMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: %v", dims[0], dims[1], err)
 		}
-		dense, err := Torus(dims[0], dims[1])
+		dense, err := materialized(NewImplicitTorus(dims[0], dims[1]))
 		if err != nil {
 			t.Fatalf("dense %dx%d: %v", dims[0], dims[1], err)
 		}
@@ -71,6 +81,9 @@ func TestImplicitTorusMatchesDense(t *testing.T) {
 	}
 	if _, err := NewImplicitTorus(2, 5); err == nil {
 		t.Fatal("2-row torus accepted (up/down neighbors collide)")
+	}
+	if _, err := NewImplicitTorus(1<<40, 1<<40); err == nil {
+		t.Fatal("2^80-cell torus accepted (the product wraps to 0)")
 	}
 }
 

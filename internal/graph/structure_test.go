@@ -137,7 +137,7 @@ func TestGnpMatchesNaiveGenerator(t *testing.T) {
 // TestHypercubeBipartite: Q_dim has no odd cycles; its BFS layers from any
 // vertex 2-colour the graph.
 func TestHypercubeBipartite(t *testing.T) {
-	g, err := Hypercube(5)
+	g, err := materialized(NewImplicitHypercube(5))
 	if err != nil {
 		t.Fatal(err)
 	}

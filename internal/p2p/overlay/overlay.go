@@ -14,6 +14,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 
 	"regcast/internal/graph"
 	"regcast/internal/phonecall"
@@ -85,7 +86,7 @@ func New(n, d, headroom int, rng *xrand.Rand) (*Overlay, error) {
 		return nil, fmt.Errorf("overlay: need n > d, got n=%d d=%d", n, d)
 	}
 	capacity := n + headroom
-	if int64(capacity)*int64(d) > int64(1)<<31-1 {
+	if n > math.MaxInt32 || headroom > math.MaxInt32 || int64(capacity)*int64(d) > math.MaxInt32 {
 		return nil, fmt.Errorf("overlay: capacity %d × degree %d overflows the CSR id space", capacity, d)
 	}
 	o := &Overlay{

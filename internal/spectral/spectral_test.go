@@ -47,7 +47,11 @@ func TestSecondEigenvalueBipartite(t *testing.T) {
 	// magnitude estimate tends to 2·|cos(...)| close to 2; more simply, the
 	// hypercube Q3 is bipartite 3-regular with spectrum {±3, ±1}: |λ₂|=3
 	// is the bipartite reflection. Power iteration on 1⊥ must find 3.
-	g, err := graph.Hypercube(3)
+	h, err := graph.NewImplicitHypercube(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Materialize(h)
 	if err != nil {
 		t.Fatal(err)
 	}

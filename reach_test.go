@@ -22,6 +22,7 @@ import (
 // deleted, fails the test, so the list cannot go stale.
 var callerAllowlist = map[string]string{
 	"regcast/internal/graph.Ring":                     "fixture of the graph, phonecall, core, baseline, spectral and overlay tests",
+	"regcast/internal/graph.Materialize":              "the dense oracle of the implicit-view tests: TestImplicitMatchesDense*, TestImplicitEdgeCensusFallback and the graph, phonecall and spectral tests",
 	"(*regcast/internal/graph.Graph).DiameterExact":   "TestDiameterLowerBound's oracle",
 	"(*regcast/internal/graph.Graph).EdgesWithin":     "the oracle in internal/graph/structure_test.go",
 	"regcast/internal/stats.Summarize":                "TestAccumulatorMatchesSummarize's oracle",

@@ -22,13 +22,13 @@ const maxHypercubeDim = 30
 //	regular:n=4096,d=8                    RegularGraphSpec
 //	config:n=4096,d=8[,erased]            ConfigurationModelSpec
 //	gnp:n=4096,p=0.004                    GnpSpec
-//	hypercube:dim=27[,dense]              HypercubeSpec (implicit unless dense)
-//	torus:rows=64,cols=64[,dense]         TorusSpec (implicit unless dense)
-//	gnp-stream:n=4096,p=0.004[,dense]     GnpStreamSpec (implicit unless dense)
-//	regular-stream:n=4096,d=8[,dense]     RegularStreamSpec (implicit unless dense)
+//	hypercube:dim=27                      HypercubeSpec (implicit)
+//	torus:rows=64,cols=64                 TorusSpec (implicit)
+//	gnp-stream:n=4096,p=0.004             GnpStreamSpec (implicit)
+//	regular-stream:n=4096,d=8             RegularStreamSpec (implicit)
 //	overlay:n=4096,d=8[,headroom=0,join=0.01,leave=0.01,mix=8]  OverlaySpec
 //
-// Boolean keys may be given bare (`dense`) or explicitly (`dense=true`).
+// Boolean keys may be given bare (`erased`) or explicitly (`erased=true`).
 // ParseTopologySpec rejects unknown families, unknown keys, malformed
 // values, and values no Build could accept: a negative integer, a
 // probability outside [0, 1] (NaN included), a hypercube dimension above
@@ -59,13 +59,13 @@ func ParseTopologySpec(s string) (TopologySpec, error) {
 		if dim > maxHypercubeDim {
 			p.fail(fmt.Errorf("key %q: %d above %d", "dim", dim, maxHypercubeDim))
 		}
-		spec = HypercubeSpec{Dim: dim, Dense: p.boolKey("dense")}
+		spec = HypercubeSpec{Dim: dim}
 	case "torus":
-		spec = TorusSpec{Rows: p.intKey("rows"), Cols: p.intKey("cols"), Dense: p.boolKey("dense")}
+		spec = TorusSpec{Rows: p.intKey("rows"), Cols: p.intKey("cols")}
 	case "gnp-stream":
-		spec = GnpStreamSpec{N: p.intKey("n"), P: p.probKey("p"), Dense: p.boolKey("dense")}
+		spec = GnpStreamSpec{N: p.intKey("n"), P: p.probKey("p")}
 	case "regular-stream":
-		spec = RegularStreamSpec{N: p.intKey("n"), D: p.intKey("d"), Dense: p.boolKey("dense")}
+		spec = RegularStreamSpec{N: p.intKey("n"), D: p.intKey("d")}
 	case "overlay":
 		spec = OverlaySpec{
 			N:         p.intKey("n"),
@@ -78,8 +78,10 @@ func ParseTopologySpec(s string) (TopologySpec, error) {
 	default:
 		return nil, fmt.Errorf("regcast: topology spec %q: unknown family %q (want regular, config, gnp, hypercube, torus, gnp-stream, regular-stream or overlay)", s, family)
 	}
-	if p.err == nil && SpecNodeCount(spec) > math.MaxInt32 {
-		p.fail(fmt.Errorf("%d node ids exceed the int32 id space", SpecNodeCount(spec)))
+	// Every key is in range here, so a count of -1 is TorusSpec's product
+	// past MaxInt32.
+	if ids := SpecNodeCount(spec); p.err == nil && (ids < 0 || ids > math.MaxInt32) {
+		p.fail(fmt.Errorf("the id space exceeds the %d int32 node ids", math.MaxInt32))
 	}
 	if p.err != nil {
 		return nil, fmt.Errorf("regcast: topology spec %q: %w", s, p.err)

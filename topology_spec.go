@@ -2,6 +2,7 @@ package regcast
 
 import (
 	"fmt"
+	"math"
 
 	"regcast/internal/graph"
 	"regcast/internal/p2p/overlay"
@@ -31,24 +32,14 @@ type TopologySpec interface {
 
 // SpecNodeCount returns the node-id-space size spec would build, without
 // building it, or -1 when the spec does not declare one. Every spec in
-// this package answers; cmds use it to size output without paying for
-// construction.
+// this package answers, with -1 for sizes its Build refuses (a negative
+// count, or one that would wrap); cmds use it to size output without
+// paying for construction.
 func SpecNodeCount(spec TopologySpec) int {
 	if nc, ok := spec.(interface{ NodeCount() int }); ok {
-		return nc.NodeCount()
+		return max(nc.NodeCount(), -1)
 	}
 	return -1
-}
-
-// SpecImplicit reports whether spec builds an implicit (computed-
-// adjacency) topology — one the engine drives through ImplicitViewer
-// arithmetic instead of materialised CSR arrays. Specs without an
-// Implicit method are dense.
-func SpecImplicit(spec TopologySpec) bool {
-	if im, ok := spec.(interface{ Implicit() bool }); ok {
-		return im.Implicit()
-	}
-	return false
 }
 
 // fixedSpec wraps an existing Topology instance as a constant spec.
@@ -130,27 +121,15 @@ func (s GnpSpec) NodeCount() int { return s.N }
 // construction is deterministic; replications differ only in their run
 // randomness.
 //
-// By default the topology is implicit: adjacency is the bit-flip
-// arithmetic NeighborAt(v, i) = v XOR 2^i and no neighbour array is
-// built, which is what takes a single box past the materialised path's
-// memory wall (Dim ≤ 26 dense, ≤ 30 implicit). Set Dense to materialise
-// the CSR arrays instead. The two are interchangeable: the dense
-// generator is defined as Materialize over the implicit family, so runs
-// are bit-identical wherever both fit.
+// The topology is implicit: adjacency is the bit-flip arithmetic
+// NeighborAt(v, i) = v XOR 2^i and no neighbour array is built, which is
+// what takes a single box to Dim 30 (2^30 ids).
 type HypercubeSpec struct {
-	Dim   int
-	Dense bool
+	Dim int
 }
 
 // Build implements TopologySpec.
 func (s HypercubeSpec) Build(int, *Rand) (Topology, error) {
-	if s.Dense {
-		g, err := graph.Hypercube(s.Dim)
-		if err != nil {
-			return nil, err
-		}
-		return Static(g), nil
-	}
 	h, err := graph.NewImplicitHypercube(s.Dim)
 	if err != nil {
 		return nil, err
@@ -158,31 +137,25 @@ func (s HypercubeSpec) Build(int, *Rand) (Topology, error) {
 	return phonecall.NewImplicit(h), nil
 }
 
-// NodeCount implements the SpecNodeCount query.
-func (s HypercubeSpec) NodeCount() int { return 1 << s.Dim }
-
-// Implicit reports whether Build returns a computed-adjacency topology.
-func (s HypercubeSpec) Implicit() bool { return !s.Dense }
+// NodeCount implements the SpecNodeCount query; a dimension outside
+// [0, 30], which Build refuses, declares no count.
+func (s HypercubeSpec) NodeCount() int {
+	if s.Dim < 0 || s.Dim > maxHypercubeDim {
+		return -1
+	}
+	return 1 << s.Dim
+}
 
 // TorusSpec builds the Rows×Cols 2D torus (4-regular). The construction
 // is deterministic; replications differ only in their run randomness.
-// Implicit by default (neighbour order up, down, left, right per cell);
-// set Dense to materialise — the dense generator is Materialize over the
-// implicit family, so the two run bit-identically.
+// The topology is implicit, with neighbour order up, down, left, right
+// per cell.
 type TorusSpec struct {
 	Rows, Cols int
-	Dense      bool
 }
 
 // Build implements TopologySpec.
 func (s TorusSpec) Build(int, *Rand) (Topology, error) {
-	if s.Dense {
-		g, err := graph.Torus(s.Rows, s.Cols)
-		if err != nil {
-			return nil, err
-		}
-		return Static(g), nil
-	}
 	t, err := graph.NewImplicitTorus(s.Rows, s.Cols)
 	if err != nil {
 		return nil, err
@@ -190,30 +163,29 @@ func (s TorusSpec) Build(int, *Rand) (Topology, error) {
 	return phonecall.NewImplicit(t), nil
 }
 
-// NodeCount implements the SpecNodeCount query.
-func (s TorusSpec) NodeCount() int { return s.Rows * s.Cols }
-
-// Implicit reports whether Build returns a computed-adjacency topology.
-func (s TorusSpec) Implicit() bool { return !s.Dense }
+// NodeCount implements the SpecNodeCount query; a negative side or a
+// product past math.MaxInt32, which Build refuses, declares no count.
+func (s TorusSpec) NodeCount() int {
+	if s.Rows < 0 || s.Cols < 0 || (s.Rows > 0 && s.Cols > math.MaxInt32/s.Rows) {
+		return -1
+	}
+	return s.Rows * s.Cols
+}
 
 // GnpStreamSpec builds a seeded streaming G(n, p): a directed
 // Erdős–Rényi graph whose rows are regenerated on demand by replaying a
 // per-row PRNG stream (counter-mode seeding), storing one degree counter
 // per node instead of the adjacency — 4 B/node where GnpSpec pays
 // ~8(1+np) B/node. Each replication draws a fresh graph seed from rng,
-// mirroring GnpSpec's fresh graph per replication. Set Dense to
-// materialise the same graph into CSR arrays; for equal (rep, rng) the
-// dense and implicit variants build identical adjacency, so runs are
-// bit-identical.
+// mirroring GnpSpec's fresh graph per replication.
 //
 // The digraph view matches the phone-call model: each caller dials from
 // its own out-arc list. Unlike GnpSpec the underlying graph is directed
 // (arcs (v,w) and (w,v) are independent), so the two specs are distinct
-// families, not dense/implicit twins of one another.
+// families.
 type GnpStreamSpec struct {
-	N     int
-	P     float64
-	Dense bool
+	N int
+	P float64
 }
 
 // Build implements TopologySpec.
@@ -222,36 +194,24 @@ func (s GnpStreamSpec) Build(rep int, rng *Rand) (Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Dense {
-		g, err := graph.Materialize(f)
-		if err != nil {
-			return nil, err
-		}
-		return Static(g), nil
-	}
 	return phonecall.NewImplicit(f), nil
 }
 
 // NodeCount implements the SpecNodeCount query.
 func (s GnpStreamSpec) NodeCount() int { return s.N }
 
-// Implicit reports whether Build returns a computed-adjacency topology.
-func (s GnpStreamSpec) Implicit() bool { return !s.Dense }
-
 // RegularStreamSpec builds a seeded streaming d-regular multigraph
 // (D even): the union of D/2 pseudorandom-permutation 2-factors, with
 // O(1) arithmetic adjacency and zero per-node storage — the regenerable
 // stand-in for RegularGraphSpec at scales where pairing-model
 // construction (O(n·d) memory) is unaffordable. Each replication draws
-// a fresh seed from rng. Set Dense to materialise the same multigraph;
-// dense and implicit runs are bit-identical for equal (rep, rng).
+// a fresh seed from rng.
 //
 // D = 2 is a single 2-factor — a disjoint union of cycles, almost never
 // connected — so a broadcast on it stalls inside the source's cycle; use
 // D ≥ 4 for anything that must reach every node.
 type RegularStreamSpec struct {
-	N, D  int
-	Dense bool
+	N, D int
 }
 
 // Build implements TopologySpec.
@@ -260,21 +220,11 @@ func (s RegularStreamSpec) Build(rep int, rng *Rand) (Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Dense {
-		g, err := graph.Materialize(f)
-		if err != nil {
-			return nil, err
-		}
-		return Static(g), nil
-	}
 	return phonecall.NewImplicit(f), nil
 }
 
 // NodeCount implements the SpecNodeCount query.
 func (s RegularStreamSpec) NodeCount() int { return s.N }
-
-// Implicit reports whether Build returns a computed-adjacency topology.
-func (s RegularStreamSpec) Implicit() bool { return !s.Dense }
 
 // OverlaySpec builds the paper's headline setting: a maintained d-regular
 // peer-to-peer overlay, optionally churning between rounds. Each
@@ -299,12 +249,17 @@ type OverlaySpec struct {
 }
 
 // NodeCount implements the SpecNodeCount query: the id-space size is N
-// alive peers plus the headroom slots (Headroom 0 means N).
+// alive peers plus the headroom slots (Headroom 0 means N). A negative
+// size or a sum past math.MaxInt, which Build refuses, declares no count.
 func (s OverlaySpec) NodeCount() int {
-	if s.Headroom == 0 {
-		return 2 * s.N
+	headroom := s.Headroom
+	if headroom == 0 {
+		headroom = s.N
 	}
-	return s.N + s.Headroom
+	if s.N < 0 || headroom < 0 || s.N > math.MaxInt-headroom {
+		return -1
+	}
+	return s.N + headroom
 }
 
 // churns reports whether the spec attaches a churner.

@@ -106,10 +106,27 @@ func TestStaticSpecsBuild(t *testing.T) {
 		{"hypercube", regcast.HypercubeSpec{Dim: 7}, 128},
 		{"torus", regcast.TorusSpec{Rows: 8, Cols: 16}, 128},
 		{"overlay-static", regcast.OverlaySpec{N: 128, D: 8}, 256}, // headroom defaults to N: id space 2n
+		// Out of range: no count (-1), neither a panic nor a wrapped one,
+		// and Build refuses.
+		{"hypercube-dim-negative", regcast.HypercubeSpec{Dim: -1}, -1},
+		{"hypercube-dim-63", regcast.HypercubeSpec{Dim: 63}, -1},
+		{"hypercube-dim-64", regcast.HypercubeSpec{Dim: 64}, -1},
+		{"torus-2^80", regcast.TorusSpec{Rows: 1 << 40, Cols: 1 << 40}, -1},
+		{"overlay-2^63", regcast.OverlaySpec{N: 1 << 62, D: 8}, -1},
+		{"regular-negative", regcast.RegularGraphSpec{N: -5, D: 4}, -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if got := regcast.SpecNodeCount(tc.spec); got != tc.n {
+				t.Fatalf("SpecNodeCount = %d, want %d", got, tc.n)
+			}
 			topo, err := tc.spec.Build(0, regcast.NewRand(5))
+			if tc.n < 0 {
+				if err == nil {
+					t.Fatalf("built %d node ids", topo.NumNodes())
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
