@@ -104,8 +104,8 @@ func (badScenario) anyScenario() {}
 // TestRunValidatesBeforeDispatch pins the three things the single entry
 // point checks before it looks at the scenario kind, on both kinds: a
 // typed nil pointer is the nil-scenario error (not a nil dereference), an
-// invalid worker count is rejected, and WithTransportFaults without a
-// transport engine is rejected instead of ignored.
+// invalid worker count is rejected, and WithTransportFaults or WithMailbox
+// without a transport engine is rejected instead of ignored.
 func TestRunValidatesBeforeDispatch(t *testing.T) {
 	le, err := NewLeaderElection(32)
 	if err != nil {
@@ -137,6 +137,8 @@ func TestRunValidatesBeforeDispatch(t *testing.T) {
 		{"workers population", pop, []RunnerOption{WithWorkers(-5)}, "workers -5 invalid"},
 		{"faults broadcast", bc, []RunnerOption{faults}, "requires a transport engine"},
 		{"faults population", pop, []RunnerOption{faults}, "requires a transport engine"},
+		{"mailbox broadcast", bc, []RunnerOption{WithMailbox(64)}, "WithMailbox requires a transport engine"},
+		{"mailbox population", pop, []RunnerOption{WithMailbox(64)}, "WithMailbox requires a transport engine"},
 		{"faults population on daemon", pop, []RunnerOption{WithEngine(EngineDaemonTransport), faults}, "cannot run population scenarios"},
 		// Past 2³¹ agents a pair index would wrap negative in the kernel.
 		{"pair run past int32 agents", PopulationScenario{N: math.MaxInt32 + 1, Pair: le, Seed: 1}, nil, "int32 agent index"},

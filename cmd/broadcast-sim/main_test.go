@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,68 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		for _, name := range tc.refused {
 			if !strings.Contains(err.Error(), name+":") {
 				t.Errorf("%v: err = %v, want %s named", tc.args, err, name)
+			}
+		}
+	}
+}
+
+// TestReadmeDaemonQuickstart: every command of README's "Daemon
+// quickstart" block prints the lines the block shows for it. A "..." line
+// stands for omitted lines; a line ending in "..." must begin a printed
+// line.
+func TestReadmeDaemonQuickstart(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Daemon quickstart")
+	if !ok {
+		t.Fatal("README has no Daemon quickstart section")
+	}
+	_, block, ok := strings.Cut(section, "```console\n")
+	if block, _, ok = strings.Cut(block, "```"); !ok {
+		t.Fatal("Daemon quickstart has no console block")
+	}
+	const prompt = "$ go run ./cmd/broadcast-sim"
+	type example struct {
+		args []string
+		want []string
+	}
+	var examples []*example
+	lines := strings.Split(strings.TrimSuffix(block, "\n"), "\n")
+	for i := 0; i < len(lines); i++ {
+		line := lines[i]
+		if cmd, ok := strings.CutPrefix(line, prompt); ok {
+			for strings.HasSuffix(cmd, "\\") && i+1 < len(lines) {
+				i++
+				cmd = strings.TrimSuffix(cmd, "\\") + lines[i]
+			}
+			examples = append(examples, &example{args: strings.Fields(cmd)})
+			continue
+		}
+		if len(examples) == 0 {
+			t.Fatalf("output line %q before any command", line)
+		}
+		if line != "..." {
+			ex := examples[len(examples)-1]
+			ex.want = append(ex.want, line)
+		}
+	}
+	if len(examples) != 2 {
+		t.Fatalf("found %d commands in the block, want 2", len(examples))
+	}
+	for _, ex := range examples {
+		out, err := output(t, ex.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", ex.args, err)
+		}
+		printed := strings.Split(out, "\n")
+		for _, want := range ex.want {
+			prefix, cut := strings.CutSuffix(want, "...")
+			if !slices.ContainsFunc(printed, func(got string) bool {
+				return got == want || cut && strings.HasPrefix(got, prefix)
+			}) {
+				t.Errorf("%v: README line %q not printed; output:\n%s", ex.args, want, out)
 			}
 		}
 	}

@@ -41,10 +41,6 @@ type DaemonConfig struct {
 	// first (default 512; 0 keeps the default, use a negative
 	// value for unlimited).
 	maxConns int
-	// dedupGens is the number of dupemap generations (default 4, min 2);
-	// rumour content is remembered for dedupGens−1 .. dedupGens rotations
-	// of dedupExpiry.
-	dedupGens int
 }
 
 // MaxPacketBytes is the default bound on one wire frame. A peer that
@@ -60,8 +56,6 @@ const (
 	sendRetries = 1
 	// dialTimeout bounds one connection attempt.
 	dialTimeout = 2 * time.Second
-	// dedupExpiry is the dupemap rotation interval.
-	dedupExpiry = time.Second
 )
 
 // withDefaults fills zero fields.
@@ -86,9 +80,6 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	} else if c.maxConns < 0 {
 		c.maxConns = 0 // ensureConn's convention: 0 = unlimited
 	}
-	if c.dedupGens == 0 {
-		c.dedupGens = 4
-	}
 	return c
 }
 
@@ -97,22 +88,23 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 // writer goroutine and that peer's dial state: writers dial lazily, retry
 // broken writes on a fresh connection, and quarantine unreachable peers
 // with exponential backoff so the rest of a fanout proceeds. Receivers
-// decode newline-delimited JSON frames with a hard size bound and
-// suppress already-delivered rumour content through an expiring dupemap.
+// decode newline-delimited JSON frames with a hard size bound, and each
+// node's mailbox takes the rumour once: a rumour-bearing packet to a node
+// that already received it is counted Deduped and dropped.
 // Every packet outcome is accounted in Metrics — see Health.LedgerGap.
 // Crashes are not the daemon's business: a FaultPlan's crash window drops
 // the crashed node's packets and severs its links through DropPeerConns.
 type Daemon struct {
 	cfg DaemonConfig
-	// now is the clock behind every backoff window and dedup rotation;
-	// tests replace it (newDaemon). Only the socket write deadline reads
-	// the wall clock directly.
+	// now is the clock behind every backoff window; tests replace it
+	// (newDaemon). Only the socket write deadline reads the wall clock
+	// directly.
 	now       func() time.Time
 	listeners []net.Listener
 	addrs     []string
 	boxes     []chan Packet
 	links     []*peerLink
-	dedup     *dupemap
+	heard     []atomic.Bool // node i's mailbox has taken the rumour
 	met       Metrics
 	open      atomic.Int64 // open outbound connections, against maxConns
 	writes    atomic.Int64 // write sequence number; orders links for LRU eviction
@@ -147,7 +139,7 @@ func newDaemon(cfg DaemonConfig, now func() time.Time) (*Daemon, error) {
 		addrs:     make([]string, n),
 		boxes:     make([]chan Packet, n),
 		links:     make([]*peerLink, n),
-		dedup:     newDupemap(cfg.dedupGens, 0, dedupExpiry, now()),
+		heard:     make([]atomic.Bool, n),
 		conns:     make(map[net.Conn]struct{}),
 	}
 	jitter := xrand.New(cfg.Seed)
@@ -300,17 +292,18 @@ func (d *Daemon) readLoop(i int, conn net.Conn) {
 }
 
 // receive is the terminal accounting point for one decoded frame: dedup,
-// then mailbox. The dedup key is only recorded after a successful mailbox
-// insert — marking content "seen" that was actually dropped would suppress
-// its retransmissions for a whole expiry window.
+// then mailbox. A push or pull reply to a node whose mailbox has taken the
+// rumour is Deduped; a pull request never is. The heard bit is set only
+// after a successful mailbox insert — marking a node that dropped the
+// rumour would suppress every retransmission to it for good.
 func (d *Daemon) receive(i int, p Packet) {
-	key, dedupable := contentKey(i, p)
-	if dedupable && d.dedup.Has(key, d.now()) {
+	rumor := p.Kind == KindPush || p.Kind == KindPullReply
+	if rumor && d.heard[i].Load() {
 		d.met.Deduped.Add(1)
 		return
 	}
-	if d.met.toMailbox(d.boxes[i], p) && dedupable {
-		d.dedup.Add(key, d.now())
+	if d.met.toMailbox(d.boxes[i], p) && rumor {
+		d.heard[i].Store(true)
 	}
 }
 

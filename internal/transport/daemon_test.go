@@ -2,14 +2,13 @@ package transport
 
 import (
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // fakeClock is a daemon clock that moves only when a test advances it, so
-// backoff windows and dedup rotation are driven without sleeping.
+// backoff windows are driven without sleeping.
 type fakeClock struct{ ns atomic.Int64 }
 
 func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
@@ -39,13 +38,12 @@ func TestDaemonValidation(t *testing.T) {
 
 func TestDaemonSendReceive(t *testing.T) {
 	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
-	want := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r1", Payload: "x"}}}
-	if err := d.Send(1, want); err != nil {
+	if err := d.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case p := <-d.Inbox(1):
-		if p.From != 0 || p.To != 1 || p.Kind != KindPush || len(p.Rumors) != 1 {
+		if p.From != 0 || p.To != 1 || p.Kind != KindPush {
 			t.Errorf("packet mangled: %+v", p)
 		}
 	case <-time.After(stepWait(t, 2*time.Second)):
@@ -88,7 +86,7 @@ func TestDaemonLedgerNeverNegative(t *testing.T) {
 		}
 	}()
 	for i := 0; i < burst; i++ {
-		// Pull requests carry no rumour content, so none of them dedup.
+		// Pull requests carry no rumour, so none of them dedup.
 		if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func TestDaemonPersistentConnection(t *testing.T) {
 	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
 	const msgs = 25
 	for i := 0; i < msgs; i++ {
-		// Pull requests carry no rumour content, so none of them dedup.
+		// Pull requests carry no rumour, so none of them dedup.
 		if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 			t.Fatal(err)
 		}
@@ -129,40 +127,58 @@ func TestDaemonPersistentConnection(t *testing.T) {
 	}
 }
 
+// TestDaemonDedupSuppressesRepeatedContent: a node's mailbox takes the
+// rumour once, whichever kind brings it — three pushes and a pull reply
+// read one delivery and three dedups — while a pull request, which
+// carries no rumour, is never deduped.
 func TestDaemonDedupSuppressesRepeatedContent(t *testing.T) {
-	d, clk := newTestDaemon(t, DaemonConfig{Nodes: 2, dedupGens: 2})
-	push := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r", Payload: "p"}}}
-	for i := 0; i < 3; i++ {
-		if err := d.Send(1, push); err != nil {
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2})
+	for _, k := range []Kind{KindPush, KindPush, KindPush, KindPullReply} {
+		if err := d.Send(1, Packet{From: 0, Kind: k}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A pull-reply repeating the same content dedups too (content key is
-	// kind-independent).
-	if err := d.Send(1, Packet{From: 0, Kind: KindPullReply, Rumors: push.Rumors}); err != nil {
-		t.Fatal(err)
 	}
 	waitCond(t, func() bool {
 		h := d.Health()
 		return h.Delivered+h.Deduped == 4
 	}, "4 packets accounted")
-	h := d.Health()
-	if h.Delivered != 1 || h.Deduped != 3 {
+	if h := d.Health(); h.Delivered != 1 || h.Deduped != 3 {
 		t.Errorf("delivered/deduped = %d/%d, want 1/3", h.Delivered, h.Deduped)
 	}
-	// The ring rotates on access by the daemon's clock, every dedupExpiry:
-	// after dedupGens−1 intervals the content is still suppressed, after
-	// dedupGens it is deliverable again.
-	clk.Advance(dedupExpiry)
-	if err := d.Send(1, push); err != nil {
+	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, func() bool { return d.Health().Deduped == 4 }, "still deduplicated after one interval")
-	clk.Advance(dedupExpiry)
-	if err := d.Send(1, push); err != nil {
+	waitCond(t, func() bool { return d.Health().Delivered == 2 }, "pull request delivered")
+	if h := d.Health(); h.Deduped != 3 || h.LedgerGap() != 0 {
+		t.Errorf("deduped %d, LedgerGap %d after a pull request, want 3/0", h.Deduped, h.LedgerGap())
+	}
+}
+
+// TestDaemonMarksHeardOnlyAfterInsert: a push the full mailbox drops does
+// not mark the node as holding the rumour, so the next push, after the
+// mailbox drains, is delivered rather than deduped.
+func TestDaemonMarksHeardOnlyAfterInsert(t *testing.T) {
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, Mailbox: 1})
+	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, func() bool { return d.Health().Delivered == 2 }, "re-delivery after dedup expiry")
+	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "pull request fills the mailbox")
+	if err := d.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, func() bool { return d.Health().MailboxDrops == 1 }, "push dropped at the full mailbox")
+	<-d.Inbox(1)
+	if err := d.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, func() bool {
+		h := d.Health()
+		return h.Delivered+h.Deduped == 2
+	}, "second push accounted")
+	if h := d.Health(); h.Delivered != 2 || h.Deduped != 0 || h.LedgerGap() != 0 {
+		t.Errorf("delivered/deduped = %d/%d (LedgerGap %d), want 2/0: the dropped push marked the node",
+			h.Delivered, h.Deduped, h.LedgerGap())
+	}
 }
 
 // TestDaemonCrashWindowDropsBothDirections drives the one crash path: a
@@ -290,9 +306,9 @@ func TestDaemonMailboxBackpressure(t *testing.T) {
 }
 
 func TestDaemonOversizeFrameDropped(t *testing.T) {
-	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, maxPacket: 256})
-	big := Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "big", Payload: strings.Repeat("x", 1024)}}}
-	if err := d.Send(1, big); err != nil {
+	// One frame, {"from":0,"to":1,"kind":1} and its newline, is 27 bytes.
+	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, maxPacket: 16})
+	if err := d.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, func() bool { return d.Health().OversizeDrops == 1 }, "oversize frame counted")
@@ -343,7 +359,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Insert(0, Rumor{ID: "daemon-rumor", Payload: "persistent"}); err != nil {
+	if err := c.Insert(0); err != nil {
 		t.Fatal(err)
 	}
 	ticks := tickUntilAllHeard(t, c, 40, nil)
@@ -360,7 +376,7 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 		t.Errorf("WireLost = %d on a clean run, want 0", h.WireLost())
 	}
 	if h.Deduped == 0 {
-		t.Error("always-push gossip produced zero dedup hits (dupemap inert?)")
+		t.Error("always-push gossip produced zero dedup hits (heard bits inert?)")
 	}
 	// Persistent links: far fewer dials than packets.
 	if h.Dials >= h.Sends {

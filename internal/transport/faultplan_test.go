@@ -72,9 +72,7 @@ func TestFaultPlanDeterministicSchedule(t *testing.T) {
 		for epoch := 0; epoch < 6; epoch++ {
 			for i := 0; i < 4; i++ {
 				for from := 0; from < 4; from++ {
-					to := (from + 1 + i) % 4
-					rid := fmt.Sprintf("e%d-i%d-%d", epoch, i, from)
-					_ = p.Send(to, Packet{From: from, Kind: KindPush, Rumors: []Rumor{{ID: rid}}})
+					_ = p.Send((from+1+i)%4, Packet{From: from, Kind: KindPush})
 				}
 			}
 			p.AdvanceEpoch()
@@ -163,19 +161,22 @@ func TestFaultPlanDelay(t *testing.T) {
 	}
 }
 
+// TestFaultPlanReorderNeverLosesPackets: packets on one (from, to, kind)
+// stream are indistinguishable, so the trace proves the reordering — a
+// held packet is released behind the next packet of its stream, which
+// passes — and the counts prove that no packet is lost or duplicated.
 func TestFaultPlanReorderNeverLosesPackets(t *testing.T) {
 	inner, err := NewInMem(2, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewFaultPlan(inner, FaultConfig{Seed: 11, Reorder: 0.5})
+	plan, err := NewFaultPlan(inner, FaultConfig{Seed: 11, Reorder: 0.5, recordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 40
 	for i := 0; i < total; i++ {
-		rid := fmt.Sprintf("r%02d", i)
-		if err := plan.Send(1, Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: rid}}}); err != nil {
+		if err := plan.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,29 +187,25 @@ func TestFaultPlanReorderNeverLosesPackets(t *testing.T) {
 	if s.Reordered == 0 {
 		t.Fatal("p=0.5 reorder never held a packet")
 	}
-	if s.Forwarded != total {
-		t.Errorf("forwarded = %d, want all %d (holds must flush, never leak)", s.Forwarded, total)
+	if s.Forwarded != total || s.Duplicated != 0 {
+		t.Errorf("forwarded/duplicated = %d/%d, want %d/0 (holds must flush, never leak)", s.Forwarded, s.Duplicated, total)
 	}
-	var got []string
-	for p := range inner.Inbox(1) {
-		got = append(got, p.Rumors[0].ID)
+	got := 0
+	for range inner.Inbox(1) {
+		got++
 	}
-	if len(got) != total {
-		t.Fatalf("inner received %d packets, want %d", len(got), total)
+	if got != total {
+		t.Fatalf("inner received %d packets, want %d", got, total)
 	}
-	seen := map[string]bool{}
-	inOrder := true
-	for i, id := range got {
-		seen[id] = true
-		if id != fmt.Sprintf("r%02d", i) {
-			inOrder = false
+	trace := plan.Trace()
+	swapped := false
+	for i := 1; i < len(trace); i++ {
+		if trace[i-1].Action == "reorder-hold" && trace[i].Action == "pass" && trace[i].Seq == trace[i-1].Seq+1 {
+			swapped = true
 		}
 	}
-	if len(seen) != total {
-		t.Error("reorder duplicated or lost packet IDs")
-	}
-	if inOrder {
-		t.Error("reorder left the stream fully ordered despite held packets")
+	if !swapped {
+		t.Error("no held packet was released behind a later one on its stream")
 	}
 }
 
@@ -329,7 +326,7 @@ func TestChaosRunReproducibleFromSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
-		if err := c.Insert(0, Rumor{ID: "repro", Payload: "same seed, same run"}); err != nil {
+		if err := c.Insert(0); err != nil {
 			t.Fatal(err)
 		}
 		for range ticks {

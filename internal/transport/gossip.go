@@ -37,8 +37,9 @@ type Cluster struct {
 	tr      Transport
 	proto   phonecall.Protocol
 	k       int
-	rumor   atomic.Pointer[Rumor] // the one rumour, set by the first Insert
-	now     atomic.Int64          // the current tick, which stamps arrivals
+	picks   []int        // Tick's dial picks, reused across nodes and ticks
+	scratch []int        // DistinctK's scratch, sized to the largest degree
+	now     atomic.Int64 // the current tick, which stamps arrivals
 	tx      atomic.Int64
 	handled atomic.Int64 // inbox packets the node loops finished with
 	wg      sync.WaitGroup
@@ -59,13 +60,16 @@ func NewCluster(g *graph.Graph, tr Transport, proto phonecall.Protocol, seed uin
 		return nil, fmt.Errorf("transport: NewCluster k=%d must be >= 1", c.k)
 	}
 	master := xrand.New(seed)
+	maxDeg := 0
 	for v := 0; v < g.NumNodes(); v++ {
 		peers := make([]int, 0, g.Degree(v))
 		for _, w := range g.Neighbors(v) {
 			peers = append(peers, int(w))
 		}
 		c.nodes = append(c.nodes, &node{id: v, peers: peers, rng: master.Split(), heardAt: unheard})
+		maxDeg = max(maxDeg, len(peers))
 	}
+	c.picks, c.scratch = make([]int, 0, c.k), make([]int, maxDeg)
 	for _, n := range c.nodes {
 		c.wg.Add(1)
 		go func(n *node) {
@@ -98,9 +102,7 @@ func (c *Cluster) processLoop(n *node) {
 	for p := range c.tr.Inbox(n.id) {
 		switch p.Kind {
 		case KindPush, KindPullReply:
-			if len(p.Rumors) > 0 {
-				c.hear(n)
-			}
+			c.hear(n)
 		case KindPullRequest:
 			// The callee answers iff it held the rumour before this tick
 			// and its cohort pulls now; otherwise it stays silent.
@@ -108,8 +110,7 @@ func (c *Cluster) processLoop(n *node) {
 			if at == unheard || at >= t || !c.proto.SendPull(t, at) {
 				break
 			}
-			reply := Packet{From: n.id, Kind: KindPullReply, Rumors: []Rumor{*c.rumor.Load()}}
-			if err := c.tr.Send(p.From, reply); err == nil {
+			if err := c.tr.Send(p.From, Packet{From: n.id, Kind: KindPullReply}); err == nil {
 				c.tx.Add(1)
 			}
 		}
@@ -121,14 +122,11 @@ func (c *Cluster) processLoop(n *node) {
 // pull replies) successfully handed to the transport so far.
 func (c *Cluster) Transmissions() int64 { return c.tx.Load() }
 
-// Insert makes node a source: it holds r from tick 0. The cluster spreads
-// one rumour, so every Insert must pass the same one.
-func (c *Cluster) Insert(node int, r Rumor) error {
+// Insert makes node a source of the cluster's one rumour: it holds it
+// from tick 0.
+func (c *Cluster) Insert(node int) error {
 	if node < 0 || node >= len(c.nodes) {
 		return fmt.Errorf("transport: Insert at node %d out of range", node)
-	}
-	if !c.rumor.CompareAndSwap(nil, &r) && *c.rumor.Load() != r {
-		return fmt.Errorf("transport: the cluster spreads one rumour (%q), not %q", c.rumor.Load().ID, r.ID)
 	}
 	n := c.nodes[node]
 	n.mu.Lock()
@@ -152,9 +150,10 @@ func (c *Cluster) Tick(t int) error {
 	for v, n := range c.nodes {
 		at := c.HeardAt(v)
 		push := at != unheard && at < t && c.proto.SendPush(t, at)
-		for _, i := range n.rng.DistinctK(nil, min(c.k, len(n.peers)), len(n.peers), nil) {
+		c.picks = n.rng.DistinctK(c.picks, min(c.k, len(n.peers)), len(n.peers), c.scratch)
+		for _, i := range c.picks {
 			if push {
-				if err := c.tr.Send(n.peers[i], Packet{From: v, Kind: KindPush, Rumors: []Rumor{*c.rumor.Load()}}); err != nil {
+				if err := c.tr.Send(n.peers[i], Packet{From: v, Kind: KindPush}); err != nil {
 					return fmt.Errorf("transport: push from %d to %d: %w", v, n.peers[i], err)
 				}
 				c.tx.Add(1)

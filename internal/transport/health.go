@@ -24,7 +24,7 @@ import "sync/atomic"
 type Metrics struct {
 	Sends     atomic.Int64 // packets accepted by Send
 	Delivered atomic.Int64 // packets placed in a destination mailbox
-	Deduped   atomic.Int64 // packets suppressed by the dupemap
+	Deduped   atomic.Int64 // rumour-bearing packets to a node that already took the rumour
 
 	QueueDrops      atomic.Int64 // per-peer send queue full (backpressure)
 	QuarantineDrops atomic.Int64 // peer inside its backoff window

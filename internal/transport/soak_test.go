@@ -78,8 +78,7 @@ func TestChaosSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = c.Close() }()
-			const rumorID = "chaos-rumor"
-			if err := c.Insert(0, Rumor{ID: rumorID, Payload: "survives faults"}); err != nil {
+			if err := c.Insert(0); err != nil {
 				t.Fatal(err)
 			}
 			// One tick = one fault epoch; each tick settles before the next
@@ -136,7 +135,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Insert(0, Rumor{ID: "redial-rumor"}); err != nil {
+	if err := c.Insert(0); err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 4; n++ { // through the restart epoch

@@ -22,11 +22,11 @@ var ErrClosed = errors.New("transport: closed")
 type Kind int
 
 const (
-	// KindPush carries the sender's known rumours to the receiver.
+	// KindPush carries the cluster's one rumour to the receiver.
 	KindPush Kind = iota + 1
-	// KindPullRequest asks the receiver to answer with its known rumours.
+	// KindPullRequest asks the receiver for the rumour; it carries none.
 	KindPullRequest
-	// KindPullReply answers a pull request.
+	// KindPullReply answers a pull request with the rumour.
 	KindPullReply
 )
 
@@ -44,18 +44,13 @@ func (k Kind) String() string {
 	}
 }
 
-// Rumor is one broadcast payload.
-type Rumor struct {
-	ID      string `json:"id"`
-	Payload string `json:"payload"`
-}
-
-// Packet is the unit of exchange between nodes.
+// Packet is the unit of exchange between nodes. A cluster spreads one
+// rumour, so the kind says all a packet carries: a push or a pull reply
+// brings the rumour, a pull request asks for it.
 type Packet struct {
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	Kind   Kind    `json:"kind"`
-	Rumors []Rumor `json:"rumors,omitempty"`
+	From int  `json:"from"`
+	To   int  `json:"to"`
+	Kind Kind `json:"kind"`
 }
 
 // Transport delivers packets between numbered nodes. Implementations must

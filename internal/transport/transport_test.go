@@ -76,12 +76,12 @@ func TestInMemSendReceive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
-	if err := tr.Send(2, Packet{From: 0, Kind: KindPush, Rumors: []Rumor{{ID: "r1", Payload: "x"}}}); err != nil {
+	if err := tr.Send(2, Packet{From: 0, Kind: KindPush}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case p := <-tr.Inbox(2):
-		if p.From != 0 || p.To != 2 || p.Kind != KindPush || len(p.Rumors) != 1 {
+		if p.From != 0 || p.To != 2 || p.Kind != KindPush {
 			t.Errorf("packet mangled: %+v", p)
 		}
 	case <-time.After(stepWait(t, time.Second)):
@@ -214,7 +214,7 @@ func TestGossipOverInMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Insert(0, Rumor{ID: "update-1", Payload: "hello"}); err != nil {
+	if err := c.Insert(0); err != nil {
 		t.Fatal(err)
 	}
 	ticks := tickUntilAllHeard(t, c, 40, nil)
@@ -238,17 +238,14 @@ func TestInsertValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Insert(-1, Rumor{ID: "x"}); err == nil {
+	if err := c.Insert(-1); err == nil {
 		t.Error("negative node accepted")
 	}
-	if err := c.Insert(99, Rumor{ID: "x"}); err == nil {
+	if err := c.Insert(99); err == nil {
 		t.Error("out-of-range node accepted")
 	}
-	if err := c.Insert(0, Rumor{ID: "x"}); err != nil {
+	if err := c.Insert(0); err != nil {
 		t.Fatal(err)
-	}
-	if err := c.Insert(1, Rumor{ID: "y"}); err == nil {
-		t.Error("a second rumour accepted")
 	}
 }
 
@@ -300,7 +297,7 @@ func TestSettleMatchesClosedLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = c.Close() }()
-			if err := c.Insert(0, Rumor{ID: "exact"}); err != nil {
+			if err := c.Insert(0); err != nil {
 				t.Fatal(err)
 			}
 			tickUntilAllHeard(t, c, 40, nil)
@@ -334,7 +331,7 @@ func TestSettleReportsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Insert(0, Rumor{ID: "late"}); err != nil {
+	if err := c.Insert(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Tick(1); err != nil {
@@ -348,5 +345,49 @@ func TestSettleReportsDeadline(t *testing.T) {
 	}
 	if c.Settle(stepWait(t, 5*time.Second)) {
 		t.Errorf("Settle timed out after the delays ended: %+v", plan.Health())
+	}
+}
+
+// silent is a schedule that never sends: Tick only draws its dial picks.
+type silent int
+
+func (silent) Name() string           { return "silent" }
+func (k silent) Choices() int         { return int(k) }
+func (silent) Horizon() int           { return math.MaxInt32 }
+func (silent) SendPush(_, _ int) bool { return false }
+func (silent) SendPull(_, _ int) bool { return false }
+
+// TestTickReusesDialPicks: Tick draws every node's picks into one slice
+// and scratch the cluster owns, so a tick that sends nothing allocates
+// nothing.
+func TestTickReusesDialPicks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("instrumentation allocates")
+	}
+	for _, n := range []int{64, 1024} {
+		tr, err := NewInMem(n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(gossipGraph(t, n, 8), tr, silent(4), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(0); err != nil {
+			t.Fatal(err)
+		}
+		tk := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			tk++
+			if err := c.Tick(tk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("n=%d: Tick allocated %.0f times per tick, want 0", n, allocs)
+		}
 	}
 }

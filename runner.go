@@ -12,8 +12,8 @@ import (
 
 // Engine selects how a Runner executes a Scenario. There are two: the
 // simulator (the default every experiment and benchmark cell runs) and the
-// deployment-shaped gossip daemon (sockets, dials, queues, a wire, dedup
-// and a health ledger).
+// deployment-shaped gossip daemon (sockets, dials, queues, a wire, a
+// per-node dedup bit and a health ledger).
 type Engine int
 
 const (
@@ -26,8 +26,9 @@ const (
 	// gossip daemon (internal/transport), one tick per round: nodes push
 	// and answer pulls exactly when SendPush/SendPull say so, over
 	// persistent per-peer TCP connections with redial backoff, bounded
-	// send queues and rumour dedup. A run without faults whose ticks all
-	// settle (TickTimeouts == 0) is reproducible from the seed.
+	// send queues and a mailbox that takes the rumour once per node. A
+	// run without faults whose ticks all settle (TickTimeouts == 0) is
+	// reproducible from the seed.
 	// WithTransportFaults injects reproducible chaos in front of it.
 	EngineDaemonTransport
 )
@@ -71,7 +72,7 @@ func WithEngine(e Engine) RunnerOption { return func(r *Runner) { r.engine = e }
 func WithWorkers(n int) RunnerOption { return func(r *Runner) { r.workers = n } }
 
 // WithMailbox sets the per-node mailbox capacity of the daemon engine
-// (default 1024 packets).
+// (default 1024 packets); the simulator refuses it.
 func WithMailbox(n int) RunnerOption { return func(r *Runner) { r.mailbox = n } }
 
 // NewRunner builds a Runner; with no options it runs EngineSimulator.
@@ -225,6 +226,9 @@ func (r Runner) validate() error {
 		if r.faults != nil {
 			return fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
 		}
+		if r.mailbox != 0 {
+			return fmt.Errorf("regcast: WithMailbox requires a transport engine, not %v", r.engine)
+		}
 	case EngineDaemonTransport:
 	default:
 		return fmt.Errorf("regcast: unknown engine %v", r.engine)
@@ -354,7 +358,7 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	}
 	defer cluster.Close()
 
-	if err := cluster.Insert(s.cfg.Source, transport.Rumor{ID: "regcast/scenario", Payload: "scenario broadcast"}); err != nil {
+	if err := cluster.Insert(s.cfg.Source); err != nil {
 		return Result{}, err
 	}
 

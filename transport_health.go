@@ -10,9 +10,9 @@ import (
 // snapshots come back on Result.Transport, and chaos schedules go in
 // through WithTransportFaults. The underlying machinery lives in
 // internal/transport — persistent per-peer connections that redial with
-// backoff, bounded send queues with drop accounting, expiring-bucket
-// rumour dedup, and a seeded FaultPlan
-// whose drop/delay/duplicate/reorder/partition/crash decisions are pure
+// backoff, bounded send queues with drop accounting, a mailbox that takes
+// the rumour once per node (repeats count as dedup hits), and a seeded
+// FaultPlan whose drop/delay/duplicate/reorder/partition/crash decisions are pure
 // functions of (seed, peer pair, packet sequence, epoch), so chaos runs
 // replay bit-identically.
 type (
