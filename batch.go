@@ -66,11 +66,6 @@ type Batch struct {
 	// run.
 	Runner Runner
 
-	// Seed overrides the master seed the replication streams derive from.
-	// When 0, a batch uses the scenario's own seed (so a Batch over
-	// NewScenario(..., WithSeed(s)) is fully determined by s).
-	Seed uint64
-
 	// RandomizeSource re-draws the broadcast source per replication from
 	// the replication's stream (uniform over the topology's alive nodes)
 	// instead of reusing the scenario's fixed source — the standard setup
@@ -189,16 +184,14 @@ type repPlan struct {
 	source int // -1 when the scenario's own source applies
 }
 
-// seed resolves the master seed the replication streams derive from.
-func (b Batch) seed(k scenarioKind) uint64 {
-	switch {
-	case b.Seed != 0:
-		return b.Seed
-	case k.isPopulation:
+// seed is the master seed the replication streams derive from: the
+// scenario's own, so a Batch over NewScenario(..., WithSeed(s)) is fully
+// determined by s.
+func (k scenarioKind) seed() uint64 {
+	if k.isPopulation {
 		return k.population.Seed
-	default:
-		return k.broadcast.seed
 	}
+	return k.broadcast.seed
 }
 
 // validate resolves the batch's scenario kind and rejects configurations
@@ -267,7 +260,7 @@ func drawAliveSource(rng *xrand.Rand, topo Topology) (int, error) {
 
 // plan precomputes every replication's randomness in replication order.
 func (b Batch) plan(k scenarioKind) ([]repPlan, error) {
-	master := xrand.New(b.seed(k))
+	master := xrand.New(k.seed())
 	plans := make([]repPlan, b.Replications)
 	for r := range plans {
 		plans[r].source = -1

@@ -71,7 +71,7 @@ func TestChaosRunLedger(t *testing.T) {
 
 // TestChaosRunReproducibleFromSeed is the facade side of the transport
 // test of the same name: two daemon runs of one scenario seed under one
-// fault plan (drops, duplicates, reorder holds; no wall-clock delay) return
+// fault plan (drops and duplicates; no wall-clock delay) return
 // the same Result and the same fault ledger.
 func TestChaosRunReproducibleFromSeed(t *testing.T) {
 	if testing.Short() {
@@ -92,7 +92,7 @@ func TestChaosRunReproducibleFromSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := regcast.Run(context.Background(), scenario, regcast.WithEngine(regcast.EngineDaemonTransport),
-			regcast.WithTransportFaults(regcast.FaultConfig{Seed: 12, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2}))
+			regcast.WithTransportFaults(regcast.FaultConfig{Seed: 12, Drop: 0.2, Duplicate: 0.1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestTransportFlags(t *testing.T) {
 func TestTransportFlagsValidation(t *testing.T) {
 	bad := [][]string{
 		{"-chaos", "-chaos-drop", "1.5"},
-		{"-chaos", "-chaos-reorder", "NaN"},
+		{"-chaos", "-chaos-delay-prob", "NaN"},
 		{"-chaos", "-chaos-dup", "-0.1"},
 		{"-chaos", "-chaos-delay", "-1ms"},
 		{"-mailbox", "-3"},
@@ -245,7 +245,7 @@ func TestTransportFlagsValidation(t *testing.T) {
 	// With two bad probabilities the error names the first (-chaos-drop's
 	// field, the fault plan's check words it), every time.
 	for i := 0; i < 20; i++ {
-		_, err := parseTransportFlags(t, "-chaos", "-chaos-drop", "2", "-chaos-reorder", "NaN")
+		_, err := parseTransportFlags(t, "-chaos", "-chaos-drop", "2", "-chaos-delay-prob", "NaN")
 		if err == nil || !strings.HasPrefix(err.Error(), "transport: FaultConfig.Drop ") {
 			t.Fatalf("run %d: error %v, want it to name FaultConfig.Drop", i, err)
 		}

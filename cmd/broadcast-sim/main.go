@@ -279,7 +279,7 @@ func printTransportHealth(h *regcast.TransportHealth) {
 	}
 	fmt.Printf("daemon: peers %v\n", states)
 	if f := h.Faults; f != nil {
-		fmt.Printf("chaos: in=%d forwarded=%d dropped=%d partition-drops=%d crash-drops=%d dup=%d delayed=%d reordered=%d\n",
-			f.In, f.Forwarded, f.Dropped, f.PartitionDrops, f.CrashDrops, f.Duplicated, f.Delayed, f.Reordered)
+		fmt.Printf("chaos: in=%d forwarded=%d dropped=%d partition-drops=%d crash-drops=%d dup=%d delayed=%d\n",
+			f.In, f.Forwarded, f.Dropped, f.PartitionDrops, f.CrashDrops, f.Duplicated, f.Delayed)
 	}
 }

@@ -75,8 +75,8 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-chaos-drop", "0.5"}, []string{"-chaos-drop"}},
 		{[]string{"-daemon", "-chaos-partition", "1:3"}, []string{"-chaos-partition"}},
 		{[]string{"-chaos-drop", "0.9", "-chaos-partition", "1:3", "-mailbox", "5"}, []string{"-chaos-drop", "-chaos-partition", "-mailbox"}},
-		{[]string{"-chaos-seed", "3", "-chaos-dup", "0.1", "-chaos-reorder", "0.1", "-chaos-delay-prob", "0.1", "-chaos-delay", "1ms", "-chaos-crash", "5:1:3"},
-			[]string{"-chaos-seed", "-chaos-dup", "-chaos-reorder", "-chaos-delay-prob", "-chaos-delay", "-chaos-crash"}},
+		{[]string{"-chaos-seed", "3", "-chaos-dup", "0.1", "-chaos-delay-prob", "0.1", "-chaos-delay", "1ms", "-chaos-crash", "5:1:3"},
+			[]string{"-chaos-seed", "-chaos-dup", "-chaos-delay-prob", "-chaos-delay", "-chaos-crash"}},
 		{[]string{"-mailbox", "5"}, []string{"-mailbox"}},
 		{[]string{"-daemon", "-phases"}, []string{"-phases"}},
 		{[]string{"-chaos", "-phases"}, []string{"-phases"}},

@@ -53,12 +53,8 @@ func TestDaemonMatchesSimulator(t *testing.T) {
 		}
 		for _, proto := range []regcast.Protocol{four, pushPull} {
 			t.Run(fmt.Sprintf("%s/n=%d", proto.Name(), n), func(t *testing.T) {
-				sc, err := regcast.NewScenario(regcast.Static(g), proto, regcast.WithStopEarly())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sim := crossBatch(t, sc, crossSimSeed, regcast.NewRunner())
-				daemon := crossBatch(t, sc, crossDaemonSeed, regcast.NewRunner(regcast.WithEngine(regcast.EngineDaemonTransport)))
+				sim := crossBatch(t, g, proto, crossSimSeed, regcast.NewRunner())
+				daemon := crossBatch(t, g, proto, crossDaemonSeed, regcast.NewRunner(regcast.WithEngine(regcast.EngineDaemonTransport)))
 				for i, res := range daemon {
 					if res.TickTimeouts != 0 || res.Transport == nil || res.Transport.LedgerGap() != 0 {
 						t.Fatalf("daemon run %d: %d tick timeouts, ledger %+v; want 0 and a balanced ledger", i, res.TickTimeouts, res.Transport)
@@ -83,16 +79,19 @@ func TestDaemonMatchesSimulator(t *testing.T) {
 	}
 }
 
-// crossBatch runs crossRuns replications of sc on runner from seed and
-// returns every run's result.
-func crossBatch(t *testing.T, sc regcast.Scenario, seed uint64, runner regcast.Runner) []regcast.Result {
+// crossBatch runs crossRuns stop-early replications of proto on g from
+// seed on runner and returns every run's result.
+func crossBatch(t *testing.T, g *regcast.Graph, proto regcast.Protocol, seed uint64, runner regcast.Runner) []regcast.Result {
 	t.Helper()
+	sc, err := regcast.NewScenario(regcast.Static(g), proto, regcast.WithStopEarly(), regcast.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	br, err := regcast.Batch{
 		Scenario:           sc,
 		Replications:       crossRuns,
 		ReplicationWorkers: regcast.WorkersAuto,
 		Runner:             runner,
-		Seed:               seed,
 		KeepResults:        true,
 	}.Run(context.Background())
 	if err != nil {

@@ -154,9 +154,10 @@ func AddTransportFlags(fs *flag.FlagSet) *TransportFlags {
 	fs.Uint64Var(&f.faults.Seed, "chaos-seed", 0, "fault-plan seed (0 = derive from -seed)")
 	fs.Float64Var(&f.faults.Drop, "chaos-drop", 0.2, "per-packet drop probability under -chaos")
 	fs.Float64Var(&f.faults.Duplicate, "chaos-dup", 0, "per-packet duplication probability under -chaos")
-	fs.Float64Var(&f.faults.Reorder, "chaos-reorder", 0, "per-packet pairwise-reorder probability under -chaos")
-	fs.Float64Var(&f.faults.DelayProb, "chaos-delay-prob", 0, "per-packet delay probability under -chaos")
-	fs.DurationVar(&f.faults.Delay, "chaos-delay", 5*time.Millisecond, "delay applied to delayed packets")
+	fs.Float64Var(&f.faults.DelayProb, "chaos-delay-prob", 0,
+		"per-packet delay probability under -chaos (a tick waits for its delayed packets, so this moves wall-clock time, not results)")
+	fs.DurationVar(&f.faults.Delay, "chaos-delay", 5*time.Millisecond,
+		"delay applied to delayed packets; changes results only by pushing a tick past its 1s deadline")
 	fs.StringVar(&f.Partition, "chaos-partition", "",
 		"partition window from:until (ticks, half-open); splits nodes into low/high halves")
 	fs.StringVar(&f.Crash, "chaos-crash", "",

@@ -86,11 +86,10 @@ func runE21(o Options) ([]*table.Table, error) {
 				return nil, err
 			}
 			res, err := regcast.Batch{
-				Scenario:           regcast.PopulationScenario{N: n, Pair: le, Init: start.init},
+				Scenario:           regcast.PopulationScenario{N: n, Pair: le, Init: start.init, Seed: master.Uint64()},
 				Replications:       reps,
 				ReplicationWorkers: o.ReplicationWorkers,
 				Runner:             o.runner(),
-				Seed:               master.Uint64(),
 			}.Run(context.Background())
 			if err != nil {
 				return nil, err
@@ -118,11 +117,11 @@ func runE24(o Options) ([]*table.Table, error) {
 			res, err := regcast.Batch{
 				Scenario: regcast.PopulationScenario{
 					N: n, Pair: regcast.NewApproxMajority(), Init: regcast.InitMajority(frac),
+					Seed: master.Uint64(),
 				},
 				Replications:       reps,
 				ReplicationWorkers: o.ReplicationWorkers,
 				Runner:             o.runner(),
-				Seed:               master.Uint64(),
 				KeepResults:        true,
 			}.Run(context.Background())
 			if err != nil {
@@ -167,11 +166,10 @@ func runE22(o Options) ([]*table.Table, error) {
 			return nil, err
 		}
 		res, err := regcast.Batch{
-			Scenario:           regcast.PopulationScenario{N: n, Ring: hm, Init: init},
+			Scenario:           regcast.PopulationScenario{N: n, Ring: hm, Init: init, Seed: master.Uint64()},
 			Replications:       reps,
 			ReplicationWorkers: o.ReplicationWorkers,
 			Runner:             o.runner(),
-			Seed:               master.Uint64(),
 		}.Run(context.Background())
 		if err != nil {
 			return nil, err

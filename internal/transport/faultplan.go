@@ -43,12 +43,12 @@ type FaultConfig struct {
 	Drop float64
 	// Duplicate is the probability a packet is forwarded twice.
 	Duplicate float64
-	// Reorder is the probability a packet is held and released after the
-	// next packet of its kind on its (from,to) pair — a swap within one
-	// kind's stream — or at the next epoch, whichever comes first.
-	Reorder float64
 	// DelayProb and Delay inject latency: with probability DelayProb a
-	// packet is forwarded Delay later from a separate goroutine.
+	// packet is forwarded Delay later from a separate goroutine. A delayed
+	// packet still lands inside its tick, because Cluster.Settle waits for
+	// it, so a delay shorter than the tick deadline changes no result, only
+	// wall-clock time; a longer one pushes the tick past its deadline
+	// (Result.TickTimeouts).
 	DelayProb float64
 	Delay     time.Duration
 	// Partitions and Crashes are epoch-scheduled structural faults.
@@ -64,7 +64,7 @@ func (c FaultConfig) Validate() error {
 	for _, f := range []struct {
 		name string
 		p    float64
-	}{{"Drop", c.Drop}, {"Duplicate", c.Duplicate}, {"Reorder", c.Reorder}, {"DelayProb", c.DelayProb}} {
+	}{{"Drop", c.Drop}, {"Duplicate", c.Duplicate}, {"DelayProb", c.DelayProb}} {
 		if !(f.p >= 0 && f.p <= 1) { // NaN fails too
 			return fmt.Errorf("transport: FaultConfig.%s = %v out of [0,1]", f.name, f.p)
 		}
@@ -91,7 +91,7 @@ type FaultDecision struct {
 	Kind     Kind
 	Seq      uint64
 	Epoch    int
-	Action   string // pass|drop|dup|reorder-hold|delay|partition-drop|crash-drop
+	Action   string // pass|drop|dup|delay|partition-drop|crash-drop
 }
 
 // connKiller is the optional inner-transport hook a crash window uses to
@@ -111,13 +111,13 @@ type FaultPlan struct {
 	epoch atomic.Int64
 
 	pmu   sync.Mutex
-	pairs map[pairKey]*pairState
+	pairs map[pairKey]uint64 // each stream's next sequence number
 
 	// partition membership precomputed per window
 	partA []map[int]bool
 
 	in, forwarded, dropped, partDrops, crashDrops, closedDrops atomic.Int64
-	duplicated, delayed, reordered, held                       atomic.Int64
+	duplicated, delayed                                        atomic.Int64
 
 	tmu   sync.Mutex
 	trace []FaultDecision
@@ -133,12 +133,6 @@ type pairKey struct {
 	kind     Kind
 }
 
-// pairState carries one stream's sequence counter and held packet.
-type pairState struct {
-	seq  uint64
-	held *Packet
-}
-
 var _ Transport = (*FaultPlan)(nil)
 
 // NewFaultPlan wraps inner with a seeded fault schedule.
@@ -152,7 +146,7 @@ func NewFaultPlan(inner Transport, cfg FaultConfig) (*FaultPlan, error) {
 	f := &FaultPlan{
 		inner: inner,
 		cfg:   cfg,
-		pairs: make(map[pairKey]*pairState),
+		pairs: make(map[pairKey]uint64),
 		partA: make([]map[int]bool, len(cfg.Partitions)),
 	}
 	for i, w := range cfg.Partitions {
@@ -166,8 +160,7 @@ func NewFaultPlan(inner Transport, cfg FaultConfig) (*FaultPlan, error) {
 
 // AdvanceEpoch moves the fault clock one epoch forward. Chaos drivers
 // call it at tick boundaries. Crossing into a crash window severs the
-// crashed node's connections on a connKiller inner transport; advancing
-// also flushes reorder-held packets so a hold never outlives its epoch.
+// crashed node's connections on a connKiller inner transport.
 func (f *FaultPlan) AdvanceEpoch() {
 	e := int(f.epoch.Add(1))
 	for _, w := range f.cfg.Crashes {
@@ -177,30 +170,6 @@ func (f *FaultPlan) AdvanceEpoch() {
 			}
 		}
 	}
-	f.flushHeld()
-}
-
-// flushHeld forwards every reorder-held packet.
-func (f *FaultPlan) flushHeld() {
-	f.pmu.Lock()
-	var held []*Packet
-	for _, ps := range f.pairs {
-		if ps.held != nil {
-			held = append(held, ps.held)
-			ps.held = nil
-		}
-	}
-	f.pmu.Unlock()
-	for _, p := range held {
-		f.release(p)
-	}
-}
-
-// release forwards a reorder-held packet. It leaves the held gauge before
-// it can reach a terminal bucket, so a snapshot never counts it twice.
-func (f *FaultPlan) release(p *Packet) {
-	f.held.Add(-1)
-	f.forward(p.To, *p)
 }
 
 // crashed reports whether node is inside a crash window at epoch e.
@@ -224,12 +193,12 @@ func (f *FaultPlan) partitioned(from, to, e int) bool {
 	return false
 }
 
-// fault salts keep the per-fault coin flips independent.
+// fault salts keep the per-fault coin flips independent. They are
+// spelled out because renumbering one would re-draw every chaos run.
 const (
-	saltDrop = iota + 1
-	saltDup
-	saltReorder
-	saltDelay
+	saltDrop  = 1
+	saltDup   = 2
+	saltDelay = 4
 )
 
 // coin derives a uniform [0,1) draw as a pure function of the plan seed,
@@ -278,7 +247,6 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 	}
 	f.mu.Unlock()
 	f.in.Add(1)
-	p.To = to
 	e := int(f.epoch.Load())
 	key := pairKey{p.From, to, p.Kind}
 
@@ -294,13 +262,8 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 	}
 
 	f.pmu.Lock()
-	ps := f.pairs[key]
-	if ps == nil {
-		ps = &pairState{}
-		f.pairs[key] = ps
-	}
-	seq := ps.seq
-	ps.seq++
+	seq := f.pairs[key]
+	f.pairs[key] = seq + 1
 	f.pmu.Unlock()
 
 	if f.cfg.Drop > 0 && f.coin(key, seq, saltDrop) < f.cfg.Drop {
@@ -313,29 +276,6 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 		f.record(key, seq, e, "dup")
 		f.forward(to, p)
 	}
-	if f.cfg.Reorder > 0 && f.coin(key, seq, saltReorder) < f.cfg.Reorder {
-		// Hold this packet; it is released right after the next packet of
-		// its stream (a pairwise swap). A previous holdover is released
-		// now so at most one packet per stream is ever in limbo.
-		f.reordered.Add(1)
-		f.held.Add(1)
-		f.record(key, seq, e, "reorder-hold")
-		held := p
-		f.pmu.Lock()
-		prev := ps.held
-		ps.held = &held
-		f.pmu.Unlock()
-		if prev != nil {
-			f.release(prev)
-		}
-		return nil
-	}
-	// A normal packet releases any holdover on its stream after itself.
-	f.pmu.Lock()
-	prev := ps.held
-	ps.held = nil
-	f.pmu.Unlock()
-
 	if f.cfg.DelayProb > 0 && f.coin(key, seq, saltDelay) < f.cfg.DelayProb {
 		f.delayed.Add(1)
 		f.record(key, seq, e, "delay")
@@ -347,9 +287,6 @@ func (f *FaultPlan) Send(to int, p Packet) error {
 	} else {
 		f.record(key, seq, e, "pass")
 		f.forward(to, p)
-	}
-	if prev != nil {
-		f.release(prev)
 	}
 	return nil
 }
@@ -367,9 +304,9 @@ func (f *FaultPlan) forward(to int, p Packet) {
 func (f *FaultPlan) Inbox(node int) <-chan Packet { return f.inner.Inbox(node) }
 
 // Close implements Transport: refuse new sends, wait out delayed
-// forwards, flush reorder holds and give them up to a second to land —
-// a frame the inner transport is closed under is stranded on its wire —
-// then close the inner transport.
+// forwards and give them up to a second to land — a frame the inner
+// transport is closed under is stranded on its wire — then close the
+// inner transport.
 func (f *FaultPlan) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -379,24 +316,20 @@ func (f *FaultPlan) Close() error {
 	f.closed = true
 	f.mu.Unlock()
 	f.wg.Wait()
-	f.flushHeld()
 	waitFor(time.Second, func() bool { return f.inner.Health().InFlight() == 0 })
 	return f.inner.Close()
 }
 
-// Stats snapshots the plan's fault counters, terminal buckets and the
-// held gauge before In and Duplicated (the order Metrics.snapshot
-// explains).
+// Stats snapshots the plan's fault counters, terminal buckets before In
+// and Duplicated (the order Metrics.snapshot explains).
 func (f *FaultPlan) Stats() FaultStats {
 	return FaultStats{
 		Dropped:        f.dropped.Load(),
 		PartitionDrops: f.partDrops.Load(),
 		CrashDrops:     f.crashDrops.Load(),
 		ClosedDrops:    f.closedDrops.Load(),
-		Held:           f.held.Load(),
 		Forwarded:      f.forwarded.Load(),
 		Delayed:        f.delayed.Load(),
-		Reordered:      f.reordered.Load(),
 		Duplicated:     f.duplicated.Load(),
 		In:             f.in.Load(),
 	}

@@ -36,7 +36,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		{Drop: -0.1},
 		{Drop: math.NaN()},
 		{Duplicate: 1.5},
-		{Reorder: 2},
 		{DelayProb: -1},
 		{Delay: -time.Second},
 		{Partitions: []PartitionWindow{{From: 5, Until: 2}}},
@@ -61,7 +60,6 @@ func TestFaultPlanDeterministicSchedule(t *testing.T) {
 		Seed:        1234,
 		Drop:        0.3,
 		Duplicate:   0.15,
-		Reorder:     0.2,
 		DelayProb:   0.1,
 		Delay:       time.Millisecond,
 		Partitions:  []PartitionWindow{{From: 2, Until: 4, A: []int{0, 1}}},
@@ -161,54 +159,6 @@ func TestFaultPlanDelay(t *testing.T) {
 	}
 }
 
-// TestFaultPlanReorderNeverLosesPackets: packets on one (from, to, kind)
-// stream are indistinguishable, so the trace proves the reordering — a
-// held packet is released behind the next packet of its stream, which
-// passes — and the counts prove that no packet is lost or duplicated.
-func TestFaultPlanReorderNeverLosesPackets(t *testing.T) {
-	inner, err := NewInMem(2, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewFaultPlan(inner, FaultConfig{Seed: 11, Reorder: 0.5, recordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 40
-	for i := 0; i < total; i++ {
-		if err := plan.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := plan.Close(); err != nil { // flushes the final holdover
-		t.Fatal(err)
-	}
-	s := plan.Stats()
-	if s.Reordered == 0 {
-		t.Fatal("p=0.5 reorder never held a packet")
-	}
-	if s.Forwarded != total || s.Duplicated != 0 {
-		t.Errorf("forwarded/duplicated = %d/%d, want %d/0 (holds must flush, never leak)", s.Forwarded, s.Duplicated, total)
-	}
-	got := 0
-	for range inner.Inbox(1) {
-		got++
-	}
-	if got != total {
-		t.Fatalf("inner received %d packets, want %d", got, total)
-	}
-	trace := plan.Trace()
-	swapped := false
-	for i := 1; i < len(trace); i++ {
-		if trace[i-1].Action == "reorder-hold" && trace[i].Action == "pass" && trace[i].Seq == trace[i-1].Seq+1 {
-			swapped = true
-		}
-	}
-	if !swapped {
-		t.Error("no held packet was released behind a later one on its stream")
-	}
-}
-
 func TestFaultPlanPartitionWindow(t *testing.T) {
 	plan := newPlan(t, 4, FaultConfig{
 		Seed:       7,
@@ -295,12 +245,11 @@ func TestFaultPlanSendAfterClose(t *testing.T) {
 }
 
 // TestChaosRunReproducibleFromSeed: two chaos runs of one seed over real
-// sockets, with drops, duplicates and reorder holds, make the same fault
-// decisions and end in the same state. A node's push (sent from Tick) and
-// its pull reply (sent from its process loop) to one peer race; each kind
-// has its own sequence per pair, so which wins takes no coin from the
-// other; and the holds an epoch releases land before the next tick moves
-// the clock. Delay is left out: when a delayed packet lands is wall-clock.
+// sockets, with drops and duplicates, make the same fault decisions and
+// end in the same state. A node's push (sent from Tick) and its pull reply
+// (sent from its process loop) to one peer race; each kind has its own
+// sequence per pair, so which wins takes no coin from the other. Delay is
+// left out: when a delayed packet lands is wall-clock.
 func TestChaosRunReproducibleFromSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs in -short mode")
@@ -317,7 +266,7 @@ func TestChaosRunReproducibleFromSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := NewFaultPlan(d, FaultConfig{Seed: 77, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, recordTrace: true})
+		plan, err := NewFaultPlan(d, FaultConfig{Seed: 77, Drop: 0.2, Duplicate: 0.1, recordTrace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,12 +279,7 @@ func TestChaosRunReproducibleFromSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for range ticks {
-			// As the facade's daemon runner does: the released reorder
-			// holds land before the next tick moves the clock.
 			plan.AdvanceEpoch()
-			if c.Settle(stepWait(t, 5*time.Second)) {
-				t.Fatalf("released holds did not settle: %+v", c.tr.Health())
-			}
 			tick(t, c)
 		}
 		if err := c.Close(); err != nil {
@@ -360,7 +304,7 @@ func TestChaosRunReproducibleFromSeed(t *testing.T) {
 	if !slices.Equal(a.heard, b.heard) || a.tx != b.tx || a.stats != b.stats {
 		t.Errorf("same-seed runs differ: heardAt\n %v\n %v\ntransmissions %d/%d, faults\n %+v\n %+v", a.heard, b.heard, a.tx, b.tx, a.stats, b.stats)
 	}
-	if a.stats.Dropped == 0 || a.stats.Duplicated == 0 || a.stats.Reordered == 0 {
+	if a.stats.Dropped == 0 || a.stats.Duplicated == 0 {
 		t.Errorf("a fault regime never fired: %+v", a.stats)
 	}
 }

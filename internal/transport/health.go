@@ -94,8 +94,6 @@ type FaultStats struct {
 	ClosedDrops    int64 `json:"closedDrops"`    // inner transport refused (shutdown race)
 	Duplicated     int64 `json:"duplicated"`     // extra copies injected
 	Delayed        int64 `json:"delayed"`        // packets held back before forwarding
-	Reordered      int64 `json:"reordered"`      // packets swapped with their successor
-	Held           int64 `json:"held"`           // reorder holds not yet released (a gauge, 0 after Close)
 }
 
 // drops sums the plan's terminal drop buckets.
@@ -175,17 +173,11 @@ func (h Health) LedgerGap() int64 {
 
 // InFlight is the number of accepted packets not yet in a terminal bucket:
 // queued, on the wire (a frame is in flight until it is decoded) or held
-// back by a fault plan's delay. Reorder holds are excluded — they wait for
-// the next packet on their pair or the next epoch, not for time. Zero means
-// nothing the transport accepted is still moving; a frame lost on a severed
-// connection keeps it above zero, so Cluster.Settle then reports a timeout
-// rather than guessing.
+// back by a fault plan's delay. Zero means nothing the transport accepted
+// is still moving; a frame lost on a severed connection keeps it above
+// zero, so Cluster.Settle then reports a timeout rather than guessing.
 func (h Health) InFlight() int64 {
-	n := h.LedgerGap() + h.WireLost()
-	if h.Faults != nil {
-		n -= h.Faults.Held
-	}
-	return n
+	return h.LedgerGap() + h.WireLost()
 }
 
 // snapshot copies the live counters into a Health value, downstream stages

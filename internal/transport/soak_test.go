@@ -51,7 +51,7 @@ func TestChaosSoak(t *testing.T) {
 		{
 			name: "everything",
 			cfg: FaultConfig{
-				Seed: 94, Drop: 0.20, Duplicate: 0.05, Reorder: 0.10,
+				Seed: 94, Drop: 0.20, Duplicate: 0.05,
 				DelayProb: 0.10, Delay: time.Millisecond,
 				Partitions: []PartitionWindow{{From: 2, Until: 4, A: half}},
 				Crashes:    []CrashWindow{{Node: 5, From: 1, Until: 3}},

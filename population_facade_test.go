@@ -130,7 +130,9 @@ func TestBatchPopulationMatchesManualFold(t *testing.T) {
 	} {
 		for _, seed := range []uint64{3, 77} {
 			const reps = 12
-			got, err := Batch{Scenario: tc.sc, Replications: reps, ReplicationWorkers: 4, Seed: seed}.Run(context.Background())
+			sc := tc.sc
+			sc.Seed = seed
+			got, err := Batch{Scenario: sc, Replications: reps, ReplicationWorkers: 4}.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,10 +209,9 @@ func TestBatchPopulationRoundsAreConvergenceSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Batch{
-		Scenario:     PopulationScenario{N: n, Ring: hm, Init: init},
+		Scenario:     PopulationScenario{N: n, Ring: hm, Init: init, Seed: 5},
 		Replications: reps,
 		KeepResults:  true,
-		Seed:         5,
 	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

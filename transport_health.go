@@ -12,7 +12,7 @@ import (
 // internal/transport — persistent per-peer connections that redial with
 // backoff, bounded send queues with drop accounting, a mailbox that takes
 // the rumour once per node (repeats count as dedup hits), and a seeded
-// FaultPlan whose drop/delay/duplicate/reorder/partition/crash decisions are pure
+// FaultPlan whose drop/delay/duplicate/partition/crash decisions are pure
 // functions of (seed, peer pair, packet sequence, epoch), so chaos runs
 // replay bit-identically.
 type (
@@ -29,7 +29,7 @@ type (
 	// TransportHealth when a chaos run wrapped the transport.
 	TransportFaultStats = transport.FaultStats
 	// FaultConfig is a seeded, reproducible chaos schedule for the
-	// daemon engine: probabilistic drop/duplicate/reorder/delay plus
+	// daemon engine: probabilistic drop/duplicate/delay plus
 	// epoch-windowed partitions and crash-restarts.
 	FaultConfig = transport.FaultConfig
 	// PartitionWindow splits the node set in two for a range of fault
