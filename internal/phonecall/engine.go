@@ -135,9 +135,7 @@ type Result struct {
 // Engine runs one message broadcast under the random phone call model. It
 // is single use: Run hands the Result its receipt array; a second Run panics.
 type Engine struct {
-	cfg   Config
-	topo  Topology
-	proto Protocol
+	cfg Config // its Topology and Protocol are the run's
 
 	n          int
 	k          int
@@ -146,7 +144,14 @@ type Engine struct {
 	// the pull scan (informedFast), the merge's mask and the recount under
 	// churn read it. A MultiEngine swaps it beside informedAt per message.
 	informedBits []uint64
-	ran          bool // Run was called
+	// fresh holds the receipts of the round just merged (applyReceipts
+	// stores every word's, zero words included), so a senders walk of a
+	// round in which only last round's cohort pushes ANDs its words with
+	// it (freshWalk). round makes it on the first such dialSenders round
+	// without an edge census, from informedBits (fillFresh), so a push-only
+	// run never has one, and a MultiEngine, which dials dialEveryone or
+	// dialSampled and swaps informedBits per message, never reaches it.
+	fresh []uint64
 
 	// Per-pass scratch, lent by borrow: pull-round dial rows (k slots per
 	// node, Uninformed = "no channel"; rowsFor) and receipt bitsets (one bit
@@ -167,8 +172,9 @@ type Engine struct {
 	// CSRViewer). uniDeg is the view's one degree, or 0: impNbrs'
 	// graph.UniformDegree, which row reads instead of calling Degree, or the
 	// common row length of a fully-alive symmetric CSR view, which only
-	// frontierWords' word walk and dialBudget read. symmetric licenses both
-	// the edge census and sparse-frontier rounds.
+	// frontierWords' word walk and dialBudget read. symmetric (with the
+	// decision tables below, where it packs with the other bools) licenses
+	// both the edge census and sparse-frontier rounds.
 	fastView  CSRViewer
 	csrOff    []int32
 	csrAdj    []int32
@@ -176,7 +182,6 @@ type Engine struct {
 	impView   ImplicitViewer
 	impNbrs   ImplicitNeighbors
 	uniDeg    int
-	symmetric bool // the topology declares graph.Symmetric
 	aliveBits []uint64
 	aliveN    int
 	csrEpoch  uint64
@@ -188,12 +193,16 @@ type Engine struct {
 	// Per-round protocol decision tables, indexed by receipt round, filled
 	// once per round call instead of inside node loops. pullAll is "every
 	// occupied cohort pulls": the pull scan then probes the informed bit and
-	// never loads informedAt[w].
-	pushDec  []bool
-	pullDec  []bool
-	pullAll  bool
-	frontier int32         // the latest sparse-frontier round (markFrontier)
-	phases   PhaseObserver // Config.Observer, when it times round's steps
+	// never loads informedAt[w]. The one-byte fields share a word with
+	// frontier, which helps keep Engine in the 768-byte size class
+	// (TestEngineSizeClass).
+	pushDec   []bool
+	pullDec   []bool
+	pullAll   bool
+	ran       bool          // Run was called
+	symmetric bool          // the topology declares graph.Symmetric
+	frontier  int32         // the latest sparse-frontier round (markFrontier)
+	phases    PhaseObserver // Config.Observer, when it times round's steps
 
 	// the sequentialised model's state: the protocol's DialMemory, and a
 	// flat n×memory ring of recent partners
@@ -331,11 +340,9 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("phonecall: %d nodes exceed the int32 node ids", n)
 	}
 	e := &Engine{
-		cfg:   cfg,
-		topo:  cfg.Topology,
-		proto: cfg.Protocol,
-		n:     n,
-		k:     cfg.Protocol.Choices(),
+		cfg: cfg,
+		n:   n,
+		k:   cfg.Protocol.Choices(),
 	}
 	// Every topology is read through a view, fetched here once and again
 	// only when its epoch advances after a churn Step (fastpath.go): its
@@ -609,7 +616,7 @@ func (e *Engine) refreshCSR() error {
 			e.csrStride = len(adj) / e.n
 		}
 	}
-	sym, ok := e.topo.(graph.Symmetric)
+	sym, ok := e.cfg.Topology.(graph.Symmetric)
 	e.symmetric = ok && sym.Symmetric()
 	if e.impNbrs == nil {
 		e.uniDeg = 0

@@ -43,7 +43,11 @@ func (p windowProto) SendPull(t, ia int) bool {
 // inline (Workers 0 and 1) or pooled (4) — must produce the same Result bit for bit. Half of
 // the cases on a frozen topology without census, the ones that can settle,
 // are also run declared changeable (mayChange): a counted tail must read as
-// the simulated one does, whatever the generated schedule pulls when.
+// the simulated one does, whatever the generated schedule pulls when. The
+// symmetric static kinds without census are also held to their census run,
+// which takes neither the word kernel nor a fresh-cohort round (a walk of
+// last round's receipts only, which a window-1 schedule's push rounds take);
+// some generated case must take one.
 func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 	const n, d = 96, 6
 	g := mustRegular(t, n, d, 50)
@@ -58,6 +62,7 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	freshCases := 0
 	prop := func(seed uint64, push, pull uint32, raw [8]uint8) bool {
 		proto := windowProto{
 			k:       int(raw[0])%4 + 1,
@@ -147,7 +152,31 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 			sameResult(t, variantLabel, first, res)
 			sameRounds(t, variantLabel, firstRounds, rounds)
 		}
-		if settles := kind == "static" || kind == "hypercube" || kind == "regular-stream"; settles && seed%2 == 0 {
+		settles := kind == "static" || kind == "hypercube" || kind == "regular-stream"
+		if settles {
+			cfg := base
+			cfg.Topology, cfg.Source, cfg.RNG = topo(), int(seed%64), xrand.New(seed)
+			var rounds phonecall.RoundLog
+			cfg.Observer = &rounds
+			res, counts, err := phonecall.RunCounted(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if counts.Fresh > 0 {
+				freshCases++
+			}
+			cfg.TrackEdgeUse, cfg.RNG, cfg.Observer = true, xrand.New(seed), nil
+			oracle, oracleRounds, err := phonecall.RunRounds(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i := range oracleRounds {
+				oracleRounds[i].UnusedEdgeNodes = 0
+			}
+			sameResult(t, label+" against the census oracle", oracle, res)
+			sameRounds(t, label+" against the census oracle", oracleRounds, rounds)
+		}
+		if settles && seed%2 == 0 {
 			cfg := base
 			cfg.Topology, cfg.Source, cfg.RNG = mayChange(topo()), int(seed%64), xrand.New(seed)
 			oracle, oracleRounds, err := phonecall.RunRounds(cfg)
@@ -161,5 +190,8 @@ func TestWorkersAndPathEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+	if freshCases == 0 {
+		t.Error("no generated case took a fresh-cohort round")
 	}
 }

@@ -190,39 +190,88 @@ func RunRounds(cfg Config) (Result, RoundLog, error) {
 // t back iff round t was one.
 func (e *Engine) FrontierRound() int { return int(e.frontier) }
 
-// frontierCount forwards every callback to the run's own Observer, if any,
-// and counts the rounds its engine made sparse-frontier rounds.
-type frontierCount struct {
-	inner  Observer
-	eng    *Engine
-	rounds int
+// FreshShards counts the sending shards whose pass in the latest round,
+// round t, walked only last round's receipts (freshWalk); 0 for a counted
+// round. The dial mode is round's, as in WordKernelShards.
+func (e *Engine) FreshShards(t int) (walked int) {
+	if t >= e.countFrom {
+		return 0
+	}
+	if _, sendersRound := e.WordKernelShards(t); !sendersRound {
+		return 0
+	}
+	for i := range e.shards {
+		if e.shards[i].sends && e.freshWalk(&e.shards[i]) {
+			walked++
+		}
+	}
+	return walked
 }
 
-func (f *frontierCount) OnRound(rm RoundMetrics) {
+// HasFresh reports whether the engine made its fresh-receipt bitset.
+func (e *Engine) HasFresh() bool { return e.fresh != nil }
+
+// HasFresh reports whether the MultiEngine's engine made one.
+func (e *MultiEngine) HasFresh() bool { return e.eng.fresh != nil }
+
+// RoundCounts counts a run's sparse-frontier rounds (markFrontier) and its
+// fresh-cohort rounds, those in which some shard walked only last round's
+// receipts (FreshShards).
+type RoundCounts struct{ Frontier, Fresh int }
+
+// roundCount forwards every callback to the run's own Observer, if any,
+// and counts its engine's sparse-frontier and fresh-cohort rounds. refill
+// drops the engine's fresh bitset after every round, so the next round that
+// walks it refills it from the receipt rounds (fillFresh).
+type roundCount struct {
+	inner  Observer
+	eng    *Engine
+	counts RoundCounts
+	refill bool
+}
+
+func (f *roundCount) OnRound(rm RoundMetrics) {
 	if f.eng.FrontierRound() == rm.Round {
-		f.rounds++
+		f.counts.Frontier++
+	}
+	if f.eng.FreshShards(rm.Round) > 0 {
+		f.counts.Fresh++
+	}
+	if f.refill {
+		f.eng.fresh = nil
 	}
 	if f.inner != nil {
 		f.inner.OnRound(rm)
 	}
 }
 
-func (f *frontierCount) OnInformed(v, t int) {
+func (f *roundCount) OnInformed(v, t int) {
 	if f.inner != nil {
 		f.inner.OnInformed(v, t)
 	}
 }
 
-// RunFrontier runs cfg and returns its result with the number of its
-// sparse-frontier rounds. cfg's Observer, if any, still sees every
-// OnRound and OnInformed.
-func RunFrontier(cfg Config) (Result, int, error) {
-	fc := &frontierCount{inner: cfg.Observer}
-	cfg.Observer = fc
+// RunCounted runs cfg and returns its result with its RoundCounts. cfg's
+// Observer, if any, still sees every OnRound and OnInformed.
+func RunCounted(cfg Config) (Result, RoundCounts, error) {
+	return runCounted(cfg, false)
+}
+
+// RunRefillingFresh is RunCounted with the fresh bitset rebuilt from the
+// receipt rounds before every round that walks it, instead of carried over
+// from the merge: the oracle of a run whose merge leaves a stale bit in
+// fresh (an id that received in the previous round and rejoined since).
+func RunRefillingFresh(cfg Config) (Result, RoundCounts, error) {
+	return runCounted(cfg, true)
+}
+
+func runCounted(cfg Config, refill bool) (Result, RoundCounts, error) {
+	rc := &roundCount{inner: cfg.Observer, refill: refill}
+	cfg.Observer = rc
 	e, err := NewEngine(cfg)
 	if err != nil {
-		return Result{}, 0, err
+		return Result{}, RoundCounts{}, err
 	}
-	fc.eng = e
-	return e.Run(), fc.rounds, nil
+	rc.eng = e
+	return e.Run(), rc.counts, nil
 }

@@ -210,7 +210,10 @@ func (e *Engine) sampleWithMemory(v, base, off, deg int, ds *dialState) {
 }
 
 // shardWord is word w of the walk over [lo, hi): the informed, alive ids if
-// senders, else the alive ones (all on a fully-alive view). Keep inlinable.
+// senders, else the alive ones (all on a fully-alive view). A fresh walk
+// (freshWalk) ANDs it with Engine.fresh; the informed bits stay in that
+// mask, because an id that received in round t−1 and then rejoined through
+// a Step keeps its fresh bit. Keep inlinable.
 func (e *Engine) shardWord(w, lo, hi int, senders bool) uint64 {
 	m := ^uint64(0)
 	if senders {
@@ -230,12 +233,23 @@ func (e *Engine) shardWord(w, lo, hi int, senders bool) uint64 {
 
 // pushes reports whether v, visited by the walk of round t, pushes: under
 // pushAll iff informed (all a senders walk visits), else by receipt round.
+// A fresh walk visits only pushers and never asks it.
 func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 	if sh.pushAll {
 		return senders || e.informedFast(v)
 	}
 	ia := e.informedAt[v]
 	return sh.sends && ia != Uninformed && int(ia) < t && e.pushDec[ia]
+}
+
+// freshWalk reports whether sh's senders walk visits only last round's
+// receipts (Engine.fresh): every cohort counted in the shard pushes iff it
+// is cohort t−1 (onlyFresh), some does not push (under pushAll the informed
+// ids are the pushers already), and the engine keeps fresh. An id outside
+// fresh is in a silent cohort, so skipping it draws and sends nothing the
+// walk by receipt round (pushes) would.
+func (e *Engine) freshWalk(sh *parShard) bool {
+	return sh.onlyFresh && !sh.pushAll && e.fresh != nil
 }
 
 // wordRound reports whether shardPass hands a round of mode dial to a word
@@ -258,8 +272,9 @@ func (e *Engine) wordRound(dial dialMode) bool {
 // Distinct2/3/4), so the stream is the general pass's. Resolve and deliver
 // (deliverSlots) whenever fewer than k slots remain, so transmissions and
 // receipts are the general pass's too. No branch sits between two neighbour
-// resolutions, so consecutive Feistel networks or CSR loads overlap. A
-// sparse-frontier round is frontierWords'.
+// resolutions, so consecutive Feistel networks or CSR loads overlap. A fresh
+// walk (freshWalk) visits only the pushers. A sparse-frontier round is
+// frontierWords'.
 func (e *Engine) dialWords(sh *parShard, t int) {
 	if int(e.frontier) == t {
 		e.frontierWords(sh, t)
@@ -267,10 +282,15 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 	}
 	var from, slot [64]int32 // each slot's sender; its slot
 	c := 0
+	fresh := e.freshWalk(sh)
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
-		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
+		m := e.shardWord(wi, sh.lo, sh.hi, true)
+		if fresh {
+			m &= e.fresh[wi]
+		}
+		for ; m != 0; m &= m - 1 {
 			v := wi<<6 + bits.TrailingZeros64(m)
-			if !e.pushes(sh, v, t, true) { // always true under pushAll
+			if !fresh && !e.pushes(sh, v, t, true) { // always true under pushAll
 				continue
 			}
 			if off, deg := e.row(v); deg > 0 {
@@ -288,17 +308,21 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 // draws, when the owed rows' degree changes, and at the end of the pass, so
 // every draw lands where the general pass makes it. Under wordWalk every
 // sender pushes and dials min(k, uniDeg), so the walk visits only a word's
-// marked senders and owes the rest by popcount. It is a loop of its own:
+// marked senders and owes the rest by popcount. A fresh walk visits only the
+// pushers; a non-pusher never owed a row. It is a loop of its own:
 // folded into dialWords' loop, its state slowed the rounds that mark
 // nothing (churn-ensemble's) by 4–8 %.
 func (e *Engine) frontierWords(sh *parShard, t int) {
 	var from, slot [64]int32 // each slot's sender; its slot
 	rng, next := sh.ds.rng, sh.ds.next
 	k, c := e.k, 0
-	words := e.wordWalk(sh, t)
-	owed, owedDeg := 0, e.uniDeg // unmarked senders' rows the stream owes, of degree owedDeg
+	words, fresh := e.wordWalk(sh, t), e.freshWalk(sh) // never both: wordWalk needs pushAll
+	owed, owedDeg := 0, e.uniDeg                       // unmarked senders' rows the stream owes, of degree owedDeg
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		m := e.shardWord(wi, sh.lo, sh.hi, true)
+		if fresh {
+			m &= e.fresh[wi]
+		}
 		var u uint64 // under wordWalk, the word's unmarked senders not yet owed
 		if words {
 			u = m &^ next[wi]
@@ -312,7 +336,7 @@ func (e *Engine) frontierWords(sh *parShard, t int) {
 				u ^= below
 			}
 			v := wi<<6 + bits.TrailingZeros64(m)
-			if !e.pushes(sh, v, t, true) { // always true under pushAll
+			if !fresh && !e.pushes(sh, v, t, true) { // always true under pushAll
 				continue
 			}
 			off, deg := e.row(v)
@@ -423,12 +447,17 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 	loss := e.cfg.MessageLossProb
 	k := e.k
 	senders := dial == dialSenders
+	fresh := senders && e.freshWalk(sh) // under dialEveryone a silent id still dials
 	next := sh.ds.next
 
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
-		for m := e.shardWord(wi, sh.lo, sh.hi, senders); m != 0; m &= m - 1 {
+		m := e.shardWord(wi, sh.lo, sh.hi, senders)
+		if fresh {
+			m &= e.fresh[wi]
+		}
+		for ; m != 0; m &= m - 1 {
 			v := wi<<6 + bits.TrailingZeros64(m)
-			sender := e.pushes(sh, v, t, senders)
+			sender := fresh || e.pushes(sh, v, t, senders)
 			if !sender && dial != dialEveryone {
 				continue
 			}

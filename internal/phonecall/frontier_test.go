@@ -97,7 +97,7 @@ func TestSparseFrontierDirectedNeverEngages(t *testing.T) {
 				case "interface":
 					frontier = matchesInterfaceView(t, label, cfg, tc.topo, 3)
 				case "census":
-					frontier = matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return tc.topo }, 3)
+					frontier = matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return tc.topo }, 3).Frontier
 				default:
 					var got phonecall.Result
 					got, _, frontier = frontierRun(t, cfg, tc.topo, 3)
@@ -180,7 +180,7 @@ func TestSparseFrontierPooledMatchesCensus(t *testing.T) {
 				label := fmt.Sprintf("%s shards=%d workers=%d", tc.name, shards, workers)
 				cfg := phonecall.Config{Protocol: tc.proto, Workers: workers}
 				cfg.SetShards(shards)
-				if frontier := matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return tc.topo }, 11); frontier < tc.frontier {
+				if frontier := matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return tc.topo }, 11).Frontier; frontier < tc.frontier {
 					t.Errorf("%s: %d sparse-frontier rounds, want at least %d", label, frontier, tc.frontier)
 				}
 			}

@@ -118,7 +118,7 @@ func (e *MultiEngine) Run() MultiResult {
 	for mi, m := range e.cfg.Messages {
 		res.PerMessage[mi] = MessageResult{Message: m, FirstAllInformed: -1}
 	}
-	horizon := eng.proto.Horizon()
+	horizon := eng.cfg.Protocol.Horizon()
 	alive := eng.aliveCount()
 	ages := horizon + 1 // receipt ages 0..Horizon
 

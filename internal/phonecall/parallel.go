@@ -35,7 +35,9 @@ type parShard struct {
 	// not, and the round neither pulls nor dials everyone, the pass is
 	// skipped: it would draw nothing, so skipping cannot move the trace.
 	// pushAll: every cohort counted here pushes, so an informed node pushes.
-	sends, pushAll bool
+	// onlyFresh: every cohort counted here pushes iff it is last round's,
+	// so the pushers are the informed ids in Engine.fresh (freshWalk).
+	sends, pushAll, onlyFresh bool
 
 	// Per-round outputs, merged sequentially in shard-index order.
 	usedBuf []int64 // edge keys that carried a transmission (TrackEdgeUse)
@@ -58,7 +60,7 @@ func (e *Engine) initShards() {
 	e.nextFree = make(chan []uint64, max(1, e.workers)) // likewise, per bitset
 	e.nexts = make([][]uint64, 0, max(1, e.workers))
 	e.shards = make([]parShard, nShards)
-	rounds := e.proto.Horizon() + 1 // receipt rounds 0..Horizon
+	rounds := e.cfg.Protocol.Horizon() + 1 // receipt rounds 0..Horizon
 	cohorts := make([]int32, nShards*rounds)
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -99,8 +101,8 @@ func (e *Engine) Run() Result {
 	e.inform(e.shardOf(e.cfg.Source), e.cfg.Source, 0)
 	informedCount := 1
 
-	horizon := e.proto.Horizon()
-	stepper, _ := e.topo.(Stepper)
+	horizon := e.cfg.Protocol.Horizon()
+	stepper, _ := e.cfg.Topology.(Stepper)
 	e.countFrom = horizon + 1
 
 	for t := 1; t <= horizon; t++ {
@@ -163,7 +165,7 @@ func (e *Engine) Run() Result {
 // others do not (who answers depends on the dials) and every round before it
 // are simulated, so skipped draws move no stream and no Result changes.
 func (e *Engine) settle(t int) {
-	e.cohortDials = make([]int64, e.proto.Horizon()+1)
+	e.cohortDials = make([]int64, e.cfg.Protocol.Horizon()+1)
 	for r := range e.cohortDials {
 		e.cohortDials[r] = -1
 	}
@@ -187,10 +189,10 @@ func (e *Engine) countRound(t int) (tx int64, ok bool) {
 		if dials < 0 {
 			continue // nobody was informed in round r
 		}
-		if e.proto.SendPush(t, r) {
+		if e.cfg.Protocol.SendPush(t, r) {
 			tx += dials
 		}
-		pull := e.proto.SendPull(t, r)
+		pull := e.cfg.Protocol.SendPull(t, r)
 		pulls, silent = pulls || pull, silent || !pull
 	}
 	if pulls {
@@ -222,11 +224,13 @@ func (e *Engine) inform(sh *parShard, w, t int) {
 // round runs round t of one rumour over the receipt rounds in informedAt
 // and the shards' cohort counts, and returns the receipts it applied and
 // the transmissions it sent. Three steps: (1) the protocol's decision
-// tables, (2) every shard's pass, inline or on up to Workers goroutines,
-// each drawing only from its own stream and writing only its own rows and
-// a borrowed receipt bitset, (3) the merge (applyReceipts). A round's
-// receipts are a set union, which no worker schedule can reorder, so the
-// result is bit-identical for every worker count.
+// tables and the shards' cohort flags (and, on the first round that walks
+// it, the fresh bitset: fillFresh), (2) every shard's pass, inline or on
+// up to Workers goroutines, each drawing only from its own stream and
+// writing only its own rows and a borrowed receipt bitset, (3) the merge
+// (applyReceipts). A round's receipts are a set union, which no worker
+// schedule can reorder, so the result is bit-identical for every worker
+// count.
 func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	t0 := e.stamp()
 	// Step 1: decision tables. A node's behaviour this round is a pure
@@ -234,18 +238,19 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 	// replaces per-node Protocol calls in the hot shard passes, and the
 	// per-shard cohort counts tell which shards can hold a sender.
 	for ia := 0; ia < t; ia++ {
-		e.pushDec[ia] = e.proto.SendPush(t, ia)
-		e.pullDec[ia] = e.proto.SendPull(t, ia)
+		e.pushDec[ia] = e.cfg.Protocol.SendPush(t, ia)
+		e.pullDec[ia] = e.cfg.Protocol.SendPull(t, ia)
 	}
-	anyPull, pullAll := false, true
+	anyPull, pullAll, needFresh := false, true, false
 	informed, senders := 0, 0
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.sends, sh.pushAll = false, true
+		sh.sends, sh.pushAll, sh.onlyFresh = false, true, true
 		for ia, c := range sh.cohort[:t] {
 			if c > 0 {
 				sh.sends = sh.sends || e.pushDec[ia]
 				sh.pushAll = sh.pushAll && e.pushDec[ia]
+				sh.onlyFresh = sh.onlyFresh && e.pushDec[ia] == (ia == t-1)
 				anyPull = anyPull || e.pullDec[ia]
 				pullAll = pullAll && e.pullDec[ia]
 				informed += int(c)
@@ -254,9 +259,13 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 				}
 			}
 		}
+		needFresh = needFresh || sh.sends && sh.onlyFresh && !sh.pushAll
 	}
 	e.pullAll = pullAll
 	dial = e.roundDial(dial, anyPull)
+	if needFresh && e.fresh == nil && dial == dialSenders && !e.cfg.TrackEdgeUse {
+		e.fillFresh(t)
+	}
 
 	// Step 2: shard passes (the parallel section).
 	t1 := e.stamp()
@@ -283,15 +292,16 @@ func (e *Engine) round(t int, dial dialMode) (newly int, roundTx int64) {
 
 // applyReceipts applies round t's receipts — the ids set in some pass's
 // bitset (all back in nextFree), less the informed — in ascending id order,
-// clears the bitsets and returns how many it applied. No dead id is ever
-// set: the samplers leave dead targets out of the rows, and a pull's
-// receiver is a caller the walk found alive.
+// clears the bitsets, stores the receipts in fresh if the engine keeps it
+// and returns how many it applied. No dead id is ever set: the samplers
+// leave dead targets out of the rows, and a pull's receiver is a caller
+// the walk found alive.
 func (e *Engine) applyReceipts(t int) (newly int) {
 	nexts := e.nexts[:0]
 	for len(e.nextFree) > 0 {
 		nexts = append(nexts, <-e.nextFree)
 	}
-	s := 0
+	s, fresh := 0, e.fresh
 	for i, informed := range e.informedBits {
 		var m uint64
 		for _, next := range nexts {
@@ -301,6 +311,9 @@ func (e *Engine) applyReceipts(t int) (newly int) {
 			}
 		}
 		m &^= informed
+		if fresh != nil {
+			fresh[i] = m
+		}
 		for ; m != 0; m &= m - 1 {
 			w := i<<6 + bits.TrailingZeros64(m)
 			for w >= e.shards[s].hi { // a cursor, not shardOf's division
@@ -315,6 +328,21 @@ func (e *Engine) applyReceipts(t int) (newly int) {
 	}
 	e.nexts = nexts
 	return newly
+}
+
+// fillFresh makes fresh on the first round t that walks it: the informed
+// ids received in round t−1, found by walking informedBits (a scan of
+// informedAt would read n receipt rounds). applyReceipts keeps it from then
+// on.
+func (e *Engine) fillFresh(t int) {
+	e.fresh = make([]uint64, len(e.informedBits))
+	for wi, m := range e.informedBits {
+		for ; m != 0; m &= m - 1 {
+			if v := wi<<6 + bits.TrailingZeros64(m); int(e.informedAt[v]) == t-1 {
+				setBit(e.fresh, v)
+			}
+		}
+	}
 }
 
 // sparseFrontier reports whether round's word-kernel round is a

@@ -146,6 +146,16 @@ func TestParShardLayout(t *testing.T) {
 	}
 }
 
+// TestEngineSizeClass guards Engine's allocation: NewEngine makes one in
+// the 768-byte size class. An object with pointers larger than 512 bytes
+// carries an 8-byte malloc header, so past 760 bytes Engine moves to the
+// 896-byte class, 128 more bytes a run (stream-push's alloc_mb reads them).
+func TestEngineSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Engine{}); got+8 > 768 {
+		t.Fatalf("Engine is %d bytes: with its 8-byte malloc header it is past the 768-byte size class (the next is 896 bytes)", got)
+	}
+}
+
 // TestShardedEquivalentStatistics checks that sharding does not bias the
 // process: one stream for all nodes (shards = 1) against the default 64
 // per-shard streams, same graph, same protocol, many seeds. The two

@@ -1,6 +1,7 @@
 package phonecall
 
 import (
+	"math"
 	"testing"
 
 	"regcast/internal/graph"
@@ -111,5 +112,65 @@ func TestQuasirandomFourChoiceWindow(t *testing.T) {
 	if rounds[0].NewlyInformed != 4 || rounds[1].NewlyInformed != 4 {
 		t.Errorf("per-round informs %d, %d — want 4, 4 (cursor must not rewind)",
 			rounds[0].NewlyInformed, rounds[1].NewlyInformed)
+	}
+}
+
+// TestQuasirandomStartIsUniform: the quasirandom model starts each node's
+// cursor at a uniformly random position of its neighbour list. Over a fixed
+// range of seeds, the hub of a star with d leaves dials its first target in
+// round 1; that target's position in the hub's list must fit the uniform
+// law on d cells by Pearson's chi-square, refused above the Wilson–Hilferty
+// quantile at z = 5 (internal/xrand/laws_test.go's threshold, fixed with
+// the seeds before the first run: a uniform start fails with probability
+// about 3·10⁻⁷). A start that never reaches the last position fails.
+func TestQuasirandomStartIsUniform(t *testing.T) {
+	const z = 5
+	for _, d := range []int{6, 16} {
+		edges := make([][2]int32, d)
+		for i := range edges {
+			edges[i] = [2]int32{0, int32(i + 1)}
+		}
+		g, err := graph.NewFromEdges(d+1, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := make(map[int32]int, d)
+		for i, w := range g.Neighbors(0) {
+			pos[w] = i
+		}
+		draws := max(20*d, 20000)
+		counts := make([]int, d)
+		for seed := uint64(0); seed < uint64(draws); seed++ {
+			res, err := Run(Config{
+				Topology:     NewStatic(g),
+				Protocol:     pushProto{1, 1},
+				RNG:          xrand.New(1_000_000 + seed),
+				DialStrategy: DialQuasirandom,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := -1
+			for v, ia := range res.InformedAt {
+				if v != 0 && ia == 1 {
+					first = v
+				}
+			}
+			if res.Informed != 2 || first < 0 {
+				t.Fatalf("d=%d seed %d: round 1 informed %d nodes, want the source and one leaf", d, seed, res.Informed)
+			}
+			counts[pos[int32(first)]]++
+		}
+		want := float64(draws) / float64(d)
+		var stat float64
+		for _, c := range counts {
+			diff := float64(c) - want
+			stat += diff * diff / want
+		}
+		df := float64(d - 1)
+		h := 2 / (9 * df)
+		if limit := df * math.Pow(1-h+z*math.Sqrt(h), 3); stat > limit {
+			t.Errorf("d=%d: chi-square %.1f over %d start positions exceeds %.1f (z=%d); counts %v", d, stat, d, limit, z, counts)
+		}
 	}
 }

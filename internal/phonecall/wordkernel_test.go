@@ -128,31 +128,38 @@ func churnInterface(topo phonecall.Topology) phonecall.Topology {
 
 // matchesGeneralPass fails unless a run of cfg on topo equals the same run
 // through the general pass — Result, per-round metrics and the whole
-// Observer sequence — and returns how many sparse-frontier rounds the run
-// took. fresh builds each run's topology (a churning one is mutated by its
-// run).
-func matchesGeneralPass(t *testing.T, label string, cfg phonecall.Config, fresh func() phonecall.Topology, seed uint64) (frontier int) {
+// Observer sequence — and returns how many sparse-frontier and fresh-cohort
+// rounds the run took. build makes each run's topology (a churning one is
+// mutated by its run).
+func matchesGeneralPass(t *testing.T, label string, cfg phonecall.Config, build func() phonecall.Topology, seed uint64) phonecall.RoundCounts {
 	t.Helper()
-	got, gotLog, frontier := frontierRun(t, cfg, fresh(), seed)
-	want, wantLog := generalPass(t, cfg, fresh(), seed)
+	got, gotLog, counts := countedRun(t, cfg, build(), seed)
+	want, wantLog := generalPass(t, cfg, build(), seed)
 	sameResult(t, label, want, got)
 	if !reflect.DeepEqual(gotLog, wantLog) {
 		t.Fatalf("%s: observer sequences differ", label)
 	}
-	return frontier
+	return counts
 }
 
-// frontierRun is runSeeded through phonecall.RunFrontier: it also returns
-// the run's sparse-frontier round count.
-func frontierRun(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog, int) {
+// countedRun is runSeeded through phonecall.RunCounted: it also returns the
+// run's sparse-frontier and fresh-cohort round counts.
+func countedRun(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog, phonecall.RoundCounts) {
 	t.Helper()
 	log := &eventLog{}
 	cfg.Topology, cfg.RNG, cfg.Observer = topo, xrand.New(seed), log
-	res, frontier, err := phonecall.RunFrontier(cfg)
+	res, counts, err := phonecall.RunCounted(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, log, frontier
+	return res, log, counts
+}
+
+// frontierRun is countedRun's result, log and sparse-frontier round count.
+func frontierRun(t *testing.T, cfg phonecall.Config, topo phonecall.Topology, seed uint64) (phonecall.Result, *eventLog, int) {
+	t.Helper()
+	res, log, counts := countedRun(t, cfg, topo, seed)
+	return res, log, counts.Frontier
 }
 
 // sparseGraph is a CSR graph whose rows stop the word kernel short: a
@@ -291,7 +298,11 @@ func TestWordKernelMatchesGeneralPass(t *testing.T) {
 // senders of each word (wordWalk) in the stream and dense cells; none does
 // on a view of varying degree (sparseGraph's CSR rows), whose
 // sparse-frontier rounds skip sender by sender and must still equal its
-// oracle.
+// oracle. Fresh-cohort rounds (a walk of last round's receipts only,
+// freshWalk) engage wherever a four-choice Phase 1 round dials senders only
+// (the stream, dense and churn cells, through the kernel or interfaceView's
+// general pass), and never in a push run, whose every cohort pushes and
+// which never makes the fresh bitset, nor in a census run, the oracle.
 func TestWordKernelEngages(t *testing.T) {
 	const n = 1 << 14
 	stream, err := graph.NewRegularStream(n, 8, 3)
@@ -330,28 +341,32 @@ func TestWordKernelEngages(t *testing.T) {
 		everyRound bool // every simulated round has a sending shard
 		frontier   bool // some round is a sparse-frontier round (else none is)
 		words      bool // some round walks a word's marked senders only (else none does)
+		fresh      bool // some round walks last round's receipts only (else none does, and no fresh bitset is made)
 	}{
-		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true, true, true},
-		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true, false, false},
-		{"stream-push interface", struct{ phonecall.Topology }{phonecall.NewImplicit(stream)}, push, 1, false, false, true, false, false},
-		{"stream-fourchoice", phonecall.NewImplicit(stream), fourChoiceD8, 1, false, true, false, true, true},
-		{"dense-fourchoice", dense, fourChoice, 0, false, true, false, true, true},
-		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false, false, false},
-		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false, false, false},
-		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), fourChoiceD8, 0, false, true, false, false, false},
-		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), fourChoiceD8, 0, false, false, false, false, false},
-		{"varying-degree push", varying, varyingPush, 0, false, true, true, true, false},
+		{"stream-push", phonecall.NewImplicit(stream), push, 1, false, true, true, true, true, false},
+		{"stream-push census", phonecall.NewImplicit(stream), push, 1, true, false, true, false, false, false},
+		{"stream-push interface", struct{ phonecall.Topology }{phonecall.NewImplicit(stream)}, push, 1, false, false, true, false, false, false},
+		{"stream-fourchoice", phonecall.NewImplicit(stream), fourChoiceD8, 1, false, true, false, true, true, true},
+		{"dense-fourchoice", dense, fourChoice, 0, false, true, false, true, true, true},
+		{"dense-fourchoice census", dense, fourChoice, 0, true, false, false, false, false, false},
+		{"dense-fourchoice interface", struct{ phonecall.Topology }{dense}, fourChoice, 0, false, false, false, false, false, true},
+		{"churn-fourchoice", buildChurnTopo(t, n, 8, churnCell, 1), fourChoiceD8, 0, false, true, false, false, false, true},
+		{"churn-fourchoice interface", churnInterface(buildChurnTopo(t, n, 8, churnCell, 1)), fourChoiceD8, 0, false, false, false, false, false, true},
+		{"varying-degree push", varying, varyingPush, 0, false, true, true, true, false, false},
 	} {
 		var eng *phonecall.Engine
 		var kernel, sending []int
 		var senders []bool
-		frontier, words := 0, 0
+		frontier, words, fresh := 0, 0, 0
 		obs := roundHooks{onRound: func(rm phonecall.RoundMetrics) {
 			if eng.FrontierRound() == rm.Round {
 				frontier++
 			}
 			if eng.WordWalkShards(rm.Round) > 0 {
 				words++
+			}
+			if eng.FreshShards(rm.Round) > 0 {
+				fresh++
 			}
 			s := 0
 			for _, st := range eng.ShardStates() {
@@ -393,6 +408,9 @@ func TestWordKernelEngages(t *testing.T) {
 		if (words > 0) != tc.words {
 			t.Fatalf("%s: %d rounds walked marked senders only, want some: %v", tc.name, words, tc.words)
 		}
+		if (fresh > 0) != tc.fresh || eng.HasFresh() != tc.fresh {
+			t.Fatalf("%s: %d rounds walked last round's receipts only (fresh bitset made: %v), want some: %v", tc.name, fresh, eng.HasFresh(), tc.fresh)
+		}
 		if tc.frontier && !tc.words { // every sparse-frontier round skipped sender by sender
 			cfg := phonecall.Config{Protocol: tc.proto, Workers: tc.workers}
 			matchesGeneralPass(t, tc.name, cfg, func() phonecall.Topology { return tc.topo }, 9)
@@ -405,7 +423,10 @@ func TestWordKernelEngages(t *testing.T) {
 // view and materialised as a CSR one, under push, pull-push or Algorithm 1
 // or 2 at k = 1…4 dials, over any shard count, inline or on four workers,
 // from any seed. Every run must equal its generalPass oracle (a census
-// run) — Result, per-round metrics and the Observer sequence. The directed
+// run) — Result, per-round metrics and the Observer sequence. Push and
+// pull-push take no fresh-cohort round (every cohort pushes; every id
+// dials); an Algorithm 1 or 2 run is also held to its oracle under message
+// loss, where its fresh-cohort rounds take the general pass. The directed
 // arm runs the same shape on a GnpStream of mean out-degree d, implicit and
 // materialised: each must equal its interface view and take no
 // sparse-frontier round. Seed corpus: testdata/fuzz/FuzzWordKernel.
@@ -445,7 +466,15 @@ func FuzzWordKernel(f *testing.F) {
 		}
 		for _, topo := range []phonecall.Topology{phonecall.NewImplicit(stream), phonecall.NewStatic(g)} {
 			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d", n, d, proto.Name(), k, shards, cfg.Workers, seed)
-			matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return topo }, seed)
+			if fresh := matchesGeneralPass(t, label, cfg, func() phonecall.Topology { return topo }, seed).Fresh; proto8%4 < 2 && fresh != 0 {
+				t.Fatalf("%s: %d fresh-cohort rounds", label, fresh)
+			}
+		}
+		if proto8%4 >= 2 {
+			lossy := cfg
+			lossy.MessageLossProb = 0.1
+			label := fmt.Sprintf("n=%d d=%d %s k=%d shards=%d workers=%d seed=%d loss=0.1", n, d, proto.Name(), k, shards, cfg.Workers, seed)
+			matchesGeneralPass(t, label, lossy, func() phonecall.Topology { return phonecall.NewImplicit(stream) }, seed)
 		}
 		gnp := gnpStream(t, n, d, seed)
 		twin, err := graph.Materialize(gnp)
