@@ -145,12 +145,14 @@ type Engine struct {
 	// churn read it. A MultiEngine swaps it beside informedAt per message.
 	informedBits []uint64
 	// fresh holds the receipts of the round just merged (applyReceipts
-	// stores every word's, zero words included), so a senders walk of a
-	// round in which only last round's cohort pushes ANDs its words with
-	// it (freshWalk). round makes it on the first such dialSenders round
-	// without an edge census, from informedBits (fillFresh), so a push-only
-	// run never has one, and a MultiEngine, which dials dialEveryone or
-	// dialSampled and swaps informedBits per message, never reaches it.
+	// stores every word's, zero words included), so a word kernel's walk
+	// of a round in which only last round's cohort pushes ANDs its words
+	// with it (freshWalk). round makes it on the first such word-kernel
+	// round (wordRound: senders only, no fault draw or edge census), from
+	// informedBits (fillFresh), so a push-only run, a census run and an
+	// interface view never have one, and a MultiEngine, which dials
+	// dialEveryone or dialSampled and swaps informedBits per message, never
+	// reaches it.
 	fresh []uint64
 
 	// Per-pass scratch, lent by borrow: pull-round dial rows (k slots per

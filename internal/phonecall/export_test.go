@@ -190,14 +190,14 @@ func RunRounds(cfg Config) (Result, RoundLog, error) {
 // t back iff round t was one.
 func (e *Engine) FrontierRound() int { return int(e.frontier) }
 
-// FreshShards counts the sending shards whose pass in the latest round,
-// round t, walked only last round's receipts (freshWalk); 0 for a counted
-// round. The dial mode is round's, as in WordKernelShards.
+// FreshShards counts the sending shards whose word-kernel pass in the
+// latest round, round t, walked only last round's receipts (freshWords); 0
+// for a counted or sparse-frontier round.
 func (e *Engine) FreshShards(t int) (walked int) {
-	if t >= e.countFrom {
+	if t >= e.countFrom || int(e.frontier) == t {
 		return 0
 	}
-	if _, sendersRound := e.WordKernelShards(t); !sendersRound {
+	if kernel, _ := e.WordKernelShards(t); kernel == 0 {
 		return 0
 	}
 	for i := range e.shards {

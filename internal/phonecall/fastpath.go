@@ -210,10 +210,10 @@ func (e *Engine) sampleWithMemory(v, base, off, deg int, ds *dialState) {
 }
 
 // shardWord is word w of the walk over [lo, hi): the informed, alive ids if
-// senders, else the alive ones (all on a fully-alive view). A fresh walk
-// (freshWalk) ANDs it with Engine.fresh; the informed bits stay in that
-// mask, because an id that received in round t−1 and then rejoined through
-// a Step keeps its fresh bit. Keep inlinable.
+// senders, else the alive ones (all on a fully-alive view). freshWords ANDs
+// its senders words with Engine.fresh and needs their informed bits: an id
+// that received in round t−1 and then rejoined through a Step keeps its
+// fresh bit. Keep inlinable.
 func (e *Engine) shardWord(w, lo, hi int, senders bool) uint64 {
 	m := ^uint64(0)
 	if senders {
@@ -233,7 +233,7 @@ func (e *Engine) shardWord(w, lo, hi int, senders bool) uint64 {
 
 // pushes reports whether v, visited by the walk of round t, pushes: under
 // pushAll iff informed (all a senders walk visits), else by receipt round.
-// A fresh walk visits only pushers and never asks it.
+// A fresh walk (freshWords) visits only pushers and never asks it.
 func (e *Engine) pushes(sh *parShard, v, t int, senders bool) bool {
 	if sh.pushAll {
 		return senders || e.informedFast(v)
@@ -272,25 +272,24 @@ func (e *Engine) wordRound(dial dialMode) bool {
 // Distinct2/3/4), so the stream is the general pass's. Resolve and deliver
 // (deliverSlots) whenever fewer than k slots remain, so transmissions and
 // receipts are the general pass's too. No branch sits between two neighbour
-// resolutions, so consecutive Feistel networks or CSR loads overlap. A fresh
-// walk (freshWalk) visits only the pushers. A sparse-frontier round is
-// frontierWords'.
+// resolutions, so consecutive Feistel networks or CSR loads overlap. A
+// sparse-frontier round is frontierWords', a fresh walk (freshWalk)
+// freshWords'.
 func (e *Engine) dialWords(sh *parShard, t int) {
 	if int(e.frontier) == t {
 		e.frontierWords(sh, t)
 		return
 	}
+	if e.freshWalk(sh) {
+		e.freshWords(sh)
+		return
+	}
 	var from, slot [64]int32 // each slot's sender; its slot
 	c := 0
-	fresh := e.freshWalk(sh)
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
-		m := e.shardWord(wi, sh.lo, sh.hi, true)
-		if fresh {
-			m &= e.fresh[wi]
-		}
-		for ; m != 0; m &= m - 1 {
+		for m := e.shardWord(wi, sh.lo, sh.hi, true); m != 0; m &= m - 1 {
 			v := wi<<6 + bits.TrailingZeros64(m)
-			if !fresh && !e.pushes(sh, v, t, true) { // always true under pushAll
+			if !e.pushes(sh, v, t, true) { // always true under pushAll
 				continue
 			}
 			if off, deg := e.row(v); deg > 0 {
@@ -308,21 +307,20 @@ func (e *Engine) dialWords(sh *parShard, t int) {
 // draws, when the owed rows' degree changes, and at the end of the pass, so
 // every draw lands where the general pass makes it. Under wordWalk every
 // sender pushes and dials min(k, uniDeg), so the walk visits only a word's
-// marked senders and owes the rest by popcount. A fresh walk visits only the
-// pushers; a non-pusher never owed a row. It is a loop of its own:
-// folded into dialWords' loop, its state slowed the rounds that mark
-// nothing (churn-ensemble's) by 4–8 %.
+// marked senders and owes the rest by popcount. A shard that could walk
+// fresh ids only (freshWalk) walks by receipt round here: no four-choice
+// Phase-1 round was a sparse-frontier round at n = 2¹⁷ (dense, d = 16) or
+// 2²⁰ (stream, d = 8), so a fresh walk would only add state to this loop.
+// It is a loop of its own: folded into dialWords' loop, its state slowed
+// the rounds that mark nothing (churn-ensemble's) by 4–8 %.
 func (e *Engine) frontierWords(sh *parShard, t int) {
 	var from, slot [64]int32 // each slot's sender; its slot
 	rng, next := sh.ds.rng, sh.ds.next
 	k, c := e.k, 0
-	words, fresh := e.wordWalk(sh, t), e.freshWalk(sh) // never both: wordWalk needs pushAll
-	owed, owedDeg := 0, e.uniDeg                       // unmarked senders' rows the stream owes, of degree owedDeg
+	words := e.wordWalk(sh, t)
+	owed, owedDeg := 0, e.uniDeg // unmarked senders' rows the stream owes, of degree owedDeg
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
 		m := e.shardWord(wi, sh.lo, sh.hi, true)
-		if fresh {
-			m &= e.fresh[wi]
-		}
 		var u uint64 // under wordWalk, the word's unmarked senders not yet owed
 		if words {
 			u = m &^ next[wi]
@@ -336,7 +334,7 @@ func (e *Engine) frontierWords(sh *parShard, t int) {
 				u ^= below
 			}
 			v := wi<<6 + bits.TrailingZeros64(m)
-			if !fresh && !e.pushes(sh, v, t, true) { // always true under pushAll
+			if !e.pushes(sh, v, t, true) { // always true under pushAll
 				continue
 			}
 			off, deg := e.row(v)
@@ -447,17 +445,12 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPull bool, dial dialMode, str
 	loss := e.cfg.MessageLossProb
 	k := e.k
 	senders := dial == dialSenders
-	fresh := senders && e.freshWalk(sh) // under dialEveryone a silent id still dials
 	next := sh.ds.next
 
 	for wi := sh.lo >> 6; wi<<6 < sh.hi; wi++ {
-		m := e.shardWord(wi, sh.lo, sh.hi, senders)
-		if fresh {
-			m &= e.fresh[wi]
-		}
-		for ; m != 0; m &= m - 1 {
+		for m := e.shardWord(wi, sh.lo, sh.hi, senders); m != 0; m &= m - 1 {
 			v := wi<<6 + bits.TrailingZeros64(m)
-			sender := fresh || e.pushes(sh, v, t, senders)
+			sender := e.pushes(sh, v, t, senders)
 			if !sender && dial != dialEveryone {
 				continue
 			}

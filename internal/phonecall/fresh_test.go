@@ -15,10 +15,9 @@ import (
 // walk of last round's receipts only, freshWalk) to the general-pass oracle
 // at every Workers × Shards pair on four-choice cells whose Phase 1 takes
 // them: a dense random regular graph (Algorithm 2), a regular stream
-// (Algorithm 1), a churning overlay (oracle: its interfaceView) and a dense
-// graph under message loss, whose rounds go to the general pass's fresh
-// walk and whose census oracle walks every informed id. Every run equals
-// its oracle and takes at least one such round.
+// (Algorithm 1) and a churning overlay (oracle: its interfaceView, whose
+// general pass walks every informed id). Every run equals its oracle and
+// takes at least one such round.
 func TestFreshCohortPooledMatchesOracle(t *testing.T) {
 	stream, err := graph.NewRegularStream(3000, 8, 5)
 	if err != nil {
@@ -46,17 +45,15 @@ func TestFreshCohortPooledMatchesOracle(t *testing.T) {
 		topo   func() phonecall.Topology
 		proto  phonecall.Protocol
 		source int
-		loss   float64
 	}{
-		{"dense-fourchoice", fixed(dense), denseFourChoice, 0, 0},
-		{"stream-fourchoice", fixed(phonecall.NewImplicit(stream)), streamFourChoice, 0, 0},
-		{"churn-fourchoice", func() phonecall.Topology { return buildChurnTopo(t, 600, 8, churn, 17) }, overlayFourChoice, 5, 0},
-		{"dense-fourchoice loss", fixed(dense), denseFourChoice, 0, 0.1},
+		{"dense-fourchoice", fixed(dense), denseFourChoice, 0},
+		{"stream-fourchoice", fixed(phonecall.NewImplicit(stream)), streamFourChoice, 0},
+		{"churn-fourchoice", func() phonecall.Topology { return buildChurnTopo(t, 600, 8, churn, 17) }, overlayFourChoice, 5},
 	} {
 		for _, shards := range []int{1, 7, 64} {
 			for _, workers := range []int{0, 1, 4} {
 				label := fmt.Sprintf("%s shards=%d workers=%d", tc.name, shards, workers)
-				cfg := phonecall.Config{Protocol: tc.proto, Source: tc.source, Workers: workers, MessageLossProb: tc.loss}
+				cfg := phonecall.Config{Protocol: tc.proto, Source: tc.source, Workers: workers}
 				cfg.SetShards(shards)
 				if fresh := matchesGeneralPass(t, label, cfg, tc.topo, 11).Fresh; fresh == 0 {
 					t.Errorf("%s: no fresh-cohort round", label)
