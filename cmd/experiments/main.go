@@ -62,7 +62,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if common.Phases {
-		return errors.New("-phases: the tables report no phase times (broadcast-sim, graphgen and overlay-sim print them)")
+		return errors.New("-phases: the tables report no phase times (broadcast-sim prints them)")
 	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {

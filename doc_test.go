@@ -13,7 +13,9 @@ import (
 // TestDocReferencesExist cross-checks doc.go: every file it names
 // (README.md, DESIGN.md, EXPERIMENTS.md, bench_test.go, ...) and every
 // package directory it mentions must actually exist, so the package
-// documentation can never dangle again.
+// documentation can never dangle again. Every cmd/<name> and
+// examples/<name> path in doc.go, README.md and DESIGN.md must be a
+// directory too, so a deleted command cannot stay documented.
 func TestDocReferencesExist(t *testing.T) {
 	src, err := os.ReadFile("doc.go")
 	if err != nil {
@@ -46,6 +48,24 @@ func TestDocReferencesExist(t *testing.T) {
 		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 			t.Errorf("doc.go references package %s, which is not a directory", dir)
 		}
+	}
+
+	mainRe := regexp.MustCompile(`\b(?:cmd|examples)/[A-Za-z0-9_-]+`)
+	mains := 0
+	for _, f := range []string{"doc.go", "README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range mainRe.FindAllString(string(text), -1) {
+			mains++
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				t.Errorf("%s references %s, which is not a directory", f, dir)
+			}
+		}
+	}
+	if mains == 0 {
+		t.Error("no cmd/ or examples/ path is named anywhere; the cross-check is vacuous")
 	}
 }
 

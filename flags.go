@@ -45,7 +45,7 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file when the command ends")
 	fs.BoolVar(&f.Phases, "phases", false,
-		"print the simulator's round-phase times summed over the run: decision tables, shard passes, merge, counted rounds (broadcast-sim, graphgen, overlay-sim)")
+		"print the simulator's round-phase times summed over the run: decision tables, shard passes, merge, counted rounds (broadcast-sim)")
 	return f
 }
 

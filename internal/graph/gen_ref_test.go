@@ -15,7 +15,7 @@ import (
 // position, so nothing downstream of a generator call (scenario seeding,
 // experiment tables, goldens) can shift. The map-based structural census
 // the report used to run lives here too, as the oracle for its stamp-array
-// replacement.
+// replacement, and so does the component labelling IsConnected is held to.
 
 // refRandomRegular is the historical RandomRegular: every pass keeps the
 // accepted edges in a map beside an edge list and replays the list
@@ -106,6 +106,37 @@ func refMultiEdgeCount(g *Graph) int {
 		}
 	}
 	return surplus
+}
+
+// refConnectedComponents is the historical component labelling: a BFS from
+// every unlabelled node, one n-entry queue for all of them. It returns the
+// number of components, the oracle IsConnected's early-stopping BFS is held to.
+func refConnectedComponents(g *Graph) (count int) {
+	n := g.NumNodes()
+	comp := make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	queue := make([]int32, 0, n)
+	head := 0
+	for start := 0; start < n; start++ {
+		if comp[start] >= 0 {
+			continue
+		}
+		id := int32(count)
+		count++
+		comp[start] = id
+		queue = append(queue, int32(start))
+		for ; head < len(queue); head++ {
+			for _, w := range g.Neighbors(int(queue[head])) {
+				if comp[w] < 0 {
+					comp[w] = id
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return count
 }
 
 // refConfigurationModel is the historical edge-list ConfigurationModel.
@@ -291,7 +322,7 @@ func TestIsConnectedMatchesComponentCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, count := g.ConnectedComponents()
+			count := refConnectedComponents(g)
 			if got := g.IsConnected(); got != (count == 1) {
 				t.Fatalf("seed=%d p=%.2f·ln n/n: IsConnected = %v with %d components", seed, factor, got, count)
 			}

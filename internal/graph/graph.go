@@ -23,32 +23,6 @@ type Graph struct {
 	asymmetric bool
 }
 
-// NewFromAdjacency builds a Graph from adjacency lists. The lists must be
-// symmetric: an edge (v,w) must appear in both adj[v] and adj[w] (twice in
-// adj[v] if v == w). Symmetry is validated.
-func NewFromAdjacency(adj [][]int32) (*Graph, error) {
-	n := len(adj)
-	g := &Graph{offsets: make([]int32, n+1)}
-	total := 0
-	for v, nb := range adj {
-		total += len(nb)
-		g.offsets[v+1] = g.offsets[v] + int32(len(nb))
-	}
-	g.adj = make([]int32, 0, total)
-	for v, nb := range adj {
-		for _, w := range nb {
-			if w < 0 || int(w) >= n {
-				return nil, fmt.Errorf("graph: node %d has out-of-range neighbour %d", v, w)
-			}
-			g.adj = append(g.adj, w)
-		}
-	}
-	if err := g.checkSymmetry(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // NewFromEdges builds a Graph on n nodes from an undirected edge list.
 // Each pair contributes one entry to both endpoints' adjacency lists
 // (two entries to the list of v for a self-loop (v,v)).
@@ -77,59 +51,6 @@ func NewFromEdges(n int, edges [][2]int32) (*Graph, error) {
 		cursor[e[1]]++
 	}
 	return g, nil
-}
-
-// checkSymmetry verifies that every (v,w) entry has a matching (w,v) entry
-// and that self-loops contribute an even number of stubs. It transposes the
-// adjacency by counting sort — in[inOff[w]:inOff[w+1]] lists the rows that
-// name w — and compares each row with its transpose as multisets through
-// one n-entry count scratch, so the cost is linear in the entries.
-func (g *Graph) checkSymmetry() error {
-	n := g.NumNodes()
-	inOff := make([]int32, n+1)
-	for _, w := range g.adj {
-		inOff[w+1]++
-	}
-	for w := 0; w < n; w++ {
-		inOff[w+1] += inOff[w]
-	}
-	in := make([]int32, len(g.adj))
-	count := make([]int32, n) // doubles as the fill cursor of the transpose
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			in[inOff[w]+count[w]] = int32(v)
-			count[w]++
-		}
-	}
-	for i := range count {
-		count[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		out, back := g.Neighbors(v), in[inOff[v]:inOff[v+1]]
-		for _, w := range out {
-			count[w]++
-		}
-		if c := count[v]; c%2 != 0 {
-			return fmt.Errorf("graph: self-loop at %d has odd stub count %d", v, c)
-		}
-		for _, w := range back {
-			count[w]--
-		}
-		// Every unbalanced neighbour is in one of the two lists; balanced
-		// rows leave the scratch all zero for the next node.
-		for _, list := range [2][]int32{out, back} {
-			for _, w := range list {
-				if count[w] != 0 {
-					a, b := int32(v), w
-					if a > b {
-						a, b = b, a
-					}
-					return fmt.Errorf("graph: asymmetric edge (%d,%d)", a, b)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // NumNodes returns the number of vertices.
@@ -163,32 +84,6 @@ func (g *Graph) Neighbors(v int) []int32 {
 // through Degree/Neighbor calls. The caller must not modify either slice.
 func (g *Graph) CSR() (offsets, adj []int32) {
 	return g.offsets, g.adj
-}
-
-// MinDegree returns the smallest degree, or 0 for an empty graph.
-func (g *Graph) MinDegree() int {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	m := g.Degree(0)
-	for v := 1; v < n; v++ {
-		if d := g.Degree(v); d < m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MaxDegree returns the largest degree, or 0 for an empty graph.
-func (g *Graph) MaxDegree() int {
-	m := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if d := g.Degree(v); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // IsRegular reports whether all nodes have degree d.
@@ -237,38 +132,6 @@ func (g *Graph) MultiEdgeCount() int { return g.rowCensus().surplus }
 
 // IsSimple reports whether the graph has no self-loops and no parallel edges.
 func (g *Graph) IsSimple() bool { return g.rowCensus() == rowCounts{} }
-
-// ConnectedComponents returns, for every node, the id of its component
-// (ids are dense, starting at 0) together with the number of components.
-func (g *Graph) ConnectedComponents() (comp []int32, count int) {
-	n := g.NumNodes()
-	comp = make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	// Every node enters the queue exactly once over all components, so one
-	// n-entry buffer read through a head index serves them all.
-	queue := make([]int32, 0, n)
-	head := 0
-	for start := 0; start < n; start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		id := int32(count)
-		count++
-		comp[start] = id
-		queue = append(queue, int32(start))
-		for ; head < len(queue); head++ {
-			for _, w := range g.Neighbors(int(queue[head])) {
-				if comp[w] < 0 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return comp, count
-}
 
 // IsConnected reports whether the graph is connected (an empty graph is
 // considered connected). It labels nothing: one BFS from node 0 over a
@@ -354,28 +217,6 @@ func (g *Graph) DiameterExact() (int, error) {
 		}
 	}
 	return diam, nil
-}
-
-// DiameterLowerBound estimates the diameter with a double BFS sweep: BFS
-// from src to the farthest node u, then BFS from u. The result is a lower
-// bound on (and in practice close to) the true diameter.
-func (g *Graph) DiameterLowerBound(src int) (int, error) {
-	if g.NumNodes() == 0 {
-		return 0, fmt.Errorf("graph: diameter of empty graph")
-	}
-	dist := g.BFSDistances(src)
-	far, best := src, int32(0)
-	for v, d := range dist {
-		if d < 0 {
-			return 0, fmt.Errorf("graph: diameter of disconnected graph")
-		}
-		if d > best {
-			best = d
-			far = v
-		}
-	}
-	ecc, _ := g.Eccentricity(far)
-	return ecc, nil
 }
 
 // EdgesBetween counts edges with exactly one endpoint in the set marked by

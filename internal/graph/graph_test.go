@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,47 +62,6 @@ func TestMultiEdgeCount(t *testing.T) {
 	}
 	if g.MultiEdgeCount() != 2 {
 		t.Errorf("MultiEdgeCount = %d, want 2", g.MultiEdgeCount())
-	}
-}
-
-func TestNewFromAdjacencySymmetryCheck(t *testing.T) {
-	if _, err := NewFromAdjacency([][]int32{{1}, {}}); err == nil {
-		t.Error("asymmetric adjacency accepted")
-	}
-	// Two one-way entries make an even stub total but no edge: the rows
-	// must match as multisets, pair by pair.
-	for _, adj := range [][][]int32{
-		{{1, 1}, {}},
-		{{1, 1, 2}, {0}, {0, 0}},
-		{{1, 2}, {0, 2}, {1, 1}},
-	} {
-		if _, err := NewFromAdjacency(adj); err == nil || !strings.Contains(err.Error(), "asymmetric edge") {
-			t.Errorf("NewFromAdjacency(%v) = %v, want an asymmetric-edge error", adj, err)
-		}
-	}
-	if _, err := NewFromAdjacency([][]int32{{1, 1, 2, 0, 0}, {0, 0}, {0}}); err != nil {
-		t.Errorf("symmetric multigraph with a loop rejected: %v", err)
-	}
-	g, err := NewFromAdjacency([][]int32{{1}, {0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Errorf("m=%d", g.NumEdges())
-	}
-}
-
-func TestNewFromAdjacencySelfLoop(t *testing.T) {
-	// A self-loop must appear twice in the node's own list.
-	if _, err := NewFromAdjacency([][]int32{{0}}); err == nil {
-		t.Error("odd self-loop stub count accepted")
-	}
-	g, err := NewFromAdjacency([][]int32{{0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.SelfLoopCount() != 1 {
-		t.Errorf("loops=%d", g.SelfLoopCount())
 	}
 }
 
@@ -171,23 +129,6 @@ func TestTorus(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g, err := NewFromEdges(5, [][2]int32{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, count := g.ConnectedComponents()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] {
-		t.Errorf("components %v", comp)
-	}
-	if g.IsConnected() {
-		t.Error("disconnected graph reported connected")
-	}
-}
-
 func TestBFSDistances(t *testing.T) {
 	g := mustRing(t, 6)
 	dist := g.BFSDistances(0)
@@ -213,21 +154,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestDiameterLowerBound(t *testing.T) {
-	g := mustRing(t, 20)
-	lb, err := g.DiameterLowerBound(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := g.DiameterExact()
-	if lb > exact {
-		t.Errorf("lower bound %d exceeds exact %d", lb, exact)
-	}
-	if lb != exact { // double sweep is exact on cycles
-		t.Errorf("double sweep on C20: %d, exact %d", lb, exact)
-	}
-}
-
 func TestEdgesBetweenAndWithin(t *testing.T) {
 	g := mustRing(t, 6)
 	inSet := []bool{true, true, true, false, false, false}
@@ -239,16 +165,6 @@ func TestEdgesBetweenAndWithin(t *testing.T) {
 	}
 	if c := g.NeighborsInSet(0, inSet); c != 1 {
 		t.Errorf("NeighborsInSet(0) = %d", c)
-	}
-}
-
-func TestMinMaxDegree(t *testing.T) {
-	g, err := NewFromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.MaxDegree() != 3 || g.MinDegree() != 1 {
-		t.Errorf("max=%d min=%d", g.MaxDegree(), g.MinDegree())
 	}
 }
 
@@ -338,8 +254,10 @@ func TestErasedConfigurationModel(t *testing.T) {
 	if !g.IsSimple() {
 		t.Error("erased model produced non-simple graph")
 	}
-	if g.MaxDegree() > 6 {
-		t.Errorf("erased model degree %d exceeds 6", g.MaxDegree())
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.Degree(v) > 6 {
+			t.Errorf("erased model node %d has degree %d > 6", v, g.Degree(v))
+		}
 	}
 }
 

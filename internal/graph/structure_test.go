@@ -18,7 +18,7 @@ func TestRandomRegularDiameterNearLogarithmic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diam, err := g.DiameterLowerBound(0)
+		diam, err := g.DiameterExact()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,33 +269,6 @@ func (o *Overlay) Mix(steps int) {
 	}
 }
 
-// Snapshot freezes the alive part of the overlay into an immutable Graph
-// together with the mapping from snapshot ids to overlay ids.
-func (o *Overlay) Snapshot() (*graph.Graph, []int32, error) {
-	newID := make([]int32, len(o.deg))
-	var orig []int32
-	for v := range o.deg {
-		newID[v] = -1
-		if o.Alive(v) {
-			newID[v] = int32(len(orig))
-			orig = append(orig, int32(v))
-		}
-	}
-	adj := make([][]int32, len(orig))
-	for nv, ov := range orig {
-		for _, w := range o.row(int(ov)) {
-			if o.Alive(int(w)) {
-				adj[nv] = append(adj[nv], newID[w])
-			}
-		}
-	}
-	g, err := graph.NewFromAdjacency(adj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("overlay: snapshot: %w", err)
-	}
-	return g, orig, nil
-}
-
 // CheckInvariants verifies structural consistency (symmetry, exact degree
 // d for alive peers, empty adjacency for dead slots). It is O(n·d) and
 // intended for tests and debugging.

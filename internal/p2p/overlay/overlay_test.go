@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"regcast/internal/core"
+	"regcast/internal/graph"
 	"regcast/internal/phonecall"
+	"regcast/internal/spectral"
 	"regcast/internal/xrand"
 )
 
@@ -216,29 +218,75 @@ func TestMixPreservesInvariants(t *testing.T) {
 	}
 }
 
-func TestSnapshotMatchesOverlay(t *testing.T) {
-	o := newTestOverlay(t, 40, 6, 10, 9)
-	for i := 0; i < 5; i++ {
-		if _, err := o.Join(); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Leave(firstAlive(o)); err != nil {
-			t.Fatal(err)
+// aliveGraph freezes the alive part of the overlay into a Graph on dense
+// ids, alive peers in id order. A self-loop's two stubs make one edge.
+func aliveGraph(t *testing.T, o *Overlay) *graph.Graph {
+	t.Helper()
+	dense := make([]int32, o.NumNodes())
+	n := int32(0)
+	for v := range dense {
+		dense[v] = -1
+		if o.Alive(v) {
+			dense[v] = n
+			n++
 		}
 	}
-	g, orig, err := o.Snapshot()
+	var edges [][2]int32
+	for v := range dense {
+		loops := 0
+		for _, w := range o.row(v) {
+			switch {
+			case int(w) == v:
+				if loops++; loops%2 == 0 {
+					edges = append(edges, [2]int32{dense[v], dense[v]})
+				}
+			case int(w) > v:
+				edges = append(edges, [2]int32{dense[v], dense[w]})
+			}
+		}
+	}
+	g, err := graph.NewFromEdges(int(n), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != o.AliveCount() {
-		t.Errorf("snapshot size %d != alive %d", g.NumNodes(), o.AliveCount())
-	}
-	if len(orig) != g.NumNodes() {
-		t.Errorf("mapping length %d", len(orig))
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if g.Degree(v) != 6 {
-			t.Errorf("snapshot node %d degree %d", v, g.Degree(v))
+	return g
+}
+
+// TestOverlayStaysExpanderUnderChurn holds the P2P claim the overlay exists
+// for: under join/leave churn with switch-chain mixing the alive peers stay
+// an exactly d-regular expander, with |λ₂| within 10 % of the
+// Alon–Boppana bound 2√(d−1) a uniform random d-regular graph attains.
+func TestOverlayStaysExpanderUnderChurn(t *testing.T) {
+	const n, d, rounds = 1024, 8, 200
+	bound := spectral.AlonBoppanaBound(d)
+	for seed := uint64(1); seed <= 3; seed++ {
+		master := xrand.New(seed)
+		o, err := New(n, d, 4096, master.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := NewChurner(o, 0.02, 0.02, 10, master.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 1; r <= rounds; r++ {
+			ch.Step(r)
+			if r%50 != 0 {
+				continue
+			}
+			g := aliveGraph(t, o)
+			if g.NumNodes() != o.AliveCount() || !g.IsRegular(d) {
+				t.Fatalf("seed %d round %d: alive graph of %d nodes (overlay says %d) is not %d-regular", seed, r, g.NumNodes(), o.AliveCount(), d)
+			}
+			l2, err := spectral.SecondEigenvalue(g, 200, master.Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ratio := l2 / bound; ratio > 1.10 {
+				t.Errorf("seed %d round %d: |λ₂|/2√(d−1) = %.3f > 1.10", seed, r, ratio)
+			} else {
+				t.Logf("seed %d round %d: %d alive, |λ₂|/2√(d−1) = %.3f", seed, r, g.NumNodes(), ratio)
+			}
 		}
 	}
 }

@@ -39,11 +39,9 @@ func SecondEigenvalue(g *graph.Graph, iters int, rng *xrand.Rand) (float64, erro
 		return 0, fmt.Errorf("spectral: degenerate start vector")
 	}
 	normalize(x)
-	lambda := 0.0
 	for it := 0; it < iters; it++ {
 		multiplyAdjacency(g, x, y)
 		deflate(y)
-		lambda = dot(x, y) // Rayleigh quotient estimate before normalising
 		ny := norm(y)
 		if ny == 0 {
 			// x was (numerically) in the kernel; restart from noise.
@@ -59,9 +57,8 @@ func SecondEigenvalue(g *graph.Graph, iters int, rng *xrand.Rand) (float64, erro
 		}
 		x, y = y, x
 	}
-	// The Rayleigh quotient can be negative (e.g. near-bipartite structure);
-	// the quantity of interest is the magnitude.
-	_ = lambda
+	// The eigenvalue can be negative (e.g. near-bipartite structure); the
+	// quantity of interest is its magnitude, ‖A·x‖.
 	multiplyAdjacency(g, x, y)
 	deflate(y)
 	return norm(y), nil

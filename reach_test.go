@@ -23,7 +23,7 @@ import (
 var callerAllowlist = map[string]string{
 	"regcast/internal/graph.Ring":                     "fixture of the graph, phonecall, core, baseline, spectral and overlay tests",
 	"regcast/internal/graph.Materialize":              "the dense oracle of the implicit-view tests: TestImplicitMatchesDense*, TestImplicitEdgeCensusFallback and the graph, phonecall and spectral tests",
-	"(*regcast/internal/graph.Graph).DiameterExact":   "TestDiameterLowerBound's oracle",
+	"(*regcast/internal/graph.Graph).DiameterExact":   "TestRandomRegularDiameterNearLogarithmic, TestRingProperties, TestCompleteProperties, TestHypercube and TestBFSUnreachable",
 	"(*regcast/internal/graph.Graph).EdgesWithin":     "the oracle in internal/graph/structure_test.go",
 	"regcast/internal/stats.Summarize":                "TestAccumulatorMatchesSummarize's oracle",
 	"(*regcast/internal/stats.Accumulator).HalfWidth": "stats tests; ROADMAP 2(a) sizes replication counts with it",

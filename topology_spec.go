@@ -268,7 +268,7 @@ func (s OverlaySpec) churns() bool {
 }
 
 // overlayTopology is a built OverlaySpec: the overlay plus its churner.
-// It exposes the overlay's whole API (CheckInvariants, Snapshot, ...)
+// It exposes the overlay's whole API (CheckInvariants, AliveCount, ...)
 // through the embedded pointer, and phonecall's CSRViewer with it.
 type overlayTopology struct {
 	*overlay.Overlay
