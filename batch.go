@@ -20,9 +20,8 @@ import (
 // Determinism contract: every replication draws from a PRNG stream that is
 // precomputed in replication order from one master seed (xrand.SplitN
 // discipline), and results are aggregated in replication order once all
-// runs finish. Aggregate results — and their JSON encoding — are
-// therefore bit-identical for every ReplicationWorkers value. Only
-// wall-clock time changes.
+// runs finish. Aggregate results are therefore bit-identical for every
+// ReplicationWorkers value. Only wall-clock time changes.
 type Batch struct {
 	// Scenario is the replicated run, of either kind. Each replication
 	// executes a copy of it whose randomness is replaced by the
@@ -33,9 +32,9 @@ type Batch struct {
 	// (Completed = converged runs, Rounds = convergence super-step over
 	// converged runs, Transmissions/TxPerNode = interactions to
 	// convergence, or the budget-censored total when a run did not
-	// converge, ChannelsDialed = total interactions, InformedFrac = the
-	// convergence rate). It must carry no Observer (per-run state shared
-	// across concurrent replications); RandomizeSource is broadcast-only.
+	// converge, InformedFrac = the convergence rate). It must carry no
+	// Observer (per-run state shared across concurrent replications);
+	// RandomizeSource is broadcast-only.
 	//
 	// A spec scenario (NewScenarioSpec) builds a fresh topology per
 	// replication from the replication's stream, so dynamic topologies —
@@ -80,24 +79,15 @@ type Batch struct {
 	KeepResults bool
 }
 
-// Aggregate summarises one metric over a batch's replications: moments
-// from an online accumulator and quantiles from a mergeable sketch, both
-// fed in replication order (see Batch's determinism contract).
+// Aggregate summarises one metric over a batch's replications: the mean
+// from an online accumulator and the 90th percentile from a mergeable
+// sketch, both fed in replication order (see Batch's determinism contract).
 type Aggregate struct {
-	// N is the number of replications that contributed to this metric.
-	N int `json:"n"`
 	// Mean is the arithmetic mean.
-	Mean float64 `json:"mean"`
-	// Stddev is the sample standard deviation (n-1 denominator).
-	Stddev float64 `json:"stddev"`
-	// Min and Max are the extreme observations.
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
-	// P10, P50 and P90 are sketch-estimated quantiles (exact while the
-	// number of distinct values fits the sketch).
-	P10 float64 `json:"p10"`
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
+	Mean float64
+	// P90 is the sketch-estimated 90th percentile (exact while the number
+	// of distinct values fits the sketch).
+	P90 float64
 }
 
 // BatchResult aggregates a completed batch. Per-round traces are never
@@ -105,25 +95,23 @@ type Aggregate struct {
 // folded into online accumulators.
 type BatchResult struct {
 	// Replications is the number of runs executed.
-	Replications int `json:"replications"`
+	Replications int
 	// Completed is the number of runs that informed every alive node.
-	Completed int `json:"completed"`
+	Completed int
 	// Rounds aggregates FirstAllInformed over the completed runs only
 	// (incomplete runs have no completion round).
-	Rounds Aggregate `json:"rounds"`
+	Rounds Aggregate
 	// Transmissions aggregates total transmissions over all runs.
-	Transmissions Aggregate `json:"transmissions"`
+	Transmissions Aggregate
 	// TxPerNode aggregates transmissions divided by the run's alive-node
 	// count (the id-space size when no node is alive) — per-peer cost,
 	// comparable across topologies with and without dead headroom slots.
-	TxPerNode Aggregate `json:"tx_per_node"`
-	// ChannelsDialed aggregates the model-mandated channel dials.
-	ChannelsDialed Aggregate `json:"channels_dialed"`
+	TxPerNode Aggregate
 	// InformedFrac aggregates the informed fraction of alive nodes.
-	InformedFrac Aggregate `json:"informed_frac"`
+	InformedFrac Aggregate
 	// Results holds every replication's Result, in replication order, when
-	// Batch.KeepResults is set (omitted from JSON either way).
-	Results []Result `json:"-"`
+	// Batch.KeepResults is set.
+	Results []Result
 }
 
 // CompletedFrac returns the fraction of replications that informed every
@@ -163,16 +151,7 @@ func (m *metricAgg) aggregate() Aggregate {
 	if m.acc.N() == 0 {
 		return Aggregate{}
 	}
-	return Aggregate{
-		N:      m.acc.N(),
-		Mean:   m.acc.Mean(),
-		Stddev: m.acc.Stddev(),
-		Min:    m.acc.Min(),
-		Max:    m.acc.Max(),
-		P10:    m.hist.Quantile(0.10),
-		P50:    m.hist.Quantile(0.50),
-		P90:    m.hist.Quantile(0.90),
-	}
+	return Aggregate{Mean: m.acc.Mean(), P90: m.hist.Quantile(0.90)}
 }
 
 // repPlan is one replication's precomputed randomness: the derived stream
@@ -332,7 +311,6 @@ func (b Batch) buildRep(rep int, p repPlan, sc Scenario) (Scenario, error) {
 // to be retained across the ensemble.
 type repOutcome struct {
 	transmissions int64
-	dials         int64
 	informed      int
 	alive         int
 	nodes         int // len(InformedAt): the topology's node count
@@ -364,7 +342,6 @@ func (b Batch) Run(ctx context.Context) (BatchResult, error) {
 		}
 		outcomes[rep] = repOutcome{
 			transmissions: res.Transmissions,
-			dials:         res.ChannelsDialed,
 			informed:      res.Informed,
 			alive:         res.AliveNodes,
 			nodes:         len(res.InformedAt),
@@ -384,11 +361,10 @@ func (b Batch) Run(ctx context.Context) (BatchResult, error) {
 	// order-sensitive in floating point, and this fixed order is what
 	// makes the aggregates independent of the pool width.
 	br := BatchResult{Replications: b.Replications}
-	rounds, tx, txPerNode, dials, informed := newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg()
+	rounds, tx, txPerNode, informed := newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg()
 	for rep := range outcomes {
 		o := outcomes[rep]
 		tx.add(float64(o.transmissions))
-		dials.add(float64(o.dials))
 		if o.alive > 0 {
 			informed.add(float64(o.informed) / float64(o.alive))
 		}
@@ -409,7 +385,6 @@ func (b Batch) Run(ctx context.Context) (BatchResult, error) {
 	br.Rounds = rounds.aggregate()
 	br.Transmissions = tx.aggregate()
 	br.TxPerNode = txPerNode.aggregate()
-	br.ChannelsDialed = dials.aggregate()
 	br.InformedFrac = informed.aggregate()
 	br.Results = kept
 	return br, nil

@@ -204,13 +204,13 @@ func run(args []string) error {
 	if *stopEarly {
 		sopts = append(sopts, regcast.WithStopEarly())
 	}
-	var fractions []float64
+	var informed []float64
 	if *trace {
 		fmt.Println("round  newly  informed  transmissions")
 		sopts = append(sopts, regcast.WithObserver(regcast.ObserverFuncs{
 			Round: func(rm regcast.RoundStats) {
 				fmt.Printf("%5d  %5d  %8d  %13d\n", rm.Round, rm.NewlyInformed, rm.Informed, rm.Transmissions)
-				fractions = append(fractions, float64(rm.Informed)/float64(*n))
+				informed = append(informed, float64(rm.Informed))
 			},
 		}))
 	}
@@ -228,8 +228,14 @@ func run(args []string) error {
 		return err
 	}
 	done := time.Now()
+	// Per-node figures divide by the alive peers, as Batch's TxPerNode
+	// does: an overlay's id space also counts its empty headroom slots.
+	perNode := float64(res.AliveNodes)
 	if *trace {
-		if chart, err := viz.Chart(64, 12, viz.Series{Name: "informed fraction", Values: fractions}); err == nil {
+		for i := range informed {
+			informed[i] /= perNode
+		}
+		if chart, err := viz.Chart(64, 12, viz.Series{Name: "informed fraction", Values: informed}); err == nil {
 			fmt.Println()
 			fmt.Print(chart)
 		}
@@ -238,7 +244,7 @@ func run(args []string) error {
 	if res.FirstAllInformed > 0 {
 		fmt.Printf("all informed after round: %d\n", res.FirstAllInformed)
 	}
-	fmt.Printf("transmissions: %d (%.2f per node)\n", res.Transmissions, float64(res.Transmissions)/float64(*n))
+	fmt.Printf("transmissions: %d (%.2f per node)\n", res.Transmissions, float64(res.Transmissions)/perNode)
 	fmt.Printf("channels dialled: %d\n", res.ChannelsDialed)
 	if res.CountedRounds > 0 {
 		fmt.Printf("note: rounds %d–%d counted, not simulated (every node informed; static, fault-free topology)\n",
@@ -271,13 +277,8 @@ func run(args []string) error {
 func printTransportHealth(h *regcast.TransportHealth) {
 	fmt.Printf("daemon: sends=%d delivered=%d deduped=%d dropped=%d ledger-gap=%d\n",
 		h.Sends, h.Delivered, h.Deduped, h.DroppedTotal(), h.LedgerGap())
-	fmt.Printf("daemon: dials=%d redials=%d dial-fails=%d retries=%d evictions=%d wire-lost=%d\n",
-		h.Dials, h.Redials, h.DialFails, h.Retries, h.BudgetEvictions, h.WireLost())
-	states := map[string]int{}
-	for _, p := range h.Peers {
-		states[p.StateStr]++
-	}
-	fmt.Printf("daemon: peers %v\n", states)
+	fmt.Printf("daemon: dials=%d redials=%d dial-fails=%d retries=%d evictions=%d wire-lost=%d oversize=%d decode=%d\n",
+		h.Dials, h.Redials, h.DialFails, h.Retries, h.BudgetEvictions, h.WireLost(), h.OversizeDrops, h.DecodeDrops)
 	if f := h.Faults; f != nil {
 		fmt.Printf("chaos: in=%d forwarded=%d dropped=%d partition-drops=%d crash-drops=%d dup=%d delayed=%d\n",
 			f.In, f.Forwarded, f.Dropped, f.PartitionDrops, f.CrashDrops, f.Duplicated, f.Delayed)

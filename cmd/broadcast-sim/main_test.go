@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -168,5 +170,44 @@ func TestReadmeDaemonQuickstart(t *testing.T) {
 				t.Errorf("%v: README line %q not printed; output:\n%s", ex.args, want, out)
 			}
 		}
+	}
+}
+
+// TestPerNodeFiguresDivideByAlivePeers: an overlay's id space carries empty
+// headroom slots (2,048 ids for these 1,024 peers), so the per-node cost
+// and the informed-fraction chart divide by the alive peers, as Batch's
+// TxPerNode does: a completed broadcast charts 1, not 0.5.
+func TestPerNodeFiguresDivideByAlivePeers(t *testing.T) {
+	out, err := output(t, "-topology", "overlay:n=1024,d=8", "-protocol", "push", "-trace", "-seed", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var informed, alive int
+	var tx int64
+	var perNode float64
+	top := ""
+	for _, line := range strings.Split(out, "\n") {
+		if label, _, ok := strings.Cut(line, " |"); ok && top == "" {
+			top = strings.TrimSpace(label)
+		}
+		if strings.HasPrefix(line, "completed:") {
+			if _, err := fmt.Sscanf(line, "completed: true (informed %d/%d)", &informed, &alive); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		}
+		if strings.HasPrefix(line, "transmissions:") {
+			if _, err := fmt.Sscanf(line, "transmissions: %d (%f per node)", &tx, &perNode); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		}
+	}
+	if informed != 1024 || alive != 1024 {
+		t.Fatalf("informed %d/%d, want a completed broadcast over 1024 peers:\n%s", informed, alive, out)
+	}
+	if want := float64(tx) / float64(alive); math.Abs(perNode-want) > 0.005 {
+		t.Errorf("%d transmissions printed as %.2f per node, want %.2f (per alive peer)", tx, perNode, want)
+	}
+	if top != "1" {
+		t.Errorf("informed-fraction chart tops out at %q, want 1:\n%s", top, out)
 	}
 }

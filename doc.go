@@ -21,8 +21,8 @@
 // shard passes inline or on a worker pool, with bit-identical results for
 // every worker count at a fixed shard count) and EngineDaemonTransport
 // (the scenario's protocol, tick by tick, over persistent loopback TCP
-// connections, with a health ledger and seeded fault injection;
-// internal/transport).
+// connections, with a health ledger of counters and seeded fault
+// injection; internal/transport).
 // Scenario construction fails fast on model violations — e.g.
 // DialQuasirandom with a protocol that may pull.
 //

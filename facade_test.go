@@ -70,16 +70,16 @@ func TestFacadeTraceGoldenSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine != regcast.EngineSimulator {
-		t.Fatalf("default engine = %v, want simulator", res.Engine)
+	if res.Transport != nil {
+		t.Fatal("default engine filled a transport ledger: want the simulator")
 	}
 	checkGolden(t, "seq/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 }
 
 // TestFacadeTraceGoldenSharded pins the simulator on pooled shard passes:
 // the facade always runs DefaultShards streams, so every worker count
-// reproduces the inline golden, and the worker choice leaves no mark on
-// Result.Engine.
+// reproduces the inline golden, and the worker choice never selects the
+// daemon.
 func TestFacadeTraceGoldenSharded(t *testing.T) {
 	g := goldenGraph(t)
 	four, err := core.New(2048, 8)
@@ -96,8 +96,8 @@ func TestFacadeTraceGoldenSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Engine != regcast.EngineSimulator {
-			t.Fatalf("engine = %v, want simulator", res.Engine)
+		if res.Transport != nil {
+			t.Fatal("pooled run filled a transport ledger: want the simulator")
 		}
 		checkGolden(t, "pooled/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1})
 	}
@@ -190,7 +190,7 @@ func TestObserverStreamsResult(t *testing.T) {
 			switch {
 			case tc.name == "stop-early" && res.Rounds != res.FirstAllInformed:
 				t.Fatalf("StopEarly ran %d rounds, all informed after %d", res.Rounds, res.FirstAllInformed)
-			case res.Engine == regcast.EngineSimulator && tc.name != "stop-early" && res.CountedRounds == 0:
+			case res.Transport == nil && tc.name != "stop-early" && res.CountedRounds == 0:
 				t.Fatalf("no counted tail in %d rounds: the case must exercise one", res.Rounds)
 			}
 			if len(obs.rounds) != res.Rounds {

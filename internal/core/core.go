@@ -88,7 +88,6 @@ func (v Variant) String() string {
 type FourChoice struct {
 	variant Variant
 	alpha   float64
-	beta    float64
 	nEst    int
 	choices int
 
@@ -183,7 +182,7 @@ func build(v Variant, nEstimate int, opts []Option) (*FourChoice, error) {
 	if l < 1 {
 		l = 1
 	}
-	p := &FourChoice{variant: v, alpha: o.alpha, beta: o.beta, nEst: nEstimate, choices: o.choices, t1: t1, t2: t1 + l}
+	p := &FourChoice{variant: v, alpha: o.alpha, nEst: nEstimate, choices: o.choices, t1: t1, t2: t1 + l}
 	switch v {
 	case Algorithm1:
 		p.pullEnd = p.t2 + 1

@@ -114,7 +114,6 @@ func ByID(id string) (Experiment, bool) {
 
 // runStats aggregates repeated broadcast runs.
 type runStats struct {
-	Reps          int
 	MeanRounds    float64 // mean FirstAllInformed over completing runs
 	MeanTx        float64 // mean transmissions over all runs
 	MeanTxPerNode float64
@@ -125,7 +124,6 @@ type runStats struct {
 // fromBatch converts a batch aggregate into the harness's summary shape.
 func fromBatch(res regcast.BatchResult) runStats {
 	return runStats{
-		Reps:          res.Replications,
 		MeanRounds:    res.Rounds.Mean,
 		MeanTx:        res.Transmissions.Mean,
 		MeanTxPerNode: res.TxPerNode.Mean,

@@ -28,8 +28,8 @@ func TestMeasureDeterministicAcrossReplicationWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Reps != 6 {
-			t.Fatalf("rep-workers %d: ran %d reps, want 6", rw, st.Reps)
+		if st.MeanTx <= 0 || st.CompletedFrac != 1 {
+			t.Fatalf("rep-workers %d: implausible statistics %+v", rw, st)
 		}
 		if i == 0 {
 			base = st

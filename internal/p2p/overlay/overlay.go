@@ -371,10 +371,6 @@ type Churner struct {
 	MixSteps  int
 	rng       *xrand.Rand
 	joined    []int // Step's result buffer, reused across calls
-
-	// Joins / Leaves / Rejected count the operations performed (rejected =
-	// ops skipped because of capacity or minimum-size limits).
-	Joins, Leaves, Rejected int
 }
 
 var _ phonecall.Stepper = (*Churner)(nil)
@@ -404,21 +400,17 @@ func (c *Churner) Step(round int) []int {
 		if v < 0 {
 			break
 		}
-		if err := o.Leave(v); err != nil {
-			c.Rejected++
-			continue
-		}
-		c.Leaves++
+		// The overlay refuses to shrink below d+1 peers; that departure is
+		// skipped.
+		_ = o.Leave(v)
 	}
 	joins := c.rng.Binomial(o.AliveCount(), c.JoinProb)
 	joined := c.joined[:0]
 	for i := 0; i < joins; i++ {
 		id, err := o.Join()
 		if err != nil {
-			c.Rejected++
-			continue
+			continue // no free slot, or too few peers to splice into
 		}
-		c.Joins++
 		joined = append(joined, id)
 	}
 	if c.MixSteps > 0 {

@@ -72,9 +72,9 @@ func freeList(o *Overlay) []int32 {
 
 // stateDigest hashes everything of an overlay a later operation can read:
 // every id's degree and liveness, the rows in use, the free ids in the old
-// stack's order (freeList), the counters and the generator's position.
+// stack's order (freeList), the churn counts and the generator's position.
 // Dead rows' stale stubs are unspecified and left out.
-func stateDigest(ch *Churner) uint64 {
+func stateDigest(ch *Churner, cnt *churnCount) uint64 {
 	o := ch.Overlay
 	h := fnv.New64a()
 	var buf [8]byte
@@ -101,9 +101,12 @@ func stateDigest(ch *Churner) uint64 {
 	r, c := *o.rng, *ch.rng
 	put(r.Uint64())
 	put(c.Uint64())
-	put(uint64(ch.Joins))
-	put(uint64(ch.Leaves))
-	put(uint64(ch.Rejected))
+	put(uint64(cnt.joins))
+	put(uint64(cnt.leaves))
+	// The digests were recorded with a count of refused operations beside
+	// the joins and leaves; TestChurnStateGolden asserts that no step
+	// refuses one, so that count is 0.
+	put(0)
 	return h.Sum64()
 }
 
@@ -130,15 +133,21 @@ func TestChurnStateGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cnt := &churnCount{}
 		for round := 1; round <= 500; round++ {
-			ch.Step(round)
+			joined := cnt.step(ch, round)
+			// A refused leave leaves d+1 or fewer peers before the joins;
+			// a refused join leaves every slot alive.
+			if after := o.AliveCount(); after-len(joined) <= o.d+1 || after == len(o.deg) {
+				t.Fatalf("headroom %d round %d: %d peers alive after %d joins: a step may have refused an operation", tc.headroom, round, after, len(joined))
+			}
 		}
 		if err := o.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if got := stateDigest(ch); got != tc.want {
-			t.Errorf("headroom %d: state digest %#x, want %#x (joins %d, leaves %d, rejected %d)",
-				tc.headroom, got, tc.want, ch.Joins, ch.Leaves, ch.Rejected)
+		if got := stateDigest(ch, cnt); got != tc.want {
+			t.Errorf("headroom %d: state digest %#x, want %#x (joins %d, leaves %d)",
+				tc.headroom, got, tc.want, cnt.joins, cnt.leaves)
 		}
 	}
 }

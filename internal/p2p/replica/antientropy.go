@@ -16,17 +16,13 @@ func (s *Store) Entries() map[string]Entry {
 	return out
 }
 
-// Merge applies every entry of other into s and
-// reports how many keys changed. Merge is idempotent, commutative and
-// associative (LWW semantics), so repeated pairwise merges converge.
-func (s *Store) Merge(other *Store) int {
-	changed := 0
+// Merge applies every entry of other into s. Merge is idempotent,
+// commutative and associative (LWW semantics), so repeated pairwise merges
+// converge.
+func (s *Store) Merge(other *Store) {
 	for k, e := range other.entries {
-		if s.applyEntry(k, e) {
-			changed++
-		}
+		s.applyEntry(k, e)
 	}
-	return changed
 }
 
 // AntiEntropyReport summarises a repair pass.
@@ -35,8 +31,6 @@ type AntiEntropyReport struct {
 	Rounds int
 	// Exchanges counts pairwise store synchronisations performed.
 	Exchanges int64
-	// KeysRepaired counts store entries fixed across all exchanges.
-	KeysRepaired int
 	// Converged reports whether all alive stores were identical when the
 	// pass ended.
 	Converged bool
@@ -78,8 +72,8 @@ func AntiEntropy(topo phonecall.Topology, stores []Store, rng *xrand.Rand, maxRo
 				continue
 			}
 			rep.Exchanges++
-			rep.KeysRepaired += stores[v].Merge(&stores[w])
-			rep.KeysRepaired += stores[w].Merge(&stores[v])
+			stores[v].Merge(&stores[w])
+			stores[w].Merge(&stores[v])
 		}
 	}
 	rep.Converged = StoresConverged(topo, stores)

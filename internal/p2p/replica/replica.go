@@ -120,9 +120,6 @@ type Report struct {
 	// ConvergedAtRound is the earliest round by which the last-finishing
 	// update had reached everyone (-1 if never).
 	ConvergedAtRound int
-	// Rounds is the number of rounds simulated: the last write's round
-	// plus the protocol's horizon.
-	Rounds int
 	// TransmissionsPerUpdate is the mean number of per-message
 	// transmissions across updates.
 	TransmissionsPerUpdate float64
@@ -181,7 +178,6 @@ func Run(cfg Config, writes []Write) (Report, error) {
 	rep := Report{
 		Converged:        true,
 		ConvergedAtRound: -1,
-		Rounds:           mres.Rounds,
 		UpdateResults:    mres.PerMessage,
 	}
 	n := cfg.Topology.NumNodes()

@@ -297,9 +297,6 @@ func TestMessageLossStillConvergesWithinHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds != proto.Horizon() {
-		t.Errorf("Rounds = %d, want %d", rep.Rounds, proto.Horizon())
-	}
 	// 20% loss should still converge with the four-choice schedule's slack.
 	if !rep.Converged {
 		t.Errorf("did not converge under 20%% loss: %d informed", rep.UpdateResults[0].Informed)

@@ -27,7 +27,7 @@ import (
 // must reflect.
 type churningTopo struct {
 	*overlay.Overlay
-	ch         *overlay.Churner
+	ch         *churnCount
 	aliveAfter []int
 }
 
@@ -61,7 +61,7 @@ func TestChurnBudgetMatchesTopologyE13b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topo := &churningTopo{Overlay: ov, ch: ch}
+		topo := &churningTopo{Overlay: ov, ch: &churnCount{churner: ch}}
 		push, err := baseline.NewPush(n, k)
 		if err != nil {
 			t.Fatal(err)
@@ -76,8 +76,8 @@ func TestChurnBudgetMatchesTopologyE13b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ch.Joins == 0 || ch.Leaves == 0 {
-			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", ch.Joins, ch.Leaves)
+		if topo.ch.joins == 0 || topo.ch.leaves == 0 {
+			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", topo.ch.joins, topo.ch.leaves)
 		}
 		for i, rm := range rounds {
 			aliveBefore := initialAlive
@@ -151,7 +151,7 @@ func TestBudgetNotRecomputedWithoutMembershipChange(t *testing.T) {
 // that hold the message once the joiners have lost it.
 type meteredChurn struct {
 	*overlay.Overlay
-	ch                      *overlay.Churner
+	ch                      *churnCount
 	aliveCalls, degreeCalls int
 
 	informed        []bool
@@ -222,8 +222,8 @@ func TestFastPathChurnRunMakesNoInterfaceScan(t *testing.T) {
 	}
 	topo.aliveCalls, topo.degreeCalls = 0, 0
 	res := e.Run()
-	if topo.ch.Joins == 0 || topo.ch.Leaves == 0 {
-		t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", topo.ch.Joins, topo.ch.Leaves)
+	if topo.ch.joins == 0 || topo.ch.leaves == 0 {
+		t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", topo.ch.joins, topo.ch.leaves)
 	}
 	if topo.aliveCalls != 0 || topo.degreeCalls != 0 {
 		t.Errorf("%d-round churn run made %d Alive and %d Degree interface calls, want 0 and 0",
@@ -257,9 +257,9 @@ func TestChurnRecountMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if topo.ch.Joins == 0 || topo.ch.Leaves == 0 || topo.rejoinedHolders == 0 {
+		if topo.ch.joins == 0 || topo.ch.leaves == 0 || topo.rejoinedHolders == 0 {
 			t.Fatalf("reference=%v: %d joins, %d leaves, %d rejoins on an informed id — the run must exercise all three",
-				reference, topo.ch.Joins, topo.ch.Leaves, topo.rejoinedHolders)
+				reference, topo.ch.joins, topo.ch.leaves, topo.rejoinedHolders)
 		}
 		before := 1 // the source
 		for r, rm := range topo.rounds {
@@ -300,7 +300,7 @@ func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		churn := &churningTopo{Overlay: ov, ch: ch}
+		churn := &churningTopo{Overlay: ov, ch: &churnCount{churner: ch}}
 		for _, topo := range []phonecall.Topology{phonecall.NewStatic(mustRegular(t, n, d, 61)), churn} {
 			alive := phonecall.DialBudget(topo, 1) // every degree is d >= 1
 			res, rounds, err := phonecall.RunRounds(phonecall.Config{
@@ -324,8 +324,8 @@ func TestAvoidRecentBudgetIsOneDial(t *testing.T) {
 				t.Errorf("reference=%v %T: ChannelsDialed = %d, want one per alive node and round = %d", reference, topo, res.ChannelsDialed, total)
 			}
 		}
-		if ch.Joins == 0 || ch.Leaves == 0 {
-			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", ch.Joins, ch.Leaves)
+		if churn.ch.joins == 0 || churn.ch.leaves == 0 {
+			t.Fatalf("churn did not exercise joins (%d) and leaves (%d)", churn.ch.joins, churn.ch.leaves)
 		}
 	}
 }
@@ -403,8 +403,8 @@ func TestDialBudgetFromEveryView(t *testing.T) {
 			if len(scan.bad) > 0 {
 				t.Errorf("%s k=%d: %d rounds off the scan, first %s", tc.name, k, len(scan.bad), scan.bad[0])
 			}
-			if c, ok := topo.(churnTopo); ok && (c.ch.Joins == 0 || c.ch.Leaves == 0) {
-				t.Fatalf("%s k=%d: %d joins, %d leaves: the run did not churn", tc.name, k, c.ch.Joins, c.ch.Leaves)
+			if c, ok := topo.(churnTopo); ok && (c.ch.joins == 0 || c.ch.leaves == 0) {
+				t.Fatalf("%s k=%d: %d joins, %d leaves: the run did not churn", tc.name, k, c.ch.joins, c.ch.leaves)
 			}
 		}
 	}

@@ -16,10 +16,25 @@ import (
 // overlay) a CSRViewer.
 type churnTopo struct {
 	*overlay.Overlay
-	ch *overlay.Churner
+	ch *churnCount
 }
 
 func (c churnTopo) Step(round int) []int { return c.ch.Step(round) }
+
+// churnCount steps a churner and counts the joins and leaves it performed,
+// from the ids Step returns and the alive count it leaves behind.
+type churnCount struct {
+	churner       *overlay.Churner
+	joins, leaves int
+}
+
+func (c *churnCount) Step(round int) []int {
+	before := c.churner.Overlay.AliveCount()
+	joined := c.churner.Step(round)
+	c.joins += len(joined)
+	c.leaves += before + len(joined) - c.churner.Overlay.AliveCount()
+	return joined
+}
 
 var (
 	_ phonecall.Stepper   = churnTopo{}
@@ -51,7 +66,7 @@ func buildChurnTopo(t testing.TB, n, d int, g churnGolden, seed uint64) churnTop
 	if err != nil {
 		t.Fatal(err)
 	}
-	return churnTopo{ov, ch}
+	return churnTopo{ov, &churnCount{churner: ch}}
 }
 
 // TestFastPathGoldenChurn extends the golden digests to churning
@@ -150,8 +165,8 @@ func TestChurnRunActuallyChurns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.ch.Joins == 0 || topo.ch.Leaves == 0 {
-		t.Fatalf("churner performed %d joins / %d leaves; the golden matrix would be vacuous", topo.ch.Joins, topo.ch.Leaves)
+	if topo.ch.joins == 0 || topo.ch.leaves == 0 {
+		t.Fatalf("churner performed %d joins / %d leaves; the golden matrix would be vacuous", topo.ch.joins, topo.ch.leaves)
 	}
 	if err := topo.CheckInvariants(); err != nil {
 		t.Fatalf("overlay invariants broken after a churn run: %v", err)

@@ -42,10 +42,7 @@ type MessageResult struct {
 
 // MultiResult summarises a completed multi-message run.
 type MultiResult struct {
-	Rounds         int
-	PerMessage     []MessageResult
-	Transmissions  int64 // sum of per-message transmissions
-	ChannelsDialed int64
+	PerMessage []MessageResult
 }
 
 // MultiEngine simulates many concurrently disseminating messages that share
@@ -113,8 +110,7 @@ func NewMultiEngine(cfg MultiConfig) (*MultiEngine, error) {
 func (e *MultiEngine) Run() MultiResult {
 	eng := e.eng
 	eng.spend()
-	res := MultiResult{Rounds: e.cfg.Rounds}
-	res.PerMessage = make([]MessageResult, len(e.cfg.Messages))
+	res := MultiResult{PerMessage: make([]MessageResult, len(e.cfg.Messages))}
 	for mi, m := range e.cfg.Messages {
 		res.PerMessage[mi] = MessageResult{Message: m, FirstAllInformed: -1}
 	}
@@ -123,7 +119,6 @@ func (e *MultiEngine) Run() MultiResult {
 	ages := horizon + 1 // receipt ages 0..Horizon
 
 	for t := 1; t <= e.cfg.Rounds; t++ {
-		res.ChannelsDialed += eng.budget
 		// The round's channels are sampled once, by the first active
 		// message, for every alive node; the later ones reuse the rows.
 		dial := dialEveryone
@@ -155,7 +150,6 @@ func (e *MultiEngine) Run() MultiResult {
 	for mi := range res.PerMessage {
 		mr := &res.PerMessage[mi]
 		mr.AllInformed = mr.Informed == alive
-		res.Transmissions += mr.Transmissions
 	}
 	return res
 }

@@ -300,8 +300,8 @@ func TestCountedRoundsEngage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := m.Run(); !res.PerMessage[0].AllInformed || res.PerMessage[0].FirstAllInformed >= res.Rounds {
-			t.Fatalf("MultiEngine: all informed after round %d of %d, want a tail", res.PerMessage[0].FirstAllInformed, res.Rounds)
+		if res := m.Run(); !res.PerMessage[0].AllInformed || res.PerMessage[0].FirstAllInformed >= pushPull.Horizon() {
+			t.Fatalf("MultiEngine: all informed after round %d of %d, want a tail", res.PerMessage[0].FirstAllInformed, pushPull.Horizon())
 		}
 		if m.Settled() {
 			t.Error("a MultiEngine settled; round is shared, the count is Engine.Run's")

@@ -108,8 +108,8 @@ func TestStrideViewMatchesOffsets(t *testing.T) {
 			if !reflect.DeepEqual(gotLog, wantLog) {
 				t.Fatalf("%s: observer sequences differ", label)
 			}
-			if stride.ch.Joins == 0 || stride.ch.Leaves == 0 {
-				t.Fatalf("%s: %d joins, %d leaves: the run did not churn", label, stride.ch.Joins, stride.ch.Leaves)
+			if stride.ch.joins == 0 || stride.ch.leaves == 0 {
+				t.Fatalf("%s: %d joins, %d leaves: the run did not churn", label, stride.ch.joins, stride.ch.leaves)
 			}
 		}
 	}

@@ -27,11 +27,15 @@
 //
 // A protocol that misdeclares its bounds cannot corrupt the run: the
 // compiler verifies every initial state and every table output against
-// StateBound and declines (leaving the uncompiled arm) on any violation,
-// so table indices stay in range by induction.
+// StateBound, and a violation is the run's error (under DisableFastPath
+// too), so table indices stay in range by induction. A declared shape
+// past the table caps is not enumerated; it declines to the other arms.
 package population
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // TableProtocol is the optional PairProtocol extension behind the table
 // arm: protocols with a small declared state space and coin arity have
@@ -102,50 +106,55 @@ const (
 )
 
 // compile chooses the run's apply arm, once, at construction. It never
-// changes a trace: every arm is bit-identical to the uncompiled one.
-func (e *engine) compile() {
-	switch {
-	case e.cfg.DisableFastPath: // the uncompiled arms
-	case e.cfg.Ring != nil:
-		e.compileRingTable()
-	default:
-		if e.compileTable(); e.table == nil {
-			e.batch, _ = e.cfg.Pair.(BatchProtocol)
-		}
+// changes a trace: every arm is bit-identical to the uncompiled one. A
+// table protocol whose Init, Transition or Update escapes its declared
+// StateBound is an error whatever DisableFastPath says: the uncompiled
+// arm would run it, but only by hiding a wrong declaration.
+func (e *engine) compile() error {
+	var err error
+	if e.cfg.Ring != nil {
+		err = e.compileRingTable()
+	} else if err = e.compileTable(); e.table == nil {
+		e.batch, _ = e.cfg.Pair.(BatchProtocol)
 	}
+	if e.cfg.DisableFastPath { // the uncompiled arms, bounds checked all the same
+		e.table, e.counts, e.countsProto, e.batch = nil, nil, nil, nil
+		e.ringNeeds, e.ringUpd = nil, nil
+	}
+	return err
 }
 
 // tableShape validates a declared state bound s and coin arity c for
 // either table compiler and returns the state index width k. It declines
-// a shape past the table caps and an initial configuration that escapes
-// the declared space.
-func (e *engine) tableShape(s, c int) (k uint, ok bool) {
+// a shape past the table caps (ok false), and fails on an initial
+// configuration that escapes the declared space.
+func (e *engine) tableShape(name string, s, c int) (k uint, ok bool, err error) {
 	if s < 1 || s > MaxTableStates || c < 0 || c > maxTableCoinBits {
-		return 0, false
+		return 0, false, nil
 	}
 	k = uint(bits.Len(uint(s - 1)))
 	if 2*k+uint(c) > maxTableBits {
-		return 0, false
+		return 0, false, nil
 	}
-	for _, st := range e.states {
+	for i, st := range e.states {
 		if st >= State(s) {
-			return 0, false
+			return 0, false, fmt.Errorf("population: %s: Init gave agent %d state %d, outside its StateBound %d", name, i, st, s)
 		}
 	}
-	return k, true
+	return k, true, nil
 }
 
 // compileTable compiles PairProtocol.Transition into the dense table and
 // seeds the occupancy vector from the initial configuration.
-func (e *engine) compileTable() {
+func (e *engine) compileTable() error {
 	tp, ok := e.cfg.Pair.(TableProtocol)
 	if !ok {
-		return
+		return nil
 	}
 	s, c := tp.StateBound(), tp.CoinBits()
-	k, ok := e.tableShape(s, c)
+	k, ok, err := e.tableShape(tp.Name(), s, c)
 	if !ok {
-		return
+		return err
 	}
 	bound := State(s)
 	table := make([]uint64, 1<<(2*k+uint(c)))
@@ -154,7 +163,8 @@ func (e *engine) compileTable() {
 			for coin := 0; coin < 1<<c; coin++ {
 				na, nb := tp.Transition(State(a), State(b), uint64(coin))
 				if na >= bound || nb >= bound {
-					return // Transition escaped the declared space
+					return fmt.Errorf("population: %s: Transition(%d, %d, coin %d) = (%d, %d), outside its StateBound %d",
+						tp.Name(), a, b, coin, na, nb, s)
 				}
 				w := uint64(na) | uint64(nb)<<8
 				if na != State(a) {
@@ -174,19 +184,20 @@ func (e *engine) compileTable() {
 	e.table, e.counts = table, counts
 	e.tshift, e.tcoin = uint32(k), uint32(c)
 	e.countsProto, _ = tp.(CountsProtocol)
+	return nil
 }
 
 // compileRingTable compiles RingProtocol.NeedsCoin and .Update into
 // dense tables for the synchronous driver.
-func (e *engine) compileRingTable() {
+func (e *engine) compileRingTable() error {
 	tp, ok := e.cfg.Ring.(RingTableProtocol)
 	if !ok {
-		return
+		return nil
 	}
 	s, c := tp.StateBound(), tp.CoinBits()
-	k, ok := e.tableShape(s, c)
+	k, ok, err := e.tableShape(tp.Name(), s, c)
 	if !ok {
-		return
+		return err
 	}
 	needs := make([]bool, 1<<(2*k))
 	upd := make([]State, 1<<(2*k+uint(c)))
@@ -197,7 +208,8 @@ func (e *engine) compileRingTable() {
 			for coin := 0; coin < 1<<c; coin++ {
 				nv := tp.Update(State(self), State(pred), uint64(coin))
 				if nv >= State(s) {
-					return // Update escaped the declared space
+					return fmt.Errorf("population: %s: Update(%d, %d, coin %d) = %d, outside its StateBound %d",
+						tp.Name(), self, pred, coin, nv, s)
 				}
 				upd[si<<c|coin] = nv
 			}
@@ -205,6 +217,7 @@ func (e *engine) compileRingTable() {
 	}
 	e.ringNeeds, e.ringUpd = needs, upd
 	e.tshift, e.tcoin = uint32(k), uint32(c)
+	return nil
 }
 
 // apply applies one pre-drawn block through the run's arm. Transitions

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"strings"
 	"testing"
 
 	"regcast/internal/xrand"
@@ -232,20 +233,31 @@ func TestLeaderApplyPairsMatchesTransition(t *testing.T) {
 // Transition escapes its declared StateBound must fall back to the
 // uncompiled arm, not index out of range.
 func TestTableCompilerDeclinesMisdeclaredProtocols(t *testing.T) {
-	e, err := newEngine(Config{N: 100, Pair: escapingProto{}, MaxSteps: 5, RNG: xrand.New(3)})
+	_, err := Run(Config{N: 100, Pair: escapingProto{}, MaxSteps: 5, RNG: xrand.New(3)})
+	if err == nil || !strings.Contains(err.Error(), "Transition(0, 0, coin 0) = (2, 0), outside its StateBound 2") {
+		t.Fatalf("Run err = %v, want the escaping Transition named", err)
+	}
+	// Wrapped, the same protocol declares nothing, so nothing is checked.
+	if _, err := Run(plain(Config{N: 100, Pair: escapingProto{}, MaxSteps: 5, RNG: xrand.New(3)})); err != nil {
+		t.Fatal(err)
+	}
+	// A shape past the table caps is not enumerated: it declines and runs.
+	e, err := newEngine(Config{N: 100, Pair: wideProto{}, MaxSteps: 5, RNG: xrand.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.table != nil {
-		t.Fatal("table compiled for a protocol whose Transition escapes StateBound")
-	}
-	if _, err := Run(Config{N: 100, Pair: escapingProto{}, MaxSteps: 5, RNG: xrand.New(3)}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("table compiled for StateBound %d > MaxTableStates", wideProto{}.StateBound())
 	}
 }
 
 // escapingProto declares 2 states but transitions to state 2.
 type escapingProto struct{}
+
+// wideProto declares more states than the table compiler takes.
+type wideProto struct{ escapingProto }
+
+func (wideProto) StateBound() int { return MaxTableStates + 1 }
 
 func (escapingProto) Name() string { return "escaping" }
 func (escapingProto) Transition(a, b State, coin uint64) (State, State) {
@@ -347,10 +359,10 @@ func (p *fuzzProto) MeasureCounts(counts []int64) int {
 // FuzzTableCompile drives the table compiler with random transition
 // functions over S ≤ 8 declared states and c ≤ 2 coin bits, optionally
 // escaping the bound in one Transition cell (escape 1) or at one Init
-// agent (escape 2). The run must not panic, the table must compile
-// exactly when nothing escapes, the compiled trace must equal the
-// wrapped run's, and the occupancy vector must end equal to the final
-// configuration's histogram.
+// agent (escape 2). An escape must be the run's error; otherwise the
+// table must compile, the compiled trace must equal the wrapped run's,
+// and the occupancy vector must end equal to the final configuration's
+// histogram.
 func FuzzTableCompile(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(0), uint8(0), uint8(40))  // deterministic
 	f.Add(uint64(2), uint8(5), uint8(2), uint8(0), uint8(100)) // reads two coin bits
@@ -380,17 +392,21 @@ func FuzzTableCompile(f *testing.F) {
 
 		cfg.RNG = xrand.New(seed)
 		e, err := newEngine(cfg)
+		if escape != 0 {
+			if err == nil || !strings.Contains(err.Error(), "outside its StateBound") {
+				t.Fatalf("escape=%d: newEngine err = %v, want the escape reported", escape, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if compiled := e.table != nil; compiled != (escape == 0) {
-			t.Fatalf("escape=%d: table compiled=%v", escape, compiled)
+		if e.table == nil {
+			t.Fatal("table did not compile for a protocol that keeps its bound")
 		}
 		e.run()
-		if e.table != nil {
-			if st, got, want := histogramMismatch(e); st >= 0 {
-				t.Fatalf("counts[%d] = %d, configuration histogram has %d", st, got, want)
-			}
+		if st, got, want := histogramMismatch(e); st >= 0 {
+			t.Fatalf("counts[%d] = %d, configuration histogram has %d", st, got, want)
 		}
 
 		cfg.RNG = xrand.New(seed)

@@ -17,9 +17,7 @@ import "errors"
 
 // Herman is the RingProtocol for Herman's token ring. State is the
 // single bit x_i in bit 0.
-type Herman struct {
-	n int
-}
+type Herman struct{}
 
 // NewHerman builds the protocol for an n-agent ring; n must be odd (an
 // even ring admits token-free configurations, which break
@@ -28,7 +26,7 @@ func NewHerman(n int) (*Herman, error) {
 	if n < 3 || n%2 == 0 {
 		return nil, errors.New("population: Herman's ring needs an odd n >= 3")
 	}
-	return &Herman{n: n}, nil
+	return &Herman{}, nil
 }
 
 // Name implements RingProtocol.

@@ -44,7 +44,6 @@ import (
 // rank-space factor of the space–time trade-off in arXiv:2505.01210.
 // That slow tail is exactly why the rank field gets 16 of the 32 bits.
 type LeaderElection struct {
-	n       int
 	timeout uint32
 }
 
@@ -73,10 +72,7 @@ func NewLeaderElection(n int) (*LeaderElection, error) {
 	if n < 2 {
 		return nil, errors.New("population: leader election needs at least 2 agents")
 	}
-	return &LeaderElection{
-		n:       n,
-		timeout: uint32(8*bits.Len(uint(n)) + 16),
-	}, nil
+	return &LeaderElection{timeout: uint32(8*bits.Len(uint(n)) + 16)}, nil
 }
 
 // Name implements PairProtocol.

@@ -28,7 +28,7 @@
 // A run halts when the protocol's progress measure reaches 1 and stays
 // there for DefaultSilenceWindow consecutive super-steps (Converged), when
 // no agent state changes for DefaultSilenceWindow consecutive super-steps
-// (a silent configuration, Silent), at MaxSteps, or when Config.Halt asks.
+// (a silent configuration), at MaxSteps, or when Config.Halt asks.
 package population
 
 import (
@@ -86,10 +86,9 @@ type RingProtocol interface {
 
 // SuperStepStats is the per-super-step record streamed to Observers.
 type SuperStepStats struct {
-	Step         int // 1-based super-step index
-	Interactions int // interactions applied this step (N)
-	Changed      int // agent-state writes that changed a state this step
-	Measure      int // protocol progress measure after this step
+	Step    int // 1-based super-step index
+	Changed int // agent-state writes that changed a state this step
+	Measure int // protocol progress measure after this step
 }
 
 // Observer consumes per-super-step statistics online.
@@ -117,8 +116,9 @@ type Config struct {
 	Workers int // sched worker goroutines; 0 or 1 inline, WorkersAuto = GOMAXPROCS
 	shards  int // shard count (fixes the trace); 0, what every program runs, is sched.DefaultShards
 
-	// DisableFastPath compiles nothing: the run takes the uncompiled
-	// arms — one interface call per interaction and the O(n) Measure
+	// DisableFastPath installs no compiled arm (a table protocol's
+	// declared bounds are checked all the same): the run takes the
+	// uncompiled arms — one interface call per interaction and the O(n) Measure
 	// scan — through the same super-step. Every arm is bit-identical (the
 	// fastpath tests pin the digests); the field survives only for
 	// bench/'s reference probe, and the facade never sets it. ROADMAP
@@ -140,7 +140,6 @@ type Result struct {
 	// ConvergedAt — the natural convergence-time unit of the
 	// population-protocol literature.
 	ConvergedInteractions int64
-	Silent                bool    // no state changed for DefaultSilenceWindow steps
 	Final                 []State // final configuration (owned by the caller)
 }
 
@@ -271,7 +270,9 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 	}
 	e.workers = sched.Resolve(cfg.Workers, cfg.shards)
-	e.compile()
+	if err := e.compile(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -303,18 +304,18 @@ func (e *engine) run() Result {
 	}
 
 	for step := 1; step <= e.cfg.MaxSteps; step++ {
-		var inter, changed int
+		var changed int
 		if e.cfg.Pair != nil {
-			inter, changed = e.pairStep()
+			changed = e.pairStep()
 		} else {
-			inter, changed = e.ringStep()
+			changed = e.ringStep()
 		}
-		e.interactions += int64(inter)
+		e.interactions += int64(e.n) // both schedulers: N interactions a super-step
 		res.Steps = step
 
 		m := e.measure()
 		if obs := e.cfg.Observer; obs != nil {
-			obs.OnSuperStep(SuperStepStats{Step: step, Interactions: inter, Changed: changed, Measure: m})
+			obs.OnSuperStep(SuperStepStats{Step: step, Changed: changed, Measure: m})
 		}
 
 		if m == 1 {
@@ -337,7 +338,6 @@ func (e *engine) run() Result {
 			break
 		}
 		if quiet >= window {
-			res.Silent = true
 			// A silent configuration at measure 1 is converged forever,
 			// even if the measure-1 run is younger than the window.
 			res.Converged = runLen > 0
@@ -370,28 +370,25 @@ func (e *engine) run() Result {
 // stays in L1 between fill and apply. Draws are state-independent and
 // both shapes consume the streams and apply the pairs in the same order,
 // so the trace is the same at every worker count.
-func (e *engine) pairStep() (interactions, changed int) {
+func (e *engine) pairStep() (changed int) {
 	if e.workers > 1 {
 		sched.Pool(e.workers, len(e.shards), func(i int) { e.drawPairs(&e.shards[i]) })
 		for i := range e.shards {
-			pairs := e.shards[i].pairs
-			interactions += len(pairs)
-			changed += e.apply(pairs)
+			changed += e.apply(e.shards[i].pairs)
 		}
-		return interactions, changed
+		return changed
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
 		q := sh.hi - sh.lo
 		sh.pairs = sh.pairs[:q]
-		interactions += q
 		for off := 0; off < q; off += fuseBlock {
 			blk := sh.pairs[off:min(off+fuseBlock, q)]
 			sh.stream.FillPairDraws(blk, e.n)
 			changed += e.apply(blk)
 		}
 	}
-	return interactions, changed
+	return changed
 }
 
 // drawPairs fills a shard's pre-drawn interaction buffer: ordered pairs
@@ -406,7 +403,7 @@ func (e *engine) drawPairs(sh *popShard) {
 // next state of its own agent range into the double buffer (disjoint
 // writes, so passes may run concurrently), drawing coin words from its
 // stream only where the protocol flips one; then the buffers swap.
-func (e *engine) ringStep() (interactions, changed int) {
+func (e *engine) ringStep() (changed int) {
 	if e.workers <= 1 {
 		for i := range e.shards {
 			e.ringShard(&e.shards[i])
@@ -418,5 +415,5 @@ func (e *engine) ringStep() (interactions, changed int) {
 		changed += e.shards[i].changed
 	}
 	e.states, e.next = e.next, e.states
-	return e.n, changed
+	return changed
 }

@@ -75,9 +75,7 @@ func AlonBoppanaBound(d int) float64 {
 
 // MixingReport holds the outcome of an Expander Mixing Lemma check.
 type MixingReport struct {
-	Trials       int
 	MaxDeviation float64 // max over trials of |e(S,S̄) − d|S||S̄|/n| / √(|S||S̄|)
-	Lambda       float64 // the λ estimate used for the bound
 	Violations   int     // trials where deviation exceeded λ
 }
 
@@ -93,7 +91,7 @@ func CheckMixing(g *graph.Graph, d int, lambda float64, trials int, rng *xrand.R
 	if trials <= 0 {
 		return MixingReport{}, fmt.Errorf("spectral: trials=%d must be positive", trials)
 	}
-	rep := MixingReport{Trials: trials, Lambda: lambda}
+	var rep MixingReport
 	inSet := make([]bool, n)
 	for trial := 0; trial < trials; trial++ {
 		for i := range inSet {

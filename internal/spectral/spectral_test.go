@@ -128,7 +128,7 @@ func TestCheckMixingOnRandomRegular(t *testing.T) {
 	}
 	if rep.Violations != 0 {
 		t.Errorf("mixing lemma violated %d/%d times (maxdev %v, λ %v)",
-			rep.Violations, rep.Trials, rep.MaxDeviation, l2)
+			rep.Violations, 200, rep.MaxDeviation, l2)
 	}
 	if rep.MaxDeviation <= 0 {
 		t.Error("max deviation should be positive")

@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// Accumulator computes mean, variance, min and max of a stream online
+// Accumulator computes the mean and variance of a stream online
 // (Welford's algorithm), so replication ensembles never need to retain
 // their per-run samples. The zero value is an empty accumulator ready for
 // use.
@@ -19,22 +19,10 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64 // sum of squared deviations from the running mean
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	a.n++
 	d := x - a.mean
 	a.mean += d / float64(a.n)
@@ -109,12 +97,6 @@ func zQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// Min returns the smallest observation (0 for an empty accumulator).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 for an empty accumulator).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // StreamHist is a streaming quantile sketch: the fixed-size centroid
 // histogram of Ben-Haim & Tom-Tov ("A Streaming Parallel Decision Tree

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, quantiles, online moments with
+// experiment harness: means, quantiles, online moments with
 // normal-approximation confidence intervals, a streaming quantile sketch,
 // and least-squares regression for scaling-exponent fits. The regression
 // fits back the asymptotic claims of the paper — e.g. E1 fits completion
@@ -13,46 +13,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary holds the moments and order statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. It returns a zero Summary for an
-// empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s
-}
 
 // Mean returns the arithmetic mean of xs (0 for an empty sample).
 func Mean(xs []float64) float64 {

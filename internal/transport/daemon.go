@@ -182,7 +182,6 @@ func (d *Daemon) Send(to int, p Packet) error {
 		d.met.QuarantineDrops.Add(1)
 		return nil
 	}
-	p.To = to
 	l.qmu.Lock()
 	if l.qclosed {
 		l.qmu.Unlock()
@@ -308,29 +307,7 @@ func (d *Daemon) receive(i int, p Packet) {
 }
 
 // Health implements Transport.
-func (d *Daemon) Health() Health {
-	h := d.met.snapshot()
-	h.ConnsOpen = int(d.open.Load())
-	now := d.now()
-	h.Peers = make([]PeerHealth, len(d.links))
-	for i, l := range d.links {
-		state := PeerIdle
-		switch {
-		case l.quarantined(now):
-			state = PeerQuarantined
-		case l.hasConn():
-			state = PeerUp
-		}
-		h.Peers[i] = PeerHealth{
-			Peer:     i,
-			State:    state,
-			StateStr: state.String(),
-			Queued:   len(l.queue),
-			Fails:    int(l.fails.Load()),
-		}
-	}
-	return h
-}
+func (d *Daemon) Health() Health { return d.met.snapshot() }
 
 // Close implements Transport. Shutdown order matters: queues close first
 // and writers drain (remaining packets count as ShutdownDrops), then

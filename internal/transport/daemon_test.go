@@ -43,7 +43,7 @@ func TestDaemonSendReceive(t *testing.T) {
 	}
 	select {
 	case p := <-d.Inbox(1):
-		if p.From != 0 || p.To != 1 || p.Kind != KindPush {
+		if p.From != 0 || p.Kind != KindPush {
 			t.Errorf("packet mangled: %+v", p)
 		}
 	case <-time.After(stepWait(t, 2*time.Second)):
@@ -200,8 +200,8 @@ func TestDaemonCrashWindowDropsBothDirections(t *testing.T) {
 	send(0, 1) // epoch 0: connects the link to node 1
 	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery before the crash")
 	plan.AdvanceEpoch() // epoch 1: node 1 is down
-	if h := d.Health(); h.ConnsOpen != 0 || h.Peers[1].State != PeerIdle {
-		t.Errorf("crash left the link to node 1 open: conns %d, state %v", h.ConnsOpen, h.Peers[1].State)
+	if c := d.open.Load(); c != 0 || d.links[1].hasConn() {
+		t.Errorf("crash left the link to node 1 open: %d open connections", c)
 	}
 	send(0, 1)
 	send(1, 0) // a crashed node sends nothing either
@@ -228,8 +228,8 @@ func TestDaemonDialFailureQuarantinesPeer(t *testing.T) {
 	if h.DialFails == 0 {
 		t.Errorf("DialFails = %d, want > 0", h.DialFails)
 	}
-	if st := h.Peers[1]; st.State != PeerQuarantined || st.Fails == 0 {
-		t.Errorf("peer 1 = %+v, want quarantined with fails > 0", st)
+	if l := d.links[1]; !l.quarantined(clk.Now()) || l.fails.Load() == 0 {
+		t.Errorf("peer 1: quarantined %v, fails %d, want quarantined with fails > 0", l.quarantined(clk.Now()), l.fails.Load())
 	}
 	// The quarantine makes further sends cheap drops, not dial storms.
 	if err := d.Send(1, Packet{From: 0, Kind: KindPullRequest}); err != nil {
@@ -244,8 +244,8 @@ func TestDaemonDialFailureQuarantinesPeer(t *testing.T) {
 	}
 	// The window ends on the daemon's clock, not the wall clock.
 	clk.Advance(2 * d.cfg.backoffMax)
-	if st := d.Health().Peers[1]; st.State != PeerIdle {
-		t.Errorf("peer 1 = %v after its window, want idle", st.State)
+	if l := d.links[1]; l.quarantined(clk.Now()) || l.hasConn() {
+		t.Errorf("peer 1: quarantined %v, connected %v after its window, want idle", l.quarantined(clk.Now()), l.hasConn())
 	}
 }
 
@@ -280,8 +280,8 @@ func TestDaemonConnectionBudgetEvictsIdleLink(t *testing.T) {
 	if h.BudgetEvictions < 1 {
 		t.Errorf("BudgetEvictions = %d, want >= 1", h.BudgetEvictions)
 	}
-	if h.ConnsOpen > 1 {
-		t.Errorf("ConnsOpen = %d over budget 1", h.ConnsOpen)
+	if c := d.open.Load(); c > 1 {
+		t.Errorf("%d open connections over budget 1", c)
 	}
 }
 
@@ -306,7 +306,7 @@ func TestDaemonMailboxBackpressure(t *testing.T) {
 }
 
 func TestDaemonOversizeFrameDropped(t *testing.T) {
-	// One frame, {"from":0,"to":1,"kind":1} and its newline, is 27 bytes.
+	// One frame, {"from":0,"kind":1} and its newline, is 20 bytes.
 	d, _ := newTestDaemon(t, DaemonConfig{Nodes: 2, maxPacket: 16})
 	if err := d.Send(1, Packet{From: 0, Kind: KindPush}); err != nil {
 		t.Fatal(err)
@@ -381,5 +381,22 @@ func TestDaemonGossipClusterLedger(t *testing.T) {
 	// Persistent links: far fewer dials than packets.
 	if h.Dials >= h.Sends {
 		t.Errorf("dials %d >= sends %d: connections are not persistent", h.Dials, h.Sends)
+	}
+}
+
+// TestHealthSnapshotCostIndependentOfNodes: a health snapshot is the
+// ledger's counters alone, so the polls Cluster.settled makes on every
+// tick allocate nothing and cost the same at any cluster size (the
+// snapshot once built a row per peer, taking each link's connection lock).
+func TestHealthSnapshotCostIndependentOfNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("instrumentation allocates")
+	}
+	for _, n := range []int{64, 1024} {
+		d, _ := newTestDaemon(t, DaemonConfig{Nodes: n})
+		if allocs := testing.AllocsPerRun(20, func() { _ = d.Health() }); allocs != 0 {
+			t.Errorf("%d nodes: Health allocates %v objects per snapshot, want 0", n, allocs)
+		}
+		_ = d.Close() // release the listeners before the next size
 	}
 }

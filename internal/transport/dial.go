@@ -15,9 +15,8 @@ import (
 // queue, a lazily-started writer goroutine, at most one connection, and the
 // destination's dial state. The writer is the only goroutine that dials its
 // peer, so it alone owns that state (geth's dial scheduler keeps the same
-// rule: one owner for dial history) and no lock guards it. Send and Health
-// read only what the writer publishes atomically: the quarantine expiry
-// and the failure count. Dial failures open a backoff window of
+// rule: one owner for dial history) and no lock guards it. Send reads only
+// what the writer publishes atomically: the quarantine expiry. Dial failures open a backoff window of
 // backoffBase·2^(fails−1), capped at backoffMax, with ±25% jitter from the
 // link's own seeded stream; a successful dial clears the history. A
 // maxConns budget evicts the least-recently-written idle link before a new
@@ -34,7 +33,7 @@ type peerLink struct {
 	// Dial state, written by the writer only.
 	ever   bool         // connected at least once: the next connect is a redial
 	jitter *xrand.Rand  // this link's split of DaemonConfig.Seed
-	fails  atomic.Int64 // consecutive failures (Health reads it)
+	fails  atomic.Int64 // consecutive failures (tests read it while the writer runs)
 	until  atomic.Int64 // quarantine expiry in UnixNano on d.now (Send reads it)
 
 	cmu     sync.Mutex

@@ -50,9 +50,9 @@ func TestDialSchedulerBackoffGrowsAndCaps(t *testing.T) {
 		}
 	}
 	h := d.Health()
-	if n := int64(len(wantBase)); h.Peers[1].Fails != len(wantBase) || h.Dials != n || h.DialFails != n || h.WriteDrops != n {
+	if n := int64(len(wantBase)); l.fails.Load() != n || h.Dials != n || h.DialFails != n || h.WriteDrops != n {
 		t.Errorf("fails %d dials %d dialFails %d writeDrops %d, want %d each",
-			h.Peers[1].Fails, h.Dials, h.DialFails, h.WriteDrops, n)
+			l.fails.Load(), h.Dials, h.DialFails, h.WriteDrops, n)
 	}
 }
 
@@ -77,9 +77,9 @@ func TestDialSchedulerQuarantineWindow(t *testing.T) {
 	if err := d.Send(1, pull); err != nil { // Send reads the published window
 		t.Fatal(err)
 	}
-	if h := d.Health(); h.Dials != 2 || h.QuarantineDrops != 4 || h.Peers[1].State != PeerQuarantined {
-		t.Errorf("inside the window: dials %d quarantineDrops %d state %v, want 2/4/quarantined",
-			h.Dials, h.QuarantineDrops, h.Peers[1].State)
+	if h := d.Health(); h.Dials != 2 || h.QuarantineDrops != 4 || !l.quarantined(clk.Now()) {
+		t.Errorf("inside the window: dials %d quarantineDrops %d quarantined %v, want 2/4/true",
+			h.Dials, h.QuarantineDrops, l.quarantined(clk.Now()))
 	}
 	clk.Advance(window(l, clk))
 	for i := 0; i < 3; i++ {
@@ -99,14 +99,15 @@ func TestDialSchedulerSuccessClearsHistory(t *testing.T) {
 		l.deliver(pull)
 		clk.Advance(window(l, clk))
 	}
-	if f := d.Health().Peers[1].Fails; f != 2 {
+	if f := l.fails.Load(); f != 2 {
 		t.Fatalf("fails = %d after two refused dials, want 2", f)
 	}
 	d.addrs[1] = live
 	l.deliver(pull)
 	h := d.Health()
-	if h.Peers[1].Fails != 0 || h.Peers[1].State != PeerUp || l.until.Load() != 0 {
-		t.Errorf("peer 1 = %+v after a successful dial, want up with its history cleared", h.Peers[1])
+	if l.fails.Load() != 0 || !l.hasConn() || l.until.Load() != 0 {
+		t.Errorf("peer 1: fails %d, connected %v, quarantined until %d after a successful dial, want up with its history cleared",
+			l.fails.Load(), l.hasConn(), l.until.Load())
 	}
 	if h.Redials != 0 {
 		t.Errorf("first-ever connection counted as a redial (%d)", h.Redials)
@@ -122,16 +123,16 @@ func TestDialSchedulerBudget(t *testing.T) {
 	}
 	d.links[4].deliver(pull) // over budget: 1 connected first but 2 is oldest
 	h := d.Health()
-	if h.ConnsOpen != 3 || h.BudgetEvictions != 1 {
-		t.Errorf("conns %d evictions %d, want 3/1", h.ConnsOpen, h.BudgetEvictions)
+	if d.open.Load() != 3 || h.BudgetEvictions != 1 {
+		t.Errorf("conns %d evictions %d, want 3/1", d.open.Load(), h.BudgetEvictions)
 	}
-	for peer, want := range map[int]PeerState{1: PeerUp, 2: PeerIdle, 3: PeerUp, 4: PeerUp} {
-		if got := h.Peers[peer].State; got != want {
-			t.Errorf("peer %d = %v, want %v", peer, got, want)
+	for peer, want := range map[int]bool{1: true, 2: false, 3: true, 4: true} {
+		if got := d.links[peer].hasConn(); got != want {
+			t.Errorf("peer %d connected = %v, want %v", peer, got, want)
 		}
 	}
 	d.links[2].closeConn() // already closed: the counter must not move
-	if c := d.Health().ConnsOpen; c != 3 {
-		t.Errorf("ConnsOpen = %d after closing a closed link, want 3", c)
+	if c := d.open.Load(); c != 3 {
+		t.Errorf("open connections = %d after closing a closed link, want 3", c)
 	}
 }

@@ -47,53 +47,17 @@ type Metrics struct {
 	BudgetEvictions atomic.Int64 // idle connections closed to respect the budget
 }
 
-// PeerState enumerates a peer link's lifecycle.
-type PeerState int
-
-const (
-	// PeerIdle means no connection is open and nothing is queued.
-	PeerIdle PeerState = iota
-	// PeerUp means a persistent connection is established.
-	PeerUp
-	// PeerQuarantined means the peer failed recently and sits in its
-	// exponential-backoff window; sends are dropped until it expires.
-	PeerQuarantined
-)
-
-// String implements fmt.Stringer.
-func (s PeerState) String() string {
-	switch s {
-	case PeerIdle:
-		return "idle"
-	case PeerUp:
-		return "up"
-	case PeerQuarantined:
-		return "quarantined"
-	default:
-		return "unknown"
-	}
-}
-
-// PeerHealth is one peer's row in the health snapshot.
-type PeerHealth struct {
-	Peer     int       `json:"peer"`
-	State    PeerState `json:"-"`
-	StateStr string    `json:"state"`
-	Queued   int       `json:"queued,omitempty"`
-	Fails    int       `json:"fails,omitempty"`
-}
-
 // FaultStats is the fault-injection side of the ledger, populated when a
 // FaultPlan wraps the transport.
 type FaultStats struct {
-	In             int64 `json:"in"`             // packets entering the plan
-	Forwarded      int64 `json:"forwarded"`      // packets passed to the inner transport
-	Dropped        int64 `json:"dropped"`        // random drops
-	PartitionDrops int64 `json:"partitionDrops"` // drops across an active partition
-	CrashDrops     int64 `json:"crashDrops"`     // drops to/from a crashed node
-	ClosedDrops    int64 `json:"closedDrops"`    // inner transport refused (shutdown race)
-	Duplicated     int64 `json:"duplicated"`     // extra copies injected
-	Delayed        int64 `json:"delayed"`        // packets held back before forwarding
+	In             int64 // packets entering the plan
+	Forwarded      int64 // packets passed to the inner transport
+	Dropped        int64 // random drops
+	PartitionDrops int64 // drops across an active partition
+	CrashDrops     int64 // drops to/from a crashed node
+	ClosedDrops    int64 // inner transport refused (shutdown race)
+	Duplicated     int64 // extra copies injected
+	Delayed        int64 // packets held back before forwarding
 }
 
 // drops sums the plan's terminal drop buckets.
@@ -104,35 +68,33 @@ func (f FaultStats) drops() int64 {
 // Health is a point-in-time snapshot of a transport's counters, exposed
 // through the facade as regcast.TransportHealth. Snapshot after Close, or
 // once Cluster.Settle returned without a timeout, for an exact ledger.
+// Each counter is the Metrics counter of the same name.
 type Health struct {
-	Sends     int64 `json:"sends"`
-	Delivered int64 `json:"delivered"`
-	Deduped   int64 `json:"deduped"`
+	Sends     int64
+	Delivered int64
+	Deduped   int64
 
-	QueueDrops      int64 `json:"queueDrops"`
-	QuarantineDrops int64 `json:"quarantineDrops"`
-	WriteDrops      int64 `json:"writeDrops"`
-	ShutdownDrops   int64 `json:"shutdownDrops"`
-	MailboxDrops    int64 `json:"mailboxDrops"`
-	OversizeDrops   int64 `json:"oversizeDrops"`
-	DecodeDrops     int64 `json:"decodeDrops"`
+	QueueDrops      int64
+	QuarantineDrops int64
+	WriteDrops      int64
+	ShutdownDrops   int64
+	MailboxDrops    int64
+	OversizeDrops   int64
+	DecodeDrops     int64
 
-	Written  int64 `json:"written"`
-	FramesIn int64 `json:"framesIn"`
+	Written  int64
+	FramesIn int64
 
-	Dials           int64 `json:"dials"`
-	Redials         int64 `json:"redials"`
-	DialFails       int64 `json:"dialFails"`
-	Retries         int64 `json:"retries"`
-	BudgetEvictions int64 `json:"budgetEvictions"`
-	ConnsOpen       int   `json:"connsOpen"`
-
-	Peers []PeerHealth `json:"peers,omitempty"`
+	Dials           int64
+	Redials         int64
+	DialFails       int64
+	Retries         int64
+	BudgetEvictions int64
 
 	// Faults is non-nil when a FaultPlan wraps the transport; its In
 	// replaces Sends as the top of the ledger and its drop buckets join
 	// DroppedTotal.
-	Faults *FaultStats `json:"faults,omitempty"`
+	Faults *FaultStats
 }
 
 // WireLost is the number of frames fully written to a connection that

@@ -42,7 +42,6 @@ func (t *InMem) Send(to int, p Packet) error {
 		return ErrClosed
 	}
 	t.met.Sends.Add(1)
-	p.To = to
 	t.met.toMailbox(t.boxes[to], p)
 	return nil
 }

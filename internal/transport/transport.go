@@ -46,17 +46,17 @@ func (k Kind) String() string {
 
 // Packet is the unit of exchange between nodes. A cluster spreads one
 // rumour, so the kind says all a packet carries: a push or a pull reply
-// brings the rumour, a pull request asks for it.
+// brings the rumour, a pull request asks for it. The destination is the
+// inbox a packet arrives at, so the packet does not carry it.
 type Packet struct {
 	From int  `json:"from"`
-	To   int  `json:"to"`
 	Kind Kind `json:"kind"`
 }
 
 // Transport delivers packets between numbered nodes. Implementations must
 // be safe for concurrent Send calls.
 type Transport interface {
-	// Send delivers p to node `to` (p.To is set by Send).
+	// Send delivers p to node `to`.
 	Send(to int, p Packet) error
 	// Inbox returns the receive channel of a node. The channel is closed
 	// when the transport shuts down.

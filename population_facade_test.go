@@ -89,10 +89,11 @@ func TestBatchPopulationMetricMapping(t *testing.T) {
 	if len(res.Results) != 6 {
 		t.Fatalf("kept %d results, want 6", len(res.Results))
 	}
-	conv := 0
+	conv, rounds := 0, newMetricAgg()
 	for _, r := range res.Results {
 		if r.Population.Converged {
 			conv++
+			rounds.add(float64(r.Population.ConvergedAt))
 		}
 	}
 	if res.Completed != conv {
@@ -101,8 +102,8 @@ func TestBatchPopulationMetricMapping(t *testing.T) {
 	if res.InformedFrac.Mean != float64(conv)/6 {
 		t.Fatalf("InformedFrac mean %v, want convergence rate %v", res.InformedFrac.Mean, float64(conv)/6)
 	}
-	if res.Rounds.N != conv {
-		t.Fatalf("Rounds aggregated %d runs, want converged count %d", res.Rounds.N, conv)
+	if res.Rounds != rounds.aggregate() {
+		t.Fatalf("Rounds = %+v, want the converged runs' %+v", res.Rounds, rounds.aggregate())
 	}
 }
 
@@ -141,7 +142,7 @@ func TestBatchPopulationMatchesManualFold(t *testing.T) {
 			}
 
 			want := BatchResult{Replications: reps}
-			rounds, tx, txPerNode, work, rate := newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg()
+			rounds, tx, txPerNode, rate := newMetricAgg(), newMetricAgg(), newMetricAgg(), newMetricAgg()
 			for _, rng := range NewRand(seed).SplitN(reps) {
 				sc := tc.sc
 				sc.rng = rng
@@ -158,11 +159,10 @@ func TestBatchPopulationMatchesManualFold(t *testing.T) {
 				}
 				tx.add(float64(inter))
 				txPerNode.add(float64(inter) / float64(sc.N))
-				work.add(float64(p.Interactions))
 				rate.add(ind)
 			}
 			want.Rounds, want.Transmissions, want.TxPerNode = rounds.aggregate(), tx.aggregate(), txPerNode.aggregate()
-			want.ChannelsDialed, want.InformedFrac = work.aggregate(), rate.aggregate()
+			want.InformedFrac = rate.aggregate()
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s seed %d: Batch.Run differs from the manual fold:\n got %+v\nwant %+v", tc.name, seed, got, want)
 			}

@@ -166,7 +166,6 @@ func (r Runner) runPopulationScenario(ctx context.Context, s PopulationScenario)
 		return Result{}, err
 	}
 	res := Result{
-		Engine:           r.engine,
 		Rounds:           pres.Steps,
 		AliveNodes:       s.N,
 		AllInformed:      pres.Converged,

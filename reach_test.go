@@ -25,7 +25,6 @@ var callerAllowlist = map[string]string{
 	"regcast/internal/graph.Materialize":              "the dense oracle of the implicit-view tests: TestImplicitMatchesDense*, TestImplicitEdgeCensusFallback and the graph, phonecall and spectral tests",
 	"(*regcast/internal/graph.Graph).DiameterExact":   "TestRandomRegularDiameterNearLogarithmic, TestRingProperties, TestCompleteProperties, TestHypercube and TestBFSUnreachable",
 	"(*regcast/internal/graph.Graph).EdgesWithin":     "the oracle in internal/graph/structure_test.go",
-	"regcast/internal/stats.Summarize":                "TestAccumulatorMatchesSummarize's oracle",
 	"(*regcast/internal/stats.Accumulator).HalfWidth": "stats tests; ROADMAP 2(a) sizes replication counts with it",
 	"(*regcast/internal/core.FourChoice).Variant":     "core tests observe the chosen algorithm through it",
 	"(*regcast/internal/p2p/replica.Store).Entries":   "replica tests observe the store through it",
@@ -37,6 +36,15 @@ var callerAllowlist = map[string]string{
 // to write, or whose field is deleted, fails the test. Keep it at most three
 // entries long.
 var setterAllowlist = map[string]string{}
+
+// readerAllowlist names the fields (pkg.Type.Field) or whole struct types
+// (pkg.Type) that no program reads but a test does, each with the test that
+// reads it. An entry that a program starts to read, or that names nothing,
+// fails the test. Keep it at most three entries long.
+var readerAllowlist = map[string]string{
+	"regcast/internal/transport.FaultDecision":             "TestFaultPlanDeterministicSchedule reads the fault decisions through FaultPlan.Trace",
+	"regcast/internal/phonecall.RoundMetrics.ChannelsDial": "the only per-round view of the cached dial budget, pinned by budget_test.go, stride_test.go, settle_test.go and the overlay's budgetCheck",
+}
 
 // TestEveryFunctionHasACaller walks the call graph of both modules (the root
 // module and bench/) from the roots a program can enter by: main and init,
@@ -79,7 +87,7 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 // settable value that no program sets is a constant. Every exported field of
 // an exported struct type in the root module's non-test code must be written
 // by a function that main, init or a var initialiser of either module reaches
-// (callerAllowlist entries count, so stats.Summarize sets Summary's fields).
+// (callerAllowlist entries count too).
 // A write is a keyed (or positional) composite-literal
 // field, an assignment, ++ or --, taking the field's address (a flag
 // binding), or a method call on the field (an atomic counter's Add).
@@ -88,14 +96,8 @@ func TestEveryFieldHasASetter(t *testing.T) {
 		t.Errorf("setterAllowlist has %d entries; make the values constants instead", len(setterAllowlist))
 	}
 	w := loadReach(t)
-	roots := append([]*types.Func(nil), w.progRoots...)
-	for name := range callerAllowlist {
-		if fn := w.byName[name]; fn != nil {
-			roots = append(roots, fn)
-		}
-	}
 	written := map[*types.Var]bool{}
-	for fn := range w.reach(roots) {
+	for fn := range w.reach(w.keptRoots()) {
 		for _, f := range w.writes[fn] {
 			written[f] = true
 		}
@@ -124,6 +126,61 @@ func TestEveryFieldHasASetter(t *testing.T) {
 		t.Errorf("no setter outside tests: %s", u)
 	}
 	t.Logf("%d fields, %d written by a program, %d allowlisted", len(w.fields), set, len(setterAllowlist))
+}
+
+// TestEveryFieldHasAReader holds the third reach rule: a value that no
+// program reads is dead weight however many places fill it. Every field of
+// every package-scope struct type in the root module's non-test code, exported
+// or not, must be read by a function that main, init, a var initialiser or a
+// callerAllowlist entry reaches (the functions TestEveryFunctionHasACaller
+// keeps), unless readerAllowlist names it or its type. A read is any selector
+// x.F naming the field that is not the target of =, :=, op= or ++/--;
+// embedded fields and _ padding are left out.
+func TestEveryFieldHasAReader(t *testing.T) {
+	if len(readerAllowlist) > 3 {
+		t.Errorf("readerAllowlist has %d entries; delete the fields instead", len(readerAllowlist))
+	}
+	w := loadReach(t)
+	read := map[*types.Var]bool{}
+	for fn := range w.reach(w.keptRoots()) {
+		for _, f := range w.reads[fn] {
+			read[f] = true
+		}
+	}
+	for key := range readerAllowlist {
+		matched, readNow := 0, 0
+		for name, f := range w.structFields {
+			if name == key || strings.HasPrefix(name, key+".") {
+				matched++
+				if read[f] {
+					readNow++
+				}
+			}
+		}
+		switch {
+		case matched == 0:
+			t.Errorf("allowlisted %s names no field: drop its entry", key)
+		case readNow == matched:
+			t.Errorf("allowlisted %s is read by a program now: drop its entry", key)
+		}
+	}
+	var unread []string
+	nread, nallow := 0, 0
+	for name, f := range w.structFields {
+		switch {
+		case read[f]:
+			nread++
+		case readerAllowlist[name] != "" || readerAllowlist[name[:strings.LastIndex(name, ".")]] != "":
+			nallow++
+		default:
+			unread = append(unread, w.fset.Position(f.Pos()).String()+": "+name)
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("no reader outside tests: %s", u)
+	}
+	t.Logf("%d fields, %d read by a program, %d allowlisted", len(w.structFields), nread, nallow)
 }
 
 var sharedReach struct {
@@ -159,7 +216,10 @@ func newReachWalk() (*reachWalk, error) {
 		byName:  map[string]*types.Func{},
 		callees: map[*types.Func][]*types.Func{},
 		writes:  map[*types.Func][]*types.Var{},
+		reads:   map[*types.Func][]*types.Var{},
 		fields:  map[string]*types.Var{},
+
+		structFields: map[string]*types.Var{},
 	}
 	for _, dir := range []string{".", "bench"} {
 		pkgs, err := goListDeps(dir)
@@ -212,7 +272,10 @@ type reachWalk struct {
 
 	progRoots []*types.Func                // main, init and var initialisers
 	writes    map[*types.Func][]*types.Var // the fields each function writes
+	reads     map[*types.Func][]*types.Var // the fields each function reads
 	fields    map[string]*types.Var        // the root module's exported fields, by pkg.Type.Field
+
+	structFields map[string]*types.Var // every field of the root module's struct types, by pkg.Type.Field
 }
 
 func (w *reachWalk) Import(path string) (*types.Package, error) {
@@ -274,10 +337,17 @@ func (w *reachWalk) check(p listedPkg) error {
 	w.scopeInterfaces(pkg.Scope())
 
 	// refs lists the functions a subtree refers to, by call or by value, and
-	// the fields it writes.
-	refs := func(n ast.Node) (fns []*types.Func, writes []*types.Var) {
+	// the fields it writes and reads. A selector that is the target of an
+	// assignment or ++/-- is no read; ast.Inspect visits the statement before
+	// its operands, so targets holds it by then.
+	refs := func(n ast.Node) (fns []*types.Func, writes, reads []*types.Var) {
+		targets := map[*ast.Ident]bool{}
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !targets[n.Sel] {
+					reads = append(reads, v.Origin())
+				}
 			case *ast.Ident:
 				if fn, ok := info.Uses[n].(*types.Func); ok {
 					fns = append(fns, fn.Origin())
@@ -294,9 +364,11 @@ func (w *reachWalk) check(p listedPkg) error {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					writes = appendField(writes, info, lhs)
+					targets[lvalueIdent(lhs)] = true
 				}
 			case *ast.IncDecStmt:
 				writes = appendField(writes, info, n.X)
+				targets[lvalueIdent(n.X)] = true
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
 					writes = appendField(writes, info, n.X)
@@ -310,7 +382,7 @@ func (w *reachWalk) check(p listedPkg) error {
 			}
 			return true
 		})
-		return fns, writes
+		return fns, writes, reads
 	}
 	// initRoot stands for the package's var and const initialisers.
 	initRoot := types.NewFunc(token.NoPos, pkg, "init·vars", nil)
@@ -319,7 +391,7 @@ func (w *reachWalk) check(p listedPkg) error {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				fn := info.Defs[d.Name].(*types.Func)
-				w.callees[fn], w.writes[fn] = refs(d)
+				w.callees[fn], w.writes[fn], w.reads[fn] = refs(d)
 				if d.Recv == nil && (d.Name.Name == "init" || (d.Name.Name == "main" && pkg.Name() == "main")) {
 					w.progRoots = append(w.progRoots, fn)
 					continue
@@ -328,23 +400,24 @@ func (w *reachWalk) check(p listedPkg) error {
 				w.byName[fn.FullName()] = fn
 			case *ast.GenDecl:
 				if d.Tok == token.VAR || d.Tok == token.CONST {
-					fns, writes := refs(d)
+					fns, writes, reads := refs(d)
 					w.callees[initRoot] = append(w.callees[initRoot], fns...)
 					w.writes[initRoot] = append(w.writes[initRoot], writes...)
+					w.reads[initRoot] = append(w.reads[initRoot], reads...)
 				}
 			}
 		}
 	}
 	w.progRoots = append(w.progRoots, initRoot)
 	if p.module == "regcast" {
-		w.exportedFields(pkg)
+		w.recordFields(pkg)
 	}
 	return nil
 }
 
-// appendField appends the field an lvalue x.F, x.F[i], *x.F or (x.F)
-// names, if it names one.
-func appendField(writes []*types.Var, info *types.Info, x ast.Expr) []*types.Var {
+// lvalueIdent returns the identifier an lvalue x.F, x.F[i], *x.F, (x.F) or
+// a bare name ends in, or nil.
+func lvalueIdent(x ast.Expr) *ast.Ident {
 	for {
 		switch e := x.(type) {
 		case *ast.ParenExpr:
@@ -354,36 +427,61 @@ func appendField(writes []*types.Var, info *types.Info, x ast.Expr) []*types.Var
 		case *ast.StarExpr:
 			x = e.X
 		case *ast.SelectorExpr:
-			x = e.Sel
+			return e.Sel
 		case *ast.Ident:
-			if v, ok := info.Uses[e].(*types.Var); ok && v.IsField() {
-				writes = append(writes, v.Origin())
-			}
-			return writes
+			return e
 		default:
-			return writes
+			return nil
 		}
 	}
 }
 
-// exportedFields records the exported fields of the exported struct types
-// a package declares. An embedded field lends its type's methods and is no
-// settable value of its own, so it is left out.
-func (w *reachWalk) exportedFields(pkg *types.Package) {
+// appendField appends the field an lvalue x.F, x.F[i], *x.F or (x.F)
+// names, if it names one.
+func appendField(writes []*types.Var, info *types.Info, x ast.Expr) []*types.Var {
+	if v, ok := info.Uses[lvalueIdent(x)].(*types.Var); ok && v.IsField() {
+		writes = append(writes, v.Origin())
+	}
+	return writes
+}
+
+// recordFields records the fields of the struct types a package declares,
+// but embedded fields (which lend their type's methods and are no value of
+// their own) and _ padding: all of them for the reader rule, the exported
+// fields of exported types for the setter rule.
+func (w *reachWalk) recordFields(pkg *types.Package) {
 	s := pkg.Scope()
 	for _, name := range s.Names() {
 		tn, ok := s.Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() || tn.IsAlias() {
+		if !ok || tn.IsAlias() {
 			continue
 		}
 		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
 			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() && !f.Embedded() {
-					w.fields[pkg.Path()+"."+name+"."+f.Name()] = f
+				f := st.Field(i)
+				if f.Embedded() || f.Name() == "_" {
+					continue
+				}
+				key := pkg.Path() + "." + name + "." + f.Name()
+				w.structFields[key] = f
+				if tn.Exported() && f.Exported() {
+					w.fields[key] = f
 				}
 			}
 		}
 	}
+}
+
+// keptRoots is progRoots plus the callerAllowlist entries: the roots of
+// every function TestEveryFunctionHasACaller keeps.
+func (w *reachWalk) keptRoots() []*types.Func {
+	roots := append([]*types.Func(nil), w.progRoots...)
+	for name := range callerAllowlist {
+		if fn := w.byName[name]; fn != nil {
+			roots = append(roots, fn)
+		}
+	}
+	return roots
 }
 
 // reach returns the closure of roots under callees, where every method named

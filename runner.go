@@ -87,8 +87,6 @@ func NewRunner(opts ...RunnerOption) Runner {
 // Result summarises a completed run, independent of the engine that
 // produced it.
 type Result struct {
-	// Engine records which engine executed the run.
-	Engine Engine
 	// Rounds is the number of rounds (daemon engine: ticks) executed: the
 	// protocol's horizon, or FirstAllInformed under WithStopEarly.
 	Rounds int
@@ -117,7 +115,7 @@ type Result struct {
 	InformedAt []int32
 	// Transport is the daemon engine's ledger, taken after the cluster
 	// closed (nil for the simulator): drop buckets, dials, dedup hits,
-	// per-peer state, and the fault ledger under WithTransportFaults. Its
+	// malformed frames, and the fault ledger under WithTransportFaults. Its
 	// LedgerGap() is zero.
 	Transport *TransportHealth
 	// TickTimeouts counts the daemon engine's ticks that had not fallen
@@ -295,7 +293,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		Engine:           r.engine,
 		Rounds:           res.Rounds,
 		CountedRounds:    res.CountedRounds,
 		Informed:         res.Informed,
@@ -374,7 +371,7 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 
 	budget := phonecall.DialBudget(st, s.cfg.Protocol.Choices())
 
-	res := Result{Engine: r.engine, FirstAllInformed: -1, AliveNodes: n}
+	res := Result{FirstAllInformed: -1, AliveNodes: n}
 	informed := 1
 	var lastSent int64
 	var newly []int

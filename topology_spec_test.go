@@ -55,7 +55,7 @@ func TestBatchAcceptsDynamicSpec(t *testing.T) {
 	}
 
 	base := marshal(0, 1)
-	if !strings.Contains(string(base), `"replications":6`) {
+	if !strings.Contains(string(base), `"Replications":6`) {
 		t.Fatalf("implausible churn-spec aggregate:\n%s", base)
 	}
 	for _, rw := range []int{0, 1, 4} {

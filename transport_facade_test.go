@@ -36,8 +36,8 @@ func transportSmoke(t *testing.T, opts ...regcast.RunnerOption) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine != engine {
-		t.Fatalf("Result.Engine = %v, want %v", res.Engine, engine)
+	if res.Transport == nil {
+		t.Fatalf("no transport ledger: the options did not select %v", engine)
 	}
 	if !res.AllInformed {
 		t.Fatalf("%v: rumour reached only %d/%d nodes in %d ticks", engine, res.Informed, n, res.Rounds)

@@ -17,14 +17,12 @@ import (
 // replay bit-identically.
 type (
 	// TransportHealth is the daemon engine's metrics snapshot: per-bucket
-	// drop accounting, dials, redials, retries, dedup hits and per-peer
-	// link state. Its LedgerGap method checks
+	// drop accounting, dials, redials, retries, dedup hits and the
+	// malformed-frame counters. Its LedgerGap method checks
 	// that every packet handed to Send is accounted by exactly one outcome
 	// — zero once the cluster closed, asserted by the chaos soak tests —
 	// and InFlight counts what is still moving.
 	TransportHealth = transport.Health
-	// TransportPeerHealth is one peer's row in a TransportHealth snapshot.
-	TransportPeerHealth = transport.PeerHealth
 	// TransportFaultStats is the fault-injection ledger attached to a
 	// TransportHealth when a chaos run wrapped the transport.
 	TransportFaultStats = transport.FaultStats
